@@ -1,5 +1,5 @@
-//! Regenerate the launch-simulation golden file used by
-//! `tests/golden_sim.rs`.
+//! Regenerate the golden files used by `tests/golden_sim.rs` and
+//! `tests/golden_pipeline.rs`.
 //!
 //! ```text
 //! cargo run --release --example gen_goldens
@@ -13,22 +13,76 @@
 //! so any change that perturbs a single cycle count, issue total or hit
 //! rate — however small — fails loudly.
 //!
-//! Only regenerate (and commit the diff) when a simulator change is
-//! *supposed* to alter results; performance work must leave this file
-//! untouched. See EXPERIMENTS.md ("Bit-identity goldens").
+//! It then runs the *sampled* pipeline on the same roster in both
+//! sampling modes and writes `tests/goldens/pipeline_tiny.json`: per
+//! workload and mode, the serialised [`tbpoint_core::TbpointResult`] and
+//! an FNV-1a-64 digest of the concatenated per-launch trace JSONL, so a
+//! refactor of the pipeline or the samplers cannot move a prediction or
+//! reorder a single sampler event unnoticed.
+//!
+//! Only regenerate (and commit the diff) when a change is *supposed* to
+//! alter results; performance and simplification work must leave both
+//! files untouched. See EXPERIMENTS.md ("Bit-identity goldens").
 
+use tbpoint_core::{
+    run_tbpoint_live_traced_plan, run_tbpoint_traced_plan, SamplingMode, TbpointConfig,
+};
+use tbpoint_emu::profile_run;
+use tbpoint_obs::fnv1a64;
+use tbpoint_pool::ExecPlan;
 use tbpoint_sim::{simulate_run, GpuConfig, NullSampling};
-use tbpoint_workloads::{all_benchmarks, Scale};
+use tbpoint_workloads::{all_benchmarks, Benchmark, Scale};
+
+fn write_golden(path: &str, lines: &[String]) {
+    let out = format!("{{\n{}\n}}\n", lines.join(",\n"));
+    let path = std::path::Path::new(path);
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir).expect("create goldens dir");
+    }
+    std::fs::write(path, &out).expect("write golden file");
+    println!("wrote {} ({} bytes)", path.display(), out.len());
+}
+
+/// One `pipeline_tiny.json` line: `"<bench>/<mode>": {"result":…,"trace_fnv64":"…"}`.
+/// `tests/golden_pipeline.rs` rebuilds the same text from the current code.
+fn pipeline_line(bench: &Benchmark, gpu: &GpuConfig, mode: SamplingMode) -> String {
+    let cfg = TbpointConfig {
+        mode,
+        ..TbpointConfig::default()
+    };
+    let plan = ExecPlan::serial();
+    let (label, (result, traces)) = match mode {
+        SamplingMode::TwoPhase => {
+            let profile = profile_run(&bench.run, 1);
+            (
+                "two-phase",
+                run_tbpoint_traced_plan(&bench.run, &profile, &cfg, gpu, plan)
+                    .expect("two-phase pipeline"),
+            )
+        }
+        SamplingMode::Live => (
+            "live",
+            run_tbpoint_live_traced_plan(&bench.run, &cfg, gpu, plan).expect("live pipeline"),
+        ),
+    };
+    let jsonl: String = traces.iter().map(|t| t.trace.to_jsonl()).collect();
+    format!(
+        "\"{}/{label}\": {{\"result\":{},\"trace_fnv64\":\"{:016x}\"}}",
+        bench.name,
+        serde_json::to_string(&result).expect("TbpointResult serialises"),
+        fnv1a64(jsonl.as_bytes())
+    )
+}
 
 fn main() {
     let cfg = GpuConfig::fermi();
-    let mut out = String::from("{\n");
     let benches = all_benchmarks(Scale::Tiny);
-    for (i, bench) in benches.iter().enumerate() {
+
+    let mut sim_lines = Vec::new();
+    for bench in &benches {
         let r = simulate_run(&bench.run, &cfg, &mut NullSampling, None);
         let line = serde_json::to_string(&r).expect("RunSimResult serialises");
-        out.push_str(&format!("\"{}\": {line}", bench.name));
-        out.push_str(if i + 1 < benches.len() { ",\n" } else { "\n" });
+        sim_lines.push(format!("\"{}\": {line}", bench.name));
         eprintln!(
             "{:8} {:3} launches, {:>12} cycles total",
             bench.name,
@@ -36,11 +90,13 @@ fn main() {
             r.total_cycles()
         );
     }
-    out.push_str("}\n");
-    let path = std::path::Path::new("tests/goldens/launch_sim_tiny.json");
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir).expect("create goldens dir");
+    write_golden("tests/goldens/launch_sim_tiny.json", &sim_lines);
+
+    let mut pipeline_lines = Vec::new();
+    for bench in &benches {
+        for mode in [SamplingMode::TwoPhase, SamplingMode::Live] {
+            pipeline_lines.push(pipeline_line(bench, &cfg, mode));
+        }
     }
-    std::fs::write(path, &out).expect("write golden file");
-    println!("wrote {} ({} bytes)", path.display(), out.len());
+    write_golden("tests/goldens/pipeline_tiny.json", &pipeline_lines);
 }
