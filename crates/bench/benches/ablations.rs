@@ -7,6 +7,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use tbpoint_core::inter::{InterAlgo, InterConfig};
 use tbpoint_core::intra::{build_epochs, identify_regions, IntraConfig};
 use tbpoint_core::predict::{run_tbpoint, TbpointConfig};
+use tbpoint_core::ExecPlan;
 use tbpoint_emu::{profile_run, RunProfile};
 use tbpoint_ir::KernelRun;
 use tbpoint_sim::{GpuConfig, SchedPolicy};
@@ -53,7 +54,12 @@ fn bench_inter_algo(c: &mut Criterion) {
             ..TbpointConfig::default()
         };
         g.bench_with_input(BenchmarkId::from_parameter(label), &cfg, |b, cfg| {
-            b.iter(|| black_box(run_tbpoint(&run, &profile, cfg, &gpu).expect("valid")));
+            b.iter(|| {
+                black_box(
+                    run_tbpoint(&run, Some(&profile), cfg, &gpu, ExecPlan::serial())
+                        .expect("valid"),
+                )
+            });
         });
     }
     g.finish();
@@ -70,7 +76,14 @@ fn bench_scheduler(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::from_parameter(label), &gpu, |b, gpu| {
             b.iter(|| {
                 black_box(
-                    run_tbpoint(&run, &profile, &TbpointConfig::default(), gpu).expect("valid"),
+                    run_tbpoint(
+                        &run,
+                        Some(&profile),
+                        &TbpointConfig::default(),
+                        gpu,
+                        ExecPlan::serial(),
+                    )
+                    .expect("valid"),
                 )
             });
         });
@@ -113,7 +126,14 @@ fn bench_hw_retarget(c: &mut Criterion) {
             |b, gpu| {
                 b.iter(|| {
                     black_box(
-                        run_tbpoint(&run, &profile, &TbpointConfig::default(), gpu).expect("valid"),
+                        run_tbpoint(
+                            &run,
+                            Some(&profile),
+                            &TbpointConfig::default(),
+                            gpu,
+                            ExecPlan::serial(),
+                        )
+                        .expect("valid"),
                     )
                 });
             },

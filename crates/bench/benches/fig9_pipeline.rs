@@ -8,6 +8,7 @@ use tbpoint_baselines::{
     collect_units, ideal_simpoint, random_sampling, IdealSimpointConfig, RandomConfig,
 };
 use tbpoint_core::predict::{run_tbpoint, TbpointConfig};
+use tbpoint_core::ExecPlan;
 use tbpoint_emu::profile_run;
 use tbpoint_sim::{simulate_run, GpuConfig, NullSampling};
 use tbpoint_workloads::{benchmark_by_name, Scale};
@@ -49,8 +50,14 @@ fn bench_tbpoint(c: &mut Criterion) {
         let full = simulate_run(&bench.run, &gpu, &mut NullSampling, None);
         g.bench_with_input(BenchmarkId::from_parameter(name), &bench, |b, bench| {
             b.iter(|| {
-                let r = run_tbpoint(&bench.run, &profile, &TbpointConfig::default(), &gpu)
-                    .expect("valid config and matching profile");
+                let r = run_tbpoint(
+                    &bench.run,
+                    Some(&profile),
+                    &TbpointConfig::default(),
+                    &gpu,
+                    ExecPlan::serial(),
+                )
+                .expect("valid config and matching profile");
                 assert!(r.error_vs(full.overall_ipc()) < 25.0);
                 black_box(r)
             });

@@ -1,4 +1,4 @@
-//! Observability overhead: `simulate_launch` against `simulate_launch_obs`
+//! Observability overhead: `simulate_launch` against `simulate_launch_with`
 //! under each recorder. The contract the ISSUE pins is that the
 //! `NullRecorder` path is free — monomorphisation compiles the
 //! instrumentation away, so `null_recorder` must track `baseline` within
@@ -7,7 +7,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use tbpoint_obs::{CollectingRecorder, JsonlRecorder, NullRecorder};
-use tbpoint_sim::{simulate_launch, simulate_launch_obs, GpuConfig, NullSampling};
+use tbpoint_sim::{simulate_launch, simulate_launch_with, GpuConfig, NullSampling, SimOptions};
 use tbpoint_workloads::{benchmark_by_name, Scale};
 
 fn bench_obs_overhead(c: &mut Criterion) {
@@ -33,21 +33,34 @@ fn bench_obs_overhead(c: &mut Criterion) {
 
     g.bench_function("null_recorder", |b| {
         b.iter(|| {
-            black_box(simulate_launch_obs(
-                kernel,
-                launch,
-                &gpu,
-                &mut NullSampling,
-                None,
-                &NullRecorder,
-            ))
+            black_box(
+                simulate_launch_with(
+                    kernel,
+                    launch,
+                    &gpu,
+                    &mut NullSampling,
+                    None,
+                    SimOptions::default(),
+                    &NullRecorder,
+                )
+                .0,
+            )
         });
     });
 
     g.bench_function("collecting", |b| {
         b.iter(|| {
             let rec = CollectingRecorder::new();
-            let r = simulate_launch_obs(kernel, launch, &gpu, &mut NullSampling, None, &rec);
+            let r = simulate_launch_with(
+                kernel,
+                launch,
+                &gpu,
+                &mut NullSampling,
+                None,
+                SimOptions::default(),
+                &rec,
+            )
+            .0;
             black_box((r, rec.finish()))
         });
     });
@@ -55,7 +68,16 @@ fn bench_obs_overhead(c: &mut Criterion) {
     g.bench_function("jsonl", |b| {
         b.iter(|| {
             let rec = JsonlRecorder::new();
-            let r = simulate_launch_obs(kernel, launch, &gpu, &mut NullSampling, None, &rec);
+            let r = simulate_launch_with(
+                kernel,
+                launch,
+                &gpu,
+                &mut NullSampling,
+                None,
+                SimOptions::default(),
+                &rec,
+            )
+            .0;
             black_box((r, rec.finish()))
         });
     });

@@ -24,7 +24,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
-use tbpoint_core::{run_tbpoint_live_plan, run_tbpoint_plan, SamplingMode, TbpointConfig};
+use tbpoint_core::{run_tbpoint, SamplingMode, TbpointConfig};
 use tbpoint_pool::{map_indexed, ExecPlan};
 use tbpoint_sim::{simulate_launch_perf, GpuConfig, NullSampling, SimPerf};
 use tbpoint_workloads::{all_benchmarks, Scale};
@@ -32,30 +32,8 @@ use tbpoint_workloads::{all_benchmarks, Scale};
 /// Artifact schema identifier; bump on breaking shape changes.
 pub const SCHEMA: &str = "tbpoint-bench/v4";
 
-/// The previous PR's schema; still readable, but only to seed the new
-/// artifact's baseline section (see [`baseline_from_v3`]).
-pub const V3_SCHEMA: &str = "tbpoint-bench/v3";
-
-/// The PR-5 schema; readable through [`baseline_from_v2`] for the same
-/// purpose.
-pub const V2_SCHEMA: &str = "tbpoint-bench/v2";
-
-/// The PR-4 schema; readable through [`baseline_from_v1`] for the same
-/// purpose.
-pub const V1_SCHEMA: &str = "tbpoint-bench/v1";
-
 /// Default artifact path (repo root, committed).
 pub const DEFAULT_ARTIFACT: &str = "BENCH_PR9.json";
-
-/// The previous PR's committed artifact, consumed as the default
-/// baseline when the new artifact is first generated.
-pub const V3_ARTIFACT: &str = "BENCH_PR7.json";
-
-/// The PR-5 committed artifact, the next baseline seed fallback.
-pub const V2_ARTIFACT: &str = "BENCH_PR5.json";
-
-/// The PR-4 committed artifact, the baseline seed of last resort.
-pub const V1_ARTIFACT: &str = "BENCH_PR4.json";
 
 /// Fail `--check` when current throughput falls below `committed / 2` —
 /// generous on purpose: CI runners are noisy, and the check exists to
@@ -379,11 +357,17 @@ pub fn measure(
             // times take the per-rep minimum like every other stage.
             let full_ipc = if cy > 0 { wi as f64 / cy as f64 } else { 0.0 };
             let t4 = Instant::now();
-            let tbp = run_tbpoint_plan(&bench.run, &profile, &tb_cfg, &cfg, ExecPlan::serial())
-                .expect("two-phase pipeline rejected");
+            let tbp = run_tbpoint(
+                &bench.run,
+                Some(&profile),
+                &tb_cfg,
+                &cfg,
+                ExecPlan::serial(),
+            )
+            .expect("two-phase pipeline rejected");
             let two_ms = t4.elapsed().as_secs_f64() * 1e3;
             let t5 = Instant::now();
-            let live = run_tbpoint_live_plan(&bench.run, &live_cfg, &cfg, ExecPlan::serial())
+            let live = run_tbpoint(&bench.run, None, &live_cfg, &cfg, ExecPlan::serial())
                 .expect("live pipeline rejected");
             let live_ms = t5.elapsed().as_secs_f64() * 1e3;
             two_err = tbp.error_vs(full_ipc);
@@ -501,292 +485,6 @@ pub fn parse_report(bytes: &[u8]) -> Result<BenchReport, String> {
         return Err("artifact has no workloads".to_string());
     }
     Ok(report)
-}
-
-/// The v1 (PR4) workload shape, decoded only to seed a new artifact's
-/// baseline section from the previous PR's committed measurements.
-#[derive(Debug, Clone, Deserialize)]
-struct WorkloadBenchV1 {
-    name: String,
-    kind: String,
-    launches: u64,
-    blocks: u64,
-    profile_ms: f64,
-    simulate_ms: f64,
-    eval_ms: f64,
-    warp_insts: u64,
-    cycles: u64,
-    warp_insts_per_sec: f64,
-    cycles_per_sec: f64,
-    intern_hits: u64,
-    intern_misses: u64,
-    intern_uncacheable: u64,
-}
-
-/// The v1 (PR4) artifact shape.
-#[derive(Debug, Clone, Deserialize)]
-struct BenchReportV1 {
-    schema: String,
-    build: String,
-    scale: String,
-    reps: u32,
-    workloads: Vec<WorkloadBenchV1>,
-    totals: BenchTotals,
-    quick_scale: String,
-    quick: Vec<WorkloadBenchV1>,
-    baseline: Option<BaselineSection>,
-}
-
-/// Convert the previous PR's committed v1 artifact into a baseline
-/// section for the v2 artifact: its *measurements* become the frozen
-/// reference the new build's speedup columns compare against. (The
-/// vendored serde has no `#[serde(default)]`, so the version upgrade is
-/// an explicit conversion, not a lenient parse.)
-pub fn baseline_from_v1(bytes: &[u8]) -> Result<BaselineSection, String> {
-    let v1: BenchReportV1 =
-        serde_json::from_slice(bytes).map_err(|e| format!("v1 artifact does not parse: {e}"))?;
-    if v1.schema != V1_SCHEMA {
-        return Err(format!(
-            "expected a {V1_SCHEMA:?} artifact, got schema {:?}",
-            v1.schema
-        ));
-    }
-    let strip = |ws: &[WorkloadBenchV1]| {
-        ws.iter()
-            .map(|w| BaselineWorkload {
-                name: w.name.clone(),
-                profile_ms: w.profile_ms,
-                simulate_ms: w.simulate_ms,
-                eval_ms: w.eval_ms,
-                warp_insts: w.warp_insts,
-                cycles: w.cycles,
-            })
-            .collect()
-    };
-    // Touch the fields the conversion deliberately drops so the v1
-    // mirror stays an exact decode of the committed artifact.
-    let _ = (
-        &v1.totals,
-        &v1.baseline,
-        &v1.quick_scale,
-        v1.workloads.first().map(|w| {
-            (
-                &w.kind,
-                w.launches,
-                w.blocks,
-                w.warp_insts_per_sec,
-                w.cycles_per_sec,
-                w.intern_hits,
-                w.intern_misses,
-                w.intern_uncacheable,
-            )
-        }),
-    );
-    Ok(BaselineSection {
-        build: format!("{} [{}]", v1.build, V1_ARTIFACT),
-        scale: v1.scale,
-        reps: v1.reps,
-        workloads: strip(&v1.workloads),
-        quick: strip(&v1.quick),
-    })
-}
-
-/// The v2 (PR5) workload shape — v1 plus the intra-launch parallel leg
-/// — decoded only to seed a new artifact's baseline section.
-#[derive(Debug, Clone, Deserialize)]
-struct WorkloadBenchV2 {
-    name: String,
-    kind: String,
-    launches: u64,
-    blocks: u64,
-    profile_ms: f64,
-    simulate_ms: f64,
-    eval_ms: f64,
-    warp_insts: u64,
-    cycles: u64,
-    warp_insts_per_sec: f64,
-    cycles_per_sec: f64,
-    intern_hits: u64,
-    intern_misses: u64,
-    intern_uncacheable: u64,
-    jobs: u64,
-    simulate_par_ms: f64,
-    par_speedup: f64,
-}
-
-/// The v2 (PR5) artifact shape.
-#[derive(Debug, Clone, Deserialize)]
-struct BenchReportV2 {
-    schema: String,
-    build: String,
-    host_cpus: u64,
-    scale: String,
-    reps: u32,
-    workloads: Vec<WorkloadBenchV2>,
-    totals: BenchTotals,
-    quick_scale: String,
-    quick: Vec<WorkloadBenchV2>,
-    baseline: Option<BaselineSection>,
-}
-
-/// Convert the previous PR's committed v2 artifact into a baseline
-/// section for the v3 artifact, exactly as [`baseline_from_v1`] does
-/// for v1: its measurements become the frozen reference. (The vendored
-/// serde has no `#[serde(default)]`, so the version upgrade is an
-/// explicit conversion, not a lenient parse.)
-pub fn baseline_from_v2(bytes: &[u8]) -> Result<BaselineSection, String> {
-    let v2: BenchReportV2 =
-        serde_json::from_slice(bytes).map_err(|e| format!("v2 artifact does not parse: {e}"))?;
-    if v2.schema != V2_SCHEMA {
-        return Err(format!(
-            "expected a {V2_SCHEMA:?} artifact, got schema {:?}",
-            v2.schema
-        ));
-    }
-    let strip = |ws: &[WorkloadBenchV2]| {
-        ws.iter()
-            .map(|w| BaselineWorkload {
-                name: w.name.clone(),
-                profile_ms: w.profile_ms,
-                simulate_ms: w.simulate_ms,
-                eval_ms: w.eval_ms,
-                warp_insts: w.warp_insts,
-                cycles: w.cycles,
-            })
-            .collect()
-    };
-    // Touch the fields the conversion deliberately drops so the v2
-    // mirror stays an exact decode of the committed artifact.
-    let _ = (
-        &v2.totals,
-        &v2.baseline,
-        &v2.quick_scale,
-        v2.host_cpus,
-        v2.workloads.first().map(|w| {
-            (
-                &w.kind,
-                w.launches,
-                w.blocks,
-                w.warp_insts_per_sec,
-                w.cycles_per_sec,
-                w.intern_hits,
-                w.intern_misses,
-                w.intern_uncacheable,
-                w.jobs,
-                w.simulate_par_ms,
-                w.par_speedup,
-            )
-        }),
-    );
-    Ok(BaselineSection {
-        build: format!("{} [{}]", v2.build, V2_ARTIFACT),
-        scale: v2.scale,
-        reps: v2.reps,
-        workloads: strip(&v2.workloads),
-        quick: strip(&v2.quick),
-    })
-}
-
-/// The v3 (PR7) workload shape — v2 plus the cross-launch pool leg —
-/// decoded only to seed a new artifact's baseline section.
-#[derive(Debug, Clone, Deserialize)]
-struct WorkloadBenchV3 {
-    name: String,
-    kind: String,
-    launches: u64,
-    blocks: u64,
-    profile_ms: f64,
-    simulate_ms: f64,
-    eval_ms: f64,
-    warp_insts: u64,
-    cycles: u64,
-    warp_insts_per_sec: f64,
-    cycles_per_sec: f64,
-    intern_hits: u64,
-    intern_misses: u64,
-    intern_uncacheable: u64,
-    jobs: u64,
-    simulate_par_ms: f64,
-    par_speedup: f64,
-    pool_workers: u64,
-    simulate_pool_ms: f64,
-    pool_speedup: f64,
-}
-
-/// The v3 (PR7) artifact shape.
-#[derive(Debug, Clone, Deserialize)]
-struct BenchReportV3 {
-    schema: String,
-    build: String,
-    host_cpus: u64,
-    scale: String,
-    reps: u32,
-    workloads: Vec<WorkloadBenchV3>,
-    totals: BenchTotals,
-    quick_scale: String,
-    quick: Vec<WorkloadBenchV3>,
-    baseline: Option<BaselineSection>,
-}
-
-/// Convert the previous PR's committed v3 artifact into a baseline
-/// section for the v4 artifact, exactly as [`baseline_from_v2`] does
-/// for v2: its measurements become the frozen reference. (The vendored
-/// serde has no `#[serde(default)]`, so the version upgrade is an
-/// explicit conversion, not a lenient parse.)
-pub fn baseline_from_v3(bytes: &[u8]) -> Result<BaselineSection, String> {
-    let v3: BenchReportV3 =
-        serde_json::from_slice(bytes).map_err(|e| format!("v3 artifact does not parse: {e}"))?;
-    if v3.schema != V3_SCHEMA {
-        return Err(format!(
-            "expected a {V3_SCHEMA:?} artifact, got schema {:?}",
-            v3.schema
-        ));
-    }
-    let strip = |ws: &[WorkloadBenchV3]| {
-        ws.iter()
-            .map(|w| BaselineWorkload {
-                name: w.name.clone(),
-                profile_ms: w.profile_ms,
-                simulate_ms: w.simulate_ms,
-                eval_ms: w.eval_ms,
-                warp_insts: w.warp_insts,
-                cycles: w.cycles,
-            })
-            .collect()
-    };
-    // Touch the fields the conversion deliberately drops so the v3
-    // mirror stays an exact decode of the committed artifact.
-    let _ = (
-        &v3.totals,
-        &v3.baseline,
-        &v3.quick_scale,
-        v3.host_cpus,
-        v3.workloads.first().map(|w| {
-            (
-                &w.kind,
-                w.launches,
-                w.blocks,
-                w.warp_insts_per_sec,
-                w.cycles_per_sec,
-                w.intern_hits,
-                w.intern_misses,
-                w.intern_uncacheable,
-                w.jobs,
-                w.simulate_par_ms,
-                w.par_speedup,
-                w.pool_workers,
-                w.simulate_pool_ms,
-                w.pool_speedup,
-            )
-        }),
-    );
-    Ok(BaselineSection {
-        build: format!("{} [{}]", v3.build, V3_ARTIFACT),
-        scale: v3.scale,
-        reps: v3.reps,
-        workloads: strip(&v3.workloads),
-        quick: strip(&v3.quick),
-    })
 }
 
 /// Render the per-workload simulated-work counts (name, warp
@@ -1033,57 +731,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_artifact_converts_into_a_baseline_section() {
-        let v1 = r#"{"schema":"tbpoint-bench/v1","build":"old build","scale":"dev","reps":3,
-            "workloads":[{"name":"stream","kind":"regular","launches":1,"blocks":2,
-                "profile_ms":1.5,"simulate_ms":20.0,"eval_ms":21.5,"warp_insts":1000,
-                "cycles":500,"warp_insts_per_sec":50000.0,"cycles_per_sec":25000.0,
-                "intern_hits":3,"intern_misses":1,"intern_uncacheable":0}],
-            "totals":{"profile_ms":1.5,"simulate_ms":20.0,"eval_ms":21.5,
-                "warp_insts":1000,"cycles":500,"warp_insts_per_sec":50000.0},
-            "quick_scale":"tiny","quick":[],"baseline":null}"#;
-        let b = baseline_from_v1(v1.as_bytes()).unwrap();
-        assert_eq!(b.scale, "dev");
-        assert!(b.build.contains("BENCH_PR4.json"));
-        assert_eq!(b.workloads.len(), 1);
-        assert_eq!(b.workloads[0].simulate_ms, 20.0);
-        assert_eq!(b.workloads[0].warp_insts, 1000);
-        assert!(b.quick.is_empty());
-
-        // A v2 artifact must be rejected as a v1 baseline source.
-        let v2 = v1.replace("tbpoint-bench/v1", "tbpoint-bench/v2");
-        assert!(baseline_from_v1(v2.as_bytes())
-            .unwrap_err()
-            .contains("schema"));
-    }
-
-    #[test]
-    fn v2_artifact_converts_into_a_baseline_section() {
-        let v2 = r#"{"schema":"tbpoint-bench/v2","build":"pr5 build","host_cpus":4,
-            "scale":"dev","reps":3,
-            "workloads":[{"name":"stream","kind":"regular","launches":1,"blocks":2,
-                "profile_ms":1.2,"simulate_ms":15.0,"eval_ms":16.2,"warp_insts":1000,
-                "cycles":500,"warp_insts_per_sec":66000.0,"cycles_per_sec":33000.0,
-                "intern_hits":3,"intern_misses":1,"intern_uncacheable":0,
-                "jobs":2,"simulate_par_ms":9.0,"par_speedup":1.67}],
-            "totals":{"profile_ms":1.2,"simulate_ms":15.0,"eval_ms":16.2,
-                "warp_insts":1000,"cycles":500,"warp_insts_per_sec":66000.0},
-            "quick_scale":"tiny","quick":[],"baseline":null}"#;
-        let b = baseline_from_v2(v2.as_bytes()).unwrap();
-        assert_eq!(b.scale, "dev");
-        assert!(b.build.contains("BENCH_PR5.json"));
-        assert_eq!(b.workloads.len(), 1);
-        assert_eq!(b.workloads[0].simulate_ms, 15.0);
-        assert_eq!(b.workloads[0].warp_insts, 1000);
-
-        // A v3 artifact must be rejected as a v2 baseline source.
-        let v3 = v2.replace("tbpoint-bench/v2", "tbpoint-bench/v3");
-        assert!(baseline_from_v2(v3.as_bytes())
-            .unwrap_err()
-            .contains("schema"));
-    }
-
-    #[test]
     fn regression_check_trips_on_error_bound_breach() {
         let committed = report();
         let mut cur = wl("stream", 100_000.0);
@@ -1098,33 +745,6 @@ mod tests {
         let fails = check_regressions(&[cur], &committed);
         assert_eq!(fails.len(), 1, "{fails:?}");
         assert!(fails[0].contains("two-phase"));
-    }
-
-    #[test]
-    fn v3_artifact_converts_into_a_baseline_section() {
-        let v3 = r#"{"schema":"tbpoint-bench/v3","build":"pr7 build","host_cpus":4,
-            "scale":"dev","reps":3,
-            "workloads":[{"name":"stream","kind":"regular","launches":1,"blocks":2,
-                "profile_ms":1.1,"simulate_ms":12.0,"eval_ms":13.1,"warp_insts":1000,
-                "cycles":500,"warp_insts_per_sec":83000.0,"cycles_per_sec":41000.0,
-                "intern_hits":3,"intern_misses":1,"intern_uncacheable":0,
-                "jobs":2,"simulate_par_ms":7.0,"par_speedup":1.71,
-                "pool_workers":2,"simulate_pool_ms":8.0,"pool_speedup":1.5}],
-            "totals":{"profile_ms":1.1,"simulate_ms":12.0,"eval_ms":13.1,
-                "warp_insts":1000,"cycles":500,"warp_insts_per_sec":83000.0},
-            "quick_scale":"tiny","quick":[],"baseline":null}"#;
-        let b = baseline_from_v3(v3.as_bytes()).unwrap();
-        assert_eq!(b.scale, "dev");
-        assert!(b.build.contains("BENCH_PR7.json"));
-        assert_eq!(b.workloads.len(), 1);
-        assert_eq!(b.workloads[0].simulate_ms, 12.0);
-        assert_eq!(b.workloads[0].warp_insts, 1000);
-
-        // A v4 artifact must be rejected as a v3 baseline source.
-        let v4 = v3.replace("tbpoint-bench/v3", "tbpoint-bench/v4");
-        assert!(baseline_from_v3(v4.as_bytes())
-            .unwrap_err()
-            .contains("schema"));
     }
 
     #[test]

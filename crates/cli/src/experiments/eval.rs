@@ -17,10 +17,7 @@ use tbpoint_baselines::{
     collect_units, ideal_simpoint, random_sampling, systematic_sampling, IdealSimpointConfig,
     RandomConfig, SystematicConfig,
 };
-use tbpoint_core::predict::{
-    run_tbpoint_live_plan, run_tbpoint_live_traced_plan, run_tbpoint_plan, run_tbpoint_traced_plan,
-    SamplingMode, TbpointConfig, TbpointResult,
-};
+use tbpoint_core::predict::{run_tbpoint, run_tbpoint_traced, TbpointConfig, TbpointResult};
 use tbpoint_core::TbError;
 use tbpoint_emu::profile_run;
 use tbpoint_pool::{run_indexed, ExecPlan, SweepUnit};
@@ -198,13 +195,12 @@ pub fn eval_bench(
     gpu: &GpuConfig,
     plan: ExecPlan,
 ) -> Result<BenchEval, TbError> {
-    build_bench_eval(bench, cfg, gpu, |profile| match cfg.tbpoint.mode {
-        // Live mode never consumes the profile — the online detector
-        // learns everything from the retire stream. The profile is
-        // still collected above because the baseline approaches and
-        // the unit-size choice need the instruction totals.
-        SamplingMode::Live => run_tbpoint_live_plan(&bench.run, &cfg.tbpoint, gpu, plan),
-        SamplingMode::TwoPhase => run_tbpoint_plan(&bench.run, profile, &cfg.tbpoint, gpu, plan),
+    // Live mode never consumes the profile — the online detector
+    // learns everything from the retire stream. The profile is still
+    // collected because the baseline approaches and the unit-size choice
+    // need the instruction totals.
+    build_bench_eval(bench, cfg, gpu, |profile| {
+        run_tbpoint(&bench.run, Some(profile), &cfg.tbpoint, gpu, plan)
     })
 }
 
@@ -242,14 +238,7 @@ fn eval_one_traced(
 ) -> Result<(BenchEval, Vec<TraceEntry>), TbError> {
     let mut entries = Vec::new();
     let b = build_bench_eval(bench, cfg, gpu, |profile| {
-        let (tbp, traces) = match cfg.tbpoint.mode {
-            SamplingMode::Live => {
-                run_tbpoint_live_traced_plan(&bench.run, &cfg.tbpoint, gpu, plan)?
-            }
-            SamplingMode::TwoPhase => {
-                run_tbpoint_traced_plan(&bench.run, profile, &cfg.tbpoint, gpu, plan)?
-            }
-        };
+        let (tbp, traces) = run_tbpoint_traced(&bench.run, Some(profile), &cfg.tbpoint, gpu, plan)?;
         entries = traces
             .into_iter()
             .map(|t| TraceEntry {

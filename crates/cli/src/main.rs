@@ -56,8 +56,7 @@
 //! `--jobs 2` run byte-for-byte.
 //! `--baseline <file>` seeds/replaces the frozen reference section;
 //! without it, a regeneration carries the existing artifact's baseline
-//! forward (seeding from `BENCH_PR7.json`, then `BENCH_PR5.json`, then
-//! `BENCH_PR4.json`, if none exists).
+//! forward.
 //!
 //! Artefacts (JSON + CSV) land in `./artifacts/`.
 //!
@@ -654,10 +653,8 @@ fn cmd_bench(args: &Args) {
         .out
         .clone()
         .unwrap_or_else(|| PathBuf::from(bench::DEFAULT_ARTIFACT));
-    // The frozen reference: an explicit --baseline file wins; then the
-    // existing artifact's baseline section carries forward; then the
-    // previous PRs' committed artifacts (BENCH_PR7.json, falling back
-    // to BENCH_PR5.json, then BENCH_PR4.json) seed it.
+    // The frozen reference: an explicit --baseline file wins; otherwise
+    // the existing artifact's baseline section carries forward.
     let baseline = if let Some(bp) = &args.baseline {
         let bytes = std::fs::read(bp)
             .unwrap_or_else(|e| die(&format!("reading baseline {}", bp.display()), e));
@@ -669,45 +666,6 @@ fn cmd_bench(args: &Args) {
             .ok()
             .and_then(|bytes| bench::parse_report(&bytes).ok())
             .and_then(|r| r.baseline)
-            .or_else(|| {
-                let v3 = std::fs::read(bench::V3_ARTIFACT).ok()?;
-                match bench::baseline_from_v3(&v3) {
-                    Ok(section) => {
-                        eprintln!("baseline: seeded from {}", bench::V3_ARTIFACT);
-                        Some(section)
-                    }
-                    Err(e) => {
-                        eprintln!("warning: ignoring {}: {e}", bench::V3_ARTIFACT);
-                        None
-                    }
-                }
-            })
-            .or_else(|| {
-                let v2 = std::fs::read(bench::V2_ARTIFACT).ok()?;
-                match bench::baseline_from_v2(&v2) {
-                    Ok(section) => {
-                        eprintln!("baseline: seeded from {}", bench::V2_ARTIFACT);
-                        Some(section)
-                    }
-                    Err(e) => {
-                        eprintln!("warning: ignoring {}: {e}", bench::V2_ARTIFACT);
-                        None
-                    }
-                }
-            })
-            .or_else(|| {
-                let v1 = std::fs::read(bench::V1_ARTIFACT).ok()?;
-                match bench::baseline_from_v1(&v1) {
-                    Ok(section) => {
-                        eprintln!("baseline: seeded from {}", bench::V1_ARTIFACT);
-                        Some(section)
-                    }
-                    Err(e) => {
-                        eprintln!("warning: ignoring {}: {e}", bench::V1_ARTIFACT);
-                        None
-                    }
-                }
-            })
     };
 
     eprintln!(

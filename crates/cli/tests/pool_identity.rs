@@ -10,7 +10,7 @@ use std::path::{Path, PathBuf};
 use tbpoint_cli::experiments::{EvalConfig, EvalUnit};
 use tbpoint_cli::output::{self, TraceEntry};
 use tbpoint_cli::sweep::{run_units, SweepPlan};
-use tbpoint_core::predict::{run_tbpoint_traced_plan, TbpointConfig};
+use tbpoint_core::predict::{run_tbpoint_traced, TbpointConfig};
 use tbpoint_emu::profile_run;
 use tbpoint_pool::ExecPlan;
 use tbpoint_sim::GpuConfig;
@@ -157,8 +157,8 @@ fn recorder_trace_jsonl_is_byte_identical_at_every_worker_count() {
             sim_jobs: 1,
             pool_workers,
         };
-        let (result, traces) =
-            run_tbpoint_traced_plan(&bench.run, &profile, &cfg, &gpu, plan).expect("pipeline runs");
+        let (result, traces) = run_tbpoint_traced(&bench.run, Some(&profile), &cfg, &gpu, plan)
+            .expect("pipeline runs");
         let entries: Vec<TraceEntry> = traces
             .into_iter()
             .map(|t| TraceEntry {

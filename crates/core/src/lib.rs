@@ -32,15 +32,17 @@
 //!   region id, warms until consecutive unit IPCs agree within 10%, then
 //!   fast-forwards (skips) the region's remaining TBs, predicting their
 //!   cycles from the last warm unit's IPC.
-//! * [`predict`] — the end-to-end pipeline and IPC / sample-size /
-//!   skipped-instruction accounting behind Figs. 9-13 (Table IV).
 //! * [`sampling::live`] — **live single-pass sampling**: the same
-//!   epoch/cluster/region structure detected *online* from the
-//!   simulator's retire-time feature stream, with no profiling pass
-//!   ([`run_tbpoint_live`], `TbpointConfig::mode = Live`).
+//!   warming/fast-forward machine driven by an epoch/cluster/region
+//!   structure detected *online* from the simulator's retire-time
+//!   feature stream, with no profiling pass
+//!   (`TbpointConfig::mode = Live`).
+//! * [`predict`] — the end-to-end pipeline ([`run_tbpoint`], one call for
+//!   both modes) and the IPC / sample-size / skipped-instruction
+//!   accounting behind Figs. 9-13 (Table IV).
 //!
 //! Entry points return [`TbError`] on invalid configs or mismatched
-//! profiles; samplers are built with [`RegionSamplerBuilder`] and report
+//! profiles; samplers are constructed from a [`TbpointConfig`] and report
 //! into a [`tbpoint_obs::Recorder`].
 
 #![forbid(unsafe_code)]
@@ -56,10 +58,11 @@ pub use error::TbError;
 pub use inter::{inter_launch_sample, InterConfig, InterResult};
 pub use intra::{build_epochs, identify_regions, Epoch, IntraConfig, Region, RegionTable};
 pub use predict::{
-    run_tbpoint, run_tbpoint_live, run_tbpoint_live_plan, run_tbpoint_live_traced,
-    run_tbpoint_live_traced_plan, run_tbpoint_plan, run_tbpoint_traced, run_tbpoint_traced_plan,
-    LaunchTrace, SamplingMode, SavingsBreakdown, TbpointConfig, TbpointResult,
+    run_tbpoint, run_tbpoint_traced, LaunchTrace, SamplingMode, SavingsBreakdown, TbpointConfig,
+    TbpointResult,
 };
-pub use sampling::live::{LiveOutcome, LiveSampler, LiveSamplerBuilder};
-pub use sampling::{IntraOutcome, RegionSampler, RegionSamplerBuilder};
+#[doc(hidden)]
+pub use predict::{run_tbpoint_live_plan, run_tbpoint_plan, run_tbpoint_traced_plan};
+pub use sampling::live::{LiveOutcome, LiveSampler};
+pub use sampling::{IntraOutcome, RegionSampler};
 pub use tbpoint_pool::ExecPlan;

@@ -1,10 +1,13 @@
 //! The end-to-end TBPoint pipeline and IPC prediction (Table IV).
 //!
-//! Given a one-time profile of every launch:
+//! One pipeline, two sampling modes ([`TbpointConfig::mode`]):
 //!
-//! 1. inter-launch clustering picks one representative launch per cluster;
+//! 1. inter-launch clustering picks one representative launch per cluster
+//!    (Eq. 2 features of a one-time profile in two-phase mode, launch
+//!    specs in live mode);
 //! 2. each representative is simulated under homogeneous-region sampling
-//!    (its own intra-launch fast-forwarding);
+//!    (its own intra-launch fast-forwarding — regions read from the
+//!    profile, or detected online);
 //! 3. a representative's predicted launch time is `simulated cycles +
 //!    skipped insts / unit IPC`; a non-representative's is
 //!    `its insts / representative's predicted IPC`;
@@ -17,16 +20,16 @@
 //! between the two techniques. Inter- and intra-launch sampling are
 //! orthogonal (the paper's Table IV note); the config can disable either.
 //!
-//! [`run_tbpoint`] validates its configuration and returns
-//! `Result<TbpointResult, TbError>`; [`run_tbpoint_traced`] additionally
-//! captures a per-simulated-launch [`TraceBundle`] of observability
-//! events without perturbing the result.
+//! [`run_tbpoint`] validates its configuration, reads `cfg.mode` and
+//! returns `Result<TbpointResult, TbError>`; [`run_tbpoint_traced`]
+//! additionally captures a per-simulated-launch [`TraceBundle`] of
+//! observability events without perturbing the result.
 
 use crate::error::{invalid, TbError};
 use crate::inter::{inter_launch_sample, InterConfig, InterResult};
 use crate::intra::{build_epochs, identify_regions, IntraConfig};
 use crate::sampling::live::LiveSampler;
-use crate::sampling::RegionSampler;
+use crate::sampling::{IntraOutcome, RegionSampler};
 use serde::{Deserialize, Serialize};
 use tbpoint_cluster::Clustering;
 use tbpoint_emu::LaunchProfile;
@@ -39,7 +42,7 @@ use tbpoint_obs::{
 };
 use tbpoint_pool::{run_indexed, ExecPlan};
 use tbpoint_sim::{
-    simulate_launch_obs_with_options, CycleBudgetHook, GpuConfig, NullSampling, SamplingHook,
+    simulate_launch_with, CycleBudgetHook, GpuConfig, LaunchSimResult, NullSampling, SamplingHook,
     SimOptions,
 };
 
@@ -54,6 +57,15 @@ pub enum SamplingMode {
     /// are detected online from the simulator's retire-time feature
     /// stream (see [`crate::sampling::live::LiveSampler`]).
     Live,
+}
+
+impl SamplingMode {
+    /// Whether [`run_tbpoint`] samples against a profile in this mode.
+    /// Callers use it to skip the profiling pass live mode exists to
+    /// avoid.
+    pub fn needs_profile(self) -> bool {
+        self == SamplingMode::TwoPhase
+    }
 }
 
 /// Full TBPoint configuration (paper defaults).
@@ -84,9 +96,8 @@ pub struct TbpointConfig {
     /// dispatching blocks past this many cycles is drained and reported
     /// as [`TbError::BudgetExceeded`] (`None` = no watchdog).
     pub cycle_budget: Option<u64>,
-    /// Which pipeline to run ([`SamplingMode::TwoPhase`] by default).
-    /// The [`run_tbpoint`] family ignores this field — callers branch on
-    /// it to pick between [`run_tbpoint`] and [`run_tbpoint_live`].
+    /// Which sampling mode [`run_tbpoint`] runs
+    /// ([`SamplingMode::TwoPhase`] by default).
     pub mode: SamplingMode,
     /// Live mode: consecutive same-cluster epochs required before
     /// warming starts. Must be at least 1.
@@ -123,8 +134,9 @@ impl Default for TbpointConfig {
 
 impl TbpointConfig {
     /// Check every field the pipeline depends on, naming the first
-    /// offender. Called by [`run_tbpoint`]; call it yourself to validate
-    /// user input early.
+    /// offender — the one place each range check lives. Called by
+    /// [`run_tbpoint`] and by the sampler constructors; call it yourself
+    /// to validate user input early.
     ///
     /// # Errors
     ///
@@ -132,8 +144,8 @@ impl TbpointConfig {
     /// non-positive, the variation factor is negative, the warming
     /// threshold is non-finite or non-positive, `unit_tb_span` is zero,
     /// or `warming_window` is below 2. Parallelism lives outside this
-    /// config — see [`tbpoint_pool::ExecPlan`] and [`run_tbpoint_plan`]
-    /// — because results are bit-identical at any worker count, so the
+    /// config — see [`tbpoint_pool::ExecPlan`] — because results are
+    /// bit-identical at any worker count, so the
     /// worker count is an execution concern, not a result-affecting one.
     pub fn validate(&self) -> Result<(), TbError> {
         self.inter.validate()?;
@@ -298,28 +310,43 @@ struct RepSim {
     degraded: bool,
 }
 
-fn check_profile(run: &KernelRun, profile: &RunProfile) -> Result<(), TbError> {
-    if run.launches.len() == profile.launches.len() {
-        Ok(())
-    } else {
-        Err(TbError::ProfileMismatch {
-            run_launches: run.launches.len(),
-            profile_launches: profile.launches.len(),
-        })
+/// Every launch its own cluster: all are simulated.
+fn all_launches(n: usize) -> InterResult {
+    InterResult {
+        clustering: Clustering::from_assignments(&(0..n).collect::<Vec<_>>()),
+        representatives: (0..n).collect(),
+        features: vec![],
     }
 }
 
-/// Step 1: pick the launches to simulate.
-fn pick_launches(profile: &RunProfile, cfg: &TbpointConfig, n_launches: usize) -> InterResult {
-    if cfg.inter_enabled {
-        inter_launch_sample(profile, &cfg.inter)
-    } else {
-        // Every launch is its own cluster: all are simulated.
-        InterResult {
-            clustering: Clustering::from_assignments(&(0..n_launches).collect::<Vec<_>>()),
-            representatives: (0..n_launches).collect(),
-            features: vec![],
+/// Live inter-launch grouping: with no profile (and therefore no Eq. 2
+/// feature vectors), launches are grouped by their *specs*. Launches
+/// with equal `(num_blocks, work_scale)` run the same program over the
+/// same grid, but `launch_id` seeds every per-block/per-thread trip
+/// count and branch draw, so they do equal work *in distribution* only —
+/// one representative per spec class is an approximation (exact for
+/// kernels without such draws), and one of the places live mode's extra
+/// error on data-dependent kernels comes from. The first launch of each
+/// class is its representative.
+fn spec_classes(run: &KernelRun) -> InterResult {
+    let mut keys: Vec<(u32, u64)> = Vec::new();
+    let mut assignments = Vec::with_capacity(run.launches.len());
+    let mut representatives = Vec::new();
+    for (i, spec) in run.launches.iter().enumerate() {
+        let key = (spec.num_blocks, spec.work_scale.to_bits());
+        match keys.iter().position(|k| *k == key) {
+            Some(c) => assignments.push(c),
+            None => {
+                assignments.push(keys.len());
+                representatives.push(i);
+                keys.push(key);
+            }
         }
+    }
+    InterResult {
+        clustering: Clustering::from_assignments(&assignments),
+        representatives,
+        features: vec![],
     }
 }
 
@@ -351,181 +378,140 @@ fn validate_launch_profile(spec: &LaunchSpec, lp: &LaunchProfile) -> Result<(), 
     Ok(())
 }
 
-/// Run one launch simulation under the optional cycle-budget watchdog.
-#[allow(clippy::too_many_arguments)]
-fn simulate_guarded<R: Recorder>(
-    run: &KernelRun,
-    spec: &LaunchSpec,
-    gpu: &GpuConfig,
-    hook: &mut dyn SamplingHook,
-    cycle_budget: Option<u64>,
+/// What every representative's simulation shares, fixed per run.
+struct Pipeline<'a> {
+    run: &'a KernelRun,
+    /// The profile two-phase mode samples against; `None` in live mode.
+    profile: Option<&'a RunProfile>,
+    cfg: &'a TbpointConfig,
+    gpu: &'a GpuConfig,
+    occupancy: u32,
+    /// Live mode: every thread block runs the same trace.
+    block_invariant: bool,
+    /// Intra-launch SM-shard worker count ([`ExecPlan::sim_jobs`]); the
+    /// simulator clamps it structurally to the SM count.
     jobs: usize,
-    rep: usize,
-    rec: &R,
-) -> Result<tbpoint_sim::LaunchSimResult, TbError> {
-    let opts = SimOptions {
-        jobs,
-        ..SimOptions::default()
-    };
-    match cycle_budget {
-        Some(budget) => {
-            let mut guard = CycleBudgetHook::new(hook, budget);
-            let r = simulate_launch_obs_with_options(
-                &run.kernel,
-                spec,
-                gpu,
-                &mut guard,
-                None,
-                opts,
-                rec,
-            );
-            if guard.exceeded() {
-                Err(TbError::BudgetExceeded {
-                    launch: rep,
-                    budget_cycles: budget,
-                })
-            } else {
-                Ok(r)
-            }
-        }
-        None => Ok(simulate_launch_obs_with_options(
-            &run.kernel,
-            spec,
-            gpu,
-            hook,
-            None,
-            opts,
-            rec,
-        )),
-    }
 }
 
-/// Step 2 for one representative: simulate it with intra-launch sampling
-/// (when enabled), reporting into `rec`. Monomorphised over the recorder,
-/// so the untraced pipeline keeps its zero-instrumentation fast path.
-///
-/// Degradation ladder: a representative whose profile fails validation
-/// is simulated in full and its IPC taken from the simulator (the
-/// profile's instruction counts are untrustworthy); a region whose
-/// warming budget runs out falls back to detailed simulation inside the
-/// sampler. Both paths emit `DegradedMode` and mark the rep degraded. A
-/// launch that overruns `cfg.cycle_budget` is the one unrecoverable
-/// case: its numbers are garbage, so it surfaces as
-/// [`TbError::BudgetExceeded`].
-///
-/// `jobs` is the intra-launch SM-shard worker count
-/// ([`ExecPlan::sim_jobs`]); the simulator clamps it structurally to
-/// the SM count.
-#[allow(clippy::too_many_arguments)]
-fn simulate_rep<R: Recorder>(
-    run: &KernelRun,
-    profile: &RunProfile,
-    cfg: &TbpointConfig,
-    gpu: &GpuConfig,
-    occupancy: u32,
-    jobs: usize,
-    rep: usize,
-    rec: &R,
-) -> Result<RepSim, TbError> {
-    let spec = &run.launches[rep];
-    let launch_profile = &profile.launches[rep];
+impl Pipeline<'_> {
+    /// Run one launch simulation under the optional cycle-budget watchdog.
+    fn simulate_guarded<R: Recorder>(
+        &self,
+        rep: usize,
+        hook: &mut dyn SamplingHook,
+        rec: &R,
+    ) -> Result<LaunchSimResult, TbError> {
+        let mut guard = None;
+        let hook: &mut dyn SamplingHook = match self.cfg.cycle_budget {
+            Some(budget) => guard.insert(CycleBudgetHook::new(hook, budget)),
+            None => hook,
+        };
+        let opts = SimOptions {
+            jobs: self.jobs,
+            ..SimOptions::default()
+        };
+        let spec = &self.run.launches[rep];
+        let (r, _) = simulate_launch_with(&self.run.kernel, spec, self.gpu, hook, None, opts, rec);
+        match self.cfg.cycle_budget {
+            Some(budget_cycles) if guard.is_some_and(|g| g.exceeded()) => {
+                Err(TbError::BudgetExceeded {
+                    launch: rep,
+                    budget_cycles,
+                })
+            }
+            _ => Ok(r),
+        }
+    }
 
-    let profile_ok = match validate_launch_profile(spec, launch_profile) {
-        Ok(()) => true,
-        Err(_) => {
+    /// Step 2 for one representative: simulate it with intra-launch
+    /// sampling (when enabled), reporting into `rec`. Monomorphised over
+    /// the recorder, so the untraced pipeline keeps its
+    /// zero-instrumentation fast path.
+    ///
+    /// Degradation ladder: a representative whose profile fails
+    /// validation is simulated in full and its IPC taken from the
+    /// simulator (the profile's instruction counts are untrustworthy); a
+    /// region whose warming budget runs out falls back to detailed
+    /// simulation inside the sampler. Both paths emit `DegradedMode` and
+    /// mark the rep degraded. A launch that overruns `cfg.cycle_budget`
+    /// is the one unrecoverable case: its numbers are garbage, so it
+    /// surfaces as [`TbError::BudgetExceeded`].
+    fn simulate<R: Recorder>(&self, rep: usize, rec: &R) -> Result<RepSim, TbError> {
+        let spec = &self.run.launches[rep];
+        let launch_profile = self.profile.map(|p| &p.launches[rep]);
+        let profile_ok = launch_profile.is_none_or(|lp| validate_launch_profile(spec, lp).is_ok());
+        if !profile_ok {
             rec.record(
                 0,
                 EventKind::DegradedMode {
                     reason: DegradeReason::ProfileInvalid,
                 },
             );
-            false
         }
-    };
 
-    if profile_ok && cfg.intra_enabled {
-        let epochs = build_epochs(launch_profile, occupancy);
-        let table = identify_regions(&epochs, &cfg.intra);
-        let mut sampler = RegionSampler::builder(&table, launch_profile)
-            .threshold(cfg.warming_threshold)
-            .unit_tb_span(cfg.unit_tb_span)
-            .warming_window(cfg.warming_window)
-            .warming_budget(cfg.warming_budget)
-            .recorder(rec)
-            .build()?;
-        let r = simulate_guarded(
-            run,
-            spec,
-            gpu,
-            &mut sampler,
-            cfg.cycle_budget,
-            jobs,
-            rep,
-            rec,
-        )?;
-        let o = sampler.outcome();
-        let launch_insts = launch_profile.warp_insts();
+        let (r, o) = if !(self.cfg.intra_enabled && profile_ok) {
+            // Detailed simulation: intra-launch sampling is disabled, or
+            // the profile cannot be trusted (degraded).
+            let r = self.simulate_guarded(rep, &mut NullSampling, rec)?;
+            (r, IntraOutcome::default())
+        } else if let Some(lp) = launch_profile {
+            let epochs = build_epochs(lp, self.occupancy);
+            let table = identify_regions(&epochs, &self.cfg.intra);
+            let mut sampler = RegionSampler::new(self.cfg, &table, lp, rec)?;
+            let r = self.simulate_guarded(rep, &mut sampler, rec)?;
+            (r, sampler.outcome())
+        } else {
+            let mut sampler = LiveSampler::new(
+                self.cfg,
+                spec.num_blocks,
+                self.occupancy,
+                self.block_invariant,
+                rec,
+            )?;
+            let r = self.simulate_guarded(rep, &mut sampler, rec)?;
+            (r, sampler.outcome())
+        };
+
+        // The one thing the modes disagree on: a trusted profile knows
+        // the launch's instruction total; without one it is what the
+        // simulator issued plus what the sampler estimates it skipped.
+        let launch_insts = match launch_profile {
+            Some(lp) if profile_ok => lp.warp_insts(),
+            _ => r.issued_warp_insts + o.skipped_warp_insts,
+        };
         let predicted_cycles = r.cycles as f64 + o.predicted_skipped_cycles;
         let predicted_ipc = if predicted_cycles > 0.0 {
             launch_insts as f64 / predicted_cycles
         } else {
             0.0
         };
-        return Ok(RepSim {
+        Ok(RepSim {
             issued: r.issued_warp_insts,
             skipped_insts: o.skipped_warp_insts,
             sim_cycles: r.cycles,
             predicted_cycles,
             predicted_ipc,
-            degraded: o.degraded_regions > 0,
-        });
+            degraded: !profile_ok || o.degraded_regions > 0,
+        })
     }
-
-    // Detailed simulation: either intra-launch sampling is disabled, or
-    // the profile cannot be trusted (degraded). In the degraded case the
-    // launch's instruction count comes from the simulator, not the
-    // corrupt profile.
-    let r = simulate_guarded(
-        run,
-        spec,
-        gpu,
-        &mut NullSampling,
-        cfg.cycle_budget,
-        jobs,
-        rep,
-        rec,
-    )?;
-    let launch_insts = if profile_ok {
-        launch_profile.warp_insts()
-    } else {
-        r.issued_warp_insts
-    };
-    let predicted_cycles = r.cycles as f64;
-    let predicted_ipc = if predicted_cycles > 0.0 {
-        launch_insts as f64 / predicted_cycles
-    } else {
-        0.0
-    };
-    Ok(RepSim {
-        issued: r.issued_warp_insts,
-        skipped_insts: 0,
-        sim_cycles: r.cycles,
-        predicted_cycles,
-        predicted_ipc,
-        degraded: !profile_ok,
-    })
 }
 
 /// Steps 3-4: extend representatives to their clusters and aggregate.
+///
+/// Per-launch instruction totals come from the profile when there is one.
+/// In live mode a non-representative launch is charged its class
+/// representative's total (issued + estimated skipped) — an *estimate*,
+/// since same-spec launches do equal work in distribution only (see
+/// [`spec_classes`]).
 fn aggregate(
     run: &KernelRun,
-    profile: &RunProfile,
+    profile: Option<&RunProfile>,
     inter: InterResult,
     rep_results: &[RepSim],
 ) -> TbpointResult {
     let n_launches = run.launches.len();
-    // rep_outcome[launch] = Some((predicted_cycles, predicted_ipc)).
-    let mut rep_outcome: Vec<Option<(f64, f64)>> = vec![None; n_launches];
+    // rep_outcome[launch] = (predicted_cycles, predicted_ipc, est insts).
+    let mut rep_outcome: Vec<Option<(f64, f64, u64)>> = vec![None; n_launches];
     let mut simulated_warp_insts = 0u64;
     let mut intra_skipped = 0u64;
     let mut degraded_launches = 0usize;
@@ -535,19 +521,26 @@ fn aggregate(
         if r.degraded {
             degraded_launches += 1;
         }
-        rep_outcome[rep] = Some((r.predicted_cycles, r.predicted_ipc));
+        rep_outcome[rep] = Some((
+            r.predicted_cycles,
+            r.predicted_ipc,
+            r.issued + r.skipped_insts,
+        ));
     }
 
     let mut per_launch_predicted_cycles = Vec::with_capacity(n_launches);
     let mut inter_skipped = 0u64;
     let mut total_insts = 0u64;
     for i in 0..n_launches {
-        let launch_insts = profile.launches[i].warp_insts();
-        total_insts += launch_insts;
         let rep = inter.representatives[inter.clustering.assignments[i]];
         // Filled for every representative by the loop above; the
         // fallback only guards an impossible index.
-        let (rep_cycles, rep_ipc) = rep_outcome[rep].unwrap_or((0.0, 0.0));
+        let (rep_cycles, rep_ipc, rep_insts) = rep_outcome[rep].unwrap_or((0.0, 0.0, 0));
+        let launch_insts = match profile {
+            Some(p) => p.launches[i].warp_insts(),
+            None => rep_insts,
+        };
+        total_insts += launch_insts;
         if i == rep {
             per_launch_predicted_cycles.push(rep_cycles);
         } else {
@@ -585,40 +578,145 @@ fn aggregate(
     }
 }
 
-/// Run the full TBPoint pipeline for one benchmark.
+/// The pipeline, once: validate, pick the launches to simulate (step 1),
+/// run `rep_job` for each representative on the pool (step 2; whole
+/// launches are the unit of scheduling, results land in
+/// per-representative slots in canonical order), aggregate (steps 3-4).
+/// `rep_job` returns the representative's numbers plus whatever the
+/// caller wants back per representative (nothing, or its trace).
+fn drive<T: Send>(
+    run: &KernelRun,
+    profile: Option<&RunProfile>,
+    cfg: &TbpointConfig,
+    gpu: &GpuConfig,
+    plan: ExecPlan,
+    rep_job: impl Fn(&Pipeline<'_>, usize) -> Result<(RepSim, T), TbError> + Sync,
+) -> Result<(TbpointResult, Vec<T>), TbError> {
+    cfg.validate()?;
+    let n_launches = run.launches.len();
+    let profile = match cfg.mode {
+        SamplingMode::TwoPhase => {
+            let p = profile.ok_or_else(|| {
+                invalid(
+                    "profile",
+                    "SamplingMode::TwoPhase samples against the run's profile (got None)",
+                )
+            })?;
+            if n_launches != p.launches.len() {
+                return Err(TbError::ProfileMismatch {
+                    run_launches: n_launches,
+                    profile_launches: p.launches.len(),
+                });
+            }
+            Some(p)
+        }
+        SamplingMode::Live => None,
+    };
+    let inter = if !cfg.inter_enabled {
+        all_launches(n_launches)
+    } else if let Some(p) = profile {
+        inter_launch_sample(p, &cfg.inter)
+    } else {
+        spec_classes(run)
+    };
+
+    let deps = TraceDeps::of(&run.kernel);
+    let plan = plan.normalized();
+    let pipeline = Pipeline {
+        run,
+        profile,
+        cfg,
+        gpu,
+        occupancy: gpu.system_occupancy(&run.kernel),
+        block_invariant: !deps.per_thread && !deps.per_block,
+        jobs: plan.sim_jobs,
+    };
+    let reps = &inter.representatives;
+    let (rep_results, extras): (Vec<RepSim>, Vec<T>) =
+        run_indexed(plan.pool_workers, reps.len(), |i| {
+            rep_job(&pipeline, reps[i])
+        })
+        .map_err(|(_, e)| e)?
+        .into_iter()
+        .unzip();
+    Ok((aggregate(run, profile, inter, &rep_results), extras))
+}
+
+/// Run the TBPoint pipeline for one benchmark in the mode `cfg.mode`
+/// selects.
 ///
-/// `profile` must be the one-time profile of `run` (from
-/// [`tbpoint_emu::profile_run`]); `gpu` is the simulated configuration —
-/// changing it only re-runs clustering and simulation, never profiling.
+/// [`SamplingMode::TwoPhase`] needs `profile`, the one-time profile of
+/// `run` (from [`tbpoint_emu::profile_run`]); changing `gpu` only re-runs
+/// clustering and simulation, never profiling. [`SamplingMode::Live`]
+/// has no profiling pass — epoch detection, clustering and
+/// fast-forwarding all happen online inside the one timing simulation
+/// (see [`crate::sampling::live`]) — and ignores a supplied profile. The
+/// live result has the same shape, but `total_warp_insts` (and
+/// everything derived from it) is an *estimate*: exact for
+/// block-invariant kernels, the cluster running mean otherwise.
+///
+/// Representatives fan out across `plan.pool_workers` threads of the
+/// deterministic job pool and each launch simulation runs with
+/// `plan.sim_jobs` SM-shard workers; the [`TbpointResult`] is
+/// bit-identical to [`ExecPlan::serial`] at every worker count on both
+/// axes (the golden determinism suite asserts this).
 ///
 /// # Errors
 ///
 /// [`TbError::InvalidConfig`] when [`TbpointConfig::validate`] rejects
-/// `cfg`; [`TbError::ProfileMismatch`] when the profile's launch count
-/// differs from the run's.
+/// `cfg`, or names `profile` when two-phase mode got none;
+/// [`TbError::ProfileMismatch`] when the profile's launch count differs
+/// from the run's; [`TbError::BudgetExceeded`] when a representative
+/// overruns `cfg.cycle_budget`. A failing representative reports the
+/// error with the lowest recorded representative index.
 pub fn run_tbpoint(
     run: &KernelRun,
-    profile: &RunProfile,
+    profile: Option<&RunProfile>,
     cfg: &TbpointConfig,
     gpu: &GpuConfig,
+    plan: ExecPlan,
 ) -> Result<TbpointResult, TbError> {
-    run_tbpoint_plan(run, profile, cfg, gpu, ExecPlan::serial())
+    let untraced = |p: &Pipeline<'_>, rep| Ok((p.simulate(rep, &NullRecorder)?, ()));
+    Ok(drive(run, profile, cfg, gpu, plan, untraced)?.0)
 }
 
-/// [`run_tbpoint`] under an explicit [`ExecPlan`].
+/// [`run_tbpoint`] with per-launch observability traces.
 ///
-/// Step 2 fans the representatives out across `plan.pool_workers`
-/// threads of the deterministic job pool (whole launches are the unit
-/// of scheduling); each launch simulation itself runs with
-/// `plan.sim_jobs` SM-shard workers. Results land in per-representative
-/// slots and are merged in canonical representative order, so the
-/// [`TbpointResult`] is bit-identical to serial at every worker count
-/// on both axes (the golden determinism suite asserts this).
+/// Each simulated representative records into its own
+/// [`CollectingRecorder`], created inside its pool job (the recorder is
+/// `Send` but not `Sync`, so recorders are never shared across workers)
+/// and wrapped in a [`Span::SimulateLaunch`] span; traces are returned
+/// in representative order. Recording is observation-only: the
+/// [`TbpointResult`] is bit-identical to [`run_tbpoint`]'s, and both the
+/// result and the traces are bit-identical to the serial run at every
+/// `pool_workers` count.
 ///
 /// # Errors
 ///
-/// Exactly as [`run_tbpoint`]; a failing representative reports the
-/// error with the lowest recorded representative index.
+/// Exactly as [`run_tbpoint`].
+pub fn run_tbpoint_traced(
+    run: &KernelRun,
+    profile: Option<&RunProfile>,
+    cfg: &TbpointConfig,
+    gpu: &GpuConfig,
+    plan: ExecPlan,
+) -> Result<(TbpointResult, Vec<LaunchTrace>), TbError> {
+    drive(run, profile, cfg, gpu, plan, |p, rep| {
+        let rec = CollectingRecorder::new();
+        let span = Span::SimulateLaunch {
+            launch: run.launches[rep].launch_id.0,
+        };
+        rec.span_start(0, span);
+        let r = p.simulate(rep, &rec)?;
+        rec.span_end(r.sim_cycles, span);
+        let trace = rec.finish();
+        Ok((r, LaunchTrace { launch: rep, trace }))
+    })
+}
+
+// The pre-merge two-phase entry point (ignores `cfg.mode`), kept because
+// the frozen harness under `benchmark/` — its only caller — imports it.
+#[doc(hidden)]
 pub fn run_tbpoint_plan(
     run: &KernelRun,
     profile: &RunProfile,
@@ -626,67 +724,20 @@ pub fn run_tbpoint_plan(
     gpu: &GpuConfig,
     plan: ExecPlan,
 ) -> Result<TbpointResult, TbError> {
-    cfg.validate()?;
-    check_profile(run, profile)?;
-    let n_launches = run.launches.len();
-    let inter = pick_launches(profile, cfg, n_launches);
-    let occupancy = gpu.system_occupancy(&run.kernel);
-
-    // Step 2: simulate each representative with intra-launch sampling,
-    // scheduled as whole launches across the pool.
-    let plan = plan.normalized();
-    let reps = &inter.representatives;
-    let rep_results = run_indexed(plan.pool_workers, reps.len(), |i| {
-        simulate_rep(
-            run,
-            profile,
-            cfg,
-            gpu,
-            occupancy,
-            plan.sim_jobs,
-            reps[i],
-            &NullRecorder,
-        )
-    })
-    .map_err(|(_, e)| e)?;
-
-    Ok(aggregate(run, profile, inter, &rep_results))
+    run_tbpoint(
+        run,
+        Some(profile),
+        &TbpointConfig {
+            mode: SamplingMode::TwoPhase,
+            ..*cfg
+        },
+        gpu,
+        plan,
+    )
 }
 
-/// [`run_tbpoint`] with per-launch observability traces.
-///
-/// Each simulated representative gets its own [`CollectingRecorder`]
-/// wrapped in a [`Span::SimulateLaunch`] span; traces are returned in
-/// representative order (ascending launch index within each cluster
-/// pick). Recording is observation-only: the [`TbpointResult`] is
-/// bit-identical to [`run_tbpoint`]'s (the golden determinism test
-/// asserts this). Runs serially; use [`run_tbpoint_traced_plan`] to
-/// fan out.
-///
-/// # Errors
-///
-/// Exactly as [`run_tbpoint`].
-pub fn run_tbpoint_traced(
-    run: &KernelRun,
-    profile: &RunProfile,
-    cfg: &TbpointConfig,
-    gpu: &GpuConfig,
-) -> Result<(TbpointResult, Vec<LaunchTrace>), TbError> {
-    run_tbpoint_traced_plan(run, profile, cfg, gpu, ExecPlan::serial())
-}
-
-/// [`run_tbpoint_traced`] under an explicit [`ExecPlan`].
-///
-/// Tracing composes with the pool: every representative records into
-/// its own [`CollectingRecorder`] created inside its pool job (the
-/// recorder is `Send` but not `Sync`, so recorders are never shared
-/// across workers), and the per-launch [`TraceBundle`]s are merged back
-/// in canonical representative order. Both the result *and* the traces
-/// are therefore bit-identical to the serial run at every worker count.
-///
-/// # Errors
-///
-/// Exactly as [`run_tbpoint`].
+// As `run_tbpoint_plan`, traced; `benchmark/` is its only caller.
+#[doc(hidden)]
 pub fn run_tbpoint_traced_plan(
     run: &KernelRun,
     profile: &RunProfile,
@@ -694,364 +745,37 @@ pub fn run_tbpoint_traced_plan(
     gpu: &GpuConfig,
     plan: ExecPlan,
 ) -> Result<(TbpointResult, Vec<LaunchTrace>), TbError> {
-    cfg.validate()?;
-    check_profile(run, profile)?;
-    let n_launches = run.launches.len();
-    let inter = pick_launches(profile, cfg, n_launches);
-    let occupancy = gpu.system_occupancy(&run.kernel);
-
-    let plan = plan.normalized();
-    let reps = &inter.representatives;
-    let outcomes = run_indexed(plan.pool_workers, reps.len(), |i| {
-        let rep = reps[i];
-        let rec = CollectingRecorder::new();
-        let span = Span::SimulateLaunch {
-            launch: run.launches[rep].launch_id.0,
-        };
-        rec.span_start(0, span);
-        let r = simulate_rep(run, profile, cfg, gpu, occupancy, plan.sim_jobs, rep, &rec)?;
-        rec.span_end(r.sim_cycles, span);
-        Ok((r, rec.finish()))
-    })
-    .map_err(|(_, e): (usize, TbError)| e)?;
-
-    let mut rep_results = Vec::with_capacity(outcomes.len());
-    let mut traces = Vec::with_capacity(outcomes.len());
-    for (&rep, (r, trace)) in reps.iter().zip(outcomes) {
-        rep_results.push(r);
-        traces.push(LaunchTrace { launch: rep, trace });
-    }
-
-    Ok((aggregate(run, profile, inter, &rep_results), traces))
-}
-
-// --- live single-pass pipeline -----------------------------------------
-
-/// Live inter-launch grouping: with no profile (and therefore no Eq. 2
-/// feature vectors), launches are grouped by their *specs* — identical
-/// `(num_blocks, work_scale)` means identical work on our deterministic
-/// substrate, so one representative per spec class suffices. The first
-/// launch of each class is its representative.
-fn live_classes(run: &KernelRun, cfg: &TbpointConfig) -> InterResult {
-    let n = run.launches.len();
-    if !cfg.inter_enabled {
-        return InterResult {
-            clustering: Clustering::from_assignments(&(0..n).collect::<Vec<_>>()),
-            representatives: (0..n).collect(),
-            features: vec![],
-        };
-    }
-    let mut keys: Vec<(u32, u64)> = Vec::new();
-    let mut assignments = Vec::with_capacity(n);
-    let mut representatives = Vec::new();
-    for (i, spec) in run.launches.iter().enumerate() {
-        let key = (spec.num_blocks, spec.work_scale.to_bits());
-        match keys.iter().position(|k| *k == key) {
-            Some(c) => assignments.push(c),
-            None => {
-                assignments.push(keys.len());
-                representatives.push(i);
-                keys.push(key);
-            }
-        }
-    }
-    InterResult {
-        clustering: Clustering::from_assignments(&assignments),
-        representatives,
-        features: vec![],
-    }
-}
-
-/// Step 2 of the live pipeline: simulate one representative with the
-/// online [`LiveSampler`] (no profile). Instruction totals come out of
-/// the simulator plus the sampler's skip estimates instead of a profile.
-#[allow(clippy::too_many_arguments)]
-fn simulate_rep_live<R: Recorder>(
-    run: &KernelRun,
-    cfg: &TbpointConfig,
-    gpu: &GpuConfig,
-    occupancy: u32,
-    block_invariant: bool,
-    jobs: usize,
-    rep: usize,
-    rec: &R,
-) -> Result<RepSim, TbError> {
-    let spec = &run.launches[rep];
-    if cfg.intra_enabled {
-        let mut sampler = LiveSampler::builder(spec.num_blocks, occupancy)
-            .block_invariant(block_invariant)
-            .sigma(cfg.intra.sigma)
-            .threshold(cfg.warming_threshold)
-            .unit_tb_span(cfg.unit_tb_span)
-            .warming_window(cfg.warming_window)
-            .warming_budget(cfg.warming_budget)
-            .min_run(cfg.live_min_run)
-            .guard_period(cfg.live_guard_period)
-            .destab_tolerance(cfg.live_destab_tolerance)
-            .recorder(rec)
-            .build()?;
-        let r = simulate_guarded(
-            run,
-            spec,
-            gpu,
-            &mut sampler,
-            cfg.cycle_budget,
-            jobs,
-            rep,
-            rec,
-        )?;
-        let o = sampler.outcome();
-        let est_total = r.issued_warp_insts + o.skipped_warp_insts;
-        let predicted_cycles = r.cycles as f64 + o.predicted_skipped_cycles;
-        let predicted_ipc = if predicted_cycles > 0.0 {
-            est_total as f64 / predicted_cycles
-        } else {
-            0.0
-        };
-        return Ok(RepSim {
-            issued: r.issued_warp_insts,
-            skipped_insts: o.skipped_warp_insts,
-            sim_cycles: r.cycles,
-            predicted_cycles,
-            predicted_ipc,
-            degraded: o.degraded_regions > 0,
-        });
-    }
-
-    // Intra-launch sampling disabled: the "live" run is just a detailed
-    // simulation (still profile-free; instruction counts are exact).
-    let r = simulate_guarded(
+    run_tbpoint_traced(
         run,
-        spec,
-        gpu,
-        &mut NullSampling,
-        cfg.cycle_budget,
-        jobs,
-        rep,
-        rec,
-    )?;
-    let predicted_cycles = r.cycles as f64;
-    let predicted_ipc = if predicted_cycles > 0.0 {
-        r.issued_warp_insts as f64 / predicted_cycles
-    } else {
-        0.0
-    };
-    Ok(RepSim {
-        issued: r.issued_warp_insts,
-        skipped_insts: 0,
-        sim_cycles: r.cycles,
-        predicted_cycles,
-        predicted_ipc,
-        degraded: false,
-    })
-}
-
-/// Steps 3-4 of the live pipeline. Identical accounting to the two-phase
-/// [`aggregate`], except instruction totals come from the simulated
-/// representatives (issued + estimated skipped) instead of the profile:
-/// a non-representative launch shares its class representative's spec,
-/// so its instruction count *is* the representative's estimated total.
-fn aggregate_live(run: &KernelRun, inter: InterResult, rep_results: &[RepSim]) -> TbpointResult {
-    let n_launches = run.launches.len();
-    // rep_outcome[launch] = (predicted_cycles, predicted_ipc, est insts).
-    let mut rep_outcome: Vec<Option<(f64, f64, u64)>> = vec![None; n_launches];
-    let mut simulated_warp_insts = 0u64;
-    let mut intra_skipped = 0u64;
-    let mut degraded_launches = 0usize;
-    for (&rep, r) in inter.representatives.iter().zip(rep_results) {
-        simulated_warp_insts += r.issued;
-        intra_skipped += r.skipped_insts;
-        if r.degraded {
-            degraded_launches += 1;
-        }
-        rep_outcome[rep] = Some((
-            r.predicted_cycles,
-            r.predicted_ipc,
-            r.issued + r.skipped_insts,
-        ));
-    }
-
-    let mut per_launch_predicted_cycles = Vec::with_capacity(n_launches);
-    let mut inter_skipped = 0u64;
-    let mut total_insts = 0u64;
-    for i in 0..n_launches {
-        let rep = inter.representatives[inter.clustering.assignments[i]];
-        // Filled for every representative by the loop above; the
-        // fallback only guards an impossible index.
-        let (rep_cycles, rep_ipc, rep_insts) = rep_outcome[rep].unwrap_or((0.0, 0.0, 0));
-        total_insts += rep_insts;
-        if i == rep {
-            per_launch_predicted_cycles.push(rep_cycles);
-        } else {
-            inter_skipped += rep_insts;
-            let cycles = if rep_ipc > 0.0 {
-                rep_insts as f64 / rep_ipc
-            } else {
-                rep_cycles
-            };
-            per_launch_predicted_cycles.push(cycles);
-        }
-    }
-    let predicted_total_cycles: f64 = per_launch_predicted_cycles.iter().sum();
-    let predicted_ipc = if predicted_total_cycles > 0.0 {
-        total_insts as f64 / predicted_total_cycles
-    } else {
-        0.0
-    };
-
-    TbpointResult {
-        kernel_name: run.kernel.name.clone(),
-        predicted_ipc,
-        simulated_warp_insts,
-        total_warp_insts: total_insts,
-        predicted_total_cycles,
-        breakdown: SavingsBreakdown {
-            inter_skipped_warp_insts: inter_skipped,
-            intra_skipped_warp_insts: intra_skipped,
+        Some(profile),
+        &TbpointConfig {
+            mode: SamplingMode::TwoPhase,
+            ..*cfg
         },
-        num_simulated_launches: inter.representatives.len(),
-        num_launches: n_launches,
-        per_launch_predicted_cycles,
-        inter_clustering: inter.clustering,
-        degraded_launches,
-    }
+        gpu,
+        plan,
+    )
 }
 
-/// Run the live single-pass TBPoint pipeline for one benchmark: no
-/// profiling pass, no region tables — epoch detection, clustering and
-/// fast-forwarding all happen online inside the one timing simulation
-/// (see [`crate::sampling::live::LiveSampler`]).
-///
-/// The returned [`TbpointResult`] has the same shape as
-/// [`run_tbpoint`]'s, but `total_warp_insts` (and everything derived
-/// from it) is an *estimate*: exact for block-invariant kernels, the
-/// cluster running mean otherwise.
-///
-/// # Errors
-///
-/// [`TbError::InvalidConfig`] when [`TbpointConfig::validate`] rejects
-/// `cfg`; [`TbError::BudgetExceeded`] when a representative overruns
-/// `cfg.cycle_budget`.
-pub fn run_tbpoint_live(
-    run: &KernelRun,
-    cfg: &TbpointConfig,
-    gpu: &GpuConfig,
-) -> Result<TbpointResult, TbError> {
-    run_tbpoint_live_plan(run, cfg, gpu, ExecPlan::serial())
-}
-
-/// [`run_tbpoint_live`] under an explicit [`ExecPlan`].
-///
-/// Exactly like [`run_tbpoint_plan`], representatives fan out across
-/// `plan.pool_workers` pool threads and each launch runs with
-/// `plan.sim_jobs` SM-shard workers; the retire-time feature stream the
-/// live sampler consumes is delivered in the same deterministic order at
-/// every worker count, so the result is bit-identical to serial on both
-/// axes.
-///
-/// # Errors
-///
-/// Exactly as [`run_tbpoint_live`]; a failing representative reports
-/// the error with the lowest recorded representative index.
+// The pre-merge live entry point (ignores `cfg.mode`); `benchmark/` is
+// its only caller.
+#[doc(hidden)]
 pub fn run_tbpoint_live_plan(
     run: &KernelRun,
     cfg: &TbpointConfig,
     gpu: &GpuConfig,
     plan: ExecPlan,
 ) -> Result<TbpointResult, TbError> {
-    cfg.validate()?;
-    let inter = live_classes(run, cfg);
-    let occupancy = gpu.system_occupancy(&run.kernel);
-    let deps = TraceDeps::of(&run.kernel);
-    let block_invariant = !deps.per_thread && !deps.per_block;
-
-    let plan = plan.normalized();
-    let reps = &inter.representatives;
-    let rep_results = run_indexed(plan.pool_workers, reps.len(), |i| {
-        simulate_rep_live(
-            run,
-            cfg,
-            gpu,
-            occupancy,
-            block_invariant,
-            plan.sim_jobs,
-            reps[i],
-            &NullRecorder,
-        )
-    })
-    .map_err(|(_, e)| e)?;
-
-    Ok(aggregate_live(run, inter, &rep_results))
-}
-
-/// [`run_tbpoint_live`] with per-launch observability traces (the live
-/// analogue of [`run_tbpoint_traced`]). Runs serially; use
-/// [`run_tbpoint_live_traced_plan`] to fan out.
-///
-/// # Errors
-///
-/// Exactly as [`run_tbpoint_live`].
-pub fn run_tbpoint_live_traced(
-    run: &KernelRun,
-    cfg: &TbpointConfig,
-    gpu: &GpuConfig,
-) -> Result<(TbpointResult, Vec<LaunchTrace>), TbError> {
-    run_tbpoint_live_traced_plan(run, cfg, gpu, ExecPlan::serial())
-}
-
-/// [`run_tbpoint_live_traced`] under an explicit [`ExecPlan`]: each
-/// representative records into its own [`CollectingRecorder`] inside its
-/// pool job and traces merge back in canonical representative order, so
-/// both the result and the trace streams are bit-identical to serial at
-/// every worker count.
-///
-/// # Errors
-///
-/// Exactly as [`run_tbpoint_live`].
-pub fn run_tbpoint_live_traced_plan(
-    run: &KernelRun,
-    cfg: &TbpointConfig,
-    gpu: &GpuConfig,
-    plan: ExecPlan,
-) -> Result<(TbpointResult, Vec<LaunchTrace>), TbError> {
-    cfg.validate()?;
-    let inter = live_classes(run, cfg);
-    let occupancy = gpu.system_occupancy(&run.kernel);
-    let deps = TraceDeps::of(&run.kernel);
-    let block_invariant = !deps.per_thread && !deps.per_block;
-
-    let plan = plan.normalized();
-    let reps = &inter.representatives;
-    let outcomes = run_indexed(plan.pool_workers, reps.len(), |i| {
-        let rep = reps[i];
-        let rec = CollectingRecorder::new();
-        let span = Span::SimulateLaunch {
-            launch: run.launches[rep].launch_id.0,
-        };
-        rec.span_start(0, span);
-        let r = simulate_rep_live(
-            run,
-            cfg,
-            gpu,
-            occupancy,
-            block_invariant,
-            plan.sim_jobs,
-            rep,
-            &rec,
-        )?;
-        rec.span_end(r.sim_cycles, span);
-        Ok((r, rec.finish()))
-    })
-    .map_err(|(_, e): (usize, TbError)| e)?;
-
-    let mut rep_results = Vec::with_capacity(outcomes.len());
-    let mut traces = Vec::with_capacity(outcomes.len());
-    for (&rep, (r, trace)) in reps.iter().zip(outcomes) {
-        rep_results.push(r);
-        traces.push(LaunchTrace { launch: rep, trace });
-    }
-
-    Ok((aggregate_live(run, inter, &rep_results), traces))
+    run_tbpoint(
+        run,
+        None,
+        &TbpointConfig {
+            mode: SamplingMode::Live,
+            ..*cfg
+        },
+        gpu,
+        plan,
+    )
 }
 
 #[cfg(test)]
@@ -1060,6 +784,13 @@ mod tests {
     use tbpoint_emu::profile_run;
     use tbpoint_ir::{AddrPattern, KernelBuilder, KernelRun, LaunchId, LaunchSpec, Op, TripCount};
     use tbpoint_sim::{simulate_run, NullSampling};
+
+    fn live_defaults() -> TbpointConfig {
+        TbpointConfig {
+            mode: SamplingMode::Live,
+            ..Default::default()
+        }
+    }
 
     fn homogeneous_run(n_launches: u32, blocks_per_launch: u32) -> KernelRun {
         let mut b = KernelBuilder::new("homog", 31, 128);
@@ -1092,7 +823,14 @@ mod tests {
         let profile = profile_run(&run, 2);
         let full = simulate_run(&run, &gpu, &mut NullSampling, None);
 
-        let result = run_tbpoint(&run, &profile, &TbpointConfig::default(), &gpu).unwrap();
+        let result = run_tbpoint(
+            &run,
+            Some(&profile),
+            &TbpointConfig::default(),
+            &gpu,
+            ExecPlan::serial(),
+        )
+        .unwrap();
         assert_eq!(
             result.num_simulated_launches, 1,
             "6 identical launches -> 1 simulated"
@@ -1123,7 +861,7 @@ mod tests {
             inter_enabled: false,
             ..Default::default()
         };
-        let result = run_tbpoint(&run, &profile, &cfg, &gpu).unwrap();
+        let result = run_tbpoint(&run, Some(&profile), &cfg, &gpu, ExecPlan::serial()).unwrap();
         assert_eq!(result.num_simulated_launches, 4);
         assert_eq!(result.breakdown.inter_skipped_warp_insts, 0);
     }
@@ -1137,7 +875,7 @@ mod tests {
             intra_enabled: false,
             ..Default::default()
         };
-        let result = run_tbpoint(&run, &profile, &cfg, &gpu).unwrap();
+        let result = run_tbpoint(&run, Some(&profile), &cfg, &gpu, ExecPlan::serial()).unwrap();
         assert_eq!(result.breakdown.intra_skipped_warp_insts, 0);
         assert_eq!(result.num_simulated_launches, 1);
         // The one simulated launch runs in full.
@@ -1155,7 +893,7 @@ mod tests {
             intra_enabled: false,
             ..Default::default()
         };
-        let result = run_tbpoint(&run, &profile, &cfg, &gpu).unwrap();
+        let result = run_tbpoint(&run, Some(&profile), &cfg, &gpu, ExecPlan::serial()).unwrap();
         assert_eq!(result.sample_size(), 1.0);
         let full = simulate_run(&run, &gpu, &mut NullSampling, None);
         assert!(result.error_vs(full.overall_ipc()) < 1e-9);
@@ -1176,13 +914,9 @@ mod tests {
         let run = homogeneous_run(3, 10);
         let short_run = homogeneous_run(2, 10);
         let profile = profile_run(&short_run, 1);
-        let err = run_tbpoint(
-            &run,
-            &profile,
-            &TbpointConfig::default(),
-            &GpuConfig::fermi(),
-        )
-        .unwrap_err();
+        let gpu = GpuConfig::fermi();
+        let cfg = TbpointConfig::default();
+        let err = run_tbpoint(&run, Some(&profile), &cfg, &gpu, ExecPlan::serial()).unwrap_err();
         assert_eq!(
             err,
             TbError::ProfileMismatch {
@@ -1202,7 +936,8 @@ mod tests {
             unit_tb_span: 0,
             ..Default::default()
         };
-        let err = run_tbpoint(&run, &profile, &zero_span, &gpu).unwrap_err();
+        let err =
+            run_tbpoint(&run, Some(&profile), &zero_span, &gpu, ExecPlan::serial()).unwrap_err();
         assert!(matches!(
             err,
             TbError::InvalidConfig {
@@ -1215,7 +950,14 @@ mod tests {
             warming_threshold: -0.1,
             ..Default::default()
         };
-        let err = run_tbpoint(&run, &profile, &bad_threshold, &gpu).unwrap_err();
+        let err = run_tbpoint(
+            &run,
+            Some(&profile),
+            &bad_threshold,
+            &gpu,
+            ExecPlan::serial(),
+        )
+        .unwrap_err();
         assert!(matches!(
             err,
             TbError::InvalidConfig {
@@ -1239,6 +981,41 @@ mod tests {
                 ..
             }
         ));
+
+        let bad_intra_sigma = TbpointConfig {
+            intra: IntraConfig {
+                sigma: f64::NAN,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let one_unit_window = TbpointConfig {
+            warming_window: 1,
+            ..Default::default()
+        };
+        for (cfg, field) in [
+            (bad_intra_sigma, "intra.sigma"),
+            (one_unit_window, "warming_window"),
+        ] {
+            match cfg.validate().unwrap_err() {
+                TbError::InvalidConfig { field: f, .. } => assert_eq!(f, field),
+                other => panic!("unexpected error {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn two_phase_without_a_profile_is_an_error_not_a_panic() {
+        let run = homogeneous_run(2, 10);
+        let cfg = TbpointConfig::default();
+        let err = run_tbpoint(&run, None, &cfg, &GpuConfig::fermi(), ExecPlan::serial());
+        assert!(matches!(
+            err,
+            Err(TbError::InvalidConfig {
+                field: "profile",
+                ..
+            })
+        ));
     }
 
     #[test]
@@ -1252,7 +1029,14 @@ mod tests {
         for lp in &mut profile.launches {
             lp.tbs.pop();
         }
-        let result = run_tbpoint(&run, &profile, &TbpointConfig::default(), &gpu).unwrap();
+        let result = run_tbpoint(
+            &run,
+            Some(&profile),
+            &TbpointConfig::default(),
+            &gpu,
+            ExecPlan::serial(),
+        )
+        .unwrap();
         assert_eq!(result.degraded_launches, result.num_simulated_launches);
         assert_eq!(result.degradation_ratio(), 1.0);
         // Degraded reps run in full: nothing was intra-skipped.
@@ -1268,8 +1052,14 @@ mod tests {
         for lp in &mut profile.launches {
             lp.tbs.pop();
         }
-        let (result, traces) =
-            run_tbpoint_traced(&run, &profile, &TbpointConfig::default(), &gpu).unwrap();
+        let (result, traces) = run_tbpoint_traced(
+            &run,
+            Some(&profile),
+            &TbpointConfig::default(),
+            &gpu,
+            ExecPlan::serial(),
+        )
+        .unwrap();
         assert!(result.degraded_launches > 0);
         let degraded_events: usize = traces
             .iter()
@@ -1298,7 +1088,8 @@ mod tests {
             warming_budget: Some(crate::sampling::WARMING_WINDOW as u32),
             ..Default::default()
         };
-        let (result, traces) = run_tbpoint_traced(&run, &profile, &cfg, &gpu).unwrap();
+        let (result, traces) =
+            run_tbpoint_traced(&run, Some(&profile), &cfg, &gpu, ExecPlan::serial()).unwrap();
         assert_eq!(result.degraded_launches, 1);
         assert!(result.degradation_ratio() > 0.0);
         // Abandoned regions are simulated in detail: no fast-forwarding.
@@ -1317,7 +1108,7 @@ mod tests {
             warming_budget: None,
             ..cfg
         };
-        let r2 = run_tbpoint(&run, &profile, &no_budget, &gpu).unwrap();
+        let r2 = run_tbpoint(&run, Some(&profile), &no_budget, &gpu, ExecPlan::serial()).unwrap();
         assert_eq!(r2.degraded_launches, 0);
     }
 
@@ -1330,7 +1121,7 @@ mod tests {
             cycle_budget: Some(1),
             ..Default::default()
         };
-        let err = run_tbpoint(&run, &profile, &cfg, &gpu).unwrap_err();
+        let err = run_tbpoint(&run, Some(&profile), &cfg, &gpu, ExecPlan::serial()).unwrap_err();
         assert_eq!(
             err,
             TbError::BudgetExceeded {
@@ -1343,8 +1134,15 @@ mod tests {
             cycle_budget: Some(u64::MAX),
             ..Default::default()
         };
-        let guarded = run_tbpoint(&run, &profile, &roomy, &gpu).unwrap();
-        let plain = run_tbpoint(&run, &profile, &TbpointConfig::default(), &gpu).unwrap();
+        let guarded = run_tbpoint(&run, Some(&profile), &roomy, &gpu, ExecPlan::serial()).unwrap();
+        let plain = run_tbpoint(
+            &run,
+            Some(&profile),
+            &TbpointConfig::default(),
+            &gpu,
+            ExecPlan::serial(),
+        )
+        .unwrap();
         assert_eq!(guarded, plain);
     }
 
@@ -1378,13 +1176,9 @@ mod tests {
     fn degradation_ratio_math() {
         let run = homogeneous_run(2, 100);
         let profile = profile_run(&run, 2);
-        let mut r = run_tbpoint(
-            &run,
-            &profile,
-            &TbpointConfig::default(),
-            &GpuConfig::fermi(),
-        )
-        .unwrap();
+        let gpu = GpuConfig::fermi();
+        let cfg = TbpointConfig::default();
+        let mut r = run_tbpoint(&run, Some(&profile), &cfg, &gpu, ExecPlan::serial()).unwrap();
         assert_eq!(r.degradation_ratio(), 0.0);
         r.degraded_launches = r.num_simulated_launches;
         assert_eq!(r.degradation_ratio(), 1.0);
@@ -1398,8 +1192,9 @@ mod tests {
         let gpu = GpuConfig::fermi();
         let profile = profile_run(&run, 2);
         let cfg = TbpointConfig::default();
-        let plain = run_tbpoint(&run, &profile, &cfg, &gpu).unwrap();
-        let (traced, traces) = run_tbpoint_traced(&run, &profile, &cfg, &gpu).unwrap();
+        let plain = run_tbpoint(&run, Some(&profile), &cfg, &gpu, ExecPlan::serial()).unwrap();
+        let (traced, traces) =
+            run_tbpoint_traced(&run, Some(&profile), &cfg, &gpu, ExecPlan::serial()).unwrap();
         // Recording is observation-only: bit-identical results.
         assert_eq!(plain, traced);
         assert_eq!(traces.len(), traced.num_simulated_launches);
@@ -1433,7 +1228,7 @@ mod tests {
             mode: SamplingMode::Live,
             ..Default::default()
         };
-        let result = run_tbpoint_live(&run, &cfg, &gpu).unwrap();
+        let result = run_tbpoint(&run, None, &cfg, &gpu, ExecPlan::serial()).unwrap();
         assert_eq!(
             result.num_simulated_launches, 1,
             "6 identical specs -> 1 simulated"
@@ -1465,8 +1260,16 @@ mod tests {
         let gpu = GpuConfig::fermi();
         let profile = profile_run(&run, 2);
         let cfg = TbpointConfig::default();
-        let two_phase = run_tbpoint(&run, &profile, &cfg, &gpu).unwrap();
-        let live = run_tbpoint_live(&run, &cfg, &gpu).unwrap();
+        let two_phase = run_tbpoint(&run, Some(&profile), &cfg, &gpu, ExecPlan::serial()).unwrap();
+        // A supplied profile is ignored in live mode.
+        let live = run_tbpoint(
+            &run,
+            Some(&profile),
+            &live_defaults(),
+            &gpu,
+            ExecPlan::serial(),
+        )
+        .unwrap();
         let rel = ((live.predicted_ipc - two_phase.predicted_ipc) / two_phase.predicted_ipc).abs();
         assert!(
             rel < 0.10,
@@ -1484,9 +1287,9 @@ mod tests {
         let cfg = TbpointConfig {
             inter_enabled: false,
             intra_enabled: false,
-            ..Default::default()
+            ..live_defaults()
         };
-        let result = run_tbpoint_live(&run, &cfg, &gpu).unwrap();
+        let result = run_tbpoint(&run, None, &cfg, &gpu, ExecPlan::serial()).unwrap();
         assert_eq!(result.sample_size(), 1.0);
         let full = simulate_run(&run, &gpu, &mut NullSampling, None);
         assert!(result.error_vs(full.overall_ipc()) < 1e-9);
@@ -1499,9 +1302,10 @@ mod tests {
         let cfg = TbpointConfig {
             warming_threshold: 1e-300,
             warming_budget: Some(crate::sampling::WARMING_WINDOW as u32),
-            ..Default::default()
+            ..live_defaults()
         };
-        let (result, traces) = run_tbpoint_live_traced(&run, &cfg, &gpu).unwrap();
+        let (result, traces) =
+            run_tbpoint_traced(&run, None, &cfg, &gpu, ExecPlan::serial()).unwrap();
         assert_eq!(result.degraded_launches, 1);
         assert_eq!(result.breakdown.intra_skipped_warp_insts, 0);
         assert!(traces.iter().flat_map(|t| &t.trace.events).any(|e| {
@@ -1520,9 +1324,9 @@ mod tests {
         let gpu = GpuConfig::fermi();
         let cfg = TbpointConfig {
             cycle_budget: Some(1),
-            ..Default::default()
+            ..live_defaults()
         };
-        let err = run_tbpoint_live(&run, &cfg, &gpu).unwrap_err();
+        let err = run_tbpoint(&run, None, &cfg, &gpu, ExecPlan::serial()).unwrap_err();
         assert_eq!(
             err,
             TbError::BudgetExceeded {
@@ -1540,26 +1344,26 @@ mod tests {
             (
                 TbpointConfig {
                     live_min_run: 0,
-                    ..Default::default()
+                    ..live_defaults()
                 },
                 "live_min_run",
             ),
             (
                 TbpointConfig {
                     live_guard_period: 0,
-                    ..Default::default()
+                    ..live_defaults()
                 },
                 "live_guard_period",
             ),
             (
                 TbpointConfig {
                     live_destab_tolerance: f64::NAN,
-                    ..Default::default()
+                    ..live_defaults()
                 },
                 "live_destab_tolerance",
             ),
         ] {
-            let err = run_tbpoint_live(&run, &cfg, &gpu).unwrap_err();
+            let err = run_tbpoint(&run, None, &cfg, &gpu, ExecPlan::serial()).unwrap_err();
             match err {
                 TbError::InvalidConfig { field: f, .. } => assert_eq!(f, field),
                 other => panic!("unexpected error {other:?}"),
@@ -1573,19 +1377,20 @@ mod tests {
         let gpu = GpuConfig::fermi();
         let cfg = TbpointConfig {
             inter_enabled: false,
-            ..Default::default()
+            ..live_defaults()
         };
-        let serial = run_tbpoint_live(&run, &cfg, &gpu).unwrap();
-        let (serial_traced, serial_traces) = run_tbpoint_live_traced(&run, &cfg, &gpu).unwrap();
+        let serial = run_tbpoint(&run, None, &cfg, &gpu, ExecPlan::serial()).unwrap();
+        let (serial_traced, serial_traces) =
+            run_tbpoint_traced(&run, None, &cfg, &gpu, ExecPlan::serial()).unwrap();
         assert_eq!(serial, serial_traced, "tracing changed the live result");
         for (sim_jobs, pool_workers) in [(1, 1), (1, 2), (2, 1), (2, 2), (1, 4)] {
             let plan = ExecPlan {
                 sim_jobs,
                 pool_workers,
             };
-            let pooled = run_tbpoint_live_plan(&run, &cfg, &gpu, plan).unwrap();
+            let pooled = run_tbpoint(&run, None, &cfg, &gpu, plan).unwrap();
             assert_eq!(pooled, serial, "jobs={sim_jobs} workers={pool_workers}");
-            let (traced, traces) = run_tbpoint_live_traced_plan(&run, &cfg, &gpu, plan).unwrap();
+            let (traced, traces) = run_tbpoint_traced(&run, None, &cfg, &gpu, plan).unwrap();
             assert_eq!(
                 traced, serial_traced,
                 "jobs={sim_jobs} workers={pool_workers}"
@@ -1611,18 +1416,18 @@ mod tests {
             inter_enabled: false,
             ..Default::default()
         };
-        let serial = run_tbpoint(&run, &profile, &cfg, &gpu).unwrap();
+        let serial = run_tbpoint(&run, Some(&profile), &cfg, &gpu, ExecPlan::serial()).unwrap();
         let (serial_traced, serial_traces) =
-            run_tbpoint_traced(&run, &profile, &cfg, &gpu).unwrap();
+            run_tbpoint_traced(&run, Some(&profile), &cfg, &gpu, ExecPlan::serial()).unwrap();
         for pool_workers in [1, 2, 4] {
             let plan = ExecPlan {
                 sim_jobs: 1,
                 pool_workers,
             };
-            let pooled = run_tbpoint_plan(&run, &profile, &cfg, &gpu, plan).unwrap();
+            let pooled = run_tbpoint(&run, Some(&profile), &cfg, &gpu, plan).unwrap();
             assert_eq!(pooled, serial, "pool_workers={pool_workers}");
             let (traced, traces) =
-                run_tbpoint_traced_plan(&run, &profile, &cfg, &gpu, plan).unwrap();
+                run_tbpoint_traced(&run, Some(&profile), &cfg, &gpu, plan).unwrap();
             assert_eq!(traced, serial_traced, "pool_workers={pool_workers}");
             // Canonical-order merge: the trace *streams* are identical
             // too, not just the results.

@@ -1,42 +1,57 @@
 //! Homogeneous region sampling (Section IV-B2 of the paper): the runtime
 //! half of intra-launch sampling, implemented as a simulator hook.
 //!
-//! State machine per Fig. 7:
+//! One state machine per Fig. 7, [`Warming`], shared by both sampling
+//! modes:
 //!
-//! * **Outside** — simulate normally. When every concurrently resident
-//!   thread block maps to the same homogeneous region, *enter* it.
+//! * **Outside** — simulate normally until the classifier *enters* a
+//!   region.
 //! * **Warming** — keep simulating; measure sampling-unit IPCs (a unit is
 //!   the lifetime of a *designated* TB: the first dispatched TB at start,
 //!   then the next dispatched TB each time the current one retires). When
-//!   two consecutive units agree within the warming threshold (10%), the
+//!   the trailing units agree within the warming threshold (10%), the
 //!   cache state is considered stable: start fast-forwarding.
-//! * **Fast-forwarding** — skip every dispatched TB that belongs to the
-//!   region, predicting its cycles as `warp_insts / unit_ipc` with the
-//!   last warm unit's IPC. A dispatch from a different region (or from no
-//!   region) *exits* back to Outside.
+//! * **Fast-forwarding** — skip dispatched TBs the classifier hands
+//!   over, predicting their cycles as `warp_insts / unit_ipc` with the
+//!   last warm unit's IPC, until the classifier leaves the region.
 //!
-//! Samplers are built with [`RegionSampler::builder`]; every state
-//! transition is reported to the attached [`tbpoint_obs::Recorder`]
-//! (the default [`tbpoint_obs::NullRecorder`] makes that free).
+//! What differs between the modes is the [`Classifier`] — who decides
+//! that a region begins, which dispatches it covers and how many
+//! instructions a skipped block is charged (Pac-Sim's framing: two-phase
+//! sampling is live sampling whose classifier is an oracle read from a
+//! profile):
+//!
+//! * [`Offline`] ([`RegionSampler`]) reads the profile's region table:
+//!   *enter* when every concurrently resident thread block maps to the
+//!   same homogeneous region, *exit* on a dispatch from a different
+//!   region (or from none), skip with the profile's exact count.
+//! * [`live::Online`] ([`live::LiveSampler`]) clusters epochs as they
+//!   complete in the retire stream and skips with an estimated count.
+//!
+//! Both are built from a [`TbpointConfig`]; every state transition is
+//! reported to the attached [`tbpoint_obs::Recorder`] (pass
+//! [`tbpoint_obs::NullRecorder`] to make that free).
 
 pub mod live;
 
-use crate::error::{invalid, TbError};
+use crate::error::TbError;
 use crate::intra::RegionTable;
+use crate::predict::TbpointConfig;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
-use tbpoint_emu::LaunchProfile;
+use tbpoint_emu::{LaunchProfile, TbStats};
 use tbpoint_ir::TbId;
-use tbpoint_obs::{DegradeReason, EventKind, NullRecorder, Recorder};
+use tbpoint_obs::{DegradeReason, EventKind, Recorder};
 use tbpoint_sim::{DispatchDecision, SamplingHook};
 
-/// Accounting produced by one sampled launch.
+/// Accounting produced by one sampled launch, in either mode.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
 pub struct IntraOutcome {
     /// Thread blocks skipped during fast-forward periods.
     pub skipped_tbs: u32,
-    /// Warp instructions belonging to skipped thread blocks (from the
-    /// profile; they were never issued).
+    /// Warp instructions belonging to skipped thread blocks (they were
+    /// never issued): the profile's exact counts in two-phase mode, the
+    /// classifier's *estimates* in live mode.
     pub skipped_warp_insts: u64,
     /// Predicted cycles those instructions would have taken, from the
     /// last warm sampling unit's IPC (Table IV's intra-launch term).
@@ -51,43 +66,27 @@ pub struct IntraOutcome {
     pub degraded_regions: u32,
 }
 
+/// Where the Fig. 7 machine stands. Region ids are the classifier's:
+/// region-table ids offline, online cluster ids live.
 #[derive(Debug, Clone, Copy, PartialEq)]
-enum State {
+pub enum State {
+    /// Detailed simulation, no region entered.
     Outside,
+    /// Inside the region, measuring unit IPCs.
     Warming(u32),
-    FastForward { region: u32, ipc: f64 },
-}
-
-/// The intra-launch sampling hook. Borrow one region table + profile per
-/// launch; plug into [`tbpoint_sim::simulate_launch`].
-///
-/// Construct with [`RegionSampler::new`] (paper defaults) or
-/// [`RegionSampler::builder`] for anything else.
-pub struct RegionSampler<'a> {
-    table: &'a RegionTable,
-    profile: &'a LaunchProfile,
-    warming_threshold: f64,
-    unit_tb_span: u32,
-    warming_window: usize,
-    warming_budget: Option<u32>,
-    recorder: &'a dyn Recorder,
-    state: State,
-    resident: BTreeSet<u32>,
-    resident_region: Option<u32>, // cached "all residents in this region"
-    abandoned: BTreeSet<u32>,     // regions whose warming budget ran out
-    designated: Option<u32>,
-    need_designation: bool,
-    unit_tbs_retired: u32,
-    unit_start_cycle: u64,
-    unit_start_insts: u64,
-    warm_ipcs: Vec<f64>,
-    outcome: IntraOutcome,
+    /// Skipping the region's blocks at the last warm unit's IPC.
+    FastForward {
+        /// The region being fast-forwarded.
+        region: u32,
+        /// The last warm unit's IPC.
+        ipc: f64,
+    },
 }
 
 /// Default number of trailing sampling units that must agree pairwise
 /// within the warming threshold before fast-forwarding begins. The paper
-/// compares two consecutive units; see the inline comment in `on_retire`
-/// for why the scaled substrate uses three.
+/// compares two consecutive units; see the inline comment in
+/// [`Warming`]'s unit close for why the scaled substrate uses three.
 pub const WARMING_WINDOW: usize = 3;
 
 /// How many consecutive designated-TB lifetimes make one sampling unit.
@@ -103,110 +102,62 @@ pub const WARMING_WINDOW: usize = 3;
 /// Recorded in DESIGN.md.
 pub const DEFAULT_UNIT_TB_SPAN: u32 = 2;
 
-/// Builder for [`RegionSampler`] — replaces the old positional
-/// `with_options` constructor. Settings left untouched keep the paper's
-/// defaults; [`RegionSamplerBuilder::build`] validates and reports
-/// nonsense values as [`TbError::InvalidConfig`] instead of silently
-/// clamping them.
-pub struct RegionSamplerBuilder<'a> {
-    table: &'a RegionTable,
-    profile: &'a LaunchProfile,
-    threshold: f64,
-    unit_tb_span: u32,
-    warming_window: usize,
-    warming_budget: Option<u32>,
-    recorder: &'a dyn Recorder,
+/// The policy half of a sampler: decides when the [`Warming`] machine
+/// enters and leaves a region and what skipping a block costs. The
+/// machine calls these from the simulator's dispatch/retire hooks.
+pub trait Classifier {
+    /// The event announcing that `region` starts fast-forwarding.
+    fn fast_forward_event(region: u32, ipc: f64) -> EventKind;
+
+    /// `tb` is dispatched while `region` is fast-forwarded: the warp
+    /// instructions to charge for skipping it, or `None` to simulate it.
+    fn skip_insts(&mut self, tb: TbId, region: u32) -> Option<u64>;
+
+    /// `tb` was skipped (after its `BlockSkipped` event).
+    fn on_skipped(&mut self, _warming: &mut Warming<'_>, _tb: TbId, _cycle: u64) {}
+
+    /// `tb` is about to be simulated.
+    fn on_simulated(&mut self, _warming: &mut Warming<'_>, _tb: TbId, _cycle: u64) {}
+
+    /// `tb` retired; called before its sampling unit (if it was the
+    /// designated block) is closed.
+    fn before_unit(&mut self, _warming: &mut Warming<'_>, _tb: TbId, _cycle: u64, _stats: TbStats) {
+    }
+
+    /// `tb` retired; called after the unit accounting.
+    fn on_retired(&mut self, warming: &mut Warming<'_>, tb: TbId, cycle: u64, stats: TbStats);
 }
 
-impl<'a> RegionSamplerBuilder<'a> {
-    /// Warming convergence threshold (paper: 0.10). Must be finite and
-    /// positive.
-    pub fn threshold(mut self, threshold: f64) -> Self {
-        self.threshold = threshold;
-        self
-    }
+/// The Fig. 7 outside/warming/fast-forward machine both samplers run on:
+/// the designated-TB unit clock, the trailing-window convergence test,
+/// warming-budget abandonment and the skip accounting.
+pub struct Warming<'a> {
+    threshold: f64,
+    unit_tb_span: u32,
+    window: usize,
+    budget: Option<u32>,
+    recorder: &'a dyn Recorder,
+    state: State,
+    abandoned: BTreeSet<u32>, // regions whose warming budget ran out
+    designated: Option<u32>,
+    need_designation: bool,
+    unit_tbs_retired: u32,
+    unit_start_cycle: u64,
+    unit_start_insts: u64,
+    warm_ipcs: Vec<f64>,
+    outcome: IntraOutcome,
+}
 
-    /// Designated-TB lifetimes per sampling unit (see
-    /// [`DEFAULT_UNIT_TB_SPAN`]). Must be at least 1.
-    pub fn unit_tb_span(mut self, span: u32) -> Self {
-        self.unit_tb_span = span;
-        self
-    }
-
-    /// Trailing units that must agree pairwise before fast-forwarding
-    /// (see [`WARMING_WINDOW`]). Must be at least 2.
-    pub fn warming_window(mut self, window: usize) -> Self {
-        self.warming_window = window;
-        self
-    }
-
-    /// Bound the warming phase: if a region's per-unit IPC has not
-    /// converged after this many closed units, the region is *abandoned*
-    /// — a `DegradedMode` event is emitted and all of its blocks are
-    /// simulated in detail (graceful degradation instead of
-    /// fast-forwarding on an IPC that never stabilised). `None` (the
-    /// default, and the paper's behaviour) warms indefinitely.
-    pub fn warming_budget(mut self, budget: Option<u32>) -> Self {
-        self.warming_budget = budget;
-        self
-    }
-
-    /// Attach a [`Recorder`]; every region entry/exit, unit close,
-    /// fast-forward start and skipped block is reported to it. The
-    /// default is the free [`NullRecorder`].
-    pub fn recorder(mut self, recorder: &'a dyn Recorder) -> Self {
-        self.recorder = recorder;
-        self
-    }
-
-    /// Validate the settings and build the sampler.
-    ///
-    /// # Errors
-    ///
-    /// [`TbError::InvalidConfig`] naming the offending field when the
-    /// threshold is non-finite or non-positive, `unit_tb_span` is zero,
-    /// or `warming_window` is below 2.
-    pub fn build(self) -> Result<RegionSampler<'a>, TbError> {
-        if !self.threshold.is_finite() || self.threshold <= 0.0 {
-            return Err(invalid(
-                "warming_threshold",
-                format!("must be finite and positive (got {})", self.threshold),
-            ));
-        }
-        if self.unit_tb_span == 0 {
-            return Err(invalid("unit_tb_span", "must be at least 1 (got 0)"));
-        }
-        if self.warming_window < 2 {
-            return Err(invalid(
-                "warming_window",
-                format!(
-                    "needs at least 2 units to compare (got {})",
-                    self.warming_window
-                ),
-            ));
-        }
-        if let Some(budget) = self.warming_budget {
-            if (budget as usize) < self.warming_window {
-                return Err(invalid(
-                    "warming_budget",
-                    format!(
-                        "must allow at least warming_window = {} units (got {budget})",
-                        self.warming_window
-                    ),
-                ));
-            }
-        }
-        Ok(RegionSampler {
-            table: self.table,
-            profile: self.profile,
-            warming_threshold: self.threshold,
-            unit_tb_span: self.unit_tb_span,
-            warming_window: self.warming_window,
-            warming_budget: self.warming_budget,
-            recorder: self.recorder,
+impl<'a> Warming<'a> {
+    fn new(cfg: &TbpointConfig, recorder: &'a dyn Recorder) -> Result<Self, TbError> {
+        cfg.validate()?;
+        Ok(Warming {
+            threshold: cfg.warming_threshold,
+            unit_tb_span: cfg.unit_tb_span,
+            window: cfg.warming_window,
+            budget: cfg.warming_budget,
+            recorder,
             state: State::Outside,
-            resident: BTreeSet::new(),
-            resident_region: None,
             abandoned: BTreeSet::new(),
             designated: None,
             need_designation: true,
@@ -217,124 +168,59 @@ impl<'a> RegionSamplerBuilder<'a> {
             outcome: IntraOutcome::default(),
         })
     }
-}
 
-impl<'a> RegionSampler<'a> {
-    /// New sampler with the paper's defaults (10% warming threshold,
-    /// [`DEFAULT_UNIT_TB_SPAN`], [`WARMING_WINDOW`], no recorder).
-    pub fn new(table: &'a RegionTable, profile: &'a LaunchProfile) -> Self {
-        // The defaults are valid by construction: 0.10 is finite and
-        // positive, DEFAULT_UNIT_TB_SPAN >= 1, WARMING_WINDOW >= 2.
-        match Self::builder(table, profile).build() {
-            Ok(s) => s,
-            // tbpoint-lint: allow(no-panic-in-library)
-            Err(_) => unreachable!("paper defaults are always valid"),
-        }
+    /// The current state.
+    pub fn state(&self) -> State {
+        self.state
     }
 
-    /// Start building a sampler with non-default settings.
-    pub fn builder(table: &'a RegionTable, profile: &'a LaunchProfile) -> RegionSamplerBuilder<'a> {
-        RegionSamplerBuilder {
-            table,
-            profile,
-            threshold: 0.10,
-            unit_tb_span: DEFAULT_UNIT_TB_SPAN,
-            warming_window: WARMING_WINDOW,
-            warming_budget: None,
-            recorder: &NullRecorder,
-        }
+    /// Report a classifier event to the attached recorder.
+    pub fn record(&self, cycle: u64, kind: EventKind) {
+        self.recorder.record(cycle, kind);
     }
 
-    /// The accounting gathered so far (read after simulation).
-    pub fn outcome(&self) -> IntraOutcome {
-        self.outcome
-    }
-
-    fn recompute_resident_region(&mut self) {
-        let mut iter = self.resident.iter();
-        let Some(&first) = iter.next() else {
-            self.resident_region = None;
-            return;
-        };
-        let r0 = self.table.region_of(TbId(first));
-        if r0.is_none() {
-            self.resident_region = None;
+    /// Outside → Warming(`region`). A region whose warming budget
+    /// already ran out is not entered again: its blocks stay on the
+    /// detailed-simulation path.
+    pub fn enter(&mut self, cycle: u64, region: u32) {
+        if self.abandoned.contains(&region) {
             return;
         }
-        for &tb in iter {
-            if self.table.region_of(TbId(tb)) != r0 {
-                self.resident_region = None;
-                return;
-            }
-        }
-        self.resident_region = r0;
+        self.state = State::Warming(region);
+        self.warm_ipcs.clear();
+        self.outcome.regions_entered += 1;
+        self.record(cycle, EventKind::RegionEntered { region });
     }
 
-    fn maybe_enter(&mut self, cycle: u64) {
-        if self.state != State::Outside {
-            return;
-        }
-        self.recompute_resident_region();
-        if let Some(r) = self.resident_region {
-            if self.abandoned.contains(&r) {
-                // The region's warming budget already ran out: its blocks
-                // stay on the detailed-simulation path.
-                return;
-            }
-            self.state = State::Warming(r);
-            self.warm_ipcs.clear();
-            self.outcome.regions_entered += 1;
-            self.recorder
-                .record(cycle, EventKind::RegionEntered { region: r });
-        }
-    }
-
-    fn exit_region(&mut self, cycle: u64) {
+    /// Back to Outside, announcing it with `event`.
+    pub fn leave(&mut self, cycle: u64, event: EventKind) {
         self.state = State::Outside;
         self.warm_ipcs.clear();
-        self.recorder.record(cycle, EventKind::RegionExited);
+        self.record(cycle, event);
     }
-}
 
-impl SamplingHook for RegionSampler<'_> {
-    fn on_dispatch(&mut self, tb: TbId, cycle: u64, issued: u64) -> DispatchDecision {
-        let region = self.table.region_of(tb);
+    /// Back to Outside because the region ended (Fig. 7's exit edge).
+    pub fn exit(&mut self, cycle: u64) {
+        self.leave(cycle, EventKind::RegionExited);
+    }
 
-        // Fast-forward: skip in-region blocks outright. A block missing
-        // from the profile (e.g. a truncated profile file) cannot be
-        // fast-forwarded — its instruction count is unknown — so it falls
-        // through to detailed simulation instead of indexing out of
-        // bounds.
-        if let State::FastForward { region: r, ipc } = self.state {
-            if region == Some(r) {
-                if let Some(tbp) = self.profile.tbs.get(tb.0 as usize) {
-                    let insts = tbp.warp_insts;
-                    self.outcome.skipped_tbs += 1;
-                    self.outcome.skipped_warp_insts += insts;
-                    if ipc > 0.0 {
-                        self.outcome.predicted_skipped_cycles += insts as f64 / ipc;
-                    }
-                    self.recorder.record(
-                        cycle,
-                        EventKind::BlockSkipped {
-                            tb: tb.0,
-                            warp_insts: insts,
-                        },
-                    );
-                    return DispatchDecision::Skip;
-                }
-            }
-            // A block from elsewhere (or unknown to the profile): the
-            // region exits (Fig. 7).
-            self.exit_region(cycle);
-        } else if let State::Warming(r) = self.state {
-            if region != Some(r) {
-                self.exit_region(cycle);
-            }
+    fn skip(&mut self, tb: TbId, cycle: u64, insts: u64, ipc: f64) {
+        self.outcome.skipped_tbs += 1;
+        self.outcome.skipped_warp_insts += insts;
+        if ipc > 0.0 {
+            self.outcome.predicted_skipped_cycles += insts as f64 / ipc;
         }
+        self.record(
+            cycle,
+            EventKind::BlockSkipped {
+                tb: tb.0,
+                warp_insts: insts,
+            },
+        );
+    }
 
-        // Simulate the block.
-        self.resident.insert(tb.0);
+    /// A simulated dispatch takes over as designated TB if none is live.
+    fn designate(&mut self, tb: TbId, cycle: u64, issued: u64) {
         if self.need_designation {
             self.designated = Some(tb.0);
             self.need_designation = false;
@@ -345,87 +231,203 @@ impl SamplingHook for RegionSampler<'_> {
                 self.unit_start_insts = issued;
             }
         }
-        self.maybe_enter(cycle);
+    }
+
+    /// Retire-side unit clock: if `tb` was the designated block, hand
+    /// over, and after `unit_tb_span` such lifetimes close the unit and
+    /// run the convergence / budget tests.
+    fn retire<C: Classifier>(&mut self, tb: TbId, cycle: u64, issued: u64) {
+        if self.designated != Some(tb.0) {
+            return;
+        }
+        // The next simulated dispatch takes over as designated TB.
+        self.designated = None;
+        self.need_designation = true;
+        self.unit_tbs_retired += 1;
+        if self.unit_tbs_retired < self.unit_tb_span {
+            return;
+        }
+        self.unit_tbs_retired = 0;
+        let cycles = cycle.saturating_sub(self.unit_start_cycle);
+        let insts = issued.saturating_sub(self.unit_start_insts);
+        if cycles == 0 || insts == 0 {
+            return;
+        }
+        let unit_ipc = insts as f64 / cycles as f64;
+        self.outcome.units_observed += 1;
+        self.record(cycle, EventKind::UnitClosed { ipc: unit_ipc });
+        let State::Warming(region) = self.state else {
+            return;
+        };
+        self.warm_ipcs.push(unit_ipc);
+        // The paper declares the caches stable when the current and
+        // previous units agree within the threshold. Our scaled
+        // substrate drifts monotonically in sub-threshold steps during
+        // its (relatively much longer) queue warm-up, so we additionally
+        // require the unit BEFORE the pair to agree — i.e. the last
+        // `warming_window` units must be pairwise within the band, which
+        // rejects a sustained trend.
+        let n = self.warm_ipcs.len();
+        if n >= self.window {
+            let window = &self.warm_ipcs[n - self.window..];
+            let lo = window.iter().cloned().fold(f64::INFINITY, f64::min);
+            let hi = window.iter().cloned().fold(0.0f64, f64::max);
+            if lo > 0.0 && (hi - lo) / lo < self.threshold {
+                // Stable: fast-forward, predicting with the last warm
+                // unit's IPC.
+                self.state = State::FastForward {
+                    region,
+                    ipc: unit_ipc,
+                };
+                self.record(cycle, C::fast_forward_event(region, unit_ipc));
+                return;
+            }
+        }
+        // Warming budget: a region still not converged after
+        // `warming_budget` units is abandoned — its IPC is not
+        // trustworthy, so its blocks keep simulating in detail (graceful
+        // degradation) instead of fast-forwarding.
+        if self.budget.is_some_and(|budget| n >= budget as usize) {
+            self.abandoned.insert(region);
+            self.outcome.degraded_regions += 1;
+            self.record(
+                cycle,
+                EventKind::DegradedMode {
+                    reason: DegradeReason::WarmingBudgetExceeded { region },
+                },
+            );
+            self.exit(cycle);
+        }
+    }
+}
+
+/// A sampling hook: the shared [`Warming`] machine driven by a
+/// [`Classifier`]. Plug into [`tbpoint_sim::simulate_launch`]; use the
+/// [`RegionSampler`] / [`live::LiveSampler`] aliases to construct one.
+pub struct Sampler<'a, C> {
+    warming: Warming<'a>,
+    classifier: C,
+}
+
+impl<C> Sampler<'_, C> {
+    /// The accounting gathered so far (read after simulation).
+    pub fn outcome(&self) -> IntraOutcome {
+        self.warming.outcome
+    }
+}
+
+impl<C: Classifier> SamplingHook for Sampler<'_, C> {
+    fn on_dispatch(&mut self, tb: TbId, cycle: u64, issued: u64) -> DispatchDecision {
+        if let State::FastForward { region, ipc } = self.warming.state {
+            if let Some(insts) = self.classifier.skip_insts(tb, region) {
+                self.warming.skip(tb, cycle, insts, ipc);
+                self.classifier.on_skipped(&mut self.warming, tb, cycle);
+                return DispatchDecision::Skip;
+            }
+        }
+        self.warming.designate(tb, cycle, issued);
+        self.classifier.on_simulated(&mut self.warming, tb, cycle);
         DispatchDecision::Simulate
     }
 
-    fn on_retire(&mut self, tb: TbId, cycle: u64, issued: u64) {
-        self.resident.remove(&tb.0);
+    fn on_retire(&mut self, tb: TbId, cycle: u64, issued: u64, stats: TbStats) {
+        self.classifier
+            .before_unit(&mut self.warming, tb, cycle, stats);
+        self.warming.retire::<C>(tb, cycle, issued);
+        self.classifier
+            .on_retired(&mut self.warming, tb, cycle, stats);
+    }
+}
 
-        if self.designated == Some(tb.0) {
-            // A designated TB retired; the next simulated dispatch takes
-            // over. The unit closes after `unit_tb_span` such lifetimes.
-            self.designated = None;
-            self.need_designation = true;
-            self.unit_tbs_retired += 1;
-            if self.unit_tbs_retired < self.unit_tb_span {
-                return self.maybe_enter(cycle);
-            }
-            self.unit_tbs_retired = 0;
-            // Close the sampling unit.
-            let cycles = cycle.saturating_sub(self.unit_start_cycle);
-            let insts = issued.saturating_sub(self.unit_start_insts);
-            if cycles > 0 && insts > 0 {
-                let unit_ipc = insts as f64 / cycles as f64;
-                self.outcome.units_observed += 1;
-                self.recorder
-                    .record(cycle, EventKind::UnitClosed { ipc: unit_ipc });
-                if let State::Warming(r) = self.state {
-                    self.warm_ipcs.push(unit_ipc);
-                    // The paper declares the caches stable when the
-                    // current and previous units agree within the
-                    // threshold. Our scaled substrate drifts monotonically
-                    // in sub-threshold steps during its (relatively much
-                    // longer) queue warm-up, so we additionally require
-                    // the unit BEFORE the pair to agree — i.e. the last
-                    // `WARMING_WINDOW` units must be pairwise within the
-                    // band, which rejects a sustained trend.
-                    let n = self.warm_ipcs.len();
-                    let mut converged = false;
-                    if n >= self.warming_window {
-                        let window = &self.warm_ipcs[n - self.warming_window..];
-                        let lo = window.iter().cloned().fold(f64::INFINITY, f64::min);
-                        let hi = window.iter().cloned().fold(0.0f64, f64::max);
-                        if lo > 0.0 && (hi - lo) / lo < self.warming_threshold {
-                            // Stable: fast-forward, predicting with the
-                            // last warm unit's IPC.
-                            converged = true;
-                            self.state = State::FastForward {
-                                region: r,
-                                ipc: unit_ipc,
-                            };
-                            self.recorder.record(
-                                cycle,
-                                EventKind::FastForwardStarted {
-                                    region: r,
-                                    ipc: unit_ipc,
-                                },
-                            );
-                        }
-                    }
-                    // Warming budget: a region still not converged after
-                    // `warming_budget` units is abandoned — its IPC is not
-                    // trustworthy, so its blocks keep simulating in detail
-                    // (graceful degradation) instead of fast-forwarding.
-                    if !converged {
-                        if let Some(budget) = self.warming_budget {
-                            if n >= budget as usize {
-                                self.abandoned.insert(r);
-                                self.outcome.degraded_regions += 1;
-                                self.recorder.record(
-                                    cycle,
-                                    EventKind::DegradedMode {
-                                        reason: DegradeReason::WarmingBudgetExceeded { region: r },
-                                    },
-                                );
-                                self.exit_region(cycle);
-                            }
-                        }
-                    }
-                }
+/// The two-phase classifier: an oracle read from the profile's region
+/// table plus the set of concurrently resident thread blocks.
+pub struct Offline<'a> {
+    table: &'a RegionTable,
+    profile: &'a LaunchProfile,
+    resident: BTreeSet<u32>,
+}
+
+impl Offline<'_> {
+    /// The region every resident block maps to, if they all share one.
+    fn resident_region(&self) -> Option<u32> {
+        let mut iter = self.resident.iter();
+        let r0 = self.table.region_of(TbId(*iter.next()?))?;
+        iter.all(|&tb| self.table.region_of(TbId(tb)) == Some(r0))
+            .then_some(r0)
+    }
+
+    fn maybe_enter(&self, warming: &mut Warming<'_>, cycle: u64) {
+        if warming.state() == State::Outside {
+            if let Some(r) = self.resident_region() {
+                warming.enter(cycle, r);
             }
         }
-        self.maybe_enter(cycle);
+    }
+}
+
+impl Classifier for Offline<'_> {
+    fn fast_forward_event(region: u32, ipc: f64) -> EventKind {
+        EventKind::FastForwardStarted { region, ipc }
+    }
+
+    /// In-region blocks are skipped outright. A block missing from the
+    /// profile (e.g. a truncated profile file) cannot be fast-forwarded —
+    /// its instruction count is unknown — so it falls through to
+    /// detailed simulation instead of indexing out of bounds.
+    fn skip_insts(&mut self, tb: TbId, region: u32) -> Option<u64> {
+        if self.table.region_of(tb) != Some(region) {
+            return None;
+        }
+        self.profile.tbs.get(tb.0 as usize).map(|t| t.warp_insts)
+    }
+
+    fn on_simulated(&mut self, warming: &mut Warming<'_>, tb: TbId, cycle: u64) {
+        // A block from elsewhere (or unknown to the profile) ends the
+        // region (Fig. 7); a simulated dispatch during fast-forward is
+        // one by construction — `skip_insts` declined it.
+        let foreign = match warming.state() {
+            State::Outside => false,
+            State::Warming(r) => self.table.region_of(tb) != Some(r),
+            State::FastForward { .. } => true,
+        };
+        if foreign {
+            warming.exit(cycle);
+        }
+        self.resident.insert(tb.0);
+        self.maybe_enter(warming, cycle);
+    }
+
+    fn on_retired(&mut self, warming: &mut Warming<'_>, tb: TbId, cycle: u64, _stats: TbStats) {
+        self.resident.remove(&tb.0);
+        self.maybe_enter(warming, cycle);
+    }
+}
+
+/// The two-phase intra-launch sampling hook. Borrows one region table +
+/// profile per launch.
+pub type RegionSampler<'a> = Sampler<'a, Offline<'a>>;
+
+impl<'a> RegionSampler<'a> {
+    /// A sampler for one launch, with `cfg`'s warming settings.
+    ///
+    /// # Errors
+    ///
+    /// [`TbError::InvalidConfig`] when [`TbpointConfig::validate`]
+    /// rejects `cfg`.
+    pub fn new(
+        cfg: &TbpointConfig,
+        table: &'a RegionTable,
+        profile: &'a LaunchProfile,
+        recorder: &'a dyn Recorder,
+    ) -> Result<Self, TbError> {
+        Ok(Sampler {
+            warming: Warming::new(cfg, recorder)?,
+            classifier: Offline {
+                table,
+                profile,
+                resident: BTreeSet::new(),
+            },
+        })
     }
 }
 
@@ -435,7 +437,7 @@ mod tests {
     use crate::intra::{build_epochs, identify_regions, IntraConfig};
     use tbpoint_emu::profile_launch;
     use tbpoint_ir::{AddrPattern, Kernel, KernelBuilder, LaunchId, LaunchSpec, Op, TripCount};
-    use tbpoint_obs::CollectingRecorder;
+    use tbpoint_obs::{CollectingRecorder, NullRecorder};
     use tbpoint_sim::{simulate_launch, GpuConfig, NullSampling};
 
     /// A perfectly homogeneous kernel: every TB identical.
@@ -472,7 +474,8 @@ mod tests {
         let table = identify_regions(&epochs, &IntraConfig::default());
         assert_eq!(table.regions.len(), 1, "homogeneous kernel -> one region");
 
-        let mut sampler = RegionSampler::new(&table, &profile);
+        let mut sampler =
+            RegionSampler::new(&TbpointConfig::default(), &table, &profile, &NullRecorder).unwrap();
         let r = simulate_launch(&k, &sp, &cfg, &mut sampler, None);
         let out = sampler.outcome();
         assert!(out.skipped_tbs > 0, "fast-forward must engage: {out:?}");
@@ -495,7 +498,8 @@ mod tests {
         let table = identify_regions(&epochs, &IntraConfig::default());
 
         let full = simulate_launch(&k, &sp, &cfg, &mut NullSampling, None);
-        let mut sampler = RegionSampler::new(&table, &profile);
+        let mut sampler =
+            RegionSampler::new(&TbpointConfig::default(), &table, &profile, &NullRecorder).unwrap();
         let sampled = simulate_launch(&k, &sp, &cfg, &mut sampler, None);
         let out = sampler.outcome();
 
@@ -520,56 +524,12 @@ mod tests {
         let sp = spec(300);
         let profile = profile_launch(&k, &sp, 2);
         let table = RegionTable::default();
-        let mut sampler = RegionSampler::new(&table, &profile);
+        let mut sampler =
+            RegionSampler::new(&TbpointConfig::default(), &table, &profile, &NullRecorder).unwrap();
         let r = simulate_launch(&k, &sp, &cfg, &mut sampler, None);
         assert_eq!(r.skipped_tbs, 0);
         assert_eq!(sampler.outcome().skipped_tbs, 0);
         assert_eq!(sampler.outcome().regions_entered, 0);
-    }
-
-    #[test]
-    fn builder_rejects_nonsense_settings() {
-        let k = homogeneous_kernel();
-        let sp = spec(10);
-        let profile = profile_launch(&k, &sp, 1);
-        let table = RegionTable::default();
-
-        let err = RegionSampler::builder(&table, &profile)
-            .threshold(f64::NAN)
-            .build()
-            .err()
-            .expect("must be rejected");
-        assert!(matches!(
-            err,
-            TbError::InvalidConfig {
-                field: "warming_threshold",
-                ..
-            }
-        ));
-        let err = RegionSampler::builder(&table, &profile)
-            .unit_tb_span(0)
-            .build()
-            .err()
-            .expect("must be rejected");
-        assert!(matches!(
-            err,
-            TbError::InvalidConfig {
-                field: "unit_tb_span",
-                ..
-            }
-        ));
-        let err = RegionSampler::builder(&table, &profile)
-            .warming_window(1)
-            .build()
-            .err()
-            .expect("must be rejected");
-        assert!(matches!(
-            err,
-            TbError::InvalidConfig {
-                field: "warming_window",
-                ..
-            }
-        ));
     }
 
     #[test]
@@ -581,10 +541,8 @@ mod tests {
         let epochs = build_epochs(&profile, cfg.system_occupancy(&k));
         let table = identify_regions(&epochs, &IntraConfig::default());
         let rec = CollectingRecorder::new();
-        let mut sampler = RegionSampler::builder(&table, &profile)
-            .recorder(&rec)
-            .build()
-            .unwrap();
+        let mut sampler =
+            RegionSampler::new(&TbpointConfig::default(), &table, &profile, &rec).unwrap();
         simulate_launch(&k, &sp, &cfg, &mut sampler, None);
         let out = sampler.outcome();
         let events = rec.events();
@@ -631,15 +589,15 @@ mod tests {
         let epochs = build_epochs(&profile, cfg.system_occupancy(&k));
         let table = identify_regions(&epochs, &IntraConfig::default());
 
-        let mut loose = RegionSampler::builder(&table, &profile)
-            .threshold(0.5)
-            .build()
-            .unwrap();
+        let with_threshold = |warming_threshold| TbpointConfig {
+            warming_threshold,
+            ..Default::default()
+        };
+        let mut loose =
+            RegionSampler::new(&with_threshold(0.5), &table, &profile, &NullRecorder).unwrap();
         simulate_launch(&k, &sp, &cfg, &mut loose, None);
-        let mut tight = RegionSampler::builder(&table, &profile)
-            .threshold(1e-6)
-            .build()
-            .unwrap();
+        let mut tight =
+            RegionSampler::new(&with_threshold(1e-6), &table, &profile, &NullRecorder).unwrap();
         simulate_launch(&k, &sp, &cfg, &mut tight, None);
         assert!(
             tight.outcome().skipped_tbs <= loose.outcome().skipped_tbs,

@@ -259,7 +259,7 @@ pub fn profile_tb(kernel: &Kernel, ctx: &ExecCtx, tb_id: TbId) -> TbProfile {
 }
 
 /// Profile every thread block of a launch, fanning TBs out over `threads`
-/// crossbeam workers. Output order is by TB id regardless of thread count.
+/// scoped worker threads. Output order is by TB id regardless of thread count.
 pub fn profile_launch(kernel: &Kernel, spec: &LaunchSpec, threads: usize) -> LaunchProfile {
     let n = spec.num_blocks as usize;
     let mut tbs: Vec<TbProfile> = Vec::with_capacity(n);

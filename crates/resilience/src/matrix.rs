@@ -19,7 +19,7 @@ use tbpoint_core::{run_tbpoint, run_tbpoint_traced, TbpointConfig};
 use tbpoint_emu::{profile_run, RunProfile};
 use tbpoint_ir::KernelRun;
 use tbpoint_obs::TraceBundle;
-use tbpoint_pool::{run_supervised, UnitError};
+use tbpoint_pool::{run_supervised, ExecPlan, UnitError};
 use tbpoint_sim::{simulate_run, GpuConfig, NullSampling};
 
 /// What one matrix cell did with its fault.
@@ -182,7 +182,13 @@ fn profile_cell(
     let mut faulty = profile.clone();
     inject_profile(&mut faulty, fault, seed);
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        run_tbpoint(run, &faulty, &opts.config, &opts.gpu)
+        run_tbpoint(
+            run,
+            Some(&faulty),
+            &opts.config,
+            &opts.gpu,
+            ExecPlan::serial(),
+        )
     }));
     match outcome {
         Err(p) => Outcome::Panicked(panic_msg(p)),
@@ -289,7 +295,13 @@ pub fn run_fault_matrix(runs: &[(String, KernelRun)], opts: &MatrixOptions) -> M
         let profile = profile_run(run, 1);
         let full = simulate_run(run, &opts.gpu, &mut NullSampling, None);
         let full_ipc = full.overall_ipc();
-        let sealed = match run_tbpoint_traced(run, &profile, &opts.config, &opts.gpu) {
+        let sealed = match run_tbpoint_traced(
+            run,
+            Some(&profile),
+            &opts.config,
+            &opts.gpu,
+            ExecPlan::serial(),
+        ) {
             Ok((clean, traces)) => {
                 report
                     .clean_err_pct
@@ -370,7 +382,13 @@ pub fn error_growth(
                 .map(|&seed| {
                     let mut faulty = profile.clone();
                     inject_profile(&mut faulty, Fault::StallJitter { magnitude }, seed);
-                    match run_tbpoint(run, &faulty, &opts.config, &opts.gpu) {
+                    match run_tbpoint(
+                        run,
+                        Some(&faulty),
+                        &opts.config,
+                        &opts.gpu,
+                        ExecPlan::serial(),
+                    ) {
                         Ok(r) => r.error_vs(full_ipc),
                         Err(_) => 100.0,
                     }

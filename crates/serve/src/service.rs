@@ -49,7 +49,7 @@ use crate::proto::{
 };
 use crate::retry::RetryPolicy;
 use std::path::PathBuf;
-use tbpoint_core::{run_tbpoint_live_plan, run_tbpoint_plan, SamplingMode, TbError, TbpointConfig};
+use tbpoint_core::{run_tbpoint, SamplingMode, TbError, TbpointConfig};
 use tbpoint_emu::profile_run;
 use tbpoint_obs::{EventKind, Recorder};
 use tbpoint_pool::{run_supervised, ExecPlan, UnitError};
@@ -522,13 +522,14 @@ fn run_work(
     // Live requests skip the profiling pass entirely — the online
     // detector learns from the retire stream — which is the whole
     // point of accepting `"live": true` on a service request.
-    let tbp = match cfg.mode {
-        SamplingMode::Live => run_tbpoint_live_plan(&bench.run, &cfg, &opts.gpu, opts.plan.unit()),
-        SamplingMode::TwoPhase => {
-            let profile = profile_run(&bench.run, 1);
-            run_tbpoint_plan(&bench.run, &profile, &cfg, &opts.gpu, opts.plan.unit())
-        }
-    };
+    let profile = cfg.mode.needs_profile().then(|| profile_run(&bench.run, 1));
+    let tbp = run_tbpoint(
+        &bench.run,
+        profile.as_ref(),
+        &cfg,
+        &opts.gpu,
+        opts.plan.unit(),
+    );
     let tbp = match tbp {
         Ok(r) => r,
         Err(e) => {

@@ -31,20 +31,11 @@ pub trait SamplingHook {
     /// Called once per thread block immediately before dispatch.
     fn on_dispatch(&mut self, tb: TbId, cycle: u64, issued_warp_insts: u64) -> DispatchDecision;
 
-    /// Called when a *simulated* thread block retires. Skipped blocks do
-    /// not generate retire events (the hook already knows it skipped
-    /// them).
-    fn on_retire(&mut self, tb: TbId, cycle: u64, issued_warp_insts: u64);
-
-    /// [`SamplingHook::on_retire`] with the retired block's accumulated
-    /// feature counters ([`TbStats`]) — the retire-time profile stream
-    /// live sampling runs on. The simulator always calls this variant;
-    /// the default implementation drops the stats and delegates to
-    /// `on_retire`, so hooks that don't need features stay unchanged.
-    fn on_retire_stats(&mut self, tb: TbId, cycle: u64, issued_warp_insts: u64, stats: TbStats) {
-        let _ = stats;
-        self.on_retire(tb, cycle, issued_warp_insts);
-    }
+    /// Called when a *simulated* thread block retires, with the block's
+    /// accumulated feature counters ([`TbStats`]) — the retire-time
+    /// profile stream live sampling runs on. Skipped blocks do not
+    /// generate retire events (the hook already knows it skipped them).
+    fn on_retire(&mut self, tb: TbId, cycle: u64, issued_warp_insts: u64, stats: TbStats);
 }
 
 /// The "Full" configuration: simulate everything, observe nothing.
@@ -56,7 +47,7 @@ impl SamplingHook for NullSampling {
         DispatchDecision::Simulate
     }
 
-    fn on_retire(&mut self, _tb: TbId, _cycle: u64, _issued: u64) {}
+    fn on_retire(&mut self, _tb: TbId, _cycle: u64, _issued: u64, _stats: TbStats) {}
 }
 
 /// Watchdog wrapper: forwards to an inner hook until the simulated clock
@@ -105,15 +96,9 @@ impl<H: SamplingHook + ?Sized> SamplingHook for CycleBudgetHook<'_, H> {
         self.inner.on_dispatch(tb, cycle, issued)
     }
 
-    fn on_retire(&mut self, tb: TbId, cycle: u64, issued: u64) {
+    fn on_retire(&mut self, tb: TbId, cycle: u64, issued: u64, stats: TbStats) {
         if !self.exceeded {
-            self.inner.on_retire(tb, cycle, issued);
-        }
-    }
-
-    fn on_retire_stats(&mut self, tb: TbId, cycle: u64, issued: u64, stats: TbStats) {
-        if !self.exceeded {
-            self.inner.on_retire_stats(tb, cycle, issued, stats);
+            self.inner.on_retire(tb, cycle, issued, stats);
         }
     }
 }
@@ -140,7 +125,7 @@ impl SamplingHook for SkipList {
         }
     }
 
-    fn on_retire(&mut self, tb: TbId, _cycle: u64, _issued: u64) {
+    fn on_retire(&mut self, tb: TbId, _cycle: u64, _issued: u64, _stats: TbStats) {
         self.retired.push(tb.0);
     }
 }

@@ -58,8 +58,8 @@ pub mod units;
 pub use config::{CacheConfig, GpuConfig, SchedPolicy};
 pub use dispatch::{CycleBudgetHook, DispatchDecision, NullSampling, SamplingHook};
 pub use simulator::{
-    simulate_launch, simulate_launch_obs, simulate_launch_obs_with_options, simulate_launch_perf,
-    simulate_launch_with_options, simulate_run, LaunchSimResult, RunSimResult, SimOptions, SimPerf,
+    simulate_launch, simulate_launch_perf, simulate_launch_with, simulate_run, LaunchSimResult,
+    RunSimResult, SimOptions, SimPerf,
 };
 pub use stats::{InstMix, SmStats};
 pub use units::{UnitRecord, UnitsConfig};

@@ -36,7 +36,7 @@
 //!   with a reconstructed global `issued_total`, and the greedy
 //!   dispatcher refills free slots exactly as serial's post-retire fill.
 //!
-//! `jobs == 1` never reaches this module — `simulate_launch_core` keeps
+//! `jobs == 1` never reaches this module — `simulate_launch_with` keeps
 //! the serial path as-is.
 //!
 //! # Thread structure and rendezvous cost
@@ -387,7 +387,7 @@ fn run_window<R2: Recorder>(
     }
 }
 
-/// Entry point from `simulate_launch_core` (`jobs >= 2`, already clamped
+/// Entry point from `simulate_launch_with` (`jobs >= 2`, already clamped
 /// to `num_sms`). Picks the shard-recorder monomorphisation: collecting
 /// when the caller's recorder is live (counters merge back in shard
 /// order at the end), null otherwise so the instrumentation compiles
@@ -672,7 +672,7 @@ fn run<R: Recorder + ?Sized, R2: Recorder + Default + Send>(
                                 .unwrap_or(u64::MAX);
                             rec.gauge("sm_resident_blocks", sm_u32, resident);
                         }
-                        hook.on_retire_stats(tb, c_last, issued_total + prefix, stats);
+                        hook.on_retire(tb, c_last, issued_total + prefix, stats);
                     }
                     issued_total += at_last.len() as u64;
 

@@ -12,7 +12,7 @@ use tbpoint_emu::{InternStats, TbStats, TraceArena};
 use tbpoint_ir::{ExecCtx, Kernel, KernelRun, LaunchSpec, TbId};
 use tbpoint_obs::{EventKind, NullRecorder, Recorder};
 
-/// Hot-path switches for [`simulate_launch_with_options`]. The boolean
+/// Hot-path switches for [`simulate_launch_with`]. The boolean
 /// switches default to on; turning one off selects the slow reference
 /// implementation the bit-identity golden suite compares against.
 /// Results are identical under every combination — only wall time
@@ -170,7 +170,8 @@ impl RunSimResult {
 
 /// Simulate one launch of `kernel` under `cfg`, with `hook` controlling
 /// thread-block skipping and `units` optionally collecting fixed-size
-/// sampling units (pass `None` for normal runs).
+/// sampling units (pass `None` for normal runs). The convenience form of
+/// [`simulate_launch_with`]: default [`SimOptions`], no recorder.
 pub fn simulate_launch(
     kernel: &Kernel,
     spec: &LaunchSpec,
@@ -178,26 +179,16 @@ pub fn simulate_launch(
     hook: &mut dyn SamplingHook,
     units: Option<UnitsConfig>,
 ) -> LaunchSimResult {
-    simulate_launch_obs(kernel, spec, cfg, hook, units, &NullRecorder)
-}
-
-/// [`simulate_launch`] with observability: dispatch/skip/retire events,
-/// idle-jump and memory-stall events, cache/DRAM counters, and a
-/// per-SM `sm_resident_blocks` occupancy gauge, all emitted into `rec`.
-///
-/// The function is monomorphised over the recorder, so the
-/// `NullRecorder` path (what [`simulate_launch`] uses) compiles the
-/// instrumentation away; recording never influences the simulation, and
-/// the result is bit-identical for every recorder.
-pub fn simulate_launch_obs<R: Recorder + ?Sized>(
-    kernel: &Kernel,
-    spec: &LaunchSpec,
-    cfg: &GpuConfig,
-    hook: &mut dyn SamplingHook,
-    units: Option<UnitsConfig>,
-    rec: &R,
-) -> LaunchSimResult {
-    simulate_launch_core(kernel, spec, cfg, hook, units, SimOptions::default(), rec).0
+    simulate_launch_with(
+        kernel,
+        spec,
+        cfg,
+        hook,
+        units,
+        SimOptions::default(),
+        &NullRecorder,
+    )
+    .0
 }
 
 /// [`simulate_launch`] plus the hot-path counters ([`SimPerf`]) the
@@ -213,50 +204,11 @@ pub fn simulate_launch_perf(
     units: Option<UnitsConfig>,
     jobs: usize,
 ) -> (LaunchSimResult, SimPerf) {
-    simulate_launch_core(
-        kernel,
-        spec,
-        cfg,
-        hook,
-        units,
-        SimOptions {
-            jobs,
-            ..SimOptions::default()
-        },
-        &NullRecorder,
-    )
-}
-
-/// [`simulate_launch`] with explicit [`SimOptions`] — exists so the
-/// golden test suite can pin interned==fresh and skipped==stepped
-/// bit-identity; not part of the supported API surface.
-#[doc(hidden)]
-pub fn simulate_launch_with_options(
-    kernel: &Kernel,
-    spec: &LaunchSpec,
-    cfg: &GpuConfig,
-    hook: &mut dyn SamplingHook,
-    units: Option<UnitsConfig>,
-    opts: SimOptions,
-) -> LaunchSimResult {
-    simulate_launch_core(kernel, spec, cfg, hook, units, opts, &NullRecorder).0
-}
-
-/// [`simulate_launch_obs`] with explicit [`SimOptions`] — the fully
-/// general entry point: observability *and* hot-path switches, including
-/// intra-launch parallelism via [`SimOptions::jobs`]. This is what
-/// `tbpoint-core` uses to thread its configured job count into the
-/// per-launch detailed simulations.
-pub fn simulate_launch_obs_with_options<R: Recorder + ?Sized>(
-    kernel: &Kernel,
-    spec: &LaunchSpec,
-    cfg: &GpuConfig,
-    hook: &mut dyn SamplingHook,
-    units: Option<UnitsConfig>,
-    opts: SimOptions,
-    rec: &R,
-) -> LaunchSimResult {
-    simulate_launch_core(kernel, spec, cfg, hook, units, opts, rec).0
+    let opts = SimOptions {
+        jobs,
+        ..SimOptions::default()
+    };
+    simulate_launch_with(kernel, spec, cfg, hook, units, opts, &NullRecorder)
 }
 
 /// Dispatch-side progress counters, shared between the serial cycle loop
@@ -366,7 +318,7 @@ pub(crate) fn greedy_fill<R: Recorder + ?Sized, S: BorrowMut<SmCore>>(
                     // A degenerate (all-empty-trace) block issues nothing,
                     // so its streamed profile is the all-zero one — exactly
                     // what the profiler would have recorded for it.
-                    hook.on_retire_stats(rtb, cycle, issued_total, TbStats::default());
+                    hook.on_retire(rtb, cycle, issued_total, TbStats::default());
                 } else {
                     ds.outstanding += 1;
                     if rec.enabled() {
@@ -380,8 +332,19 @@ pub(crate) fn greedy_fill<R: Recorder + ?Sized, S: BorrowMut<SmCore>>(
     }
 }
 
+/// The general entry point: [`simulate_launch`] with explicit hot-path
+/// switches ([`SimOptions`], including intra-launch parallelism via
+/// [`SimOptions::jobs`]), observability, and the [`SimPerf`] counters.
+///
+/// `rec` receives dispatch/skip/retire events, idle-jump and
+/// memory-stall events, cache/DRAM counters and a per-SM
+/// `sm_resident_blocks` occupancy gauge. The function is monomorphised
+/// over the recorder, so the [`NullRecorder`] path compiles the
+/// instrumentation away; recording never influences the simulation, and
+/// the result is bit-identical for every recorder and every option
+/// combination — only wall time changes.
 // tbpoint-phase: coordinator
-fn simulate_launch_core<R: Recorder + ?Sized>(
+pub fn simulate_launch_with<R: Recorder + ?Sized>(
     kernel: &Kernel,
     spec: &LaunchSpec,
     cfg: &GpuConfig,
@@ -455,7 +418,7 @@ fn simulate_launch_core<R: Recorder + ?Sized>(
                     let resident = u64::try_from(sm.resident_blocks()).unwrap_or(u64::MAX);
                     rec.gauge("sm_resident_blocks", sm_u32, resident);
                 }
-                hook.on_retire_stats(tb, cycle, issued_total, r.retired_stats);
+                hook.on_retire(tb, cycle, issued_total, r.retired_stats);
             }
         }
         if any_retired {
@@ -839,9 +802,7 @@ mod tests {
             DispatchDecision::Simulate
         }
 
-        fn on_retire(&mut self, _tb: TbId, _cycle: u64, _issued: u64) {}
-
-        fn on_retire_stats(&mut self, tb: TbId, _cycle: u64, _issued: u64, stats: TbStats) {
+        fn on_retire(&mut self, tb: TbId, _cycle: u64, _issued: u64, stats: TbStats) {
             self.stats.push((tb.0, stats));
         }
     }

@@ -61,11 +61,9 @@ fn main() -> Result<(), TbError> {
     // Reference run.
     let full = simulate_launch(&run.kernel, launch, &gpu, &mut NullSampling, None);
 
-    // Sampled run with a recorder attached through the builder.
+    // Sampled run with a recorder attached.
     let rec = CollectingRecorder::new();
-    let mut sampler = RegionSampler::builder(&table, &profile)
-        .recorder(&rec)
-        .build()?;
+    let mut sampler = RegionSampler::new(&TbpointConfig::default(), &table, &profile, &rec)?;
     let sampled = simulate_launch(&run.kernel, launch, &gpu, &mut sampler, None);
     let out = sampler.outcome();
 

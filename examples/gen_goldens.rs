@@ -24,9 +24,7 @@
 //! alter results; performance and simplification work must leave both
 //! files untouched. See EXPERIMENTS.md ("Bit-identity goldens").
 
-use tbpoint_core::{
-    run_tbpoint_live_traced_plan, run_tbpoint_traced_plan, SamplingMode, TbpointConfig,
-};
+use tbpoint_core::{run_tbpoint_traced, SamplingMode, TbpointConfig};
 use tbpoint_emu::profile_run;
 use tbpoint_obs::fnv1a64;
 use tbpoint_pool::ExecPlan;
@@ -50,21 +48,14 @@ fn pipeline_line(bench: &Benchmark, gpu: &GpuConfig, mode: SamplingMode) -> Stri
         mode,
         ..TbpointConfig::default()
     };
-    let plan = ExecPlan::serial();
-    let (label, (result, traces)) = match mode {
-        SamplingMode::TwoPhase => {
-            let profile = profile_run(&bench.run, 1);
-            (
-                "two-phase",
-                run_tbpoint_traced_plan(&bench.run, &profile, &cfg, gpu, plan)
-                    .expect("two-phase pipeline"),
-            )
-        }
-        SamplingMode::Live => (
-            "live",
-            run_tbpoint_live_traced_plan(&bench.run, &cfg, gpu, plan).expect("live pipeline"),
-        ),
+    let label = match mode {
+        SamplingMode::TwoPhase => "two-phase",
+        SamplingMode::Live => "live",
     };
+    let profile = mode.needs_profile().then(|| profile_run(&bench.run, 1));
+    let (result, traces) =
+        run_tbpoint_traced(&bench.run, profile.as_ref(), &cfg, gpu, ExecPlan::serial())
+            .expect("pipeline runs");
     let jsonl: String = traces.iter().map(|t| t.trace.to_jsonl()).collect();
     format!(
         "\"{}/{label}\": {{\"result\":{},\"trace_fnv64\":\"{:016x}\"}}",

@@ -38,7 +38,13 @@ fn main() -> Result<(), TbError> {
     ] {
         let gpu = GpuConfig::with_occupancy(w, s);
         let full = simulate_run(&bench.run, &gpu, &mut NullSampling, None);
-        let tbp = run_tbpoint(&bench.run, &profile, &TbpointConfig::default(), &gpu)?;
+        let tbp = run_tbpoint(
+            &bench.run,
+            Some(&profile),
+            &TbpointConfig::default(),
+            &gpu,
+            ExecPlan::serial(),
+        )?;
         println!(
             "{:>8} {:>10} {:>10.3} {:>10.2} {:>10.1}",
             format!("W{w}S{s}"),

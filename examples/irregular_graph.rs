@@ -14,7 +14,9 @@
 use tbpoint::core::inter::{inter_launch_sample, InterConfig};
 use tbpoint::core::intra::{build_epochs, identify_regions, IntraConfig};
 use tbpoint::core::sampling::RegionSampler;
+use tbpoint::core::TbpointConfig;
 use tbpoint::emu::profile_run;
+use tbpoint::obs::NullRecorder;
 use tbpoint::sim::{simulate_launch, GpuConfig, NullSampling};
 use tbpoint::workloads::{benchmark_by_name, Scale};
 
@@ -77,7 +79,13 @@ fn main() {
     // Simulate the launch with homogeneous-region sampling.
     let spec = &bench.run.launches[rep];
     let full = simulate_launch(&bench.run.kernel, spec, &gpu, &mut NullSampling, None);
-    let mut sampler = RegionSampler::new(&table, launch_profile);
+    let mut sampler = RegionSampler::new(
+        &TbpointConfig::default(),
+        &table,
+        launch_profile,
+        &NullRecorder,
+    )
+    .expect("paper defaults are valid");
     let sampled = simulate_launch(&bench.run.kernel, spec, &gpu, &mut sampler, None);
     let out = sampler.outcome();
 

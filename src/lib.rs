@@ -28,10 +28,19 @@
 //! ```no_run
 //! use tbpoint::prelude::*;
 //! # fn demo(run: &tbpoint::ir::KernelRun) -> Result<(), TbError> {
-//! let profile = profile_run(run, 1);
 //! let gpu = GpuConfig::fermi();
-//! let result = run_tbpoint(run, &profile, &TbpointConfig::default(), &gpu)?;
+//! // The paper's two-phase pipeline: profile once, then sample.
+//! let profile = profile_run(run, 1);
+//! let cfg = TbpointConfig::default();
+//! let result = run_tbpoint(run, Some(&profile), &cfg, &gpu, ExecPlan::serial())?;
 //! println!("predicted IPC {:.3}", result.predicted_ipc);
+//! // Live single-pass sampling: the same call, no profile.
+//! let live = TbpointConfig {
+//!     mode: SamplingMode::Live,
+//!     ..cfg
+//! };
+//! let result = run_tbpoint(run, None, &live, &gpu, ExecPlan::serial())?;
+//! println!("live predicted IPC {:.3}", result.predicted_ipc);
 //! # Ok(())
 //! # }
 //! ```
@@ -55,8 +64,8 @@ pub use tbpoint_core::TbError;
 /// The names most library users need, in one import.
 pub mod prelude {
     pub use crate::core::{
-        run_tbpoint, run_tbpoint_plan, run_tbpoint_traced, run_tbpoint_traced_plan, IntraOutcome,
-        LaunchTrace, RegionSampler, RegionSamplerBuilder, TbError, TbpointConfig, TbpointResult,
+        run_tbpoint, run_tbpoint_traced, IntraOutcome, LaunchTrace, RegionSampler, SamplingMode,
+        TbError, TbpointConfig, TbpointResult,
     };
     pub use crate::emu::{profile_launch, profile_run};
     pub use crate::obs::{

@@ -9,7 +9,29 @@
 // uses a different subset of the helpers.
 #![allow(dead_code)]
 
+use tbpoint::ir::{Kernel, LaunchSpec};
+use tbpoint::obs::NullRecorder;
+use tbpoint::sim::{simulate_launch_with, GpuConfig, LaunchSimResult, NullSampling, SimOptions};
 use tbpoint::stats::SplitMix64;
+
+/// Full-detail, untraced simulation under explicit [`SimOptions`].
+pub fn simulate_opts(
+    kernel: &Kernel,
+    spec: &LaunchSpec,
+    cfg: &GpuConfig,
+    opts: SimOptions,
+) -> LaunchSimResult {
+    simulate_launch_with(
+        kernel,
+        spec,
+        cfg,
+        &mut NullSampling,
+        None,
+        opts,
+        &NullRecorder,
+    )
+    .0
+}
 
 /// Seeded pseudo-random input generator.
 pub struct Gen {

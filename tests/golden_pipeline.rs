@@ -15,8 +15,7 @@
 //! promises byte-identical results and trace streams.
 
 use tbpoint::core::{
-    run_tbpoint_live_plan, run_tbpoint_live_traced_plan, run_tbpoint_plan, run_tbpoint_traced_plan,
-    LaunchTrace, SamplingMode, TbpointConfig, TbpointResult,
+    run_tbpoint, run_tbpoint_traced, LaunchTrace, SamplingMode, TbpointConfig, TbpointResult,
 };
 use tbpoint::emu::profile_run;
 use tbpoint::obs::fnv1a64;
@@ -53,21 +52,14 @@ fn check(bench: &Benchmark, gpu: &GpuConfig, mode: SamplingMode, plan: ExecPlan)
         mode,
         ..TbpointConfig::default()
     };
-    let (label, untraced, (traced, traces)) = match mode {
-        SamplingMode::TwoPhase => {
-            let profile = profile_run(&bench.run, 1);
-            (
-                "two-phase",
-                run_tbpoint_plan(&bench.run, &profile, &cfg, gpu, plan).expect("two-phase"),
-                run_tbpoint_traced_plan(&bench.run, &profile, &cfg, gpu, plan).expect("two-phase"),
-            )
-        }
-        SamplingMode::Live => (
-            "live",
-            run_tbpoint_live_plan(&bench.run, &cfg, gpu, plan).expect("live"),
-            run_tbpoint_live_traced_plan(&bench.run, &cfg, gpu, plan).expect("live"),
-        ),
+    let label = match mode {
+        SamplingMode::TwoPhase => "two-phase",
+        SamplingMode::Live => "live",
     };
+    let profile = mode.needs_profile().then(|| profile_run(&bench.run, 1));
+    let untraced = run_tbpoint(&bench.run, profile.as_ref(), &cfg, gpu, plan).expect("pipeline");
+    let (traced, traces) =
+        run_tbpoint_traced(&bench.run, profile.as_ref(), &cfg, gpu, plan).expect("pipeline");
     let key = format!("{}/{label}", bench.name);
     assert_eq!(untraced, traced, "{key}: tracing changed the result");
     assert_eq!(

@@ -23,13 +23,10 @@
 
 mod common;
 
-use common::Gen;
+use common::{simulate_opts, Gen};
 use tbpoint::emu::{trace_warp, TraceArena, TraceKey};
 use tbpoint::ir::{Cond, Dist, ExecCtx, Kernel, KernelBuilder, LaunchId, Op, TripCount};
-use tbpoint::sim::{
-    simulate_launch, simulate_launch_with_options, simulate_run, GpuConfig, NullSampling,
-    SimOptions,
-};
+use tbpoint::sim::{simulate_launch, simulate_run, GpuConfig, NullSampling, SimOptions};
 use tbpoint::workloads::{all_benchmarks, Scale};
 
 /// The committed pre-optimisation reference output.
@@ -170,14 +167,7 @@ fn interning_and_event_horizon_are_bit_identical() {
             let base = simulate_launch(&bench.run.kernel, spec, &cfg, &mut NullSampling, None);
             let base_json = to_json(&base);
             for (label, opts) in modes {
-                let alt = simulate_launch_with_options(
-                    &bench.run.kernel,
-                    spec,
-                    &cfg,
-                    &mut NullSampling,
-                    None,
-                    opts,
-                );
+                let alt = simulate_opts(&bench.run.kernel, spec, &cfg, opts);
                 assert_same_json(
                     &format!("{} launch {} vs {label}", bench.name, spec.launch_id.0),
                     &base_json,

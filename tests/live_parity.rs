@@ -18,9 +18,7 @@
 mod common;
 
 use common::Gen;
-use tbpoint::core::{
-    run_tbpoint_live_plan, run_tbpoint_plan, SamplingMode, TbpointConfig, TbpointResult,
-};
+use tbpoint::core::{run_tbpoint, SamplingMode, TbpointConfig, TbpointResult};
 use tbpoint::emu::profile_run;
 use tbpoint::ir::KernelRun;
 use tbpoint::pool::ExecPlan;
@@ -60,10 +58,9 @@ fn plan(sim_jobs: usize, pool_workers: usize) -> ExecPlan {
 fn assert_live_tracks_two_phase(label: &str, run: &KernelRun, gpu: &GpuConfig) {
     let profile = profile_run(run, 1);
     let cfg = TbpointConfig::default();
-    let two_phase =
-        run_tbpoint_plan(run, &profile, &cfg, gpu, ExecPlan::serial()).expect("two-phase pipeline");
-    let live =
-        run_tbpoint_live_plan(run, &live_cfg(), gpu, ExecPlan::serial()).expect("live pipeline");
+    let two_phase = run_tbpoint(run, Some(&profile), &cfg, gpu, ExecPlan::serial())
+        .expect("two-phase pipeline");
+    let live = run_tbpoint(run, None, &live_cfg(), gpu, ExecPlan::serial()).expect("live pipeline");
 
     let rel = if two_phase.predicted_ipc > 0.0 {
         ((live.predicted_ipc - two_phase.predicted_ipc) / two_phase.predicted_ipc).abs()
@@ -94,8 +91,8 @@ fn assert_live_tracks_two_phase(label: &str, run: &KernelRun, gpu: &GpuConfig) {
 fn assert_live_plan_invariant(label: &str, run: &KernelRun, gpu: &GpuConfig) {
     let mut reference: Option<TbpointResult> = None;
     for (jobs, workers) in PLANS {
-        let r = run_tbpoint_live_plan(run, &live_cfg(), gpu, plan(jobs, workers))
-            .expect("live pipeline");
+        let r =
+            run_tbpoint(run, None, &live_cfg(), gpu, plan(jobs, workers)).expect("live pipeline");
         match &reference {
             None => reference = Some(r),
             Some(serial) => assert_eq!(

@@ -7,7 +7,7 @@ mod common;
 use common::Gen;
 use tbpoint::obs::{event_line, parse_event, Counter, GaugeSummary, Span};
 use tbpoint::prelude::*;
-use tbpoint::sim::{simulate_launch_obs, NullSampling};
+use tbpoint::sim::{simulate_launch_with, NullSampling, SimOptions};
 use tbpoint::workloads::{benchmark_by_name, Scale};
 
 /// Golden test: swapping the recorder must leave every simulated number
@@ -20,8 +20,10 @@ fn traced_and_untraced_runs_are_bit_identical() {
         let profile = profile_run(&bench.run, 2);
         let cfg = TbpointConfig::default();
 
-        let plain = run_tbpoint(&bench.run, &profile, &cfg, &gpu).unwrap();
-        let (traced, traces) = run_tbpoint_traced(&bench.run, &profile, &cfg, &gpu).unwrap();
+        let plain =
+            run_tbpoint(&bench.run, Some(&profile), &cfg, &gpu, ExecPlan::serial()).unwrap();
+        let (traced, traces) =
+            run_tbpoint_traced(&bench.run, Some(&profile), &cfg, &gpu, ExecPlan::serial()).unwrap();
         assert_eq!(plain, traced, "{name}: tracing changed the result");
         assert!(!traces.is_empty(), "{name}: traced run produced no traces");
         for t in &traces {
@@ -35,7 +37,7 @@ fn traced_and_untraced_runs_are_bit_identical() {
 }
 
 /// The same identity one level down: `simulate_launch` against
-/// `simulate_launch_obs` under every recorder implementation.
+/// `simulate_launch_with` under every recorder implementation.
 #[test]
 fn every_recorder_leaves_the_simulation_untouched() {
     let bench = benchmark_by_name("hotspot", Scale::Tiny).unwrap();
@@ -43,37 +45,43 @@ fn every_recorder_leaves_the_simulation_untouched() {
     let launch = &bench.run.launches[0];
     let baseline = simulate_launch(&bench.run.kernel, launch, &gpu, &mut NullSampling, None);
 
-    let null = simulate_launch_obs(
+    let null = simulate_launch_with(
         &bench.run.kernel,
         launch,
         &gpu,
         &mut NullSampling,
         None,
+        SimOptions::default(),
         &NullRecorder,
-    );
+    )
+    .0;
     assert_eq!(baseline, null);
 
     let collect = CollectingRecorder::new();
-    let collected = simulate_launch_obs(
+    let collected = simulate_launch_with(
         &bench.run.kernel,
         launch,
         &gpu,
         &mut NullSampling,
         None,
+        SimOptions::default(),
         &collect,
-    );
+    )
+    .0;
     assert_eq!(baseline, collected);
     assert!(!collect.is_empty(), "collecting recorder saw nothing");
 
     let sink = JsonlRecorder::new();
-    let sunk = simulate_launch_obs(
+    let sunk = simulate_launch_with(
         &bench.run.kernel,
         launch,
         &gpu,
         &mut NullSampling,
         None,
+        SimOptions::default(),
         &sink,
-    );
+    )
+    .0;
     assert_eq!(baseline, sunk);
 
     // The two enabled recorders of the same (deterministic) launch must

@@ -26,15 +26,12 @@
 
 mod common;
 
-use common::Gen;
+use common::{simulate_opts, Gen};
 use tbpoint::ir::{
     AddrPattern, Cond, Dist, Kernel, KernelBuilder, LaunchId, LaunchSpec, Op, TripCount,
 };
 use tbpoint::obs::CollectingRecorder;
-use tbpoint::sim::{
-    simulate_launch, simulate_launch_obs_with_options, simulate_launch_with_options, GpuConfig,
-    NullSampling, SimOptions,
-};
+use tbpoint::sim::{simulate_launch, simulate_launch_with, GpuConfig, NullSampling, SimOptions};
 use tbpoint::workloads::{all_benchmarks, Scale};
 
 fn to_json<T: serde::Serialize>(value: &T) -> String {
@@ -70,12 +67,10 @@ fn parallel_matches_serial_on_tiny_workloads() {
     for bench in all_benchmarks(Scale::Tiny) {
         let spec = &bench.run.launches[0];
         for (intern_traces, event_horizon) in opt_modes {
-            let serial = simulate_launch_with_options(
+            let serial = simulate_opts(
                 &bench.run.kernel,
                 spec,
                 &cfg,
-                &mut NullSampling,
-                None,
                 SimOptions {
                     intern_traces,
                     event_horizon,
@@ -84,12 +79,10 @@ fn parallel_matches_serial_on_tiny_workloads() {
             );
             let serial_json = to_json(&serial);
             for jobs in [2usize, 8] {
-                let par = simulate_launch_with_options(
+                let par = simulate_opts(
                     &bench.run.kernel,
                     spec,
                     &cfg,
-                    &mut NullSampling,
-                    None,
                     SimOptions {
                         intern_traces,
                         event_horizon,
@@ -192,18 +185,10 @@ fn parallel_matches_serial_on_seeded_memory_kernels() {
             work_scale: 1.0,
         };
         for opts in modes(1) {
-            let serial =
-                simulate_launch_with_options(&kernel, &spec, &cfg, &mut NullSampling, None, opts);
+            let serial = simulate_opts(&kernel, &spec, &cfg, opts);
             let serial_json = to_json(&serial);
             for jobs in [2usize, 3, 8] {
-                let par = simulate_launch_with_options(
-                    &kernel,
-                    &spec,
-                    &cfg,
-                    &mut NullSampling,
-                    None,
-                    SimOptions { jobs, ..opts },
-                );
+                let par = simulate_opts(&kernel, &spec, &cfg, SimOptions { jobs, ..opts });
                 assert_eq!(
                     serial_json,
                     to_json(&par),
@@ -228,7 +213,7 @@ fn parallel_observability_totals_match_serial() {
     let spec = &bench.run.launches[0];
     let collect = |jobs: usize| {
         let rec = CollectingRecorder::new();
-        simulate_launch_obs_with_options(
+        simulate_launch_with(
             &bench.run.kernel,
             spec,
             &cfg,
@@ -279,12 +264,10 @@ fn shadow_checker_accepts_tiny_workloads_and_seeded_kernels() {
         let serial = simulate_launch(&bench.run.kernel, spec, &cfg, &mut NullSampling, None);
         let serial_json = to_json(&serial);
         for jobs in [1usize, 2, 4] {
-            let par = simulate_launch_with_options(
+            let par = simulate_opts(
                 &bench.run.kernel,
                 spec,
                 &cfg,
-                &mut NullSampling,
-                None,
                 SimOptions {
                     jobs,
                     ..SimOptions::default()
@@ -309,12 +292,10 @@ fn shadow_checker_accepts_tiny_workloads_and_seeded_kernels() {
         let serial = simulate_launch(&kernel, &spec, &cfg, &mut NullSampling, None);
         let serial_json = to_json(&serial);
         for jobs in [1usize, 2, 4] {
-            let par = simulate_launch_with_options(
+            let par = simulate_opts(
                 &kernel,
                 &spec,
                 &cfg,
-                &mut NullSampling,
-                None,
                 SimOptions {
                     jobs,
                     ..SimOptions::default()
@@ -342,12 +323,10 @@ fn out_of_range_jobs_clamp_to_valid_range() {
     let bench = &all_benchmarks(Scale::Tiny)[0];
     let spec = &bench.run.launches[0];
     let run = |jobs: usize| {
-        to_json(&simulate_launch_with_options(
+        to_json(&simulate_opts(
             &bench.run.kernel,
             spec,
             &cfg,
-            &mut NullSampling,
-            None,
             SimOptions {
                 jobs,
                 ..SimOptions::default()

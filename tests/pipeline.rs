@@ -4,6 +4,7 @@
 
 use tbpoint::core::predict::{run_tbpoint, TbpointConfig};
 use tbpoint::emu::profile_run;
+use tbpoint::pool::ExecPlan;
 use tbpoint::sim::{simulate_run, GpuConfig, NullSampling};
 use tbpoint::workloads::{all_benchmarks, benchmark_by_name, Scale};
 
@@ -12,10 +13,11 @@ use tbpoint::workloads::{all_benchmarks, benchmark_by_name, Scale};
 #[test]
 fn pipeline_invariants_hold_for_every_benchmark() {
     let gpu = GpuConfig::fermi();
+    let cfg = TbpointConfig::default();
     for bench in all_benchmarks(Scale::Tiny) {
         let profile = profile_run(&bench.run, 2);
         let full = simulate_run(&bench.run, &gpu, &mut NullSampling, None);
-        let tbp = run_tbpoint(&bench.run, &profile, &TbpointConfig::default(), &gpu).unwrap();
+        let tbp = run_tbpoint(&bench.run, Some(&profile), &cfg, &gpu, ExecPlan::serial()).unwrap();
 
         // Instruction conservation: the profile and the full simulation
         // must agree exactly (same walker), and TBPoint's accounting must
@@ -60,10 +62,11 @@ fn pipeline_invariants_hold_for_every_benchmark() {
 #[test]
 fn savings_structure_matches_kernel_shape() {
     let gpu = GpuConfig::fermi();
+    let cfg = TbpointConfig::default();
     for (name, expect_single) in [("cfd", false), ("stream", false), ("lbm", true)] {
         let bench = benchmark_by_name(name, Scale::Tiny).unwrap();
         let profile = profile_run(&bench.run, 2);
-        let tbp = run_tbpoint(&bench.run, &profile, &TbpointConfig::default(), &gpu).unwrap();
+        let tbp = run_tbpoint(&bench.run, Some(&profile), &cfg, &gpu, ExecPlan::serial()).unwrap();
         if expect_single {
             assert_eq!(tbp.num_launches, 1, "{name}");
             assert_eq!(
@@ -87,11 +90,12 @@ fn savings_structure_matches_kernel_shape() {
 #[test]
 fn regular_kernels_predict_accurately() {
     let gpu = GpuConfig::fermi();
+    let cfg = TbpointConfig::default();
     for name in ["cfd", "kmeans", "stream", "conv"] {
         let bench = benchmark_by_name(name, Scale::Tiny).unwrap();
         let profile = profile_run(&bench.run, 2);
         let full = simulate_run(&bench.run, &gpu, &mut NullSampling, None);
-        let tbp = run_tbpoint(&bench.run, &profile, &TbpointConfig::default(), &gpu).unwrap();
+        let tbp = run_tbpoint(&bench.run, Some(&profile), &cfg, &gpu, ExecPlan::serial()).unwrap();
         let err = tbp.error_vs(full.overall_ipc());
         assert!(err < 8.0, "{name}: error {err:.2}%");
     }
@@ -103,10 +107,11 @@ fn regular_kernels_predict_accurately() {
 fn one_profile_serves_multiple_configs() {
     let bench = benchmark_by_name("spmv", Scale::Tiny).unwrap();
     let profile = profile_run(&bench.run, 2); // collected once
+    let cfg = TbpointConfig::default();
     for (w, s) in [(16u32, 8u32), (48, 14)] {
         let gpu = GpuConfig::with_occupancy(w, s);
         let full = simulate_run(&bench.run, &gpu, &mut NullSampling, None);
-        let tbp = run_tbpoint(&bench.run, &profile, &TbpointConfig::default(), &gpu).unwrap();
+        let tbp = run_tbpoint(&bench.run, Some(&profile), &cfg, &gpu, ExecPlan::serial()).unwrap();
         assert!(
             tbp.error_vs(full.overall_ipc()) < 20.0,
             "W{w}S{s}: error {:.2}%",
@@ -128,7 +133,7 @@ fn null_config_is_exact() {
         intra_enabled: false,
         ..TbpointConfig::default()
     };
-    let tbp = run_tbpoint(&bench.run, &profile, &cfg, &gpu).unwrap();
+    let tbp = run_tbpoint(&bench.run, Some(&profile), &cfg, &gpu, ExecPlan::serial()).unwrap();
     assert!(tbp.error_vs(full.overall_ipc()) < 1e-9);
     assert_eq!(tbp.sample_size(), 1.0);
 }
