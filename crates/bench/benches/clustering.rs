@@ -1,6 +1,8 @@
 //! Clustering microbenches: the hierarchical algorithm the paper picks
 //! vs. the k-means+BIC it rejects, across input sizes that bracket the
-//! real uses (dozens of launches, thousands of epochs, hundreds of BBVs).
+//! real uses (dozens of launches, thousands of epochs, hundreds of BBVs),
+//! on well-separated blobs and on the duplicate-heavy inputs regular
+//! kernels produce.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use tbpoint_bench::blob_points;
@@ -29,6 +31,34 @@ fn bench_hierarchical(c: &mut Criterion) {
     ] {
         g.bench_with_input(BenchmarkId::new("linkage", label), &points, |b, points| {
             b.iter(|| black_box(hierarchical_cluster(points, 4.0, linkage)));
+        });
+    }
+    // The shapes homogeneous kernels actually produce: thousands of epochs
+    // (lbm) or hundreds of launches (stream) with one distinct feature
+    // vector, and a launch alternating between two. Cost must follow the
+    // distinct points, not the input size.
+    let cases: [(&str, &str, Vec<Vec<f64>>, usize); 3] = [
+        ("duplicates", "1286x1", vec![vec![0.31]; 1286], 1),
+        (
+            "duplicates",
+            "211x4",
+            vec![vec![1.0, 1.0, 1.0, 0.0]; 211],
+            1,
+        ),
+        (
+            "two_values",
+            "2000x1",
+            (0..2000).map(|i| vec![f64::from(i % 2)]).collect(),
+            2,
+        ),
+    ];
+    for (shape, size, points, clusters) in &cases {
+        g.bench_with_input(BenchmarkId::new(*shape, size), points, |b, points| {
+            b.iter(|| {
+                let r = hierarchical_cluster(points, 0.2, Linkage::Complete);
+                assert_eq!(r.num_clusters, *clusters);
+                black_box(r)
+            });
         });
     }
     g.finish();

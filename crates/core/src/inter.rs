@@ -186,6 +186,26 @@ mod tests {
     }
 
     #[test]
+    fn five_thousand_identical_launches_need_one_simulation() {
+        // stream-shaped, at a launch count where clustering cost that
+        // followed the launches rather than the distinct feature vectors
+        // (a 100 MB distance matrix, cubic merge loop) would not finish.
+        let mut profile = profile_run(&run_with_launches(&[(4, 1.0)]), 1);
+        let launch = profile.launches[0].clone();
+        profile.launches = (0..5_000)
+            .map(|i| {
+                let mut l = launch.clone();
+                l.spec.launch_id = LaunchId(i);
+                l
+            })
+            .collect();
+        let r = inter_launch_sample(&profile, &InterConfig::default());
+        assert_eq!(r.clustering.num_clusters, 1);
+        // Every member ties for closest to the centroid; the middle wins.
+        assert_eq!(r.representatives, vec![2_500]);
+    }
+
+    #[test]
     fn distinct_launch_sizes_split_clusters() {
         // Launches alternate between tiny and huge grids (bfs-like
         // frontier growth): at least two clusters expected.

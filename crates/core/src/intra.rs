@@ -128,14 +128,22 @@ pub fn build_epochs(profile: &LaunchProfile, occupancy: u32) -> Vec<Epoch> {
     #[allow(clippy::cast_possible_truncation)]
     let n = profile.tbs.len() as u32;
     let mut epochs = Vec::with_capacity(n.div_ceil(occupancy) as usize);
+    // Per-epoch feature columns, reused across epochs.
+    let width = occupancy.min(n) as usize;
+    let mut stall: Vec<f64> = Vec::with_capacity(width);
+    let mut mem: Vec<f64> = Vec::with_capacity(width);
+    let mut insts: Vec<f64> = Vec::with_capacity(width);
     let mut start = 0u32;
     let mut index = 0u32;
     while start < n {
         let end = (start + occupancy).min(n);
         let tbs = &profile.tbs[start as usize..end as usize];
-        let stall: Vec<f64> = tbs.iter().map(|t| t.stall_probability()).collect();
-        let mem: Vec<f64> = tbs.iter().map(|t| t.mem_requests as f64).collect();
-        let insts: Vec<f64> = tbs.iter().map(|t| t.warp_insts as f64).collect();
+        stall.clear();
+        stall.extend(tbs.iter().map(|t| t.stall_probability()));
+        mem.clear();
+        mem.extend(tbs.iter().map(|t| t.mem_requests as f64));
+        insts.clear();
+        insts.extend(tbs.iter().map(|t| t.warp_insts as f64));
         epochs.push(Epoch {
             index,
             start_tb: start,
@@ -349,6 +357,50 @@ mod tests {
         let epochs = build_epochs(&lp, 4);
         let table = identify_regions(&epochs, &IntraConfig::default());
         assert_eq!(table.regions.len(), 6);
+    }
+
+    /// Epochs of two thread blocks each with the given stall
+    /// probabilities and no outliers, without profiling a launch.
+    fn epochs_with_stall(ps: impl Iterator<Item = f64>) -> Vec<Epoch> {
+        ps.enumerate()
+            .map(|(i, p)| Epoch {
+                index: i as u32,
+                start_tb: 2 * i as u32,
+                end_tb: 2 * i as u32 + 2,
+                stall_probability: p,
+                variation_factor: 0.0,
+            })
+            .collect()
+    }
+
+    // The next two would need a 10 GB and a 1.6 GB distance matrix if
+    // clustering cost followed the epoch count instead of the number of
+    // distinct feature values.
+
+    #[test]
+    fn fifty_thousand_identical_epochs_form_one_region() {
+        // lbm-shaped: one stall probability across the whole launch.
+        let epochs = epochs_with_stall((0..50_000).map(|_| 0.31));
+        let table = identify_regions(&epochs, &IntraConfig::default());
+        assert_eq!(
+            table.regions,
+            vec![Region {
+                region_id: 0,
+                start_tb: 0,
+                end_tb: 100_000,
+            }]
+        );
+    }
+
+    #[test]
+    fn twenty_thousand_alternating_epochs_form_two_clusters() {
+        let epochs = epochs_with_stall((0..20_000).map(|i| if i % 2 == 0 { 0.1 } else { 0.9 }));
+        let table = identify_regions(&epochs, &IntraConfig::default());
+        assert_eq!(table.regions.len(), 20_000);
+        for (i, r) in table.regions.iter().enumerate() {
+            assert_eq!(r.region_id, i as u32 % 2);
+            assert_eq!((r.start_tb, r.end_tb), (2 * i as u32, 2 * i as u32 + 2));
+        }
     }
 
     #[test]
