@@ -6,7 +6,7 @@
 use crate::output;
 use tbpoint_core::inter::{inter_launch_sample, InterConfig};
 use tbpoint_core::intra::{build_epochs, identify_regions, IntraConfig};
-use tbpoint_emu::profile_run;
+use tbpoint_emu::{block_classes, profile_run, TraceDeps};
 use tbpoint_ir::render_program;
 use tbpoint_sim::{simulate_launch, GpuConfig, NullSampling};
 use tbpoint_workloads::{benchmark_by_name, Scale};
@@ -57,6 +57,28 @@ pub fn inspect(name: &str, scale: Scale, threads: usize) -> Option<String> {
         total_m as f64 / total_w as f64
     ));
 
+    // What the profile pass cost: the kernel's dependence classes and,
+    // for the biggest launch, how many blocks were actually emulated.
+    let (li, lp) = profile
+        .launches
+        .iter()
+        .enumerate()
+        .max_by_key(|(_, l)| l.tbs.len())
+        .expect("at least one launch");
+    let deps = TraceDeps::of(kernel);
+    let yes_no = |b: bool| if b { "yes" } else { "no" };
+    out.push_str(&format!(
+        "profile pass: per_thread {}, per_block {}, phase lengths {:?}, gather {}; launch {li}: {}\n",
+        yes_no(deps.per_thread),
+        yes_no(deps.per_block),
+        deps.phase_lens,
+        yes_no(deps.gather),
+        match block_classes(kernel, &lp.spec) {
+            Ok(classes) => format!("{} blocks -> {classes} block class(es)", lp.tbs.len()),
+            Err(reason) => format!("{} blocks on the per-block path ({reason})", lp.tbs.len()),
+        }
+    ));
+
     // Inter-launch view.
     let inter = inter_launch_sample(&profile, &InterConfig::default());
     out.push_str(&format!(
@@ -66,12 +88,6 @@ pub fn inspect(name: &str, scale: Scale, threads: usize) -> Option<String> {
     ));
 
     // Intra-launch view of the biggest launch.
-    let (li, lp) = profile
-        .launches
-        .iter()
-        .enumerate()
-        .max_by_key(|(_, l)| l.tbs.len())
-        .expect("at least one launch");
     let epochs = build_epochs(lp, gpu.system_occupancy(kernel));
     let table = identify_regions(&epochs, &IntraConfig::default());
     let isolated = epochs.iter().filter(|e| e.variation_factor > 0.3).count();
@@ -151,6 +167,16 @@ mod tests {
         assert!(s.contains("per-SM statistics"));
         assert!(s.contains("SM13"), "all 14 SMs should report");
         assert!(s.contains("regions covering"));
+        assert!(s.contains("gather no; launch 0: 28 blocks -> 1 block class(es)"));
+    }
+
+    #[test]
+    fn inspect_names_the_reason_for_the_per_block_path() {
+        let s = inspect("bfs", Scale::Tiny, 1).expect("bfs exists");
+        assert!(
+            s.contains("on the per-block path (thread-varying control flow)"),
+            "{s}"
+        );
     }
 
     #[test]

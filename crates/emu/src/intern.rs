@@ -33,8 +33,34 @@
 //! deterministic walker and must produce bit-identical traces — there is
 //! no collision to defend against, which is what lets the timing
 //! simulator substitute interned traces without changing a single output
-//! bit. A seeded property test (`tests/intern_proptests.rs`) checks the
-//! claim against the walker anyway.
+//! bit. A seeded property test
+//! (`tests/golden_sim.rs::interner_key_never_collides_differing_traces`)
+//! checks the claim against the walker anyway.
+//!
+//! ## What a profile observes beyond the trace
+//!
+//! [`crate::profile::profile_tb`] folds the same walker events into
+//! counters, so a block's profile reads everything its warps' traces
+//! read, plus one thing traces do not carry: addresses, through the
+//! coalesced-line count of every global access. Auditing
+//! `AddrPattern::lane_addr` in `tbpoint-ir`:
+//!
+//! * `Coalesced` / `Strided` — `C + gtid * stride` with `C` (region base
+//!   plus an iteration slab) a multiple of the line size, so which lanes
+//!   share a line depends on `gtid` only through `gtid mod LINE_BYTES`.
+//!   With `gtid = block_id * tpb + warp * 32 + lane` that is one more
+//!   block input: the residue `block_id * tpb mod LINE_BYTES`. It holds
+//!   modulo 2^64 too, because the line size divides 2^64;
+//! * `Broadcast` — no thread id at all;
+//! * `Random` — hashes `gtid`: every block is distinct
+//!   ([`TraceDeps::gather`]).
+//!
+//! So for a kernel with no `per_thread`, `per_block` or `gather`
+//! dependence, a block's whole profile (its `tb_id` aside) is a function
+//! of its *block class*: the `block_id / phase_len` quotients already in
+//! [`TraceKey`] plus that residue. `profile_launch` profiles one block
+//! per class; `tests/profile_classes.rs` checks it against `profile_tb`
+//! on every block.
 //!
 //! ## Memory discipline
 //!
@@ -54,10 +80,12 @@
 use crate::trace::{trace_warp, TraceInst};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use tbpoint_ir::{Cond, ExecCtx, Kernel, Node, TripCount, WARP_SIZE};
+use tbpoint_ir::{AddrPattern, Cond, ExecCtx, Kernel, Node, TripCount, WARP_SIZE};
 
-/// Which trace-relevant inputs a kernel's control flow can observe,
-/// derived from a static walk of the program tree.
+/// Which block- and thread-varying inputs a kernel can observe, derived
+/// from a static walk of the program tree: the three control-flow
+/// classes a warp trace depends on, plus the one address class only a
+/// profile sees.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceDeps {
     /// Some decision reads the per-thread rng stream
@@ -69,6 +97,10 @@ pub struct TraceDeps {
     /// Phase lengths of every `TripCount::PerBlockPhase` site (sorted,
     /// deduplicated); the trace sees `block_id / phase_len` for each.
     pub phase_lens: Vec<u32>,
+    /// Some global access is `AddrPattern::Random`, whose addresses hash
+    /// the thread id. Traces carry no addresses, so the interner ignores
+    /// this; coalesced request counts (profiles) do depend on it.
+    pub gather: bool,
 }
 
 impl TraceDeps {
@@ -89,11 +121,21 @@ impl TraceDeps {
                 Cond::BlockProb { .. } => deps.per_block = true,
                 Cond::ThreadProb { .. } => deps.per_thread = true,
             },
-            Node::Block { .. } | Node::Seq(_) => {}
+            Node::Block { insts, .. } => {
+                deps.gather |= insts
+                    .iter()
+                    .any(|i| matches!(i.op.addr_pattern(), Some(AddrPattern::Random { .. })));
+            }
+            Node::Seq(_) => {}
         });
         deps.phase_lens.sort_unstable();
         deps.phase_lens.dedup();
         deps
+    }
+
+    /// `block_id / phase_len` for each distinct `PerBlockPhase` length.
+    pub(crate) fn phases(&self, block_id: u32) -> Vec<u32> {
+        self.phase_lens.iter().map(|&pl| block_id / pl).collect()
     }
 }
 
@@ -195,11 +237,7 @@ impl TraceArena {
             phases: if block_observed {
                 Vec::new()
             } else {
-                self.deps
-                    .phase_lens
-                    .iter()
-                    .map(|&pl| ctx.block_id / pl)
-                    .collect()
+                self.deps.phases(ctx.block_id)
             },
         }
     }
@@ -279,7 +317,7 @@ fn initial_mask(kernel: &Kernel, warp_id: u32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tbpoint_ir::{AddrPattern, Dist, KernelBuilder, LaunchId, Op};
+    use tbpoint_ir::{Dist, KernelBuilder, LaunchId, Op};
 
     fn ctx(block: u32) -> ExecCtx {
         ExecCtx {

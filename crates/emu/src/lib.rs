@@ -42,8 +42,8 @@ pub mod walker;
 pub use divergence::DivergenceReport;
 pub use intern::{InternStats, TraceArena, TraceDeps, TraceKey};
 pub use profile::{
-    profile_launch, profile_launch_obs, profile_run, profile_run_obs, InterFeatures, LaunchProfile,
-    RunProfile, TbProfile, TbStats,
+    block_classes, profile_launch, profile_launch_obs, profile_run, profile_run_obs, InterFeatures,
+    LaunchProfile, RunProfile, TbProfile, TbStats,
 };
 pub use trace::{trace_warp, TraceInst, WarpTrace};
 pub use walker::{walk_warp, WarpEvent};

@@ -16,8 +16,11 @@
 //! (inter-launch clustering, epoch tables for any occupancy) derives from
 //! these records without re-running the emulator.
 
+use crate::intern::TraceDeps;
 use crate::walker::walk_warp;
 use serde::{Deserialize, Serialize};
+use std::collections::{BTreeMap, BTreeSet};
+use tbpoint_ir::inst::LINE_BYTES;
 use tbpoint_ir::{ExecCtx, Kernel, KernelRun, LatencyClass, LaunchSpec, TbId};
 use tbpoint_obs::{Recorder, Span};
 use tbpoint_stats::cov;
@@ -258,8 +261,50 @@ pub fn profile_tb(kernel: &Kernel, ctx: &ExecCtx, tb_id: TbId) -> TbProfile {
     p
 }
 
-/// Profile every thread block of a launch, fanning TBs out over `threads`
-/// scoped worker threads. Output order is by TB id regardless of thread count.
+/// Why the blocks of `kernel` must each be profiled, or `None` when a
+/// block's profile is a function of its class (see [`block_class`]).
+fn per_block_reason(deps: &TraceDeps) -> Option<&'static str> {
+    if deps.per_thread {
+        Some("thread-varying control flow")
+    } else if deps.per_block {
+        Some("block-varying control flow")
+    } else if deps.gather {
+        Some("gather addresses")
+    } else {
+        None
+    }
+}
+
+/// Everything [`profile_tb`] reads from `block_id` when
+/// [`per_block_reason`] is `None`: the phase quotients its control flow
+/// sees, and the residue that fixes how every warp's affine addresses
+/// fall across cache lines (derivation in [`crate::intern`]'s module
+/// docs). Blocks with equal keys have equal profiles, `tb_id` aside.
+fn block_class(deps: &TraceDeps, kernel: &Kernel, block_id: u32) -> (Vec<u32>, u64) {
+    let first_gtid = block_id as u64 * kernel.threads_per_block as u64;
+    (deps.phases(block_id), first_gtid % LINE_BYTES)
+}
+
+/// How many distinct block classes [`profile_launch`] emulates for this
+/// launch, or why it emulates every block instead.
+pub fn block_classes(kernel: &Kernel, spec: &LaunchSpec) -> Result<usize, &'static str> {
+    let deps = TraceDeps::of(kernel);
+    match per_block_reason(&deps) {
+        Some(reason) => Err(reason),
+        None => Ok((0..spec.num_blocks)
+            .map(|b| block_class(&deps, kernel, b))
+            .collect::<BTreeSet<_>>()
+            .len()),
+    }
+}
+
+/// Profile every thread block of a launch. Output order is by TB id.
+///
+/// A kernel with block-invariant control flow and affine addresses is
+/// emulated once per block class and the result stamped onto the class's
+/// other blocks; `threads` is then unused (there are a handful of
+/// classes, and they are found in block order). Every other kernel has
+/// its TBs fanned out over `threads` scoped worker threads.
 pub fn profile_launch(kernel: &Kernel, spec: &LaunchSpec, threads: usize) -> LaunchProfile {
     let n = spec.num_blocks as usize;
     let mut tbs: Vec<TbProfile> = Vec::with_capacity(n);
@@ -270,10 +315,21 @@ pub fn profile_launch(kernel: &Kernel, spec: &LaunchSpec, threads: usize) -> Lau
         num_blocks: spec.num_blocks,
         work_scale: spec.work_scale,
     };
+    let deps = TraceDeps::of(kernel);
     let threads = threads.max(1);
     // `n` comes from spec.num_blocks: u32, so block ids round-trip exactly.
     #[allow(clippy::cast_possible_truncation)]
-    if threads == 1 || n < 64 {
+    if per_block_reason(&deps).is_none() {
+        let mut classes: BTreeMap<(Vec<u32>, u64), TbProfile> = BTreeMap::new();
+        for b in 0..spec.num_blocks {
+            let mut tb = classes
+                .entry(block_class(&deps, kernel, b))
+                .or_insert_with(|| profile_tb(kernel, &make_ctx(b), TbId(b)))
+                .clone();
+            tb.tb_id = TbId(b);
+            tbs.push(tb);
+        }
+    } else if threads == 1 || n < 64 {
         for b in 0..n {
             tbs.push(profile_tb(kernel, &make_ctx(b as u32), TbId(b as u32)));
         }

@@ -73,22 +73,26 @@ pub enum AddrPattern {
 impl AddrPattern {
     /// Byte address for `lane` of the warp whose first thread has global
     /// thread id `gtid_base`, at loop iteration `iter` of program site
-    /// `site`.
+    /// `site`. Addresses are computed modulo 2^64 (wrapping), so the
+    /// function is total over every `u64` thread id.
     pub fn lane_addr(&self, ctx: &ExecCtx, gtid_base: u64, lane: u32, iter: u32, site: u32) -> u64 {
-        let gtid = gtid_base + lane as u64;
+        let gtid = gtid_base.wrapping_add(lane as u64);
         // `iter` is a *mixed* iteration key (hash-like, full u32 range);
         // fold it into a bounded slab index so every pattern stays inside
         // its region (regions are 16 GiB apart) with a realistic
         // footprint: loop iterations address different slabs of the same
         // array, not an unbounded address space.
         let slab = (iter % 4096) as u64;
+        // A region base has 34 zero low bits and a slab offset is below
+        // 2^30, so only the thread offset can wrap.
+        let thread_off = |stride: u32| gtid.wrapping_mul(stride as u64);
         match *self {
             AddrPattern::Coalesced { region, stride } => {
                 // One 256 KiB slab per iteration (a row of a 2-D array).
-                region_base(region) + gtid * stride as u64 + slab * (256 << 10)
+                (region_base(region) + slab * (256 << 10)).wrapping_add(thread_off(stride))
             }
             AddrPattern::Strided { region, stride } => {
-                region_base(region) + gtid * stride as u64 + slab * LINE_BYTES
+                (region_base(region) + slab * LINE_BYTES).wrapping_add(thread_off(stride))
             }
             AddrPattern::Random { region, bytes } => {
                 let r = rng::hash_coords(&[
@@ -98,7 +102,7 @@ impl AddrPattern {
                     iter as u64,
                     site as u64,
                 ]);
-                region_base(region) + r % bytes.max(LINE_BYTES)
+                region_base(region).wrapping_add(r % bytes.max(LINE_BYTES))
             }
             AddrPattern::Broadcast { region } => region_base(region) + slab * LINE_BYTES,
         }
@@ -108,7 +112,67 @@ impl AddrPattern {
     /// i.e. the number of memory requests this warp instruction issues
     /// after coalescing. This is the quantity the profiler counts for the
     /// *memory divergence* feature and the stall probability `p`.
+    ///
+    /// Lines come out in first-touching-lane order. For the three affine
+    /// patterns `addr(lane) = C + (gtid_base + lane) * stride` with `C`
+    /// line-aligned, so lines are non-decreasing in `lane`: duplicates
+    /// are adjacent, and a full mask with `stride <= LINE_BYTES` touches
+    /// every line of `first..=last`. Only `Random` (which hashes the
+    /// thread id) needs an address per lane.
     pub fn coalesced_lines(
+        &self,
+        ctx: &ExecCtx,
+        gtid_base: u64,
+        active_mask: u32,
+        iter: u32,
+        site: u32,
+    ) -> CoalescedLines {
+        let stride = match *self {
+            AddrPattern::Coalesced { stride, .. } | AddrPattern::Strided { stride, .. } => {
+                stride as u64
+            }
+            AddrPattern::Broadcast { .. } => 0,
+            AddrPattern::Random { .. } => {
+                return self.lines_by_lane(ctx, gtid_base, active_mask, iter, site)
+            }
+        };
+        // `C`: the address thread 0 would touch.
+        let base = self.lane_addr(ctx, 0, 0, iter, site);
+        // Monotonicity needs the true (unwrapped) addresses: if the last
+        // lane's fits in a u64, every lane's does.
+        let last_fits = gtid_base
+            .checked_add(WARP_SIZE as u64 - 1)
+            .and_then(|gtid| gtid.checked_mul(stride))
+            .and_then(|off| base.checked_add(off))
+            .is_some();
+        if !last_fits {
+            return self.lines_by_lane(ctx, gtid_base, active_mask, iter, site);
+        }
+        let line_of =
+            |lane: u32| (base + (gtid_base + lane as u64) * stride) / LINE_BYTES * LINE_BYTES;
+        let mut lines = CoalescedLines::default();
+        if active_mask == u32::MAX && stride <= LINE_BYTES {
+            let first = line_of(0);
+            for i in 0..=(line_of(WARP_SIZE - 1) - first) / LINE_BYTES {
+                lines.append(first + i * LINE_BYTES);
+            }
+        } else {
+            let mut rest = active_mask;
+            while rest != 0 {
+                let line = line_of(rest.trailing_zeros());
+                rest &= rest - 1;
+                if lines.last() != Some(line) {
+                    lines.append(line);
+                }
+            }
+        }
+        lines
+    }
+
+    /// One address per active lane, deduplicated against every line seen
+    /// so far: the definition of coalescing. Serves `Random`, affine
+    /// inputs whose addresses wrap, and the tests as the reference.
+    fn lines_by_lane(
         &self,
         ctx: &ExecCtx,
         gtid_base: u64,
@@ -146,8 +210,18 @@ impl CoalescedLines {
                 return;
             }
         }
+        self.append(line_addr);
+    }
+
+    /// Insert a line address the caller knows is not present yet.
+    fn append(&mut self, line_addr: u64) {
         self.lines[self.len as usize] = line_addr;
         self.len += 1;
+    }
+
+    /// The most recently inserted line address.
+    fn last(&self) -> Option<u64> {
+        self.len.checked_sub(1).map(|i| self.lines[i as usize])
     }
 
     /// Number of distinct lines.
@@ -237,6 +311,7 @@ mod tests {
     use super::*;
     use crate::program::ExecCtx;
     use crate::types::LaunchId;
+    use tbpoint_stats::SplitMix64;
 
     fn ctx() -> ExecCtx {
         ExecCtx {
@@ -328,6 +403,96 @@ mod tests {
         assert_eq!(cl.len(), 2);
         let v: Vec<u64> = cl.iter().collect();
         assert_eq!(v, vec![0, 128]);
+    }
+
+    /// Strides on both sides of every branch of the fast path: sub-line,
+    /// non-divisors of the line size, the line size itself, just past it,
+    /// and large enough that `gtid * stride` wraps for big thread ids.
+    const STRIDES: [u32; 10] = [0, 1, 4, 8, 12, 100, 128, 132, 4096, u32::MAX];
+
+    fn random_mask(rng: &mut SplitMix64) -> u32 {
+        let bits = rng.next_u64() as u32;
+        match rng.next_index(6) {
+            0 => 0,
+            1 => u32::MAX,
+            2 => 1 << rng.next_index(32),
+            // Sparse, dense, and a partial trailing warp.
+            3 => bits & (rng.next_u64() as u32),
+            4 => bits,
+            _ => (1u32 << rng.next_index(32)) - 1,
+        }
+    }
+
+    fn random_gtid_base(rng: &mut SplitMix64, stride: u32) -> u64 {
+        match rng.next_index(5) {
+            // Warp-aligned, as every real launch produces.
+            0 => rng.next_index(1 << 30) * 32,
+            // Not a multiple of 32 (threads_per_block = 40, 200, ...).
+            1 => rng.next_index(1 << 35),
+            // Straddling the first thread id whose offset wraps.
+            2 => (u64::MAX / (stride as u64).max(1))
+                .wrapping_sub(40)
+                .wrapping_add(rng.next_index(80)),
+            // Straddling u64::MAX itself (`gtid_base + lane` wraps).
+            3 => u64::MAX - rng.next_index(64),
+            _ => rng.next_u64(),
+        }
+    }
+
+    /// `coalesced_lines` against the lane loop, order-sensitive.
+    fn differential(seed: u64, cases: usize) {
+        let mut rng = SplitMix64::new(seed);
+        for case in 0..cases {
+            let stride = STRIDES[rng.next_index(STRIDES.len() as u64) as usize];
+            // Regions past 2^30 shift bits out of `region_base`.
+            let region = (rng.next_u64() >> rng.next_index(64)) as u32;
+            let pattern = match rng.next_index(4) {
+                0 => AddrPattern::Coalesced { region, stride },
+                1 => AddrPattern::Strided { region, stride },
+                2 => AddrPattern::Broadcast { region },
+                _ => AddrPattern::Random {
+                    region,
+                    bytes: rng.next_u64() >> rng.next_index(64),
+                },
+            };
+            let gtid_base = random_gtid_base(&mut rng, stride);
+            let mask = random_mask(&mut rng);
+            let (iter, site) = (rng.next_u64() as u32, rng.next_index(64) as u32);
+            let fast = pattern.coalesced_lines(&ctx(), gtid_base, mask, iter, site);
+            let slow = pattern.lines_by_lane(&ctx(), gtid_base, mask, iter, site);
+            assert_eq!(
+                fast.iter().collect::<Vec<_>>(),
+                slow.iter().collect::<Vec<_>>(),
+                "case {case}: {pattern:?} gtid_base {gtid_base} mask {mask:#034b} iter {iter}"
+            );
+        }
+    }
+
+    #[test]
+    fn coalesced_lines_match_the_lane_loop() {
+        differential(0x14A1_C0A1, 200_000);
+    }
+
+    #[test]
+    #[ignore = "20M cases; CI runs it in release (cargo test --release -p tbpoint-ir -- --ignored)"]
+    fn coalesced_lines_match_the_lane_loop_large() {
+        differential(0x0DD5_EED5_1234_5678, 20_000_000);
+    }
+
+    #[test]
+    fn wrapping_thread_offsets_take_the_lane_loop() {
+        // Lanes 0..15 sit below the wrap, lanes 16..31 above it, so lines
+        // are not monotone in the lane and the range shortcut would be
+        // wrong; the result must still be the lane loop's.
+        let p = AddrPattern::Strided {
+            region: 0,
+            stride: 1 << 31,
+        };
+        let gtid_base = (1u64 << 33) - 16;
+        let lines = p.coalesced_lines(&ctx(), gtid_base, u32::MAX, 0, 0);
+        assert_eq!(lines.len(), 32);
+        let v: Vec<u64> = lines.iter().collect();
+        assert!(v[16] < v[15], "addresses wrapped between lanes 15 and 16");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 // uses a different subset of the helpers.
 #![allow(dead_code)]
 
-use tbpoint::ir::{Kernel, LaunchSpec};
+use tbpoint::ir::{AddrPattern, Cond, Dist, Kernel, KernelBuilder, LaunchSpec, Op, TripCount};
 use tbpoint::obs::NullRecorder;
 use tbpoint::sim::{simulate_launch_with, GpuConfig, LaunchSimResult, NullSampling, SimOptions};
 use tbpoint::stats::SplitMix64;
@@ -88,4 +88,92 @@ impl Gen {
         let n = self.usize(min_len, max_len);
         (0..n).map(|_| self.f64(lo, hi)).collect()
     }
+}
+
+/// A random kernel mixing the dependence classes the interner key and the
+/// profiler's block classes have to distinguish: constant, per-block,
+/// per-thread and phase-sliced trip counts; divergent, block-uniform and
+/// lane-structured branches; affine accesses at mixed strides, broadcasts
+/// and gathers. With `block_invariant` the draw is restricted to what
+/// `profile_launch` profiles by block class (constant or phase-sliced
+/// trips, lane-structured branches, no gathers).
+pub fn random_kernel(g: &mut Gen, case: u64, block_invariant: bool) -> Kernel {
+    // Partial trailing warps (mask variation) and first-thread ids that
+    // are not line-aligned (40, 96, 200 and most of the free draw).
+    let tpb = match g.u32(0, 6) {
+        0 => 40,
+        1 => 96,
+        2 => 128,
+        3 => 200,
+        4 => 512,
+        _ => g.u32(16, 200),
+    };
+    let mut b = KernelBuilder::new(&format!("prop{case}"), g.u64(1, 1 << 20), tpb);
+    let mut nodes = Vec::new();
+    for _ in 0..g.usize(1, 4) {
+        let mut ops = vec![Op::IAlu, Op::FAlu];
+        for _ in 0..g.usize(0, 3) {
+            let region = g.u32(0, 4);
+            let stride = [1, 4, 8, 12, 100, 128, 132, 4096][g.usize(0, 8)];
+            let pattern = match g.u32(0, if block_invariant { 3 } else { 4 }) {
+                0 => AddrPattern::Coalesced { region, stride },
+                1 => AddrPattern::Strided { region, stride },
+                2 => AddrPattern::Broadcast { region },
+                _ => AddrPattern::Random {
+                    region,
+                    bytes: 1 << 20,
+                },
+            };
+            ops.push(if g.u32(0, 2) == 0 {
+                Op::LdGlobal(pattern)
+            } else {
+                Op::StGlobal(pattern)
+            });
+        }
+        let body = b.block(&ops);
+        let site = b.fresh_site();
+        let base = g.u32(1, 6);
+        let spread = g.u32(0, 8);
+        let trips = match g.u32(0, if block_invariant { 2 } else { 4 }) {
+            0 => TripCount::Const(base),
+            1 => TripCount::PerBlockPhase {
+                base,
+                spread,
+                phase_len: g.u32(1, 33),
+                dist: Dist::Uniform,
+                site,
+            },
+            2 => TripCount::PerBlock {
+                base,
+                spread,
+                dist: Dist::Uniform,
+                site,
+            },
+            _ => TripCount::PerThread {
+                base,
+                spread,
+                dist: Dist::Uniform,
+                site,
+            },
+        };
+        let looped = b.loop_(trips, body);
+        let cond = match g.u32(0, if block_invariant { 2 } else { 4 }) {
+            0 => None,
+            1 => Some(Cond::LaneLt(g.u32(1, 32))),
+            2 => Some(Cond::ThreadProb {
+                p: g.f64(0.1, 0.9),
+                site: b.fresh_site(),
+            }),
+            _ => Some(Cond::BlockProb {
+                p: g.f64(0.1, 0.9),
+                site: b.fresh_site(),
+            }),
+        };
+        nodes.push(match cond {
+            Some(cond) => b.if_(cond, looped, None),
+            None => looped,
+        });
+    }
+    let root = b.seq(nodes);
+    b.finish(root)
 }

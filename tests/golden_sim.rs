@@ -23,9 +23,9 @@
 
 mod common;
 
-use common::{simulate_opts, Gen};
+use common::{random_kernel, simulate_opts, Gen};
 use tbpoint::emu::{trace_warp, TraceArena, TraceKey};
-use tbpoint::ir::{Cond, Dist, ExecCtx, Kernel, KernelBuilder, LaunchId, Op, TripCount};
+use tbpoint::ir::{ExecCtx, LaunchId};
 use tbpoint::sim::{simulate_launch, simulate_run, GpuConfig, NullSampling, SimOptions};
 use tbpoint::workloads::{all_benchmarks, Scale};
 
@@ -182,68 +182,6 @@ fn interning_and_event_horizon_are_bit_identical() {
 // Layer 3: seeded interner-key collision property
 // ---------------------------------------------------------------------------
 
-/// A random kernel mixing the dependence classes the key derivation has
-/// to distinguish: constant, per-block, per-thread and phase-sliced trip
-/// counts, plus divergent / block-uniform / lane-structured branches.
-fn random_kernel(g: &mut Gen, case: u64) -> Kernel {
-    // Odd thread counts produce partial trailing warps (mask variation).
-    let tpb = g.u32(16, 200);
-    let mut b = KernelBuilder::new(&format!("prop{case}"), g.u64(1, 1 << 20), tpb);
-    let mut nodes = Vec::new();
-    for _ in 0..g.usize(1, 4) {
-        let body = b.block(&[Op::IAlu, Op::FAlu]);
-        let site = b.fresh_site();
-        let base = g.u32(1, 6);
-        let spread = g.u32(0, 8);
-        let trips = match g.u32(0, 4) {
-            0 => TripCount::Const(base),
-            1 => TripCount::PerBlock {
-                base,
-                spread,
-                dist: Dist::Uniform,
-                site,
-            },
-            2 => TripCount::PerThread {
-                base,
-                spread,
-                dist: Dist::Uniform,
-                site,
-            },
-            _ => TripCount::PerBlockPhase {
-                base,
-                spread,
-                phase_len: g.u32(1, 6),
-                dist: Dist::Uniform,
-                site,
-            },
-        };
-        let looped = b.loop_(trips, body);
-        match g.u32(0, 4) {
-            0 => nodes.push(looped),
-            1 => {
-                let cond = Cond::ThreadProb {
-                    p: g.f64(0.1, 0.9),
-                    site: b.fresh_site(),
-                };
-                nodes.push(b.if_(cond, looped, None));
-            }
-            2 => {
-                let cond = Cond::BlockProb {
-                    p: g.f64(0.1, 0.9),
-                    site: b.fresh_site(),
-                };
-                nodes.push(b.if_(cond, looped, None));
-            }
-            _ => {
-                let cond = Cond::LaneLt(g.u32(1, 32));
-                nodes.push(b.if_(cond, looped, None));
-            }
-        }
-    }
-    let root = b.seq(nodes);
-    b.finish(root)
-}
-
 /// The invariant the interner rests on: within one launch, if two
 /// (block, warp) coordinates map to the same [`TraceKey`], their freshly
 /// emulated traces are equal — a key collision between two *differing*
@@ -255,7 +193,7 @@ fn interner_key_never_collides_differing_traces() {
     const CASES: u64 = 48;
     for case in 0..CASES {
         let mut g = Gen::new(0x9d, case);
-        let kernel = random_kernel(&mut g, case);
+        let kernel = random_kernel(&mut g, case, false);
         let num_blocks = g.u32(4, 24);
         let ctx = |block_id: u32| ExecCtx {
             kernel_seed: kernel.seed,

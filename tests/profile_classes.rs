@@ -1,0 +1,138 @@
+//! `profile_launch` against its reference, `profile_tb` on every block.
+//!
+//! A kernel with block-invariant control flow and affine addresses is
+//! profiled once per block class (see DESIGN.md, "Profiling by block
+//! class"); the result must equal emulating every block, field for
+//! field, whichever route a kernel takes. Two populations:
+//!
+//! 1. seeded random kernels, three in four drawn from the class-eligible
+//!    subset (phase-sliced trips, partial trailing warps, thread counts
+//!    that leave first-thread ids off line boundaries, mixed strides),
+//!    the rest unrestricted so the per-block route stays covered;
+//! 2. every launch of every roster kernel.
+//!
+//! The quick variants run in the workspace suite; the `#[ignore]`d ones
+//! are CI's release-mode step.
+
+mod common;
+
+use common::{random_kernel, Gen};
+use tbpoint::emu::profile::profile_tb;
+use tbpoint::emu::{block_classes, profile_launch, profile_run, LaunchProfile};
+use tbpoint::ir::{ExecCtx, Kernel, LaunchId, LaunchSpec, TbId};
+use tbpoint::workloads::{all_benchmarks, Scale};
+
+/// Every block through `profile_tb`: what `profile_launch` must equal.
+fn per_block_reference(kernel: &Kernel, spec: &LaunchSpec) -> LaunchProfile {
+    let tbs = (0..spec.num_blocks)
+        .map(|block_id| {
+            let ctx = ExecCtx {
+                kernel_seed: kernel.seed,
+                launch_id: spec.launch_id,
+                block_id,
+                num_blocks: spec.num_blocks,
+                work_scale: spec.work_scale,
+            };
+            profile_tb(kernel, &ctx, TbId(block_id))
+        })
+        .collect();
+    LaunchProfile { spec: *spec, tbs }
+}
+
+/// Returns (blocks compared, blocks whose profile was a stamped copy).
+fn random_kernels_match(test_seed: u64, cases: u64, max_blocks: u32) -> (u64, u64) {
+    let (mut blocks, mut shared) = (0u64, 0u64);
+    for case in 0..cases {
+        let mut g = Gen::new(test_seed, case);
+        let block_invariant = case % 4 != 0;
+        let kernel = random_kernel(&mut g, case, block_invariant);
+        let spec = LaunchSpec {
+            launch_id: LaunchId(g.u32(0, 5)),
+            num_blocks: g.u32(1, max_blocks),
+            work_scale: [1.0, 0.5, 2.0][g.usize(0, 3)],
+        };
+        let classes = block_classes(&kernel, &spec);
+        if block_invariant {
+            let classes = classes.expect("a block-invariant draw must take the class path");
+            shared += u64::from(spec.num_blocks) - classes as u64;
+        }
+        let reference = per_block_reference(&kernel, &spec);
+        for threads in [1, 4] {
+            assert_eq!(
+                profile_launch(&kernel, &spec, threads),
+                reference,
+                "case {case} ({classes:?} classes, {threads} threads): {kernel:?}"
+            );
+        }
+        blocks += u64::from(spec.num_blocks);
+    }
+    (blocks, shared)
+}
+
+#[test]
+fn random_kernels_profile_like_profile_tb() {
+    let (blocks, shared) = random_kernels_match(0x14C1, 200, 100);
+    println!("200 cases, {blocks} blocks, {shared} stamped from a class: 0 mismatches");
+    // The test is vacuous unless a good share of blocks really were copies
+    // (a quarter of the cases are per-block draws and share nothing).
+    assert!(shared * 3 > blocks, "{shared} of {blocks} blocks shared");
+}
+
+#[test]
+#[ignore = "5,000 larger cases; CI runs it in release (cargo test --release --test profile_classes -- --ignored)"]
+fn random_kernels_profile_like_profile_tb_large() {
+    let (blocks, shared) = random_kernels_match(0x14C2, 5_000, 600);
+    println!("5000 cases, {blocks} blocks, {shared} stamped from a class: 0 mismatches");
+}
+
+fn roster_matches(scale: Scale) {
+    let mut launches = 0;
+    for bench in all_benchmarks(scale) {
+        let kernel = &bench.run.kernel;
+        let reference: Vec<LaunchProfile> = bench
+            .run
+            .launches
+            .iter()
+            .map(|spec| per_block_reference(kernel, spec))
+            .collect();
+        for threads in [1, 4] {
+            let run = profile_run(&bench.run, threads);
+            assert_eq!(run.kernel_name, kernel.name);
+            assert!(
+                run.launches == reference,
+                "{} at {scale:?}, {threads} threads: profile_run differs from profile_tb",
+                bench.name
+            );
+        }
+        launches += reference.len();
+    }
+    println!("{scale:?}: 12 kernels, {launches} launches x 2 thread counts: 0 mismatches");
+}
+
+#[test]
+fn roster_profiles_like_profile_tb_tiny() {
+    roster_matches(Scale::Tiny);
+}
+
+#[test]
+#[ignore = "dev-scale roster; CI runs it in release (cargo test --release --test profile_classes -- --ignored)"]
+fn roster_profiles_like_profile_tb_dev() {
+    roster_matches(Scale::Dev);
+}
+
+/// The class path is chosen from the kernel alone: which roster kernels
+/// take it is part of the performance claim (EXPERIMENTS.md, "Profile
+/// pass cost"), so a kernel silently changing sides should fail here.
+#[test]
+fn roster_split_between_the_two_paths() {
+    let mut by_class: Vec<&str> = all_benchmarks(Scale::Tiny)
+        .iter()
+        .filter(|b| block_classes(&b.run.kernel, &b.run.launches[0]).is_ok())
+        .map(|b| b.name)
+        .collect();
+    by_class.sort_unstable();
+    assert_eq!(
+        by_class,
+        ["black", "cfd", "conv", "hotspot", "kmeans", "lbm", "stream"]
+    );
+}
