@@ -6,82 +6,85 @@
 //! but never install lines, which is how Fermi's L1 treats global stores.
 
 use crate::config::CacheConfig;
+use crate::divisor::Divisor;
 
+/// One way: 16 bytes, so an 8-way set spans two host cache lines.
+/// `stamp == 0` marks the way invalid — ticks start at 1, and 0 is the
+/// LRU key an invalid way always had, so it is still the first victim.
 #[derive(Debug, Clone, Copy, Default)]
 struct Line {
     tag: u64,
-    valid: bool,
     stamp: u64,
 }
 
 /// A set-associative cache with LRU replacement.
 #[derive(Debug, Clone)]
 pub struct Cache {
-    cfg: CacheConfig,
     sets: Vec<Line>, // num_sets * assoc, row-major by set
+    assoc: usize,
+    line_bytes: Divisor,
+    num_sets: Divisor,
     tick: u64,
     hits: u64,
     misses: u64,
 }
 
 impl Cache {
-    /// Build an empty cache with the given geometry.
+    /// Build an empty cache with the given geometry (zero `line_bytes`
+    /// or `assoc` count as 1).
     pub fn new(cfg: CacheConfig) -> Self {
+        let assoc = cfg.assoc.max(1) as usize;
+        let num_sets = Divisor::new(cfg.num_sets());
         // Cache geometry (sets x assoc) is far below usize::MAX on any
         // supported target.
         #[allow(clippy::cast_possible_truncation)]
-        let n = (cfg.num_sets() as usize) * cfg.assoc as usize;
+        let n = num_sets.get() as usize * assoc;
         Cache {
-            cfg,
             sets: vec![Line::default(); n],
+            assoc,
+            line_bytes: Divisor::new(cfg.line_bytes),
+            num_sets,
             tick: 0,
             hits: 0,
             misses: 0,
         }
     }
 
-    fn set_range(&self, line_addr: u64) -> (usize, u64) {
-        let set_idx = (line_addr / self.cfg.line_bytes) % self.cfg.num_sets();
-        let tag = line_addr / self.cfg.line_bytes / self.cfg.num_sets();
+    /// First way of `line_addr`'s set, and its tag.
+    #[inline]
+    fn locate(&self, line_addr: u64) -> (usize, u64) {
+        let (line, _) = self.line_bytes.div_rem(line_addr);
+        let (tag, set_idx) = self.num_sets.div_rem(line);
         // set_idx < num_sets, which fits usize (see `new`).
         #[allow(clippy::cast_possible_truncation)]
-        (set_idx as usize * self.cfg.assoc as usize, tag)
+        (set_idx as usize * self.assoc, tag)
     }
 
     /// Probe-and-fill for a load: returns `true` on hit; on miss the line
     /// is installed, evicting the LRU way.
     pub fn access_load(&mut self, line_addr: u64) -> bool {
         self.tick += 1;
-        let (base, tag) = self.set_range(line_addr);
-        let assoc = self.cfg.assoc as usize;
-        // Hit path.
-        for w in 0..assoc {
-            let l = &mut self.sets[base + w];
-            if l.valid && l.tag == tag {
+        let (base, tag) = self.locate(line_addr);
+        let set = &mut self.sets[base..base + self.assoc];
+        // One pass finds the hit or the first least-recently-used way.
+        let mut victim = 0;
+        let mut oldest = u64::MAX;
+        for (w, l) in set.iter_mut().enumerate() {
+            if l.stamp != 0 && l.tag == tag {
                 l.stamp = self.tick;
                 self.hits += 1;
                 return true;
             }
+            if l.stamp < oldest {
+                oldest = l.stamp;
+                victim = w;
+            }
         }
-        // Miss: fill LRU way.
-        self.misses += 1;
-        // `assoc >= 1` always, so min_by_key is Some; way 0 is the
-        // (unreachable) fallback.
-        let victim = (0..assoc)
-            .min_by_key(|&w| {
-                let l = &self.sets[base + w];
-                if l.valid {
-                    l.stamp
-                } else {
-                    0
-                }
-            })
-            .unwrap_or(0);
-        self.sets[base + victim] = Line {
+        set[victim] = Line {
             tag,
-            valid: true,
             stamp: self.tick,
         };
+        self.misses += 1;
         false
     }
 
@@ -89,10 +92,9 @@ impl Cache {
     /// hit (LRU refreshed); a miss leaves the cache unchanged.
     pub fn access_store(&mut self, line_addr: u64) -> bool {
         self.tick += 1;
-        let (base, tag) = self.set_range(line_addr);
-        for w in 0..self.cfg.assoc as usize {
-            let l = &mut self.sets[base + w];
-            if l.valid && l.tag == tag {
+        let (base, tag) = self.locate(line_addr);
+        for l in &mut self.sets[base..base + self.assoc] {
+            if l.stamp != 0 && l.tag == tag {
                 l.stamp = self.tick;
                 self.hits += 1;
                 return true;
@@ -106,7 +108,7 @@ impl Cache {
     /// our workloads, and flushing makes runs independent).
     pub fn flush(&mut self) {
         for l in &mut self.sets {
-            l.valid = false;
+            l.stamp = 0;
         }
     }
 
@@ -129,6 +131,164 @@ impl Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tbpoint_stats::SplitMix64;
+
+    /// The implementation this module replaced, kept as the differential
+    /// reference: 24-byte ways with a `valid` flag, a hit pass then a
+    /// `min_by_key` victim pass, geometry divided out on every access.
+    #[derive(Clone, Copy, Default)]
+    struct RefLine {
+        tag: u64,
+        valid: bool,
+        stamp: u64,
+    }
+
+    struct RefCache {
+        cfg: CacheConfig,
+        sets: Vec<RefLine>,
+        tick: u64,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl RefCache {
+        fn new(cfg: CacheConfig) -> Self {
+            let n = (cfg.num_sets() as usize) * cfg.assoc as usize;
+            RefCache {
+                cfg,
+                sets: vec![RefLine::default(); n],
+                tick: 0,
+                hits: 0,
+                misses: 0,
+            }
+        }
+
+        fn set_range(&self, line_addr: u64) -> (usize, u64) {
+            let set_idx = (line_addr / self.cfg.line_bytes) % self.cfg.num_sets();
+            let tag = line_addr / self.cfg.line_bytes / self.cfg.num_sets();
+            (set_idx as usize * self.cfg.assoc as usize, tag)
+        }
+
+        fn access_load(&mut self, line_addr: u64) -> bool {
+            self.tick += 1;
+            let (base, tag) = self.set_range(line_addr);
+            let assoc = self.cfg.assoc as usize;
+            for w in 0..assoc {
+                let l = &mut self.sets[base + w];
+                if l.valid && l.tag == tag {
+                    l.stamp = self.tick;
+                    self.hits += 1;
+                    return true;
+                }
+            }
+            self.misses += 1;
+            let victim = (0..assoc)
+                .min_by_key(|&w| {
+                    let l = &self.sets[base + w];
+                    if l.valid {
+                        l.stamp
+                    } else {
+                        0
+                    }
+                })
+                .unwrap();
+            self.sets[base + victim] = RefLine {
+                tag,
+                valid: true,
+                stamp: self.tick,
+            };
+            false
+        }
+
+        fn access_store(&mut self, line_addr: u64) -> bool {
+            self.tick += 1;
+            let (base, tag) = self.set_range(line_addr);
+            for w in 0..self.cfg.assoc as usize {
+                let l = &mut self.sets[base + w];
+                if l.valid && l.tag == tag {
+                    l.stamp = self.tick;
+                    self.hits += 1;
+                    return true;
+                }
+            }
+            self.misses += 1;
+            false
+        }
+
+        fn flush(&mut self) {
+            for l in &mut self.sets {
+                l.valid = false;
+            }
+        }
+    }
+
+    /// `streams` seeded load/store/flush streams, each on a geometry
+    /// drawn from power-of-two and odd set counts, four associativities
+    /// and two line sizes, over a footprint a few times the capacity so
+    /// hits, conflict misses and evictions all occur.
+    fn differential(seed: u64, streams: u64) {
+        let mut rng = SplitMix64::new(seed);
+        let mut accesses = 0u64;
+        for stream in 0..streams {
+            let sets = [1, 3, 16, 64, 768][rng.next_index(5) as usize];
+            let assoc = [1, 2, 8, 16][rng.next_index(4) as usize];
+            let line_bytes = [128, 96][rng.next_index(2) as usize];
+            let cfg = CacheConfig {
+                // A ragged size: `num_sets` must round the same way.
+                size_bytes: sets * u64::from(assoc) * line_bytes + rng.next_index(line_bytes),
+                line_bytes,
+                assoc,
+            };
+            assert_eq!(cfg.num_sets(), sets);
+            let (mut got, mut want) = (Cache::new(cfg), RefCache::new(cfg));
+            let lines = 1 + rng.next_index(4 * sets * u64::from(assoc));
+            let base = [0, 1 << 34, u64::MAX - lines * line_bytes][rng.next_index(3) as usize];
+            for i in 0..2_000 {
+                let addr = base + rng.next_index(lines * line_bytes);
+                let (got_hit, want_hit) = match rng.next_index(64) {
+                    0 => {
+                        got.flush();
+                        want.flush();
+                        (false, false)
+                    }
+                    1..=12 => (got.access_store(addr), want.access_store(addr)),
+                    _ => (got.access_load(addr), want.access_load(addr)),
+                };
+                // Same outcome, same counters, and the same ways holding
+                // the same lines (so the same victim was chosen).
+                let (set, _) = want.set_range(addr);
+                let set = set..set + assoc as usize;
+                let got_ways: Vec<_> = got.sets[set.clone()]
+                    .iter()
+                    .map(|l| (l.stamp, l.tag))
+                    .collect();
+                let want_ways: Vec<_> = want.sets[set]
+                    .iter()
+                    .map(|l| (if l.valid { l.stamp } else { 0 }, l.tag))
+                    .collect();
+                assert_eq!(
+                    (got_hit, got.stats(), got_ways),
+                    (want_hit, (want.hits, want.misses), want_ways),
+                    "stream {stream} (seed {seed:#x}) access {i}: {cfg:?} addr {addr:#x}"
+                );
+                accesses += 1;
+            }
+        }
+        println!(
+            "cache vs valid-flag reference: {streams} streams, {accesses} accesses, 0 mismatches"
+        );
+    }
+
+    #[test]
+    fn matches_the_valid_flag_reference() {
+        differential(0xCAC4E, 300);
+    }
+
+    #[test]
+    #[ignore = "50k streams; CI runs it in release (cargo test --release -p tbpoint-sim -- --ignored)"]
+    fn matches_the_valid_flag_reference_50k() {
+        differential(0x51DE_CAC4E, 50_000);
+    }
 
     fn tiny() -> Cache {
         // 4 sets x 2 ways x 128B lines = 1 KiB.

@@ -26,9 +26,10 @@ pub struct CacheConfig {
 }
 
 impl CacheConfig {
-    /// Number of sets.
+    /// Number of sets (at least 1; a zero `line_bytes` or `assoc` counts
+    /// as 1, as [`crate::cache::Cache::new`] treats it).
     pub fn num_sets(&self) -> u64 {
-        (self.size_bytes / self.line_bytes / self.assoc as u64).max(1)
+        (self.size_bytes / self.line_bytes.max(1) / u64::from(self.assoc.max(1))).max(1)
     }
 }
 

@@ -18,6 +18,7 @@
 //! depend on. Recorded as a substitution in DESIGN.md.
 
 use crate::config::GpuConfig;
+use crate::divisor::Divisor;
 
 /// Rows a bank can serve at row-hit cost. A real FR-FCFS scheduler holds a
 /// queue and *reorders* it to batch same-row requests; the analytic model
@@ -62,10 +63,10 @@ impl Bank {
 #[derive(Debug, Clone)]
 pub struct Dram {
     banks: Vec<Bank>,
-    channels: u64,
-    banks_per_channel: u64,
-    page_bytes: u64,
-    line_bytes: u64,
+    channels: Divisor,
+    banks_per_channel: Divisor,
+    lines_per_page: Divisor,
+    line_bytes: Divisor,
     row_hit: u64,
     row_miss: u64,
     accesses: u64,
@@ -74,19 +75,21 @@ pub struct Dram {
 }
 
 impl Dram {
-    /// Build from the machine config.
+    /// Build from the machine config (zero channels, banks or line size
+    /// count as 1).
     // tbpoint-phase: coordinator
     pub fn new(cfg: &GpuConfig) -> Self {
-        let channels = cfg.dram_channels as u64;
-        let banks_per_channel = cfg.dram_banks_per_channel as u64;
+        let channels = Divisor::new(u64::from(cfg.dram_channels));
+        let banks_per_channel = Divisor::new(u64::from(cfg.dram_banks_per_channel));
+        let line_bytes = Divisor::new(cfg.l2.line_bytes);
         // Bank count is config-bounded (tens), far below usize::MAX.
         #[allow(clippy::cast_possible_truncation)]
         Dram {
-            banks: vec![Bank::default(); (channels * banks_per_channel) as usize],
+            banks: vec![Bank::default(); (channels.get() * banks_per_channel.get()) as usize],
             channels,
             banks_per_channel,
-            page_bytes: cfg.dram_page_bytes,
-            line_bytes: cfg.l2.line_bytes,
+            lines_per_page: Divisor::new(cfg.dram_page_bytes / line_bytes.get()),
+            line_bytes,
             row_hit: cfg.dram_row_hit_cycles as u64,
             row_miss: cfg.dram_row_miss_cycles as u64,
             accesses: 0,
@@ -102,17 +105,18 @@ impl Dram {
     /// lines fill one 2 KB row before moving to the next bank, so
     /// streaming accesses enjoy row-buffer hits while scattered accesses
     /// thrash rows — the locality behaviour FR-FCFS exists to exploit.
+    #[inline]
     fn map(&self, line_addr: u64) -> (usize, u64) {
-        let line = line_addr / self.line_bytes;
-        let channel = line % self.channels;
-        let chan_local_line = line / self.channels;
-        let lines_per_page = (self.page_bytes / self.line_bytes).max(1);
-        let page_idx = chan_local_line / lines_per_page;
-        let bank = page_idx % self.banks_per_channel;
-        let row = page_idx / self.banks_per_channel;
+        let (line, _) = self.line_bytes.div_rem(line_addr);
+        let (chan_local_line, channel) = self.channels.div_rem(line);
+        let (page_idx, _) = self.lines_per_page.div_rem(chan_local_line);
+        let (row, bank) = self.banks_per_channel.div_rem(page_idx);
         // Bank index < channels * banks_per_channel == banks.len().
         #[allow(clippy::cast_possible_truncation)]
-        ((channel * self.banks_per_channel + bank) as usize, row)
+        (
+            (channel * self.banks_per_channel.get() + bank) as usize,
+            row,
+        )
     }
 
     /// Issue a request at cycle `now`; returns the cycle at which the bank
@@ -176,8 +180,74 @@ impl Dram {
 mod tests {
     use super::*;
 
+    use tbpoint_stats::SplitMix64;
+
     fn dram() -> Dram {
         Dram::new(&GpuConfig::fermi())
+    }
+
+    /// The divide/modulo address map `Dram::map` replaced.
+    fn map_reference(cfg: &GpuConfig, line_addr: u64) -> (usize, u64) {
+        let (channels, banks) = (
+            u64::from(cfg.dram_channels),
+            u64::from(cfg.dram_banks_per_channel),
+        );
+        let line = line_addr / cfg.l2.line_bytes;
+        let channel = line % channels;
+        let chan_local_line = line / channels;
+        let lines_per_page = (cfg.dram_page_bytes / cfg.l2.line_bytes).max(1);
+        let page_idx = chan_local_line / lines_per_page;
+        let bank = page_idx % banks;
+        let row = page_idx / banks;
+        ((channel * banks + bank) as usize, row)
+    }
+
+    /// `geometries` seeded DRAM shapes (power-of-two and odd channel,
+    /// bank, page and line sizes), 1000 addresses each plus the extremes.
+    fn differential(seed: u64, geometries: u64) {
+        let mut rng = SplitMix64::new(seed);
+        let mut addrs = 0u64;
+        for g in 0..geometries {
+            let mut cfg = GpuConfig::fermi();
+            cfg.dram_channels = [1, 2, 3, 6, 8][rng.next_index(5) as usize];
+            cfg.dram_banks_per_channel = [1, 4, 5, 16][rng.next_index(4) as usize];
+            cfg.dram_page_bytes = [64, 1000, 2048, 4096][rng.next_index(4) as usize];
+            cfg.l2.line_bytes = [32, 96, 128][rng.next_index(3) as usize];
+            let d = Dram::new(&cfg);
+            for i in 0..1_002 {
+                let addr = match i {
+                    0 => 0,
+                    1 => u64::MAX,
+                    // Half near zero (small quotients), half anywhere.
+                    _ if i % 2 == 0 => rng.next_index(1 << 24),
+                    _ => rng.next_u64(),
+                };
+                let (bank, row) = d.map(addr);
+                assert!(bank < d.banks.len());
+                assert_eq!(
+                    (bank, row),
+                    map_reference(&cfg, addr),
+                    "geometry {g} (seed {seed:#x}): {} ch x {} banks, {} B pages, {} B lines, addr {addr:#x}",
+                    cfg.dram_channels,
+                    cfg.dram_banks_per_channel,
+                    cfg.dram_page_bytes,
+                    cfg.l2.line_bytes
+                );
+                addrs += 1;
+            }
+        }
+        println!("dram map vs divide/modulo reference: {geometries} geometries, {addrs} addresses, 0 mismatches");
+    }
+
+    #[test]
+    fn map_matches_the_divide_modulo_reference() {
+        differential(0xD4A3, 200);
+    }
+
+    #[test]
+    #[ignore = "50k geometries; CI runs it in release (cargo test --release -p tbpoint-sim -- --ignored)"]
+    fn map_matches_the_divide_modulo_reference_50k() {
+        differential(0xBA2C_D4A3, 50_000);
     }
 
     #[test]

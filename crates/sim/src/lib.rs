@@ -45,6 +45,7 @@
 pub mod cache;
 pub mod config;
 pub mod dispatch;
+mod divisor;
 pub mod dram;
 pub mod memory;
 mod order;

@@ -607,6 +607,45 @@ mod tests {
         );
     }
 
+    /// Zero cache and DRAM geometry used to divide by zero at the first
+    /// access; `Cache::new` / `Dram::new` now clamp it to one of each.
+    #[test]
+    fn zeroed_config_simulates_without_panicking() {
+        let zero_cache = crate::CacheConfig {
+            size_bytes: 0,
+            line_bytes: 0,
+            assoc: 0,
+        };
+        let cfg = GpuConfig {
+            // No SM at all could never drain a launch; everything else is 0.
+            num_sms: 1,
+            clock_ghz: 0.0,
+            max_warps_per_sm: 0,
+            max_blocks_per_sm: 0,
+            regs_per_sm: 0,
+            smem_per_sm: 0,
+            sched: crate::SchedPolicy::RoundRobin,
+            alu_latency: 0,
+            sfu_latency: 0,
+            smem_latency: 0,
+            l1_hit_latency: 0,
+            l2_hit_latency: 0,
+            dram_base_latency: 0,
+            l1: zero_cache,
+            l2: zero_cache,
+            mshrs_per_sm: 0,
+            dispatch_stagger_cycles: 0,
+            dram_channels: 0,
+            dram_banks_per_channel: 0,
+            dram_page_bytes: 0,
+            dram_row_hit_cycles: 0,
+            dram_row_miss_cycles: 0,
+        };
+        let r = simulate_launch(&memory_kernel(), &launch(3), &cfg, &mut NullSampling, None);
+        assert_eq!(r.simulated_tbs, 3);
+        assert_eq!(r.issued_warp_insts, 3 * 4 * 20 * 2);
+    }
+
     #[test]
     fn memory_kernel_is_slower_than_compute() {
         let cfg = GpuConfig::fermi();

@@ -3,8 +3,6 @@
 use crate::config::{GpuConfig, SchedPolicy};
 use crate::memory::MemorySystem;
 use crate::stats::SmStats;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 use tbpoint_emu::{TbStats, TraceArena, TraceInst};
 use tbpoint_ir::{ExecCtx, Kernel, LatencyClass, Op, TbId};
@@ -17,11 +15,13 @@ struct WarpRt {
     /// allocation (see [`tbpoint_emu::TraceArena`]).
     trace: Arc<[TraceInst]>,
     pc: usize,
+    /// The cycle the warp can next issue. The scheduler reads the packed
+    /// copy in `SmCore::sched_at`; this one stays exact for warps parked
+    /// at a barrier, which [`SmCore::earliest_retire_bound`] needs.
     ready_at: u64,
     at_barrier: bool,
     done: bool,
     gtid_base: u64,
-    birth: u64,
 }
 
 /// A thread block resident on the SM.
@@ -32,6 +32,8 @@ struct ResidentBlock {
     warps: Vec<WarpRt>,
     live: u32,
     at_barrier: u32,
+    /// Dispatch cycle — the age GTO's oldest-first scan compares.
+    birth: u64,
     /// Warp instructions not yet issued, across all warps. An SM issues
     /// at most one instruction per cycle, so a block with `remaining`
     /// left cannot retire before `now + remaining - 1` — the bound the
@@ -128,18 +130,34 @@ pub struct IssueResult {
     pub retired_stats: TbStats,
 }
 
+impl IssueResult {
+    /// Nothing issued this cycle.
+    fn none() -> Self {
+        IssueResult {
+            issued_bb: None,
+            issued_lanes: 0,
+            retired: None,
+            retired_stats: TbStats::default(),
+        }
+    }
+}
+
 /// One SM core.
 pub struct SmCore {
     /// This SM's index (selects its L1/MSHRs in the memory system).
     pub id: usize,
     slots: Vec<Option<ResidentBlock>>,
-    /// Free slot indices, min-first — `free_slot` must keep returning the
-    /// *lowest* free index (slot order feeds the round-robin scheduler,
-    /// so any other order would perturb issue order).
-    free_slots: BinaryHeap<Reverse<u32>>,
-    /// Resident-block count, maintained at dispatch/retire so occupancy
-    /// queries stop scanning `slots`.
-    resident: u32,
+    /// Warps per block — a launch constant, learnt at the first dispatch.
+    wpb: usize,
+    /// Packed scheduler words, `occupancy x wpb`: `sched_at[slot * wpb + w]`
+    /// is the warp's `ready_at` while it is schedulable (slot occupied,
+    /// not done, not at a barrier, no deferred load in flight) and
+    /// `u64::MAX` otherwise. So `ready(w)` is `sched_at <= now` and a
+    /// failed scan's wake time is `min(sched_at)`. Written wherever
+    /// `ready_at`, `done` or `at_barrier` change.
+    sched_at: Vec<u64>,
+    /// Occupied slot indices, ascending — the scheduler's scan order.
+    occupied: Vec<usize>,
     /// Conservative lower bound on the next cycle at which some warp
     /// could issue; `u64::MAX` when nothing is issueable. Lowered at
     /// dispatch, reset to `now` on every issue, raised to the exact
@@ -149,7 +167,13 @@ pub struct SmCore {
     /// Event-horizon switch: when false, `try_issue` always scans (the
     /// pre-optimisation reference behaviour golden tests compare against).
     use_hint: bool,
+    /// Round-robin cursor: an index into the (slot, warp) pairs of the
+    /// occupied slots in ascending order, reduced modulo their number at
+    /// the next pick.
     rr_cursor: usize,
+    /// `rr_cursor` as `(rank in occupied, warp)`; `None` once occupancy
+    /// changed, so the divisions run only then.
+    rr_pos: Option<(usize, usize)>,
     gto_current: Option<(usize, usize)>,
     sched: SchedPolicy,
     alu_latency: u64,
@@ -169,11 +193,13 @@ impl SmCore {
         SmCore {
             id,
             slots: (0..occupancy).map(|_| None).collect(),
-            free_slots: (0..occupancy).map(Reverse).collect(),
-            resident: 0,
+            wpb: 0,
+            sched_at: Vec::new(),
+            occupied: Vec::with_capacity(occupancy as usize),
             ready_hint: u64::MAX,
             use_hint: true,
             rr_cursor: 0,
+            rr_pos: None,
             gto_current: None,
             sched: cfg.sched,
             alu_latency: cfg.alu_latency as u64,
@@ -185,15 +211,18 @@ impl SmCore {
         }
     }
 
-    /// Index of a free block slot, if any — always the lowest free index,
-    /// matching the linear scan this replaced.
+    /// Index of a free block slot, if any — always the lowest free index
+    /// (slot order feeds the round-robin scheduler, so any other order
+    /// would perturb issue order).
     pub fn free_slot(&self) -> Option<usize> {
-        self.free_slots.peek().map(|&Reverse(s)| s as usize)
+        // `occupied` is ascending and distinct, so the first rank that
+        // does not hold its own index is the lowest hole.
+        (0..self.slots.len()).find(|&i| self.occupied.get(i) != Some(&i))
     }
 
     /// Number of resident blocks.
     pub fn resident_blocks(&self) -> usize {
-        self.resident as usize
+        self.occupied.len()
     }
 
     /// Disable the `ready_hint` fast path so every `try_issue` performs a
@@ -202,22 +231,6 @@ impl SmCore {
     #[doc(hidden)]
     pub fn set_event_horizon(&mut self, on: bool) {
         self.use_hint = on;
-    }
-
-    /// Remove `slot` from the free pool (it is about to be occupied).
-    fn take_free_slot(&mut self, slot: usize) {
-        match self.free_slots.peek() {
-            // The dispatcher grabs slots via `free_slot`, so the common
-            // case is popping the minimum.
-            Some(&Reverse(s)) if s as usize == slot => {
-                self.free_slots.pop();
-            }
-            _ => {
-                let mut v = std::mem::take(&mut self.free_slots).into_vec();
-                v.retain(|&Reverse(s)| s as usize != slot);
-                self.free_slots = v.into();
-            }
-        }
     }
 
     /// Materialise (or intern) traces for `tb_id` and install it in
@@ -251,7 +264,6 @@ impl SmCore {
                 at_barrier: false,
                 done,
                 gtid_base: ctx.block_id as u64 * kernel.threads_per_block as u64 + w as u64 * 32,
-                birth: now,
             });
         }
         // warps.len() <= warps_per_block: u32 by construction.
@@ -264,8 +276,22 @@ impl SmCore {
             .iter()
             .map(|w| u64::try_from(w.trace.len()).unwrap_or(u64::MAX))
             .fold(0u64, u64::saturating_add);
-        self.take_free_slot(slot);
-        self.resident += 1;
+        let wpb = warps.len();
+        if self.wpb != wpb {
+            assert!(
+                self.occupied.is_empty(),
+                "warps per block is a launch constant"
+            );
+            self.wpb = wpb;
+            self.sched_at.clear();
+            self.sched_at.resize(self.slots.len() * wpb, u64::MAX);
+        }
+        for (word, w) in self.sched_at[slot * wpb..][..wpb].iter_mut().zip(&warps) {
+            *word = if w.done { u64::MAX } else { w.ready_at };
+        }
+        let rank = self.occupied.partition_point(|&s| s < slot);
+        self.occupied.insert(rank, slot);
+        self.rr_pos = None;
         // New warps wake at `start` — lower the hint so the fast path
         // cannot skip past them.
         self.ready_hint = self.ready_hint.min(now.max(start));
@@ -275,6 +301,7 @@ impl SmCore {
             warps,
             live,
             at_barrier: 0,
+            birth: now,
             remaining,
             stats: TbStats::default(),
         });
@@ -286,83 +313,77 @@ impl SmCore {
     /// scan next cycle, so scheduler bookkeeping such as `gto_current`
     /// stays exactly as in the always-scan reference), and a failed scan
     /// raises it to the exact minimum `ready_at` among candidate warps
-    /// (`u64::MAX` when none exist).
+    /// (`u64::MAX` when none exist). Reads only the packed words.
     // tbpoint-hot
     fn pick_warp(&mut self, now: u64) -> Option<(usize, usize)> {
-        let ready = |w: &WarpRt| !w.done && !w.at_barrier && w.ready_at <= now;
-        // Flatten candidates as (slot, warp) pairs.
+        let wpb = self.wpb;
         let picked = match self.sched {
             SchedPolicy::RoundRobin => 'rr: {
                 // Walk (slot, warp) pairs starting from the cursor; the
                 // cursor advances past each issued warp, giving loose
-                // round-robin. Fixed-capacity scratch avoids allocating on
-                // the issue path (resident warps <= max_warps_per_sm).
-                let mut order = [(0u16, 0u16); 128];
-                let mut len = 0usize;
-                for (s, blk) in self.slots.iter().enumerate() {
-                    if let Some(b) = blk {
-                        for w in 0..b.warps.len() {
-                            if len < order.len() {
-                                // Slot and warp counts are both < 128.
-                                #[allow(clippy::cast_possible_truncation)]
-                                {
-                                    order[len] = (s as u16, w as u16);
-                                }
-                                len += 1;
-                            }
-                        }
-                    }
-                }
-                if len == 0 {
+                // round-robin.
+                let n = self.occupied.len();
+                if n == 0 {
                     break 'rr None;
                 }
-                let start = self.rr_cursor % len;
-                let mut pick = None;
+                let (rank, warp) = self.rr_pos.unwrap_or_else(|| {
+                    let start = self.rr_cursor % (n * wpb);
+                    (start / wpb, start % wpb)
+                });
+                // One lap in n + 1 runs of contiguous words: the tail of
+                // the cursor's block, the other blocks in slot order, then
+                // the head of the cursor's block.
                 let mut wake = u64::MAX;
-                for k in 0..len {
-                    let (s, w) = order[(start + k) % len];
-                    let (s, w) = (s as usize, w as usize);
-                    // `order` only names occupied slots.
-                    let Some(b) = self.slots[s].as_ref() else {
-                        continue;
-                    };
-                    let warp = &b.warps[w];
-                    if ready(warp) {
-                        self.rr_cursor = (start + k + 1) % len;
-                        pick = Some((s, w));
-                        break;
+                let mut r = rank;
+                for run in 0..=n {
+                    let lo = if run == 0 { warp } else { 0 };
+                    let hi = if run == n { warp } else { wpb };
+                    let slot = self.occupied[r];
+                    let next_r = if r + 1 == n { 0 } else { r + 1 };
+                    for (w, &t) in self.sched_at[slot * wpb..][lo..hi].iter().enumerate() {
+                        if t <= now {
+                            let w = lo + w;
+                            let next = if w + 1 == wpb {
+                                (next_r, 0)
+                            } else {
+                                (r, w + 1)
+                            };
+                            self.rr_pos = Some(next);
+                            self.rr_cursor = next.0 * wpb + next.1;
+                            break 'rr Some((slot, w));
+                        }
+                        wake = wake.min(t);
                     }
-                    if !warp.done && !warp.at_barrier {
-                        wake = wake.min(warp.ready_at);
-                    }
+                    r = next_r;
                 }
-                if pick.is_none() {
-                    self.ready_hint = wake;
-                }
-                pick
+                self.rr_pos = Some((rank, warp));
+                self.ready_hint = wake;
+                None
             }
             SchedPolicy::Gto => 'gto: {
                 // Stick with the current warp while it is ready.
                 if let Some((s, w)) = self.gto_current {
-                    if let Some(b) = self.slots[s].as_ref() {
-                        if w < b.warps.len() && ready(&b.warps[w]) {
-                            break 'gto Some((s, w));
-                        }
+                    if self.sched_at[s * wpb + w] <= now {
+                        break 'gto Some((s, w));
                     }
                 }
-                // Otherwise the oldest ready warp.
+                // Otherwise the oldest ready warp: the first ready warp
+                // of the first-dispatched block (a block's warps share its
+                // birth, and ties keep the earlier slot).
                 let mut best: Option<(u64, usize, usize)> = None;
                 let mut wake = u64::MAX;
-                for (s, blk) in self.slots.iter().enumerate() {
-                    if let Some(b) = blk {
-                        for (w, warp) in b.warps.iter().enumerate() {
-                            if ready(warp) {
-                                if best.is_none_or(|(bb, _, _)| warp.birth < bb) {
-                                    best = Some((warp.birth, s, w));
-                                }
-                            } else if !warp.done && !warp.at_barrier {
-                                wake = wake.min(warp.ready_at);
-                            }
+                for &s in &self.occupied {
+                    let mut first_ready = None;
+                    for (w, &t) in self.sched_at[s * wpb..][..wpb].iter().enumerate() {
+                        if t > now {
+                            wake = wake.min(t);
+                        } else if first_ready.is_none() {
+                            first_ready = Some(w);
+                        }
+                    }
+                    if let (Some(w), Some(b)) = (first_ready, self.slots[s].as_ref()) {
+                        if best.is_none_or(|(bb, _, _)| b.birth < bb) {
+                            best = Some((b.birth, s, w));
                         }
                     }
                 }
@@ -420,29 +441,28 @@ impl SmCore {
         // first one already cleared `gto_current`), so skipping them is
         // free of observable effects.
         if self.use_hint && now < self.ready_hint {
-            return IssueResult {
-                issued_bb: None,
-                issued_lanes: 0,
-                retired: None,
-                retired_stats: TbStats::default(),
-            };
+            return IssueResult::none();
         }
-        let Some((s, w)) = self.pick_warp(now) else {
-            return IssueResult {
-                issued_bb: None,
-                issued_lanes: 0,
-                retired: None,
-                retired_stats: TbStats::default(),
-            };
-        };
+        match self.pick_warp(now) {
+            Some((s, w)) => self.issue_picked(s, w, now, mem, rec),
+            None => IssueResult::none(),
+        }
+    }
+
+    /// Issue the next instruction of the warp [`SmCore::pick_warp`] chose.
+    // tbpoint-hot
+    #[inline]
+    fn issue_picked<M: IssueMem, R: Recorder + ?Sized>(
+        &mut self,
+        s: usize,
+        w: usize,
+        now: u64,
+        mem: &mut M,
+        rec: &R,
+    ) -> IssueResult {
         // pick_warp only returns occupied slots; an empty one issues nothing.
         let Some(block) = self.slots[s].as_mut() else {
-            return IssueResult {
-                issued_bb: None,
-                issued_lanes: 0,
-                retired: None,
-                retired_stats: TbStats::default(),
-            };
+            return IssueResult::none();
         };
         let ctx = block.ctx;
         block.remaining = block.remaining.saturating_sub(1);
@@ -510,8 +530,6 @@ impl SmCore {
         }
 
         // Trace exhausted?
-        let mut retired = None;
-        let mut retired_stats = TbStats::default();
         if warp.pc >= warp.trace.len() {
             warp.done = true;
             // A warp cannot end on an unreleased barrier (validated IR),
@@ -521,32 +539,40 @@ impl SmCore {
                 block.at_barrier -= 1;
             }
             block.live -= 1;
-            if block.live == 0 {
-                retired = Some(block.tb_id);
-                retired_stats = block.stats;
-                self.stats.blocks_retired += 1;
-                self.slots[s] = None;
-                self.resident -= 1;
-                // Slot indices are occupancy-bounded (tens), far below u32.
-                #[allow(clippy::cast_possible_truncation)]
-                self.free_slots.push(Reverse(s as u32));
-                if self.gto_current == Some((s, w)) {
-                    self.gto_current = None;
-                }
-            }
         }
+        // The one packed-word write of the issue path: every latency arm
+        // and trace exhaustion land here.
+        let words = &mut self.sched_at[s * self.wpb..][..self.wpb];
+        words[w] = if warp.done || warp.at_barrier {
+            u64::MAX
+        } else {
+            warp.ready_at
+        };
 
-        // Barrier release: all live warps arrived.
-        if let Some(b) = self.slots[s].as_mut() {
-            if b.at_barrier > 0 && b.at_barrier == b.live {
-                for warp in &mut b.warps {
-                    if warp.at_barrier {
-                        warp.at_barrier = false;
-                        warp.ready_at = warp.ready_at.max(now + 1);
-                    }
-                }
-                b.at_barrier = 0;
+        let mut retired = None;
+        let mut retired_stats = TbStats::default();
+        if block.live == 0 {
+            // Every warp is done, so the slot's words are already
+            // `u64::MAX`; only the scan order changes.
+            retired = Some(block.tb_id);
+            retired_stats = block.stats;
+            self.stats.blocks_retired += 1;
+            self.slots[s] = None;
+            self.occupied.retain(|&o| o != s);
+            self.rr_pos = None;
+            if self.gto_current == Some((s, w)) {
+                self.gto_current = None;
             }
+        } else if block.at_barrier > 0 && block.at_barrier == block.live {
+            // Barrier release: all live warps arrived.
+            for (warp, word) in block.warps.iter_mut().zip(words) {
+                if warp.at_barrier {
+                    warp.at_barrier = false;
+                    warp.ready_at = warp.ready_at.max(now + 1);
+                    *word = warp.ready_at;
+                }
+            }
+            block.at_barrier = 0;
         }
 
         IssueResult {
@@ -562,15 +588,8 @@ impl SmCore {
     /// that cannot release without external progress — impossible for
     /// validated kernels).
     pub fn next_ready(&self) -> Option<u64> {
-        let mut best: Option<u64> = None;
-        for blk in self.slots.iter().flatten() {
-            for w in &blk.warps {
-                if !w.done && !w.at_barrier {
-                    best = Some(best.map_or(w.ready_at, |b: u64| b.min(w.ready_at)));
-                }
-            }
-        }
-        best
+        let wake = self.sched_at.iter().copied().min();
+        wake.filter(|&t| t != u64::MAX)
     }
 
     /// The maintained lower bound on this SM's next issueable cycle
@@ -584,7 +603,7 @@ impl SmCore {
 
     /// True when no blocks are resident.
     pub fn is_empty(&self) -> bool {
-        self.resident == 0
+        self.occupied.is_empty()
     }
 
     /// Credit `delta` cycles of residency if any block is resident
@@ -620,7 +639,9 @@ impl SmCore {
         if let Some(b) = self.slots[slot].as_mut() {
             let w = &mut b.warps[warp];
             w.ready_at = done_at;
+            // A warp asleep on a load cannot be at a barrier.
             if !w.done {
+                self.sched_at[slot * self.wpb + warp] = done_at;
                 self.ready_hint = self.ready_hint.min(done_at);
             }
         }
@@ -659,5 +680,364 @@ impl SmCore {
             best = best.min(bound);
         }
         best
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tbpoint_ir::{AddrPattern, Dist, KernelBuilder, LaunchId, Node, TripCount};
+    use tbpoint_stats::SplitMix64;
+
+    impl SmCore {
+        /// The pre-packing scheduler, kept as the differential reference:
+        /// it rebuilds the (slot, warp) order from the cold `WarpRt` fields
+        /// on every pick. Only the 128-entry cap of its scratch array is
+        /// gone (that was a bug, see `no_resident_warp_starves`).
+        fn pick_warp_reference(&mut self, now: u64) -> Option<(usize, usize)> {
+            let ready = |w: &WarpRt| !w.done && !w.at_barrier && w.ready_at <= now;
+            let picked = match self.sched {
+                SchedPolicy::RoundRobin => 'rr: {
+                    let mut order = Vec::new();
+                    for (s, blk) in self.slots.iter().enumerate() {
+                        if let Some(b) = blk {
+                            order.extend((0..b.warps.len()).map(|w| (s, w)));
+                        }
+                    }
+                    let len = order.len();
+                    if len == 0 {
+                        break 'rr None;
+                    }
+                    let start = self.rr_cursor % len;
+                    let mut pick = None;
+                    let mut wake = u64::MAX;
+                    for k in 0..len {
+                        let (s, w) = order[(start + k) % len];
+                        let warp = &self.slots[s].as_ref().unwrap().warps[w];
+                        if ready(warp) {
+                            self.rr_cursor = (start + k + 1) % len;
+                            pick = Some((s, w));
+                            break;
+                        }
+                        if !warp.done && !warp.at_barrier {
+                            wake = wake.min(warp.ready_at);
+                        }
+                    }
+                    if pick.is_none() {
+                        self.ready_hint = wake;
+                    }
+                    pick
+                }
+                SchedPolicy::Gto => 'gto: {
+                    if let Some((s, w)) = self.gto_current {
+                        if let Some(b) = self.slots[s].as_ref() {
+                            if w < b.warps.len() && ready(&b.warps[w]) {
+                                break 'gto Some((s, w));
+                            }
+                        }
+                    }
+                    let mut best: Option<(u64, usize, usize)> = None;
+                    let mut wake = u64::MAX;
+                    for (s, blk) in self.slots.iter().enumerate() {
+                        if let Some(b) = blk {
+                            for (w, warp) in b.warps.iter().enumerate() {
+                                if ready(warp) {
+                                    if best.is_none_or(|(bb, _, _)| b.birth < bb) {
+                                        best = Some((b.birth, s, w));
+                                    }
+                                } else if !warp.done && !warp.at_barrier {
+                                    wake = wake.min(warp.ready_at);
+                                }
+                            }
+                        }
+                    }
+                    let pick = best.map(|(_, s, w)| (s, w));
+                    self.gto_current = pick;
+                    if pick.is_none() {
+                        self.ready_hint = wake;
+                    }
+                    pick
+                }
+            };
+            if picked.is_some() {
+                self.ready_hint = now;
+            }
+            picked
+        }
+
+        /// Scheduler state both picks may write.
+        fn sched_state(&self) -> (usize, Option<(usize, usize)>, u64) {
+            (self.rr_cursor, self.gto_current, self.ready_hint)
+        }
+
+        /// The packed-word invariant: `sched_at[i] == ready_at` iff the
+        /// warp is schedulable, `u64::MAX` otherwise; `occupied` is the
+        /// ascending list of occupied slots.
+        fn assert_words_exact(&self, what: &str) {
+            for (slot, blk) in self.slots.iter().enumerate() {
+                for w in 0..self.wpb {
+                    let want = match blk {
+                        Some(b) if !b.warps[w].done && !b.warps[w].at_barrier => {
+                            b.warps[w].ready_at
+                        }
+                        _ => u64::MAX,
+                    };
+                    let got = self.sched_at[slot * self.wpb + w];
+                    assert_eq!(got, want, "{what}: word of slot {slot} warp {w}");
+                }
+            }
+            let occupied: Vec<usize> = (0..self.slots.len())
+                .filter(|&s| self.slots[s].is_some())
+                .collect();
+            assert_eq!(self.occupied, occupied, "{what}: occupied list");
+        }
+
+        /// `try_issue_mem`, with the packed pick checked against the
+        /// reference on the same state; returns whether a pick was compared.
+        fn step_checked<M: IssueMem>(&mut self, now: u64, mem: &mut M) -> (IssueResult, bool) {
+            let before = self.sched_state();
+            if self.use_hint && now < self.ready_hint {
+                // The skipped scan would have failed and changed nothing.
+                assert_eq!(self.pick_warp_reference(now), None, "skipped scan at {now}");
+                assert_eq!(self.sched_state(), before, "skipped scan at {now}");
+                return (IssueResult::none(), false);
+            }
+            let want = self.pick_warp_reference(now);
+            let want_state = self.sched_state();
+            (self.rr_cursor, self.gto_current, self.ready_hint) = before;
+            let got = self.pick_warp(now);
+            assert_eq!(got, want, "pick at {now}");
+            assert_eq!(self.sched_state(), want_state, "scheduler state at {now}");
+            let r = match got {
+                Some((s, w)) => self.issue_picked(s, w, now, mem, &NullRecorder),
+                None => IssueResult::none(),
+            };
+            self.assert_words_exact("issue");
+            (r, true)
+        }
+    }
+
+    /// Memory port for the histories: a load either completes after a
+    /// random latency or is deferred, to be resolved by the driver later.
+    struct ScriptedMem {
+        rng: SplitMix64,
+        deferred: Vec<(usize, usize, u64)>,
+    }
+
+    impl IssueMem for ScriptedMem {
+        fn load(
+            &mut self,
+            _sm: usize,
+            slot: usize,
+            warp: usize,
+            _lines: &tbpoint_ir::inst::CoalescedLines,
+            now: u64,
+            alu_done: u64,
+        ) -> LoadOutcome {
+            if self.rng.next_index(2) == 0 {
+                self.deferred.push((slot, warp, now));
+                LoadOutcome::Deferred
+            } else {
+                LoadOutcome::Done(alu_done.max(now + self.rng.next_index(300)))
+            }
+        }
+
+        fn store(&mut self, _sm: usize, _lines: &tbpoint_ir::inst::CoalescedLines, _now: u64) {}
+    }
+
+    fn below(rng: &mut SplitMix64, n: usize) -> usize {
+        rng.next_index(n as u64) as usize
+    }
+
+    /// A block of 1-4 random non-barrier ops.
+    fn random_ops(rng: &mut SplitMix64, b: &mut KernelBuilder) -> Node {
+        let gather = AddrPattern::Random {
+            region: 0,
+            bytes: 1 << 20,
+        };
+        let menu = [
+            Op::IAlu,
+            Op::Sfu,
+            Op::LdShared,
+            Op::LdGlobal(gather),
+            Op::StGlobal(gather),
+        ];
+        let ops: Vec<Op> = (0..1 + below(rng, 4))
+            .map(|_| menu[below(rng, menu.len())])
+            .collect();
+        b.block(&ops)
+    }
+
+    /// Warps of unequal length (per-thread trip counts) that meet at
+    /// 0-2 barriers placed outside the divergent loops.
+    fn random_kernel(rng: &mut SplitMix64, wpb: usize) -> Kernel {
+        // A ragged last warp now and then.
+        let threads = wpb * 32 - below(rng, 2) * below(rng, 32);
+        let mut b = KernelBuilder::new("history", rng.next_u64(), threads as u32);
+        let mut nodes = Vec::new();
+        for stage in 0..1 + below(rng, 3) {
+            if stage > 0 {
+                nodes.push(b.block(&[Op::Barrier]));
+            }
+            let body = random_ops(rng, &mut b);
+            let trips = TripCount::PerThread {
+                base: below(rng, 3) as u32,
+                spread: below(rng, 6) as u32,
+                dist: Dist::Uniform,
+                site: b.fresh_site(),
+            };
+            nodes.push(b.loop_(trips, body));
+            if below(rng, 2) == 0 {
+                nodes.push(random_ops(rng, &mut b));
+            }
+        }
+        let program = b.seq(nodes);
+        b.finish(program)
+    }
+
+    /// One random SM history: dispatches, issues, barrier arrivals and
+    /// releases, retirements and deferred-load resolutions interleaved at
+    /// random, every pick compared with the reference. Returns the
+    /// number of picks compared.
+    fn run_history(seed: u64, sched: SchedPolicy, use_hint: bool) -> u64 {
+        let mut rng = SplitMix64::new(seed);
+        let wpb = 1 + below(&mut rng, 32);
+        let occupancy = 1 + below(&mut rng, 8);
+        let kernel = random_kernel(&mut rng, wpb);
+        let cfg = GpuConfig {
+            sched,
+            ..GpuConfig::fermi()
+        };
+        let mut sm = SmCore::new(0, occupancy as u32, &cfg);
+        sm.set_event_horizon(use_hint);
+        let mut arena = TraceArena::with_caching(&kernel, true);
+        let mut mem = ScriptedMem {
+            rng: SplitMix64::new(seed ^ 0xD1F),
+            deferred: Vec::new(),
+        };
+        let num_blocks = (occupancy * (1 + below(&mut rng, 3))) as u32;
+        let (mut next_block, mut retired, mut picks, mut now) = (0u32, 0u32, 0u64, 0u64);
+        while retired < num_blocks {
+            assert!(now < 10_000_000, "history {seed:#x} does not drain");
+            if next_block < num_blocks && below(&mut rng, 3) != 0 {
+                if let Some(slot) = sm.free_slot() {
+                    let ctx = ExecCtx {
+                        kernel_seed: kernel.seed,
+                        launch_id: LaunchId(0),
+                        block_id: next_block,
+                        num_blocks,
+                        work_scale: 1.0,
+                    };
+                    let start = now + rng.next_index(40);
+                    let tb = TbId(next_block);
+                    if sm
+                        .dispatch(slot, &kernel, ctx, tb, now, start, &mut arena)
+                        .is_some()
+                    {
+                        retired += 1;
+                    }
+                    next_block += 1;
+                    sm.assert_words_exact("dispatch");
+                }
+            }
+            let mut i = 0;
+            while i < mem.deferred.len() {
+                if below(&mut rng, 4) == 0 {
+                    let (slot, warp, issued_at) = mem.deferred.swap_remove(i);
+                    let done_at = now + 1 + rng.next_index(300);
+                    sm.resolve_deferred_load(slot, warp, done_at, issued_at, &NullRecorder);
+                    sm.assert_words_exact("resolve");
+                } else {
+                    i += 1;
+                }
+            }
+            let (r, compared) = sm.step_checked(now, &mut mem);
+            picks += u64::from(compared);
+            if r.retired.is_some() {
+                retired += 1;
+                // A block may retire on a deferred load; as the window
+                // barrier does, resolve it before the slot is refilled.
+                mem.deferred.retain(|&(slot, warp, issued_at)| {
+                    let gone = sm.slots[slot].is_none();
+                    if gone {
+                        sm.resolve_deferred_load(slot, warp, now + 1, issued_at, &NullRecorder);
+                    }
+                    !gone
+                });
+            }
+            // Mostly cycle by cycle; sometimes a jump, as the idle skip does.
+            now += if below(&mut rng, 8) == 0 {
+                1 + rng.next_index(60)
+            } else {
+                1
+            };
+        }
+        assert!(sm.is_empty() && mem.deferred.is_empty());
+        picks
+    }
+
+    fn differential(seed: u64, histories: u64) {
+        let mut picks = 0;
+        for h in 0..histories {
+            for sched in [SchedPolicy::RoundRobin, SchedPolicy::Gto] {
+                picks += run_history(seed + h, sched, h % 2 == 0);
+            }
+        }
+        println!("packed pick vs reference: {histories} histories x 2 policies, {picks} picks, 0 mismatches");
+    }
+
+    #[test]
+    fn packed_pick_matches_the_rebuilding_reference() {
+        differential(0x5C4E_D000, 100);
+    }
+
+    #[test]
+    #[ignore = "10k histories; CI runs it in release (cargo test --release -p tbpoint-sim -- --ignored)"]
+    fn packed_pick_matches_the_rebuilding_reference_10k() {
+        differential(0x0DD5_EED5_0000, 10_000);
+    }
+
+    /// The old scheduler's scratch array held 128 (slot, warp) pairs and
+    /// silently dropped the rest, so with 8 x 32 resident warps slots 4-7
+    /// starved until slots 0-3 drained. An ALU latency of one lap makes
+    /// either policy visit every warp once before any is ready again.
+    #[test]
+    fn no_resident_warp_starves() {
+        let mut b = KernelBuilder::new("alu", 3, 1024);
+        let body = b.block(&[Op::IAlu]);
+        let program = b.loop_(TripCount::Const(8), body);
+        let kernel = b.finish(program);
+        for sched in [SchedPolicy::RoundRobin, SchedPolicy::Gto] {
+            let cfg = GpuConfig {
+                sched,
+                alu_latency: 256,
+                regs_per_sm: 1 << 20,
+                ..GpuConfig::with_occupancy(256, 1)
+            };
+            let occupancy = cfg.sm_occupancy(&kernel);
+            assert_eq!(occupancy * kernel.warps_per_block(), 256);
+            let mut sm = SmCore::new(0, occupancy, &cfg);
+            let mut arena = TraceArena::with_caching(&kernel, true);
+            let mut mem = MemorySystem::new(&cfg);
+            for block_id in 0..occupancy {
+                let ctx = ExecCtx {
+                    kernel_seed: kernel.seed,
+                    launch_id: LaunchId(0),
+                    block_id,
+                    num_blocks: occupancy,
+                    work_scale: 1.0,
+                };
+                let slot = sm.free_slot().unwrap();
+                sm.dispatch(slot, &kernel, ctx, TbId(block_id), 0, 0, &mut arena);
+            }
+            for now in 0..2 * 256 {
+                sm.try_issue(now, &mut mem);
+            }
+            for (s, blk) in sm.slots.iter().enumerate() {
+                for (w, warp) in blk.as_ref().unwrap().warps.iter().enumerate() {
+                    assert!(warp.pc > 0, "{sched:?}: slot {s} warp {w} never issued");
+                }
+            }
+        }
     }
 }
