@@ -3,12 +3,17 @@
 //! `profile/*`: `profile_run` on two roster kernels that are profiled by
 //! block class (lbm: one class; stream: 211 short launches, so the
 //! per-launch fixed cost shows) and one that needs every block emulated
-//! (bfs: thread-varying). `coalesce/*`: `AddrPattern::coalesced_lines`
-//! per warp instruction, one case per route through it — the contiguous
-//! range, the set-bit walk, and the per-lane loop `Random` keeps.
+//! (bfs: thread-varying); `thread_varying` is bfs's largest launch alone
+//! through `profile_launch`. `walker/*`: every warp of one block through
+//! `walk_warp` with a counting sink — bfs (a `ThreadProb` branch inside a
+//! `PerThread` loop inside a phase loop, so the per-warp draws are
+//! revisited) and spmv (a `PerThread` loop inside a phase loop).
+//! `coalesce/*`: `AddrPattern::coalesced_lines` per warp instruction, one
+//! case per route through it — the contiguous range, the set-bit walk,
+//! and the per-lane loop `Random` keeps.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use tbpoint_emu::profile_run;
+use tbpoint_emu::{profile_launch, profile_run, walk_warp};
 use tbpoint_ir::{AddrPattern, ExecCtx, LaunchId};
 use tbpoint_workloads::{benchmark_by_name, Scale};
 
@@ -23,6 +28,46 @@ fn bench_profile(c: &mut Criterion) {
         let bench = benchmark_by_name(name, scale).expect("roster kernel");
         g.bench_function(label, |b| {
             b.iter(|| black_box(profile_run(&bench.run, 1)));
+        });
+    }
+    let bfs = benchmark_by_name("bfs", Scale::Dev)
+        .expect("roster kernel")
+        .run;
+    let largest = bfs
+        .launches
+        .iter()
+        .max_by_key(|l| l.num_blocks)
+        .expect("bfs has launches");
+    g.bench_function("thread_varying", |b| {
+        b.iter(|| black_box(profile_launch(&bfs.kernel, largest, 1)));
+    });
+    g.finish();
+}
+
+fn bench_walker(c: &mut Criterion) {
+    let mut g = c.benchmark_group("walker");
+    for (label, name) in [("bfs_shape", "bfs"), ("spmv_shape", "spmv")] {
+        let run = benchmark_by_name(name, Scale::Dev)
+            .expect("roster kernel")
+            .run;
+        let spec = run.launches[0];
+        let ctx = ExecCtx {
+            kernel_seed: run.kernel.seed,
+            launch_id: spec.launch_id,
+            block_id: spec.num_blocks / 2,
+            num_blocks: spec.num_blocks,
+            work_scale: spec.work_scale,
+        };
+        g.bench_function(label, |b| {
+            b.iter(|| {
+                let mut thread_insts = 0u64;
+                for warp in 0..run.kernel.warps_per_block() {
+                    walk_warp(&run.kernel, black_box(&ctx), warp, &mut |ev| {
+                        thread_insts += u64::from(ev.mask.count_ones());
+                    });
+                }
+                black_box(thread_insts)
+            });
         });
     }
     g.finish();
@@ -71,5 +116,5 @@ fn bench_coalesce(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_profile, bench_coalesce);
+criterion_group!(benches, bench_profile, bench_walker, bench_coalesce);
 criterion_main!(benches);

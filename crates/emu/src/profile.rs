@@ -22,7 +22,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use tbpoint_ir::inst::LINE_BYTES;
 use tbpoint_ir::{ExecCtx, Kernel, KernelRun, LatencyClass, LaunchSpec, TbId};
-use tbpoint_obs::{Recorder, Span};
+use tbpoint_obs::{NullRecorder, Recorder, Span};
 use tbpoint_stats::cov;
 
 /// The per-TB feature statistics the live (single-pass) sampler
@@ -384,14 +384,7 @@ pub fn profile_launch_obs<R: Recorder + ?Sized>(
 
 /// Profile a whole benchmark run (all launches).
 pub fn profile_run(run: &KernelRun, threads: usize) -> RunProfile {
-    RunProfile {
-        kernel_name: run.kernel.name.clone(),
-        launches: run
-            .launches
-            .iter()
-            .map(|spec| profile_launch(&run.kernel, spec, threads))
-            .collect(),
-    }
+    profile_run_obs(run, threads, &NullRecorder)
 }
 
 /// [`profile_run`] with one `ProfileLaunch` span per launch.

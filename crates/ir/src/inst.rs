@@ -79,7 +79,7 @@ impl AddrPattern {
         let gtid = gtid_base.wrapping_add(lane as u64);
         // `iter` is a *mixed* iteration key (hash-like, full u32 range);
         // fold it into a bounded slab index so every pattern stays inside
-        // its region (regions are 16 GiB apart) with a realistic
+        // its region (regions are `REGION_BYTES` apart) with a realistic
         // footprint: loop iterations address different slabs of the same
         // array, not an unbounded address space.
         let slab = (iter % 4096) as u64;
@@ -132,8 +132,8 @@ impl AddrPattern {
                 stride as u64
             }
             AddrPattern::Broadcast { .. } => 0,
-            AddrPattern::Random { .. } => {
-                return self.lines_by_lane(ctx, gtid_base, active_mask, iter, site)
+            AddrPattern::Random { region, bytes } => {
+                return gather_lines(ctx, region, bytes, gtid_base, active_mask, iter, site)
             }
         };
         // `C`: the address thread 0 would touch.
@@ -170,8 +170,8 @@ impl AddrPattern {
     }
 
     /// One address per active lane, deduplicated against every line seen
-    /// so far: the definition of coalescing. Serves `Random`, affine
-    /// inputs whose addresses wrap, and the tests as the reference.
+    /// so far: the definition of coalescing. Serves affine inputs whose
+    /// addresses wrap.
     fn lines_by_lane(
         &self,
         ctx: &ExecCtx,
@@ -181,14 +181,43 @@ impl AddrPattern {
         site: u32,
     ) -> CoalescedLines {
         let mut lines = CoalescedLines::default();
-        for lane in 0..WARP_SIZE {
-            if active_mask & (1 << lane) != 0 {
-                let addr = self.lane_addr(ctx, gtid_base, lane, iter, site);
-                lines.push(addr / LINE_BYTES * LINE_BYTES);
-            }
+        let mut rest = active_mask;
+        while rest != 0 {
+            let addr = self.lane_addr(ctx, gtid_base, rest.trailing_zeros(), iter, site);
+            rest &= rest - 1;
+            lines.push(addr / LINE_BYTES * LINE_BYTES);
         }
         lines
     }
+}
+
+/// The lane loop for `Random { region, bytes }`: [`AddrPattern::lane_addr`]
+/// per active lane with the hash's two warp-invariant coordinates
+/// (seed, launch) folded once, and the reduction to the span done with a
+/// mask when the span is a power of two (`r % 2^k == r & (2^k - 1)`).
+fn gather_lines(
+    ctx: &ExecCtx,
+    region: u32,
+    bytes: u64,
+    gtid_base: u64,
+    active_mask: u32,
+    iter: u32,
+    site: u32,
+) -> CoalescedLines {
+    let prefix = rng::hash_fold(rng::HASH_SEED, &[ctx.kernel_seed, ctx.launch_id.0 as u64]);
+    let base = region_base(region);
+    let span = bytes.max(LINE_BYTES);
+    let pow2_mask = span.is_power_of_two().then(|| span - 1);
+    let mut lines = CoalescedLines::default();
+    let mut rest = active_mask;
+    while rest != 0 {
+        let gtid = gtid_base.wrapping_add(rest.trailing_zeros() as u64);
+        rest &= rest - 1;
+        let r = rng::hash_fold(prefix, &[gtid, iter as u64, site as u64]);
+        let off = pow2_mask.map_or_else(|| r % span, |m| r & m);
+        lines.push(base.wrapping_add(off) / LINE_BYTES * LINE_BYTES);
+    }
+    lines
 }
 
 /// Small fixed-capacity set of distinct line addresses (max one per lane).
@@ -300,14 +329,25 @@ pub struct Inst {
     pub site: u32,
 }
 
-/// Base byte address of a memory region. Regions are 16 GiB apart so no two
-/// regions ever share a cache line.
+/// Bytes between consecutive region bases (16 GiB): the largest span a
+/// `Random` gather may cover.
+pub const REGION_BYTES: u64 = 1 << 34;
+
+/// Number of region ids whose base fits in a `u64` address.
+pub const MAX_REGIONS: u32 = 1 << 30;
+
+/// Base byte address of a memory region. Regions are [`REGION_BYTES`]
+/// apart, so no two regions below [`MAX_REGIONS`] ever share a cache line
+/// — [`crate::Kernel::validate`] rejects ids past that (the shift would
+/// drop their high bits and alias them onto low regions) and gather spans
+/// past `REGION_BYTES` (they would reach into the next region). The
+/// roster's largest region id is 3 and its largest span 8 MiB.
 pub fn region_base(region: u32) -> u64 {
     (region as u64) << 34
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::program::ExecCtx;
     use crate::types::LaunchId;
@@ -410,7 +450,7 @@ mod tests {
     /// and large enough that `gtid * stride` wraps for big thread ids.
     const STRIDES: [u32; 10] = [0, 1, 4, 8, 12, 100, 128, 132, 4096, u32::MAX];
 
-    fn random_mask(rng: &mut SplitMix64) -> u32 {
+    pub(crate) fn random_mask(rng: &mut SplitMix64) -> u32 {
         let bits = rng.next_u64() as u32;
         match rng.next_index(6) {
             0 => 0,
@@ -423,7 +463,7 @@ mod tests {
         }
     }
 
-    fn random_gtid_base(rng: &mut SplitMix64, stride: u32) -> u64 {
+    pub(crate) fn random_gtid_base(rng: &mut SplitMix64, stride: u32) -> u64 {
         match rng.next_index(5) {
             // Warp-aligned, as every real launch produces.
             0 => rng.next_index(1 << 30) * 32,
@@ -439,33 +479,74 @@ mod tests {
         }
     }
 
-    /// `coalesced_lines` against the lane loop, order-sensitive.
+    /// Gather spans on both sides of the power-of-two reduction and of
+    /// the `max(LINE_BYTES)` floor; the roster's 6 MiB (sssp) and 8 MiB
+    /// (bfs); the largest span `validate` admits.
+    const SPANS: [u64; 7] = [0, 1, 96, 128, 6 << 20, 8 << 20, REGION_BYTES];
+
+    pub(crate) fn random_ctx(rng: &mut SplitMix64) -> ExecCtx {
+        ExecCtx {
+            kernel_seed: rng.next_u64() >> rng.next_index(64),
+            launch_id: LaunchId(rng.next_u64() as u32 >> rng.next_index(32)),
+            block_id: rng.next_u64() as u32 >> rng.next_index(32),
+            num_blocks: 64,
+            work_scale: [1.0, 0.37, 2.5][rng.next_index(3) as usize],
+        }
+    }
+
+    /// The definition of coalescing: `lane_addr` for every active lane in
+    /// lane order, deduplicated against every line seen so far.
+    fn lines_by_lane_addr(
+        pattern: &AddrPattern,
+        ctx: &ExecCtx,
+        gtid_base: u64,
+        mask: u32,
+        iter: u32,
+        site: u32,
+    ) -> Vec<u64> {
+        let mut lines = CoalescedLines::default();
+        for lane in 0..WARP_SIZE {
+            if mask & (1 << lane) != 0 {
+                let addr = pattern.lane_addr(ctx, gtid_base, lane, iter, site);
+                lines.push(addr / LINE_BYTES * LINE_BYTES);
+            }
+        }
+        lines.iter().collect()
+    }
+
+    /// `coalesced_lines` against the per-thread definition, order-sensitive.
     fn differential(seed: u64, cases: usize) {
         let mut rng = SplitMix64::new(seed);
         for case in 0..cases {
             let stride = STRIDES[rng.next_index(STRIDES.len() as u64) as usize];
             // Regions past 2^30 shift bits out of `region_base`.
             let region = (rng.next_u64() >> rng.next_index(64)) as u32;
-            let pattern = match rng.next_index(4) {
+            let pattern = match rng.next_index(5) {
                 0 => AddrPattern::Coalesced { region, stride },
                 1 => AddrPattern::Strided { region, stride },
                 2 => AddrPattern::Broadcast { region },
+                3 => AddrPattern::Random {
+                    region,
+                    bytes: SPANS[rng.next_index(SPANS.len() as u64) as usize],
+                },
                 _ => AddrPattern::Random {
                     region,
                     bytes: rng.next_u64() >> rng.next_index(64),
                 },
             };
+            let ctx = random_ctx(&mut rng);
             let gtid_base = random_gtid_base(&mut rng, stride);
             let mask = random_mask(&mut rng);
             let (iter, site) = (rng.next_u64() as u32, rng.next_index(64) as u32);
-            let fast = pattern.coalesced_lines(&ctx(), gtid_base, mask, iter, site);
-            let slow = pattern.lines_by_lane(&ctx(), gtid_base, mask, iter, site);
+            let fast = pattern.coalesced_lines(&ctx, gtid_base, mask, iter, site);
+            let slow = lines_by_lane_addr(&pattern, &ctx, gtid_base, mask, iter, site);
             assert_eq!(
                 fast.iter().collect::<Vec<_>>(),
-                slow.iter().collect::<Vec<_>>(),
-                "case {case}: {pattern:?} gtid_base {gtid_base} mask {mask:#034b} iter {iter}"
+                slow,
+                "case {case}: {pattern:?} {ctx:?} gtid_base {gtid_base} mask {mask:#034b} iter {iter}"
             );
         }
+        println!("coalesced_lines differential: {cases} cases, 0 mismatches");
     }
 
     #[test]

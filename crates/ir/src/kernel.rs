@@ -1,6 +1,6 @@
 //! Kernels, launches and the builder that wires them together.
 
-use crate::inst::{Inst, Op};
+use crate::inst::{AddrPattern, Inst, Op, MAX_REGIONS, REGION_BYTES};
 use crate::program::{Cond, Node, TripCount};
 use crate::types::{BasicBlockId, LaunchId, WARP_SIZE};
 use serde::{Deserialize, Serialize};
@@ -42,11 +42,27 @@ impl Kernel {
         let mut seen = vec![false; self.num_basic_blocks as usize];
         let mut err = None;
         self.program.visit(&mut |n| {
-            if let Node::Block { id, .. } = n {
+            if let Node::Block { id, insts } = n {
                 match seen.get_mut(id.0 as usize) {
                     None => err = Some(ValidateError::BlockIdOutOfRange(*id)),
                     Some(s) if *s => err = Some(ValidateError::DuplicateBlockId(*id)),
                     Some(s) => *s = true,
+                }
+                // Every address must stay inside its own region (see
+                // `region_base`).
+                for pattern in insts.iter().filter_map(|i| i.op.addr_pattern()) {
+                    let (AddrPattern::Coalesced { region, .. }
+                    | AddrPattern::Strided { region, .. }
+                    | AddrPattern::Random { region, .. }
+                    | AddrPattern::Broadcast { region }) = *pattern;
+                    if region >= MAX_REGIONS {
+                        err = Some(ValidateError::RegionOutOfRange(region));
+                    }
+                    if let AddrPattern::Random { bytes, .. } = *pattern {
+                        if bytes > REGION_BYTES {
+                            err = Some(ValidateError::GatherSpanTooLarge(bytes));
+                        }
+                    }
                 }
             }
         });
@@ -111,6 +127,12 @@ pub enum ValidateError {
     /// A barrier sits under thread-divergent control flow (deadlock on
     /// real hardware).
     DivergentBarrier,
+    /// A memory-region id at or past `MAX_REGIONS` (2^30): its base would
+    /// not fit in a `u64` address and would alias a lower region.
+    RegionOutOfRange(u32),
+    /// A `Random` gather spanning more than `REGION_BYTES` (16 GiB): it
+    /// would reach into the next region.
+    GatherSpanTooLarge(u64),
 }
 
 impl std::fmt::Display for ValidateError {
@@ -126,6 +148,18 @@ impl std::fmt::Display for ValidateError {
             }
             ValidateError::DivergentBarrier => {
                 write!(f, "barrier under thread-divergent control flow")
+            }
+            ValidateError::RegionOutOfRange(region) => {
+                write!(
+                    f,
+                    "memory region id {region} out of range (max {MAX_REGIONS})"
+                )
+            }
+            ValidateError::GatherSpanTooLarge(bytes) => {
+                write!(
+                    f,
+                    "gather span of {bytes} bytes exceeds a region ({REGION_BYTES})"
+                )
             }
         }
     }
@@ -404,6 +438,37 @@ mod tests {
             k.validate(),
             Err(ValidateError::DuplicateBlockId(_))
         ));
+    }
+
+    fn gather_kernel(region: u32, bytes: u64) -> Kernel {
+        let mut b = KernelBuilder::new("t", 1, 32);
+        let n = b.block(&[Op::LdGlobal(AddrPattern::Random { region, bytes })]);
+        b.finish(n)
+    }
+
+    #[test]
+    fn validate_bounds_region_ids() {
+        assert_eq!(gather_kernel(MAX_REGIONS - 1, 1 << 20).validate(), Ok(()));
+        assert_eq!(
+            gather_kernel(MAX_REGIONS, 1 << 20).validate(),
+            Err(ValidateError::RegionOutOfRange(MAX_REGIONS))
+        );
+        // Not only gathers: the aliasing is in `region_base`.
+        let mut b = KernelBuilder::new("t", 1, 32);
+        let n = b.block(&[Op::StGlobal(AddrPattern::Broadcast { region: u32::MAX })]);
+        assert_eq!(
+            b.finish(n).validate(),
+            Err(ValidateError::RegionOutOfRange(u32::MAX))
+        );
+    }
+
+    #[test]
+    fn validate_bounds_gather_spans() {
+        assert_eq!(gather_kernel(3, REGION_BYTES).validate(), Ok(()));
+        assert_eq!(
+            gather_kernel(3, REGION_BYTES + 1).validate(),
+            Err(ValidateError::GatherSpanTooLarge(REGION_BYTES + 1))
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! DESIGN.md records this as part of the GPUOcelot substitution.
 
 use crate::inst::Inst;
-use crate::types::LaunchId;
+use crate::types::{LaunchId, WARP_SIZE};
 use serde::{Deserialize, Serialize};
 use tbpoint_stats::rng;
 
@@ -27,6 +27,39 @@ pub struct ExecCtx {
     pub num_blocks: u32,
     /// Per-launch work multiplier (frontier growth/shrink across launches).
     pub work_scale: f64,
+}
+
+impl ExecCtx {
+    /// A nominal trip count scaled by `work_scale` (rounded, at least 0).
+    fn scale_trips(&self, raw: u32) -> u32 {
+        if (self.work_scale - 1.0).abs() < f64::EPSILON {
+            raw
+        } else {
+            // Saturating cast: work_scale is a small positive factor, and
+            // an overflowing trip count pegging at u32::MAX is the sane
+            // outcome anyway.
+            #[allow(clippy::cast_possible_truncation)]
+            let scaled = (raw as f64 * self.work_scale).round().max(0.0) as u32;
+            scaled
+        }
+    }
+
+    /// Calls `f(lane, u)` for each lane of `mask` in the warp whose lane 0
+    /// is thread `gtid_base`, `u` being the thread's uniform draw at `site`:
+    /// `unit_f64(&[seed, launch, block, gtid, site])` with the three
+    /// warp-invariant coordinates folded once.
+    fn thread_draws(&self, gtid_base: u64, mask: u32, site: u32, mut f: impl FnMut(u32, f64)) {
+        let (launch, block) = (self.launch_id.0 as u64, self.block_id as u64);
+        let prefix = rng::hash_fold(rng::HASH_SEED, &[self.kernel_seed, launch, block]);
+        let mut rest = mask;
+        while rest != 0 {
+            let lane = rest.trailing_zeros();
+            rest &= rest - 1;
+            let gtid = gtid_base.wrapping_add(lane as u64);
+            let h = rng::hash_fold(prefix, &[gtid, site as u64]);
+            f(lane, rng::unit_from_hash(h));
+        }
+    }
 }
 
 /// Distribution family for data-dependent trip counts.
@@ -55,7 +88,11 @@ impl Dist {
         if spread == 0 {
             return base;
         }
-        let u = rng::unit_f64(coords);
+        self.at(base, spread, rng::unit_f64(coords))
+    }
+
+    /// The value in `[base, base + spread]` at uniform draw `u` in `[0, 1)`.
+    fn at(&self, base: u32, spread: u32, u: f64) -> u32 {
         // u in [0, 1) keeps both products within [0, spread], so the
         // saturating f64->u32 casts cannot wrap.
         #[allow(clippy::cast_possible_truncation)]
@@ -185,15 +222,45 @@ impl TripCount {
                 dist.sample(base, spread, &[ctx.kernel_seed, phase, site as u64])
             }
         };
-        if (ctx.work_scale - 1.0).abs() < f64::EPSILON {
-            raw
-        } else {
-            // Saturating cast: work_scale is a small positive factor, and
-            // an overflowing trip count pegging at u32::MAX is the sane
-            // outcome anyway.
-            #[allow(clippy::cast_possible_truncation)]
-            let scaled = (raw as f64 * ctx.work_scale).round().max(0.0) as u32;
-            scaled
+        ctx.scale_trips(raw)
+    }
+
+    /// [`TripCount::eval`] for the lanes in `mask` of the warp whose lane
+    /// 0 is thread `gtid_base`; returns the largest count among them (0
+    /// for an empty mask). A count all lanes share is drawn once and
+    /// written to all 32 entries; a `PerThread` count writes only the
+    /// entries of lanes in `mask`.
+    pub fn eval_lanes(
+        &self,
+        ctx: &ExecCtx,
+        gtid_base: u64,
+        mask: u32,
+        counts: &mut [u32; WARP_SIZE as usize],
+    ) -> u32 {
+        match *self {
+            TripCount::PerThread {
+                base,
+                spread,
+                dist,
+                site,
+            } if spread > 0 => {
+                let mut max = 0;
+                ctx.thread_draws(gtid_base, mask, site, |lane, u| {
+                    let c = ctx.scale_trips(dist.at(base, spread, u));
+                    counts[lane as usize] = c;
+                    max = max.max(c);
+                });
+                max
+            }
+            _ => {
+                let c = self.eval(ctx, gtid_base);
+                counts.fill(c);
+                if mask == 0 {
+                    0
+                } else {
+                    c
+                }
+            }
         }
     }
 
@@ -257,6 +324,30 @@ impl Cond {
                 ]) < p
             }
             Cond::LaneLt(k) => lane < k,
+        }
+    }
+
+    /// The lanes of `mask` that take the branch, in the warp whose lane 0
+    /// is thread `gtid_base`: [`Cond::eval`] per lane, with warp-uniform
+    /// conditions evaluated once (for `BlockProb` all lanes must agree by
+    /// construction).
+    pub fn eval_mask(&self, ctx: &ExecCtx, gtid_base: u64, mask: u32) -> u32 {
+        match *self {
+            Cond::ThreadProb { p, site } => {
+                let mut taken = 0u32;
+                ctx.thread_draws(gtid_base, mask, site, |lane, u| {
+                    taken |= u32::from(u < p) << lane;
+                });
+                taken
+            }
+            Cond::LaneLt(k) => mask & 1u32.checked_shl(k).map_or(u32::MAX, |bit| bit - 1),
+            Cond::Always | Cond::Never | Cond::BlockProb { .. } => {
+                if self.eval(ctx, gtid_base, 0) {
+                    mask
+                } else {
+                    0
+                }
+            }
         }
     }
 
@@ -359,8 +450,10 @@ impl Node {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::inst::tests::{random_ctx, random_gtid_base, random_mask};
     use crate::inst::Op;
     use crate::types::BasicBlockId;
+    use tbpoint_stats::SplitMix64;
 
     fn ctx() -> ExecCtx {
         ExecCtx {
@@ -459,6 +552,103 @@ mod tests {
             .filter(|&t| c.eval(&ctx(), t, (t % 32) as u32))
             .count();
         assert!((2_700..=3_300).contains(&taken), "taken = {taken}");
+    }
+
+    fn random_dist(rng: &mut SplitMix64) -> Dist {
+        match rng.next_index(3) {
+            0 => Dist::Uniform,
+            1 => Dist::PowerLaw {
+                alpha: [0.0, 0.5, 2.0, 3.0][rng.next_index(4) as usize],
+            },
+            _ => Dist::Bimodal {
+                p_heavy: rng.next_f64(),
+            },
+        }
+    }
+
+    /// `Cond::eval_mask` and `TripCount::eval_lanes` against the
+    /// per-thread `eval` loops.
+    fn warp_level_differential(seed: u64, cases: usize) {
+        let mut rng = SplitMix64::new(seed);
+        for case in 0..cases {
+            let ctx = random_ctx(&mut rng);
+            let gtid_base = random_gtid_base(&mut rng, 1);
+            let mask = random_mask(&mut rng);
+            let site = rng.next_index(64) as u32;
+            let lanes = (0..WARP_SIZE).filter(|lane| mask & (1 << lane) != 0);
+
+            let cond = match rng.next_index(5) {
+                0 => Cond::Always,
+                1 => Cond::Never,
+                2 => Cond::BlockProb {
+                    p: rng.next_f64(),
+                    site,
+                },
+                3 => Cond::LaneLt(rng.next_index(40) as u32),
+                _ => Cond::ThreadProb {
+                    p: rng.next_f64(),
+                    site,
+                },
+            };
+            let taken = lanes
+                .clone()
+                .filter(|&lane| cond.eval(&ctx, gtid_base.wrapping_add(lane as u64), lane))
+                .fold(0u32, |m, lane| m | 1 << lane);
+            assert_eq!(
+                cond.eval_mask(&ctx, gtid_base, mask),
+                taken,
+                "case {case}: {cond:?} {ctx:?} gtid_base {gtid_base} mask {mask:#034b}"
+            );
+
+            let (base, spread) = (rng.next_index(6) as u32, rng.next_index(40) as u32);
+            let dist = random_dist(&mut rng);
+            let trips = match rng.next_index(5) {
+                0 => TripCount::Const(base),
+                1 => TripCount::PerBlock {
+                    base,
+                    spread,
+                    dist,
+                    site,
+                },
+                2 => TripCount::PerBlockPhase {
+                    base,
+                    spread,
+                    phase_len: rng.next_index(33) as u32,
+                    dist,
+                    site,
+                },
+                _ => TripCount::PerThread {
+                    base,
+                    spread,
+                    dist,
+                    site,
+                },
+            };
+            let mut counts = [u32::MAX; WARP_SIZE as usize];
+            let max = trips.eval_lanes(&ctx, gtid_base, mask, &mut counts);
+            let mut want_max = 0;
+            for lane in lanes {
+                let want = trips.eval(&ctx, gtid_base.wrapping_add(lane as u64));
+                assert_eq!(
+                    counts[lane as usize], want,
+                    "case {case}: lane {lane} of {trips:?} {ctx:?} gtid_base {gtid_base}"
+                );
+                want_max = want_max.max(want);
+            }
+            assert_eq!(max, want_max, "case {case}: {trips:?} mask {mask:#034b}");
+        }
+        println!("warp-level evaluators differential: {cases} cases, 0 mismatches");
+    }
+
+    #[test]
+    fn warp_level_evaluators_match_the_lane_loops() {
+        warp_level_differential(0x16A1_C0DE, 100_000);
+    }
+
+    #[test]
+    #[ignore = "10M cases; CI runs it in release (cargo test --release -p tbpoint-ir -- --ignored)"]
+    fn warp_level_evaluators_match_the_lane_loops_large() {
+        warp_level_differential(0x16A1_5EED_9876_5432, 10_000_000);
     }
 
     #[test]

@@ -41,4 +41,6 @@ pub use error::{abs_pct_error, signed_pct_error};
 pub use histogram::Histogram;
 pub use online::OnlineStats;
 pub use percentile::{fraction_within, percentile};
-pub use rng::{hash_coords, mix64, unit_f64, unit_index, SplitMix64};
+pub use rng::{
+    hash_coords, hash_fold, mix64, unit_f64, unit_from_hash, unit_index, SplitMix64, HASH_SEED,
+};

@@ -22,19 +22,33 @@ pub fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Initial accumulator of [`hash_coords`].
+pub const HASH_SEED: u64 = 0x51_7C_C1_B7_27_22_0A_95;
+
+/// Continue a coordinate hash from accumulator `acc`. The hash is a left
+/// fold, so `hash_fold(hash_fold(HASH_SEED, a), b)` equals `hash_coords`
+/// of `a` followed by `b`: a caller whose leading coordinates repeat can
+/// fold that prefix once and finish per item.
+#[inline]
+pub fn hash_fold(acc: u64, coords: &[u64]) -> u64 {
+    coords.iter().fold(acc, |acc, &c| mix64(acc ^ c))
+}
+
 /// Hash an arbitrary list of coordinates into one u64 (order-sensitive).
 pub fn hash_coords(coords: &[u64]) -> u64 {
-    let mut acc = 0x51_7C_C1_B7_27_22_0A_95u64;
-    for &c in coords {
-        acc = mix64(acc ^ c);
-    }
-    acc
+    hash_fold(HASH_SEED, coords)
+}
+
+/// A hash as a uniform f64 in `[0, 1)`: its 53 high bits, the standard
+/// construction.
+#[inline]
+pub fn unit_from_hash(h: u64) -> f64 {
+    (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 /// Uniform f64 in `[0, 1)` derived from coordinates (stateless).
 pub fn unit_f64(coords: &[u64]) -> f64 {
-    // 53 high bits -> [0,1) double, the standard construction.
-    (hash_coords(coords) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    unit_from_hash(hash_coords(coords))
 }
 
 /// Uniform integer in `[0, n)` derived from coordinates (stateless).
@@ -62,7 +76,7 @@ impl SplitMix64 {
 
     /// Next f64 in `[0, 1)`.
     pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        unit_from_hash(self.next_u64())
     }
 
     /// Next integer in `[0, n)`; returns 0 when `n == 0`.
@@ -128,6 +142,55 @@ mod tests {
     #[test]
     fn hash_is_order_sensitive() {
         assert_ne!(hash_coords(&[1, 2]), hash_coords(&[2, 1]));
+    }
+
+    /// `hash_coords` / `unit_f64` as they were written before the fold was
+    /// exposed: the oracle for the split-fold identity.
+    fn hash_coords_loop(coords: &[u64]) -> u64 {
+        let mut acc = 0x51_7C_C1_B7_27_22_0A_95u64;
+        for &c in coords {
+            acc = mix64(acc ^ c);
+        }
+        acc
+    }
+
+    /// Folding any prefix first, then the rest, is the hash of the whole
+    /// list; `unit_from_hash` of it is `unit_f64`, bit for bit.
+    fn fold_differential(seed: u64, cases: u64) {
+        let mut rng = SplitMix64::new(seed);
+        for case in 0..cases {
+            let coords: Vec<u64> = (0..rng.next_index(9))
+                // Small ids (sites, launches) and full-range values alike.
+                .map(|_| rng.next_u64() >> rng.next_index(64))
+                .collect();
+            let (a, b) = coords.split_at(rng.next_index(coords.len() as u64 + 1) as usize);
+            let whole = hash_coords_loop(&coords);
+            assert_eq!(hash_coords(&coords), whole, "case {case}: {coords:?}");
+            assert_eq!(
+                hash_fold(hash_fold(HASH_SEED, a), b),
+                whole,
+                "case {case}: {a:?} ++ {b:?}"
+            );
+            let unit = (whole >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+            assert_eq!(unit_f64(&coords).to_bits(), unit.to_bits(), "case {case}");
+            assert_eq!(
+                unit_from_hash(whole).to_bits(),
+                unit.to_bits(),
+                "case {case}"
+            );
+        }
+        println!("fold differential: {cases} cases, 0 mismatches");
+    }
+
+    #[test]
+    fn split_folds_match_hash_coords() {
+        fold_differential(0xF01D_0001, 100_000);
+    }
+
+    #[test]
+    #[ignore = "20M cases; CI runs it in release (cargo test --release -p tbpoint-stats -- --ignored)"]
+    fn split_folds_match_hash_coords_large() {
+        fold_differential(0xF01D_5EED_0BAD_CAFE, 20_000_000);
     }
 
     #[test]
