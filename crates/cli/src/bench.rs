@@ -4,12 +4,11 @@
 //! for every Table VI workload over the shared `tbpoint-workloads`
 //! fixtures (the same roster the Criterion benches in `crates/bench`
 //! draw from) and writes a schema'd artifact (`BENCH_PR9.json`) holding
-//! per-stage wall times, throughputs, interner hit counts, **both
-//! parallel axes** of the [`ExecPlan`] — the SM-sharded intra-launch
-//! speedup (`--jobs`) and the cross-launch pool speedup
-//! (`--pool-workers`) — and **both sampling modes**: the paper's
-//! two-phase pipeline (profile then sample) against the live
-//! single-pass pipeline, each with its wall time and sampled-vs-full
+//! per-stage wall times, throughputs, interner hit counts, the
+//! cross-launch pool speedup of the [`ExecPlan`] (`--pool-workers`)
+//! and **both sampling modes**: the paper's two-phase pipeline (profile
+//! then sample) against the live single-pass pipeline, each with its
+//! wall time and sampled-vs-full
 //! error, plus the previous PR's numbers as the frozen baseline for the
 //! speedup comparison. Each future perf PR regenerates the artifact
 //! (seeding `baseline` from the previous one), growing a measured
@@ -78,13 +77,14 @@ pub struct WorkloadBench {
     pub intern_misses: u64,
     /// Warp traces emulated with caching bypassed (thread-varying).
     pub intern_uncacheable: u64,
-    /// Worker threads inside each launch simulation for the parallel
-    /// leg (`ExecPlan::sim_jobs`); 1 = the leg was skipped.
+    /// Always 1: the intra-launch parallel leg this column described was
+    /// removed with the SM-sharded simulator. `jobs`, `simulate_par_ms`
+    /// and `par_speedup` keep the v4 schema parseable and carry its
+    /// "leg skipped" values.
     pub jobs: u64,
-    /// Cycle-level simulation wall time at `jobs` workers (best of
-    /// `reps`); equals `simulate_ms` when `jobs` is 1.
+    /// Always equal to `simulate_ms`.
     pub simulate_par_ms: f64,
-    /// `simulate_ms / simulate_par_ms` — intra-launch parallel speedup.
+    /// Always 1.0.
     pub par_speedup: f64,
     /// Pool workers scheduling whole launches for the cross-launch leg
     /// (`ExecPlan::pool_workers`); 1 = the leg was skipped.
@@ -170,8 +170,8 @@ pub struct BenchReport {
     /// Build description of the measured binary.
     pub build: String,
     /// Logical CPUs visible to the measuring process. Context for the
-    /// parallel columns: `par_speedup > 1` is only attainable when this
-    /// exceeds 1 — on a single-CPU host the parallel leg measures pure
+    /// pool columns: `pool_speedup > 1` is only attainable when this
+    /// exceeds 1 — on a single-CPU host the pool leg measures pure
     /// coordination overhead.
     pub host_cpus: u64,
     /// Pinned scale of `workloads`.
@@ -202,7 +202,7 @@ pub fn host_cpus() -> u64 {
 /// defaults in `tbpoint-sim`).
 pub fn build_label() -> String {
     "release, thin LTO, codegen-units=1; trace interning + event horizon on; \
-     two-axis ExecPlan parallelism available (--jobs, --pool-workers); \
+     ExecPlan pool parallelism available (--pool-workers); \
      live single-pass sampling available (--live)"
         .to_string()
 }
@@ -229,22 +229,18 @@ fn per_sec(count: u64, ms: f64) -> f64 {
 }
 
 /// Measure every Table VI workload at `scale`, `reps` times per stage,
-/// keeping the minimum. Each active [`ExecPlan`] axis adds a leg that
-/// re-times the same simulations — SM-sharded within each launch when
-/// `plan.sim_jobs > 1`, whole launches fanned out over the job pool
-/// when `plan.pool_workers > 1` — and asserts the counted work is
-/// identical, so each speedup is measured *and* its bit-identity
-/// spot-checked in the same breath. Progress lines go to stderr via
-/// `progress`.
+/// keeping the minimum. `plan.pool_workers > 1` adds a leg that
+/// re-times the same simulations with whole launches fanned out over
+/// the job pool and asserts the counted work is identical, so the
+/// speedup is measured *and* its bit-identity spot-checked in the same
+/// breath. Progress lines go to stderr via `progress`.
 pub fn measure(
     scale: Scale,
     reps: u32,
     plan: ExecPlan,
     mut progress: impl FnMut(&str),
 ) -> Vec<WorkloadBench> {
-    let plan = plan.normalized();
-    let jobs = plan.sim_jobs;
-    let pool = plan.pool_workers;
+    let pool = plan.normalized().pool_workers;
     let cfg = GpuConfig::fermi();
     let tb_cfg = TbpointConfig::default();
     let live_cfg = TbpointConfig {
@@ -255,7 +251,6 @@ pub fn measure(
     for bench in all_benchmarks(scale) {
         let mut best_profile = f64::MAX;
         let mut best_sim = f64::MAX;
-        let mut best_par = f64::MAX;
         let mut best_pool = f64::MAX;
         let mut best_two = f64::MAX;
         let mut best_live = f64::MAX;
@@ -290,34 +285,6 @@ pub fn measure(
                 "{}: simulate disagrees with profile",
                 bench.name
             );
-
-            if jobs > 1 {
-                let t2 = Instant::now();
-                let mut wi_par = 0u64;
-                let mut cy_par = 0u64;
-                for spec in &bench.run.launches {
-                    let (r, _) = simulate_launch_perf(
-                        &bench.run.kernel,
-                        spec,
-                        &cfg,
-                        &mut NullSampling,
-                        None,
-                        jobs,
-                    );
-                    wi_par += r.issued_warp_insts;
-                    cy_par += r.cycles;
-                }
-                let par_ms = t2.elapsed().as_secs_f64() * 1e3;
-                // The whole point of the sharded simulator: same bits,
-                // less wall clock. A count drift is a correctness bug.
-                assert_eq!(
-                    (wi_par, cy_par),
-                    (wi, cy),
-                    "{}: parallel simulation (jobs={jobs}) disagrees with serial",
-                    bench.name
-                );
-                best_par = best_par.min(par_ms);
-            }
 
             if pool > 1 {
                 let specs = &bench.run.launches;
@@ -381,9 +348,6 @@ pub fn measure(
             cycles = cy;
             perf = p;
         }
-        if jobs <= 1 {
-            best_par = best_sim;
-        }
         if pool <= 1 {
             best_pool = best_sim;
         }
@@ -394,13 +358,10 @@ pub fn measure(
             eval_ms,
             best_profile,
             best_sim,
-            match (jobs > 1, pool > 1) {
-                (true, true) => {
-                    format!(" serial, {best_par:.1} at jobs={jobs}, {best_pool:.1} at pool={pool}")
-                }
-                (true, false) => format!(" serial, {best_par:.1} at jobs={jobs}"),
-                (false, true) => format!(" serial, {best_pool:.1} at pool={pool}"),
-                (false, false) => String::new(),
+            if pool > 1 {
+                format!(" serial, {best_pool:.1} at pool={pool}")
+            } else {
+                String::new()
             },
             warp_insts
         ));
@@ -426,14 +387,10 @@ pub fn measure(
             intern_hits: perf.intern_hits,
             intern_misses: perf.intern_misses,
             intern_uncacheable: perf.intern_uncacheable,
-            jobs: jobs.max(1) as u64,
-            simulate_par_ms: round2(best_par),
-            par_speedup: if best_par > 0.0 {
-                round2(best_sim / best_par)
-            } else {
-                0.0
-            },
-            pool_workers: pool.max(1) as u64,
+            jobs: 1,
+            simulate_par_ms: round2(best_sim),
+            par_speedup: 1.0,
+            pool_workers: pool as u64,
             simulate_pool_ms: round2(best_pool),
             pool_speedup: if best_pool > 0.0 {
                 round2(best_sim / best_pool)
@@ -488,10 +445,9 @@ pub fn parse_report(bytes: &[u8]) -> Result<BenchReport, String> {
 }
 
 /// Render the per-workload simulated-work counts (name, warp
-/// instructions, cycles) as stable one-per-line text. CI writes this
-/// for a `--jobs 1` and a `--jobs 2` quick run and `cmp`s the files
-/// byte-for-byte — the cheapest possible cross-process bit-identity
-/// check.
+/// instructions, cycles) as stable one-per-line text, so two runs can
+/// be `cmp`ed byte-for-byte — the cheapest possible cross-process
+/// bit-identity check.
 pub fn render_counts(workloads: &[WorkloadBench]) -> String {
     let mut out = String::new();
     for w in workloads {
@@ -550,13 +506,9 @@ pub fn check_regressions(current: &[WorkloadBench], committed: &BenchReport) -> 
 /// when the baseline section covers the same scale.
 pub fn render_summary(report: &BenchReport) -> String {
     let baseline = report.baseline.as_ref().filter(|b| b.scale == report.scale);
-    let parallel = report.workloads.iter().any(|w| w.jobs > 1);
     let pooled = report.workloads.iter().any(|w| w.pool_workers > 1);
     let live = report.workloads.iter().any(|w| w.live_ms > 0.0);
     let mut headers = vec!["bench", "kind", "eval ms", "simulate ms", "Mwi/s", "hit%"];
-    if parallel {
-        headers.push("par x");
-    }
     if pooled {
         headers.push("pool x");
     }
@@ -583,13 +535,6 @@ pub fn render_summary(report: &BenchReport) -> String {
             format!("{:.2}", w.warp_insts_per_sec / 1e6),
             format!("{hit_pct:.0}"),
         ];
-        if parallel {
-            row.push(if w.jobs > 1 {
-                format!("{:.2}x@{}", w.par_speedup, w.jobs)
-            } else {
-                "-".to_string()
-            });
-        }
         if pooled {
             row.push(if w.pool_workers > 1 {
                 format!("{:.2}x@{}", w.pool_speedup, w.pool_workers)
@@ -769,11 +714,7 @@ mod tests {
     fn measure_pool_leg_matches_serial_counts() {
         // The pooled leg asserts bit-identity internally; run it once
         // on the tiny roster to exercise that assertion.
-        let plan = ExecPlan {
-            sim_jobs: 1,
-            pool_workers: 2,
-        };
-        let rows = measure(Scale::Tiny, 1, plan, |_| {});
+        let rows = measure(Scale::Tiny, 1, ExecPlan { pool_workers: 2 }, |_| {});
         assert!(!rows.is_empty());
         for w in &rows {
             assert_eq!(w.pool_workers, 2);
@@ -789,25 +730,6 @@ mod tests {
             "a 1000 500
 b 1000 500
 "
-        );
-    }
-
-    #[test]
-    fn summary_shows_parallel_speedup_column() {
-        let mut r = report();
-        r.workloads[0].jobs = 4;
-        r.workloads[0].simulate_par_ms = 4.0;
-        r.workloads[0].par_speedup = 2.5;
-        let s = render_summary(&r);
-        assert!(
-            s.contains("par x"),
-            "summary:
-{s}"
-        );
-        assert!(
-            s.contains("2.50x@4"),
-            "summary:
-{s}"
         );
     }
 

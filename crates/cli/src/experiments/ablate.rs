@@ -243,10 +243,7 @@ mod tests {
 
         // The score folds per-benchmark geomeans in roster order, so it
         // is invariant to the worker count.
-        let plan = ExecPlan {
-            sim_jobs: 1,
-            pool_workers: 3,
-        };
+        let plan = ExecPlan { pool_workers: 3 };
         let (e3, s3) = score(&TbpointConfig::default(), Scale::Tiny, plan);
         assert_eq!(e, e3);
         assert_eq!(s, s3);

@@ -410,7 +410,6 @@ mod tests {
         // orderings must not.
         let cfg = EvalConfig::new(Scale::Tiny);
         let plan = ExecPlan {
-            sim_jobs: 1,
             pool_workers: super::super::default_threads(),
         };
         let r = eval(&cfg, plan).expect("default config evaluates cleanly");

@@ -84,7 +84,7 @@ pub fn fig8_bench(bench: &tbpoint_workloads::Benchmark, threads: usize) -> Fig8S
 pub struct Fig8Unit<'a> {
     /// The benchmark to profile.
     pub bench: &'a tbpoint_workloads::Benchmark,
-    /// Intra-launch profiling threads (`ExecPlan::sim_jobs`).
+    /// Profiling threads inside this unit.
     pub threads: usize,
 }
 

@@ -17,18 +17,15 @@
 //! tbpoint all    [--scale dev]        everything above
 //! ```
 //!
-//! Parallelism is one [`ExecPlan`](tbpoint_pool::ExecPlan) with two
-//! axes, resolved exactly once at startup (precedence: CLI flag >
-//! environment variable > auto; adjustments are reported as structured
-//! `ExecPlanAdjusted` events on stderr):
-//!
-//! * `--jobs N` / `TBPOINT_JOBS` — intra-launch: each launch's SMs are
-//!   sharded across N threads with bit-identical results (DESIGN.md,
-//!   "Deterministic parallel simulation");
-//! * `--pool-workers N` / `TBPOINT_POOL_WORKERS` — cross-launch: whole
-//!   launches and sweep units are scheduled on the deterministic job
-//!   pool, with results merged in canonical order so every artifact is
-//!   byte-identical to a serial run (DESIGN.md, "Two-axis parallelism").
+//! Parallelism is one [`ExecPlan`](tbpoint_pool::ExecPlan), resolved
+//! exactly once at startup (precedence: CLI flag, then environment
+//! variable, then auto; an adjustment is reported as a structured
+//! `ExecPlanAdjusted` event on stderr): `--pool-workers N` /
+//! `TBPOINT_POOL_WORKERS` schedules whole launches and sweep units on
+//! the deterministic job pool, with results merged in canonical order so
+//! every artifact is byte-identical to a serial run (DESIGN.md, "Pool
+//! parallelism"). `--jobs N` is accepted as another spelling of
+//! `--pool-workers N`.
 //!
 //! `--threads` remains the profiler's thread count (the functional
 //! emulation is embarrassingly parallel and outside the plan).
@@ -44,16 +41,15 @@
 //! `bench` times profile + simulate for the whole roster and writes the
 //! committed perf artifact (see EXPERIMENTS.md, "Performance baseline"):
 //! the pinned `--scale dev` measurement plus a `tiny` quick section,
-//! with a parallel leg per workload on each active axis (`--jobs > 1`,
-//! `--pool-workers > 1`), and the host's CPU count for context.
+//! with a pooled leg per workload when `--pool-workers > 1`, and the
+//! host's CPU count for context.
 //! Every workload is also timed through both sampling modes (two-phase
 //! and live), with each mode's sampled-vs-full error recorded.
 //! `--quick` runs only the tiny pass (min of 2 reps) and, with
 //! `--check BENCH_PR9.json`, exits non-zero when throughput falls more
 //! than 2x below the committed numbers **or** either sampling mode's
 //! error breaches the 10% clean-baseline bound — CI's `perf-smoke`
-//! job, which also `cmp`s `--counts-out` files from a `--jobs 1` and a
-//! `--jobs 2` run byte-for-byte.
+//! job.
 //! `--baseline <file>` seeds/replaces the frozen reference section;
 //! without it, a regeneration carries the existing artifact's baseline
 //! forward.
@@ -105,10 +101,9 @@ struct Args {
     /// (`eval_live_*.json`, ...) so the modes never collide.
     live: bool,
     reps: u32,
-    jobs: Option<usize>,
     pool_workers: Option<usize>,
-    /// The resolved two-axis parallelism plan (CLI > env > auto),
-    /// resolved exactly once in [`parse_args`].
+    /// The parallelism plan (CLI > env > auto), resolved exactly once
+    /// in [`parse_args`].
     plan: ExecPlan,
     counts_out: Option<PathBuf>,
     out: Option<PathBuf>,
@@ -147,7 +142,6 @@ fn parse_args() -> Args {
         quick: false,
         live: false,
         reps: 3,
-        jobs: None,
         pool_workers: None,
         plan: ExecPlan::serial(),
         counts_out: None,
@@ -212,16 +206,9 @@ fn parse_args() -> Args {
                 };
                 args.counts_out = Some(PathBuf::from(v));
             }
-            "--jobs" => {
+            "--pool-workers" | "--jobs" => {
                 let Some(n) = it.next().and_then(|v| v.parse().ok()) else {
-                    eprintln!("--jobs needs a job count");
-                    std::process::exit(2);
-                };
-                args.jobs = Some(n);
-            }
-            "--pool-workers" => {
-                let Some(n) = it.next().and_then(|v| v.parse().ok()) else {
-                    eprintln!("--pool-workers needs a worker count");
+                    eprintln!("{a} needs a worker count");
                     std::process::exit(2);
                 };
                 args.pool_workers = Some(n);
@@ -294,19 +281,16 @@ fn parse_args() -> Args {
             }
         }
     }
-    // Resolve the two-axis plan exactly once: CLI > environment > auto
-    // (serial intra-launch, host CPUs cross-launch). Adjustments are
-    // structured events, not free-form warnings.
-    let (plan, notes) = tbpoint_pool::resolve_from_env(
-        args.jobs,
+    // Resolve the plan exactly once: CLI > environment > auto (host
+    // CPUs). An adjustment is a structured event, not a free-form
+    // warning.
+    let (plan, note) = tbpoint_pool::resolve_from_env(
         args.pool_workers,
-        None,
         ExecPlan {
-            sim_jobs: 1,
             pool_workers: experiments::default_threads(),
         },
     );
-    for note in &notes {
+    if let Some(note) = note {
         eprintln!("{}", tbpoint_obs::event_line(&note.event()));
     }
     args.plan = plan;
@@ -413,7 +397,7 @@ fn eval_config(args: &Args) -> EvalConfig {
 fn run_eval(args: &Args) -> experiments::EvalResult {
     let cfg = eval_config(args);
     eprintln!(
-        "running {} evaluation at {} scale on {} pool worker(s), {} sim job(s) \
+        "running {} evaluation at {} scale on {} pool worker(s) \
          (this simulates every benchmark in full)...",
         if args.live {
             "live single-pass"
@@ -421,8 +405,7 @@ fn run_eval(args: &Args) -> experiments::EvalResult {
             "two-phase"
         },
         scale_tag(args.scale),
-        args.plan.pool_workers,
-        args.plan.sim_jobs
+        args.plan.pool_workers
     );
     let r = if let Some(trace_path) = &args.trace_out {
         // Tracing runs benchmarks serially and in one piece; it does
@@ -609,8 +592,8 @@ fn cmd_bench(args: &Args) {
         // scheduling hiccup on a shared CI runner read as a 2x
         // throughput regression.
         eprintln!(
-            "quick bench: tiny scale, min of 2 reps, jobs={}, pool-workers={}",
-            plan.sim_jobs, plan.pool_workers
+            "quick bench: tiny scale, min of 2 reps, pool-workers={}",
+            plan.pool_workers
         );
         let current = bench::measure(Scale::Tiny, 2, plan, progress);
         let t = bench::totals(&current);
@@ -620,8 +603,7 @@ fn cmd_bench(args: &Args) {
             t.warp_insts_per_sec / 1e6
         );
         if let Some(path) = &args.counts_out {
-            // Stable per-workload work counts; CI `cmp`s the files from
-            // a --jobs 1 and a --jobs 2 run byte-for-byte.
+            // Stable per-workload work counts, `cmp`-able across runs.
             std::fs::write(path, bench::render_counts(&current))
                 .unwrap_or_else(|e| die(&format!("writing {}", path.display()), e));
             eprintln!("wrote {}", path.display());
@@ -669,11 +651,10 @@ fn cmd_bench(args: &Args) {
     };
 
     eprintln!(
-        "bench: {} scale, best of {} reps, jobs={}, pool-workers={} \
+        "bench: {} scale, best of {} reps, pool-workers={} \
          (pinned protocol; see EXPERIMENTS.md)",
         scale_tag(args.scale),
         args.reps,
-        plan.sim_jobs,
         plan.pool_workers
     );
     let workloads = bench::measure(args.scale, args.reps, plan, progress);
@@ -942,7 +923,7 @@ fn main() {
             eprintln!(
                 "usage: tbpoint <table1|table6|fig5|fig8|eval|fig9|fig10|fig11|fig12|fig13|ablate|inspect <bench>|profile <bench>|faultmatrix [bench]|bench|serve|all> \
                  [--scale full|dev|tiny] [--samples N] [--threads N] [--artifacts DIR] [--trace-out FILE] \
-                 [--resume] [--max-units K] [--cycle-budget N] [--jobs N] [--pool-workers N] \
+                 [--resume] [--max-units K] [--cycle-budget N] [--pool-workers N | --jobs N] \
                  [--live] [--quick] [--reps N] [--out FILE] [--check FILE] [--baseline FILE] [--counts-out FILE] \
                  [--requests FILE] [--cache-dir DIR] [--max-pending N] [--retries N]"
             );

@@ -153,10 +153,7 @@ fn recorder_trace_jsonl_is_byte_identical_at_every_worker_count() {
     let cfg = TbpointConfig::default();
 
     let trace_bytes = |pool_workers: usize| {
-        let plan = ExecPlan {
-            sim_jobs: 1,
-            pool_workers,
-        };
+        let plan = ExecPlan { pool_workers };
         let (result, traces) = run_tbpoint_traced(&bench.run, Some(&profile), &cfg, &gpu, plan)
             .expect("pipeline runs");
         let entries: Vec<TraceEntry> = traces

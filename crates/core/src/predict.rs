@@ -388,9 +388,6 @@ struct Pipeline<'a> {
     occupancy: u32,
     /// Live mode: every thread block runs the same trace.
     block_invariant: bool,
-    /// Intra-launch SM-shard worker count ([`ExecPlan::sim_jobs`]); the
-    /// simulator clamps it structurally to the SM count.
-    jobs: usize,
 }
 
 impl Pipeline<'_> {
@@ -406,10 +403,7 @@ impl Pipeline<'_> {
             Some(budget) => guard.insert(CycleBudgetHook::new(hook, budget)),
             None => hook,
         };
-        let opts = SimOptions {
-            jobs: self.jobs,
-            ..SimOptions::default()
-        };
+        let opts = SimOptions::default();
         let spec = &self.run.launches[rep];
         let (r, _) = simulate_launch_with(&self.run.kernel, spec, self.gpu, hook, None, opts, rec);
         match self.cfg.cycle_budget {
@@ -621,7 +615,6 @@ fn drive<T: Send>(
     };
 
     let deps = TraceDeps::of(&run.kernel);
-    let plan = plan.normalized();
     let pipeline = Pipeline {
         run,
         profile,
@@ -629,7 +622,6 @@ fn drive<T: Send>(
         gpu,
         occupancy: gpu.system_occupancy(&run.kernel),
         block_invariant: !deps.per_thread && !deps.per_block,
-        jobs: plan.sim_jobs,
     };
     let reps = &inter.representatives;
     let (rep_results, extras): (Vec<RepSim>, Vec<T>) =
@@ -656,10 +648,9 @@ fn drive<T: Send>(
 /// block-invariant kernels, the cluster running mean otherwise.
 ///
 /// Representatives fan out across `plan.pool_workers` threads of the
-/// deterministic job pool and each launch simulation runs with
-/// `plan.sim_jobs` SM-shard workers; the [`TbpointResult`] is
-/// bit-identical to [`ExecPlan::serial`] at every worker count on both
-/// axes (the golden determinism suite asserts this).
+/// deterministic job pool; the [`TbpointResult`] is bit-identical to
+/// [`ExecPlan::serial`] at every worker count (the golden determinism
+/// suite asserts this).
 ///
 /// # Errors
 ///
@@ -1383,25 +1374,13 @@ mod tests {
         let (serial_traced, serial_traces) =
             run_tbpoint_traced(&run, None, &cfg, &gpu, ExecPlan::serial()).unwrap();
         assert_eq!(serial, serial_traced, "tracing changed the live result");
-        for (sim_jobs, pool_workers) in [(1, 1), (1, 2), (2, 1), (2, 2), (1, 4)] {
-            let plan = ExecPlan {
-                sim_jobs,
-                pool_workers,
-            };
+        for pool_workers in [1, 2, 4] {
+            let plan = ExecPlan { pool_workers };
             let pooled = run_tbpoint(&run, None, &cfg, &gpu, plan).unwrap();
-            assert_eq!(pooled, serial, "jobs={sim_jobs} workers={pool_workers}");
+            assert_eq!(pooled, serial, "pool_workers={pool_workers}");
             let (traced, traces) = run_tbpoint_traced(&run, None, &cfg, &gpu, plan).unwrap();
-            assert_eq!(
-                traced, serial_traced,
-                "jobs={sim_jobs} workers={pool_workers}"
-            );
-            // Trace *streams* are canonical across the pool axis. Across
-            // the SM-shard axis only the result is pinned: window
-            // boundaries legitimately split idle jumps differently (the
-            // same caveat as the two-phase pipeline).
-            if sim_jobs == 1 {
-                assert_eq!(traces, serial_traces, "workers={pool_workers}");
-            }
+            assert_eq!(traced, serial_traced, "pool_workers={pool_workers}");
+            assert_eq!(traces, serial_traces, "pool_workers={pool_workers}");
         }
     }
 
@@ -1420,10 +1399,7 @@ mod tests {
         let (serial_traced, serial_traces) =
             run_tbpoint_traced(&run, Some(&profile), &cfg, &gpu, ExecPlan::serial()).unwrap();
         for pool_workers in [1, 2, 4] {
-            let plan = ExecPlan {
-                sim_jobs: 1,
-                pool_workers,
-            };
+            let plan = ExecPlan { pool_workers };
             let pooled = run_tbpoint(&run, Some(&profile), &cfg, &gpu, plan).unwrap();
             assert_eq!(pooled, serial, "pool_workers={pool_workers}");
             let (traced, traces) =

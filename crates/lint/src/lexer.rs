@@ -51,34 +51,6 @@ pub struct AllowDirective {
     pub rules: Vec<String>,
 }
 
-/// What a `tbpoint-*` annotation comment declares.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MarkerKind {
-    /// `tbpoint-phase: coordinator` — the next `fn` runs only at window
-    /// barriers and may touch cross-SM shared state.
-    Coordinator,
-    /// `tbpoint-phase: shard` — the next `fn` runs concurrently inside a
-    /// window and must not touch cross-SM shared state.
-    Shard,
-    /// `tbpoint-hot` — the next `fn` is a steady-state hot path and must
-    /// not allocate.
-    Hot,
-    /// `tbpoint-phase:` with an unrecognized value (kept for diagnostics).
-    InvalidPhase(String),
-}
-
-/// A `tbpoint-phase:`/`tbpoint-hot` annotation found in a comment. The
-/// comment must *start* with the directive (after whitespace), so prose
-/// that merely mentions the grammar — e.g. backtick-quoted examples in
-/// doc comments — is not an annotation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Marker {
-    /// 1-based line the annotation appears on.
-    pub line: u32,
-    /// What it declares about the next `fn` item.
-    pub kind: MarkerKind,
-}
-
 /// Result of lexing one file.
 #[derive(Debug, Default)]
 pub struct Lexed {
@@ -86,8 +58,11 @@ pub struct Lexed {
     pub tokens: Vec<Tok>,
     /// All allow directives, in source order.
     pub allows: Vec<AllowDirective>,
-    /// All phase/hot annotations, in source order.
-    pub markers: Vec<Marker>,
+    /// Lines of all `tbpoint-hot` annotations, in source order. The
+    /// comment must *start* with the annotation (after whitespace), so
+    /// prose that merely mentions it — e.g. backtick-quoted examples in
+    /// doc comments — is not one.
+    pub hot_markers: Vec<u32>,
 }
 
 /// Lex Rust source text. Never fails: unrecognized bytes are skipped, so
@@ -113,7 +88,7 @@ pub fn lex(src: &str) -> Lexed {
                 }
                 let text: String = chars[start..i].iter().collect();
                 scan_allow(&text, line, &mut out.allows);
-                scan_marker(&text, line, &mut out.markers);
+                scan_marker(&text, line, &mut out.hot_markers);
             }
             '/' if chars.get(i + 1) == Some(&'*') => {
                 // Nested block comments, as in real Rust.
@@ -138,7 +113,7 @@ pub fn lex(src: &str) -> Lexed {
                 let end = i.saturating_sub(2).max(start);
                 let text: String = chars[start..end].iter().collect();
                 scan_allow(&text, comment_line, &mut out.allows);
-                scan_marker(&text, comment_line, &mut out.markers);
+                scan_marker(&text, comment_line, &mut out.hot_markers);
             }
             '"' => {
                 out.tokens.push(Tok {
@@ -383,29 +358,17 @@ fn scan_allow(comment: &str, line: u32, out: &mut Vec<AllowDirective>) {
     }
 }
 
-/// Extract a `tbpoint-phase:`/`tbpoint-hot` annotation from comment text.
+/// Record a `tbpoint-hot` annotation found in comment text.
 ///
 /// Unlike allows (which may trail other text so they can sit after code),
-/// annotations are only recognized when the comment *starts* with them.
+/// the annotation is only recognized when the comment *starts* with it.
 /// Doc comments (`///`) lex with a leading `/` in their text, so prose
 /// examples inside docs never register as annotations.
-fn scan_marker(comment: &str, line: u32, out: &mut Vec<Marker>) {
-    let text = comment.trim_start();
-    if let Some(rest) = text.strip_prefix("tbpoint-phase:") {
-        let value = rest.split_whitespace().next().unwrap_or("");
-        let kind = match value {
-            "coordinator" => MarkerKind::Coordinator,
-            "shard" => MarkerKind::Shard,
-            other => MarkerKind::InvalidPhase(other.to_string()),
-        };
-        out.push(Marker { line, kind });
-    } else if let Some(rest) = text.strip_prefix("tbpoint-hot") {
+fn scan_marker(comment: &str, line: u32, out: &mut Vec<u32>) {
+    if let Some(rest) = comment.trim_start().strip_prefix("tbpoint-hot") {
         // Require a word boundary so e.g. `tbpoint-hotfix` is prose.
-        if rest.is_empty() || !rest.starts_with(|c: char| c.is_alphanumeric() || c == '-') {
-            out.push(Marker {
-                line,
-                kind: MarkerKind::Hot,
-            });
+        if !rest.starts_with(|c: char| c.is_alphanumeric() || c == '-') {
+            out.push(line);
         }
     }
 }
@@ -500,39 +463,22 @@ mod tests {
     #[test]
     fn markers_parse_when_anchored() {
         let src = "
-            // tbpoint-phase: coordinator
             fn a() {}
-            // tbpoint-phase: shard
-            fn b() {}
             // tbpoint-hot
             fn c() {}
-            // tbpoint-phase: bogus
-            fn d() {}
         ";
-        let lexed = lex(src);
-        let kinds: Vec<&MarkerKind> = lexed.markers.iter().map(|m| &m.kind).collect();
-        assert_eq!(
-            kinds,
-            vec![
-                &MarkerKind::Coordinator,
-                &MarkerKind::Shard,
-                &MarkerKind::Hot,
-                &MarkerKind::InvalidPhase("bogus".to_string()),
-            ]
-        );
-        assert_eq!(lexed.markers[0].line, 2);
+        assert_eq!(lex(src).hot_markers, vec![3]);
     }
 
     #[test]
     fn marker_mentions_in_prose_are_ignored() {
         let src = "
-            /// Annotate with `// tbpoint-phase: coordinator` to declare it.
             /// The `// tbpoint-hot` marker bans allocation.
             // see the tbpoint-hot docs
             // tbpoint-hotfix
             fn a() {}
         ";
         let lexed = lex(src);
-        assert!(lexed.markers.is_empty(), "{:?}", lexed.markers);
+        assert!(lexed.hot_markers.is_empty(), "{:?}", lexed.hot_markers);
     }
 }

@@ -28,20 +28,14 @@
 //!   non-test library code.
 //! * `no-lossy-cast` — no truncating `as` casts on counter-like values in
 //!   `sim`/`core` hot paths.
-//! * `barrier-phase-discipline` — cross-SM shared state (MSHRs, L2, DRAM,
-//!   `MemorySystem` handles) only from functions annotated as
-//!   coordinator-phase; see [`parser`] for the annotation grammar.
 //! * `no-alloc-in-hot-path` — no per-call allocation inside functions
-//!   annotated as hot.
-//! * `canonical-order-sort` — `(cycle, sm)` event sorts must use the one
-//!   blessed comparator (`tbpoint_sim::order::cycle_sm_key`).
+//!   annotated as hot; see [`parser`] for how the annotation attaches.
 //! * `unused-allow-directive` — an allow directive that suppresses
 //!   nothing is stale and reported (warning).
 //!
 //! Beyond the token scan, the analyzer builds a per-file item tree
-//! ([`parser`]) and intra-procedural use-def chains ([`dataflow`]) so
-//! the phase rule can track shared-state handles through `let` bindings
-//! and parameters — still with no rustc or `syn` dependency.
+//! ([`parser`]) so the hot rule knows which function a token belongs to
+//! — still with no rustc or `syn` dependency.
 //!
 //! Test code (`#[cfg(test)]` modules, `#[test]` functions, `tests/`,
 //! `benches/`, `examples/` trees) is exempt: panics and ad-hoc hashing are
@@ -52,7 +46,6 @@
 use serde::Serialize;
 use std::path::{Path, PathBuf};
 
-pub mod dataflow;
 pub mod lexer;
 pub mod parser;
 pub mod rules;
@@ -193,11 +186,11 @@ pub fn analyze_source(rel_path: &str, src: &str) -> Vec<Diagnostic> {
     let (tokens, removed_spans) = strip_test_ranges_spans(&lexed.tokens);
     // Markers inside stripped test ranges must not attach to the next
     // surviving fn — drop them before parsing.
-    let live_markers: Vec<lexer::Marker> = lexed
-        .markers
+    let live_markers: Vec<u32> = lexed
+        .hot_markers
         .iter()
-        .filter(|m| !in_spans(&removed_spans, m.line))
-        .cloned()
+        .copied()
+        .filter(|&line| !in_spans(&removed_spans, line))
         .collect();
     let tree = parser::parse(&tokens, &live_markers);
     let mut diags = Vec::new();

@@ -1,39 +1,20 @@
 //! A lightweight item parser over the flat token stream.
 //!
-//! The phase/hot rule families need to know *which function* a token
-//! belongs to, what that function's parameters are, and which annotation
-//! markers attach to it. A full AST is unnecessary: `fn` items are
-//! recognizable as `fn <name> [<generics>] ( params ) [-> ret] { body }`
-//! directly in the token stream, and brace matching delimits bodies
-//! exactly (strings and comments were already stripped by the lexer, so
-//! no brace inside them can confuse the count).
+//! The hot rule needs to know *which function* a token belongs to and
+//! whether a `tbpoint-hot` annotation attaches to it. A full AST is
+//! unnecessary: `fn` items are recognizable as
+//! `fn <name> [<generics>] ( params ) [-> ret] { body }` directly in the
+//! token stream, and brace matching delimits bodies exactly (strings and
+//! comments were already stripped by the lexer, so no brace inside them
+//! can confuse the count).
 //!
-//! Markers attach to the next `fn` whose signature line is at or below
+//! A marker attaches to the next `fn` whose signature line is at or below
 //! the marker line — i.e. the annotation comment sits directly above (or
 //! trails the line of) the `fn` it describes. A marker with no following
 //! `fn` is reported as dangling so a typo'd or misplaced annotation is a
 //! diagnostic, never a silent no-op.
 
-use crate::lexer::{Marker, MarkerKind, Tok, TokKind};
-
-/// Phase discipline declared for a function.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Phase {
-    /// Runs only at window barriers; may touch cross-SM shared state.
-    Coordinator,
-    /// Runs concurrently inside a window; must not touch shared state.
-    Shard,
-}
-
-/// One function parameter: binding name plus the identifiers appearing in
-/// its type (enough to see whether the type mentions a roster type).
-#[derive(Debug, Clone)]
-pub struct Param {
-    /// Binding name (`mem` in `mem: &mut MemorySystem`).
-    pub name: String,
-    /// Identifiers in the type position (`MemorySystem` in the above).
-    pub type_idents: Vec<String>,
-}
+use crate::lexer::{Tok, TokKind};
 
 /// One `fn` item recovered from the token stream.
 #[derive(Debug, Clone)]
@@ -45,19 +26,8 @@ pub struct FnItem {
     /// Token index range of the body, *excluding* the outer braces.
     /// Empty for bodyless trait-method declarations.
     pub body: std::ops::Range<usize>,
-    /// Declared phase, if annotated.
-    pub phase: Option<Phase>,
     /// Whether a `tbpoint-hot` marker attaches here.
     pub hot: bool,
-    /// Lines of markers that attached to this fn (for diagnostics).
-    pub marker_lines: Vec<u32>,
-    /// True if two conflicting phase annotations attached here.
-    pub phase_conflict: bool,
-    /// Invalid phase values that attached here (with their lines).
-    pub invalid_phases: Vec<(u32, String)>,
-    /// Named, typed parameters (self receivers and destructured patterns
-    /// are skipped — they carry no binding name we can track).
-    pub params: Vec<Param>,
 }
 
 /// The item tree for one file: every `fn`, plus markers that attached to
@@ -66,13 +36,14 @@ pub struct FnItem {
 pub struct ItemTree {
     /// All functions, in source order.
     pub fns: Vec<FnItem>,
-    /// Markers with no `fn` at or below their line.
-    pub dangling: Vec<Marker>,
+    /// Lines of markers with no `fn` at or below them.
+    pub dangling: Vec<u32>,
 }
 
 /// Parse the (test-stripped) token stream into an item tree and attach
-/// `markers` to the functions they annotate.
-pub fn parse(tokens: &[Tok], markers: &[Marker]) -> ItemTree {
+/// the `tbpoint-hot` markers (given by line) to the functions they
+/// annotate.
+pub fn parse(tokens: &[Tok], hot_markers: &[u32]) -> ItemTree {
     let mut tree = ItemTree::default();
     let mut i = 0usize;
     while i < tokens.len() {
@@ -85,7 +56,12 @@ pub fn parse(tokens: &[Tok], markers: &[Marker]) -> ItemTree {
         }
         i += 1;
     }
-    attach_markers(&mut tree, markers);
+    for &line in hot_markers {
+        match tree.fns.iter_mut().find(|f| f.sig_line >= line) {
+            Some(f) => f.hot = true,
+            None => tree.dangling.push(line),
+        }
+    }
     tree
 }
 
@@ -136,7 +112,6 @@ fn parse_fn(tokens: &[Tok], fn_idx: usize) -> Option<(FnItem, usize)> {
     if punct_at(tokens, i) != Some('(') {
         return None;
     }
-    let params_start = i + 1;
     let mut depth = 0i64;
     while i < tokens.len() {
         match punct_at(tokens, i) {
@@ -151,8 +126,6 @@ fn parse_fn(tokens: &[Tok], fn_idx: usize) -> Option<(FnItem, usize)> {
         }
         i += 1;
     }
-    let params_end = i.min(tokens.len());
-    let params = parse_params(&tokens[params_start..params_end]);
     i += 1;
 
     // Return type / where clause: scan to the body `{` or a terminating
@@ -197,115 +170,10 @@ fn parse_fn(tokens: &[Tok], fn_idx: usize) -> Option<(FnItem, usize)> {
             name,
             sig_line,
             body,
-            phase: None,
             hot: false,
-            marker_lines: Vec::new(),
-            phase_conflict: false,
-            invalid_phases: Vec::new(),
-            params,
         },
         i,
     ))
-}
-
-/// Parse the token slice between a fn's parens into named params.
-/// Splits on commas at bracket depth 0; skips self receivers and
-/// patterns with no single binding name.
-fn parse_params(tokens: &[Tok]) -> Vec<Param> {
-    let mut params = Vec::new();
-    let mut depth = 0i64;
-    let mut start = 0usize;
-    let mut groups = Vec::new();
-    for (i, tok) in tokens.iter().enumerate() {
-        match &tok.kind {
-            TokKind::Punct('(') | TokKind::Punct('[') | TokKind::Punct('<') => depth += 1,
-            TokKind::Punct(')') | TokKind::Punct(']') => depth -= 1,
-            TokKind::Punct('>') if i > 0 && punct_at(tokens, i - 1) != Some('-') => depth -= 1,
-            TokKind::Punct(',') if depth == 0 => {
-                groups.push(&tokens[start..i]);
-                start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    if start < tokens.len() {
-        groups.push(&tokens[start..]);
-    }
-    for group in groups {
-        // Find the `:` separating pattern from type at depth 0.
-        let mut depth = 0i64;
-        let mut colon = None;
-        for (i, tok) in group.iter().enumerate() {
-            match &tok.kind {
-                TokKind::Punct('(') | TokKind::Punct('[') | TokKind::Punct('<') => depth += 1,
-                TokKind::Punct(')') | TokKind::Punct(']') | TokKind::Punct('>') => depth -= 1,
-                // A lone `:` (not `::`).
-                TokKind::Punct(':')
-                    if depth == 0
-                        && punct_at(group, i + 1) != Some(':')
-                        && (i == 0 || punct_at(group, i - 1) != Some(':')) =>
-                {
-                    colon = Some(i);
-                    break;
-                }
-                _ => {}
-            }
-        }
-        let Some(colon) = colon else {
-            continue; // self receiver or unparsable pattern
-        };
-        // Binding name: last ident before the colon (`mut name` → name);
-        // more than two idents means a destructuring pattern — skip.
-        let pat_idents: Vec<&str> = group[..colon]
-            .iter()
-            .filter_map(|t| match &t.kind {
-                TokKind::Ident(s) => Some(s.as_str()),
-                _ => None,
-            })
-            .collect();
-        let name = match pat_idents.as_slice() {
-            [n] => (*n).to_string(),
-            ["mut", n] => (*n).to_string(),
-            _ => continue,
-        };
-        if name == "self" {
-            continue;
-        }
-        let type_idents = group[colon + 1..]
-            .iter()
-            .filter_map(|t| match &t.kind {
-                TokKind::Ident(s) => Some(s.clone()),
-                _ => None,
-            })
-            .collect();
-        params.push(Param { name, type_idents });
-    }
-    params
-}
-
-/// Attach each marker to the first fn whose signature line is >= the
-/// marker's line; unattachable markers become dangling.
-fn attach_markers(tree: &mut ItemTree, markers: &[Marker]) {
-    for marker in markers {
-        let target = tree.fns.iter_mut().find(|f| f.sig_line >= marker.line);
-        let Some(f) = target else {
-            tree.dangling.push(marker.clone());
-            continue;
-        };
-        f.marker_lines.push(marker.line);
-        match &marker.kind {
-            MarkerKind::Coordinator => match f.phase {
-                Some(Phase::Shard) => f.phase_conflict = true,
-                _ => f.phase = Some(Phase::Coordinator),
-            },
-            MarkerKind::Shard => match f.phase {
-                Some(Phase::Coordinator) => f.phase_conflict = true,
-                _ => f.phase = Some(Phase::Shard),
-            },
-            MarkerKind::Hot => f.hot = true,
-            MarkerKind::InvalidPhase(v) => f.invalid_phases.push((marker.line, v.clone())),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -315,7 +183,7 @@ mod tests {
 
     fn tree_of(src: &str) -> ItemTree {
         let lexed = lexer::lex(src);
-        parse(&lexed.tokens, &lexed.markers)
+        parse(&lexed.tokens, &lexed.hot_markers)
     }
 
     #[test]
@@ -335,56 +203,36 @@ mod tests {
     }
 
     #[test]
-    fn params_capture_names_and_type_idents() {
-        let src = "fn f(&mut self, mut mem: &mut MemorySystem, n: usize) {}";
-        let tree = tree_of(src);
-        let p = &tree.fns[0].params;
-        assert_eq!(p.len(), 2);
-        assert_eq!(p[0].name, "mem");
-        assert!(p[0].type_idents.contains(&"MemorySystem".to_string()));
-        assert_eq!(p[1].name, "n");
-    }
-
-    #[test]
     fn generics_with_fn_bounds_are_skipped() {
         let src = "fn f<F: FnMut(u64) -> u64, T: Ord>(g: F, x: Vec<(u64, T)>) -> u64 { g(0) }";
         let tree = tree_of(src);
         assert_eq!(tree.fns.len(), 1);
-        assert_eq!(tree.fns[0].params.len(), 2);
-        assert_eq!(tree.fns[0].params[1].name, "x");
+        assert_eq!(tree.fns[0].name, "f");
+        assert!(!tree.fns[0].body.is_empty());
     }
 
     #[test]
     fn markers_attach_to_next_fn() {
         let src = "
-            // tbpoint-phase: coordinator
             fn a() {}
             // tbpoint-hot
-            // tbpoint-phase: shard
             fn b() {}
             fn c() {}
         ";
         let tree = tree_of(src);
-        assert_eq!(tree.fns[0].phase, Some(Phase::Coordinator));
-        assert_eq!(tree.fns[1].phase, Some(Phase::Shard));
-        assert!(tree.fns[1].hot);
-        assert_eq!(tree.fns[2].phase, None);
-        assert!(!tree.fns[2].hot);
+        let hot: Vec<bool> = tree.fns.iter().map(|f| f.hot).collect();
+        assert_eq!(hot, vec![false, true, false]);
         assert!(tree.dangling.is_empty());
     }
 
     #[test]
-    fn conflicting_and_dangling_markers_are_reported() {
+    fn dangling_markers_are_reported() {
         let src = "
-            // tbpoint-phase: coordinator
-            // tbpoint-phase: shard
             fn a() {}
-            fn b() {}
             // tbpoint-hot
         ";
         let tree = tree_of(src);
-        assert!(tree.fns[0].phase_conflict);
-        assert_eq!(tree.dangling.len(), 1);
-        assert_eq!(tree.dangling[0].kind, lexer::MarkerKind::Hot);
+        assert!(!tree.fns[0].hot);
+        assert_eq!(tree.dangling, vec![3]);
     }
 }

@@ -43,6 +43,18 @@ const ALLOC_MACROS: &[&str] = &["format", "vec"];
 
 /// Run the rule over one file.
 pub fn check(ctx: &FileContext, tokens: &[Tok], tree: &ItemTree, out: &mut Vec<Diagnostic>) {
+    for &line in &tree.dangling {
+        out.push(
+            ctx.diagnostic(
+                NO_ALLOC_IN_HOT_PATH,
+                Severity::Warning,
+                line,
+                "annotation attaches to no function (no `fn` at or below this line); \
+             move it directly above the item it describes or remove it"
+                    .to_string(),
+            ),
+        );
+    }
     for f in &tree.fns {
         if !f.hot || f.body.is_empty() {
             continue;
@@ -77,7 +89,7 @@ pub fn check(ctx: &FileContext, tokens: &[Tok], tree: &ItemTree, out: &mut Vec<D
                     Severity::Error,
                     line,
                     format!(
-                        "{found} allocates inside hot fn `{}`; steady-state windows \
+                        "{found} allocates inside hot fn `{}`; the steady-state loop \
                          must reuse caller-owned scratch buffers (push into a \
                          pre-grown Vec, index into fixed arrays) instead of \
                          allocating per call",

@@ -6,8 +6,6 @@
 //! for the rationale behind each rule.
 
 pub mod hot;
-pub mod order;
-pub mod phase;
 
 use crate::lexer::{Tok, TokKind};
 use crate::parser::ItemTree;
@@ -19,9 +17,7 @@ pub const RULE_NAMES: &[&str] = &[
     NO_NAN_UNSAFE_ORDERING,
     NO_PANIC_IN_LIBRARY,
     NO_LOSSY_CAST,
-    BARRIER_PHASE_DISCIPLINE,
     NO_ALLOC_IN_HOT_PATH,
-    CANONICAL_ORDER_SORT,
     UNUSED_ALLOW_DIRECTIVE,
 ];
 
@@ -33,12 +29,8 @@ pub const NO_NAN_UNSAFE_ORDERING: &str = "no-nan-unsafe-ordering";
 pub const NO_PANIC_IN_LIBRARY: &str = "no-panic-in-library";
 /// Flag truncating `as` casts on counter-like values in hot paths.
 pub const NO_LOSSY_CAST: &str = "no-lossy-cast";
-/// Cross-SM shared state only from coordinator-phase functions.
-pub const BARRIER_PHASE_DISCIPLINE: &str = "barrier-phase-discipline";
 /// No allocation inside `tbpoint-hot` regions.
 pub const NO_ALLOC_IN_HOT_PATH: &str = "no-alloc-in-hot-path";
-/// `(cycle, sm)` event sorts must use the blessed comparator.
-pub const CANONICAL_ORDER_SORT: &str = "canonical-order-sort";
 /// An allow directive that suppressed nothing is itself a finding.
 pub const UNUSED_ALLOW_DIRECTIVE: &str = "unused-allow-directive";
 
@@ -61,19 +53,10 @@ pub fn describe(rule: &str) -> &'static str {
             "flags truncating `as` casts on counter-like identifiers (cycle/block/\
              inst/warp/...) in sim and core hot paths; use try_from or u64 math"
         }
-        BARRIER_PHASE_DISCIPLINE => {
-            "cross-SM shared state (MSHRs/L2/DRAM, MemorySystem handles) may only \
-             be touched by functions annotated `tbpoint-phase: coordinator`; \
-             shard-phase or unannotated access is an error"
-        }
         NO_ALLOC_IN_HOT_PATH => {
             "forbids Vec::new/Box::new/collect/format!/to_string/clone and \
-             friends inside functions annotated `tbpoint-hot` — steady-state \
-             windows must stay allocation-free"
-        }
-        CANONICAL_ORDER_SORT => {
-            "sorts keyed on (cycle, sm) event order must go through the blessed \
-             tbpoint_sim::order::cycle_sm_key comparator, not ad-hoc key tuples"
+             friends inside functions annotated `tbpoint-hot` — the steady-state \
+             simulation loop must stay allocation-free"
         }
         UNUSED_ALLOW_DIRECTIVE => {
             "a tbpoint-lint allow(...) directive that suppresses no diagnostic \
@@ -130,9 +113,7 @@ pub fn check_file(ctx: &FileContext, tokens: &[Tok], tree: &ItemTree, out: &mut 
     if LOSSY_CAST_CRATES.contains(&ctx.crate_name.as_str()) {
         check_lossy_cast(ctx, tokens, out);
     }
-    phase::check(ctx, tokens, tree, out);
     hot::check(ctx, tokens, tree, out);
-    order::check(ctx, tokens, out);
 }
 
 pub(crate) fn ident(tok: Option<&Tok>) -> Option<&str> {

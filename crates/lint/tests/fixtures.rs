@@ -160,64 +160,6 @@ fn lossy_cast_allow_fixture_is_suppressed() {
     assert!(diags.is_empty(), "{diags:?}");
 }
 
-// ---- barrier-phase-discipline -----------------------------------------
-
-#[test]
-fn phase_fail_fixture_flags_every_discipline_breach() {
-    let src = include_str!("fixtures/phase_fail.rs");
-    let diags = diags_for(
-        rules::BARRIER_PHASE_DISCIPLINE,
-        "crates/sim/src/fixture.rs",
-        src,
-    );
-    // Unannotated field access + shard type-use line + shard tainted-use
-    // line + shard->coordinator call + unannotated param handle +
-    // invalid phase value = 6 sites.
-    assert_eq!(diags.len(), 6, "{diags:?}");
-    assert!(diags.iter().all(|d| d.severity == Severity::Error));
-    assert!(diags.iter().any(|d| d.message.contains("field `.l2`")));
-    assert!(diags
-        .iter()
-        .any(|d| d.message.contains("type `SharedMemPath`")));
-    assert!(diags.iter().any(|d| d
-        .message
-        .contains("coordinator-phase fn `at_barrier_replay`")));
-    assert!(diags
-        .iter()
-        .any(|d| d.message.contains("shared-state handle `mem`")));
-    assert!(diags
-        .iter()
-        .any(|d| d.message.contains("unknown phase `conductor`")));
-}
-
-#[test]
-fn phase_roster_only_enforced_in_sim() {
-    let src = include_str!("fixtures/phase_fail.rs");
-    let diags = diags_for(
-        rules::BARRIER_PHASE_DISCIPLINE,
-        "crates/stats/src/fixture.rs",
-        src,
-    );
-    // Outside the phase crates only annotation hygiene applies: the
-    // invalid phase value still errors, roster accesses do not.
-    assert_eq!(diags.len(), 1, "{diags:?}");
-    assert!(diags[0].message.contains("unknown phase"));
-}
-
-#[test]
-fn phase_pass_fixture_is_clean() {
-    let src = include_str!("fixtures/phase_pass.rs");
-    let diags = analyze_source("crates/sim/src/fixture.rs", src);
-    assert!(diags.is_empty(), "{diags:?}");
-}
-
-#[test]
-fn phase_allow_fixture_is_suppressed() {
-    let src = include_str!("fixtures/phase_allow.rs");
-    let diags = analyze_source("crates/sim/src/fixture.rs", src);
-    assert!(diags.is_empty(), "{diags:?}");
-}
-
 // ---- no-alloc-in-hot-path ----------------------------------------------
 
 #[test]
@@ -247,46 +189,6 @@ fn hot_pass_fixture_is_clean() {
 #[test]
 fn hot_allow_fixture_is_suppressed() {
     let src = include_str!("fixtures/hot_allow.rs");
-    let diags = analyze_source("crates/sim/src/fixture.rs", src);
-    assert!(diags.is_empty(), "{diags:?}");
-}
-
-// ---- canonical-order-sort ----------------------------------------------
-
-#[test]
-fn order_fail_fixture_flags_adhoc_cycle_sm_keys() {
-    let src = include_str!("fixtures/order_fail.rs");
-    let diags = diags_for(
-        rules::CANONICAL_ORDER_SORT,
-        "crates/sim/src/fixture.rs",
-        src,
-    );
-    assert_eq!(diags.len(), 2, "{diags:?}");
-    assert!(diags.iter().all(|d| d.severity == Severity::Error));
-    assert!(diags.iter().all(|d| d.message.contains("cycle_sm_key")));
-}
-
-#[test]
-fn order_rule_only_applies_to_sim() {
-    let src = include_str!("fixtures/order_fail.rs");
-    let diags = diags_for(
-        rules::CANONICAL_ORDER_SORT,
-        "crates/core/src/fixture.rs",
-        src,
-    );
-    assert!(diags.is_empty(), "{diags:?}");
-}
-
-#[test]
-fn order_pass_fixture_is_clean() {
-    let src = include_str!("fixtures/order_pass.rs");
-    let diags = analyze_source("crates/sim/src/fixture.rs", src);
-    assert!(diags.is_empty(), "{diags:?}");
-}
-
-#[test]
-fn order_allow_fixture_is_suppressed() {
-    let src = include_str!("fixtures/order_allow.rs");
     let diags = analyze_source("crates/sim/src/fixture.rs", src);
     assert!(diags.is_empty(), "{diags:?}");
 }

@@ -145,9 +145,9 @@ pub enum EventKind {
     },
 
     // --- execution planning (tbpoint-pool) ---
-    /// A parallelism axis was adjusted while resolving the execution
-    /// plan: the requested worker count was zero or unparseable, so the
-    /// axis fell back to serial. This is the single structured
+    /// The worker count was adjusted while resolving the execution
+    /// plan: the request was zero or unparseable, so the plan fell back
+    /// to serial. This is the single structured
     /// replacement for the ad-hoc clamp warnings the CLI used to print
     /// as free-form stderr text.
     ExecPlanAdjusted {
@@ -203,14 +203,12 @@ pub enum EventKind {
     },
 }
 
-/// One parallelism axis of the two-axis execution plan (payload of
-/// [`EventKind::ExecPlanAdjusted`]).
+/// The parallelism axis of the execution plan (payload of
+/// [`EventKind::ExecPlanAdjusted`]; one variant, kept so the event's
+/// line format is unchanged).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PlanAxis {
-    /// Intra-launch SM sharding (`--jobs` / `TBPOINT_JOBS`).
-    SimJobs,
-    /// Cross-launch pool workers (`--pool-workers` /
-    /// `TBPOINT_POOL_WORKERS`).
+    /// Pool workers (`--pool-workers` / `TBPOINT_POOL_WORKERS`).
     PoolWorkers,
 }
 
@@ -412,7 +410,7 @@ mod tests {
         );
         assert_eq!(
             EventKind::ExecPlanAdjusted {
-                axis: PlanAxis::SimJobs,
+                axis: PlanAxis::PoolWorkers,
                 requested: 0,
                 used: 1,
             }

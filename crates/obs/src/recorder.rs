@@ -154,54 +154,6 @@ impl CollectingRecorder {
     pub fn finish(self) -> TraceBundle {
         self.inner.into_inner().into_bundle()
     }
-
-    /// Absorb everything `other` recorded, deterministically:
-    ///
-    /// * events end up ordered by cycle; within a cycle, `self`'s events
-    ///   keep their emit order and precede `other`'s (the sort is
-    ///   stable), so merging shard recorders in shard order yields one
-    ///   canonical stream regardless of thread scheduling;
-    /// * counters sum;
-    /// * gauges sum their sample counts, keep the max of the maxima, and
-    ///   take `other`'s `last` whenever `other` actually sampled the
-    ///   gauge (its writes are treated as later than `self`'s).
-    pub fn merge(&mut self, other: CollectingRecorder) {
-        let mut mine = self.inner.borrow_mut();
-        let theirs = other.inner.into_inner();
-        mine.events.extend(theirs.events);
-        mine.events.sort_by_key(|e| e.cycle);
-        for (name, delta) in theirs.counters {
-            *mine.counters.entry(name).or_insert(0) += delta;
-        }
-        for (key, cell) in theirs.gauges {
-            let merged = mine.gauges.entry(key).or_default();
-            if cell.samples > 0 {
-                merged.last = cell.last;
-            }
-            merged.max = merged.max.max(cell.max);
-            merged.samples += cell.samples;
-        }
-    }
-
-    /// Re-emit everything collected into another recorder, in collected
-    /// order: events first (by `record`), then counters, then gauges.
-    /// Gauges collapse to a single `gauge` call carrying the last value —
-    /// the intermediate samples are summarised away, exactly as
-    /// [`CollectingRecorder::finish`] would report them.
-    pub fn replay_into<R: Recorder + ?Sized>(&self, rec: &R) {
-        let inner = self.inner.borrow();
-        for e in &inner.events {
-            rec.record(e.cycle, e.kind);
-        }
-        for (name, value) in &inner.counters {
-            rec.counter(name, *value);
-        }
-        for (&(name, index), cell) in &inner.gauges {
-            if cell.samples > 0 {
-                rec.gauge(name, index, cell.last);
-            }
-        }
-    }
 }
 
 impl Recorder for CollectingRecorder {
@@ -323,103 +275,6 @@ mod tests {
         assert_eq!(bundle.gauges[0].last, 2);
         assert_eq!(bundle.gauges[0].max, 4);
         assert_eq!(bundle.gauges[0].samples, 2);
-    }
-
-    #[test]
-    fn merge_orders_by_cycle_and_keeps_self_first_on_ties() {
-        let a = CollectingRecorder::new();
-        let b = CollectingRecorder::new();
-        a.record(5, EventKind::TbDispatched { tb: 0, sm: 0 });
-        a.record(5, EventKind::TbRetired { tb: 0, sm: 0 });
-        a.record(9, EventKind::TbDispatched { tb: 2, sm: 0 });
-        b.record(3, EventKind::TbDispatched { tb: 1, sm: 1 });
-        b.record(5, EventKind::TbRetired { tb: 1, sm: 1 });
-        let mut a = a;
-        a.merge(b);
-        let ev = a.finish().events;
-        assert_eq!(ev.len(), 5);
-        assert_eq!(
-            ev.iter().map(|e| e.cycle).collect::<Vec<_>>(),
-            vec![3, 5, 5, 5, 9]
-        );
-        // Stable sort: within cycle 5, self's two events keep their emit
-        // order and precede other's.
-        assert_eq!(ev[1].kind, EventKind::TbDispatched { tb: 0, sm: 0 });
-        assert_eq!(ev[2].kind, EventKind::TbRetired { tb: 0, sm: 0 });
-        assert_eq!(ev[3].kind, EventKind::TbRetired { tb: 1, sm: 1 });
-    }
-
-    #[test]
-    fn merge_sums_counters_and_combines_gauges() {
-        let mut a = CollectingRecorder::new();
-        let b = CollectingRecorder::new();
-        a.counter("l1_hit", 2);
-        b.counter("l1_hit", 3);
-        b.counter("l2_miss", 7);
-        a.gauge("g", 0, 10); // max 10, last 10
-        b.gauge("g", 0, 4); // other sampled: last becomes 4
-        a.gauge("only_a", 1, 5);
-        b.gauge("only_b", 2, 6);
-        a.merge(b);
-        let bundle = a.finish();
-        let get = |n: &str| {
-            bundle
-                .counters
-                .iter()
-                .find(|c| c.name == n)
-                .map(|c| c.value)
-        };
-        assert_eq!(get("l1_hit"), Some(5));
-        assert_eq!(get("l2_miss"), Some(7));
-        let g = |n: &str, i: u32| {
-            bundle
-                .gauges
-                .iter()
-                .find(|g| g.name == n && g.index == i)
-                .cloned()
-        };
-        let merged = g("g", 0).unwrap();
-        assert_eq!((merged.last, merged.max, merged.samples), (4, 10, 2));
-        assert_eq!(g("only_a", 1).unwrap().last, 5);
-        assert_eq!(g("only_b", 2).unwrap().last, 6);
-    }
-
-    #[test]
-    fn merge_is_associative_on_disjoint_cycles() {
-        // Three shards, disjoint cycles: merging in shard order is the
-        // same as collecting serially in cycle order.
-        let shards: Vec<CollectingRecorder> = (0u32..3)
-            .map(|s| {
-                let r = CollectingRecorder::new();
-                r.record(
-                    u64::from(s) * 2 + 1,
-                    EventKind::TbDispatched { tb: s, sm: s },
-                );
-                r
-            })
-            .collect();
-        let mut merged = CollectingRecorder::new();
-        for s in shards {
-            merged.merge(s);
-        }
-        let cycles: Vec<u64> = merged.finish().events.iter().map(|e| e.cycle).collect();
-        assert_eq!(cycles, vec![1, 3, 5]);
-    }
-
-    #[test]
-    fn replay_into_reproduces_counters_events_and_last_gauges() {
-        let src = CollectingRecorder::new();
-        drive(&src);
-        let dst = CollectingRecorder::new();
-        src.replay_into(&dst);
-        let a = src.finish();
-        let b = dst.finish();
-        assert_eq!(a.events, b.events);
-        assert_eq!(a.counters, b.counters);
-        // Gauges collapse to one sample carrying the last value.
-        assert_eq!(b.gauges.len(), 1);
-        assert_eq!(b.gauges[0].last, a.gauges[0].last);
-        assert_eq!(b.gauges[0].samples, 1);
     }
 
     #[test]

@@ -8,11 +8,9 @@
 //!
 //! TBPoint's pipelines are piles of *independent* work items — launches
 //! inside [`run_tbpoint`](../tbpoint_core/predict/fn.run_tbpoint.html),
-//! benchmarks inside a sweep, config points inside an ablation. PR 5's
-//! intra-launch SM sharding showed that fine-grained parallelism pays
-//! heavy coordination rent (par_speedup 0.18–0.74x on a 1-CPU host);
-//! this crate adds the coarse-grained axis: whole launches and whole
-//! sweep units scheduled across worker threads.
+//! benchmarks inside a sweep, config points inside an ablation. This
+//! crate schedules them — whole launches and whole sweep units — across
+//! worker threads, the repo's one parallel axis.
 //!
 //! Three pieces:
 //!
@@ -24,10 +22,10 @@
 //!   [`run_supervised`], the service-grade variant that contains a
 //!   panicking unit to its own index ([`UnitError::Panicked`]) while
 //!   the pool keeps draining.
-//! * [`plan`] — [`ExecPlan`]`{ sim_jobs, pool_workers }`, the single
-//!   validated home for every parallelism knob, resolved once with
-//!   precedence CLI > environment > config > auto. Adjustments
-//!   (zero or unparseable requests) surface as structured
+//! * [`plan`] — [`ExecPlan`]`{ pool_workers }`, the single validated
+//!   home for the parallelism knob, resolved once with precedence
+//!   CLI > environment > auto. Adjustments (zero or unparseable
+//!   requests) surface as structured
 //!   [`tbpoint_obs::EventKind::ExecPlanAdjusted`] events instead of
 //!   free-form stderr prints.
 //! * [`unit`] — the [`SweepUnit`] trait (id, run, serializable output)
@@ -43,7 +41,6 @@ pub mod unit;
 
 pub use plan::{
     resolve, resolve_from_env, ExecPlan, PlanInputs, PlanNote, PlanSource, ENV_POOL_WORKERS,
-    ENV_SIM_JOBS,
 };
 pub use runner::{map_indexed, run_indexed, run_supervised, UnitError};
 pub use unit::SweepUnit;

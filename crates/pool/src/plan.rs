@@ -1,25 +1,16 @@
-//! `ExecPlan`: the single validated home for every parallelism knob.
+//! `ExecPlan`: the single validated home for the parallelism knob.
 //!
-//! Before this crate, parallelism was scattered: `SimOptions::jobs` on
-//! the simulator, `TbpointConfig::sim_jobs` on the pipeline config, the
-//! `TBPOINT_JOBS` environment variable, the CLI `--jobs` flag — each
-//! with its own clamp-and-warn path. An [`ExecPlan`] names both axes in
-//! one place:
-//!
-//! * `sim_jobs` — **intra-launch** SM sharding (PR 5): how many threads
-//!   shard the SMs of a single simulated launch. The simulator still
-//!   clamps this structurally to the SM count.
-//! * `pool_workers` — **cross-launch** pool workers: how many threads
-//!   the [`runner`](crate::runner) pool uses to schedule whole launches
-//!   and sweep units.
+//! TBPoint has one parallel axis: `pool_workers`, how many threads the
+//! [`runner`](crate::runner) pool uses to schedule whole launches and
+//! sweep units. (An intra-launch axis that sharded one launch's SMs
+//! across threads was measured slower than serial on every host it ran
+//! on and was removed — DESIGN.md, "Deterministic parallel simulation".)
 //!
 //! Resolution happens in exactly one place ([`resolve`]) with fixed
-//! precedence per axis: **CLI flag > environment variable > config >
-//! auto**. A request of `0` or unparseable environment text resolves
-//! the axis to serial (`1`) and produces a [`PlanNote`]; the caller
-//! emits each note as one structured
-//! [`EventKind::ExecPlanAdjusted`](tbpoint_obs::EventKind) event — the
-//! replacement for the old free-form stderr warnings.
+//! precedence: **CLI flag > environment variable > auto**. A request of
+//! `0` or unparseable environment text resolves to serial (`1`) and
+//! produces a [`PlanNote`]; the caller emits it as one structured
+//! [`EventKind::ExecPlanAdjusted`](tbpoint_obs::EventKind) event.
 //!
 //! The plan is an *execution* concern, deliberately kept out of
 //! `TbpointConfig` and every serialized result artifact: results are
@@ -30,39 +21,27 @@
 use serde::{Deserialize, Serialize};
 use tbpoint_obs::{Event, EventKind, PlanAxis};
 
-/// Environment variable for the intra-launch axis ([`ExecPlan::sim_jobs`]).
-pub const ENV_SIM_JOBS: &str = "TBPOINT_JOBS";
-
-/// Environment variable for the cross-launch axis
-/// ([`ExecPlan::pool_workers`]).
+/// Environment variable for [`ExecPlan::pool_workers`].
 pub const ENV_POOL_WORKERS: &str = "TBPOINT_POOL_WORKERS";
 
-/// The two-axis parallelism plan. Both axes are worker counts with
-/// serial (`1`) as the neutral value; `0` never survives resolution.
+/// The parallelism plan: a worker count with serial (`1`) as the
+/// neutral value; `0` never survives resolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ExecPlan {
-    /// Intra-launch SM-shard workers per simulated launch (PR 5's
-    /// `--jobs` axis; structurally clamped to the SM count by the
-    /// simulator).
-    pub sim_jobs: usize,
-    /// Cross-launch pool workers scheduling whole launches / sweep
-    /// units (this crate's `--pool-workers` axis).
+    /// Pool workers scheduling whole launches / sweep units
+    /// (`--pool-workers`, also spelled `--jobs`).
     pub pool_workers: usize,
 }
 
 impl Default for ExecPlan {
-    /// Serial on both axes.
+    /// Serial.
     fn default() -> Self {
-        ExecPlan {
-            sim_jobs: 1,
-            pool_workers: 1,
-        }
+        ExecPlan { pool_workers: 1 }
     }
 }
 
 impl ExecPlan {
-    /// Serial on both axes (alias for [`Default`], reads better at call
-    /// sites).
+    /// Serial (alias for [`Default`], reads better at call sites).
     #[must_use]
     pub fn serial() -> Self {
         ExecPlan::default()
@@ -72,37 +51,29 @@ impl ExecPlan {
     ///
     /// The outermost scheduler spends the `pool_workers` budget once;
     /// nested fan-out would multiply thread counts (`workers x workers`
-    /// oversubscription), so units run with `pool_workers = 1` while
-    /// the intra-launch axis is preserved.
+    /// oversubscription), so units run serially.
     #[must_use]
     pub fn unit(self) -> Self {
-        ExecPlan {
-            pool_workers: 1,
-            ..self
-        }
+        ExecPlan::serial()
     }
 
-    /// Both axes clamped to at least one. Defensive normalization for
-    /// plans that arrive from deserialized configs without passing
-    /// through [`resolve`].
+    /// The worker count clamped to at least one. Defensive
+    /// normalization for plans that did not pass through [`resolve`].
     #[must_use]
     pub fn normalized(self) -> Self {
         ExecPlan {
-            sim_jobs: self.sim_jobs.max(1),
             pool_workers: self.pool_workers.max(1),
         }
     }
 }
 
-/// Where a resolved (and possibly adjusted) axis value came from.
+/// Where an adjusted request came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanSource {
-    /// A CLI flag (`--jobs` / `--pool-workers`).
+    /// A CLI flag (`--pool-workers` / `--jobs`).
     Cli,
-    /// An environment variable (`TBPOINT_JOBS` / `TBPOINT_POOL_WORKERS`).
+    /// The environment variable (`TBPOINT_POOL_WORKERS`).
     Env,
-    /// A config value carried by the caller.
-    Config,
 }
 
 impl std::fmt::Display for PlanSource {
@@ -110,21 +81,17 @@ impl std::fmt::Display for PlanSource {
         f.write_str(match self {
             PlanSource::Cli => "command line",
             PlanSource::Env => "environment",
-            PlanSource::Config => "config",
         })
     }
 }
 
-/// One adjustment made during resolution: the requested value was zero
-/// or unparseable and the axis fell back to serial.
+/// The adjustment made during resolution: the requested value was zero
+/// or unparseable and the plan fell back to serial.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanNote {
-    /// Which axis was adjusted.
-    pub axis: PlanAxis,
     /// Which precedence level supplied the bad request.
     pub source: PlanSource,
-    /// The request as written (flag value, raw environment text, or
-    /// config field rendering).
+    /// The request as written (flag value or raw environment text).
     pub raw: String,
     /// Parsed numeric request; `0` when `raw` did not parse at all.
     pub requested: u64,
@@ -141,7 +108,7 @@ impl PlanNote {
         Event {
             cycle: 0,
             kind: EventKind::ExecPlanAdjusted {
-                axis: self.axis,
+                axis: PlanAxis::PoolWorkers,
                 requested: self.requested,
                 used: self.used as u64,
             },
@@ -151,13 +118,9 @@ impl PlanNote {
 
 impl std::fmt::Display for PlanNote {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let axis = match self.axis {
-            PlanAxis::SimJobs => "sim_jobs",
-            PlanAxis::PoolWorkers => "pool_workers",
-        };
         write!(
             f,
-            "{axis}: requested `{}` via {}; using {} (serial)",
+            "pool_workers: requested `{}` via {}; using {} (serial)",
             self.raw, self.source, self.used
         )
     }
@@ -168,119 +131,55 @@ impl std::fmt::Display for PlanNote {
 /// provided at this precedence level".
 #[derive(Debug, Clone, Default)]
 pub struct PlanInputs<'a> {
-    /// `--jobs` flag value, if given.
-    pub cli_sim_jobs: Option<usize>,
-    /// `--pool-workers` flag value, if given.
+    /// `--pool-workers` (or `--jobs`) flag value, if given.
     pub cli_pool_workers: Option<usize>,
-    /// Raw `TBPOINT_JOBS` text, if set.
-    pub env_sim_jobs: Option<&'a str>,
     /// Raw `TBPOINT_POOL_WORKERS` text, if set.
     pub env_pool_workers: Option<&'a str>,
-    /// A config-supplied plan (lowest explicit precedence).
-    pub config: Option<ExecPlan>,
-    /// Fallback when no level supplies an axis. The default is serial;
-    /// interactive drivers typically pass the host CPU count for
-    /// `pool_workers`.
+    /// Fallback when no level supplies a value. The default is serial;
+    /// interactive drivers typically pass the host CPU count.
     pub auto: ExecPlan,
 }
 
-/// Resolve one axis through the precedence chain, recording a
-/// [`PlanNote`] whenever a level supplied an unusable request.
-fn resolve_axis(
-    axis: PlanAxis,
-    cli: Option<usize>,
-    env: Option<&str>,
-    config: Option<usize>,
-    auto: usize,
-    notes: &mut Vec<PlanNote>,
-) -> usize {
-    let mut note = |source: PlanSource, raw: &str, requested: u64| {
-        notes.push(PlanNote {
-            axis,
-            source,
-            raw: raw.to_string(),
-            requested,
-            used: 1,
-        });
-        1
-    };
-    if let Some(v) = cli {
-        return if v == 0 {
-            note(PlanSource::Cli, "0", 0)
-        } else {
-            v
-        };
-    }
-    if let Some(raw) = env {
-        // An explicit but unusable request resolves to serial rather
-        // than falling through: the user *did* ask for something, and
-        // silently substituting a lower level's value would hide that.
-        return match raw.trim().parse::<usize>() {
-            Ok(0) => note(PlanSource::Env, raw, 0),
-            Ok(v) => v,
-            Err(_) => note(PlanSource::Env, raw, 0),
-        };
-    }
-    if let Some(v) = config {
-        return if v == 0 {
-            note(PlanSource::Config, "0", 0)
-        } else {
-            v
-        };
-    }
-    auto.max(1)
-}
-
 /// Resolve an [`ExecPlan`] from explicit inputs with precedence
-/// **CLI > environment > config > auto**, per axis independently.
+/// **CLI > environment > auto**.
 ///
-/// Returns the plan plus one [`PlanNote`] per adjustment (zero or
-/// unparseable request at the winning level → that axis is serial).
+/// Returns the plan plus a [`PlanNote`] when the winning level's request
+/// was zero or unparseable (the plan is then serial).
 #[must_use]
-pub fn resolve(inputs: &PlanInputs<'_>) -> (ExecPlan, Vec<PlanNote>) {
-    let mut notes = Vec::new();
-    let sim_jobs = resolve_axis(
-        PlanAxis::SimJobs,
-        inputs.cli_sim_jobs,
-        inputs.env_sim_jobs,
-        inputs.config.map(|c| c.sim_jobs),
-        inputs.auto.sim_jobs,
-        &mut notes,
-    );
-    let pool_workers = resolve_axis(
-        PlanAxis::PoolWorkers,
-        inputs.cli_pool_workers,
-        inputs.env_pool_workers,
-        inputs.config.map(|c| c.pool_workers),
-        inputs.auto.pool_workers,
-        &mut notes,
-    );
-    (
-        ExecPlan {
-            sim_jobs,
-            pool_workers,
-        },
-        notes,
-    )
+pub fn resolve(inputs: &PlanInputs<'_>) -> (ExecPlan, Option<PlanNote>) {
+    // An explicit but unusable request resolves to serial rather than
+    // falling through: the user *did* ask for something, and silently
+    // substituting a lower level's value would hide that.
+    let (source, raw) = match (inputs.cli_pool_workers, inputs.env_pool_workers) {
+        (Some(v), _) => (PlanSource::Cli, v.to_string()),
+        (None, Some(raw)) => (PlanSource::Env, raw.to_string()),
+        (None, None) => return (inputs.auto.normalized(), None),
+    };
+    match raw.trim().parse::<usize>() {
+        Ok(pool_workers) if pool_workers > 0 => (ExecPlan { pool_workers }, None),
+        _ => {
+            let note = PlanNote {
+                source,
+                raw,
+                requested: 0,
+                used: 1,
+            };
+            (ExecPlan::serial(), Some(note))
+        }
+    }
 }
 
 /// [`resolve`] with the environment level read from the live process
-/// environment (`TBPOINT_JOBS` / `TBPOINT_POOL_WORKERS`).
+/// environment (`TBPOINT_POOL_WORKERS`).
 #[must_use]
 pub fn resolve_from_env(
-    cli_sim_jobs: Option<usize>,
     cli_pool_workers: Option<usize>,
-    config: Option<ExecPlan>,
     auto: ExecPlan,
-) -> (ExecPlan, Vec<PlanNote>) {
-    let env_sim_jobs = std::env::var(ENV_SIM_JOBS).ok();
+) -> (ExecPlan, Option<PlanNote>) {
     let env_pool_workers = std::env::var(ENV_POOL_WORKERS).ok();
     resolve(&PlanInputs {
-        cli_sim_jobs,
         cli_pool_workers,
-        env_sim_jobs: env_sim_jobs.as_deref(),
         env_pool_workers: env_pool_workers.as_deref(),
-        config,
         auto,
     })
 }
@@ -289,157 +188,88 @@ pub fn resolve_from_env(
 mod tests {
     use super::*;
 
-    fn plan_of(inputs: &PlanInputs<'_>) -> ExecPlan {
-        resolve(inputs).0
-    }
-
     #[test]
-    fn explicit_flags_win_over_environment() {
-        let inputs = PlanInputs {
-            cli_sim_jobs: Some(3),
+    fn explicit_flag_wins_over_environment() {
+        let (plan, note) = resolve(&PlanInputs {
             cli_pool_workers: Some(5),
-            env_sim_jobs: Some("7"),
             env_pool_workers: Some("9"),
             ..PlanInputs::default()
-        };
-        let (plan, notes) = resolve(&inputs);
-        assert_eq!(
-            plan,
-            ExecPlan {
-                sim_jobs: 3,
-                pool_workers: 5
-            }
-        );
-        assert!(notes.is_empty());
+        });
+        assert_eq!(plan, ExecPlan { pool_workers: 5 });
+        assert_eq!(note, None);
     }
 
     #[test]
     fn explicit_zero_clamps_to_serial_with_a_note() {
-        let (plan, notes) = resolve(&PlanInputs {
-            cli_sim_jobs: Some(0),
+        let (plan, note) = resolve(&PlanInputs {
+            cli_pool_workers: Some(0),
             ..PlanInputs::default()
         });
-        assert_eq!(plan.sim_jobs, 1);
-        assert_eq!(notes.len(), 1);
-        assert_eq!(notes[0].axis, tbpoint_obs::PlanAxis::SimJobs);
-        assert_eq!(notes[0].source, PlanSource::Cli);
-        assert_eq!(notes[0].requested, 0);
-        assert_eq!(notes[0].used, 1);
+        assert_eq!(plan.pool_workers, 1);
+        let note = note.unwrap();
+        assert_eq!(note.source, PlanSource::Cli);
+        assert_eq!(note.requested, 0);
+        assert_eq!(note.used, 1);
     }
 
     #[test]
     fn environment_applies_when_no_flag() {
-        let plan = plan_of(&PlanInputs {
-            env_sim_jobs: Some("5"),
+        let (plan, note) = resolve(&PlanInputs {
             env_pool_workers: Some(" 6 "),
             ..PlanInputs::default()
         });
-        assert_eq!(
-            plan,
-            ExecPlan {
-                sim_jobs: 5,
-                pool_workers: 6
-            }
-        );
+        assert_eq!(plan, ExecPlan { pool_workers: 6 });
+        assert_eq!(note, None);
     }
 
     #[test]
     fn bad_or_zero_environment_resolves_to_serial() {
         for raw in ["0", "banana", "-3", ""] {
-            let (plan, notes) = resolve(&PlanInputs {
+            let (plan, note) = resolve(&PlanInputs {
                 env_pool_workers: Some(raw),
+                auto: ExecPlan { pool_workers: 8 },
                 ..PlanInputs::default()
             });
             assert_eq!(plan.pool_workers, 1, "raw={raw:?}");
-            assert_eq!(notes.len(), 1, "raw={raw:?}");
-            assert_eq!(notes[0].raw, raw);
+            let note = note.unwrap();
+            assert_eq!(note.source, PlanSource::Env, "raw={raw:?}");
+            assert_eq!(note.raw, raw);
         }
-    }
-
-    #[test]
-    fn config_sits_below_environment_and_above_auto() {
-        let cfg = Some(ExecPlan {
-            sim_jobs: 2,
-            pool_workers: 3,
-        });
-        let auto = ExecPlan {
-            sim_jobs: 1,
-            pool_workers: 8,
-        };
-        let plan = plan_of(&PlanInputs {
-            config: cfg,
-            auto,
-            ..PlanInputs::default()
-        });
-        assert_eq!(
-            plan,
-            ExecPlan {
-                sim_jobs: 2,
-                pool_workers: 3
-            }
-        );
-        let plan = plan_of(&PlanInputs {
-            env_pool_workers: Some("4"),
-            config: cfg,
-            auto,
-            ..PlanInputs::default()
-        });
-        assert_eq!(plan.pool_workers, 4);
-        assert_eq!(plan.sim_jobs, 2);
     }
 
     #[test]
     fn auto_fills_last_and_is_never_zero() {
-        let plan = plan_of(&PlanInputs {
-            auto: ExecPlan {
-                sim_jobs: 0,
-                pool_workers: 8,
-            },
-            ..PlanInputs::default()
-        });
-        assert_eq!(
-            plan,
-            ExecPlan {
-                sim_jobs: 1,
-                pool_workers: 8
-            }
-        );
+        for (auto, want) in [(8, 8), (0, 1)] {
+            let (plan, note) = resolve(&PlanInputs {
+                auto: ExecPlan { pool_workers: auto },
+                ..PlanInputs::default()
+            });
+            assert_eq!(plan, ExecPlan { pool_workers: want });
+            assert_eq!(note, None);
+        }
     }
 
     #[test]
     fn unit_plan_spends_the_pool_budget_once() {
-        let plan = ExecPlan {
-            sim_jobs: 2,
-            pool_workers: 8,
-        };
-        assert_eq!(
-            plan.unit(),
-            ExecPlan {
-                sim_jobs: 2,
-                pool_workers: 1
-            }
-        );
+        assert_eq!(ExecPlan { pool_workers: 8 }.unit(), ExecPlan::serial());
     }
 
     #[test]
     fn notes_render_as_structured_events() {
-        let (_, notes) = resolve(&PlanInputs {
-            env_sim_jobs: Some("nope"),
+        let (_, note) = resolve(&PlanInputs {
+            env_pool_workers: Some("nope"),
             ..PlanInputs::default()
         });
-        let line = tbpoint_obs::event_line(&notes[0].event());
+        let event = note.unwrap().event();
+        let line = tbpoint_obs::event_line(&event);
         assert!(line.contains("ExecPlanAdjusted"), "line={line}");
         let back = tbpoint_obs::parse_event(&line).unwrap();
-        assert_eq!(back, notes[0].event());
+        assert_eq!(back, event);
     }
 
     #[test]
     fn normalized_never_returns_zero() {
-        let p = ExecPlan {
-            sim_jobs: 0,
-            pool_workers: 0,
-        }
-        .normalized();
+        let p = ExecPlan { pool_workers: 0 }.normalized();
         assert_eq!(p, ExecPlan::serial());
     }
 }

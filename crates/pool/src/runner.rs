@@ -91,7 +91,6 @@ impl Queues {
 /// is exhausted. Results land in per-index slots — workers never touch
 /// each other's output — and any failure raises the stop flag after
 /// being recorded.
-// tbpoint-phase: shard
 fn worker_loop<T, E, F>(
     w: usize,
     queues: &Queues,
@@ -131,7 +130,6 @@ fn worker_loop<T, E, F>(
 /// # Errors
 ///
 /// Returns `(index, error)` for the lowest-indexed recorded failure.
-// tbpoint-phase: coordinator
 pub fn run_indexed<T, E, F>(workers: usize, n: usize, job: F) -> Result<Vec<T>, (usize, E)>
 where
     T: Send,
@@ -185,7 +183,6 @@ where
 
 /// [`run_indexed`] for infallible jobs: map `0..n` through `job` across
 /// `workers` threads, results in index order.
-// tbpoint-phase: coordinator
 pub fn map_indexed<T, F>(workers: usize, n: usize, job: F) -> Vec<T>
 where
     T: Send,
@@ -246,7 +243,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// contain a poisoned request without dropping the rest of the batch,
 /// and needs the full per-index outcome vector to retry transient
 /// failures deterministically.
-// tbpoint-phase: coordinator
 pub fn run_supervised<T, E, F>(workers: usize, n: usize, job: F) -> Vec<Result<T, UnitError<E>>>
 where
     T: Send,

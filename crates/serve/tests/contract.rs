@@ -22,10 +22,7 @@ fn scratch(tag: &str) -> PathBuf {
 
 fn opts(pool_workers: usize, cache_dir: Option<PathBuf>) -> ServeOptions {
     ServeOptions {
-        plan: ExecPlan {
-            sim_jobs: 1,
-            pool_workers,
-        },
+        plan: ExecPlan { pool_workers },
         // Zero backoff: the contract suite cares about outcomes, not
         // pacing.
         retry: RetryPolicy {

@@ -77,7 +77,6 @@ pub struct Dram {
 impl Dram {
     /// Build from the machine config (zero channels, banks or line size
     /// count as 1).
-    // tbpoint-phase: coordinator
     pub fn new(cfg: &GpuConfig) -> Self {
         let channels = Divisor::new(u64::from(cfg.dram_channels));
         let banks_per_channel = Divisor::new(u64::from(cfg.dram_banks_per_channel));

@@ -48,9 +48,6 @@ pub mod dispatch;
 mod divisor;
 pub mod dram;
 pub mod memory;
-mod order;
-mod parallel;
-pub mod shadow;
 pub mod simulator;
 pub mod sm;
 pub mod stats;

@@ -11,7 +11,6 @@
 use crate::cache::Cache;
 use crate::config::GpuConfig;
 use crate::dram::Dram;
-use crate::shadow;
 use std::collections::BinaryHeap;
 use tbpoint_obs::{EventKind, NullRecorder, Recorder};
 
@@ -64,15 +63,9 @@ impl MshrPool {
     }
 }
 
-/// Everything *behind* the per-SM L1s: MSHRs, the shared L2 and DRAM.
-///
-/// Split out of [`MemorySystem`] so the sharded parallel simulator can
-/// keep the L1s shard-local (each SM's L1 is touched only by that SM)
-/// while replaying the cross-SM coupling — MSHR arbitration, L2
-/// occupancy, DRAM bank queues — at window barriers in canonical order.
-/// The serial path composes the same two halves, so the request walk is
-/// one piece of code for both.
-pub(crate) struct SharedMemPath {
+/// The full memory system shared by all SMs.
+pub struct MemorySystem {
+    l1s: Vec<Cache>,
     mshrs: Vec<MshrPool>,
     l2: Cache,
     dram: Dram,
@@ -81,10 +74,11 @@ pub(crate) struct SharedMemPath {
     dram_base_latency: u64,
 }
 
-impl SharedMemPath {
-    // tbpoint-phase: coordinator
-    pub(crate) fn new(cfg: &GpuConfig) -> Self {
-        SharedMemPath {
+impl MemorySystem {
+    /// Build the hierarchy for `cfg.num_sms` SMs.
+    pub fn new(cfg: &GpuConfig) -> Self {
+        MemorySystem {
+            l1s: (0..cfg.num_sms).map(|_| Cache::new(cfg.l1)).collect(),
             mshrs: (0..cfg.num_sms)
                 .map(|_| MshrPool::new(cfg.mshrs_per_sm as usize))
                 .collect(),
@@ -96,25 +90,31 @@ impl SharedMemPath {
         }
     }
 
-    /// The shared half of a load that already missed SM `sm`'s L1:
-    /// MSHR admission, L2 probe, DRAM on an L2 miss. Returns the
-    /// completion cycle. The caller is responsible for the L1 probe and
-    /// its `l1_hit`/`l1_miss` counters, so both the serial walk and the
-    /// barrier replay produce identical state transitions and events.
-    ///
-    /// Completion is never earlier than `now + l1_hit + l2_hit` — the
-    /// invariant the parallel window length rests on (see
-    /// DESIGN.md, "Deterministic parallel simulation").
-    // tbpoint-phase: coordinator
+    /// Issue a load for `line_addr` from SM `sm` at cycle `now`; returns
+    /// the completion cycle.
+    pub fn load(&mut self, sm: usize, line_addr: u64, now: u64) -> u64 {
+        self.load_obs(sm, line_addr, now, &NullRecorder)
+    }
+
+    /// [`MemorySystem::load`] with cache/DRAM observability: emits
+    /// hit/miss counters, an `MshrStall` event when the request queues
+    /// behind a full MSHR pool, and a `DramAccess` event per L2 miss.
+    /// Recording is observation-only — the returned completion cycle is
+    /// identical for every recorder.
     // tbpoint-hot
-    pub(crate) fn miss_load_obs<R: Recorder + ?Sized>(
+    pub fn load_obs<R: Recorder + ?Sized>(
         &mut self,
         sm: usize,
         line_addr: u64,
         now: u64,
         rec: &R,
     ) -> u64 {
-        shadow::check_shared_access("SharedMemPath::miss_load_obs");
+        if self.l1s[sm].access_load(line_addr) {
+            rec.counter("l1_hit", 1);
+            return now + self.l1_hit_latency;
+        }
+        rec.counter("l1_miss", 1);
+        // Behind the L1: MSHR admission, L2 probe, DRAM on an L2 miss.
         // SM indices are config-bounded (tens), far below u32::MAX.
         let sm_u32 = u32::try_from(sm).unwrap_or(u32::MAX);
         let issue = self.mshrs[sm].issue_time(now);
@@ -156,105 +156,6 @@ impl SharedMemPath {
         complete
     }
 
-    /// The shared half of a store: the L2 probe (write-through,
-    /// no-allocate). The L1 probe and the `store` counter happen on the
-    /// issuing side. Returns the nominal drain cycle (diagnostics).
-    // tbpoint-phase: coordinator
-    // tbpoint-hot
-    pub(crate) fn store_line(&mut self, line_addr: u64, now: u64) -> u64 {
-        shadow::check_shared_access("SharedMemPath::store_line");
-        if self.l2.access_store(line_addr) {
-            now + self.l1_hit_latency + self.l2_hit_latency
-        } else {
-            now + self.l1_hit_latency + self.l2_hit_latency + self.dram_base_latency
-        }
-    }
-
-    // tbpoint-phase: coordinator
-    pub(crate) fn l2_hit_rate(&self) -> f64 {
-        self.l2.hit_rate()
-    }
-
-    // tbpoint-phase: coordinator
-    pub(crate) fn dram_row_hit_rate(&self) -> f64 {
-        self.dram.row_hit_rate()
-    }
-
-    // tbpoint-phase: coordinator
-    pub(crate) fn dram_avg_wait(&self) -> f64 {
-        self.dram.avg_wait()
-    }
-
-    // tbpoint-phase: coordinator
-    fn flush(&mut self) {
-        for m in &mut self.mshrs {
-            m.clear();
-        }
-        self.l2.flush();
-        self.dram.flush();
-    }
-}
-
-/// Aggregate hit rate over a set of L1 caches (the serial system's own
-/// vector, or the shard-local caches gathered back at the end of a
-/// parallel launch).
-pub(crate) fn l1_hit_rate_over<'a>(caches: impl Iterator<Item = &'a Cache>) -> f64 {
-    let (h, m) = caches
-        .map(Cache::stats)
-        .fold((0, 0), |(ah, am), (h, m)| (ah + h, am + m));
-    if h + m == 0 {
-        0.0
-    } else {
-        h as f64 / (h + m) as f64
-    }
-}
-
-/// The full memory system shared by all SMs.
-pub struct MemorySystem {
-    l1s: Vec<Cache>,
-    shared: SharedMemPath,
-    l1_hit_latency: u64,
-}
-
-impl MemorySystem {
-    /// Build the hierarchy for `cfg.num_sms` SMs.
-    // tbpoint-phase: coordinator
-    pub fn new(cfg: &GpuConfig) -> Self {
-        MemorySystem {
-            l1s: (0..cfg.num_sms).map(|_| Cache::new(cfg.l1)).collect(),
-            shared: SharedMemPath::new(cfg),
-            l1_hit_latency: cfg.l1_hit_latency as u64,
-        }
-    }
-
-    /// Issue a load for `line_addr` from SM `sm` at cycle `now`; returns
-    /// the completion cycle.
-    pub fn load(&mut self, sm: usize, line_addr: u64, now: u64) -> u64 {
-        self.load_obs(sm, line_addr, now, &NullRecorder)
-    }
-
-    /// [`MemorySystem::load`] with cache/DRAM observability: emits
-    /// hit/miss counters, an `MshrStall` event when the request queues
-    /// behind a full MSHR pool, and a `DramAccess` event per L2 miss.
-    /// Recording is observation-only — the returned completion cycle is
-    /// identical for every recorder.
-    // tbpoint-phase: coordinator
-    // tbpoint-hot
-    pub fn load_obs<R: Recorder + ?Sized>(
-        &mut self,
-        sm: usize,
-        line_addr: u64,
-        now: u64,
-        rec: &R,
-    ) -> u64 {
-        if self.l1s[sm].access_load(line_addr) {
-            rec.counter("l1_hit", 1);
-            return now + self.l1_hit_latency;
-        }
-        rec.counter("l1_miss", 1);
-        self.shared.miss_load_obs(sm, line_addr, now, rec)
-    }
-
     /// Issue a store (write-through, no-allocate, fire-and-forget): the
     /// traffic probes the caches for statistics, but does not occupy DRAM
     /// banks. Memory controllers hold writes in a write buffer and drain
@@ -268,7 +169,6 @@ impl MemorySystem {
 
     /// [`MemorySystem::store`] with a `store` counter (stores are
     /// fire-and-forget, so there is no latency event to record).
-    // tbpoint-phase: coordinator
     // tbpoint-hot
     pub fn store_obs<R: Recorder + ?Sized>(
         &mut self,
@@ -279,39 +179,52 @@ impl MemorySystem {
     ) -> u64 {
         rec.counter("store", 1);
         self.l1s[sm].access_store(line_addr);
-        self.shared.store_line(line_addr, now)
+        if self.l2.access_store(line_addr) {
+            now + self.l1_hit_latency + self.l2_hit_latency
+        } else {
+            now + self.l1_hit_latency + self.l2_hit_latency + self.dram_base_latency
+        }
     }
 
     /// Invalidate caches, banks and MSHRs (between launches).
-    // tbpoint-phase: coordinator
     pub fn flush(&mut self) {
         for c in &mut self.l1s {
             c.flush();
         }
-        self.shared.flush();
+        for m in &mut self.mshrs {
+            m.clear();
+        }
+        self.l2.flush();
+        self.dram.flush();
     }
 
     /// Aggregate L1 hit rate across SMs.
     pub fn l1_hit_rate(&self) -> f64 {
-        l1_hit_rate_over(self.l1s.iter())
+        let (h, m) = self
+            .l1s
+            .iter()
+            .map(Cache::stats)
+            .fold((0, 0), |(ah, am), (h, m)| (ah + h, am + m));
+        if h + m == 0 {
+            0.0
+        } else {
+            h as f64 / (h + m) as f64
+        }
     }
 
     /// L2 hit rate.
-    // tbpoint-phase: coordinator
     pub fn l2_hit_rate(&self) -> f64 {
-        self.shared.l2_hit_rate()
+        self.l2.hit_rate()
     }
 
     /// DRAM row-buffer hit rate.
-    // tbpoint-phase: coordinator
     pub fn dram_row_hit_rate(&self) -> f64 {
-        self.shared.dram_row_hit_rate()
+        self.dram.row_hit_rate()
     }
 
     /// Average DRAM wait (service + queuing) per access, cycles.
-    // tbpoint-phase: coordinator
     pub fn dram_avg_wait(&self) -> f64 {
-        self.shared.dram_avg_wait()
+        self.dram.avg_wait()
     }
 }
 

@@ -7,7 +7,6 @@ use crate::memory::MemorySystem;
 use crate::sm::SmCore;
 use crate::units::{UnitCollector, UnitRecord, UnitsConfig};
 use serde::{Deserialize, Serialize};
-use std::borrow::BorrowMut;
 use tbpoint_emu::{InternStats, TbStats, TraceArena};
 use tbpoint_ir::{ExecCtx, Kernel, KernelRun, LaunchSpec, TbId};
 use tbpoint_obs::{EventKind, NullRecorder, Recorder};
@@ -26,12 +25,6 @@ pub struct SimOptions {
     /// scans and to jump the cycle loop across machine-wide idle spans
     /// in one step (instead of stepping cycle by cycle).
     pub event_horizon: bool,
-    /// Worker threads simulating SM shards inside this launch. Clamped
-    /// to `[1, num_sms]`; `1` (the default) runs the serial cycle loop
-    /// unchanged, larger values run the SM-sharded windowed simulator
-    /// (see DESIGN.md, "Deterministic parallel simulation") whose
-    /// [`LaunchSimResult`] is bit-identical to serial for every value.
-    pub jobs: usize,
 }
 
 impl Default for SimOptions {
@@ -39,7 +32,6 @@ impl Default for SimOptions {
         SimOptions {
             intern_traces: true,
             event_horizon: true,
-            jobs: 1,
         }
     }
 }
@@ -192,37 +184,39 @@ pub fn simulate_launch(
 }
 
 /// [`simulate_launch`] plus the hot-path counters ([`SimPerf`]) the
-/// `tbpoint bench` command reports, at a chosen intra-launch parallelism
-/// (`jobs` worker threads over SM shards; `1` is the serial path). The
-/// simulated result is identical to [`simulate_launch`]'s for every
-/// `jobs` value.
+/// `tbpoint bench` command reports. `_jobs` is ignored: it once selected
+/// an SM-sharded simulator (removed, see DESIGN.md) and stays in the
+/// signature for the frozen `benchmark/` harness.
 pub fn simulate_launch_perf(
     kernel: &Kernel,
     spec: &LaunchSpec,
     cfg: &GpuConfig,
     hook: &mut dyn SamplingHook,
     units: Option<UnitsConfig>,
-    jobs: usize,
+    _jobs: usize,
 ) -> (LaunchSimResult, SimPerf) {
-    let opts = SimOptions {
-        jobs,
-        ..SimOptions::default()
-    };
-    simulate_launch_with(kernel, spec, cfg, hook, units, opts, &NullRecorder)
+    simulate_launch_with(
+        kernel,
+        spec,
+        cfg,
+        hook,
+        units,
+        SimOptions::default(),
+        &NullRecorder,
+    )
 }
 
-/// Dispatch-side progress counters, shared between the serial cycle loop
-/// and the parallel coordinator.
+/// Dispatch-side progress counters of the cycle loop.
 #[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct DispatchState {
+struct DispatchState {
     /// Next thread-block id to consult the hook about.
-    pub next_tb: u32,
+    next_tb: u32,
     /// Dispatched-and-simulating TBs.
-    pub outstanding: u32,
+    outstanding: u32,
     /// TBs the hook chose to simulate.
-    pub simulated: u32,
+    simulated: u32,
     /// TBs the hook skipped.
-    pub skipped: u32,
+    skipped: u32,
 }
 
 /// Greedy dispatch: fill every free slot, consulting the hook per TB.
@@ -230,16 +224,11 @@ pub(crate) struct DispatchState {
 /// so that consecutive TB ids spread across SMs — the behaviour the
 /// paper's epoch construction assumes ("thread blocks having closer
 /// thread block IDs are likely to be running concurrently").
-///
-/// Generic over `BorrowMut<SmCore>` so the serial loop passes its own
-/// `Vec<SmCore>` and the parallel coordinator passes a view of
-/// `&mut SmCore`s gathered from the shard mutexes — one dispatcher, one
-/// behaviour.
 // The dispatcher's full per-launch context; bundling more would just
 // move the same fields.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn greedy_fill<R: Recorder + ?Sized, S: BorrowMut<SmCore>>(
-    sms: &mut [S],
+fn greedy_fill<R: Recorder + ?Sized>(
+    sms: &mut [SmCore],
     arena: &mut TraceArena,
     kernel: &Kernel,
     spec: &LaunchSpec,
@@ -268,10 +257,7 @@ pub(crate) fn greedy_fill<R: Recorder + ?Sized, S: BorrowMut<SmCore>>(
         let target = sms
             .iter()
             .enumerate()
-            .filter_map(|(i, sm)| {
-                let sm: &SmCore = sm.borrow();
-                sm.free_slot().map(|s| (i, s, sm.resident_blocks()))
-            })
+            .filter_map(|(i, sm)| sm.free_slot().map(|s| (i, s, sm.resident_blocks())))
             .min_by_key(|&(_, _, r)| r)
             .map(|(i, s, _)| (i, s));
         let Some((sm_idx, slot)) = target else { return };
@@ -297,9 +283,8 @@ pub(crate) fn greedy_fill<R: Recorder + ?Sized, S: BorrowMut<SmCore>>(
                 } else {
                     cycle
                 };
-                let target_sm: &mut SmCore = sms[sm_idx].borrow_mut();
                 let insta_retire =
-                    target_sm.dispatch(slot, kernel, make_ctx(tb.0), tb, cycle, start, arena);
+                    sms[sm_idx].dispatch(slot, kernel, make_ctx(tb.0), tb, cycle, start, arena);
                 rec.record(
                     cycle,
                     EventKind::TbDispatched {
@@ -322,8 +307,8 @@ pub(crate) fn greedy_fill<R: Recorder + ?Sized, S: BorrowMut<SmCore>>(
                 } else {
                     ds.outstanding += 1;
                     if rec.enabled() {
-                        let filled: &SmCore = sms[sm_idx].borrow();
-                        let resident = u64::try_from(filled.resident_blocks()).unwrap_or(u64::MAX);
+                        let resident =
+                            u64::try_from(sms[sm_idx].resident_blocks()).unwrap_or(u64::MAX);
                         rec.gauge("sm_resident_blocks", sm_u32, resident);
                     }
                 }
@@ -333,8 +318,7 @@ pub(crate) fn greedy_fill<R: Recorder + ?Sized, S: BorrowMut<SmCore>>(
 }
 
 /// The general entry point: [`simulate_launch`] with explicit hot-path
-/// switches ([`SimOptions`], including intra-launch parallelism via
-/// [`SimOptions::jobs`]), observability, and the [`SimPerf`] counters.
+/// switches ([`SimOptions`]), observability, and the [`SimPerf`] counters.
 ///
 /// `rec` receives dispatch/skip/retire events, idle-jump and
 /// memory-stall events, cache/DRAM counters and a per-SM
@@ -343,7 +327,6 @@ pub(crate) fn greedy_fill<R: Recorder + ?Sized, S: BorrowMut<SmCore>>(
 /// instrumentation away; recording never influences the simulation, and
 /// the result is bit-identical for every recorder and every option
 /// combination — only wall time changes.
-// tbpoint-phase: coordinator
 pub fn simulate_launch_with<R: Recorder + ?Sized>(
     kernel: &Kernel,
     spec: &LaunchSpec,
@@ -353,12 +336,6 @@ pub fn simulate_launch_with<R: Recorder + ?Sized>(
     opts: SimOptions,
     rec: &R,
 ) -> (LaunchSimResult, SimPerf) {
-    let jobs = opts.jobs.clamp(1, cfg.num_sms.max(1) as usize);
-    if jobs > 1 {
-        return crate::parallel::simulate_launch_sharded(
-            kernel, spec, cfg, hook, units, opts, jobs, rec,
-        );
-    }
     let occupancy = cfg.sm_occupancy(kernel);
     let mut sms: Vec<SmCore> = (0..cfg.num_sms)
         .map(|i| {
@@ -852,24 +829,16 @@ mod tests {
         let spec = launch(30);
         let cfg = GpuConfig::fermi();
         let prof = tbpoint_emu::profile_launch(&k, &spec, 1);
-        for jobs in [1usize, 2] {
-            let mut hook = StatRecorder::default();
-            let (r, perf) = simulate_launch_perf(&k, &spec, &cfg, &mut hook, None, jobs);
-            assert_eq!(hook.stats.len(), 30);
-            assert_eq!(perf.stat_retires, 30);
-            assert_eq!(perf.hook_skips, 0);
-            let mut by_tb = hook.stats.clone();
-            by_tb.sort_by_key(|&(tb, _)| tb);
-            for (tb, stats) in by_tb {
-                assert_eq!(
-                    stats,
-                    prof.tbs[tb as usize].features(),
-                    "tb {tb} jobs {jobs}"
-                );
-            }
-            let streamed: u64 = hook.stats.iter().map(|&(_, s)| s.warp_insts).sum();
-            assert_eq!(streamed, r.issued_warp_insts);
+        let mut hook = StatRecorder::default();
+        let (r, perf) = simulate_launch_perf(&k, &spec, &cfg, &mut hook, None, 1);
+        assert_eq!(hook.stats.len(), 30);
+        assert_eq!(perf.stat_retires, 30);
+        assert_eq!(perf.hook_skips, 0);
+        for &(tb, stats) in &hook.stats {
+            assert_eq!(stats, prof.tbs[tb as usize].features(), "tb {tb}");
         }
+        let streamed: u64 = hook.stats.iter().map(|&(_, s)| s.warp_insts).sum();
+        assert_eq!(streamed, r.issued_warp_insts);
     }
 
     #[test]

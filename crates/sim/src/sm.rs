@@ -17,7 +17,7 @@ struct WarpRt {
     pc: usize,
     /// The cycle the warp can next issue. The scheduler reads the packed
     /// copy in `SmCore::sched_at`; this one stays exact for warps parked
-    /// at a barrier, which [`SmCore::earliest_retire_bound`] needs.
+    /// at a barrier, whose release resumes from it.
     ready_at: u64,
     at_barrier: bool,
     done: bool,
@@ -34,12 +34,6 @@ struct ResidentBlock {
     at_barrier: u32,
     /// Dispatch cycle — the age GTO's oldest-first scan compares.
     birth: u64,
-    /// Warp instructions not yet issued, across all warps. An SM issues
-    /// at most one instruction per cycle, so a block with `remaining`
-    /// left cannot retire before `now + remaining - 1` — the bound the
-    /// parallel simulator's window sizing rests on
-    /// ([`SmCore::earliest_retire_bound`]).
-    remaining: u64,
     /// Feature counters accumulated at issue time — at retirement they
     /// equal exactly what the profiler would have recorded for this
     /// block ([`tbpoint_emu::profile_tb`] counts the same events), which
@@ -47,67 +41,48 @@ struct ResidentBlock {
     stats: TbStats,
 }
 
-/// How the memory backend resolved one coalesced load.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum LoadOutcome {
-    /// Completion cycle known now (serial path, or an all-L1-hit load on
-    /// the sharded path).
-    Done(u64),
-    /// Completion depends on shared state the shard cannot touch; the
-    /// warp sleeps with `ready_at = u64::MAX` until the window barrier
-    /// resolves it via [`SmCore::resolve_deferred_load`].
-    Deferred,
-}
-
 /// The memory side of an issue: where a global-memory instruction's
-/// coalesced lines go. The serial simulator walks the full hierarchy
-/// inline ([`DirectMem`]); the sharded simulator probes the shard-local
-/// L1 and buffers the shared-path remainder for the window barrier.
-/// [`SmCore::try_issue_mem`] is monomorphised over this, so both paths
-/// run the identical issue body.
+/// coalesced lines go. The simulator walks the full hierarchy inline
+/// ([`DirectMem`]); the packed-pick differential test substitutes
+/// scripted latencies. [`SmCore::try_issue_mem`] is monomorphised over
+/// this.
 pub(crate) trait IssueMem {
-    /// Resolve the lines of one load from SM `sm` (slot/warp identify the
-    /// issuing warp for deferred resolution); `alu_done` is the issue
-    /// pipeline floor (`now + alu_latency`).
+    /// Resolve the lines of one load from SM `sm` and return its
+    /// completion cycle; `alu_done` is the issue pipeline floor
+    /// (`now + alu_latency`).
     fn load(
         &mut self,
         sm: usize,
-        slot: usize,
-        warp: usize,
         lines: &tbpoint_ir::inst::CoalescedLines,
         now: u64,
         alu_done: u64,
-    ) -> LoadOutcome;
+    ) -> u64;
 
     /// Resolve the lines of one store (fire-and-forget).
     fn store(&mut self, sm: usize, lines: &tbpoint_ir::inst::CoalescedLines, now: u64);
 }
 
-/// The serial backend: the classic inline walk through [`MemorySystem`].
+/// The simulator's backend: the inline walk through [`MemorySystem`].
 pub(crate) struct DirectMem<'a, 'r, R: Recorder + ?Sized> {
     pub mem: &'a mut MemorySystem,
     pub rec: &'r R,
 }
 
 impl<R: Recorder + ?Sized> IssueMem for DirectMem<'_, '_, R> {
-    // tbpoint-phase: coordinator
     fn load(
         &mut self,
         sm: usize,
-        _slot: usize,
-        _warp: usize,
         lines: &tbpoint_ir::inst::CoalescedLines,
         now: u64,
         alu_done: u64,
-    ) -> LoadOutcome {
+    ) -> u64 {
         let mut done_at = alu_done;
         for line in lines.iter() {
             done_at = done_at.max(self.mem.load_obs(sm, line, now, self.rec));
         }
-        LoadOutcome::Done(done_at)
+        done_at
     }
 
-    // tbpoint-phase: coordinator
     fn store(&mut self, sm: usize, lines: &tbpoint_ir::inst::CoalescedLines, now: u64) {
         for line in lines.iter() {
             self.mem.store_obs(sm, line, now, self.rec);
@@ -151,10 +126,10 @@ pub struct SmCore {
     wpb: usize,
     /// Packed scheduler words, `occupancy x wpb`: `sched_at[slot * wpb + w]`
     /// is the warp's `ready_at` while it is schedulable (slot occupied,
-    /// not done, not at a barrier, no deferred load in flight) and
-    /// `u64::MAX` otherwise. So `ready(w)` is `sched_at <= now` and a
-    /// failed scan's wake time is `min(sched_at)`. Written wherever
-    /// `ready_at`, `done` or `at_barrier` change.
+    /// not done, not at a barrier) and `u64::MAX` otherwise. So
+    /// `ready(w)` is `sched_at <= now` and a failed scan's wake time is
+    /// `min(sched_at)`. Written wherever `ready_at`, `done` or
+    /// `at_barrier` change.
     sched_at: Vec<u64>,
     /// Occupied slot indices, ascending — the scheduler's scan order.
     occupied: Vec<usize>,
@@ -272,10 +247,6 @@ impl SmCore {
         if live == 0 {
             return Some(tb_id); // degenerate block, retires instantly
         }
-        let remaining = warps
-            .iter()
-            .map(|w| u64::try_from(w.trace.len()).unwrap_or(u64::MAX))
-            .fold(0u64, u64::saturating_add);
         let wpb = warps.len();
         if self.wpb != wpb {
             assert!(
@@ -302,7 +273,6 @@ impl SmCore {
             live,
             at_barrier: 0,
             birth: now,
-            remaining,
             stats: TbStats::default(),
         });
         None
@@ -402,7 +372,6 @@ impl SmCore {
     }
 
     /// Attempt to issue one warp instruction at cycle `now`.
-    // tbpoint-phase: coordinator
     pub fn try_issue(&mut self, now: u64, mem: &mut MemorySystem) -> IssueResult {
         self.try_issue_obs(now, mem, &NullRecorder)
     }
@@ -410,7 +379,6 @@ impl SmCore {
     /// [`SmCore::try_issue`] with observability: issue counters plus the
     /// cache/DRAM events the memory system emits. Monomorphised over the
     /// recorder, so `NullRecorder` compiles the instrumentation away.
-    // tbpoint-phase: coordinator
     pub fn try_issue_obs<R: Recorder + ?Sized>(
         &mut self,
         now: u64,
@@ -421,12 +389,10 @@ impl SmCore {
         self.try_issue_mem(now, &mut port, rec)
     }
 
-    /// The one issue body, generic over where memory traffic goes
-    /// ([`IssueMem`]): the serial walk and the sharded window runner both
-    /// compile down from this, which is what keeps them bit-identical by
-    /// construction rather than by parallel maintenance.
+    /// The issue body, generic over where memory traffic goes
+    /// ([`IssueMem`]).
     // tbpoint-hot
-    pub(crate) fn try_issue_mem<M: IssueMem, R: Recorder + ?Sized>(
+    fn try_issue_mem<M: IssueMem, R: Recorder + ?Sized>(
         &mut self,
         now: u64,
         mem: &mut M,
@@ -465,7 +431,6 @@ impl SmCore {
             return IssueResult::none();
         };
         let ctx = block.ctx;
-        block.remaining = block.remaining.saturating_sub(1);
         let warp = &mut block.warps[w];
         let inst = warp.trace[warp.pc];
         warp.pc += 1;
@@ -504,19 +469,11 @@ impl SmCore {
                         // Fire-and-forget: the warp only pays issue latency.
                         warp.ready_at = now + self.alu_latency;
                     } else {
-                        match mem.load(self.id, s, w, &lines, now, now + self.alu_latency) {
-                            LoadOutcome::Done(done_at) => {
-                                warp.ready_at = done_at;
-                                self.stats.load_latency_sum += done_at - now;
-                                self.stats.loads_waited += 1;
-                                rec.counter("load_wait_cycles", done_at - now);
-                            }
-                            LoadOutcome::Deferred => {
-                                // Asleep until the window barrier resolves
-                                // the shared half of the access.
-                                warp.ready_at = u64::MAX;
-                            }
-                        }
+                        let done_at = mem.load(self.id, &lines, now, now + self.alu_latency);
+                        warp.ready_at = done_at;
+                        self.stats.load_latency_sum += done_at - now;
+                        self.stats.loads_waited += 1;
+                        rec.counter("load_wait_cycles", done_at - now);
                     }
                 } else {
                     warp.ready_at = now + self.alu_latency;
@@ -613,73 +570,6 @@ impl SmCore {
         if !self.is_empty() {
             self.stats.resident_cycles += delta;
         }
-    }
-
-    /// Resolve a load deferred at (`slot`, `warp`) during a parallel
-    /// window: the barrier replay computed `done_at` from the shared
-    /// hierarchy, exactly as the serial walk would have at `issued_at`.
-    /// Accounting mirrors the serial issue site; the wake lowers
-    /// `ready_hint` so the fast path cannot skip the warp. A `None` slot
-    /// means the block retired at the issue cycle (a last-instruction
-    /// load) — the stats are still credited, as serial does before
-    /// retirement bookkeeping.
-    // tbpoint-phase: coordinator
-    // tbpoint-hot
-    pub(crate) fn resolve_deferred_load<R: Recorder + ?Sized>(
-        &mut self,
-        slot: usize,
-        warp: usize,
-        done_at: u64,
-        issued_at: u64,
-        rec: &R,
-    ) {
-        self.stats.load_latency_sum += done_at - issued_at;
-        self.stats.loads_waited += 1;
-        rec.counter("load_wait_cycles", done_at - issued_at);
-        if let Some(b) = self.slots[slot].as_mut() {
-            let w = &mut b.warps[warp];
-            w.ready_at = done_at;
-            // A warp asleep on a load cannot be at a barrier.
-            if !w.done {
-                self.sched_at[slot * self.wpb + warp] = done_at;
-                self.ready_hint = self.ready_hint.min(done_at);
-            }
-        }
-    }
-
-    /// A lower bound on the earliest cycle (>= `from`) at which any
-    /// resident block could retire; `u64::MAX` when none are resident.
-    ///
-    /// Two bounds compose per block, and retirement happens at the issue
-    /// of the block's final instruction, so both are sound:
-    /// * the SM issues at most one instruction per cycle, so a block with
-    ///   `remaining` instructions left cannot see its last one issue
-    ///   before `from + remaining - 1`;
-    /// * every live warp must still issue its own tail: its last
-    ///   instruction lands no earlier than
-    ///   `max(from, ready_at) + warp_remaining - 1` (`ready_at` is a
-    ///   lower bound on availability even for warps parked at a barrier,
-    ///   whose release can only push it later).
-    ///
-    /// Must be called with no unresolved deferred loads (their
-    /// `ready_at == u64::MAX` sentinel would inflate the bound); the
-    /// coordinator computes it only after barrier resolution.
-    // tbpoint-hot
-    pub(crate) fn earliest_retire_bound(&self, from: u64) -> u64 {
-        let mut best = u64::MAX;
-        for blk in self.slots.iter().flatten() {
-            let mut bound = from.saturating_add(blk.remaining).saturating_sub(1);
-            for w in &blk.warps {
-                if w.done {
-                    continue;
-                }
-                let rem = u64::try_from(w.trace.len() - w.pc).unwrap_or(u64::MAX);
-                let avail = from.max(w.ready_at);
-                bound = bound.max(avail.saturating_add(rem).saturating_sub(1));
-            }
-            best = best.min(bound);
-        }
-        best
     }
 }
 
@@ -817,29 +707,21 @@ mod tests {
         }
     }
 
-    /// Memory port for the histories: a load either completes after a
-    /// random latency or is deferred, to be resolved by the driver later.
+    /// Memory port for the histories: a load completes after a random
+    /// latency.
     struct ScriptedMem {
         rng: SplitMix64,
-        deferred: Vec<(usize, usize, u64)>,
     }
 
     impl IssueMem for ScriptedMem {
         fn load(
             &mut self,
             _sm: usize,
-            slot: usize,
-            warp: usize,
             _lines: &tbpoint_ir::inst::CoalescedLines,
             now: u64,
             alu_done: u64,
-        ) -> LoadOutcome {
-            if self.rng.next_index(2) == 0 {
-                self.deferred.push((slot, warp, now));
-                LoadOutcome::Deferred
-            } else {
-                LoadOutcome::Done(alu_done.max(now + self.rng.next_index(300)))
-            }
+        ) -> u64 {
+            alu_done.max(now + self.rng.next_index(300))
         }
 
         fn store(&mut self, _sm: usize, _lines: &tbpoint_ir::inst::CoalescedLines, _now: u64) {}
@@ -896,9 +778,8 @@ mod tests {
     }
 
     /// One random SM history: dispatches, issues, barrier arrivals and
-    /// releases, retirements and deferred-load resolutions interleaved at
-    /// random, every pick compared with the reference. Returns the
-    /// number of picks compared.
+    /// releases and retirements interleaved at random, every pick
+    /// compared with the reference. Returns the number of picks compared.
     fn run_history(seed: u64, sched: SchedPolicy, use_hint: bool) -> u64 {
         let mut rng = SplitMix64::new(seed);
         let wpb = 1 + below(&mut rng, 32);
@@ -913,7 +794,6 @@ mod tests {
         let mut arena = TraceArena::with_caching(&kernel, true);
         let mut mem = ScriptedMem {
             rng: SplitMix64::new(seed ^ 0xD1F),
-            deferred: Vec::new(),
         };
         let num_blocks = (occupancy * (1 + below(&mut rng, 3))) as u32;
         let (mut next_block, mut retired, mut picks, mut now) = (0u32, 0u32, 0u64, 0u64);
@@ -940,31 +820,9 @@ mod tests {
                     sm.assert_words_exact("dispatch");
                 }
             }
-            let mut i = 0;
-            while i < mem.deferred.len() {
-                if below(&mut rng, 4) == 0 {
-                    let (slot, warp, issued_at) = mem.deferred.swap_remove(i);
-                    let done_at = now + 1 + rng.next_index(300);
-                    sm.resolve_deferred_load(slot, warp, done_at, issued_at, &NullRecorder);
-                    sm.assert_words_exact("resolve");
-                } else {
-                    i += 1;
-                }
-            }
             let (r, compared) = sm.step_checked(now, &mut mem);
             picks += u64::from(compared);
-            if r.retired.is_some() {
-                retired += 1;
-                // A block may retire on a deferred load; as the window
-                // barrier does, resolve it before the slot is refilled.
-                mem.deferred.retain(|&(slot, warp, issued_at)| {
-                    let gone = sm.slots[slot].is_none();
-                    if gone {
-                        sm.resolve_deferred_load(slot, warp, now + 1, issued_at, &NullRecorder);
-                    }
-                    !gone
-                });
-            }
+            retired += u32::from(r.retired.is_some());
             // Mostly cycle by cycle; sometimes a jump, as the idle skip does.
             now += if below(&mut rng, 8) == 0 {
                 1 + rng.next_index(60)
@@ -972,7 +830,7 @@ mod tests {
                 1
             };
         }
-        assert!(sm.is_empty() && mem.deferred.is_empty());
+        assert!(sm.is_empty());
         picks
     }
 

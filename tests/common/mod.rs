@@ -177,3 +177,72 @@ pub fn random_kernel(g: &mut Gen, case: u64, block_invariant: bool) -> Kernel {
     let root = b.seq(nodes);
     b.finish(root)
 }
+
+/// A random kernel biased toward the memory path: global loads and
+/// stores in every address pattern, mixed with ALU/SFU work,
+/// shared-memory traffic, barriers, and divergent control flow — the
+/// instruction mix that keeps MSHRs, L2 and DRAM queues busy.
+pub fn random_mem_kernel(g: &mut Gen, case: u64) -> Kernel {
+    let tpb = g.u32(16, 160);
+    let mut b = KernelBuilder::new(&format!("mem{case}"), g.u64(1, 1 << 20), tpb);
+    let mut nodes = Vec::new();
+    for _ in 0..g.usize(2, 5) {
+        let region = g.u32(0, 4);
+        let pattern = match g.u32(0, 4) {
+            0 => AddrPattern::Coalesced { region, stride: 4 },
+            1 => AddrPattern::Strided {
+                region,
+                stride: 128 + g.u32(0, 3) * 64,
+            },
+            2 => AddrPattern::Random {
+                region,
+                bytes: 1 << g.u32(12, 18),
+            },
+            _ => AddrPattern::Broadcast { region },
+        };
+        let mut ops = vec![Op::LdGlobal(pattern), Op::IAlu, Op::FAlu];
+        match g.u32(0, 4) {
+            0 => ops.push(Op::StGlobal(pattern)),
+            1 => {
+                ops.push(Op::LdShared);
+                ops.push(Op::StShared);
+            }
+            2 => ops.push(Op::Sfu),
+            _ => ops.push(Op::Barrier),
+        }
+        let body = b.block(&ops);
+        let site = b.fresh_site();
+        let trips = match g.u32(0, 3) {
+            0 => TripCount::Const(g.u32(1, 5)),
+            1 => TripCount::PerBlock {
+                base: g.u32(1, 4),
+                spread: g.u32(0, 6),
+                dist: Dist::Uniform,
+                site,
+            },
+            _ => TripCount::PerThread {
+                base: g.u32(1, 4),
+                spread: g.u32(0, 6),
+                dist: Dist::Uniform,
+                site,
+            },
+        };
+        let looped = b.loop_(trips, body);
+        match g.u32(0, 3) {
+            0 => nodes.push(looped),
+            1 => {
+                let cond = Cond::ThreadProb {
+                    p: g.f64(0.2, 0.9),
+                    site: b.fresh_site(),
+                };
+                nodes.push(b.if_(cond, looped, None));
+            }
+            _ => {
+                let cond = Cond::LaneLt(g.u32(1, 32));
+                nodes.push(b.if_(cond, looped, None));
+            }
+        }
+    }
+    let root = b.seq(nodes);
+    b.finish(root)
+}

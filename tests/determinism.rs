@@ -64,10 +64,7 @@ fn tbpoint_is_worker_count_invariant() {
         Some(&profile),
         &cfg,
         &gpu,
-        ExecPlan {
-            sim_jobs: 2,
-            pool_workers: 8,
-        },
+        ExecPlan { pool_workers: 8 },
     )
     .unwrap();
     assert_eq!(serial, parallel);

@@ -88,8 +88,5 @@ fn tiny_pipeline_matches_committed_golden_serial() {
 
 #[test]
 fn tiny_pipeline_matches_committed_golden_pooled() {
-    check_roster(ExecPlan {
-        sim_jobs: 1,
-        pool_workers: 2,
-    });
+    check_roster(ExecPlan { pool_workers: 2 });
 }

@@ -2,7 +2,7 @@
 //!
 //! The trace interner and the event-horizon cycle skipping (see
 //! DESIGN.md, "Performance") are pure optimisations: they must not
-//! change a single bit of any simulation result. Three layers of tests
+//! change a single bit of any simulation result. Four layers of tests
 //! pin that down:
 //!
 //! 1. **Committed golden**: every Table-VI workload at Tiny scale is
@@ -15,18 +15,23 @@
 //! 2. **Mode cross-check**: each launch is re-simulated with interning
 //!    off (fresh re-emulation per warp), with the event horizon off
 //!    (cycle-by-cycle stepping), and with both off; all four mode
-//!    combinations must serialise identically.
+//!    combinations must serialise identically. Seeded memory-heavy
+//!    random kernels ride along as extra inputs.
 //! 3. **Interner key property**: over seeded random kernels spanning
 //!    every trip-count/condition dependence class, two (block, warp)
 //!    coordinates that map to the same `TraceKey` must produce equal
 //!    traces — the invariant the whole interner rests on.
+//! 4. **`simulate_launch_perf`'s `jobs` argument is inert**: the frozen
+//!    `benchmark/` harness still passes one.
 
 mod common;
 
-use common::{random_kernel, simulate_opts, Gen};
+use common::{random_kernel, random_mem_kernel, simulate_opts, Gen};
 use tbpoint::emu::{trace_warp, TraceArena, TraceKey};
-use tbpoint::ir::{ExecCtx, LaunchId};
-use tbpoint::sim::{simulate_launch, simulate_run, GpuConfig, NullSampling, SimOptions};
+use tbpoint::ir::{ExecCtx, Kernel, LaunchId, LaunchSpec};
+use tbpoint::sim::{
+    simulate_launch, simulate_launch_perf, simulate_run, GpuConfig, NullSampling, SimOptions,
+};
 use tbpoint::workloads::{all_benchmarks, Scale};
 
 /// The committed pre-optimisation reference output.
@@ -100,57 +105,47 @@ fn tiny_runs_match_committed_golden() {
     }
 }
 
+/// One seeded memory-heavy launch (see [`random_mem_kernel`]).
+fn mem_case(case: u64) -> (Kernel, LaunchSpec) {
+    let mut g = Gen::new(0x5a7, case);
+    let kernel = random_mem_kernel(&mut g, case);
+    let spec = LaunchSpec {
+        launch_id: LaunchId(0),
+        num_blocks: g.u32(8, 64),
+        work_scale: 1.0,
+    };
+    (kernel, spec)
+}
+
+/// The optimised default against the three reference modes on one launch.
+fn assert_modes_agree(what: &str, kernel: &Kernel, spec: &LaunchSpec, cfg: &GpuConfig) {
+    let modes = [
+        ("fresh traces", false, true),
+        ("cycle-stepped", true, false),
+        ("fresh traces + cycle-stepped", false, false),
+    ];
+    let base = simulate_launch(kernel, spec, cfg, &mut NullSampling, None);
+    let base_json = to_json(&base);
+    for (label, intern_traces, event_horizon) in modes {
+        let opts = SimOptions {
+            intern_traces,
+            event_horizon,
+        };
+        let alt = simulate_opts(kernel, spec, cfg, opts);
+        assert_same_json(&format!("{what} vs {label}"), &base_json, &to_json(&alt));
+    }
+}
+
 /// Layer 2: the optimised default (interned traces + event horizon)
 /// serialises identically to the three reference modes that disable
 /// either or both optimisations. Every workload is covered; within a
 /// workload the cross-check runs on representative launches (first,
 /// widest grid, last) — the reference modes are an order of magnitude
 /// slower by design, and layer 1 already pins the default mode on every
-/// launch against committed history.
+/// launch against committed history. Ten seeded memory-heavy kernels
+/// add the MSHR/L2/DRAM-bound launches the roster is light on.
 #[test]
 fn interning_and_event_horizon_are_bit_identical() {
-    let modes = [
-        (
-            "fresh traces",
-            SimOptions {
-                intern_traces: false,
-                event_horizon: true,
-                jobs: 1,
-            },
-        ),
-        (
-            "cycle-stepped",
-            SimOptions {
-                intern_traces: true,
-                event_horizon: false,
-                jobs: 1,
-            },
-        ),
-        (
-            "fresh traces + cycle-stepped",
-            SimOptions {
-                intern_traces: false,
-                event_horizon: false,
-                jobs: 1,
-            },
-        ),
-        (
-            "parallel jobs=3",
-            SimOptions {
-                intern_traces: true,
-                event_horizon: true,
-                jobs: 3,
-            },
-        ),
-        (
-            "parallel jobs=4 cycle-stepped",
-            SimOptions {
-                intern_traces: true,
-                event_horizon: false,
-                jobs: 4,
-            },
-        ),
-    ];
     let cfg = GpuConfig::fermi();
     for bench in all_benchmarks(Scale::Tiny) {
         let launches = &bench.run.launches;
@@ -164,16 +159,30 @@ fn interning_and_event_horizon_are_bit_identical() {
         picks.sort_unstable();
         picks.dedup();
         for spec in picks.into_iter().map(|i| &launches[i]) {
-            let base = simulate_launch(&bench.run.kernel, spec, &cfg, &mut NullSampling, None);
-            let base_json = to_json(&base);
-            for (label, opts) in modes {
-                let alt = simulate_opts(&bench.run.kernel, spec, &cfg, opts);
-                assert_same_json(
-                    &format!("{} launch {} vs {label}", bench.name, spec.launch_id.0),
-                    &base_json,
-                    &to_json(&alt),
-                );
-            }
+            let what = format!("{} launch {}", bench.name, spec.launch_id.0);
+            assert_modes_agree(&what, &bench.run.kernel, spec, &cfg);
+        }
+    }
+    for case in 0..10 {
+        let (kernel, spec) = mem_case(case);
+        assert_modes_agree(&format!("memory kernel {case}"), &kernel, &spec, &cfg);
+    }
+}
+
+/// Layer 4: `simulate_launch_perf` keeps a `jobs` parameter only so the
+/// frozen `benchmark/` harness compiles; result and counters — the
+/// idle-jump ones included — must not depend on it.
+#[test]
+fn simulate_launch_perf_ignores_jobs() {
+    let cfg = GpuConfig::fermi();
+    let bench = &all_benchmarks(Scale::Tiny)[0];
+    let roster = (bench.run.kernel.clone(), bench.run.launches[0]);
+    for (kernel, spec) in [roster, mem_case(0)] {
+        let run = |jobs| simulate_launch_perf(&kernel, &spec, &cfg, &mut NullSampling, None, jobs);
+        let reference = run(1);
+        assert!(reference.1.idle_jumps > 0, "{}: no idle jump", kernel.name);
+        for jobs in [0, 2, 1000] {
+            assert_eq!(run(jobs), reference, "{} at jobs={jobs}", kernel.name);
         }
     }
 }

@@ -6,10 +6,9 @@
 //!   change what the pipeline concludes, only how often it runs;
 //! * live errors against the full simulation stay inside the same
 //!   clean-baseline envelope `tbpoint bench --check` enforces;
-//! * live results are **bit-identical** across both [`ExecPlan`] axes
-//!   (`sim_jobs` and `pool_workers`) — the online detector consumes
-//!   the retire stream in launch order, so scheduling must be
-//!   invisible.
+//! * live results are **bit-identical** at every [`ExecPlan`] worker
+//!   count — the online detector consumes the retire stream in launch
+//!   order, so scheduling must be invisible.
 //!
 //! Inputs come from seeded deterministic generators (see `common::Gen`)
 //! rather than `proptest`, which is unavailable in the offline build
@@ -34,21 +33,14 @@ const MODE_TOLERANCE: f64 = 0.10;
 /// (the resilience suite's clean-baseline anchor).
 const ERROR_BOUND_PCT: f64 = 10.0;
 
-/// The plan grid both satellites run: every combination of the two
-/// parallelism axes at 1 and 2.
-const PLANS: [(usize, usize); 4] = [(1, 1), (2, 1), (1, 2), (2, 2)];
+/// The pool-worker counts both satellites run (the first is the serial
+/// reference).
+const POOL_WORKERS: [usize; 2] = [1, 2];
 
 fn live_cfg() -> TbpointConfig {
     TbpointConfig {
         mode: SamplingMode::Live,
         ..TbpointConfig::default()
-    }
-}
-
-fn plan(sim_jobs: usize, pool_workers: usize) -> ExecPlan {
-    ExecPlan {
-        sim_jobs,
-        pool_workers,
     }
 }
 
@@ -86,19 +78,18 @@ fn assert_live_tracks_two_phase(label: &str, run: &KernelRun, gpu: &GpuConfig) {
     );
 }
 
-/// Live results at every plan-grid point; panics with `label` context
+/// Live results at every worker count; panics with `label` context
 /// when any differs from the serial result.
 fn assert_live_plan_invariant(label: &str, run: &KernelRun, gpu: &GpuConfig) {
     let mut reference: Option<TbpointResult> = None;
-    for (jobs, workers) in PLANS {
-        let r =
-            run_tbpoint(run, None, &live_cfg(), gpu, plan(jobs, workers)).expect("live pipeline");
+    for pool_workers in POOL_WORKERS {
+        let plan = ExecPlan { pool_workers };
+        let r = run_tbpoint(run, None, &live_cfg(), gpu, plan).expect("live pipeline");
         match &reference {
             None => reference = Some(r),
             Some(serial) => assert_eq!(
                 &r, serial,
-                "{label}: live result at jobs={jobs} pool-workers={workers} \
-                 differs from the serial run"
+                "{label}: live result at pool-workers={pool_workers} differs from the serial run"
             ),
         }
     }
