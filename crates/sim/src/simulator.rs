@@ -52,9 +52,13 @@ pub struct SimPerf {
     pub reused_warp_insts: u64,
     /// Trace instructions actually emulated.
     pub traced_warp_insts: u64,
-    /// Machine-wide idle spans crossed in a single jump.
+    /// Machine-wide idle spans crossed in a single jump. A counter of the
+    /// host loop, not of the modelled hardware: a speed-only change to
+    /// idle skipping may move it (and `idle_cycles_skipped`) while every
+    /// [`LaunchSimResult`] stays bit-identical.
     pub idle_jumps: u64,
-    /// Cycles those jumps skipped.
+    /// Cycles those jumps skipped (host-loop counter, as above); the
+    /// launch's remaining `cycles` were stepped one issue pass each.
     pub idle_cycles_skipped: u64,
     /// Thread-block retirements whose feature counters were streamed to
     /// the sampling hook (every simulated TB generates exactly one).
@@ -224,8 +228,10 @@ struct DispatchState {
 /// so that consecutive TB ids spread across SMs — the behaviour the
 /// paper's epoch construction assumes ("thread blocks having closer
 /// thread block IDs are likely to be running concurrently").
-// The dispatcher's full per-launch context; bundling more would just
-// move the same fields.
+// Ten arguments: the launch (kernel, spec, stagger), the machine (SMs,
+// trace arena), the dispatch cursor, the hook, the clock (cycle, issue
+// total) and the recorder — each owned by the cycle loop, which goes on
+// using all of them between calls, so a bundle would be rebuilt per call.
 #[allow(clippy::too_many_arguments)]
 fn greedy_fill<R: Recorder + ?Sized>(
     sms: &mut [SmCore],
@@ -247,10 +253,7 @@ fn greedy_fill<R: Recorder + ?Sized>(
         num_blocks: spec.num_blocks,
         work_scale: spec.work_scale,
     };
-    loop {
-        if ds.next_tb >= total_tbs {
-            return;
-        }
+    while ds.next_tb < total_tbs {
         // Find the SM with a free slot that currently hosts the fewest
         // blocks (breadth-first fill), and grab the slot while at it so
         // dispatch below cannot fail.
@@ -263,55 +266,59 @@ fn greedy_fill<R: Recorder + ?Sized>(
         let Some((sm_idx, slot)) = target else { return };
         // SM indices are config-bounded (tens), far below u32::MAX.
         let sm_u32 = u32::try_from(sm_idx).unwrap_or(u32::MAX);
-        let tb = TbId(ds.next_tb);
-        ds.next_tb += 1;
-        match hook.on_dispatch(tb, cycle, issued_total) {
-            DispatchDecision::Skip => {
-                ds.skipped += 1;
-                rec.record(cycle, EventKind::TbSkipped { tb: tb.0 });
-                // Skipped blocks vanish: no resources, no sim events.
-                continue;
+        // Skipped blocks vanish — no resources, no sim events — so the
+        // whole run of skips up to the next simulated block is consumed
+        // against this one target.
+        let tb = loop {
+            if ds.next_tb >= total_tbs {
+                return;
             }
-            DispatchDecision::Simulate => {
-                ds.simulated += 1;
-                // Serial dispatch: during the initial fill every block
-                // starts `stagger` cycles after the previous one.
-                // Mid-launch refills inherit natural staggering from
-                // retirement times, so no extra delay is added there.
-                let start = if cycle == 0 {
-                    ds.simulated as u64 * stagger
-                } else {
-                    cycle
-                };
-                let insta_retire =
-                    sms[sm_idx].dispatch(slot, kernel, make_ctx(tb.0), tb, cycle, start, arena);
-                rec.record(
-                    cycle,
-                    EventKind::TbDispatched {
-                        tb: tb.0,
-                        sm: sm_u32,
-                    },
-                );
-                if let Some(rtb) = insta_retire {
-                    rec.record(
-                        cycle,
-                        EventKind::TbRetired {
-                            tb: rtb.0,
-                            sm: sm_u32,
-                        },
-                    );
-                    // A degenerate (all-empty-trace) block issues nothing,
-                    // so its streamed profile is the all-zero one — exactly
-                    // what the profiler would have recorded for it.
-                    hook.on_retire(rtb, cycle, issued_total, TbStats::default());
-                } else {
-                    ds.outstanding += 1;
-                    if rec.enabled() {
-                        let resident =
-                            u64::try_from(sms[sm_idx].resident_blocks()).unwrap_or(u64::MAX);
-                        rec.gauge("sm_resident_blocks", sm_u32, resident);
-                    }
+            let tb = TbId(ds.next_tb);
+            ds.next_tb += 1;
+            match hook.on_dispatch(tb, cycle, issued_total) {
+                DispatchDecision::Skip => {
+                    ds.skipped += 1;
+                    rec.record(cycle, EventKind::TbSkipped { tb: tb.0 });
                 }
+                DispatchDecision::Simulate => break tb,
+            }
+        };
+        ds.simulated += 1;
+        // Serial dispatch: during the initial fill every block starts
+        // `stagger` cycles after the previous one. Mid-launch refills
+        // inherit natural staggering from retirement times, so no extra
+        // delay is added there.
+        let start = if cycle == 0 {
+            ds.simulated as u64 * stagger
+        } else {
+            cycle
+        };
+        let insta_retire =
+            sms[sm_idx].dispatch(slot, kernel, make_ctx(tb.0), tb, cycle, start, arena);
+        rec.record(
+            cycle,
+            EventKind::TbDispatched {
+                tb: tb.0,
+                sm: sm_u32,
+            },
+        );
+        if let Some(rtb) = insta_retire {
+            rec.record(
+                cycle,
+                EventKind::TbRetired {
+                    tb: rtb.0,
+                    sm: sm_u32,
+                },
+            );
+            // A degenerate (all-empty-trace) block issues nothing, so its
+            // streamed profile is the all-zero one — exactly what the
+            // profiler would have recorded for it.
+            hook.on_retire(rtb, cycle, issued_total, TbStats::default());
+        } else {
+            ds.outstanding += 1;
+            if rec.enabled() {
+                let resident = u64::try_from(sms[sm_idx].resident_blocks()).unwrap_or(u64::MAX);
+                rec.gauge("sm_resident_blocks", sm_u32, resident);
             }
         }
     }
@@ -416,56 +423,48 @@ pub fn simulate_launch_with<R: Recorder + ?Sized>(
             break;
         }
         if any_issued {
-            for sm in &mut sms {
-                sm.credit_resident_cycles(1);
-            }
             cycle += 1;
+            continue;
+        }
+        // Nothing issued, so nothing retired and nothing was dispatched.
+        // With the event horizon on, every SM's latest scan failed and no
+        // dispatch came after it, so each `ready_hint` is exact and past
+        // `cycle` (`u64::MAX` on an empty SM) and their minimum is the
+        // machine-wide wake cycle: the loop jumps there, and every
+        // iteration either issues or jumps. The oracle finds the same
+        // cycle by scanning every warp, then steps.
+        let wake = if opts.event_horizon {
+            sms.iter().map(SmCore::ready_hint).min()
         } else {
-            // Nothing issueable this cycle: jump to the next wake-up.
-            // With the event horizon on, every SM's last scheduling scan
-            // failed this cycle (issuing would have set `any_issued`), so
-            // each `ready_hint` is the exact per-SM minimum and their min
-            // is the machine-wide wake cycle — no rescan needed. The
-            // stepped reference recomputes it by scanning every warp and
-            // then advances one cycle at a time.
-            let next = if opts.event_horizon {
-                sms.iter()
-                    .map(SmCore::ready_hint)
-                    .min()
-                    .filter(|&t| t != u64::MAX)
-            } else {
-                sms.iter().filter_map(SmCore::next_ready).min()
-            };
-            match next {
-                Some(t) if t > cycle && opts.event_horizon => {
-                    rec.record(cycle, EventKind::IdleJump { cycles: t - cycle });
-                    for sm in &mut sms {
-                        sm.credit_resident_cycles(t - cycle);
-                    }
-                    perf.idle_jumps += 1;
-                    perf.idle_cycles_skipped += t - cycle;
-                    cycle = t;
-                }
-                Some(_) => {
-                    for sm in &mut sms {
-                        sm.credit_resident_cycles(1);
-                    }
-                    cycle += 1;
-                }
-                None => {
-                    // No warp can ever become ready: only legal when all
-                    // remaining TBs are skippable (outstanding == 0 was
-                    // handled above), so this is a deadlock — the simulator
-                    // itself is broken, not the input. Aborting loudly beats
-                    // returning a silently wrong cycle count.
-                    // tbpoint-lint: allow(no-panic-in-library)
-                    panic!(
-                        "simulator deadlock at cycle {cycle}: outstanding={}, \
-                         next_tb={}/{total_tbs}",
-                        ds.outstanding, ds.next_tb
-                    );
-                }
-            }
+            sms.iter().filter_map(SmCore::next_ready).min()
+        }
+        .unwrap_or(u64::MAX);
+        if wake == u64::MAX {
+            // No warp can ever become ready: only legal when all
+            // remaining TBs are skippable (outstanding == 0 was handled
+            // above), so this is a deadlock — the simulator itself is
+            // broken, not the input. Aborting loudly beats returning a
+            // silently wrong cycle count.
+            // tbpoint-lint: allow(no-panic-in-library)
+            panic!(
+                "simulator deadlock at cycle {cycle}: outstanding={}, \
+                 next_tb={}/{total_tbs}",
+                ds.outstanding, ds.next_tb
+            );
+        }
+        if opts.event_horizon {
+            debug_assert!(wake > cycle, "idle jump to {wake} at cycle {cycle}");
+            rec.record(
+                cycle,
+                EventKind::IdleJump {
+                    cycles: wake - cycle,
+                },
+            );
+            perf.idle_jumps += 1;
+            perf.idle_cycles_skipped += wake - cycle;
+            cycle = wake;
+        } else {
+            cycle += 1;
         }
     }
 

@@ -133,11 +133,15 @@ pub struct SmCore {
     sched_at: Vec<u64>,
     /// Occupied slot indices, ascending — the scheduler's scan order.
     occupied: Vec<usize>,
+    /// The cycle `occupied` last became non-empty; the span up to the
+    /// retirement that empties it again goes to `stats.resident_cycles`.
+    resident_since: u64,
     /// Conservative lower bound on the next cycle at which some warp
-    /// could issue; `u64::MAX` when nothing is issueable. Lowered at
-    /// dispatch, reset to `now` on every issue, raised to the exact
-    /// candidate minimum by a failed scheduling scan. `try_issue` returns
-    /// without scanning while `now < ready_hint`.
+    /// could issue; `u64::MAX` when nothing is issueable — in particular
+    /// after a scan of an SM with no resident block, under either policy.
+    /// Lowered at dispatch, reset to `now` on every issue, raised to the
+    /// exact candidate minimum by a failed scheduling scan. `try_issue`
+    /// returns without scanning while `now < ready_hint`.
     ready_hint: u64,
     /// Event-horizon switch: when false, `try_issue` always scans (the
     /// pre-optimisation reference behaviour golden tests compare against).
@@ -171,6 +175,7 @@ impl SmCore {
             wpb: 0,
             sched_at: Vec::new(),
             occupied: Vec::with_capacity(occupancy as usize),
+            resident_since: 0,
             ready_hint: u64::MAX,
             use_hint: true,
             rr_cursor: 0,
@@ -260,6 +265,9 @@ impl SmCore {
         for (word, w) in self.sched_at[slot * wpb..][..wpb].iter_mut().zip(&warps) {
             *word = if w.done { u64::MAX } else { w.ready_at };
         }
+        if self.occupied.is_empty() {
+            self.resident_since = now;
+        }
         let rank = self.occupied.partition_point(|&s| s < slot);
         self.occupied.insert(rank, slot);
         self.rr_pos = None;
@@ -294,6 +302,8 @@ impl SmCore {
                 // round-robin.
                 let n = self.occupied.len();
                 if n == 0 {
+                    // Rule 4: an SM with no resident block never wakes.
+                    self.ready_hint = u64::MAX;
                     break 'rr None;
                 }
                 let (rank, warp) = self.rr_pos.unwrap_or_else(|| {
@@ -398,11 +408,14 @@ impl SmCore {
         mem: &mut M,
         rec: &R,
     ) -> IssueResult {
-        // Event-horizon fast path. `now < ready_hint` implies a *failed*
-        // scan already ran since the last issue (issuing resets the hint
-        // to its cycle, so the first attempt after it always scans) and
-        // proved no warp wakes before `ready_hint`; nothing lowers the
-        // hint below `now` except dispatch, which maintains it. A repeat
+        // Event-horizon fast path, by the four `ready_hint` rules of
+        // DESIGN.md. `now < ready_hint` implies a *failed* scan already
+        // ran since the last issue (rule 2: issuing resets the hint to
+        // its cycle, so the first attempt after it always scans) and
+        // proved no warp wakes before `ready_hint` (rule 1; rule 4 on an
+        // SM with no resident block, which never wakes: `u64::MAX`). The
+        // only later write is a dispatch (rule 3), which lowers the hint
+        // to the new block's start, never below its own `now`. A repeat
         // scan would fail again and failed scans are idempotent (the
         // first one already cleared `gto_current`), so skipping them is
         // free of observable effects.
@@ -516,6 +529,9 @@ impl SmCore {
             self.stats.blocks_retired += 1;
             self.slots[s] = None;
             self.occupied.retain(|&o| o != s);
+            if self.occupied.is_empty() {
+                self.stats.resident_cycles += now - self.resident_since;
+            }
             self.rr_pos = None;
             if self.gto_current == Some((s, w)) {
                 self.gto_current = None;
@@ -562,15 +578,6 @@ impl SmCore {
     pub fn is_empty(&self) -> bool {
         self.occupied.is_empty()
     }
-
-    /// Credit `delta` cycles of residency if any block is resident
-    /// (called by the simulator's cycle loop, including over skipped
-    /// idle spans).
-    pub fn credit_resident_cycles(&mut self, delta: u64) {
-        if !self.is_empty() {
-            self.stats.resident_cycles += delta;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -596,6 +603,7 @@ mod tests {
                     }
                     let len = order.len();
                     if len == 0 {
+                        self.ready_hint = u64::MAX;
                         break 'rr None;
                     }
                     let start = self.rr_cursor % len;
@@ -698,6 +706,12 @@ mod tests {
             let got = self.pick_warp(now);
             assert_eq!(got, want, "pick at {now}");
             assert_eq!(self.sched_state(), want_state, "scheduler state at {now}");
+            if got.is_none() {
+                // Rules 1 and 4 from the packed words themselves, so a
+                // contract both twins break is still caught.
+                let wake = self.sched_at.iter().copied().min().unwrap_or(u64::MAX);
+                assert_eq!(self.ready_hint, wake, "hint after failed pick at {now}");
+            }
             let r = match got {
                 Some((s, w)) => self.issue_picked(s, w, now, mem, &NullRecorder),
                 None => IssueResult::none(),

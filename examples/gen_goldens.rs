@@ -21,8 +21,11 @@
 //! reorder a single sampler event unnoticed.
 //!
 //! Only regenerate (and commit the diff) when a change is *supposed* to
-//! alter results; performance and simplification work must leave both
-//! files untouched. See EXPERIMENTS.md ("Bit-identity goldens").
+//! alter what it altered. Performance and simplification work must leave
+//! `launch_sim_tiny.json` and every `result` object untouched; the trace
+//! digest also covers the host loop's `IdleJump` events, which a change
+//! to idle skipping moves by design. See EXPERIMENTS.md ("Bit-identity
+//! goldens").
 
 use tbpoint_core::{run_tbpoint_traced, SamplingMode, TbpointConfig};
 use tbpoint_emu::profile_run;

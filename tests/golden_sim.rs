@@ -2,7 +2,7 @@
 //!
 //! The trace interner and the event-horizon cycle skipping (see
 //! DESIGN.md, "Performance") are pure optimisations: they must not
-//! change a single bit of any simulation result. Four layers of tests
+//! change a single bit of any simulation result. Five layers of tests
 //! pin that down:
 //!
 //! 1. **Committed golden**: every Table-VI workload at Tiny scale is
@@ -23,6 +23,8 @@
 //!    traces — the invariant the whole interner rests on.
 //! 4. **`simulate_launch_perf`'s `jobs` argument is inert**: the frozen
 //!    `benchmark/` harness still passes one.
+//! 5. **Event-horizon loop invariant**: per launch, under both scheduling
+//!    policies, `cycles - idle_cycles_skipped <= issued_warp_insts`.
 
 mod common;
 
@@ -30,7 +32,8 @@ use common::{random_kernel, random_mem_kernel, simulate_opts, Gen};
 use tbpoint::emu::{trace_warp, TraceArena, TraceKey};
 use tbpoint::ir::{ExecCtx, Kernel, LaunchId, LaunchSpec};
 use tbpoint::sim::{
-    simulate_launch, simulate_launch_perf, simulate_run, GpuConfig, NullSampling, SimOptions,
+    simulate_launch, simulate_launch_perf, simulate_run, GpuConfig, NullSampling, SchedPolicy,
+    SimOptions,
 };
 use tbpoint::workloads::{all_benchmarks, Scale};
 
@@ -185,6 +188,53 @@ fn simulate_launch_perf_ignores_jobs() {
             assert_eq!(run(jobs), reference, "{} at jobs={jobs}", kernel.name);
         }
     }
+}
+
+/// Layer 5 over one scale. With the event horizon on every loop
+/// iteration either issues or jumps, so a launch steps at most one cycle
+/// per issued instruction.
+fn check_stepped_cycles(scale: Scale) {
+    let mem_cases: Vec<(Kernel, LaunchSpec)> = (0..10).map(mem_case).collect();
+    let benches = all_benchmarks(scale);
+    let mut cases: Vec<(&Kernel, &LaunchSpec)> = mem_cases.iter().map(|(k, s)| (k, s)).collect();
+    for bench in &benches {
+        cases.extend(bench.run.launches.iter().map(|s| (&bench.run.kernel, s)));
+    }
+    let mut worst = 0.0_f64;
+    for sched in [SchedPolicy::RoundRobin, SchedPolicy::Gto] {
+        let cfg = GpuConfig {
+            sched,
+            ..GpuConfig::fermi()
+        };
+        for &(kernel, spec) in &cases {
+            let (r, perf) = simulate_launch_perf(kernel, spec, &cfg, &mut NullSampling, None, 1);
+            let stepped = r.cycles - perf.idle_cycles_skipped;
+            assert!(
+                stepped <= r.issued_warp_insts,
+                "{} launch {} under {sched:?}: {stepped} stepped cycles for {} warp instructions",
+                kernel.name,
+                spec.launch_id.0,
+                r.issued_warp_insts
+            );
+            worst = worst.max(stepped as f64 / r.issued_warp_insts.max(1) as f64);
+        }
+    }
+    println!(
+        "stepped <= issued on {} launches x 2 policies, worst stepped/issued {worst:.3}",
+        cases.len()
+    );
+}
+
+/// Layer 5: the launch loop's host work follows issues, not cycles x SMs.
+#[test]
+fn stepped_cycles_never_exceed_issued_instructions() {
+    check_stepped_cycles(Scale::Tiny);
+}
+
+#[test]
+#[ignore = "483 dev-scale launches x 2 policies; CI runs it in release (cargo test --release --test golden_sim -- --ignored)"]
+fn stepped_cycles_never_exceed_issued_instructions_dev() {
+    check_stepped_cycles(Scale::Dev);
 }
 
 // ---------------------------------------------------------------------------
