@@ -1,14 +1,44 @@
 //! Seeded property tests for the content-addressed cache (satellite of
 //! PR 8): distinct request inputs never collide on a cache path, and a
-//! byte-flipped entry is always quarantined, never deserialized.
+//! byte-flipped entry is always quarantined, never deserialized. The
+//! Tiny roster's default-request names are pinned by a golden file, so
+//! re-keying every entry on disk cannot happen unnoticed.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use tbpoint_core::TbpointConfig;
-use tbpoint_serve::{cache_name, key_text, Lookup, ResultCache, SimSummary, WorkBody};
+use tbpoint_serve::{
+    cache_name, key_text, Lookup, ResultCache, ServeOptions, SimSummary, WorkBody,
+};
 use tbpoint_sim::GpuConfig;
 use tbpoint_workloads::{all_benchmarks, Scale};
+
+#[test]
+fn tiny_roster_names_match_the_committed_golden() {
+    // `examples/gen_goldens.rs` writes the same text.
+    let golden = include_str!("../../../tests/goldens/serve_cache_names_tiny.json");
+    let cfg = ServeOptions::default().config;
+    let gpu = GpuConfig::fermi();
+    let mut lines = Vec::new();
+    for bench in all_benchmarks(Scale::Tiny) {
+        for cmd in ["simulate", "eval"] {
+            let key = key_text(cmd, &bench, Scale::Tiny, &cfg, &gpu).expect("key");
+            lines.push(format!(
+                "\"{cmd}/{}\": \"{}\"",
+                bench.name,
+                cache_name(cmd, bench.name, &key)
+            ));
+        }
+    }
+    assert_eq!(lines.len(), 24);
+    assert_eq!(
+        format!("{{\n{}\n}}\n", lines.join(",\n")),
+        golden,
+        "cache names moved: every entry on disk is re-keyed; if that is intended, \
+         regenerate with `cargo run --release --example gen_goldens`"
+    );
+}
 
 #[test]
 fn distinct_inputs_never_collide_on_a_cache_path() {

@@ -20,6 +20,12 @@
 //! refactor of the pipeline or the samplers cannot move a prediction or
 //! reorder a single sampler event unnoticed.
 //!
+//! Last it writes `tests/goldens/serve_cache_names_tiny.json`: the
+//! result-cache file name of a default `simulate` and `eval` request for
+//! each workload, which `crates/serve/tests/cache_keys.rs` compares
+//! against, so a change that re-keys every cache entry on disk shows as
+//! a diff of this file.
+//!
 //! Only regenerate (and commit the diff) when a change is *supposed* to
 //! alter what it altered. Performance and simplification work must leave
 //! `launch_sim_tiny.json` and every `result` object untouched; the trace
@@ -31,6 +37,7 @@ use tbpoint_core::{run_tbpoint_traced, SamplingMode, TbpointConfig};
 use tbpoint_emu::profile_run;
 use tbpoint_obs::fnv1a64;
 use tbpoint_pool::ExecPlan;
+use tbpoint_serve::{cache_name, key_text, ServeOptions};
 use tbpoint_sim::{simulate_run, GpuConfig, NullSampling};
 use tbpoint_workloads::{all_benchmarks, Benchmark, Scale};
 
@@ -93,4 +100,18 @@ fn main() {
         }
     }
     write_golden("tests/goldens/pipeline_tiny.json", &pipeline_lines);
+
+    let serve_cfg = ServeOptions::default().config;
+    let mut name_lines = Vec::new();
+    for bench in &benches {
+        for cmd in ["simulate", "eval"] {
+            let key = key_text(cmd, bench, Scale::Tiny, &serve_cfg, &cfg).expect("key text");
+            name_lines.push(format!(
+                "\"{cmd}/{}\": \"{}\"",
+                bench.name,
+                cache_name(cmd, bench.name, &key)
+            ));
+        }
+    }
+    write_golden("tests/goldens/serve_cache_names_tiny.json", &name_lines);
 }
