@@ -29,7 +29,16 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// fast enough to checksum multi-megabyte traces; used for trace
 /// trailers here and for artifact manifests in the CLI sweep runner.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
+    fnv1a64_extend(FNV_OFFSET, bytes)
+}
+
+/// Continue an FNV-1a-64 hash: `state` is the hash of everything fed so
+/// far, the result the hash of that followed by `bytes`. The hash is
+/// sequential, so `fnv1a64_extend(fnv1a64(a), b)` equals `fnv1a64` of
+/// `a` and `b` concatenated — which lets a caller keep the state after
+/// a long fixed prefix instead of the prefix.
+pub fn fnv1a64_extend(state: u64, bytes: &[u8]) -> u64 {
+    let mut h = state;
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(FNV_PRIME);
@@ -169,6 +178,15 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn extend_continues_at_every_split() {
+        let text = b"cmd=simulate\nrun={}\nconfig={}\n";
+        for cut in 0..=text.len() {
+            let (head, tail) = text.split_at(cut);
+            assert_eq!(fnv1a64_extend(fnv1a64(head), tail), fnv1a64(text));
+        }
     }
 
     #[test]

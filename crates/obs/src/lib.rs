@@ -41,7 +41,7 @@ mod recorder;
 pub use event::{
     Counter, DegradeReason, Event, EventKind, GaugeSummary, PlanAxis, Span, TraceBundle,
 };
-pub use integrity::{fnv1a64, seal, verify, TraceError};
+pub use integrity::{fnv1a64, fnv1a64_extend, seal, verify, TraceError};
 pub use jsonl::{event_line, parse_event};
 pub use persist::{clean_stale_tmps, is_stale_tmp, write_atomic};
 pub use recorder::{CollectingRecorder, JsonlRecorder, NullRecorder, Recorder};

@@ -3,7 +3,8 @@
 //!
 //! Requests are parsed *leniently* through the vendored [`serde::Value`]
 //! tree — every field except `cmd` is optional with a documented
-//! default — because callers are external and a missing optional field
+//! default, and an explicit `null` reads as absent for every field
+//! type — because callers are external and a missing optional field
 //! must not be a hard error. Responses are serialised *strictly*
 //! through derived `Serialize` impls: every field is always present, in
 //! declaration order, so identical outcomes are byte-identical lines
@@ -91,7 +92,7 @@ pub struct Request {
 
 fn str_field(obj: &[(String, serde::Value)], name: &str) -> Result<Option<String>, String> {
     match obj.iter().find(|(k, _)| k == name) {
-        None => Ok(None),
+        None | Some((_, serde::Value::Null)) => Ok(None),
         Some((_, serde::Value::Str(s))) => Ok(Some(s.clone())),
         Some((_, v)) => Err(format!("field `{name}`: expected string, got {}", v.kind())),
     }
@@ -351,6 +352,37 @@ mod tests {
         assert_eq!(r.scale, Scale::Tiny);
         assert_eq!(r.cycle_budget, None);
         assert_eq!(r.fault, None);
+    }
+
+    #[test]
+    fn null_reads_as_absent_for_every_optional_field() {
+        let base = parse_request(r#"{"cmd":"simulate","bench":"bfs"}"#, 4).expect("parse");
+        for field in [
+            "id",
+            "scale",
+            "fault",
+            "cycle_budget",
+            "warming_budget",
+            "live",
+            "wall_budget_ms",
+        ] {
+            let line = format!(r#"{{"cmd":"simulate","bench":"bfs","{field}":null}}"#);
+            assert_eq!(parse_request(&line, 4), Ok(base.clone()), "{field}");
+        }
+        // `bench` is optional for control requests only; `cmd` never is.
+        assert_eq!(
+            parse_request(r#"{"cmd":"status","bench":null}"#, 4),
+            parse_request(r#"{"cmd":"status"}"#, 4)
+        );
+        for (line, expect) in [
+            (r#"{"cmd":null}"#, "missing field `cmd`"),
+            (
+                r#"{"cmd":"simulate","bench":null}"#,
+                "requires field `bench`",
+            ),
+        ] {
+            assert!(parse_request(line, 0).expect_err(line).contains(expect));
+        }
     }
 
     #[test]

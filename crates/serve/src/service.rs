@@ -33,7 +33,12 @@
 //! vector is index-canonical at every worker count; retry membership is
 //! derived from that vector; cache hits deserialize exactly the bytes a
 //! fresh computation would produce; obs events are recorded on the
-//! coordinator thread in arrival order. The contract suite asserts
+//! coordinator thread in arrival order. Cache entry names are resolved
+//! on the coordinator before fan-out, and a window runs in two waves —
+//! the first request for each entry (and every request that bypasses
+//! the cache), then the repeats, which hit what the first wave stored —
+//! so duplicate work is computed once and the cache counters do not
+//! depend on which worker got there first. The contract suite asserts
 //! byte-identical responses across `--pool-workers 1/2/4` and across a
 //! kill-and-restart cycle.
 //!
@@ -42,16 +47,17 @@
 //! it is consulted only between retry rounds (a request that already
 //! produced a result is never revoked) and contract tests never set it.
 
-use crate::cache::{cache_name, key_text, Lookup, ResultCache};
+use crate::cache::{entry_name, key_head, key_tail, Lookup, ResultCache};
 use crate::proto::{
     parse_request, Command, EvalSummary, InjectedFault, Request, Response, SimSummary,
     StatusReport, WorkBody,
 };
 use crate::retry::RetryPolicy;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use tbpoint_core::{run_tbpoint, SamplingMode, TbError, TbpointConfig};
 use tbpoint_emu::profile_run;
-use tbpoint_obs::{EventKind, Recorder};
+use tbpoint_obs::{fnv1a64, fnv1a64_extend, EventKind, Recorder};
 use tbpoint_pool::{run_supervised, ExecPlan, UnitError};
 use tbpoint_sim::{simulate_run, GpuConfig, NullSampling};
 use tbpoint_workloads::benchmark_by_name;
@@ -104,10 +110,29 @@ struct WorkDone {
     stored: bool,
 }
 
+impl WorkDone {
+    /// A failed outcome with no cache traffic.
+    fn failed(e: TbError) -> Self {
+        WorkDone {
+            body: Err(e),
+            cache_hit: false,
+            quarantined: false,
+            stored: false,
+        }
+    }
+}
+
 /// The long-running request service.
 pub struct Service {
     opts: ServeOptions,
     cache: Option<ResultCache>,
+    /// FNV-1a state after the key head, per `(cmd, bench, scale
+    /// divisor)`. Filled on first sight of a roster name, so it holds at
+    /// most 2 × 12 × 3 entries and no client-chosen value.
+    key_heads: BTreeMap<(&'static str, &'static str, u32), u64>,
+    /// The key tail of a request without budget overrides, indexed by
+    /// `live` (`None` if it did not serialise: such requests go uncached).
+    key_tails: [Option<String>; 2],
     counters: StatusReport,
     next_seq: u64,
     shutdown: bool,
@@ -125,9 +150,13 @@ impl Service {
             Some(dir) => Some(ResultCache::open(dir)?.0),
             None => None,
         };
+        let key_tails = [false, true]
+            .map(|live| key_tail(&request_config(&opts, live, None, None), &opts.gpu).ok());
         Ok(Service {
             opts,
             cache,
+            key_heads: BTreeMap::new(),
+            key_tails,
             counters: StatusReport::default(),
             next_seq: 0,
             shutdown: false,
@@ -276,13 +305,83 @@ impl Service {
             .collect()
     }
 
+    /// The cache entry name of a work request, or `None` when it runs
+    /// uncached (no cache directory, an injected fault, an unknown
+    /// benchmark). Equals `cache_name(.., &key_text(..))` of the same
+    /// request without rendering the key head again after first sight.
+    fn resolve_entry_name(&mut self, req: &Request) -> Option<String> {
+        if self.cache.is_none() || req.fault.is_some() {
+            return None;
+        }
+        let cmd = req.cmd.name();
+        let scale = req.scale.divisor();
+        let head = match self.key_heads.get(&(cmd, req.bench.as_str(), scale)) {
+            Some(&state) => state,
+            None => {
+                let bench = benchmark_by_name(&req.bench, req.scale)?;
+                let state = fnv1a64(key_head(cmd, &bench, req.scale).ok()?.as_bytes());
+                self.key_heads.insert((cmd, bench.name, scale), state);
+                state
+            }
+        };
+        // Only the two override-free tails are kept: a budget is a
+        // client-chosen integer and must not grow service state.
+        let rendered;
+        let tail = if req.warming_budget.is_none() && req.cycle_budget.is_none() {
+            self.key_tails[usize::from(req.live)].as_deref()?
+        } else {
+            let cfg = request_config(&self.opts, req.live, req.warming_budget, req.cycle_budget);
+            rendered = key_tail(&cfg, &self.opts.gpu).ok()?;
+            &rendered
+        };
+        let key_hash = fnv1a64_extend(head, tail.as_bytes());
+        Some(entry_name(cmd, &req.bench, key_hash))
+    }
+
     /// Run `work` with supervision and retry; outcomes in `work` order.
     fn run_work_batch(&mut self, work: &[&Request], rec: &impl Recorder) -> Vec<WorkDone> {
+        let names: Vec<Option<String>> = work
+            .iter()
+            .map(|req| self.resolve_entry_name(req))
+            .collect();
+        // Two waves: a repeat of an entry already named in this window
+        // waits for the first request's store and then hits it, at
+        // every worker count, instead of racing it to a second compute.
+        let mut seen = BTreeSet::new();
+        let (repeats, firsts): (Vec<usize>, Vec<usize>) = (0..work.len())
+            .partition(|&i| names[i].as_deref().is_some_and(|name| !seen.insert(name)));
+
         let mut outcomes: Vec<Option<WorkDone>> = Vec::new();
         outcomes.resize_with(work.len(), || None);
-        let mut pending: Vec<usize> = (0..work.len()).collect();
         let batch_start = wall_clock_start();
+        for wave in [firsts, repeats] {
+            self.run_wave(work, &names, wave, &batch_start, &mut outcomes, rec);
+        }
 
+        outcomes
+            .into_iter()
+            .map(|o| match o {
+                Some(done) => done,
+                // Unreachable: every index is in one wave, and a wave
+                // finalises each of its indices.
+                None => WorkDone::failed(TbError::InvalidConfig {
+                    field: "request",
+                    reason: "work unit never ran".to_string(),
+                }),
+            })
+            .collect()
+    }
+
+    /// The attempt loop over one wave's indices into `work`.
+    fn run_wave(
+        &mut self,
+        work: &[&Request],
+        names: &[Option<String>],
+        mut pending: Vec<usize>,
+        batch_start: &std::time::Instant,
+        outcomes: &mut [Option<WorkDone>],
+        rec: &impl Recorder,
+    ) {
         for attempt in 0..=self.opts.retry.max_retries {
             if pending.is_empty() {
                 break;
@@ -293,19 +392,14 @@ impl Service {
                 // deadline-exceeded instead of retried. Checked only
                 // here — between rounds — so it can never revoke a
                 // result, and contract tests never set it.
-                let elapsed = wall_elapsed_ms(&batch_start);
+                let elapsed = wall_elapsed_ms(batch_start);
                 pending.retain(|&i| {
                     let overran = work[i].wall_budget_ms.is_some_and(|b| elapsed > b);
                     if overran {
-                        outcomes[i] = Some(WorkDone {
-                            body: Err(TbError::BudgetExceeded {
-                                launch: 0,
-                                budget_cycles: 0,
-                            }),
-                            cache_hit: false,
-                            quarantined: false,
-                            stored: false,
-                        });
+                        outcomes[i] = Some(WorkDone::failed(TbError::BudgetExceeded {
+                            launch: 0,
+                            budget_cycles: 0,
+                        }));
                     }
                     !overran
                 });
@@ -332,7 +426,9 @@ impl Service {
                 opts.plan.pool_workers,
                 pending.len(),
                 |k| -> Result<WorkDone, TbError> {
-                    Ok(run_work(work[pending[k]], attempt, opts, cache))
+                    let i = pending[k];
+                    let entry = cache.zip(names[i].as_deref());
+                    Ok(run_work(work[i], entry, attempt, opts))
                 },
             );
             let mut still = Vec::new();
@@ -344,49 +440,22 @@ impl Service {
                         if attempt < self.opts.retry.max_retries {
                             still.push(i); // transient: retry next round
                         } else {
-                            outcomes[i] = Some(WorkDone {
-                                body: Err(TbError::InvalidConfig {
-                                    field: "request",
-                                    reason: format!("unit panicked: {msg}"),
-                                }),
-                                cache_hit: false,
-                                quarantined: false,
-                                stored: false,
-                            });
+                            outcomes[i] = Some(WorkDone::failed(TbError::InvalidConfig {
+                                field: "request",
+                                reason: format!("unit panicked: {msg}"),
+                            }));
                         }
                     }
                     // run_work returns WorkDone for every TbError, so a
                     // Failed here cannot occur; keep it contained
                     // anyway.
                     Err(UnitError::Failed(e)) => {
-                        outcomes[i] = Some(WorkDone {
-                            body: Err(e),
-                            cache_hit: false,
-                            quarantined: false,
-                            stored: false,
-                        });
+                        outcomes[i] = Some(WorkDone::failed(e));
                     }
                 }
             }
             pending = still;
         }
-
-        outcomes
-            .into_iter()
-            .map(|o| match o {
-                Some(done) => done,
-                // Unreachable: the loop finalises every index.
-                None => WorkDone {
-                    body: Err(TbError::InvalidConfig {
-                        field: "request",
-                        reason: "work unit never ran".to_string(),
-                    }),
-                    cache_hit: false,
-                    quarantined: false,
-                    stored: false,
-                },
-            })
-            .collect()
     }
 
     /// Turn a settled work outcome into its response, recording the
@@ -445,56 +514,47 @@ fn wall_elapsed_ms(start: &std::time::Instant) -> u64 {
     u64::try_from(start.elapsed().as_millis()).unwrap_or(u64::MAX)
 }
 
-/// Execute one work request (cache → fault injection → pipeline →
-/// cache write-back). Runs inside a supervised pool unit: a panic here
-/// is contained to this request's index.
-fn run_work(
-    req: &Request,
-    attempt: u32,
+/// The pipeline config a request runs under: the service baseline with
+/// the request's overrides layered on.
+fn request_config(
     opts: &ServeOptions,
-    cache: Option<&ResultCache>,
-) -> WorkDone {
-    let mut done = WorkDone {
-        body: Err(TbError::InvalidConfig {
-            field: "bench",
-            reason: String::new(),
-        }),
-        cache_hit: false,
-        quarantined: false,
-        stored: false,
-    };
-
-    let Some(bench) = benchmark_by_name(&req.bench, req.scale) else {
-        done.body = Err(TbError::InvalidConfig {
-            field: "bench",
-            reason: format!("unknown benchmark `{}`", req.bench),
-        });
-        return done;
-    };
-    let cfg = TbpointConfig {
-        warming_budget: req.warming_budget.or(opts.config.warming_budget),
-        cycle_budget: req.cycle_budget.or(opts.config.cycle_budget),
-        mode: if req.live {
+    live: bool,
+    warming_budget: Option<u32>,
+    cycle_budget: Option<u64>,
+) -> TbpointConfig {
+    TbpointConfig {
+        warming_budget: warming_budget.or(opts.config.warming_budget),
+        cycle_budget: cycle_budget.or(opts.config.cycle_budget),
+        mode: if live {
             SamplingMode::Live
         } else {
             opts.config.mode
         },
         ..opts.config
-    };
+    }
+}
 
-    // Fault-free requests consult the cache; fault-injected ones bypass
-    // it entirely so injected damage never pollutes durable state.
-    let entry = if req.fault.is_none() {
-        cache.and_then(
-            |c| match key_text(req.cmd.name(), &bench, req.scale, &cfg, &opts.gpu) {
-                Ok(key) => Some((c, cache_name(req.cmd.name(), bench.name, &key))),
-                Err(_) => None,
-            },
-        )
-    } else {
-        None
-    };
-    if let Some((cache, name)) = &entry {
+/// Execute one work request (cache → fault injection → pipeline →
+/// cache write-back). Runs inside a supervised pool unit: a panic here
+/// is contained to this request's index.
+///
+/// `entry` is the cache and the entry name the coordinator resolved;
+/// `None` for requests that run uncached — fault-injected ones bypass
+/// the cache entirely so injected damage never pollutes durable state.
+fn run_work(
+    req: &Request,
+    entry: Option<(&ResultCache, &str)>,
+    attempt: u32,
+    opts: &ServeOptions,
+) -> WorkDone {
+    let mut done = WorkDone::failed(TbError::InvalidConfig {
+        field: "bench",
+        reason: String::new(),
+    });
+
+    // The lookup comes first: a hit needs neither the benchmark nor the
+    // config built.
+    if let Some((cache, name)) = entry {
         match cache.lookup(name) {
             Lookup::Hit(body) => {
                 done.body = Ok(body);
@@ -505,6 +565,15 @@ fn run_work(
             Lookup::Miss => {}
         }
     }
+
+    let Some(bench) = benchmark_by_name(&req.bench, req.scale) else {
+        done.body = Err(TbError::InvalidConfig {
+            field: "bench",
+            reason: format!("unknown benchmark `{}`", req.bench),
+        });
+        return done;
+    };
+    let cfg = request_config(opts, req.live, req.warming_budget, req.cycle_budget);
 
     if let Some(fault) = req.fault {
         let fire = match fault {
@@ -549,7 +618,7 @@ fn run_work(
         }
         _ => WorkBody::Sim(SimSummary::of(&tbp)),
     };
-    if let Some((cache, name)) = &entry {
+    if let Some((cache, name)) = entry {
         done.stored = cache.store(name, &body).is_ok();
     }
     done.body = Ok(body);
@@ -626,4 +695,179 @@ pub fn run_loop(
         output.flush()?;
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cache::{cache_name, key_text};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use tbpoint_obs::NullRecorder;
+    use tbpoint_workloads::{all_benchmarks, Scale};
+
+    fn cached_service(tag: &str) -> (Service, PathBuf) {
+        static N: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "tbpoint_serve_service_{tag}_{}_{}",
+            std::process::id(),
+            N.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = ServeOptions {
+            cache_dir: Some(dir.clone()),
+            ..ServeOptions::default()
+        };
+        (Service::new(opts).expect("service"), dir)
+    }
+
+    #[test]
+    fn resolved_names_equal_the_public_key_functions() {
+        let (mut svc, dir) = cached_service("names");
+        let overrides = [
+            "",
+            r#","live":true"#,
+            r#","warming_budget":7"#,
+            r#","cycle_budget":100000"#,
+            r#","warming_budget":7,"cycle_budget":100000"#,
+        ];
+        let mut tuples = 0;
+        for (scale, wire) in [
+            (Scale::Tiny, "tiny"),
+            (Scale::Dev, "dev"),
+            (Scale::Full, "full"),
+        ] {
+            for bench in all_benchmarks(scale) {
+                for cmd in ["simulate", "eval"] {
+                    for extra in overrides {
+                        let line = format!(
+                            r#"{{"cmd":"{cmd}","bench":"{}","scale":"{wire}"{extra}}}"#,
+                            bench.name
+                        );
+                        let req = parse_request(&line, 0).expect("request parses");
+                        let cfg = request_config(
+                            &svc.opts,
+                            req.live,
+                            req.warming_budget,
+                            req.cycle_budget,
+                        );
+                        let key = key_text(cmd, &bench, scale, &cfg, &svc.opts.gpu).expect("key");
+                        let public = cache_name(cmd, bench.name, &key);
+                        // First sight of (cmd, bench, scale) on the first
+                        // override, memoised from then on; ask twice so
+                        // both branches meet every tail.
+                        for ask in ["first", "second"] {
+                            assert_eq!(
+                                svc.resolve_entry_name(&req).as_deref(),
+                                Some(public.as_str()),
+                                "{ask} ask: {line}"
+                            );
+                        }
+                        tuples += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(tuples, 360);
+        assert_eq!(svc.key_heads.len(), 72, "one head per (cmd, bench, scale)");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn uncached_requests_resolve_no_name_and_leave_the_memo_alone() {
+        let (mut svc, dir) = cached_service("unnamed");
+        for line in [
+            r#"{"cmd":"simulate","bench":"no-such-bench"}"#,
+            r#"{"cmd":"simulate","bench":"bfs","fault":"panic-once"}"#,
+        ] {
+            let req = parse_request(line, 0).expect("request parses");
+            assert_eq!(svc.resolve_entry_name(&req), None, "{line}");
+        }
+        let out = process_text(
+            &mut svc,
+            "{\"cmd\":\"simulate\",\"bench\":\"no-such-bench\"}\n",
+            &NullRecorder,
+        );
+        assert!(out.contains("unknown benchmark `no-such-bench`"), "{out}");
+        assert_eq!(svc.key_heads.len(), 0, "unknown names never enter the memo");
+
+        let mut bare = Service::new(ServeOptions::default()).expect("service");
+        let req = parse_request(r#"{"cmd":"simulate","bench":"bfs"}"#, 0).expect("parses");
+        assert_eq!(bare.resolve_entry_name(&req), None, "no cache directory");
+        assert_eq!(bare.key_heads.len(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn publicly_named_entry_is_hit_then_healed_through_the_memo() {
+        let (mut svc, dir) = cached_service("public");
+        let line = "{\"cmd\":\"simulate\",\"bench\":\"bfs\"}\n";
+        let simulate_of = |out: &str| -> SimSummary {
+            let resp: Response = serde_json::from_str(out.trim_end()).expect("response parses");
+            assert_eq!(resp.status, "ok", "{out}");
+            resp.simulate.expect("simulate body")
+        };
+
+        // An entry this service never computed, stored under the name
+        // the public functions give — with a body no simulation yields.
+        let bench = benchmark_by_name("bfs", Scale::Tiny).expect("roster name");
+        let key = key_text(
+            "simulate",
+            &bench,
+            Scale::Tiny,
+            &svc.opts.config,
+            &svc.opts.gpu,
+        )
+        .expect("key");
+        let name = cache_name("simulate", "bfs", &key);
+        let planted = SimSummary {
+            predicted_ipc: 1.25,
+            predicted_total_cycles: 4096.0,
+            sample_size: 0.5,
+            launches_simulated: 1,
+            launches_total: 2,
+            degraded_launches: 0,
+        };
+        let cache = svc.cache.as_ref().expect("cache configured");
+        cache
+            .store(&name, &WorkBody::Sim(planted.clone()))
+            .expect("store");
+        let path = cache.entry_path(&name);
+
+        let first = process_text(&mut svc, line, &NullRecorder);
+        assert_eq!(
+            simulate_of(&first),
+            planted,
+            "first sight hits the planted entry"
+        );
+        assert_eq!(svc.counters().cache_hits, 1);
+
+        // Damage it: the memoised path must quarantine and recompute.
+        let mut bytes = std::fs::read(&path).expect("read entry");
+        bytes[12] ^= 0x01;
+        std::fs::write(&path, &bytes).expect("corrupt entry");
+        let healed = process_text(&mut svc, line, &NullRecorder);
+        let mut bare = Service::new(ServeOptions::default()).expect("service");
+        let computed = simulate_of(&process_text(&mut bare, line, &NullRecorder));
+        assert_eq!(
+            simulate_of(&healed),
+            computed,
+            "recomputed, not the damaged bytes"
+        );
+        assert_ne!(computed, planted);
+        let counters = *svc.counters();
+        assert_eq!(
+            (
+                counters.cache_hits,
+                counters.cache_quarantined,
+                counters.cache_stores
+            ),
+            (1, 1, 1)
+        );
+
+        let again = process_text(&mut svc, line, &NullRecorder);
+        assert_eq!(simulate_of(&again), computed, "the healed entry is served");
+        assert_eq!(svc.counters().cache_hits, 2);
+        assert_eq!(svc.key_heads.len(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -199,6 +199,34 @@ fn kill_and_restart_reuses_the_cache_and_answers_identically() {
 }
 
 #[test]
+fn duplicate_requests_in_one_window_compute_once_at_every_worker_count() {
+    // Two workers must not both miss, both simulate and both store: the
+    // repeat waits for the first request's entry and hits it, so the
+    // `status` line reads the same at every worker count.
+    let window = "{\"cmd\":\"simulate\",\"bench\":\"mri\",\"scale\":\"dev\"}\n\
+                  {\"cmd\":\"simulate\",\"bench\":\"mri\",\"scale\":\"dev\"}\n\
+                  {\"cmd\":\"status\"}\n";
+    let run = |workers: usize, cached: bool| -> (String, u64, u64) {
+        let dir = scratch("dups");
+        let mut svc = Service::new(opts(workers, cached.then(|| dir.clone()))).expect("service");
+        let out = process_text(&mut svc, window, &NullRecorder);
+        let _ = std::fs::remove_dir_all(&dir);
+        (out, svc.counters().cache_stores, svc.counters().cache_hits)
+    };
+    let serial = run(1, true);
+    assert_eq!((serial.1, serial.2), (1, 1), "one compute, one hit");
+    for workers in [2, 4] {
+        assert_eq!(run(workers, true), serial, "pool_workers={workers}");
+    }
+    // Without a cache directory there is nothing to wait for: both
+    // requests compute, and the answers are the same bytes.
+    let bare = run(2, false);
+    assert_eq!((bare.1, bare.2), (0, 0));
+    let work = |out: &str| out.lines().take(2).map(str::to_string).collect::<Vec<_>>();
+    assert_eq!(work(&bare.0), work(&serial.0));
+}
+
+#[test]
 fn corrupted_cache_entry_is_quarantined_recomputed_and_observable() {
     let dir = scratch("corrupt");
     let line = "{\"id\":\"a\",\"cmd\":\"simulate\",\"bench\":\"bfs\"}\n";

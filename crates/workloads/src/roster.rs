@@ -40,88 +40,47 @@ pub struct Benchmark {
     pub run: KernelRun,
 }
 
+/// Table VI in order: abbreviation, suite, kernel type, generator.
+type RosterEntry = (&'static str, Suite, KernelKind, fn(Scale) -> KernelRun);
+
+const ROSTER: [RosterEntry; 12] = {
+    use KernelKind::{Irregular, Regular};
+    use Suite::{Lonestar, Parboil, Rodinia, Sdk};
+    [
+        ("bfs", Lonestar, Irregular, kernels::bfs::run),
+        ("sssp", Lonestar, Irregular, kernels::sssp::run),
+        ("mst", Lonestar, Irregular, kernels::mst::run),
+        ("mri", Parboil, Irregular, kernels::mri::run),
+        ("spmv", Parboil, Irregular, kernels::spmv::run),
+        ("lbm", Parboil, Regular, kernels::lbm::run),
+        ("cfd", Rodinia, Regular, kernels::cfd::run),
+        ("kmeans", Rodinia, Regular, kernels::kmeans::run),
+        ("hotspot", Rodinia, Regular, kernels::hotspot::run),
+        ("stream", Rodinia, Irregular, kernels::stream::run),
+        ("black", Sdk, Regular, kernels::black::run),
+        ("conv", Sdk, Regular, kernels::conv::run),
+    ]
+};
+
+fn build(&(name, suite, kind, run): &RosterEntry, scale: Scale) -> Benchmark {
+    Benchmark {
+        name,
+        suite,
+        kind,
+        run: run(scale),
+    }
+}
+
 /// Build the full 12-benchmark roster at the given scale, in Table VI
 /// order.
 pub fn all_benchmarks(scale: Scale) -> Vec<Benchmark> {
-    vec![
-        Benchmark {
-            name: "bfs",
-            suite: Suite::Lonestar,
-            kind: KernelKind::Irregular,
-            run: kernels::bfs::run(scale),
-        },
-        Benchmark {
-            name: "sssp",
-            suite: Suite::Lonestar,
-            kind: KernelKind::Irregular,
-            run: kernels::sssp::run(scale),
-        },
-        Benchmark {
-            name: "mst",
-            suite: Suite::Lonestar,
-            kind: KernelKind::Irregular,
-            run: kernels::mst::run(scale),
-        },
-        Benchmark {
-            name: "mri",
-            suite: Suite::Parboil,
-            kind: KernelKind::Irregular,
-            run: kernels::mri::run(scale),
-        },
-        Benchmark {
-            name: "spmv",
-            suite: Suite::Parboil,
-            kind: KernelKind::Irregular,
-            run: kernels::spmv::run(scale),
-        },
-        Benchmark {
-            name: "lbm",
-            suite: Suite::Parboil,
-            kind: KernelKind::Regular,
-            run: kernels::lbm::run(scale),
-        },
-        Benchmark {
-            name: "cfd",
-            suite: Suite::Rodinia,
-            kind: KernelKind::Regular,
-            run: kernels::cfd::run(scale),
-        },
-        Benchmark {
-            name: "kmeans",
-            suite: Suite::Rodinia,
-            kind: KernelKind::Regular,
-            run: kernels::kmeans::run(scale),
-        },
-        Benchmark {
-            name: "hotspot",
-            suite: Suite::Rodinia,
-            kind: KernelKind::Regular,
-            run: kernels::hotspot::run(scale),
-        },
-        Benchmark {
-            name: "stream",
-            suite: Suite::Rodinia,
-            kind: KernelKind::Irregular,
-            run: kernels::stream::run(scale),
-        },
-        Benchmark {
-            name: "black",
-            suite: Suite::Sdk,
-            kind: KernelKind::Regular,
-            run: kernels::black::run(scale),
-        },
-        Benchmark {
-            name: "conv",
-            suite: Suite::Sdk,
-            kind: KernelKind::Regular,
-            run: kernels::conv::run(scale),
-        },
-    ]
+    ROSTER.iter().map(|e| build(e, scale)).collect()
 }
 
-/// Look up a single benchmark by its Table VI abbreviation.
+/// Look up a single benchmark by its Table VI abbreviation; only that
+/// entry's workload is generated.
 pub fn benchmark_by_name(name: &str, scale: Scale) -> Option<Benchmark> {
-    all_benchmarks(scale).into_iter().find(|b| b.name == name)
+    ROSTER.iter().find(|e| e.0 == name).map(|e| build(e, scale))
 }
 
 #[cfg(test)]
@@ -177,9 +136,25 @@ mod tests {
     }
 
     #[test]
-    fn lookup_by_name() {
-        assert!(benchmark_by_name("mst", Scale::Tiny).is_some());
-        assert!(benchmark_by_name("nope", Scale::Tiny).is_none());
+    fn lookup_by_name_builds_the_roster_entry() {
+        for scale in [Scale::Tiny, Scale::Dev, Scale::Full] {
+            let roster = all_benchmarks(scale);
+            let names: Vec<&str> = roster.iter().map(|b| b.name).collect();
+            assert_eq!(names, TABLE_VI.map(|(name, ..)| name), "Table VI order");
+            for twin in roster {
+                let b = benchmark_by_name(twin.name, scale).expect("roster name");
+                // Field-wise equality of the run implies identical JSON.
+                assert_eq!(
+                    (b.name, b.suite, b.kind, &b.run),
+                    (twin.name, twin.suite, twin.kind, &twin.run),
+                    "{} at {scale:?}",
+                    twin.name
+                );
+            }
+            assert!(benchmark_by_name("nope", scale).is_none());
+            assert!(benchmark_by_name("", scale).is_none());
+            assert!(benchmark_by_name("BFS", scale).is_none());
+        }
     }
 
     #[test]

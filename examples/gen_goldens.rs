@@ -21,10 +21,9 @@
 //! reorder a single sampler event unnoticed.
 //!
 //! Last it writes `tests/goldens/serve_cache_names_tiny.json`: the
-//! result-cache file name of a default `simulate` and `eval` request for
-//! each workload, which `crates/serve/tests/cache_keys.rs` compares
-//! against, so a change that re-keys every cache entry on disk shows as
-//! a diff of this file.
+//! result-cache file name of a default `simulate` and `eval` request per
+//! workload (`crates/serve/tests/cache_keys.rs` compares), so re-keying
+//! the entries already on disk shows as a diff of this file.
 //!
 //! Only regenerate (and commit the diff) when a change is *supposed* to
 //! alter what it altered. Performance and simplification work must leave
