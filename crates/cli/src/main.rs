@@ -12,7 +12,6 @@
 //! tbpoint inspect <bench>             characterisation report
 //! tbpoint profile <bench>             save a one-time profile (JSON)
 //! tbpoint faultmatrix [--scale tiny]  fault-injection containment matrix
-//! tbpoint bench  [--quick]            perf baseline (BENCH_PR9.json)
 //! tbpoint serve  [--cache-dir DIR]    long-running JSONL request service
 //! tbpoint all    [--scale dev]        everything above
 //! ```
@@ -37,22 +36,6 @@
 //! warm, fast-forward and fall back. Live artifacts cache under
 //! distinct names (`eval_live_*.json`, `sensitivity_live_*.json`,
 //! `ablate_live_*.json`) so the modes never overwrite each other.
-//!
-//! `bench` times profile + simulate for the whole roster and writes the
-//! committed perf artifact (see EXPERIMENTS.md, "Performance baseline"):
-//! the pinned `--scale dev` measurement plus a `tiny` quick section,
-//! with a pooled leg per workload when `--pool-workers > 1`, and the
-//! host's CPU count for context.
-//! Every workload is also timed through both sampling modes (two-phase
-//! and live), with each mode's sampled-vs-full error recorded.
-//! `--quick` runs only the tiny pass (min of 2 reps) and, with
-//! `--check BENCH_PR9.json`, exits non-zero when throughput falls more
-//! than 2x below the committed numbers **or** either sampling mode's
-//! error breaches the 10% clean-baseline bound — CI's `perf-smoke`
-//! job.
-//! `--baseline <file>` seeds/replaces the frozen reference section;
-//! without it, a regeneration carries the existing artifact's baseline
-//! forward.
 //!
 //! Artefacts (JSON + CSV) land in `./artifacts/`.
 //!
@@ -94,21 +77,17 @@ struct Args {
     resume: bool,
     max_units: Option<usize>,
     cycle_budget: Option<u64>,
-    quick: bool,
     /// Live single-pass sampling (`TbpointConfig::mode = Live`): fuse
     /// profiling into the timing simulation for `eval`, `fig12`/`fig13`
     /// and `ablate`. Live artifacts cache under distinct names
     /// (`eval_live_*.json`, ...) so the modes never collide.
     live: bool,
-    reps: u32,
     pool_workers: Option<usize>,
     /// The parallelism plan (CLI > env > auto), resolved exactly once
     /// in [`parse_args`].
     plan: ExecPlan,
-    counts_out: Option<PathBuf>,
+    /// `serve`: response file for `--requests` (omit to print to stdout).
     out: Option<PathBuf>,
-    check: Option<PathBuf>,
-    baseline: Option<PathBuf>,
     /// `serve`: request file to process instead of streaming stdin.
     requests: Option<PathBuf>,
     /// `serve`: result-cache directory (omit to disable caching).
@@ -127,6 +106,19 @@ fn die(context: &str, err: impl std::fmt::Display) -> ! {
     std::process::exit(1);
 }
 
+/// The value of a valued flag: the next argument, parsed, or a usage
+/// error (`<flag> needs <what>`, exit 2) when it is missing or malformed.
+fn flag_value<T: std::str::FromStr>(
+    it: &mut impl Iterator<Item = String>,
+    flag: &str,
+    what: &str,
+) -> T {
+    it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
+        eprintln!("{flag} needs {what}");
+        std::process::exit(2);
+    })
+}
+
 fn parse_args() -> Args {
     let mut args = Args {
         command: String::new(),
@@ -139,15 +131,10 @@ fn parse_args() -> Args {
         resume: false,
         max_units: None,
         cycle_budget: None,
-        quick: false,
         live: false,
-        reps: 3,
         pool_workers: None,
         plan: ExecPlan::serial(),
-        counts_out: None,
         out: None,
-        check: None,
-        baseline: None,
         requests: None,
         cache_dir: None,
         max_pending: 256,
@@ -157,118 +144,32 @@ fn parse_args() -> Args {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--scale" => {
-                let v = it.next().unwrap_or_default();
+                let v: String = flag_value(&mut it, &a, "full|dev|tiny");
                 args.scale = experiments::parse_scale(&v).unwrap_or_else(|| {
                     eprintln!("unknown scale {v:?} (full|dev|tiny)");
                     std::process::exit(2);
                 });
             }
-            "--samples" => {
-                args.samples = it.next().and_then(|v| v.parse().ok()).unwrap_or(10_000);
-            }
-            "--threads" => {
-                args.threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(args.threads);
-            }
-            "--artifacts" => {
-                args.artifacts = PathBuf::from(it.next().unwrap_or_default());
-            }
-            "--trace-out" => {
-                let Some(v) = it.next() else {
-                    eprintln!("--trace-out needs a path");
-                    std::process::exit(2);
-                };
-                args.trace_out = Some(PathBuf::from(v));
-            }
+            "--samples" => args.samples = flag_value(&mut it, &a, "a sample count"),
+            "--threads" => args.threads = flag_value(&mut it, &a, "a thread count"),
+            "--artifacts" => args.artifacts = flag_value(&mut it, &a, "a directory"),
+            "--trace-out" => args.trace_out = Some(flag_value(&mut it, &a, "a path")),
             "--resume" => args.resume = true,
             "--max-units" => {
-                let Some(n) = it.next().and_then(|v| v.parse().ok()) else {
-                    eprintln!("--max-units needs a positive integer");
-                    std::process::exit(2);
-                };
-                args.max_units = Some(n);
+                args.max_units = Some(flag_value(&mut it, &a, "a positive integer"));
             }
             "--cycle-budget" => {
-                let Some(n) = it.next().and_then(|v| v.parse().ok()) else {
-                    eprintln!("--cycle-budget needs a positive cycle count");
-                    std::process::exit(2);
-                };
-                args.cycle_budget = Some(n);
+                args.cycle_budget = Some(flag_value(&mut it, &a, "a positive cycle count"));
             }
-            "--quick" => args.quick = true,
             "--live" => args.live = true,
-            "--counts-out" => {
-                let Some(v) = it.next() else {
-                    eprintln!("--counts-out needs a path");
-                    std::process::exit(2);
-                };
-                args.counts_out = Some(PathBuf::from(v));
-            }
             "--pool-workers" | "--jobs" => {
-                let Some(n) = it.next().and_then(|v| v.parse().ok()) else {
-                    eprintln!("{a} needs a worker count");
-                    std::process::exit(2);
-                };
-                args.pool_workers = Some(n);
+                args.pool_workers = Some(flag_value(&mut it, &a, "a worker count"));
             }
-            "--reps" => {
-                let Some(n) = it.next().and_then(|v| v.parse().ok()) else {
-                    eprintln!("--reps needs a positive integer");
-                    std::process::exit(2);
-                };
-                args.reps = n;
-            }
-            "--out" => {
-                let Some(v) = it.next() else {
-                    eprintln!("--out needs a path");
-                    std::process::exit(2);
-                };
-                args.out = Some(PathBuf::from(v));
-            }
-            "--check" => {
-                let Some(v) = it.next() else {
-                    eprintln!("--check needs a path");
-                    std::process::exit(2);
-                };
-                args.check = Some(PathBuf::from(v));
-            }
-            "--baseline" => {
-                let Some(v) = it.next() else {
-                    eprintln!("--baseline needs a path");
-                    std::process::exit(2);
-                };
-                args.baseline = Some(PathBuf::from(v));
-            }
-            "--requests" => {
-                let Some(v) = it.next() else {
-                    eprintln!("--requests needs a path");
-                    std::process::exit(2);
-                };
-                args.requests = Some(PathBuf::from(v));
-            }
-            "--cache-dir" => {
-                let Some(v) = it.next() else {
-                    eprintln!("--cache-dir needs a path");
-                    std::process::exit(2);
-                };
-                args.cache_dir = Some(PathBuf::from(v));
-            }
-            "--max-pending" => {
-                let Some(n) = it.next().and_then(|v| v.parse().ok()) else {
-                    eprintln!("--max-pending needs a positive integer");
-                    std::process::exit(2);
-                };
-                args.max_pending = n;
-            }
-            "--retries" => {
-                let Some(n) = it.next().and_then(|v| v.parse().ok()) else {
-                    eprintln!("--retries needs a non-negative integer");
-                    std::process::exit(2);
-                };
-                args.retries = Some(n);
-            }
+            "--out" => args.out = Some(flag_value(&mut it, &a, "a path")),
+            "--requests" => args.requests = Some(flag_value(&mut it, &a, "a path")),
+            "--cache-dir" => args.cache_dir = Some(flag_value(&mut it, &a, "a path")),
+            "--max-pending" => args.max_pending = flag_value(&mut it, &a, "a positive integer"),
+            "--retries" => args.retries = Some(flag_value(&mut it, &a, "a non-negative integer")),
             cmd if args.command.is_empty() && !cmd.starts_with('-') => {
                 args.command = cmd.to_string();
             }
@@ -580,103 +481,6 @@ fn cmd_sensitivity(args: &Args, which: &str) {
     }
 }
 
-/// `tbpoint bench`: measure the roster, write/refresh the committed perf
-/// artifact, or (with `--quick [--check]`) run CI's regression smoke.
-fn cmd_bench(args: &Args) {
-    use tbpoint_cli::bench;
-    let progress = |line: &str| eprintln!("{line}");
-    let plan = args.plan;
-
-    if args.quick {
-        // Two reps, minimum kept: one rep is cheap but lets a single
-        // scheduling hiccup on a shared CI runner read as a 2x
-        // throughput regression.
-        eprintln!(
-            "quick bench: tiny scale, min of 2 reps, pool-workers={}",
-            plan.pool_workers
-        );
-        let current = bench::measure(Scale::Tiny, 2, plan, progress);
-        let t = bench::totals(&current);
-        println!(
-            "quick bench: {:.1} ms eval total, {:.2} M warp-insts/s simulate",
-            t.eval_ms,
-            t.warp_insts_per_sec / 1e6
-        );
-        if let Some(path) = &args.counts_out {
-            // Stable per-workload work counts, `cmp`-able across runs.
-            std::fs::write(path, bench::render_counts(&current))
-                .unwrap_or_else(|e| die(&format!("writing {}", path.display()), e));
-            eprintln!("wrote {}", path.display());
-        }
-        if let Some(path) = &args.check {
-            let bytes = std::fs::read(path)
-                .unwrap_or_else(|e| die(&format!("reading artifact {}", path.display()), e));
-            let committed = bench::parse_report(&bytes)
-                .unwrap_or_else(|e| die(&format!("artifact {}", path.display()), e));
-            let failures = bench::check_regressions(&current, &committed);
-            if failures.is_empty() {
-                println!(
-                    "perf-smoke OK: all {} workloads within {}x of {}",
-                    current.len(),
-                    bench::REGRESSION_FACTOR,
-                    path.display()
-                );
-            } else {
-                for f in &failures {
-                    eprintln!("perf-smoke FAIL: {f}");
-                }
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
-    let out_path = args
-        .out
-        .clone()
-        .unwrap_or_else(|| PathBuf::from(bench::DEFAULT_ARTIFACT));
-    // The frozen reference: an explicit --baseline file wins; otherwise
-    // the existing artifact's baseline section carries forward.
-    let baseline = if let Some(bp) = &args.baseline {
-        let bytes = std::fs::read(bp)
-            .unwrap_or_else(|e| die(&format!("reading baseline {}", bp.display()), e));
-        let section: bench::BaselineSection = serde_json::from_slice(&bytes)
-            .unwrap_or_else(|e| die(&format!("parsing baseline {}", bp.display()), e));
-        Some(section)
-    } else {
-        std::fs::read(&out_path)
-            .ok()
-            .and_then(|bytes| bench::parse_report(&bytes).ok())
-            .and_then(|r| r.baseline)
-    };
-
-    eprintln!(
-        "bench: {} scale, best of {} reps, pool-workers={} \
-         (pinned protocol; see EXPERIMENTS.md)",
-        scale_tag(args.scale),
-        args.reps,
-        plan.pool_workers
-    );
-    let workloads = bench::measure(args.scale, args.reps, plan, progress);
-    eprintln!("bench: quick section (tiny scale, min of 2 reps)");
-    let quick = bench::measure(Scale::Tiny, 2, plan, progress);
-    let report = bench::BenchReport {
-        schema: bench::SCHEMA.to_string(),
-        build: bench::build_label(),
-        host_cpus: bench::host_cpus(),
-        scale: scale_tag(args.scale).to_string(),
-        reps: args.reps,
-        totals: bench::totals(&workloads),
-        workloads,
-        quick_scale: "tiny".to_string(),
-        quick,
-        baseline,
-    };
-    write_json_or_die(&out_path, &report);
-    println!("{}", bench::render_summary(&report));
-    eprintln!("wrote {}", out_path.display());
-}
-
 /// `tbpoint serve`: the long-running JSONL request service (see
 /// DESIGN.md, "Serve: supervision, deadlines, and the self-healing
 /// cache").
@@ -904,7 +708,6 @@ fn main() {
             }
             println!("all faults contained: no panics, no silently accepted corruption");
         }
-        "bench" => cmd_bench(&args),
         "serve" => cmd_serve(&args),
         "all" => {
             println!("Table VI\n{}", experiments::table6(args.scale));
@@ -921,10 +724,10 @@ fn main() {
         }
         "" => {
             eprintln!(
-                "usage: tbpoint <table1|table6|fig5|fig8|eval|fig9|fig10|fig11|fig12|fig13|ablate|inspect <bench>|profile <bench>|faultmatrix [bench]|bench|serve|all> \
+                "usage: tbpoint <table1|table6|fig5|fig8|eval|fig9|fig10|fig11|fig12|fig13|ablate|inspect <bench>|profile <bench>|faultmatrix [bench]|serve|all> \
                  [--scale full|dev|tiny] [--samples N] [--threads N] [--artifacts DIR] [--trace-out FILE] \
                  [--resume] [--max-units K] [--cycle-budget N] [--pool-workers N | --jobs N] \
-                 [--live] [--quick] [--reps N] [--out FILE] [--check FILE] [--baseline FILE] [--counts-out FILE] \
+                 [--live] [--out FILE] \
                  [--requests FILE] [--cache-dir DIR] [--max-pending N] [--retries N]"
             );
             std::process::exit(2);

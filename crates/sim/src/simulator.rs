@@ -187,8 +187,8 @@ pub fn simulate_launch(
     .0
 }
 
-/// [`simulate_launch`] plus the hot-path counters ([`SimPerf`]) the
-/// `tbpoint bench` command reports. `_jobs` is ignored: it once selected
+/// [`simulate_launch`] plus the hot-path counters ([`SimPerf`]).
+/// `_jobs` is ignored: it once selected
 /// an SM-sharded simulator (removed, see DESIGN.md) and stays in the
 /// signature for the frozen `benchmark/` harness.
 pub fn simulate_launch_perf(

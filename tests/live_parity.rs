@@ -4,8 +4,8 @@
 //!   fixed tolerance on every Tiny roster workload and on seeded
 //!   random kernels — fusing profiling into the timing pass must not
 //!   change what the pipeline concludes, only how often it runs;
-//! * live errors against the full simulation stay inside the same
-//!   clean-baseline envelope `tbpoint bench --check` enforces;
+//! * live errors against the full simulation stay inside the paper's
+//!   10% envelope;
 //! * live results are **bit-identical** at every [`ExecPlan`] worker
 //!   count — the online detector consumes the retire stream in launch
 //!   order, so scheduling must be invisible.
@@ -29,8 +29,8 @@ use tbpoint::workloads::{all_benchmarks, PhaseSpec, Scale, SyntheticSpec};
 /// not the contract — agreement on the answer is.
 const MODE_TOLERANCE: f64 = 0.10;
 
-/// Sampled-vs-full error envelope, matching `bench::ERROR_BOUND_PCT`
-/// (the resilience suite's clean-baseline anchor).
+/// Sampled-vs-full error envelope (the resilience suite's
+/// clean-baseline anchor).
 const ERROR_BOUND_PCT: f64 = 10.0;
 
 /// The pool-worker counts both satellites run (the first is the serial

@@ -9,7 +9,8 @@ use tbpoint::sim::{simulate_run, GpuConfig, NullSampling};
 use tbpoint::workloads::{all_benchmarks, benchmark_by_name, Scale};
 
 /// Any benchmark, full pipeline: the prediction must be finite, the
-/// accounting must conserve instructions, and the error must be sane.
+/// accounting must conserve instructions, and the two-phase error must
+/// stay inside the paper's 10% envelope.
 #[test]
 fn pipeline_invariants_hold_for_every_benchmark() {
     let gpu = GpuConfig::fermi();
@@ -48,7 +49,7 @@ fn pipeline_invariants_hold_for_every_benchmark() {
             bench.name
         );
         let err = tbp.error_vs(full.overall_ipc());
-        assert!(err < 25.0, "{}: error {err:.2}% at tiny scale", bench.name);
+        assert!(err < 10.0, "{}: error {err:.2}% at tiny scale", bench.name);
 
         // Sample size is a valid fraction and never zero (something must
         // be simulated).
