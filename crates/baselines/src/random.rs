@@ -39,7 +39,7 @@ pub fn random_sampling(units: &[UnitRecord], cfg: &RandomConfig) -> BaselineResu
     let n = units.len();
     // fraction is in [0, 1], so the saturating cast stays within [0, n]
     // before the clamp.
-    #[allow(clippy::cast_possible_truncation)]
+    #[expect(clippy::cast_possible_truncation)]
     let k = ((n as f64 * cfg.fraction).round() as usize).clamp(1, n);
     let mut idx: Vec<usize> = (0..n).collect();
     let mut rng = SplitMix64::new(cfg.seed);

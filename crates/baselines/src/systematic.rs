@@ -49,7 +49,7 @@ pub fn systematic_sampling(units: &[UnitRecord], cfg: &SystematicConfig) -> Base
     }
     let period = cfg.period.max(1);
     // offset < period: usize, so the u64 round-trip is exact.
-    #[allow(clippy::cast_possible_truncation)]
+    #[expect(clippy::cast_possible_truncation)]
     let offset = SplitMix64::new(cfg.seed).next_index(period as u64) as usize;
     let selected: Vec<usize> = (offset..units.len()).step_by(period).collect();
     // Degenerate short streams: keep at least the offset unit.

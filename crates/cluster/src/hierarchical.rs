@@ -154,7 +154,7 @@ pub fn hierarchical_cluster(points: &[Point], threshold: f64, linkage: Linkage) 
     let pair_dist = |dist: &[f64], i: usize, j: usize| dist[idx(i.min(j), i.max(j))];
     let compute_nn = |dist: &[f64], active: &[bool], i: usize| -> Option<(f64, usize)> {
         let mut best: Option<(f64, usize)> = None;
-        #[allow(clippy::needless_range_loop)] // j indexes two parallel arrays
+        #[expect(clippy::needless_range_loop)] // j indexes two parallel arrays
         for j in 0..m {
             if j == i || !active[j] {
                 continue;
@@ -291,7 +291,7 @@ mod tests {
         let pair_dist = |dist: &[f64], i: usize, j: usize| dist[idx(i.min(j), i.max(j))];
         let compute_nn = |dist: &[f64], active: &[bool], i: usize| -> Option<(f64, usize)> {
             let mut best: Option<(f64, usize)> = None;
-            #[allow(clippy::needless_range_loop)] // j indexes two parallel arrays
+            #[expect(clippy::needless_range_loop)] // j indexes two parallel arrays
             for j in 0..n {
                 if j == i || !active[j] {
                     continue;

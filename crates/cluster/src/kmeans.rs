@@ -122,7 +122,7 @@ fn seed_plus_plus(points: &[Point], k: usize, rng: &mut SplitMix64) -> Vec<Point
     let n = points.len();
     let mut centroids = Vec::with_capacity(k);
     // next_index(n) < n <= usize::MAX, so the u64 round-trip is exact.
-    #[allow(clippy::cast_possible_truncation)]
+    #[expect(clippy::cast_possible_truncation)]
     centroids.push(points[rng.next_index(n as u64) as usize].clone());
     let mut d2: Vec<f64> = points
         .iter()
@@ -135,7 +135,7 @@ fn seed_plus_plus(points: &[Point], k: usize, rng: &mut SplitMix64) -> Vec<Point
         let total: f64 = d2.iter().sum();
         let pick = if total <= 0.0 {
             // All points identical to a centroid; any index works.
-            #[allow(clippy::cast_possible_truncation)]
+            #[expect(clippy::cast_possible_truncation)]
             {
                 rng.next_index(n as u64) as usize
             }

@@ -1,10 +1,15 @@
-// Tests assert by panicking and compare exact floats on purpose.
+// Tests assert by panicking and compare exact floats on purpose; their
+// clocks and hash maps never reach a result.
 #![cfg_attr(
     test,
     allow(
-        clippy::unwrap_used,
         clippy::float_cmp,
-        clippy::cast_possible_truncation
+        clippy::cast_possible_truncation,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_methods,
+        clippy::disallowed_types
     )
 )]
 
@@ -96,7 +101,7 @@ impl Clustering {
     pub fn representatives(&self, points: &[Point]) -> Vec<usize> {
         assert_eq!(points.len(), self.assignments.len());
         let mut reps = vec![usize::MAX; self.num_clusters];
-        #[allow(clippy::needless_range_loop)] // c is a cluster id, not a position
+        #[expect(clippy::needless_range_loop)] // c is a cluster id, not a position
         for c in 0..self.num_clusters {
             let members = self.members(c);
             let member_points: Vec<Point> = members.iter().map(|&i| points[i].clone()).collect();

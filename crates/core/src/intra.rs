@@ -125,7 +125,7 @@ impl RegionTable {
 pub fn build_epochs(profile: &LaunchProfile, occupancy: u32) -> Vec<Epoch> {
     assert!(occupancy > 0, "occupancy must be positive");
     // TB count originates from spec.num_blocks: u32.
-    #[allow(clippy::cast_possible_truncation)]
+    #[expect(clippy::cast_possible_truncation)]
     let n = profile.tbs.len() as u32;
     let mut epochs = Vec::with_capacity(n.div_ceil(occupancy) as usize);
     // Per-epoch feature columns, reused across epochs.
@@ -190,7 +190,7 @@ pub fn identify_regions(epochs: &[Epoch], cfg: &IntraConfig) -> RegionTable {
                 None
             } else {
                 // Cluster ids are dense over epochs (< u32::MAX epochs).
-                #[allow(clippy::cast_possible_truncation)]
+                #[expect(clippy::cast_possible_truncation)]
                 Some(c as u32)
             }
         })

@@ -318,7 +318,7 @@ pub fn profile_launch(kernel: &Kernel, spec: &LaunchSpec, threads: usize) -> Lau
     let deps = TraceDeps::of(kernel);
     let threads = threads.max(1);
     // `n` comes from spec.num_blocks: u32, so block ids round-trip exactly.
-    #[allow(clippy::cast_possible_truncation)]
+    #[expect(clippy::cast_possible_truncation)]
     if per_block_reason(&deps).is_none() {
         let mut classes: BTreeMap<(Vec<u32>, u64), TbProfile> = BTreeMap::new();
         for b in 0..spec.num_blocks {
@@ -354,52 +354,41 @@ pub fn profile_launch(kernel: &Kernel, spec: &LaunchSpec, threads: usize) -> Lau
     LaunchProfile { spec: *spec, tbs }
 }
 
-/// [`profile_launch`] wrapped in a `ProfileLaunch` span with aggregate
-/// counters for observed pipelines. Profiling has no simulated clock, so
-/// span events carry cycle 0. Recording is observation-only: the
-/// returned profile is identical for every recorder.
-pub fn profile_launch_obs<R: Recorder + ?Sized>(
-    kernel: &Kernel,
-    spec: &LaunchSpec,
-    threads: usize,
-    rec: &R,
-) -> LaunchProfile {
-    let span = Span::ProfileLaunch {
-        launch: spec.launch_id.0,
-    };
-    rec.span_start(0, span);
-    let lp = profile_launch(kernel, spec, threads);
-    if rec.enabled() {
-        rec.counter(
-            "profiled_tbs",
-            u64::try_from(lp.tbs.len()).unwrap_or(u64::MAX),
-        );
-        rec.counter("profiled_warp_insts", lp.warp_insts());
-        rec.counter("profiled_thread_insts", lp.thread_insts());
-        rec.counter("profiled_mem_requests", lp.mem_requests());
-    }
-    rec.span_end(0, span);
-    lp
-}
-
 /// Profile a whole benchmark run (all launches).
 pub fn profile_run(run: &KernelRun, threads: usize) -> RunProfile {
     profile_run_obs(run, threads, &NullRecorder)
 }
 
-/// [`profile_run`] with one `ProfileLaunch` span per launch.
+/// [`profile_run`] with one `ProfileLaunch` span per launch, carrying
+/// aggregate counters for observed pipelines. Profiling has no simulated
+/// clock, so span events carry cycle 0. Recording is observation-only:
+/// the returned profile is identical for every recorder.
 pub fn profile_run_obs<R: Recorder + ?Sized>(
     run: &KernelRun,
     threads: usize,
     rec: &R,
 ) -> RunProfile {
+    let profile_one = |spec: &LaunchSpec| {
+        let span = Span::ProfileLaunch {
+            launch: spec.launch_id.0,
+        };
+        rec.span_start(0, span);
+        let lp = profile_launch(&run.kernel, spec, threads);
+        if rec.enabled() {
+            rec.counter(
+                "profiled_tbs",
+                u64::try_from(lp.tbs.len()).unwrap_or(u64::MAX),
+            );
+            rec.counter("profiled_warp_insts", lp.warp_insts());
+            rec.counter("profiled_thread_insts", lp.thread_insts());
+            rec.counter("profiled_mem_requests", lp.mem_requests());
+        }
+        rec.span_end(0, span);
+        lp
+    };
     RunProfile {
         kernel_name: run.kernel.name.clone(),
-        launches: run
-            .launches
-            .iter()
-            .map(|spec| profile_launch_obs(&run.kernel, spec, threads, rec))
-            .collect(),
+        launches: run.launches.iter().map(profile_one).collect(),
     }
 }
 

@@ -38,7 +38,7 @@ impl ExecCtx {
             // Saturating cast: work_scale is a small positive factor, and
             // an overflowing trip count pegging at u32::MAX is the sane
             // outcome anyway.
-            #[allow(clippy::cast_possible_truncation)]
+            #[expect(clippy::cast_possible_truncation)]
             let scaled = (raw as f64 * self.work_scale).round().max(0.0) as u32;
             scaled
         }
@@ -95,7 +95,7 @@ impl Dist {
     fn at(&self, base: u32, spread: u32, u: f64) -> u32 {
         // u in [0, 1) keeps both products within [0, spread], so the
         // saturating f64->u32 casts cannot wrap.
-        #[allow(clippy::cast_possible_truncation)]
+        #[expect(clippy::cast_possible_truncation)]
         match *self {
             Dist::Uniform => base + (u * (spread as f64 + 1.0)) as u32,
             Dist::PowerLaw { alpha } => {

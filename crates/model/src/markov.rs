@@ -43,7 +43,7 @@ impl WarpChain {
     /// Panics on invalid parameters (see [`WarpChain::validate`]).
     pub fn with_ms(p: f64, ms: Vec<f64>) -> Self {
         // validate() rejects more than 64 warps, so the cast is exact.
-        #[allow(clippy::cast_possible_truncation)]
+        #[expect(clippy::cast_possible_truncation)]
         let c = Self {
             n_warps: ms.len() as u32,
             p,

@@ -23,7 +23,7 @@ pub fn simulate_chain_ipc(n_warps: u32, p: f64, m: f64, cycles: u64, seed: u64) 
     let wake = 1.0 / m;
     // Bit x of `state` = warp x runnable; n_warps <= 64 keeps the mask in
     // the low 64 bits of the u128 intermediate.
-    #[allow(clippy::cast_possible_truncation)]
+    #[expect(clippy::cast_possible_truncation)]
     let mut state: u64 = (1u128 << n_warps).wrapping_sub(1) as u64;
     let mut issued = 0u64;
     for _ in 0..cycles {

@@ -22,7 +22,7 @@ pub fn stationary_direct(chain: &WarpChain) -> Vec<f64> {
     // Build A = T^t - I with the last balance equation replaced by the
     // normalisation sum(pi) = 1.
     let mut a = vec![vec![0.0f64; n + 1]; n];
-    #[allow(clippy::needless_range_loop)] // (i, j) index the matrix directly
+    #[expect(clippy::needless_range_loop)] // (i, j) index the matrix directly
     for i in 0..n {
         for j in 0..n {
             a[j][i] = chain.transition(i, j); // transpose

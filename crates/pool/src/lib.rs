@@ -1,5 +1,15 @@
-// Tests assert by panicking on purpose.
-#![cfg_attr(test, allow(clippy::unwrap_used))]
+// Tests assert by panicking on purpose; their clocks and hash maps
+// never reach a result.
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_methods,
+        clippy::disallowed_types
+    )
+)]
 
 //! # tbpoint-pool
 //!

@@ -130,7 +130,7 @@ impl Fault {
 }
 
 /// Scale a counter by a factor, saturating at the `u64` range.
-#[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+#[expect(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
 fn scale_count(x: u64, factor: f64) -> u64 {
     let v = (x as f64 * factor).round();
     if v <= 0.0 {
@@ -150,7 +150,7 @@ fn jitter_factor(coords: &[u64], magnitude: f64) -> f64 {
 /// Seeded index into a collection of `n` elements. The cast cannot
 /// truncate: `n` comes from an in-memory collection's length, so the
 /// result fits `usize`.
-#[allow(clippy::cast_possible_truncation)]
+#[expect(clippy::cast_possible_truncation)]
 pub(crate) fn seeded_index(coords: &[u64], n: usize) -> usize {
     tbpoint_stats::unit_index(coords, n as u64) as usize
 }

@@ -247,10 +247,13 @@ fn pool_cell(seed: u64) -> Outcome {
         let run = catch_unwind(AssertUnwindSafe(|| {
             run_supervised::<u64, String, _>(workers, UNITS, |i| {
                 if is_bad(i) {
-                    // The fault under test: a deliberate unit panic the
-                    // supervised pool must contain.
-                    // tbpoint-lint: allow(no-panic-in-library)
-                    panic!("injected unit panic");
+                    #[expect(
+                        clippy::panic,
+                        reason = "the fault under test: a unit panic the supervised pool must contain"
+                    )]
+                    {
+                        panic!("injected unit panic");
+                    }
                 }
                 Ok(i as u64 * 3)
             })

@@ -29,7 +29,14 @@
 #![warn(missing_docs)]
 #![cfg_attr(
     test,
-    allow(clippy::unwrap_used, clippy::expect_used, clippy::float_cmp)
+    allow(
+        clippy::float_cmp,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_methods,
+        clippy::disallowed_types
+    )
 )]
 
 pub mod cache;

@@ -502,11 +502,14 @@ impl Service {
 }
 
 /// Wall-clock anchor for the between-rounds guardrail. Isolated here —
-/// with the lint escape hatch — because wall time is the one
-/// deliberately nondeterministic input the service consumes, and only
-/// for pacing decisions, never for results.
+/// the crate's one `disallowed_methods` expectation — because wall time
+/// is the one deliberately nondeterministic input the service consumes,
+/// and only for pacing decisions, never for results.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "wall time paces rounds and never reaches a result"
+)]
 fn wall_clock_start() -> std::time::Instant {
-    // tbpoint-lint: allow(no-nondeterminism)
     std::time::Instant::now()
 }
 
@@ -581,10 +584,13 @@ fn run_work(
             InjectedFault::PanicOnce => attempt == 0,
         };
         if fire {
-            // The injected transient fault the supervised pool and the
-            // retry policy exist to contain.
-            // tbpoint-lint: allow(no-panic-in-library)
-            panic!("injected request panic");
+            #[expect(
+                clippy::panic,
+                reason = "the injected fault the supervised pool and the retry policy exist to contain"
+            )]
+            {
+                panic!("injected request panic");
+            }
         }
     }
 

@@ -3,6 +3,9 @@
 //! crashes and zero silent corruption, and responses are byte-identical
 //! across worker counts and across a kill-and-restart cycle.
 
+// Helpers outside `#[test]` fns (`run_adverse`) assert by panicking too.
+#![allow(clippy::expect_used)]
+
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use tbpoint_obs::{CollectingRecorder, EventKind, NullRecorder};

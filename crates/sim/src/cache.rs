@@ -37,7 +37,7 @@ impl Cache {
         let num_sets = Divisor::new(cfg.num_sets());
         // Cache geometry (sets x assoc) is far below usize::MAX on any
         // supported target.
-        #[allow(clippy::cast_possible_truncation)]
+        #[expect(clippy::cast_possible_truncation)]
         let n = num_sets.get() as usize * assoc;
         Cache {
             sets: vec![Line::default(); n],
@@ -56,7 +56,7 @@ impl Cache {
         let (line, _) = self.line_bytes.div_rem(line_addr);
         let (tag, set_idx) = self.num_sets.div_rem(line);
         // set_idx < num_sets, which fits usize (see `new`).
-        #[allow(clippy::cast_possible_truncation)]
+        #[expect(clippy::cast_possible_truncation)]
         (set_idx as usize * self.assoc, tag)
     }
 

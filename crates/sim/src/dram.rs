@@ -51,7 +51,7 @@ impl Bank {
         } else {
             self.open_rows[self.next_victim as usize] = row;
             // OPEN_ROWS is a small constant (< 256).
-            #[allow(clippy::cast_possible_truncation)]
+            #[expect(clippy::cast_possible_truncation)]
             let wrap = OPEN_ROWS as u8;
             self.next_victim = (self.next_victim + 1) % wrap;
         }
@@ -82,7 +82,7 @@ impl Dram {
         let banks_per_channel = Divisor::new(u64::from(cfg.dram_banks_per_channel));
         let line_bytes = Divisor::new(cfg.l2.line_bytes);
         // Bank count is config-bounded (tens), far below usize::MAX.
-        #[allow(clippy::cast_possible_truncation)]
+        #[expect(clippy::cast_possible_truncation)]
         Dram {
             banks: vec![Bank::default(); (channels.get() * banks_per_channel.get()) as usize],
             channels,
@@ -111,7 +111,7 @@ impl Dram {
         let (page_idx, _) = self.lines_per_page.div_rem(chan_local_line);
         let (row, bank) = self.banks_per_channel.div_rem(page_idx);
         // Bank index < channels * banks_per_channel == banks.len().
-        #[allow(clippy::cast_possible_truncation)]
+        #[expect(clippy::cast_possible_truncation)]
         (
             (channel * self.banks_per_channel.get() + bank) as usize,
             row,

@@ -1,10 +1,15 @@
-// Tests assert by panicking and compare exact floats on purpose.
+// Tests assert by panicking and compare exact floats on purpose; their
+// clocks and hash maps never reach a result.
 #![cfg_attr(
     test,
     allow(
-        clippy::unwrap_used,
         clippy::float_cmp,
-        clippy::cast_possible_truncation
+        clippy::cast_possible_truncation,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_methods,
+        clippy::disallowed_types
     )
 )]
 

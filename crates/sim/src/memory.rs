@@ -31,7 +31,6 @@ impl MshrPool {
     }
 
     /// Earliest cycle at which a new miss may issue, given `now`.
-    // tbpoint-hot
     fn issue_time(&mut self, now: u64) -> u64 {
         // Retire completed entries.
         while let Some(&std::cmp::Reverse(t)) = self.outstanding.peek() {
@@ -101,7 +100,6 @@ impl MemorySystem {
     /// behind a full MSHR pool, and a `DramAccess` event per L2 miss.
     /// Recording is observation-only — the returned completion cycle is
     /// identical for every recorder.
-    // tbpoint-hot
     pub fn load_obs<R: Recorder + ?Sized>(
         &mut self,
         sm: usize,
@@ -169,7 +167,6 @@ impl MemorySystem {
 
     /// [`MemorySystem::store`] with a `store` counter (stores are
     /// fire-and-forget, so there is no latency event to record).
-    // tbpoint-hot
     pub fn store_obs<R: Recorder + ?Sized>(
         &mut self,
         sm: usize,

@@ -223,6 +223,20 @@ struct DispatchState {
     skipped: u32,
 }
 
+/// No warp can ever become ready while blocks are outstanding: the
+/// simulator itself is broken, not the input.
+#[cold]
+#[expect(
+    clippy::panic,
+    reason = "aborting loudly beats returning a silently wrong cycle count"
+)]
+fn deadlock(cycle: u64, ds: DispatchState, total_tbs: u32) -> ! {
+    panic!(
+        "simulator deadlock at cycle {cycle}: outstanding={}, next_tb={}/{total_tbs}",
+        ds.outstanding, ds.next_tb
+    );
+}
+
 /// Greedy dispatch: fill every free slot, consulting the hook per TB.
 /// Breadth-first over SMs (fewest-resident first, lowest index on ties)
 /// so that consecutive TB ids spread across SMs — the behaviour the
@@ -232,7 +246,7 @@ struct DispatchState {
 // trace arena), the dispatch cursor, the hook, the clock (cycle, issue
 // total) and the recorder — each owned by the cycle loop, which goes on
 // using all of them between calls, so a bundle would be rebuilt per call.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments)]
 fn greedy_fill<R: Recorder + ?Sized>(
     sms: &mut [SmCore],
     arena: &mut TraceArena,
@@ -440,17 +454,7 @@ pub fn simulate_launch_with<R: Recorder + ?Sized>(
         }
         .unwrap_or(u64::MAX);
         if wake == u64::MAX {
-            // No warp can ever become ready: only legal when all
-            // remaining TBs are skippable (outstanding == 0 was handled
-            // above), so this is a deadlock — the simulator itself is
-            // broken, not the input. Aborting loudly beats returning a
-            // silently wrong cycle count.
-            // tbpoint-lint: allow(no-panic-in-library)
-            panic!(
-                "simulator deadlock at cycle {cycle}: outstanding={}, \
-                 next_tb={}/{total_tbs}",
-                ds.outstanding, ds.next_tb
-            );
+            deadlock(cycle, ds, total_tbs);
         }
         if opts.event_horizon {
             debug_assert!(wake > cycle, "idle jump to {wake} at cycle {cycle}");

@@ -221,7 +221,7 @@ impl SmCore {
     /// (the block retires without issuing anything).
     // Eight arguments: the dispatcher's full per-block context. Bundling
     // them into a one-shot struct would only move the same fields.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments)]
     pub fn dispatch(
         &mut self,
         slot: usize,
@@ -247,7 +247,7 @@ impl SmCore {
             });
         }
         // warps.len() <= warps_per_block: u32 by construction.
-        #[allow(clippy::cast_possible_truncation)]
+        #[expect(clippy::cast_possible_truncation)]
         let live = warps.iter().filter(|w| !w.done).count() as u32;
         if live == 0 {
             return Some(tb_id); // degenerate block, retires instantly
@@ -292,7 +292,6 @@ impl SmCore {
     /// stays exactly as in the always-scan reference), and a failed scan
     /// raises it to the exact minimum `ready_at` among candidate warps
     /// (`u64::MAX` when none exist). Reads only the packed words.
-    // tbpoint-hot
     fn pick_warp(&mut self, now: u64) -> Option<(usize, usize)> {
         let wpb = self.wpb;
         let picked = match self.sched {
@@ -401,7 +400,6 @@ impl SmCore {
 
     /// The issue body, generic over where memory traffic goes
     /// ([`IssueMem`]).
-    // tbpoint-hot
     fn try_issue_mem<M: IssueMem, R: Recorder + ?Sized>(
         &mut self,
         now: u64,
@@ -429,7 +427,6 @@ impl SmCore {
     }
 
     /// Issue the next instruction of the warp [`SmCore::pick_warp`] chose.
-    // tbpoint-hot
     #[inline]
     fn issue_picked<M: IssueMem, R: Recorder + ?Sized>(
         &mut self,

@@ -42,7 +42,7 @@ impl Histogram {
             let w = (self.hi - self.lo) / self.bins.len() as f64;
             // In-range x gives a bin index below bins.len(); the saturating
             // cast plus min() make rounding at the top edge harmless.
-            #[allow(clippy::cast_possible_truncation)]
+            #[expect(clippy::cast_possible_truncation)]
             let idx = (((x - self.lo) / w) as usize).min(self.bins.len() - 1);
             self.bins[idx] += 1;
         }

@@ -22,9 +22,9 @@ pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
     let q = q.clamp(0.0, 100.0);
     let rank = q / 100.0 * (sorted.len() - 1) as f64;
     // `rank` is in [0, len-1] after the clamp, so the casts cannot truncate.
-    #[allow(clippy::cast_possible_truncation)]
+    #[expect(clippy::cast_possible_truncation)]
     let lo = rank.floor() as usize;
-    #[allow(clippy::cast_possible_truncation)]
+    #[expect(clippy::cast_possible_truncation)]
     let hi = rank.ceil() as usize;
     if lo == hi {
         sorted[lo]

@@ -100,7 +100,7 @@ impl SplitMix64 {
     pub fn shuffle<T>(&mut self, xs: &mut [T]) {
         for i in (1..xs.len()).rev() {
             // j <= i <= usize::MAX, so the round-trip through u64 is exact.
-            #[allow(clippy::cast_possible_truncation)]
+            #[expect(clippy::cast_possible_truncation)]
             let j = self.next_index(i as u64 + 1) as usize;
             xs.swap(i, j);
         }

@@ -34,7 +34,7 @@ pub(crate) fn distribute_launches(total: u32, weights: &[f64], scale: Scale) -> 
     for (i, w) in weights.iter().enumerate() {
         let share = total as f64 * w / wsum;
         // share <= total: u32, so the saturating cast cannot wrap.
-        #[allow(clippy::cast_possible_truncation)]
+        #[expect(clippy::cast_possible_truncation)]
         let fl = (share.floor() as u32).max(1);
         blocks.push(fl);
         assigned += fl;
@@ -63,7 +63,7 @@ pub(crate) fn distribute_launches(total: u32, weights: &[f64], scale: Scale) -> 
         .enumerate()
         .map(|(i, full)| LaunchSpec {
             // Launch counts are small (weights.len()).
-            #[allow(clippy::cast_possible_truncation)]
+            #[expect(clippy::cast_possible_truncation)]
             launch_id: LaunchId(i as u32),
             num_blocks: scale.blocks(full, 2),
             work_scale: 1.0,

@@ -91,7 +91,7 @@ impl SyntheticSpec {
             ops.push(Op::IAlu);
         }
         // gather_fraction is in [0, 1], so gathers <= loads_per_iter: u32.
-        #[allow(clippy::cast_possible_truncation)]
+        #[expect(clippy::cast_possible_truncation)]
         let gathers = (self.loads_per_iter as f64 * self.gather_fraction).round() as u32;
         for i in 0..self.loads_per_iter {
             if i < gathers {
