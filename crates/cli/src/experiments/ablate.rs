@@ -1,15 +1,16 @@
 //! Quality ablations of the design choices DESIGN.md calls out: how do
 //! sampling error and sample size move when a TBPoint design parameter
-//! departs from the paper's value? (The runtime cost of the same
-//! variants is measured by the Criterion benches in `crates/bench`.)
+//! departs from the paper's value?
 
+use super::tbpoint_unit;
 use crate::output::{self, TraceEntry};
 use serde::{Deserialize, Serialize};
 use tbpoint_core::inter::{InterAlgo, InterConfig};
 use tbpoint_core::intra::IntraConfig;
-use tbpoint_core::predict::{run_tbpoint, run_tbpoint_traced, SamplingMode, TbpointConfig};
+use tbpoint_core::predict::TbpointConfig;
+use tbpoint_core::TbError;
 use tbpoint_emu::profile_run;
-use tbpoint_pool::{map_indexed, ExecPlan};
+use tbpoint_pool::{run_indexed, ExecPlan};
 use tbpoint_sim::{simulate_run, GpuConfig, NullSampling};
 use tbpoint_stats::geometric_mean;
 use tbpoint_workloads::{all_benchmarks, Scale};
@@ -54,89 +55,87 @@ impl AblationResult {
 }
 
 /// Evaluate one TBPoint configuration across the whole roster and return
-/// (geomean error, geomean sample size). Benchmarks fan out across
-/// `plan.pool_workers`; the geomeans fold per-benchmark numbers in
-/// roster order, so the score is identical at any worker count.
-fn score(cfg: &TbpointConfig, scale: Scale, plan: ExecPlan) -> (f64, f64) {
-    let gpu = GpuConfig::fermi();
-    let benches = all_benchmarks(scale);
-    let unit_plan = plan.unit();
-    let scored = map_indexed(plan.pool_workers, benches.len(), |i| {
-        let bench = &benches[i];
-        let full = simulate_run(&bench.run, &gpu, &mut NullSampling, None);
-        // Every swept value is a valid setting and the profile matches
-        // the run, so failure is unreachable.
-        let profile = cfg.mode.needs_profile().then(|| profile_run(&bench.run, 1));
-        let tbp = run_tbpoint(&bench.run, profile.as_ref(), cfg, &gpu, unit_plan)
-            .expect("TBPoint pipeline rejected");
-        (
-            tbp.error_vs(full.overall_ipc()).max(0.05),
-            tbp.sample_size(),
-        )
-    });
-    let errors: Vec<f64> = scored.iter().map(|&(e, _)| e).collect();
-    let samples: Vec<f64> = scored.iter().map(|&(_, s)| s).collect();
-    (geometric_mean(&errors), geometric_mean(&samples))
-}
-
-/// [`ablate`] with observability traces (the `--trace-out` path). The
-/// sweep itself is unchanged; the traces come from one extra pass of the
-/// paper-default configuration over the roster (tracing every swept
-/// point would multiply the trace volume by the number of knob values
-/// without showing anything new — the events of interest are the
-/// sampler's transitions, which the default pass already exercises).
-pub fn ablate_traced(
+/// (geomean error, geomean sample size) plus, with `trace`, every
+/// benchmark's traces labelled `default/<bench>`. Benchmarks fan out
+/// across `plan.pool_workers`; the geomeans fold per-benchmark numbers
+/// and the traces concatenate in roster order, so both are identical at
+/// any worker count. The lowest-indexed failing benchmark's error (a
+/// `cycle_budget` overrun) aborts the score.
+fn score(
+    cfg: &TbpointConfig,
     scale: Scale,
     plan: ExecPlan,
-    mode: SamplingMode,
-) -> (AblationResult, Vec<TraceEntry>) {
-    let result = ablate(scale, plan, mode);
+    trace: bool,
+) -> Result<(f64, f64, Vec<TraceEntry>), TbError> {
     let gpu = GpuConfig::fermi();
-    let cfg = TbpointConfig {
-        mode,
-        ..TbpointConfig::default()
-    };
-    let mut entries = Vec::new();
-    for bench in all_benchmarks(scale) {
-        let profile = mode.needs_profile().then(|| profile_run(&bench.run, 1));
-        let (_, traces) = run_tbpoint_traced(&bench.run, profile.as_ref(), &cfg, &gpu, plan)
-            .expect("TBPoint pipeline rejected");
-        entries.extend(traces.into_iter().map(|t| TraceEntry {
-            label: format!("default/{}", bench.name),
-            launch: t.launch,
-            trace: t.trace,
-        }));
-    }
-    (result, entries)
+    let benches = all_benchmarks(scale);
+    let scored = run_indexed(plan.pool_workers, benches.len(), |i| {
+        let bench = &benches[i];
+        let full = simulate_run(&bench.run, &gpu, &mut NullSampling, None);
+        let profile = cfg.mode.needs_profile().then(|| profile_run(&bench.run, 1));
+        let label = trace.then(|| format!("default/{}", bench.name));
+        let (tbp, traces) =
+            tbpoint_unit(&bench.run, profile.as_ref(), cfg, &gpu, label.as_deref())?;
+        let error = tbp.error_vs(full.overall_ipc()).max(0.05);
+        Ok((error, tbp.sample_size(), traces))
+    })
+    .map_err(|(_, e)| e)?;
+    let errors: Vec<f64> = scored.iter().map(|s| s.0).collect();
+    let samples: Vec<f64> = scored.iter().map(|s| s.1).collect();
+    let traces = scored.into_iter().flat_map(|s| s.2).collect();
+    Ok((geometric_mean(&errors), geometric_mean(&samples), traces))
 }
 
 /// Run every ablation sweep at the given scale. Each swept point scores
-/// the roster on the pool described by `plan`; `mode` selects two-phase
-/// or live sampling for every point, so a live ablation shows how the
-/// same knobs move the online detector.
-pub fn ablate(scale: Scale, plan: ExecPlan, mode: SamplingMode) -> AblationResult {
+/// the roster on the pool described by `plan`, departing from `base` in
+/// one knob; `base.mode` selects two-phase or live sampling for every
+/// point (so a live ablation shows how the same knobs move the online
+/// detector) and `base.cycle_budget` arms the per-launch watchdog.
+///
+/// With `trace`, the traces of the paper-default point are returned
+/// beside the result (the `--trace-out` path). They are recorded while
+/// that point is scored — the first `inter_sigma = 0.1*` row is exactly
+/// `base` — so tracing adds no pass over the roster. Tracing every
+/// swept point would multiply the trace volume by the number of knob
+/// values without showing anything new: the events of interest are the
+/// sampler's transitions, which the default point already exercises.
+///
+/// # Errors
+///
+/// The first point whose roster fails to score (a `cycle_budget`
+/// overrun) aborts the study with its [`TbError`].
+pub fn ablate(
+    scale: Scale,
+    plan: ExecPlan,
+    base: &TbpointConfig,
+    trace: bool,
+) -> Result<(AblationResult, Vec<TraceEntry>), TbError> {
     let mut points = vec![];
-    let base = TbpointConfig {
-        mode,
-        ..TbpointConfig::default()
+    let mut traces = vec![];
+    let mut point = |knob: &str, value: String, cfg: TbpointConfig, record: bool| {
+        let (e, s, t) = score(&cfg, scale, plan, record)?;
+        traces.extend(t);
+        points.push(AblationPoint {
+            knob: knob.into(),
+            value,
+            geomean_error_pct: e,
+            geomean_sample: s,
+        });
+        Ok::<_, TbError>(())
     };
 
     // 1. Inter-launch distance threshold sigma (paper: 0.1).
     for sigma in [0.02, 0.05, 0.1, 0.2, 0.5] {
+        let paper = sigma == 0.1;
         let cfg = TbpointConfig {
             inter: InterConfig {
                 sigma,
                 ..base.inter
             },
-            ..base
+            ..*base
         };
-        let (e, s) = score(&cfg, scale, plan);
-        points.push(AblationPoint {
-            knob: "inter_sigma".into(),
-            value: format!("{sigma}{}", if sigma == 0.1 { "*" } else { "" }),
-            geomean_error_pct: e,
-            geomean_sample: s,
-        });
+        let value = format!("{sigma}{}", if paper { "*" } else { "" });
+        point("inter_sigma", value, cfg, trace && paper)?;
     }
 
     // 2. Intra-launch (epoch) distance threshold sigma (paper: 0.2).
@@ -146,15 +145,10 @@ pub fn ablate(scale: Scale, plan: ExecPlan, mode: SamplingMode) -> AblationResul
                 sigma,
                 ..base.intra
             },
-            ..base
+            ..*base
         };
-        let (e, s) = score(&cfg, scale, plan);
-        points.push(AblationPoint {
-            knob: "intra_sigma".into(),
-            value: format!("{sigma}{}", if sigma == 0.2 { "*" } else { "" }),
-            geomean_error_pct: e,
-            geomean_sample: s,
-        });
+        let value = format!("{sigma}{}", if sigma == 0.2 { "*" } else { "" });
+        point("intra_sigma", value, cfg, false)?;
     }
 
     // 3. Variation-factor threshold (paper: 0.3).
@@ -164,30 +158,20 @@ pub fn ablate(scale: Scale, plan: ExecPlan, mode: SamplingMode) -> AblationResul
                 variation_factor: vf,
                 ..base.intra
             },
-            ..base
+            ..*base
         };
-        let (e, s) = score(&cfg, scale, plan);
-        points.push(AblationPoint {
-            knob: "variation_factor".into(),
-            value: format!("{vf}{}", if vf == 0.3 { "*" } else { "" }),
-            geomean_error_pct: e,
-            geomean_sample: s,
-        });
+        let value = format!("{vf}{}", if vf == 0.3 { "*" } else { "" });
+        point("variation_factor", value, cfg, false)?;
     }
 
     // 4. Warming threshold (paper: 10%).
     for wt in [0.02, 0.05, 0.10, 0.20, 0.30] {
         let cfg = TbpointConfig {
             warming_threshold: wt,
-            ..base
+            ..*base
         };
-        let (e, s) = score(&cfg, scale, plan);
-        points.push(AblationPoint {
-            knob: "warming_threshold".into(),
-            value: format!("{wt}{}", if wt == 0.10 { "*" } else { "" }),
-            geomean_error_pct: e,
-            geomean_sample: s,
-        });
+        let value = format!("{wt}{}", if wt == 0.10 { "*" } else { "" });
+        point("warming_threshold", value, cfg, false)?;
     }
 
     // 5. Footnote-2 extension: BBV appended to the inter features.
@@ -197,15 +181,9 @@ pub fn ablate(scale: Scale, plan: ExecPlan, mode: SamplingMode) -> AblationResul
                 use_bbv,
                 ..base.inter
             },
-            ..base
+            ..*base
         };
-        let (e, s) = score(&cfg, scale, plan);
-        points.push(AblationPoint {
-            knob: "inter_bbv_extension".into(),
-            value: label.into(),
-            geomean_error_pct: e,
-            geomean_sample: s,
-        });
+        point("inter_bbv_extension", label.into(), cfg, false)?;
     }
 
     // 6. Inter clustering algorithm (paper: hierarchical).
@@ -215,18 +193,12 @@ pub fn ablate(scale: Scale, plan: ExecPlan, mode: SamplingMode) -> AblationResul
     ] {
         let cfg = TbpointConfig {
             inter: InterConfig { algo, ..base.inter },
-            ..base
+            ..*base
         };
-        let (e, s) = score(&cfg, scale, plan);
-        points.push(AblationPoint {
-            knob: "inter_algo".into(),
-            value: label.into(),
-            geomean_error_pct: e,
-            geomean_sample: s,
-        });
+        point("inter_algo", label.into(), cfg, false)?;
     }
 
-    AblationResult { points }
+    Ok((AblationResult { points }, traces))
 }
 
 #[cfg(test)]
@@ -237,15 +209,30 @@ mod tests {
     fn score_runs_on_tiny_scale() {
         // A smoke test of the scoring helper on one config (full sweeps
         // are exercised via the CLI / recorded in EXPERIMENTS.md).
-        let (e, s) = score(&TbpointConfig::default(), Scale::Tiny, ExecPlan::serial());
+        let cfg = TbpointConfig::default();
+        let (e, s, traces) = score(&cfg, Scale::Tiny, ExecPlan::serial(), false).unwrap();
         assert!(e.is_finite() && e > 0.0);
         assert!(s > 0.0 && s <= 1.0);
+        assert!(traces.is_empty());
 
         // The score folds per-benchmark geomeans in roster order, so it
         // is invariant to the worker count.
         let plan = ExecPlan { pool_workers: 3 };
-        let (e3, s3) = score(&TbpointConfig::default(), Scale::Tiny, plan);
+        let (e3, s3, _) = score(&cfg, Scale::Tiny, plan, false).unwrap();
         assert_eq!(e, e3);
         assert_eq!(s, s3);
+    }
+
+    #[test]
+    fn cycle_budget_overrun_is_an_error_not_a_panic() {
+        let base = TbpointConfig {
+            cycle_budget: Some(1),
+            ..TbpointConfig::default()
+        };
+        let r = ablate(Scale::Tiny, ExecPlan::serial(), &base, false);
+        assert!(
+            matches!(r, Err(TbError::BudgetExceeded { .. })),
+            "expected BudgetExceeded, got {r:?}"
+        );
     }
 }

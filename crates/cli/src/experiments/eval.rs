@@ -5,25 +5,25 @@
 //!
 //! One expensive pass produces everything: the full timing simulation
 //! (which also yields the baselines' sampling units) and the TBPoint
-//! pipeline. Benchmarks fan out over the deterministic job pool — they
+//! pipeline. Benchmarks are the units of the resumable sweep — they
 //! are completely independent, so results are bit-identical at every
-//! worker count. Parallelism arrives as an [`ExecPlan`], never through
-//! the serialized [`EvalConfig`]: artifacts must not change bytes when
-//! only the worker count changes.
+//! worker count. The worker count never enters the serialized
+//! [`EvalConfig`]: artifacts must not change bytes when only the worker
+//! count changes.
 
+use super::tbpoint_unit;
 use crate::output::{self, TraceEntry};
 use serde::{Deserialize, Serialize};
 use tbpoint_baselines::{
     collect_units, ideal_simpoint, random_sampling, systematic_sampling, IdealSimpointConfig,
     RandomConfig, SystematicConfig,
 };
-use tbpoint_core::predict::{run_tbpoint, run_tbpoint_traced, TbpointConfig, TbpointResult};
+use tbpoint_core::predict::TbpointConfig;
 use tbpoint_core::TbError;
 use tbpoint_emu::profile_run;
-use tbpoint_pool::{run_indexed, ExecPlan, SweepUnit};
 use tbpoint_sim::GpuConfig;
 use tbpoint_stats::geometric_mean;
-use tbpoint_workloads::{all_benchmarks, Benchmark, KernelKind, Scale};
+use tbpoint_workloads::{Benchmark, KernelKind, Scale};
 
 /// Evaluation parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -131,13 +131,22 @@ impl EvalResult {
     }
 }
 
-fn build_bench_eval(
+/// Evaluate one benchmark — the resumable sweep's unit of work. With
+/// `trace`, the TBPoint pipeline's launches are recorded and come back
+/// labelled with the benchmark name (otherwise the trace list is
+/// empty); recording never changes the [`BenchEval`]. Errors (an
+/// invalid config, a `cycle_budget` overrun) surface as [`TbError`]
+/// instead of a panic so the sweep runner can keep its finished units.
+pub fn eval_bench(
     bench: &Benchmark,
     cfg: &EvalConfig,
     gpu: &GpuConfig,
-    tbp: impl FnOnce(&tbpoint_emu::RunProfile) -> Result<TbpointResult, TbError>,
-) -> Result<BenchEval, TbError> {
-    // One-time hardware-independent profile (the GPUOcelot step).
+    trace: bool,
+) -> Result<(BenchEval, Vec<TraceEntry>), TbError> {
+    // One-time hardware-independent profile (the GPUOcelot step). Live
+    // mode never consumes it — the online detector learns everything
+    // from the retire stream — but the baseline approaches and the
+    // unit-size choice need the instruction totals.
     let profile = profile_run(&bench.run, 1);
     let total_insts = profile.total_warp_insts();
 
@@ -151,9 +160,15 @@ fn build_bench_eval(
     let rnd = random_sampling(&units, &RandomConfig::default());
     let sys = systematic_sampling(&units, &SystematicConfig::default());
     let ideal = ideal_simpoint(&units, &IdealSimpointConfig::default());
-    let tbp = tbp(&profile)?;
+    let (tbp, traces) = tbpoint_unit(
+        &bench.run,
+        Some(&profile),
+        &cfg.tbpoint,
+        gpu,
+        trace.then_some(bench.name),
+    )?;
 
-    Ok(BenchEval {
+    let b = BenchEval {
         name: bench.name.to_string(),
         kind: bench.kind,
         full_ipc,
@@ -183,120 +198,8 @@ fn build_bench_eval(
         launches_simulated: tbp.num_simulated_launches,
         launches_total: tbp.num_launches,
         num_units: units.len(),
-    })
-}
-
-/// Evaluate one benchmark — the resumable sweep's unit of work. Errors
-/// (an invalid config, a `cycle_budget` overrun) surface as [`TbError`]
-/// instead of a panic so the sweep runner can keep its finished units.
-pub fn eval_bench(
-    bench: &Benchmark,
-    cfg: &EvalConfig,
-    gpu: &GpuConfig,
-    plan: ExecPlan,
-) -> Result<BenchEval, TbError> {
-    // Live mode never consumes the profile — the online detector
-    // learns everything from the retire stream. The profile is still
-    // collected because the baseline approaches and the unit-size choice
-    // need the instruction totals.
-    build_bench_eval(bench, cfg, gpu, |profile| {
-        run_tbpoint(&bench.run, Some(profile), &cfg.tbpoint, gpu, plan)
-    })
-}
-
-/// One benchmark evaluation as a pool-schedulable [`SweepUnit`].
-pub struct EvalUnit<'a> {
-    /// The benchmark to evaluate.
-    pub bench: &'a Benchmark,
-    /// Shared evaluation parameters.
-    pub cfg: &'a EvalConfig,
-    /// Simulated GPU configuration.
-    pub gpu: &'a GpuConfig,
-    /// Unit-level execution plan — callers pass `plan.unit()` because
-    /// the sweep scheduler has already spent the pool-worker budget.
-    pub plan: ExecPlan,
-}
-
-impl SweepUnit for EvalUnit<'_> {
-    type Output = BenchEval;
-    type Error = TbError;
-
-    fn id(&self) -> String {
-        self.bench.name.to_string()
-    }
-
-    fn run(&self) -> Result<BenchEval, TbError> {
-        eval_bench(self.bench, self.cfg, self.gpu, self.plan)
-    }
-}
-
-fn eval_one_traced(
-    bench: &Benchmark,
-    cfg: &EvalConfig,
-    gpu: &GpuConfig,
-    plan: ExecPlan,
-) -> Result<(BenchEval, Vec<TraceEntry>), TbError> {
-    let mut entries = Vec::new();
-    let b = build_bench_eval(bench, cfg, gpu, |profile| {
-        let (tbp, traces) = run_tbpoint_traced(&bench.run, Some(profile), &cfg.tbpoint, gpu, plan)?;
-        entries = traces
-            .into_iter()
-            .map(|t| TraceEntry {
-                label: bench.name.to_string(),
-                launch: t.launch,
-                trace: t.trace,
-            })
-            .collect();
-        Ok(tbp)
-    })?;
-    Ok((b, entries))
-}
-
-/// [`eval`] with observability traces of every simulated representative
-/// launch (the `--trace-out` path). Benchmarks run serially so the
-/// trace order is deterministic; inside each benchmark the
-/// representatives still fan out across `plan.pool_workers` (the traced
-/// pipeline merges traces in canonical order). The [`EvalResult`] is
-/// identical to [`eval`]'s — recording never perturbs the simulation.
-pub fn eval_traced(
-    cfg: &EvalConfig,
-    plan: ExecPlan,
-) -> Result<(EvalResult, Vec<TraceEntry>), TbError> {
-    let gpu = GpuConfig::fermi();
-    let benches = all_benchmarks(cfg.scale);
-    let mut results = Vec::with_capacity(benches.len());
-    let mut entries = Vec::new();
-    for bench in &benches {
-        let (b, t) = eval_one_traced(bench, cfg, &gpu, plan)?;
-        results.push(b);
-        entries.extend(t);
-    }
-    Ok((
-        EvalResult {
-            config: *cfg,
-            benches: results,
-        },
-        entries,
-    ))
-}
-
-/// Run the evaluation over the full roster, fanning benchmarks out
-/// across `plan.pool_workers` pool workers (each benchmark runs with
-/// the unit-level plan, so the pool budget is spent exactly once). The
-/// failing benchmark with the lowest roster index aborts the
-/// evaluation with its [`TbError`].
-pub fn eval(cfg: &EvalConfig, plan: ExecPlan) -> Result<EvalResult, TbError> {
-    let gpu = GpuConfig::fermi();
-    let benches = all_benchmarks(cfg.scale);
-    let unit_plan = plan.unit();
-    let results = run_indexed(plan.pool_workers, benches.len(), |i| {
-        eval_bench(&benches[i], cfg, &gpu, unit_plan)
-    })
-    .map_err(|(_, e)| e)?;
-    Ok(EvalResult {
-        config: *cfg,
-        benches: results,
-    })
+    };
+    Ok((b, traces))
 }
 
 /// Fig. 9: overall IPCs and sampling errors.
@@ -402,6 +305,7 @@ pub fn render_fig11(r: &EvalResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tbpoint_workloads::all_benchmarks;
 
     #[test]
     fn eval_tiny_scale_shapes_hold() {
@@ -409,10 +313,17 @@ mod tests {
         // test stays fast. Absolute numbers differ from the paper; the
         // orderings must not.
         let cfg = EvalConfig::new(Scale::Tiny);
-        let plan = ExecPlan {
-            pool_workers: super::super::default_threads(),
+        let gpu = GpuConfig::fermi();
+        let roster = all_benchmarks(Scale::Tiny);
+        let workers = super::super::default_threads();
+        let benches = tbpoint_pool::run_indexed(workers, roster.len(), |i| {
+            eval_bench(&roster[i], &cfg, &gpu, false).map(|(b, _)| b)
+        })
+        .expect("default config evaluates cleanly");
+        let r = EvalResult {
+            config: cfg,
+            benches,
         };
-        let r = eval(&cfg, plan).expect("default config evaluates cleanly");
         assert_eq!(r.benches.len(), 12);
         for b in &r.benches {
             assert!(b.full_ipc > 0.0, "{}: zero full IPC", b.name);

@@ -4,11 +4,8 @@
 
 use crate::output;
 use serde::{Deserialize, Serialize};
-use tbpoint_core::TbError;
 use tbpoint_emu::profile_launch;
-use tbpoint_pool::{map_indexed, SweepUnit};
 use tbpoint_stats::cov;
-use tbpoint_workloads::{all_benchmarks, Scale};
 
 /// One benchmark's size-ratio series (concatenated across launches, in
 /// dispatch order — red dots in the paper mark launch starts; we record
@@ -79,51 +76,27 @@ pub fn fig8_bench(bench: &tbpoint_workloads::Benchmark, threads: usize) -> Fig8S
     }
 }
 
-/// One benchmark's Fig. 8 extraction as a pool-schedulable
-/// [`SweepUnit`].
-pub struct Fig8Unit<'a> {
-    /// The benchmark to profile.
-    pub bench: &'a tbpoint_workloads::Benchmark,
-    /// Profiling threads inside this unit.
-    pub threads: usize,
-}
-
-impl SweepUnit for Fig8Unit<'_> {
-    type Output = Fig8Series;
-    type Error = TbError;
-
-    fn id(&self) -> String {
-        self.bench.name.to_string()
-    }
-
-    fn run(&self) -> Result<Fig8Series, TbError> {
-        Ok(fig8_bench(self.bench, self.threads))
-    }
-}
-
-/// Profile every benchmark and extract the Fig. 8 series, fanning
-/// benchmarks out across `workers` pool workers (series order stays
-/// roster order at any worker count).
-pub fn fig8(scale: Scale, threads: usize, workers: usize) -> Fig8Result {
-    let benches = all_benchmarks(scale);
-    Fig8Result {
-        series: map_indexed(workers, benches.len(), |i| fig8_bench(&benches[i], threads)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tbpoint_workloads::KernelKind;
+    use tbpoint_workloads::{all_benchmarks, KernelKind, Scale};
+
+    /// The Tiny roster's series, profiled on `threads` threads.
+    fn tiny_series(threads: usize) -> Vec<Fig8Series> {
+        all_benchmarks(Scale::Tiny)
+            .iter()
+            .map(|b| fig8_bench(b, threads))
+            .collect()
+    }
 
     #[test]
     fn irregular_kernels_have_higher_size_cov() {
-        let r = fig8(Scale::Tiny, 4, 2);
-        assert_eq!(r.series.len(), 12);
+        let series = tiny_series(4);
+        assert_eq!(series.len(), 12);
         let benches = all_benchmarks(Scale::Tiny);
         let mut irregular = vec![];
         let mut regular = vec![];
-        for (s, b) in r.series.iter().zip(&benches) {
+        for (s, b) in series.iter().zip(&benches) {
             if b.kind == KernelKind::Irregular {
                 irregular.push(s.size_cov);
             } else {
@@ -140,8 +113,7 @@ mod tests {
 
     #[test]
     fn ratios_average_to_one() {
-        let r = fig8(Scale::Tiny, 2, 1);
-        for s in &r.series {
+        for s in &tiny_series(2) {
             let mean = tbpoint_stats::mean(&s.size_ratio);
             assert!((mean - 1.0).abs() < 1e-9, "{}: mean ratio {mean}", s.name);
         }
@@ -149,9 +121,8 @@ mod tests {
 
     #[test]
     fn launch_starts_match_launch_counts() {
-        let r = fig8(Scale::Tiny, 2, 1);
         let benches = all_benchmarks(Scale::Tiny);
-        for (s, b) in r.series.iter().zip(&benches) {
+        for (s, b) in tiny_series(2).iter().zip(&benches) {
             assert_eq!(s.launch_starts.len(), b.run.num_launches());
             assert_eq!(s.launch_starts[0], 0);
         }

@@ -9,14 +9,14 @@
 //! way — `profile_run` is called once per benchmark outside the
 //! configuration loop.
 
+use super::tbpoint_unit;
 use crate::output::{self, TraceEntry};
 use serde::{Deserialize, Serialize};
-use tbpoint_core::predict::{run_tbpoint, run_tbpoint_traced, TbpointConfig};
+use tbpoint_core::predict::TbpointConfig;
 use tbpoint_core::TbError;
 use tbpoint_emu::profile_run;
-use tbpoint_pool::{run_indexed, ExecPlan, SweepUnit};
 use tbpoint_sim::{simulate_run, GpuConfig, NullSampling};
-use tbpoint_workloads::{all_benchmarks, Benchmark, Scale};
+use tbpoint_workloads::Benchmark;
 
 /// The evaluated (W, S) grid. The paper's exact pairs are unreadable in
 /// the scan; these six bracket the Fermi baseline (48, 14) from both
@@ -96,128 +96,40 @@ impl SensitivityResult {
 /// Compute one benchmark's whole row of the (W, S) grid — the
 /// resumable sweep's unit of work. Profiles once (the one-time
 /// profiling step), then simulates every configuration; the first
-/// failing configuration aborts the row with its [`TbError`].
+/// failing configuration aborts the row with its [`TbError`]. With
+/// `trace`, every cell's simulated launches are recorded, labelled
+/// `bench@W<warps>S<sms>`, in config order (otherwise the trace list is
+/// empty); recording never changes the cells.
 pub fn sensitivity_bench(
     bench: &Benchmark,
     tb_cfg: &TbpointConfig,
-    plan: ExecPlan,
-) -> Result<Vec<SensitivityCell>, TbError> {
+    trace: bool,
+) -> Result<(Vec<SensitivityCell>, Vec<TraceEntry>), TbError> {
     // Live mode has no profiling step at all — each configuration's
     // single timing pass is the whole pipeline.
     let profile = tb_cfg
         .mode
         .needs_profile()
         .then(|| profile_run(&bench.run, 1));
-    CONFIGS
-        .iter()
-        .map(|&(w, s)| {
-            let gpu = GpuConfig::with_occupancy(w, s);
-            let full = simulate_run(&bench.run, &gpu, &mut NullSampling, None);
-            let tbp = run_tbpoint(&bench.run, profile.as_ref(), tb_cfg, &gpu, plan)?;
-            Ok(SensitivityCell {
-                bench: bench.name.to_string(),
-                warps: w,
-                sms: s,
-                error_pct: tbp.error_vs(full.overall_ipc()),
-                sample_size: tbp.sample_size(),
-                occupancy: gpu.system_occupancy(&bench.run.kernel),
-            })
-        })
-        .collect()
-}
-
-/// One benchmark's whole (W, S) grid row as a pool-schedulable
-/// [`SweepUnit`].
-pub struct SensitivityUnit<'a> {
-    /// The benchmark whose row to compute.
-    pub bench: &'a Benchmark,
-    /// TBPoint thresholds and budgets shared across the grid.
-    pub tb_cfg: &'a TbpointConfig,
-    /// Unit-level execution plan — callers pass `plan.unit()` because
-    /// the sweep scheduler has already spent the pool-worker budget.
-    pub plan: ExecPlan,
-}
-
-impl SweepUnit for SensitivityUnit<'_> {
-    type Output = Vec<SensitivityCell>;
-    type Error = TbError;
-
-    fn id(&self) -> String {
-        self.bench.name.to_string()
-    }
-
-    fn run(&self) -> Result<Vec<SensitivityCell>, TbError> {
-        sensitivity_bench(self.bench, self.tb_cfg, self.plan)
-    }
-}
-
-/// Run the sensitivity sweep with `tb_cfg` (thresholds and budgets flow
-/// through it), fanning benchmark rows out across `plan.pool_workers`
-/// pool workers. Each unit profiles once and runs its whole
-/// configuration row (same unit shape as the resumable sweep); cells
-/// come back benchmark-major in config order — deterministic at any
-/// worker count.
-pub fn sensitivity(
-    scale: Scale,
-    plan: ExecPlan,
-    tb_cfg: &TbpointConfig,
-) -> Result<SensitivityResult, TbError> {
-    let benches = all_benchmarks(scale);
-    let unit_plan = plan.unit();
-    let rows = run_indexed(plan.pool_workers, benches.len(), |i| {
-        sensitivity_bench(&benches[i], tb_cfg, unit_plan)
-    })
-    .map_err(|(_, e)| e)?;
-    Ok(SensitivityResult {
-        cells: rows.into_iter().flatten().collect(),
-    })
-}
-
-/// [`sensitivity`] with observability traces (the `--trace-out` path):
-/// every (benchmark, config) cell's simulated launches are recorded,
-/// labelled `bench@W<warps>S<sms>`. Runs serially for a deterministic
-/// trace order; the [`SensitivityResult`] is identical to
-/// [`sensitivity`]'s.
-pub fn sensitivity_traced(
-    scale: Scale,
-    threads: usize,
-    tb_cfg: &TbpointConfig,
-    plan: ExecPlan,
-) -> Result<(SensitivityResult, Vec<TraceEntry>), TbError> {
-    let benches = all_benchmarks(scale);
-    let profiles: Vec<_> = benches
-        .iter()
-        .map(|b| {
-            tb_cfg
-                .mode
-                .needs_profile()
-                .then(|| profile_run(&b.run, threads))
-        })
-        .collect();
-    let mut cells = Vec::new();
+    let mut cells = Vec::with_capacity(CONFIGS.len());
     let mut entries = Vec::new();
-    for (bi, bench) in benches.iter().enumerate() {
-        for (w, s) in CONFIGS {
-            let gpu = GpuConfig::with_occupancy(w, s);
-            let full = simulate_run(&bench.run, &gpu, &mut NullSampling, None);
-            let (tbp, traces) =
-                run_tbpoint_traced(&bench.run, profiles[bi].as_ref(), tb_cfg, &gpu, plan)?;
-            entries.extend(traces.into_iter().map(|t| TraceEntry {
-                label: format!("{}@W{w}S{s}", bench.name),
-                launch: t.launch,
-                trace: t.trace,
-            }));
-            cells.push(SensitivityCell {
-                bench: bench.name.to_string(),
-                warps: w,
-                sms: s,
-                error_pct: tbp.error_vs(full.overall_ipc()),
-                sample_size: tbp.sample_size(),
-                occupancy: gpu.system_occupancy(&bench.run.kernel),
-            });
-        }
+    for (w, s) in CONFIGS {
+        let gpu = GpuConfig::with_occupancy(w, s);
+        let full = simulate_run(&bench.run, &gpu, &mut NullSampling, None);
+        let label = trace.then(|| format!("{}@W{w}S{s}", bench.name));
+        let (tbp, traces) =
+            tbpoint_unit(&bench.run, profile.as_ref(), tb_cfg, &gpu, label.as_deref())?;
+        entries.extend(traces);
+        cells.push(SensitivityCell {
+            bench: bench.name.to_string(),
+            warps: w,
+            sms: s,
+            error_pct: tbp.error_vs(full.overall_ipc()),
+            sample_size: tbp.sample_size(),
+            occupancy: gpu.system_occupancy(&bench.run.kernel),
+        });
     }
-    Ok((SensitivityResult { cells }, entries))
+    Ok((cells, entries))
 }
 
 /// Render Fig. 12 (errors).
@@ -233,6 +145,7 @@ pub fn render_fig13(r: &SensitivityResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tbpoint_workloads::{all_benchmarks, Scale};
 
     #[test]
     fn occupancy_scales_with_config() {

@@ -16,15 +16,11 @@
 //! tbpoint all    [--scale dev]        everything above
 //! ```
 //!
-//! Parallelism is one [`ExecPlan`](tbpoint_pool::ExecPlan), resolved
-//! exactly once at startup (precedence: CLI flag, then environment
-//! variable, then auto; an adjustment is reported as a structured
-//! `ExecPlanAdjusted` event on stderr): `--pool-workers N` /
-//! `TBPOINT_POOL_WORKERS` schedules whole launches and sweep units on
-//! the deterministic job pool, with results merged in canonical order so
-//! every artifact is byte-identical to a serial run (DESIGN.md, "Pool
-//! parallelism"). `--jobs N` is accepted as another spelling of
-//! `--pool-workers N`.
+//! Parallelism is one [`ExecPlan`](tbpoint_pool::ExecPlan):
+//! `--pool-workers N` (default: the host's CPU count; `0` is a usage
+//! error) schedules whole launches and sweep units on the deterministic
+//! job pool, with results merged in canonical order so every artifact is
+//! byte-identical to a serial run (DESIGN.md, "Pool parallelism").
 //!
 //! `--threads` remains the profiler's thread count (the functional
 //! emulation is embarrassingly parallel and outside the plan).
@@ -53,15 +49,23 @@
 //! the simulated launches are then recorded through the observability
 //! layer and written as deterministic, integrity-sealed JSON lines,
 //! with a summary (events by kind, heaviest memory-stall sites) printed
-//! after the figures. Tracing runs serially and never changes the
-//! results.
+//! after the figures. Traced sweeps run on the same pool and resumable
+//! sweep as untraced ones; the trace file is written in roster order,
+//! byte-identical at any `--pool-workers`, and never changes the
+//! results. A partial sweep (`--max-units`) writes no trace file, and
+//! `--trace-out` with `--resume` is a usage error: a unit resumed from
+//! disk has no trace.
 
+use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
-use tbpoint_cli::experiments::{self, EvalConfig, EvalUnit, Fig8Unit, SensitivityUnit};
-use tbpoint_cli::output;
+use std::sync::OnceLock;
+use tbpoint_cli::experiments::{self, EvalConfig};
+use tbpoint_cli::output::{self, TraceEntry};
 use tbpoint_cli::sweep::{self, SweepOutcome, SweepPlan};
+use tbpoint_core::predict::TbpointConfig;
+use tbpoint_core::TbError;
 use tbpoint_pool::ExecPlan;
-use tbpoint_workloads::Scale;
+use tbpoint_workloads::{Benchmark, Scale};
 
 /// Exit code for a deliberately partial sweep (`--max-units`).
 const EXIT_PARTIAL: i32 = 3;
@@ -82,9 +86,7 @@ struct Args {
     /// and `ablate`. Live artifacts cache under distinct names
     /// (`eval_live_*.json`, ...) so the modes never collide.
     live: bool,
-    pool_workers: Option<usize>,
-    /// The parallelism plan (CLI > env > auto), resolved exactly once
-    /// in [`parse_args`].
+    /// The parallelism plan: `--pool-workers`, else the host CPU count.
     plan: ExecPlan,
     /// `serve`: response file for `--requests` (omit to print to stdout).
     out: Option<PathBuf>,
@@ -132,8 +134,9 @@ fn parse_args() -> Args {
         max_units: None,
         cycle_budget: None,
         live: false,
-        pool_workers: None,
-        plan: ExecPlan::serial(),
+        plan: ExecPlan {
+            pool_workers: experiments::default_threads(),
+        },
         out: None,
         requests: None,
         cache_dir: None,
@@ -162,8 +165,11 @@ fn parse_args() -> Args {
                 args.cycle_budget = Some(flag_value(&mut it, &a, "a positive cycle count"));
             }
             "--live" => args.live = true,
-            "--pool-workers" | "--jobs" => {
-                args.pool_workers = Some(flag_value(&mut it, &a, "a worker count"));
+            "--pool-workers" => {
+                let workers: NonZeroUsize = flag_value(&mut it, &a, "a worker count");
+                args.plan = ExecPlan {
+                    pool_workers: workers.get(),
+                };
             }
             "--out" => args.out = Some(flag_value(&mut it, &a, "a path")),
             "--requests" => args.requests = Some(flag_value(&mut it, &a, "a path")),
@@ -182,19 +188,10 @@ fn parse_args() -> Args {
             }
         }
     }
-    // Resolve the plan exactly once: CLI > environment > auto (host
-    // CPUs). An adjustment is a structured event, not a free-form
-    // warning.
-    let (plan, note) = tbpoint_pool::resolve_from_env(
-        args.pool_workers,
-        ExecPlan {
-            pool_workers: experiments::default_threads(),
-        },
-    );
-    if let Some(note) = note {
-        eprintln!("{}", tbpoint_obs::event_line(&note.event()));
+    if args.trace_out.is_some() && args.resume {
+        eprintln!("--trace-out cannot be combined with --resume: a resumed unit has no trace");
+        std::process::exit(2);
     }
-    args.plan = plan;
     args
 }
 
@@ -206,12 +203,18 @@ fn scale_tag(scale: Scale) -> &'static str {
     }
 }
 
-/// The sampling mode the `--live` flag selects.
-fn sampling_mode(args: &Args) -> tbpoint_core::SamplingMode {
-    if args.live {
-        tbpoint_core::SamplingMode::Live
-    } else {
-        tbpoint_core::SamplingMode::TwoPhase
+/// The paper-default TBPoint config with the flags every sampling
+/// command honours: `--live` selects the mode, `--cycle-budget` arms
+/// the per-launch watchdog.
+fn tbpoint_config(args: &Args) -> TbpointConfig {
+    TbpointConfig {
+        cycle_budget: args.cycle_budget,
+        mode: if args.live {
+            tbpoint_core::SamplingMode::Live
+        } else {
+            tbpoint_core::SamplingMode::TwoPhase
+        },
+        ..TbpointConfig::default()
     }
 }
 
@@ -234,7 +237,7 @@ fn eval_cache_path(args: &Args) -> PathBuf {
     ))
 }
 
-fn dump_traces(path: &Path, entries: &[output::TraceEntry]) {
+fn dump_traces(path: &Path, entries: &[TraceEntry]) {
     if let Err(e) = output::write_trace_jsonl(path, entries) {
         die(&format!("writing trace file {}", path.display()), e);
     }
@@ -249,18 +252,6 @@ fn dump_traces(path: &Path, entries: &[output::TraceEntry]) {
 fn write_json_or_die(path: &Path, value: &impl serde::Serialize) {
     if let Err(e) = output::write_json(path, value) {
         die(&format!("writing artefact {}", path.display()), e);
-    }
-}
-
-/// Build the sweep plan shared by every resumable command: unit files
-/// and the manifest live under `<artifacts>/units/`.
-fn sweep_plan(args: &Args, name: String) -> SweepPlan {
-    SweepPlan {
-        name,
-        dir: args.artifacts.join("units"),
-        resume: args.resume,
-        max_units: args.max_units,
-        workers: args.plan.pool_workers,
     }
 }
 
@@ -288,15 +279,56 @@ fn finish_sweep<T>(result: Result<SweepOutcome<T>, sweep::SweepError>, what: &st
     outcome.into_complete()
 }
 
-fn eval_config(args: &Args) -> EvalConfig {
-    let mut cfg = EvalConfig::new(args.scale);
-    cfg.tbpoint.cycle_budget = args.cycle_budget;
-    cfg.tbpoint.mode = sampling_mode(args);
-    cfg
+/// Run a roster command through the resumable sweep, one unit per
+/// benchmark keyed by its name (unit files and the manifest live under
+/// `<artifacts>/units/`); `unit(bench, trace)` computes a unit and its
+/// traces. With `trace_out`, units record, each unit's traces land in a
+/// slot indexed by unit, and once the sweep is complete they are written
+/// in roster order — so the trace file is byte-identical at any
+/// `--pool-workers`. A partial sweep exits before writing it.
+fn run_roster<T>(
+    args: &Args,
+    name: String,
+    what: &str,
+    trace_out: Option<&Path>,
+    unit: impl Fn(&Benchmark, bool) -> Result<(T, Vec<TraceEntry>), TbError> + Sync,
+) -> Vec<T>
+where
+    T: serde::Serialize + serde::Deserialize + Send,
+{
+    let benches = tbpoint_workloads::all_benchmarks(args.scale);
+    let keys: Vec<String> = benches.iter().map(|b| b.name.to_string()).collect();
+    let slots: Vec<OnceLock<Vec<TraceEntry>>> = benches.iter().map(|_| OnceLock::new()).collect();
+    let plan = SweepPlan {
+        name,
+        dir: args.artifacts.join("units"),
+        resume: args.resume,
+        max_units: args.max_units,
+        workers: args.plan.pool_workers,
+    };
+    let outcome = sweep::run_units(&plan, &keys, |i| {
+        let (value, traces) = unit(&benches[i], trace_out.is_some())?;
+        // A unit runs at most once per sweep, so its slot is empty.
+        let _ = slots[i].set(traces);
+        Ok(value)
+    });
+    let results = finish_sweep(outcome, what);
+    if let Some(path) = trace_out {
+        let entries: Vec<TraceEntry> = slots
+            .into_iter()
+            .filter_map(OnceLock::into_inner)
+            .flatten()
+            .collect();
+        dump_traces(path, &entries);
+    }
+    results
 }
 
 fn run_eval(args: &Args) -> experiments::EvalResult {
-    let cfg = eval_config(args);
+    let cfg = EvalConfig {
+        tbpoint: tbpoint_config(args),
+        ..EvalConfig::new(args.scale)
+    };
     eprintln!(
         "running {} evaluation at {} scale on {} pool worker(s) \
          (this simulates every benchmark in full)...",
@@ -308,40 +340,17 @@ fn run_eval(args: &Args) -> experiments::EvalResult {
         scale_tag(args.scale),
         args.plan.pool_workers
     );
-    let r = if let Some(trace_path) = &args.trace_out {
-        // Tracing runs benchmarks serially and in one piece; it does
-        // not use the resumable sweep.
-        match experiments::eval_traced(&cfg, args.plan) {
-            Ok((r, traces)) => {
-                dump_traces(trace_path, &traces);
-                r
-            }
-            Err(e) => die("traced evaluation failed", e),
-        }
-    } else {
-        let benches = tbpoint_workloads::all_benchmarks(args.scale);
-        let gpu = tbpoint_sim::GpuConfig::fermi();
-        // The sweep scheduler spends the pool budget; each unit runs
-        // with the unit-level plan.
-        let unit_plan = args.plan.unit();
-        let units: Vec<EvalUnit<'_>> = benches
-            .iter()
-            .map(|bench| EvalUnit {
-                bench,
-                cfg: &cfg,
-                gpu: &gpu,
-                plan: unit_plan,
-            })
-            .collect();
-        let plan = sweep_plan(
-            args,
-            format!("eval_{}{}", mode_tag(args), scale_tag(args.scale)),
-        );
-        let outcome = sweep::run_units(&plan, &units);
-        experiments::EvalResult {
-            config: cfg,
-            benches: finish_sweep(outcome, "eval"),
-        }
+    let gpu = tbpoint_sim::GpuConfig::fermi();
+    let benches = run_roster(
+        args,
+        format!("eval_{}{}", mode_tag(args), scale_tag(args.scale)),
+        "eval",
+        args.trace_out.as_deref(),
+        |bench, trace| experiments::eval_bench(bench, &cfg, &gpu, trace),
+    );
+    let r = experiments::EvalResult {
+        config: cfg,
+        benches,
     };
     write_json_or_die(&eval_cache_path(args), &r);
     r
@@ -369,18 +378,16 @@ fn cmd_fig5(args: &Args) {
 }
 
 fn cmd_fig8(args: &Args) {
-    let benches = tbpoint_workloads::all_benchmarks(args.scale);
     // Profiling inside a unit runs single-threaded; the sweep itself
     // fans units out over `--pool-workers` pool workers.
-    let units: Vec<Fig8Unit<'_>> = benches
-        .iter()
-        .map(|bench| Fig8Unit { bench, threads: 1 })
-        .collect();
-    let plan = sweep_plan(args, format!("fig8_{}", scale_tag(args.scale)));
-    let outcome = sweep::run_units(&plan, &units);
-    let r = experiments::Fig8Result {
-        series: finish_sweep(outcome, "fig8"),
-    };
+    let series = run_roster(
+        args,
+        format!("fig8_{}", scale_tag(args.scale)),
+        "fig8",
+        None,
+        |bench, _| Ok((experiments::fig8_bench(bench, 1), Vec::new())),
+    );
+    let r = experiments::Fig8Result { series };
     write_json_or_die(
         &args
             .artifacts
@@ -425,46 +432,16 @@ fn cmd_sensitivity(args: &Args, which: &str) {
             eprintln!("using cached sweep {}", path.display());
             r
         }
-        None if args.trace_out.is_some() => {
-            let tb_cfg = tbpoint_core::predict::TbpointConfig {
-                cycle_budget: args.cycle_budget,
-                mode: sampling_mode(args),
-                ..Default::default()
-            };
-            match experiments::sensitivity_traced(args.scale, args.threads, &tb_cfg, args.plan) {
-                Ok((r, traces)) => {
-                    if let Some(trace_path) = &args.trace_out {
-                        dump_traces(trace_path, &traces);
-                    }
-                    write_json_or_die(&path, &r);
-                    r
-                }
-                Err(e) => die("traced sensitivity sweep failed", e),
-            }
-        }
         None => {
             eprintln!("running hardware-sensitivity sweep (6 configs x 12 benchmarks)...");
-            let benches = tbpoint_workloads::all_benchmarks(args.scale);
-            let tb_cfg = tbpoint_core::predict::TbpointConfig {
-                cycle_budget: args.cycle_budget,
-                mode: sampling_mode(args),
-                ..Default::default()
-            };
-            let unit_plan = args.plan.unit();
-            let units: Vec<SensitivityUnit<'_>> = benches
-                .iter()
-                .map(|bench| SensitivityUnit {
-                    bench,
-                    tb_cfg: &tb_cfg,
-                    plan: unit_plan,
-                })
-                .collect();
-            let plan = sweep_plan(
+            let tb_cfg = tbpoint_config(args);
+            let rows = run_roster(
                 args,
                 format!("sensitivity_{}{}", mode_tag(args), scale_tag(args.scale)),
+                "sensitivity",
+                args.trace_out.as_deref(),
+                |bench, trace| experiments::sensitivity_bench(bench, &tb_cfg, trace),
             );
-            let outcome = sweep::run_units(&plan, &units);
-            let rows = finish_sweep(outcome, "sensitivity");
             let r = experiments::SensitivityResult {
                 cells: rows.into_iter().flatten().collect(),
             };
@@ -639,14 +616,13 @@ fn main() {
                 "running design-choice ablations at {} scale...",
                 scale_tag(args.scale)
             );
-            let r = if let Some(trace_path) = &args.trace_out {
-                let (r, traces) =
-                    experiments::ablate_traced(args.scale, args.plan, sampling_mode(&args));
+            let traced = args.trace_out.is_some();
+            let (r, traces) =
+                experiments::ablate(args.scale, args.plan, &tbpoint_config(&args), traced)
+                    .unwrap_or_else(|e| die("ablation failed", e));
+            if let Some(trace_path) = &args.trace_out {
                 dump_traces(trace_path, &traces);
-                r
-            } else {
-                experiments::ablate(args.scale, args.plan, sampling_mode(&args))
-            };
+            }
             write_json_or_die(
                 &args.artifacts.join(format!(
                     "ablate_{}{}.json",
@@ -726,7 +702,7 @@ fn main() {
             eprintln!(
                 "usage: tbpoint <table1|table6|fig5|fig8|eval|fig9|fig10|fig11|fig12|fig13|ablate|inspect <bench>|profile <bench>|faultmatrix [bench]|serve|all> \
                  [--scale full|dev|tiny] [--samples N] [--threads N] [--artifacts DIR] [--trace-out FILE] \
-                 [--resume] [--max-units K] [--cycle-budget N] [--pool-workers N | --jobs N] \
+                 [--resume] [--max-units K] [--cycle-budget N] [--pool-workers N] \
                  [--live] [--out FILE] \
                  [--requests FILE] [--cache-dir DIR] [--max-pending N] [--retries N]"
             );

@@ -1,9 +1,9 @@
 //! Crash-safe, resumable sweep execution on the deterministic job pool.
 //!
-//! A *sweep* is a list of independent [`SweepUnit`]s (one benchmark, or
-//! one benchmark's whole hardware grid). [`run_units`] schedules them
-//! across `tbpoint-pool` workers and persists each finished unit
-//! immediately:
+//! A *sweep* is a list of independent units (one benchmark, or one
+//! benchmark's whole hardware grid), each named by a key and computed
+//! by `run(index)`. [`run_units`] schedules them across `tbpoint-pool`
+//! workers and persists each finished unit immediately:
 //!
 //! * every unit result is written to its own JSON file via
 //!   [`crate::output::write_atomic`] (tmp + fsync + rename), so a crash
@@ -15,7 +15,7 @@
 //!   unit file's checksum, skips verified units and recomputes the
 //!   rest. A unit file that was tampered with, torn, or orphaned by a
 //!   crash between its rename and the manifest update is simply
-//!   recomputed — [`SweepUnit::run`] is deterministic, so the bytes
+//!   recomputed — a unit's computation is deterministic, so the bytes
 //!   come out the same;
 //! * the final result is assembled by **re-reading every unit file from
 //!   disk**, which is why an interrupted-then-resumed sweep produces
@@ -40,7 +40,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 use tbpoint_core::TbError;
 use tbpoint_obs::{fnv1a64, seal, verify};
-use tbpoint_pool::{run_indexed, SweepUnit};
+use tbpoint_pool::run_indexed;
 
 /// How a sweep failed.
 #[derive(Debug)]
@@ -231,21 +231,25 @@ fn load_verified_units(plan: &SweepPlan, keys: &[String]) -> BTreeMap<usize, Str
     verified
 }
 
-/// Run (or resume) a sweep of [`SweepUnit`]s on the deterministic job
-/// pool.
+/// Run (or resume) a sweep of `keys.len()` units on the deterministic
+/// job pool; `run(i)` computes unit `i`.
 ///
-/// Unit identities ([`SweepUnit::id`]) key the unit files and the
-/// manifest; [`SweepUnit::run`] must be deterministic — resumption
-/// correctness and the byte-identity guarantee both rest on that.
-/// Scheduling runs on `plan.workers` pool workers; persistence is
+/// Keys name the unit files and the manifest entries, so they must be
+/// unique and stable across runs, or `--resume` cannot match completed
+/// work. `run` must be deterministic and independent of other units —
+/// resumption correctness and the byte-identity guarantee both rest on
+/// that. Scheduling runs on `plan.workers` pool workers; persistence is
 /// serialized under one lock (compute in parallel, persist one at a
 /// time), so the manifest on disk always describes a consistent
 /// prefix-closed set of finished units.
-pub fn run_units<U>(plan: &SweepPlan, units: &[U]) -> Result<SweepOutcome<U::Output>, SweepError>
+pub fn run_units<T>(
+    plan: &SweepPlan,
+    keys: &[String],
+    run: impl Fn(usize) -> Result<T, TbError> + Sync,
+) -> Result<SweepOutcome<T>, SweepError>
 where
-    U: SweepUnit<Error = TbError>,
+    T: Serialize + Deserialize + Send,
 {
-    let keys: Vec<String> = units.iter().map(SweepUnit::id).collect();
     std::fs::create_dir_all(&plan.dir).map_err(|e| io_err(&plan.dir, e))?;
     // Sweep `write_atomic` staging files a crashed previous run left
     // behind, exactly as the serve result cache does on open: a stale
@@ -257,7 +261,7 @@ where
     }
 
     let mut done: BTreeMap<usize, String> = if plan.resume {
-        load_verified_units(plan, &keys)
+        load_verified_units(plan, keys)
     } else {
         BTreeMap::new()
     };
@@ -277,7 +281,7 @@ where
         std::sync::Mutex::new(std::mem::take(&mut done));
     run_indexed(plan.workers, allowed, |n| {
         let i = todo[n];
-        let value = units[i].run().map_err(|err| SweepError::Pipeline {
+        let value = run(i).map_err(|err| SweepError::Pipeline {
             unit: keys[i].clone(),
             err,
         })?;
@@ -290,7 +294,7 @@ where
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         output::write_atomic(&path, json.as_bytes()).map_err(|e| io_err(&path, e))?;
         st.insert(i, fnv);
-        write_manifest(plan, &keys, &st)
+        write_manifest(plan, keys, &st)
     })
     .map_err(|(_, e)| e)?;
 
@@ -302,7 +306,7 @@ where
     // Assemble results by re-reading every unit file from disk: the
     // in-memory values never reach the final artifact, so resumed and
     // uninterrupted sweeps serialize identically.
-    let mut results: Vec<Option<U::Output>> = Vec::with_capacity(keys.len());
+    let mut results: Vec<Option<T>> = Vec::with_capacity(keys.len());
     for (i, key) in keys.iter().enumerate() {
         if !done.contains_key(&i) {
             results.push(None);
@@ -310,7 +314,7 @@ where
         }
         let path = unit_path(plan, key);
         let bytes = std::fs::read(&path).map_err(|e| io_err(&path, e))?;
-        let value: U::Output =
+        let value: T =
             serde_json::from_slice(&bytes).map_err(|e| io_err(&path, std::io::Error::other(e)))?;
         results.push(Some(value));
     }

@@ -20,6 +20,28 @@ fn usage_errors_exit_2_and_name_the_offender() {
         (&["fig5", "--threads", "x"], 2, "--threads needs"),
         (&["eval", "--artifacts"], 2, "--artifacts needs"),
         (&["table6", "--scale", "huge"], 2, "unknown scale \"huge\""),
+        (&["table6", "--jobs", "2"], 2, "unknown argument \"--jobs\""),
+        (
+            &["table6", "--pool-workers", "0"],
+            2,
+            "--pool-workers needs a worker count",
+        ),
+        // Rejected while parsing, before any unit runs: a resumed unit
+        // has no trace.
+        (
+            &[
+                "eval",
+                "--scale",
+                "tiny",
+                "--trace-out",
+                concat!(env!("CARGO_TARGET_TMPDIR"), "/cli_args_trace.jsonl"),
+                "--resume",
+                "--artifacts",
+                concat!(env!("CARGO_TARGET_TMPDIR"), "/cli_args_artifacts"),
+            ],
+            2,
+            "--trace-out cannot be combined with --resume",
+        ),
         (&["table6", "--scale", "tiny"], 0, ""),
     ];
     for &(args, code, fragment) in cases {

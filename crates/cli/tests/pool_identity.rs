@@ -7,12 +7,10 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use tbpoint_cli::experiments::{EvalConfig, EvalUnit};
+use std::sync::OnceLock;
+use tbpoint_cli::experiments::{eval_bench, BenchEval, EvalConfig};
 use tbpoint_cli::output::{self, TraceEntry};
-use tbpoint_cli::sweep::{run_units, SweepPlan};
-use tbpoint_core::predict::{run_tbpoint_traced, TbpointConfig};
-use tbpoint_emu::profile_run;
-use tbpoint_pool::ExecPlan;
+use tbpoint_cli::sweep::{run_units, SweepOutcome, SweepPlan};
 use tbpoint_sim::GpuConfig;
 use tbpoint_workloads::{benchmark_by_name, Benchmark, Scale};
 
@@ -54,26 +52,21 @@ fn dir_bytes(dir: &Path) -> DirBytes {
     out
 }
 
-/// Run the real eval pipeline over the roster slice as a pooled sweep
-/// and return (per-file bytes, final artifact bytes).
-fn sweep_leg(
+/// Run the real eval pipeline over the roster slice as a pooled sweep,
+/// recorded when `trace` is set, the way the `tbpoint` binary does:
+/// each unit's traces land in its own slot and are concatenated in
+/// roster order.
+fn eval_sweep(
     dir: &Path,
     workers: usize,
     resume: bool,
     max_units: Option<usize>,
-) -> Option<(DirBytes, Vec<u8>)> {
+    trace: bool,
+) -> (SweepOutcome<BenchEval>, Vec<TraceEntry>) {
     let benches = roster();
+    let keys: Vec<String> = benches.iter().map(|b| b.name.to_string()).collect();
     let cfg = EvalConfig::new(Scale::Tiny);
     let gpu = GpuConfig::fermi();
-    let units: Vec<EvalUnit<'_>> = benches
-        .iter()
-        .map(|bench| EvalUnit {
-            bench,
-            cfg: &cfg,
-            gpu: &gpu,
-            plan: ExecPlan::serial(),
-        })
-        .collect();
     let plan = SweepPlan {
         name: "poolid".to_string(),
         dir: dir.to_path_buf(),
@@ -81,7 +74,30 @@ fn sweep_leg(
         max_units,
         workers,
     };
-    let outcome = run_units(&plan, &units).expect("sweep runs");
+    let slots: Vec<OnceLock<Vec<TraceEntry>>> = keys.iter().map(|_| OnceLock::new()).collect();
+    let outcome = run_units(&plan, &keys, |i| {
+        let (b, traces) = eval_bench(&benches[i], &cfg, &gpu, trace)?;
+        let _ = slots[i].set(traces);
+        Ok(b)
+    })
+    .expect("sweep runs");
+    let traces = slots
+        .into_iter()
+        .filter_map(OnceLock::into_inner)
+        .flatten()
+        .collect();
+    (outcome, traces)
+}
+
+/// Run the untraced sweep and return (per-file bytes, final artifact
+/// bytes), or `None` when `max_units` stopped it early.
+fn sweep_leg(
+    dir: &Path,
+    workers: usize,
+    resume: bool,
+    max_units: Option<usize>,
+) -> Option<(DirBytes, Vec<u8>)> {
+    let (outcome, _) = eval_sweep(dir, workers, resume, max_units, false);
     if outcome.partial {
         return None;
     }
@@ -147,38 +163,32 @@ fn interrupted_pooled_sweep_resumes_to_identical_bytes() {
 
 #[test]
 fn recorder_trace_jsonl_is_byte_identical_at_every_worker_count() {
-    let bench = benchmark_by_name("cfd", Scale::Tiny).expect("roster name");
-    let profile = profile_run(&bench.run, 1);
-    let gpu = GpuConfig::fermi();
-    let cfg = TbpointConfig::default();
+    let untraced_dir = scratch("untraced");
+    eval_sweep(&untraced_dir, 1, false, None, false);
+    let untraced_files = dir_bytes(&untraced_dir);
 
-    let trace_bytes = |pool_workers: usize| {
-        let plan = ExecPlan { pool_workers };
-        let (result, traces) = run_tbpoint_traced(&bench.run, Some(&profile), &cfg, &gpu, plan)
-            .expect("pipeline runs");
-        let entries: Vec<TraceEntry> = traces
-            .into_iter()
-            .map(|t| TraceEntry {
-                label: bench.name.to_string(),
-                launch: t.launch,
-                trace: t.trace,
-            })
-            .collect();
-        let path = scratch(&format!("trace-w{pool_workers}")).join("trace.jsonl");
-        std::fs::create_dir_all(path.parent().expect("parent")).expect("mkdir");
-        output::write_trace_jsonl(&path, &entries).expect("write traces");
-        let bytes = std::fs::read(&path).expect("read traces");
-        let _ = std::fs::remove_dir_all(path.parent().expect("parent"));
-        (result, bytes)
-    };
-
-    let (result1, bytes1) = trace_bytes(1);
-    for workers in [2, 4] {
-        let (result, bytes) = trace_bytes(workers);
-        assert_eq!(result1, result, "workers={workers}: result drifted");
+    let mut serial_trace: Option<Vec<u8>> = None;
+    for workers in [1, 2, 4] {
+        let dir = scratch(&format!("traced-w{workers}"));
+        let (outcome, traces) = eval_sweep(&dir, workers, false, None, true);
+        assert!(!outcome.partial);
+        assert!(!traces.is_empty(), "workers={workers}: nothing recorded");
         assert_eq!(
-            bytes1, bytes,
-            "workers={workers}: recorder JSONL must be byte-identical to serial"
+            untraced_files,
+            dir_bytes(&dir),
+            "workers={workers}: a traced sweep must leave the untraced unit files"
         );
+        let path = dir.join("trace.jsonl");
+        output::write_trace_jsonl(&path, &traces).expect("write traces");
+        let bytes = std::fs::read(&path).expect("read traces");
+        match &serial_trace {
+            None => serial_trace = Some(bytes),
+            Some(serial) => assert!(
+                *serial == bytes,
+                "workers={workers}: recorder JSONL must be byte-identical to serial"
+            ),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
+    let _ = std::fs::remove_dir_all(&untraced_dir);
 }

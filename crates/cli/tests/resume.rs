@@ -4,16 +4,15 @@
 //! detected and recomputed, and a failing unit must not destroy the
 //! units that already finished.
 //!
-//! The [`SweepUnit`] here is a cheap deterministic stand-in (no
-//! simulations) so the tests exercise only the persistence machinery.
+//! The units here are a cheap deterministic stand-in (no simulations)
+//! so the tests exercise only the persistence machinery.
 
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use tbpoint_cli::output;
-use tbpoint_cli::sweep::{run_units, SweepError, SweepPlan};
+use tbpoint_cli::sweep::{run_units, SweepError, SweepOutcome, SweepPlan};
 use tbpoint_core::TbError;
-use tbpoint_pool::SweepUnit;
 
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct Unit {
@@ -33,37 +32,6 @@ fn compute(i: usize, key: &str) -> Result<Unit, TbError> {
     })
 }
 
-/// The test stand-in for a benchmark unit: deterministic output, an
-/// optional shared call counter, and an optional induced failure.
-struct TestUnit<'a> {
-    index: usize,
-    key: String,
-    calls: Option<&'a AtomicUsize>,
-    fail: bool,
-}
-
-impl SweepUnit for TestUnit<'_> {
-    type Output = Unit;
-    type Error = TbError;
-
-    fn id(&self) -> String {
-        self.key.clone()
-    }
-
-    fn run(&self) -> Result<Unit, TbError> {
-        if let Some(calls) = self.calls {
-            calls.fetch_add(1, Ordering::Relaxed);
-        }
-        if self.fail {
-            return Err(TbError::BudgetExceeded {
-                launch: 0,
-                budget_cycles: 1,
-            });
-        }
-        compute(self.index, &self.key)
-    }
-}
-
 fn keys() -> Vec<String> {
     ["bfs", "cfd", "hotspot", "lud", "nw"]
         .iter()
@@ -71,17 +39,10 @@ fn keys() -> Vec<String> {
         .collect()
 }
 
-fn units() -> Vec<TestUnit<'static>> {
-    keys()
-        .into_iter()
-        .enumerate()
-        .map(|(index, key)| TestUnit {
-            index,
-            key,
-            calls: None,
-            fail: false,
-        })
-        .collect()
+/// Sweep the test keys with the stand-in computation.
+fn sweep(plan: &SweepPlan) -> Result<SweepOutcome<Unit>, SweepError> {
+    let keys = keys();
+    run_units(plan, &keys, |i| compute(i, &keys[i]))
 }
 
 fn plan(dir: &Path) -> SweepPlan {
@@ -118,7 +79,7 @@ fn final_artifact(dir: &Path, units: &[Unit]) -> Vec<u8> {
 fn interrupted_then_resumed_run_is_byte_identical() {
     // Leg A: uninterrupted.
     let dir_a = scratch("a");
-    let full = run_units(&plan(&dir_a), &units()).expect("uninterrupted sweep");
+    let full = sweep(&plan(&dir_a)).expect("uninterrupted sweep");
     assert!(!full.partial);
     assert_eq!(full.computed, keys().len());
     let bytes_a = final_artifact(&dir_a, &full.into_complete());
@@ -128,14 +89,14 @@ fn interrupted_then_resumed_run_is_byte_identical() {
     let dir_b = scratch("b");
     let mut p = plan(&dir_b);
     p.max_units = Some(2);
-    let partial = run_units(&p, &units()).expect("partial sweep");
+    let partial = sweep(&p).expect("partial sweep");
     assert!(partial.partial);
     assert_eq!(partial.computed, 2);
     assert_eq!(partial.results.iter().flatten().count(), 2);
 
     let mut p = plan(&dir_b);
     p.resume = true;
-    let resumed = run_units(&p, &units()).expect("resumed sweep");
+    let resumed = sweep(&p).expect("resumed sweep");
     assert!(!resumed.partial);
     assert_eq!(resumed.resumed, 2, "both finished units must be reused");
     assert_eq!(resumed.computed, keys().len() - 2);
@@ -153,8 +114,8 @@ fn interrupted_then_resumed_run_is_byte_identical() {
 #[test]
 fn without_resume_everything_is_recomputed() {
     let dir = scratch("noresume");
-    run_units(&plan(&dir), &units()).expect("first run");
-    let again = run_units(&plan(&dir), &units()).expect("second run");
+    sweep(&plan(&dir)).expect("first run");
+    let again = sweep(&plan(&dir)).expect("second run");
     assert_eq!(again.resumed, 0);
     assert_eq!(again.computed, keys().len());
     let _ = std::fs::remove_dir_all(&dir);
@@ -163,7 +124,7 @@ fn without_resume_everything_is_recomputed() {
 #[test]
 fn tampered_unit_file_is_detected_and_recomputed() {
     let dir = scratch("tamper");
-    let full = run_units(&plan(&dir), &units()).expect("first run");
+    let full = sweep(&plan(&dir)).expect("first run");
     let expected = final_artifact(&dir, &full.into_complete());
 
     // Flip one byte inside a unit file; the manifest checksum no longer
@@ -175,17 +136,15 @@ fn tampered_unit_file_is_detected_and_recomputed() {
     std::fs::write(&victim, &bytes).expect("tamper with unit file");
 
     let calls = AtomicUsize::new(0);
-    let counted: Vec<TestUnit<'_>> = units()
-        .into_iter()
-        .map(|u| TestUnit {
-            calls: Some(&calls),
-            ..u
-        })
-        .collect();
+    let keys = keys();
     let mut p = plan(&dir);
     p.resume = true;
-    let resumed = run_units(&p, &counted).expect("resume over tampered state");
-    assert_eq!(resumed.resumed, keys().len() - 1);
+    let resumed = run_units(&p, &keys, |i| {
+        calls.fetch_add(1, Ordering::Relaxed);
+        compute(i, &keys[i])
+    })
+    .expect("resume over tampered state");
+    assert_eq!(resumed.resumed, keys.len() - 1);
     assert_eq!(
         calls.load(Ordering::Relaxed),
         1,
@@ -202,7 +161,7 @@ fn tampered_unit_file_is_detected_and_recomputed() {
 #[test]
 fn truncated_manifest_recomputes_but_still_converges() {
     let dir = scratch("manifest");
-    let full = run_units(&plan(&dir), &units()).expect("first run");
+    let full = sweep(&plan(&dir)).expect("first run");
     let expected = final_artifact(&dir, &full.into_complete());
 
     // Chop the manifest mid-record: its integrity trailer no longer
@@ -214,7 +173,7 @@ fn truncated_manifest_recomputes_but_still_converges() {
 
     let mut p = plan(&dir);
     p.resume = true;
-    let resumed = run_units(&p, &units()).expect("resume over broken manifest");
+    let resumed = sweep(&p).expect("resume over broken manifest");
     assert_eq!(resumed.resumed, 0, "a broken manifest trusts nothing");
     let healed = final_artifact(&dir, &resumed.into_complete());
     assert_eq!(expected, healed);
@@ -231,7 +190,7 @@ fn stale_staging_files_are_swept_before_the_sweep() {
     std::fs::create_dir_all(&dir).expect("mkdir");
     let stale = dir.join(".test_sweep.unit.bfs.json.tmp");
     std::fs::write(&stale, b"torn half-write").expect("plant stale tmp");
-    let full = run_units(&plan(&dir), &units()).expect("sweep over stale tmp");
+    let full = sweep(&plan(&dir)).expect("sweep over stale tmp");
     assert!(!full.partial);
     assert_eq!(full.computed, keys().len());
     assert!(!stale.exists(), "stale staging file swept on startup");
@@ -250,14 +209,17 @@ fn failing_unit_keeps_completed_units_for_resume() {
     // finish, unit 2 fails, 3 and 4 never run.
     let mut p = plan(&dir);
     p.workers = 1;
-    let failing: Vec<TestUnit<'_>> = units()
-        .into_iter()
-        .map(|u| TestUnit {
-            fail: u.index == 2,
-            ..u
-        })
-        .collect();
-    let err = run_units(&p, &failing).expect_err("unit 2 must fail the sweep");
+    let keys = keys();
+    let err = run_units(&p, &keys, |i| {
+        if i == 2 {
+            return Err(TbError::BudgetExceeded {
+                launch: 0,
+                budget_cycles: 1,
+            });
+        }
+        compute(i, &keys[i])
+    })
+    .expect_err("unit 2 must fail the sweep");
     match err {
         SweepError::Pipeline { unit, .. } => assert_eq!(unit, "hotspot"),
         other => panic!("expected a pipeline error, got {other}"),
@@ -266,7 +228,7 @@ fn failing_unit_keeps_completed_units_for_resume() {
     // A healthy re-run with --resume picks up the two survivors.
     let mut p = plan(&dir);
     p.resume = true;
-    let resumed = run_units(&p, &units()).expect("resume after failure");
+    let resumed = sweep(&p).expect("resume after failure");
     assert_eq!(resumed.resumed, 2);
     assert_eq!(resumed.computed, 3);
     let _ = std::fs::remove_dir_all(&dir);

@@ -144,22 +144,6 @@ pub enum EventKind {
         reason: DegradeReason,
     },
 
-    // --- execution planning (tbpoint-pool) ---
-    /// The worker count was adjusted while resolving the execution
-    /// plan: the request was zero or unparseable, so the plan fell back
-    /// to serial. This is the single structured
-    /// replacement for the ad-hoc clamp warnings the CLI used to print
-    /// as free-form stderr text.
-    ExecPlanAdjusted {
-        /// Which parallelism axis was adjusted.
-        axis: PlanAxis,
-        /// The requested worker count (0 when the request did not parse
-        /// as a number at all).
-        requested: u64,
-        /// The worker count actually used.
-        used: u64,
-    },
-
     // --- request service (tbpoint-serve) ---
     // Requests are identified by their arrival sequence number (`seq`),
     // not their caller-chosen id string: event payloads stay `Copy`.
@@ -203,15 +187,6 @@ pub enum EventKind {
     },
 }
 
-/// The parallelism axis of the execution plan (payload of
-/// [`EventKind::ExecPlanAdjusted`]; one variant, kept so the event's
-/// line format is unchanged).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PlanAxis {
-    /// Pool workers (`--pool-workers` / `TBPOINT_POOL_WORKERS`).
-    PoolWorkers,
-}
-
 /// Why the pipeline degraded to detailed simulation (payload of
 /// [`EventKind::DegradedMode`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -251,7 +226,6 @@ impl EventKind {
             EventKind::LiveFastForward { .. } => "LiveFastForward",
             EventKind::LiveDestabilised { .. } => "LiveDestabilised",
             EventKind::DegradedMode { .. } => "DegradedMode",
-            EventKind::ExecPlanAdjusted { .. } => "ExecPlanAdjusted",
             EventKind::RequestAdmitted { .. } => "RequestAdmitted",
             EventKind::RequestRejected { .. } => "RequestRejected",
             EventKind::RequestRetried { .. } => "RequestRetried",
@@ -408,15 +382,6 @@ mod tests {
             EventKind::TbDispatched { tb: 0, sm: 0 }.name(),
             "TbDispatched"
         );
-        assert_eq!(
-            EventKind::ExecPlanAdjusted {
-                axis: PlanAxis::PoolWorkers,
-                requested: 0,
-                used: 1,
-            }
-            .name(),
-            "ExecPlanAdjusted"
-        );
     }
 
     #[test]
@@ -458,21 +423,6 @@ mod tests {
             assert_eq!(back, ev, "{}", kind.name());
             assert!(!kind.name().is_empty());
         }
-    }
-
-    #[test]
-    fn exec_plan_adjusted_round_trips_through_jsonl() {
-        let ev = Event {
-            cycle: 0,
-            kind: EventKind::ExecPlanAdjusted {
-                axis: PlanAxis::PoolWorkers,
-                requested: 0,
-                used: 1,
-            },
-        };
-        let line = crate::jsonl::event_line(&ev);
-        let back = crate::jsonl::parse_event(&line).expect("round trip");
-        assert_eq!(back, ev);
     }
 
     #[test]

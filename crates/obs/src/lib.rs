@@ -48,9 +48,7 @@ mod jsonl;
 mod persist;
 mod recorder;
 
-pub use event::{
-    Counter, DegradeReason, Event, EventKind, GaugeSummary, PlanAxis, Span, TraceBundle,
-};
+pub use event::{Counter, DegradeReason, Event, EventKind, GaugeSummary, Span, TraceBundle};
 pub use integrity::{fnv1a64, fnv1a64_extend, seal, verify, TraceError};
 pub use jsonl::{event_line, parse_event};
 pub use persist::{clean_stale_tmps, is_stale_tmp, write_atomic};

@@ -22,7 +22,7 @@
 //! crate schedules them — whole launches and whole sweep units — across
 //! worker threads, the repo's one parallel axis.
 //!
-//! Three pieces:
+//! Two pieces:
 //!
 //! * [`runner`] — [`run_indexed`] / [`map_indexed`], a work-stealing
 //!   pool over index-addressed jobs whose output is **bit-identical to
@@ -32,25 +32,14 @@
 //!   [`run_supervised`], the service-grade variant that contains a
 //!   panicking unit to its own index ([`UnitError::Panicked`]) while
 //!   the pool keeps draining.
-//! * [`plan`] — [`ExecPlan`]`{ pool_workers }`, the single validated
-//!   home for the parallelism knob, resolved once with precedence
-//!   CLI > environment > auto. Adjustments (zero or unparseable
-//!   requests) surface as structured
-//!   [`tbpoint_obs::EventKind::ExecPlanAdjusted`] events instead of
-//!   free-form stderr prints.
-//! * [`unit`] — the [`SweepUnit`] trait (id, run, serializable output)
-//!   shared by the pool, the crash-safe resume manifest, and the
-//!   future serve layer.
+//! * [`plan`] — [`ExecPlan`]`{ pool_workers }`, the single home for the
+//!   parallelism knob.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod plan;
 pub mod runner;
-pub mod unit;
 
-pub use plan::{
-    resolve, resolve_from_env, ExecPlan, PlanInputs, PlanNote, PlanSource, ENV_POOL_WORKERS,
-};
+pub use plan::ExecPlan;
 pub use runner::{map_indexed, run_indexed, run_supervised, UnitError};
-pub use unit::SweepUnit;

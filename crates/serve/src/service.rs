@@ -66,7 +66,7 @@ use tbpoint_workloads::benchmark_by_name;
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
     /// Execution plan; work requests fan out across
-    /// `plan.pool_workers`, each running with the unit-level plan.
+    /// `plan.pool_workers`, each running serially.
     pub plan: ExecPlan,
     /// Simulated GPU (default: the paper's Fermi, Table V).
     pub gpu: GpuConfig,
@@ -603,7 +603,7 @@ fn run_work(
         profile.as_ref(),
         &cfg,
         &opts.gpu,
-        opts.plan.unit(),
+        ExecPlan::serial(),
     );
     let tbp = match tbp {
         Ok(r) => r,

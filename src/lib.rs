@@ -71,6 +71,6 @@ pub mod prelude {
     pub use crate::obs::{
         CollectingRecorder, Event, EventKind, JsonlRecorder, NullRecorder, Recorder, TraceBundle,
     };
-    pub use crate::pool::{ExecPlan, SweepUnit};
+    pub use crate::pool::ExecPlan;
     pub use crate::sim::{simulate_launch, simulate_run, GpuConfig};
 }
