@@ -96,8 +96,6 @@ struct Args {
     cache_dir: Option<PathBuf>,
     /// `serve`: bounded-queue depth per batch window.
     max_pending: usize,
-    /// `serve`: retry count override for transient unit failures.
-    retries: Option<u32>,
 }
 
 /// Print an actionable error and exit non-zero. Every fallible I/O or
@@ -141,7 +139,6 @@ fn parse_args() -> Args {
         requests: None,
         cache_dir: None,
         max_pending: 256,
-        retries: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -175,7 +172,6 @@ fn parse_args() -> Args {
             "--requests" => args.requests = Some(flag_value(&mut it, &a, "a path")),
             "--cache-dir" => args.cache_dir = Some(flag_value(&mut it, &a, "a path")),
             "--max-pending" => args.max_pending = flag_value(&mut it, &a, "a positive integer"),
-            "--retries" => args.retries = Some(flag_value(&mut it, &a, "a non-negative integer")),
             cmd if args.command.is_empty() && !cmd.starts_with('-') => {
                 args.command = cmd.to_string();
             }
@@ -470,18 +466,13 @@ fn cmd_sensitivity(args: &Args, which: &str) {
 /// (a kill -9 mid-run leaves the previous output intact, never a torn
 /// file) or to stdout; without it the service streams stdin → stdout
 /// until EOF or a `shutdown` request drains. A final counters line on
-/// stderr reports the admission/retry/deadline/cache traffic — the CI
+/// stderr reports the admission/deadline/cache traffic — the CI
 /// drill greps it to prove cache reuse across a restart.
 fn cmd_serve(args: &Args) {
-    use tbpoint_serve::{RetryPolicy, ServeOptions, Service};
-    let retry = RetryPolicy {
-        max_retries: args.retries.unwrap_or(RetryPolicy::default().max_retries),
-        ..RetryPolicy::default()
-    };
+    use tbpoint_serve::{ServeOptions, Service};
     let opts = ServeOptions {
         plan: args.plan,
         max_pending: args.max_pending,
-        retry,
         cache_dir: args.cache_dir.clone(),
         ..ServeOptions::default()
     };
@@ -511,11 +502,10 @@ fn cmd_serve(args: &Args) {
 
     let c = svc.counters();
     eprintln!(
-        "serve: admitted={} rejected={} retried={} deadline_exceeded={} \
+        "serve: admitted={} rejected={} deadline_exceeded={} \
          cache_hits={} cache_quarantined={} cache_stores={} completed_ok={} failed={}",
         c.admitted,
         c.rejected,
-        c.retried,
         c.deadline_exceeded,
         c.cache_hits,
         c.cache_quarantined,
@@ -704,7 +694,7 @@ fn main() {
                  [--scale full|dev|tiny] [--samples N] [--threads N] [--artifacts DIR] [--trace-out FILE] \
                  [--resume] [--max-units K] [--cycle-budget N] [--pool-workers N] \
                  [--live] [--out FILE] \
-                 [--requests FILE] [--cache-dir DIR] [--max-pending N] [--retries N]"
+                 [--requests FILE] [--cache-dir DIR] [--max-pending N]"
             );
             std::process::exit(2);
         }

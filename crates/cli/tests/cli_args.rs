@@ -22,6 +22,11 @@ fn usage_errors_exit_2_and_name_the_offender() {
         (&["table6", "--scale", "huge"], 2, "unknown scale \"huge\""),
         (&["table6", "--jobs", "2"], 2, "unknown argument \"--jobs\""),
         (
+            &["serve", "--retries", "2"],
+            2,
+            "unknown argument \"--retries\"",
+        ),
+        (
             &["table6", "--pool-workers", "0"],
             2,
             "--pool-workers needs a worker count",

@@ -159,14 +159,6 @@ pub enum EventKind {
         /// Arrival sequence number within the service run.
         seq: u64,
     },
-    /// A request's unit failed transiently (worker panic contained by
-    /// the pool) and was re-run under the deterministic retry policy.
-    RequestRetried {
-        /// Arrival sequence number within the service run.
-        seq: u64,
-        /// Which re-attempt this is (1 = first retry).
-        attempt: u32,
-    },
     /// A request exceeded its cycle budget and was answered with a
     /// structured deadline error instead of a result.
     DeadlineExceeded {
@@ -228,7 +220,6 @@ impl EventKind {
             EventKind::DegradedMode { .. } => "DegradedMode",
             EventKind::RequestAdmitted { .. } => "RequestAdmitted",
             EventKind::RequestRejected { .. } => "RequestRejected",
-            EventKind::RequestRetried { .. } => "RequestRetried",
             EventKind::DeadlineExceeded { .. } => "DeadlineExceeded",
             EventKind::CacheHit { .. } => "CacheHit",
             EventKind::CacheQuarantined { .. } => "CacheQuarantined",
@@ -389,7 +380,6 @@ mod tests {
         let kinds = [
             EventKind::RequestAdmitted { seq: 7 },
             EventKind::RequestRejected { seq: 8 },
-            EventKind::RequestRetried { seq: 7, attempt: 2 },
             EventKind::DeadlineExceeded { seq: 9 },
             EventKind::CacheHit { seq: 10 },
             EventKind::CacheQuarantined { seq: 11 },

@@ -30,8 +30,8 @@
 //!   results land in per-index slots and are assembled in index order;
 //!   only scheduling order is timing-dependent); plus
 //!   [`run_supervised`], the service-grade variant that contains a
-//!   panicking unit to its own index ([`UnitError::Panicked`]) while
-//!   the pool keeps draining.
+//!   panicking unit to its own index (an `Err` carrying the panic
+//!   message) while the pool keeps draining.
 //! * [`plan`] — [`ExecPlan`]`{ pool_workers }`, the single home for the
 //!   parallelism knob.
 
@@ -42,4 +42,4 @@ pub mod plan;
 pub mod runner;
 
 pub use plan::ExecPlan;
-pub use runner::{map_indexed, run_indexed, run_supervised, UnitError};
+pub use runner::{map_indexed, run_indexed, run_supervised};

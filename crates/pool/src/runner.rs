@@ -194,25 +194,6 @@ where
     }
 }
 
-/// How one supervised unit failed (payload of [`run_supervised`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum UnitError<E> {
-    /// The unit panicked; the payload message was captured and the
-    /// panic contained to this index — the pool kept draining.
-    Panicked(String),
-    /// The unit returned its ordinary error.
-    Failed(E),
-}
-
-impl<E: std::fmt::Display> std::fmt::Display for UnitError<E> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            UnitError::Panicked(msg) => write!(f, "unit panicked: {msg}"),
-            UnitError::Failed(e) => e.fmt(f),
-        }
-    }
-}
-
 /// Best-effort text of a panic payload (the common `&str` / `String`
 /// shapes; anything else gets a fixed label so messages stay
 /// deterministic).
@@ -226,9 +207,9 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// [`run_indexed`] with worker supervision: every unit runs under
-/// [`std::panic::catch_unwind`], so a panicking unit yields
-/// [`UnitError::Panicked`] **for its index only** while the pool keeps
+/// [`map_indexed`] with worker supervision: every unit runs under
+/// [`std::panic::catch_unwind`], so a panicking unit yields `Err` with
+/// the panic message **for its index only** while the pool keeps
 /// draining — no stop flag, no escaped panic, every index completes.
 /// Results come back as one per-index `Result` in canonical order,
 /// bit-identical to the serial loop at every worker count (which
@@ -240,21 +221,14 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// panic cannot expose torn state to the remaining units.
 ///
 /// This is the service-layer entry point: a long-running daemon must
-/// contain a poisoned request without dropping the rest of the batch,
-/// and needs the full per-index outcome vector to retry transient
-/// failures deterministically.
-pub fn run_supervised<T, E, F>(workers: usize, n: usize, job: F) -> Vec<Result<T, UnitError<E>>>
+/// contain a poisoned request without dropping the rest of the batch.
+pub fn run_supervised<T, F>(workers: usize, n: usize, job: F) -> Vec<Result<T, String>>
 where
     T: Send,
-    E: Send,
-    F: Fn(usize) -> Result<T, E> + Sync,
+    F: Fn(usize) -> T + Sync,
 {
     map_indexed(workers, n, |i| {
-        match catch_unwind(AssertUnwindSafe(|| job(i))) {
-            Ok(Ok(v)) => Ok(v),
-            Ok(Err(e)) => Err(UnitError::Failed(e)),
-            Err(payload) => Err(UnitError::Panicked(panic_message(payload))),
-        }
+        catch_unwind(AssertUnwindSafe(|| job(i))).map_err(panic_message)
     })
 }
 
@@ -335,20 +309,16 @@ mod tests {
     #[test]
     fn supervised_contains_a_panic_to_its_index() {
         for workers in [1, 2, 4] {
-            let out = run_supervised::<_, String, _>(workers, 12, |i| {
+            let out = run_supervised(workers, 12, |i| {
                 if i == 5 {
                     panic!("unit 5 exploded");
                 }
-                Ok(skewed(i))
+                skewed(i)
             });
             assert_eq!(out.len(), 12, "workers={workers}");
             for (i, r) in out.iter().enumerate() {
                 if i == 5 {
-                    assert_eq!(
-                        r,
-                        &Err(UnitError::Panicked("unit 5 exploded".to_string())),
-                        "workers={workers}"
-                    );
+                    assert_eq!(r, &Err("unit 5 exploded".to_string()), "workers={workers}");
                 } else {
                     assert_eq!(r, &Ok(skewed(i)), "workers={workers} index {i}");
                 }
@@ -357,16 +327,14 @@ mod tests {
     }
 
     #[test]
-    fn supervised_keeps_ordinary_errors_and_completes_every_index() {
-        // Mixed panics and plain errors: unlike run_indexed there is no
-        // stop flag, so the outcome vector is a pure function of the
-        // job — identical at every worker count.
-        let expect: Vec<Result<usize, UnitError<String>>> = (0..30)
+    fn supervised_contains_many_panics_and_completes_every_index() {
+        // Unlike run_indexed there is no stop flag, so the outcome
+        // vector is a pure function of the job — identical at every
+        // worker count.
+        let expect: Vec<Result<usize, String>> = (0..30)
             .map(|i| {
                 if i % 11 == 4 {
-                    Err(UnitError::Panicked(format!("boom {i}")))
-                } else if i % 7 == 2 {
-                    Err(UnitError::Failed(format!("fail {i}")))
+                    Err(format!("boom {i}"))
                 } else {
                     Ok(i * 3)
                 }
@@ -376,22 +344,11 @@ mod tests {
             let out = run_supervised(workers, 30, |i| {
                 if i % 11 == 4 {
                     panic!("boom {i}");
-                } else if i % 7 == 2 {
-                    Err(format!("fail {i}"))
-                } else {
-                    Ok(i * 3)
                 }
+                i * 3
             });
             assert_eq!(out, expect, "workers={workers}");
         }
-    }
-
-    #[test]
-    fn unit_error_displays_both_shapes() {
-        let p: UnitError<String> = UnitError::Panicked("kaboom".into());
-        assert_eq!(p.to_string(), "unit panicked: kaboom");
-        let f: UnitError<String> = UnitError::Failed("plain".into());
-        assert_eq!(f.to_string(), "plain");
     }
 
     #[test]

@@ -66,8 +66,8 @@ pub enum Fault {
     /// two records into one malformed line.
     SpliceTrace,
     /// Panic inside a seeded unit scheduled on the supervised job pool.
-    /// The pool must contain it: that index alone reports
-    /// `UnitError::Panicked`, every other index completes, and the
+    /// The pool must contain it: that index alone reports the panic
+    /// message, every other index completes, and the
     /// assembled outcome is identical at every worker count.
     PanicInUnit,
 }

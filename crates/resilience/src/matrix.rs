@@ -19,7 +19,7 @@ use tbpoint_core::{run_tbpoint, run_tbpoint_traced, TbpointConfig};
 use tbpoint_emu::{profile_run, RunProfile};
 use tbpoint_ir::KernelRun;
 use tbpoint_obs::TraceBundle;
-use tbpoint_pool::{run_supervised, ExecPlan, UnitError};
+use tbpoint_pool::{run_supervised, ExecPlan};
 use tbpoint_sim::{simulate_run, GpuConfig, NullSampling};
 
 /// What one matrix cell did with its fault.
@@ -226,8 +226,8 @@ fn trace_cell(sealed: &str, fault: Fault, seed: u64) -> Outcome {
 /// worker counts, and classify the containment. The contract:
 ///
 /// * no panic escapes the pool (else [`Outcome::Panicked`]);
-/// * exactly the rigged indices report [`UnitError::Panicked`] with the
-///   injected message, **every other index completes** with the correct
+/// * exactly the rigged indices report an `Err` with the injected panic
+///   message, **every other index completes** with the correct
 ///   value, and the outcome vector is identical at every worker count —
 ///   then the cell is [`Outcome::GracefulError`] carrying the
 ///   *lowest* failed index (the workspace's error-reporting rule);
@@ -245,7 +245,7 @@ fn pool_cell(seed: u64) -> Outcome {
     let mut runs = Vec::new();
     for workers in [1usize, 2, 4] {
         let run = catch_unwind(AssertUnwindSafe(|| {
-            run_supervised::<u64, String, _>(workers, UNITS, |i| {
+            run_supervised(workers, UNITS, |i| {
                 if is_bad(i) {
                     #[expect(
                         clippy::panic,
@@ -255,7 +255,7 @@ fn pool_cell(seed: u64) -> Outcome {
                         panic!("injected unit panic");
                     }
                 }
-                Ok(i as u64 * 3)
+                i as u64 * 3
             })
         }));
         match run {
@@ -268,8 +268,7 @@ fn pool_cell(seed: u64) -> Outcome {
         results.len() == UNITS
             && results.iter().enumerate().all(|(i, r)| match r {
                 Ok(v) => !is_bad(i) && *v == i as u64 * 3,
-                Err(UnitError::Panicked(msg)) => is_bad(i) && msg == "injected unit panic",
-                Err(UnitError::Failed(_)) => false,
+                Err(msg) => is_bad(i) && msg == "injected unit panic",
             })
     });
     let identical = runs.windows(2).all(|w| w[0] == w[1]);

@@ -10,8 +10,9 @@
 //! - **Worker supervision** ([`service`]): every unit runs under
 //!   `catch_unwind` containment ([`tbpoint_pool::run_supervised`]), so
 //!   a panicking request yields a structured error for *that* index
-//!   while the batch keeps draining; contained panics are transient and
-//!   get deterministic bounded retry with seeded backoff ([`retry`]).
+//!   while the batch keeps draining. Every request runs exactly once:
+//!   the pipeline is a pure function of the request, so a re-run could
+//!   only repeat the panic.
 //! - **Deadlines and admission control**: per-request cycle/warming
 //!   budgets layer onto `TbpointConfig`, overruns come back as
 //!   `deadline-exceeded`; a bounded queue load-sheds overflow with a
@@ -21,7 +22,7 @@
 //!   the full request inputs, persisted via `write_atomic` + sealed FNV
 //!   manifest, re-verified on every read; corrupt entries are
 //!   quarantined and recomputed, never served.
-//! - **Observability**: admission, rejection, retry, deadline and cache
+//! - **Observability**: admission, rejection, deadline and cache
 //!   traffic are recorded as [`tbpoint_obs::EventKind`] events and
 //!   counters on the coordinator thread, in deterministic order.
 
@@ -41,7 +42,6 @@
 
 pub mod cache;
 pub mod proto;
-pub mod retry;
 pub mod service;
 
 pub use cache::{cache_name, key_text, Lookup, ResultCache};
@@ -49,5 +49,4 @@ pub use proto::{
     parse_request, Command, EvalSummary, InjectedFault, Request, Response, SimSummary,
     StatusReport, WorkBody,
 };
-pub use retry::RetryPolicy;
 pub use service::{process_text, run_loop, ServeOptions, Service};

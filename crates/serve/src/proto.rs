@@ -24,7 +24,7 @@ pub enum Command {
     Simulate,
     /// Sampled simulation plus the full-simulation reference and error.
     Eval,
-    /// Report the service counters (admission, retries, cache traffic).
+    /// Report the service counters (admission, deadlines, cache traffic).
     Status,
     /// Drain the current batch, answer, then exit the request loop.
     Shutdown,
@@ -47,12 +47,9 @@ impl Command {
 /// read, no write): an injected fault must never pollute durable state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InjectedFault {
-    /// Panic on every attempt — retries exhaust and the caller gets a
-    /// structured `error` response.
+    /// Panic inside the work unit — the pool contains it and the caller
+    /// gets a structured `error` response.
     Panic,
-    /// Panic on the first attempt only — the deterministic retry
-    /// succeeds and the response is byte-identical to a clean run.
-    PanicOnce,
 }
 
 /// One parsed request line.
@@ -82,10 +79,6 @@ pub struct Request {
     /// (two-phase). The cache key includes the full config, so live and
     /// two-phase results never collide.
     pub live: bool,
-    /// Wall-clock guardrail in milliseconds, checked between retry
-    /// rounds only. **Nondeterministic by nature** — contract tests
-    /// never set it; see the service docs.
-    pub wall_budget_ms: Option<u64>,
     /// Injected failure (tests and drills only).
     pub fault: Option<InjectedFault>,
 }
@@ -164,8 +157,7 @@ pub fn parse_request(line: &str, seq: u64) -> Result<Request, String> {
     let fault = match str_field(obj, "fault")?.as_deref() {
         None => None,
         Some("panic") => Some(InjectedFault::Panic),
-        Some("panic-once") => Some(InjectedFault::PanicOnce),
-        Some(other) => return Err(format!("unknown fault `{other}` (panic|panic-once)")),
+        Some(other) => return Err(format!("unknown fault `{other}` (panic)")),
     };
     let warming_budget = match u64_field(obj, "warming_budget")? {
         Some(n) => {
@@ -182,7 +174,6 @@ pub fn parse_request(line: &str, seq: u64) -> Result<Request, String> {
         cycle_budget: u64_field(obj, "cycle_budget")?,
         warming_budget,
         live: bool_field(obj, "live")?.unwrap_or(false),
-        wall_budget_ms: u64_field(obj, "wall_budget_ms")?,
         fault,
     })
 }
@@ -250,8 +241,6 @@ pub struct StatusReport {
     pub admitted: u64,
     /// Requests load-shed at admission (bounded queue full).
     pub rejected: u64,
-    /// Transient-failure re-attempts scheduled by the retry policy.
-    pub retried: u64,
     /// Requests that overran their cycle budget.
     pub deadline_exceeded: u64,
     /// Work requests answered from the result cache.
@@ -332,7 +321,7 @@ mod tests {
     #[test]
     fn parses_a_full_request() {
         let r = parse_request(
-            r#"{"id":"a1","cmd":"eval","bench":"bfs","scale":"dev","cycle_budget":5000,"fault":"panic-once"}"#,
+            r#"{"id":"a1","cmd":"eval","bench":"bfs","scale":"dev","cycle_budget":5000,"fault":"panic"}"#,
             3,
         )
         .expect("parse");
@@ -342,7 +331,7 @@ mod tests {
         assert_eq!(r.bench, "bfs");
         assert_eq!(r.scale, Scale::Dev);
         assert_eq!(r.cycle_budget, Some(5000));
-        assert_eq!(r.fault, Some(InjectedFault::PanicOnce));
+        assert_eq!(r.fault, Some(InjectedFault::Panic));
     }
 
     #[test]
@@ -364,7 +353,6 @@ mod tests {
             "cycle_budget",
             "warming_budget",
             "live",
-            "wall_budget_ms",
         ] {
             let line = format!(r#"{{"cmd":"simulate","bench":"bfs","{field}":null}}"#);
             assert_eq!(parse_request(&line, 4), Ok(base.clone()), "{field}");
@@ -405,11 +393,12 @@ mod tests {
                 .expect_err("err")
                 .contains("unknown scale")
         );
-        assert!(
-            parse_request(r#"{"cmd":"simulate","bench":"bfs","fault":"hang"}"#, 0)
-                .expect_err("err")
-                .contains("unknown fault")
-        );
+        for fault in ["hang", "panic-once"] {
+            let line = format!(r#"{{"cmd":"simulate","bench":"bfs","fault":"{fault}"}}"#);
+            assert!(parse_request(&line, 0)
+                .expect_err(&line)
+                .contains("unknown fault"));
+        }
         assert!(
             parse_request(r#"{"cmd":"simulate","bench":"bfs","cycle_budget":-4}"#, 0)
                 .expect_err("err")

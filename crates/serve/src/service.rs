@@ -1,5 +1,5 @@
 //! The request loop: admission control, supervised scheduling,
-//! deadlines, retry, cache, and drain-then-exit shutdown.
+//! deadlines, cache, and drain-then-exit shutdown.
 //!
 //! # Request lifecycle
 //!
@@ -14,51 +14,45 @@
 //!            └────┬─────┘       └─────────┘
 //!   miss / quarantined
 //!                 ▼
-//!            ┌──────────┐ panic (transient) ┌─────────┐ retries left
-//!            │ COMPUTE  │──────────────────▶│ RETRIED │──▶ COMPUTE
-//!            └────┬─────┘                   └────┬────┘
-//!                 │                              │ exhausted
-//!        ok ▼     │ TbError (permanent)          ▼
-//!     ┌────────┐  ▼                         ┌────────┐
-//!     │ SERVED │ ┌────────────────────┐     │ FAILED │
-//!     └────────┘ │ FAILED / DEADLINE- │     └────────┘
-//!                │ EXCEEDED           │
-//!                └────────────────────┘
+//!            ┌──────────┐  ok   ┌─────────┐
+//!            │ COMPUTE  │──────▶│ SERVED  │
+//!            └────┬─────┘       └─────────┘
+//!                 │ TbError or contained panic
+//!                 ▼
+//!       ┌────────────────────┐
+//!       │ FAILED / DEADLINE- │ (same round: a request runs once)
+//!       │ EXCEEDED           │
+//!       └────────────────────┘
 //! ```
 //!
 //! # Determinism contract
 //!
 //! Responses are a pure function of the request lines: work fans out on
 //! the supervised pool ([`tbpoint_pool::run_supervised`]) whose outcome
-//! vector is index-canonical at every worker count; retry membership is
-//! derived from that vector; cache hits deserialize exactly the bytes a
-//! fresh computation would produce; obs events are recorded on the
-//! coordinator thread in arrival order. Cache entry names are resolved
-//! on the coordinator before fan-out, and a window runs in two waves —
-//! the first request for each entry (and every request that bypasses
-//! the cache), then the repeats, which hit what the first wave stored —
-//! so duplicate work is computed once and the cache counters do not
-//! depend on which worker got there first. The contract suite asserts
+//! vector is index-canonical at every worker count; cache hits
+//! deserialize exactly the bytes a fresh computation would produce; obs
+//! events are recorded on the coordinator thread in arrival order.
+//! Cache entry names are resolved on the coordinator before fan-out,
+//! and a window runs in two waves — the first request for each entry
+//! (and every request that bypasses the cache), then the repeats, which
+//! hit what the first wave stored — so duplicate work is computed once
+//! and the cache counters do not depend on which worker got there
+//! first. The contract suite asserts
 //! byte-identical responses across `--pool-workers 1/2/4` and across a
-//! kill-and-restart cycle.
-//!
-//! The single deliberate exception is the optional per-request
-//! `wall_budget_ms` guardrail — wall clocks are not deterministic, so
-//! it is consulted only between retry rounds (a request that already
-//! produced a result is never revoked) and contract tests never set it.
+//! kill-and-restart cycle. The contract has no exception: the service
+//! reads no clock.
 
 use crate::cache::{entry_name, key_head, key_tail, Lookup, ResultCache};
 use crate::proto::{
     parse_request, Command, EvalSummary, InjectedFault, Request, Response, SimSummary,
     StatusReport, WorkBody,
 };
-use crate::retry::RetryPolicy;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use tbpoint_core::{run_tbpoint, SamplingMode, TbError, TbpointConfig};
 use tbpoint_emu::profile_run;
 use tbpoint_obs::{fnv1a64, fnv1a64_extend, EventKind, Recorder};
-use tbpoint_pool::{run_supervised, ExecPlan, UnitError};
+use tbpoint_pool::{run_supervised, ExecPlan};
 use tbpoint_sim::{simulate_run, GpuConfig, NullSampling};
 use tbpoint_workloads::benchmark_by_name;
 
@@ -78,8 +72,6 @@ pub struct ServeOptions {
     /// Bounded-queue depth per batch window; arrivals beyond it are
     /// load-shed with a structured `rejected` response.
     pub max_pending: usize,
-    /// Transient-failure retry shape.
-    pub retry: RetryPolicy,
     /// Result-cache directory (`None` disables caching).
     pub cache_dir: Option<PathBuf>,
 }
@@ -94,7 +86,6 @@ impl Default for ServeOptions {
                 ..TbpointConfig::default()
             },
             max_pending: 256,
-            retry: RetryPolicy::default(),
             cache_dir: None,
         }
     }
@@ -254,8 +245,7 @@ impl Service {
             }
         }
 
-        // Schedule the work requests on the supervised pool, with
-        // deterministic bounded retry for contained panics.
+        // Schedule the work requests on the supervised pool.
         let mut work: Vec<&Request> = Vec::new();
         let mut work_slots: Vec<usize> = Vec::new();
         for (slot, req) in &admitted {
@@ -264,7 +254,7 @@ impl Service {
                 work_slots.push(*slot);
             }
         }
-        let outcomes = self.run_work_batch(&work, rec);
+        let outcomes = self.run_work_batch(&work);
         for (k, done) in outcomes.into_iter().enumerate() {
             responses[work_slots[k]] = Some(self.finish_work(work[k], done, rec));
         }
@@ -338,8 +328,9 @@ impl Service {
         Some(entry_name(cmd, &req.bench, key_hash))
     }
 
-    /// Run `work` with supervision and retry; outcomes in `work` order.
-    fn run_work_batch(&mut self, work: &[&Request], rec: &impl Recorder) -> Vec<WorkDone> {
+    /// Run each of `work` once on the supervised pool; outcomes in
+    /// `work` order. A contained panic becomes that request's failure.
+    fn run_work_batch(&mut self, work: &[&Request]) -> Vec<WorkDone> {
         let names: Vec<Option<String>> = work
             .iter()
             .map(|req| self.resolve_entry_name(req))
@@ -351,111 +342,25 @@ impl Service {
         let (repeats, firsts): (Vec<usize>, Vec<usize>) = (0..work.len())
             .partition(|&i| names[i].as_deref().is_some_and(|name| !seen.insert(name)));
 
-        let mut outcomes: Vec<Option<WorkDone>> = Vec::new();
-        outcomes.resize_with(work.len(), || None);
-        let batch_start = wall_clock_start();
+        let (opts, cache) = (&self.opts, self.cache.as_ref());
+        let mut outcomes: Vec<(usize, WorkDone)> = Vec::with_capacity(work.len());
         for wave in [firsts, repeats] {
-            self.run_wave(work, &names, wave, &batch_start, &mut outcomes, rec);
-        }
-
-        outcomes
-            .into_iter()
-            .map(|o| match o {
-                Some(done) => done,
-                // Unreachable: every index is in one wave, and a wave
-                // finalises each of its indices.
-                None => WorkDone::failed(TbError::InvalidConfig {
-                    field: "request",
-                    reason: "work unit never ran".to_string(),
-                }),
-            })
-            .collect()
-    }
-
-    /// The attempt loop over one wave's indices into `work`.
-    fn run_wave(
-        &mut self,
-        work: &[&Request],
-        names: &[Option<String>],
-        mut pending: Vec<usize>,
-        batch_start: &std::time::Instant,
-        outcomes: &mut [Option<WorkDone>],
-        rec: &impl Recorder,
-    ) {
-        for attempt in 0..=self.opts.retry.max_retries {
-            if pending.is_empty() {
-                break;
-            }
-            if attempt > 0 {
-                // The wall guardrail: requests that asked for one and
-                // have already burned it are finalised as
-                // deadline-exceeded instead of retried. Checked only
-                // here — between rounds — so it can never revoke a
-                // result, and contract tests never set it.
-                let elapsed = wall_elapsed_ms(batch_start);
-                pending.retain(|&i| {
-                    let overran = work[i].wall_budget_ms.is_some_and(|b| elapsed > b);
-                    if overran {
-                        outcomes[i] = Some(WorkDone::failed(TbError::BudgetExceeded {
-                            launch: 0,
-                            budget_cycles: 0,
-                        }));
-                    }
-                    !overran
+            let round = run_supervised(opts.plan.pool_workers, wave.len(), |k| {
+                let i = wave[k];
+                run_work(work[i], cache.zip(names[i].as_deref()), opts)
+            });
+            outcomes.extend(wave.into_iter().zip(round).map(|(i, r)| {
+                let done = r.unwrap_or_else(|msg| {
+                    WorkDone::failed(TbError::InvalidConfig {
+                        field: "request",
+                        reason: format!("unit panicked: {msg}"),
+                    })
                 });
-                for &i in &pending {
-                    self.counters.retried += 1;
-                    rec.record(
-                        0,
-                        EventKind::RequestRetried {
-                            seq: work[i].seq,
-                            attempt,
-                        },
-                    );
-                }
-                if let Some(&i) = pending.first() {
-                    let ms = self.opts.retry.backoff_ms(work[i].seq, attempt);
-                    if ms > 0 {
-                        std::thread::sleep(std::time::Duration::from_millis(ms));
-                    }
-                }
-            }
-            let opts = &self.opts;
-            let cache = self.cache.as_ref();
-            let round = run_supervised(
-                opts.plan.pool_workers,
-                pending.len(),
-                |k| -> Result<WorkDone, TbError> {
-                    let i = pending[k];
-                    let entry = cache.zip(names[i].as_deref());
-                    Ok(run_work(work[i], entry, attempt, opts))
-                },
-            );
-            let mut still = Vec::new();
-            for (k, r) in round.into_iter().enumerate() {
-                let i = pending[k];
-                match r {
-                    Ok(done) => outcomes[i] = Some(done),
-                    Err(UnitError::Panicked(msg)) => {
-                        if attempt < self.opts.retry.max_retries {
-                            still.push(i); // transient: retry next round
-                        } else {
-                            outcomes[i] = Some(WorkDone::failed(TbError::InvalidConfig {
-                                field: "request",
-                                reason: format!("unit panicked: {msg}"),
-                            }));
-                        }
-                    }
-                    // run_work returns WorkDone for every TbError, so a
-                    // Failed here cannot occur; keep it contained
-                    // anyway.
-                    Err(UnitError::Failed(e)) => {
-                        outcomes[i] = Some(WorkDone::failed(e));
-                    }
-                }
-            }
-            pending = still;
+                (i, done)
+            }));
         }
+        outcomes.sort_by_key(|&(i, _)| i);
+        outcomes.into_iter().map(|(_, done)| done).collect()
     }
 
     /// Turn a settled work outcome into its response, recording the
@@ -501,22 +406,6 @@ impl Service {
     }
 }
 
-/// Wall-clock anchor for the between-rounds guardrail. Isolated here —
-/// the crate's one `disallowed_methods` expectation — because wall time
-/// is the one deliberately nondeterministic input the service consumes,
-/// and only for pacing decisions, never for results.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "wall time paces rounds and never reaches a result"
-)]
-fn wall_clock_start() -> std::time::Instant {
-    std::time::Instant::now()
-}
-
-fn wall_elapsed_ms(start: &std::time::Instant) -> u64 {
-    u64::try_from(start.elapsed().as_millis()).unwrap_or(u64::MAX)
-}
-
 /// The pipeline config a request runs under: the service baseline with
 /// the request's overrides layered on.
 fn request_config(
@@ -544,12 +433,7 @@ fn request_config(
 /// `entry` is the cache and the entry name the coordinator resolved;
 /// `None` for requests that run uncached — fault-injected ones bypass
 /// the cache entirely so injected damage never pollutes durable state.
-fn run_work(
-    req: &Request,
-    entry: Option<(&ResultCache, &str)>,
-    attempt: u32,
-    opts: &ServeOptions,
-) -> WorkDone {
+fn run_work(req: &Request, entry: Option<(&ResultCache, &str)>, opts: &ServeOptions) -> WorkDone {
     let mut done = WorkDone::failed(TbError::InvalidConfig {
         field: "bench",
         reason: String::new(),
@@ -578,19 +462,13 @@ fn run_work(
     };
     let cfg = request_config(opts, req.live, req.warming_budget, req.cycle_budget);
 
-    if let Some(fault) = req.fault {
-        let fire = match fault {
-            InjectedFault::Panic => true,
-            InjectedFault::PanicOnce => attempt == 0,
-        };
-        if fire {
-            #[expect(
-                clippy::panic,
-                reason = "the injected fault the supervised pool and the retry policy exist to contain"
-            )]
-            {
-                panic!("injected request panic");
-            }
+    if req.fault == Some(InjectedFault::Panic) {
+        #[expect(
+            clippy::panic,
+            reason = "the injected fault the supervised pool exists to contain"
+        )]
+        {
+            panic!("injected request panic");
         }
     }
 
@@ -631,35 +509,15 @@ fn run_work(
     done
 }
 
-/// Split request text into blank-line-delimited batch windows, process
-/// each, and return all response lines joined (one per request, in
-/// arrival order, trailing newline). Stops after the batch that drains
-/// a `shutdown` request.
+/// [`run_loop`] over in-memory request text: all response lines joined
+/// (one per request, in arrival order, each newline-terminated). Stops
+/// after the batch that drains a `shutdown` request.
 pub fn process_text(svc: &mut Service, text: &str, rec: &impl Recorder) -> String {
-    let mut out = String::new();
-    let mut batch: Vec<String> = Vec::new();
-    let flush = |svc: &mut Service, batch: &mut Vec<String>, out: &mut String| {
-        if batch.is_empty() {
-            return;
-        }
-        for resp in svc.run_batch(batch, rec) {
-            out.push_str(&resp.to_line());
-            out.push('\n');
-        }
-        batch.clear();
-    };
-    for line in text.lines() {
-        if line.trim().is_empty() {
-            flush(svc, &mut batch, &mut out);
-            if svc.shutting_down() {
-                return out;
-            }
-        } else {
-            batch.push(line.to_string());
-        }
-    }
-    flush(svc, &mut batch, &mut out);
-    out
+    let mut out = Vec::new();
+    // Reading a `&str` and writing a `Vec` cannot fail, and every
+    // response line is JSON text, so the conversion is lossless.
+    let _ = run_loop(svc, text.as_bytes(), &mut out, rec);
+    String::from_utf8_lossy(&out).into_owned()
 }
 
 /// The interactive request loop: read JSONL from `input`, answer on
@@ -677,28 +535,23 @@ pub fn run_loop(
     rec: &impl Recorder,
 ) -> std::io::Result<()> {
     let mut batch: Vec<String> = Vec::new();
-    for line in input.lines() {
+    // EOF closes the last window like a blank line.
+    for line in input.lines().chain(std::iter::once(Ok(String::new()))) {
         let line = line?;
-        if line.trim().is_empty() {
-            if !batch.is_empty() {
-                for resp in svc.run_batch(&batch, rec) {
-                    writeln!(output, "{}", resp.to_line())?;
-                }
-                output.flush()?;
-                batch.clear();
-            }
-            if svc.shutting_down() {
-                return Ok(());
-            }
-        } else {
+        if !line.trim().is_empty() {
             batch.push(line);
+            continue;
         }
-    }
-    if !batch.is_empty() {
-        for resp in svc.run_batch(&batch, rec) {
-            writeln!(output, "{}", resp.to_line())?;
+        if !batch.is_empty() {
+            for resp in svc.run_batch(&batch, rec) {
+                writeln!(output, "{}", resp.to_line())?;
+            }
+            output.flush()?;
+            batch.clear();
         }
-        output.flush()?;
+        if svc.shutting_down() {
+            return Ok(());
+        }
     }
     Ok(())
 }
@@ -783,7 +636,7 @@ mod tests {
         let (mut svc, dir) = cached_service("unnamed");
         for line in [
             r#"{"cmd":"simulate","bench":"no-such-bench"}"#,
-            r#"{"cmd":"simulate","bench":"bfs","fault":"panic-once"}"#,
+            r#"{"cmd":"simulate","bench":"bfs","fault":"panic"}"#,
         ] {
             let req = parse_request(line, 0).expect("request parses");
             assert_eq!(svc.resolve_entry_name(&req), None, "{line}");

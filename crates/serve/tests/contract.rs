@@ -10,7 +10,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use tbpoint_obs::{CollectingRecorder, EventKind, NullRecorder};
 use tbpoint_pool::ExecPlan;
-use tbpoint_serve::{process_text, RetryPolicy, ServeOptions, Service};
+use tbpoint_serve::{process_text, ServeOptions, Service};
 
 fn scratch(tag: &str) -> PathBuf {
     static N: AtomicU64 = AtomicU64::new(0);
@@ -26,23 +26,14 @@ fn scratch(tag: &str) -> PathBuf {
 fn opts(pool_workers: usize, cache_dir: Option<PathBuf>) -> ServeOptions {
     ServeOptions {
         plan: ExecPlan { pool_workers },
-        // Zero backoff: the contract suite cares about outcomes, not
-        // pacing.
-        retry: RetryPolicy {
-            max_backoff_ms: 0,
-            ..RetryPolicy::default()
-        },
         cache_dir,
         ..ServeOptions::default()
     }
 }
 
-/// The mixed-adversity batch from the acceptance criteria: clean work,
-/// a transient panic (retry succeeds), a permanent panic (retries
-/// exhaust), a deadline overrun, an unknown benchmark and a malformed
-/// line.
+/// The mixed-adversity batch: clean work, a panic, a deadline overrun,
+/// an unknown benchmark and a malformed line.
 const ADVERSE_BATCH: &str = r#"{"id":"clean","cmd":"simulate","bench":"bfs"}
-{"id":"transient","cmd":"simulate","bench":"stream","fault":"panic-once"}
 {"id":"hopeless","cmd":"simulate","bench":"hotspot","fault":"panic"}
 {"id":"deadline","cmd":"simulate","bench":"mri","cycle_budget":1}
 {"id":"ghost","cmd":"simulate","bench":"no-such-bench"}
@@ -59,36 +50,32 @@ fn run_adverse(pool_workers: usize) -> String {
 fn adverse_batch_completes_with_structured_outcomes() {
     let out = run_adverse(2);
     let lines: Vec<&str> = out.lines().collect();
-    assert_eq!(lines.len(), 7, "one response per input line:\n{out}");
+    assert_eq!(lines.len(), 6, "one response per input line:\n{out}");
 
     // Every line parses back and carries the expected status.
-    let status_of = |id: &str| -> String {
+    let response = |id: &str| -> tbpoint_serve::Response {
         let line = lines
             .iter()
             .find(|l| l.contains(&format!("\"id\":\"{id}\"")))
             .unwrap_or_else(|| panic!("no response for {id}:\n{out}"));
-        let resp: tbpoint_serve::Response = serde_json::from_str(line).expect("parse response");
-        resp.status
+        serde_json::from_str(line).expect("parse response")
     };
-    assert_eq!(status_of("clean"), "ok");
-    assert_eq!(
-        status_of("transient"),
-        "ok",
-        "retry recovers the panic-once"
+    assert_eq!(response("clean").status, "ok");
+    let hopeless = response("hopeless");
+    assert_eq!(hopeless.status, "error");
+    assert!(
+        hopeless.error.contains("injected request panic"),
+        "{}",
+        hopeless.error
     );
-    assert_eq!(
-        status_of("hopeless"),
-        "error",
-        "exhausted retries end structured"
-    );
-    assert_eq!(status_of("deadline"), "deadline-exceeded");
-    assert_eq!(status_of("ghost"), "error");
-    assert_eq!(status_of("finale"), "ok");
+    assert_eq!(response("deadline").status, "deadline-exceeded");
+    assert_eq!(response("ghost").status, "error");
+    assert_eq!(response("finale").status, "ok");
     // The malformed line got a structured error too (id = its seq).
     assert!(
         lines
             .iter()
-            .any(|l| l.contains("\"id\":\"5\"") && l.contains("malformed")),
+            .any(|l| l.contains("\"id\":\"4\"") && l.contains("malformed")),
         "malformed line answered, not dropped:\n{out}"
     );
 }
@@ -103,24 +90,6 @@ fn responses_are_byte_identical_across_worker_counts() {
             "pool_workers={workers} must not change a single byte"
         );
     }
-}
-
-#[test]
-fn transient_panic_response_matches_a_clean_run_byte_for_byte() {
-    // Identical work, with and without the injected transient fault:
-    // after the retry the wire bytes must be indistinguishable (only
-    // the id field differs by construction, so use the same id).
-    let req =
-        |fault: &str| format!("{{\"id\":\"x\",\"cmd\":\"simulate\",\"bench\":\"bfs\"{fault}}}\n");
-    let mut clean_svc = Service::new(opts(2, None)).expect("service");
-    let clean = process_text(&mut clean_svc, &req(""), &NullRecorder);
-    let mut faulted_svc = Service::new(opts(2, None)).expect("service");
-    let faulted = process_text(
-        &mut faulted_svc,
-        &req(",\"fault\":\"panic-once\""),
-        &NullRecorder,
-    );
-    assert_eq!(clean, faulted);
 }
 
 #[test]
@@ -149,26 +118,17 @@ fn admission_control_sheds_load_with_structured_rejections() {
 }
 
 #[test]
-fn deadline_and_retry_traffic_is_observable() {
+fn deadline_traffic_is_observable() {
     let mut svc = Service::new(opts(2, None)).expect("service");
     let rec = CollectingRecorder::new();
-    let batch = "{\"id\":\"t\",\"cmd\":\"simulate\",\"bench\":\"bfs\",\"fault\":\"panic-once\"}\n\
-                 {\"id\":\"d\",\"cmd\":\"simulate\",\"bench\":\"mri\",\"cycle_budget\":1}\n";
+    let batch = "{\"id\":\"d\",\"cmd\":\"simulate\",\"bench\":\"mri\",\"cycle_budget\":1}\n";
     let _ = process_text(&mut svc, batch, &rec);
-    let events = rec.events();
     assert!(
-        events
+        rec.events()
             .iter()
-            .any(|e| matches!(e.kind, EventKind::RequestRetried { seq: 0, attempt: 1 })),
-        "the transient fault's retry is recorded"
-    );
-    assert!(
-        events
-            .iter()
-            .any(|e| matches!(e.kind, EventKind::DeadlineExceeded { seq: 1 })),
+            .any(|e| matches!(e.kind, EventKind::DeadlineExceeded { seq: 0 })),
         "the overrun is recorded"
     );
-    assert_eq!(svc.counters().retried, 1);
     assert_eq!(svc.counters().deadline_exceeded, 1);
 }
 
