@@ -120,7 +120,7 @@ pub fn inter_launch_sample(profile: &RunProfile, cfg: &InterConfig) -> InterResu
                 // launch's instruction count (Eq. 1's convention), so
                 // they describe the code *mix* independent of size.
                 let total = l.warp_insts().max(1) as f64;
-                point.extend(l.bbv().iter().map(|&c| c as f64 / total));
+                point.extend(l.bbv.iter().map(|&c| c as f64 / total));
             }
             point
         })

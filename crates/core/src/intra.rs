@@ -221,7 +221,7 @@ pub fn identify_regions(epochs: &[Epoch], cfg: &IntraConfig) -> RegionTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tbpoint_emu::TbProfile;
+    use tbpoint_emu::TbStats;
     use tbpoint_ir::{LaunchId, LaunchSpec};
 
     /// Hand-built launch profile: each entry is (warp_insts, mem_requests).
@@ -234,18 +234,14 @@ mod tests {
             },
             tbs: tbs
                 .iter()
-                .enumerate()
-                .map(|(i, &(w, m))| TbProfile {
-                    tb_id: TbId(i as u32),
+                .map(|&(w, m)| TbStats {
                     thread_insts: w * 32,
                     warp_insts: w,
-                    mem_insts: m.min(w),
                     mem_requests: m,
-                    shared_accesses: 0,
-                    barriers: 0,
-                    bbv: vec![w],
                 })
                 .collect(),
+            bbv: vec![tbs.iter().map(|&(w, _)| w).sum()],
+            mem_insts: tbs.iter().map(|&(w, m)| m.min(w)).sum(),
         }
     }
 

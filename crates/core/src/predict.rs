@@ -353,7 +353,7 @@ fn spec_classes(run: &KernelRun) -> InterResult {
 /// Sanity-check one representative's launch profile before trusting it
 /// for fast-forwarding: the block roster must match the launch spec and
 /// the derived features must be finite numbers. A failure here means the
-/// profile is truncated, padded, misnumbered or numerically corrupt.
+/// profile is truncated, padded or numerically corrupt.
 fn validate_launch_profile(spec: &LaunchSpec, lp: &LaunchProfile) -> Result<(), String> {
     if lp.tbs.len() != spec.num_blocks as usize {
         return Err(format!(
@@ -361,11 +361,6 @@ fn validate_launch_profile(spec: &LaunchSpec, lp: &LaunchProfile) -> Result<(), 
             lp.tbs.len(),
             spec.num_blocks
         ));
-    }
-    for (i, tb) in lp.tbs.iter().enumerate() {
-        if tb.tb_id.0 as usize != i {
-            return Err(format!("thread block {i} is numbered {}", tb.tb_id.0));
-        }
     }
     let f = lp.inter_features();
     if !(f.thread_insts.is_finite()

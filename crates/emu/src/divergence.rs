@@ -32,7 +32,7 @@ impl DivergenceReport {
         let warp_insts = profile.warp_insts();
         let thread_insts = profile.thread_insts();
         let mem_requests = profile.mem_requests();
-        let mem_insts: u64 = profile.tbs.iter().map(|t| t.mem_insts).sum();
+        let mem_insts = profile.mem_insts;
         let avg_active = if warp_insts == 0 {
             0.0
         } else {

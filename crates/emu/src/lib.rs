@@ -19,9 +19,10 @@
 //!
 //! TBPoint's profiling step (Section II-B of the paper) runs each kernel
 //! once through a *functional* simulator and records, per thread block:
-//! thread instructions, warp instructions, memory requests (after
-//! coalescing) and — for the Ideal-SimPoint baseline — per-basic-block
-//! execution counts. Those counters are **hardware independent**: they
+//! thread instructions, warp instructions and memory requests (after
+//! coalescing); per launch it adds per-basic-block execution counts and
+//! global-memory instruction totals. Those counters are **hardware
+//! independent**: they
 //! depend only on the program and its input, never on cache sizes, warp
 //! scheduling or SM counts. That is what lets TBPoint profile once and
 //! re-cluster cheaply for any simulated configuration.
@@ -48,7 +49,7 @@ pub use divergence::DivergenceReport;
 pub use intern::{InternStats, TraceArena, TraceDeps, TraceKey};
 pub use profile::{
     block_classes, profile_launch, profile_run, profile_run_obs, InterFeatures, LaunchProfile,
-    RunProfile, TbProfile, TbStats,
+    RunProfile, TbStats,
 };
 pub use trace::{trace_warp, TraceInst, WarpTrace};
 pub use walker::{walk_warp, WarpEvent};

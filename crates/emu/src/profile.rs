@@ -1,16 +1,23 @@
 //! Hardware-independent profiling: the GPUOcelot role.
 //!
-//! Per thread block we collect exactly the counters the paper's two
-//! samplers need (Sections III and IV-B1):
+//! Per thread block we keep exactly the counters the paper's two
+//! samplers need (Sections III and IV-B1), one 24-byte [`TbStats`]:
 //!
 //! * `thread_insts` — kernel-launch-size feature, and the per-TB "thread
 //!   block size" that classifies kernels as regular/irregular (Fig. 8);
 //! * `warp_insts` — control-flow-divergence feature, and the denominator
 //!   of the per-TB stall probability;
 //! * `mem_requests` — memory-divergence feature, and the numerator of the
-//!   stall probability `p ≈ mem_requests / warp_insts`;
-//! * `bbv` — per-basic-block warp-instruction counts, used *only* by the
-//!   Ideal-SimPoint baseline (TBPoint itself never needs them).
+//!   stall probability `p ≈ mem_requests / warp_insts`.
+//!
+//! Per launch we keep two totals that no sampler needs per block:
+//!
+//! * `bbv` — per-basic-block warp-instruction counts, read only by the
+//!   paper's footnote-2 extension of the inter-launch features
+//!   (`InterConfig::use_bbv`, ablation row `inter_bbv_extension`). The
+//!   Ideal-SimPoint baseline reads the simulator's per-unit BBVs instead;
+//! * `mem_insts` — global-memory warp instructions, the denominator of
+//!   [`crate::DivergenceReport`]'s requests per memory instruction.
 //!
 //! Profiling is one-time per kernel/input pair: every downstream artifact
 //! (inter-launch clustering, epoch tables for any occupancy) derives from
@@ -21,16 +28,15 @@ use crate::walker::walk_warp;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use tbpoint_ir::inst::LINE_BYTES;
-use tbpoint_ir::{ExecCtx, Kernel, KernelRun, LatencyClass, LaunchSpec, TbId};
+use tbpoint_ir::{ExecCtx, Kernel, KernelRun, LatencyClass, LaunchSpec};
 use tbpoint_obs::{NullRecorder, Recorder, Span};
 use tbpoint_stats::cov;
 
-/// The per-TB feature statistics the live (single-pass) sampler
-/// consumes: the subset of [`TbProfile`] counters the timing simulator
-/// can reproduce exactly at block retirement, without a separate
-/// profiling pass. The counts are hardware independent — identical to
-/// what [`profile_tb`] would have recorded for the same block — so a
-/// stream of `TbStats` is an incremental, on-the-fly profile.
+/// The per-TB feature statistics both samplers consume. The profile
+/// keeps one per block, and the timing simulator reproduces the same
+/// counts at block retirement: they are hardware independent, so a
+/// stream of `TbStats` from the live sampler is an incremental,
+/// on-the-fly profile.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TbStats {
     /// Warp instructions executed.
@@ -53,61 +59,19 @@ impl TbStats {
     }
 }
 
-/// Profile of a single thread block.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TbProfile {
-    /// The thread block.
-    pub tb_id: TbId,
-    /// Thread instructions executed (sum of active lanes over warp insts).
-    pub thread_insts: u64,
-    /// Warp instructions executed.
-    pub warp_insts: u64,
-    /// Global-memory warp instructions executed.
-    pub mem_insts: u64,
-    /// Global-memory requests after intra-warp coalescing.
-    pub mem_requests: u64,
-    /// Shared-memory accesses (not stall events in the paper's model).
-    pub shared_accesses: u64,
-    /// Barriers executed (per warp).
-    pub barriers: u64,
-    /// Per-basic-block warp-instruction counts (BBV), indexed by block id.
-    pub bbv: Vec<u64>,
-}
-
-impl TbProfile {
-    /// The paper's per-TB stall probability approximation:
-    /// `mem_requests / warp_insts` (Eq. 5). Zero for an empty TB.
-    pub fn stall_probability(&self) -> f64 {
-        if self.warp_insts == 0 {
-            0.0
-        } else {
-            self.mem_requests as f64 / self.warp_insts as f64
-        }
-    }
-
-    /// "Thread block size" in the paper's sense: thread instructions.
-    pub fn size(&self) -> u64 {
-        self.thread_insts
-    }
-
-    /// The live-sampling feature subset of this profile — the counters a
-    /// retire-time stream reproduces ([`TbStats`]).
-    pub fn features(&self) -> TbStats {
-        TbStats {
-            warp_insts: self.warp_insts,
-            thread_insts: self.thread_insts,
-            mem_requests: self.mem_requests,
-        }
-    }
-}
-
-/// Profile of one kernel launch: per-TB profiles plus launch aggregates.
+/// Profile of one kernel launch: per-TB statistics plus launch totals.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LaunchProfile {
     /// Which launch this is.
     pub spec: LaunchSpec,
-    /// Per-thread-block profiles, indexed by TB id.
-    pub tbs: Vec<TbProfile>,
+    /// Per-thread-block statistics, indexed by TB id.
+    pub tbs: Vec<TbStats>,
+    /// Launch-level BBV: per-basic-block warp-instruction counts summed
+    /// over the launch's thread blocks (the paper's footnote-2 extension
+    /// feeds this into the inter-launch feature vector).
+    pub bbv: Vec<u64>,
+    /// Global-memory warp instructions executed by the launch.
+    pub mem_insts: u64,
 }
 
 /// The four inter-launch features of Eq. 2, *before* normalisation by the
@@ -159,20 +123,6 @@ impl LaunchProfile {
         cov(&sizes)
     }
 
-    /// Launch-level BBV: per-basic-block warp-instruction counts summed
-    /// over the launch's thread blocks (the paper's footnote-2 extension
-    /// feeds this into the inter-launch feature vector).
-    pub fn bbv(&self) -> Vec<u64> {
-        let dims = self.tbs.first().map_or(0, |t| t.bbv.len());
-        let mut acc = vec![0u64; dims];
-        for tb in &self.tbs {
-            for (a, &c) in acc.iter_mut().zip(&tb.bbv) {
-                *a += c;
-            }
-        }
-        acc
-    }
-
     /// The raw (unnormalised) inter-launch feature tuple.
     pub fn inter_features(&self) -> InterFeatures {
         InterFeatures {
@@ -222,43 +172,32 @@ impl RunProfile {
     }
 }
 
-/// Profile one thread block (single-threaded, streaming).
-pub fn profile_tb(kernel: &Kernel, ctx: &ExecCtx, tb_id: TbId) -> TbProfile {
-    let mut p = TbProfile {
-        tb_id,
-        thread_insts: 0,
-        warp_insts: 0,
-        mem_insts: 0,
-        mem_requests: 0,
-        shared_accesses: 0,
-        barriers: 0,
-        bbv: vec![0; kernel.num_basic_blocks as usize],
-    };
+/// Profile one thread block (single-threaded, streaming). The block's
+/// per-basic-block warp-instruction counts are added into `bbv` (one
+/// entry per basic block of `kernel`) and its global-memory warp
+/// instructions into `mem_insts`: the caller's launch totals.
+pub fn profile_tb(kernel: &Kernel, ctx: &ExecCtx, bbv: &mut [u64], mem_insts: &mut u64) -> TbStats {
+    let mut s = TbStats::default();
     for warp in 0..kernel.warps_per_block() {
         let gtid_base = ctx.block_id as u64 * kernel.threads_per_block as u64 + warp as u64 * 32;
         walk_warp(kernel, ctx, warp, &mut |ev| {
-            p.warp_insts += 1;
-            p.thread_insts += ev.mask.count_ones() as u64;
-            p.bbv[ev.bb.0 as usize] += 1;
-            match ev.inst.op.latency_class() {
-                LatencyClass::GlobalMem => {
-                    p.mem_insts += 1;
-                    // Every GlobalMem op carries a pattern by construction of
-                    // the IR; a missing one counts as zero requests rather
-                    // than aborting the profile.
-                    if let Some(pat) = ev.inst.op.addr_pattern() {
-                        p.mem_requests += pat
-                            .coalesced_lines(ctx, gtid_base, ev.mask, ev.iter_key, ev.inst.site)
-                            .len() as u64;
-                    }
+            s.warp_insts += 1;
+            s.thread_insts += ev.mask.count_ones() as u64;
+            bbv[ev.bb.0 as usize] += 1;
+            if ev.inst.op.latency_class() == LatencyClass::GlobalMem {
+                *mem_insts += 1;
+                // Every GlobalMem op carries a pattern by construction of
+                // the IR; a missing one counts as zero requests rather
+                // than aborting the profile.
+                if let Some(pat) = ev.inst.op.addr_pattern() {
+                    s.mem_requests += pat
+                        .coalesced_lines(ctx, gtid_base, ev.mask, ev.iter_key, ev.inst.site)
+                        .len() as u64;
                 }
-                LatencyClass::SharedMem => p.shared_accesses += 1,
-                LatencyClass::Barrier => p.barriers += 1,
-                _ => {}
             }
         });
     }
-    p
+    s
 }
 
 /// Why the blocks of `kernel` must each be profiled, or `None` when a
@@ -275,39 +214,57 @@ fn per_block_reason(deps: &TraceDeps) -> Option<&'static str> {
     }
 }
 
-/// Everything [`profile_tb`] reads from `block_id` when
-/// [`per_block_reason`] is `None`: the phase quotients its control flow
-/// sees, and the residue that fixes how every warp's affine addresses
-/// fall across cache lines (derivation in [`crate::intern`]'s module
-/// docs). Blocks with equal keys have equal profiles, `tb_id` aside.
-fn block_class(deps: &TraceDeps, kernel: &Kernel, block_id: u32) -> (Vec<u32>, u64) {
-    let first_gtid = block_id as u64 * kernel.threads_per_block as u64;
-    (deps.phases(block_id), first_gtid % LINE_BYTES)
+/// Writes into `key` everything [`profile_tb`] reads from `block_id`
+/// when [`per_block_reason`] is `None`: the phase quotients its control
+/// flow sees, then the residue that fixes how every warp's affine
+/// addresses fall across cache lines (derivation in [`crate::intern`]'s
+/// module docs). Blocks with equal keys have equal stats and add equal
+/// totals. Reusing `key` keeps the class path free of per-block
+/// allocation.
+fn block_class(deps: &TraceDeps, kernel: &Kernel, block_id: u32, key: &mut Vec<u64>) {
+    key.clear();
+    key.extend(deps.phase_lens.iter().map(|&pl| u64::from(block_id / pl)));
+    key.push(block_id as u64 * kernel.threads_per_block as u64 % LINE_BYTES);
 }
 
 /// How many distinct block classes [`profile_launch`] emulates for this
 /// launch, or why it emulates every block instead.
 pub fn block_classes(kernel: &Kernel, spec: &LaunchSpec) -> Result<usize, &'static str> {
     let deps = TraceDeps::of(kernel);
-    match per_block_reason(&deps) {
-        Some(reason) => Err(reason),
-        None => Ok((0..spec.num_blocks)
-            .map(|b| block_class(&deps, kernel, b))
-            .collect::<BTreeSet<_>>()
-            .len()),
+    if let Some(reason) = per_block_reason(&deps) {
+        return Err(reason);
+    }
+    let mut key = Vec::new();
+    Ok((0..spec.num_blocks)
+        .map(|b| {
+            block_class(&deps, kernel, b, &mut key);
+            key.clone()
+        })
+        .collect::<BTreeSet<_>>()
+        .len())
+}
+
+/// `acc += count * part`, element-wise.
+fn add_bbv(acc: &mut [u64], part: &[u64], count: u64) {
+    for (a, &c) in acc.iter_mut().zip(part) {
+        *a += count * c;
     }
 }
 
 /// Profile every thread block of a launch. Output order is by TB id.
 ///
 /// A kernel with block-invariant control flow and affine addresses is
-/// emulated once per block class and the result stamped onto the class's
-/// other blocks; `threads` is then unused (there are a handful of
-/// classes, and they are found in block order). Every other kernel has
-/// its TBs fanned out over `threads` scoped worker threads.
+/// emulated once per block class: each block gets a copy of its class's
+/// stats, and the launch totals add each class's totals times its block
+/// count; `threads` is then unused (there are a handful of classes, and
+/// they are found in block order). Every other kernel has its TBs fanned
+/// out over `threads` scoped worker threads, each summing its own totals.
 pub fn profile_launch(kernel: &Kernel, spec: &LaunchSpec, threads: usize) -> LaunchProfile {
     let n = spec.num_blocks as usize;
-    let mut tbs: Vec<TbProfile> = Vec::with_capacity(n);
+    let dims = kernel.num_basic_blocks as usize;
+    let mut tbs: Vec<TbStats> = Vec::with_capacity(n);
+    let mut bbv = vec![0; dims];
+    let mut mem_insts = 0;
     let make_ctx = |block_id: u32| ExecCtx {
         kernel_seed: kernel.seed,
         launch_id: spec.launch_id,
@@ -317,41 +274,68 @@ pub fn profile_launch(kernel: &Kernel, spec: &LaunchSpec, threads: usize) -> Lau
     };
     let deps = TraceDeps::of(kernel);
     let threads = threads.max(1);
-    // `n` comes from spec.num_blocks: u32, so block ids round-trip exactly.
-    #[expect(clippy::cast_possible_truncation)]
     if per_block_reason(&deps).is_none() {
-        let mut classes: BTreeMap<(Vec<u32>, u64), TbProfile> = BTreeMap::new();
+        // Per class: (stats, bbv, mem_insts, blocks in the class), found
+        // through `index` by class key.
+        let mut classes: Vec<(TbStats, Vec<u64>, u64, u64)> = Vec::new();
+        let mut index: BTreeMap<Vec<u64>, usize> = BTreeMap::new();
+        let mut key = Vec::new();
         for b in 0..spec.num_blocks {
-            let mut tb = classes
-                .entry(block_class(&deps, kernel, b))
-                .or_insert_with(|| profile_tb(kernel, &make_ctx(b), TbId(b)))
-                .clone();
-            tb.tb_id = TbId(b);
-            tbs.push(tb);
+            block_class(&deps, kernel, b, &mut key);
+            let slot = match index.get(key.as_slice()) {
+                Some(&slot) => slot,
+                None => {
+                    let (mut class_bbv, mut class_mem) = (vec![0; dims], 0);
+                    let stats = profile_tb(kernel, &make_ctx(b), &mut class_bbv, &mut class_mem);
+                    classes.push((stats, class_bbv, class_mem, 0));
+                    index.insert(key.clone(), classes.len() - 1);
+                    classes.len() - 1
+                }
+            };
+            let (stats, _, _, count) = &mut classes[slot];
+            *count += 1;
+            tbs.push(*stats);
+        }
+        for (_, class_bbv, class_mem, count) in &classes {
+            add_bbv(&mut bbv, class_bbv, *count);
+            mem_insts += count * class_mem;
         }
     } else if threads == 1 || n < 64 {
-        for b in 0..n {
-            tbs.push(profile_tb(kernel, &make_ctx(b as u32), TbId(b as u32)));
+        for b in 0..spec.num_blocks {
+            tbs.push(profile_tb(kernel, &make_ctx(b), &mut bbv, &mut mem_insts));
         }
     } else {
-        let mut slots: Vec<Option<TbProfile>> = vec![None; n];
         let chunk = n.div_ceil(threads);
+        tbs.resize(n, TbStats::default());
+        let mut totals = vec![(vec![0; dims], 0); n.div_ceil(chunk)];
         std::thread::scope(|scope| {
-            for (t, slice) in slots.chunks_mut(chunk).enumerate() {
+            for (t, (slice, (chunk_bbv, chunk_mem))) in
+                tbs.chunks_mut(chunk).zip(&mut totals).enumerate()
+            {
                 let base = t * chunk;
                 scope.spawn(move || {
                     for (off, slot) in slice.iter_mut().enumerate() {
+                        // `n` comes from spec.num_blocks: u32, so block ids
+                        // round-trip exactly.
+                        #[expect(clippy::cast_possible_truncation)]
                         let b = (base + off) as u32;
-                        *slot = Some(profile_tb(kernel, &make_ctx(b), TbId(b)));
+                        *slot = profile_tb(kernel, &make_ctx(b), chunk_bbv, chunk_mem);
                     }
                 });
             }
         });
-        // The chunked loop above writes every slot and the scope joins all
-        // workers, so `flatten` drops nothing.
-        tbs.extend(slots.into_iter().flatten());
+        // Integer sums: the totals do not depend on `threads`.
+        for (chunk_bbv, chunk_mem) in &totals {
+            add_bbv(&mut bbv, chunk_bbv, 1);
+            mem_insts += chunk_mem;
+        }
     }
-    LaunchProfile { spec: *spec, tbs }
+    LaunchProfile {
+        spec: *spec,
+        tbs,
+        bbv,
+        mem_insts,
+    }
 }
 
 /// Profile a whole benchmark run (all launches).
@@ -418,6 +402,11 @@ mod tests {
         b.finish(n)
     }
 
+    /// `profile_tb` into totals of its own.
+    fn profile_alone(k: &Kernel, ctx: &ExecCtx) -> TbStats {
+        profile_tb(k, ctx, &mut vec![0; k.num_basic_blocks as usize], &mut 0)
+    }
+
     #[test]
     fn counts_straight_line_kernel() {
         let k = simple_kernel(64); // 2 warps
@@ -428,15 +417,16 @@ mod tests {
             num_blocks: 1,
             work_scale: 1.0,
         };
-        let p = profile_tb(&k, &ctx, TbId(0));
+        let (mut bbv, mut mem_insts) = (vec![0; 1], 0);
+        let p = profile_tb(&k, &ctx, &mut bbv, &mut mem_insts);
         // 2 warps * 4 iterations * 2 insts = 16 warp insts.
         assert_eq!(p.warp_insts, 16);
         assert_eq!(p.thread_insts, 16 * 32);
         // 1 coalesced load per iteration per warp = 8 requests (32 lanes x
         // 4B = 1 line each).
         assert_eq!(p.mem_requests, 8);
-        assert_eq!(p.bbv.len(), 1);
-        assert_eq!(p.bbv[0], 16);
+        assert_eq!(bbv, [16]);
+        assert_eq!(mem_insts, 8);
         assert!((p.stall_probability() - 0.5).abs() < 1e-12);
     }
 
@@ -453,7 +443,7 @@ mod tests {
             num_blocks: 1,
             work_scale: 1.0,
         };
-        let p = profile_tb(&k, &ctx, TbId(0));
+        let p = profile_alone(&k, &ctx);
         assert_eq!(p.warp_insts, 1);
         assert_eq!(p.thread_insts, 8);
     }
@@ -473,7 +463,7 @@ mod tests {
             num_blocks: 1,
             work_scale: 1.0,
         };
-        let p = profile_tb(&k, &ctx, TbId(0));
+        let p = profile_alone(&k, &ctx);
         assert_eq!(p.warp_insts, 1);
         assert_eq!(p.mem_requests, 32);
         assert_eq!(p.stall_probability(), 32.0);
@@ -486,6 +476,9 @@ mod tests {
         assert_eq!(lp.tbs.len(), 10);
         assert_eq!(lp.thread_insts(), 10 * 16 * 32);
         assert_eq!(lp.warp_insts(), 160);
+        // Stamped class copies still add every block into the totals.
+        assert_eq!(lp.bbv, [160]);
+        assert_eq!(lp.mem_insts, 80);
         let f = lp.inter_features();
         assert_eq!(f.thread_insts, (10 * 16 * 32) as f64);
         // Homogeneous TBs: CoV must be 0.
@@ -538,37 +531,8 @@ mod tests {
     }
 
     #[test]
-    fn features_agree_with_profile() {
-        let k = simple_kernel(64);
-        let ctx = ExecCtx {
-            kernel_seed: 5,
-            launch_id: LaunchId(0),
-            block_id: 0,
-            num_blocks: 1,
-            work_scale: 1.0,
-        };
-        let p = profile_tb(&k, &ctx, TbId(0));
-        let f = p.features();
-        assert_eq!(f.warp_insts, p.warp_insts);
-        assert_eq!(f.thread_insts, p.thread_insts);
-        assert_eq!(f.mem_requests, p.mem_requests);
-        assert_eq!(f.stall_probability(), p.stall_probability());
-        assert_eq!(TbStats::default().stall_probability(), 0.0);
-    }
-
-    #[test]
     fn empty_tb_stall_probability_is_zero() {
-        let p = TbProfile {
-            tb_id: TbId(0),
-            thread_insts: 0,
-            warp_insts: 0,
-            mem_insts: 0,
-            mem_requests: 0,
-            shared_accesses: 0,
-            barriers: 0,
-            bbv: vec![],
-        };
-        assert_eq!(p.stall_probability(), 0.0);
+        assert_eq!(TbStats::default().stall_probability(), 0.0);
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub fn trace_warp(kernel: &Kernel, ctx: &ExecCtx, warp_id: u32) -> WarpTrace {
 mod tests {
     use super::*;
     use crate::profile::profile_tb;
-    use tbpoint_ir::{AddrPattern, Dist, KernelBuilder, LaunchId, TbId, TripCount};
+    use tbpoint_ir::{AddrPattern, Dist, KernelBuilder, LaunchId, TripCount};
 
     fn ctx(block: u32) -> ExecCtx {
         ExecCtx {
@@ -88,7 +88,8 @@ mod tests {
         // instruction — they are two sinks over the same walker.
         let k = divergent_kernel();
         let c = ctx(3);
-        let profile = profile_tb(&k, &c, TbId(3));
+        let mut bbv = vec![0; k.num_basic_blocks as usize];
+        let profile = profile_tb(&k, &c, &mut bbv, &mut 0);
         let mut warp_insts = 0u64;
         let mut thread_insts = 0u64;
         for w in 0..k.warps_per_block() {

@@ -184,9 +184,8 @@ pub enum EventKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum DegradeReason {
     /// A representative launch's profile failed validation (wrong block
-    /// count, misnumbered blocks, or non-finite features): the launch is
-    /// simulated in full and its IPC taken from the simulator, not the
-    /// profile.
+    /// count or non-finite features): the launch is simulated in full
+    /// and its IPC taken from the simulator, not the profile.
     ProfileInvalid,
     /// A region's per-unit IPC failed to stabilise within the configured
     /// warming budget: the region is abandoned and its remaining blocks

@@ -45,7 +45,7 @@ pub enum Fault {
         fraction: f64,
     },
     /// Duplicate epoch-sized runs of TB profiles in every launch
-    /// (roster too long and misnumbered — again must degrade).
+    /// (roster too long — again must degrade).
     DuplicateEpochs {
         /// Share of epoch chunks to duplicate (at least one when
         /// positive).
@@ -275,10 +275,15 @@ pub fn corrupt_text(text: &str, fault: Fault, seed: u64) -> String {
 mod tests {
     use super::*;
     use tbpoint_emu::profile_run;
-    use tbpoint_ir::{AddrPattern, KernelBuilder, KernelRun, LaunchId, LaunchSpec, Op, TripCount};
+    use tbpoint_ir::{
+        AddrPattern, Dist, KernelBuilder, KernelRun, LaunchId, LaunchSpec, Op, TripCount,
+    };
 
+    /// Per-block trip counts make blocks distinguishable, so which epochs
+    /// a fault drops or duplicates shows in the profile.
     fn tiny_run() -> KernelRun {
         let mut b = KernelBuilder::new("tiny", 7, 64);
+        let site = b.fresh_site();
         let body = b.block(&[
             Op::IAlu,
             Op::LdGlobal(AddrPattern::Coalesced {
@@ -286,7 +291,13 @@ mod tests {
                 stride: 4,
             }),
         ]);
-        let n = b.loop_(TripCount::Const(10), body);
+        let trips = TripCount::PerBlock {
+            base: 5,
+            spread: 10,
+            dist: Dist::Uniform,
+            site,
+        };
+        let n = b.loop_(trips, body);
         let kernel = b.finish(n);
         KernelRun {
             kernel,

@@ -838,7 +838,7 @@ mod tests {
         assert_eq!(perf.stat_retires, 30);
         assert_eq!(perf.hook_skips, 0);
         for &(tb, stats) in &hook.stats {
-            assert_eq!(stats, prof.tbs[tb as usize].features(), "tb {tb}");
+            assert_eq!(stats, prof.tbs[tb as usize], "tb {tb}");
         }
         let streamed: u64 = hook.stats.iter().map(|&(_, s)| s.warp_insts).sum();
         assert_eq!(streamed, r.issued_warp_insts);

@@ -2,8 +2,9 @@
 //!
 //! A kernel with block-invariant control flow and affine addresses is
 //! profiled once per block class (see DESIGN.md, "Profiling by block
-//! class"); the result must equal emulating every block, field for
-//! field, whichever route a kernel takes. Two populations:
+//! class"); the result must equal emulating every block — per-block
+//! stats, launch BBV and memory-instruction total — whichever route a
+//! kernel takes. Two populations:
 //!
 //! 1. seeded random kernels, three in four drawn from the class-eligible
 //!    subset (phase-sliced trips, partial trailing warps, thread counts
@@ -19,11 +20,14 @@ mod common;
 use common::{random_kernel, Gen};
 use tbpoint::emu::profile::profile_tb;
 use tbpoint::emu::{block_classes, profile_launch, profile_run, LaunchProfile};
-use tbpoint::ir::{ExecCtx, Kernel, LaunchId, LaunchSpec, TbId};
+use tbpoint::ir::{ExecCtx, Kernel, LaunchId, LaunchSpec};
 use tbpoint::workloads::{all_benchmarks, Scale};
 
-/// Every block through `profile_tb`: what `profile_launch` must equal.
+/// Every block through `profile_tb`, summing the launch totals block by
+/// block: what `profile_launch` must equal.
 fn per_block_reference(kernel: &Kernel, spec: &LaunchSpec) -> LaunchProfile {
+    let mut bbv = vec![0; kernel.num_basic_blocks as usize];
+    let mut mem_insts = 0;
     let tbs = (0..spec.num_blocks)
         .map(|block_id| {
             let ctx = ExecCtx {
@@ -33,10 +37,15 @@ fn per_block_reference(kernel: &Kernel, spec: &LaunchSpec) -> LaunchProfile {
                 num_blocks: spec.num_blocks,
                 work_scale: spec.work_scale,
             };
-            profile_tb(kernel, &ctx, TbId(block_id))
+            profile_tb(kernel, &ctx, &mut bbv, &mut mem_insts)
         })
         .collect();
-    LaunchProfile { spec: *spec, tbs }
+    LaunchProfile {
+        spec: *spec,
+        tbs,
+        bbv,
+        mem_insts,
+    }
 }
 
 /// Returns (blocks compared, blocks whose profile was a stamped copy).

@@ -212,7 +212,7 @@ fn block_uniform_conds_agree() {
 /// Epochs tile the launch exactly: every TB in exactly one epoch.
 #[test]
 fn epochs_tile_launch() {
-    use tbpoint::emu::TbProfile;
+    use tbpoint::emu::TbStats;
     for case in 0..CASES {
         let mut g = Gen::new(0x09, case);
         let n_tbs = g.usize(1, 300);
@@ -223,18 +223,16 @@ fn epochs_tile_launch() {
                 num_blocks: n_tbs as u32,
                 work_scale: 1.0,
             },
-            tbs: (0..n_tbs)
-                .map(|i| TbProfile {
-                    tb_id: TbId(i as u32),
+            tbs: vec![
+                TbStats {
                     thread_insts: 320,
                     warp_insts: 10,
-                    mem_insts: 2,
                     mem_requests: 2,
-                    shared_accesses: 0,
-                    barriers: 0,
-                    bbv: vec![10],
-                })
-                .collect(),
+                };
+                n_tbs
+            ],
+            bbv: vec![10 * n_tbs as u64],
+            mem_insts: 2 * n_tbs as u64,
         };
         let epochs = build_epochs(&profile, occupancy);
         let covered: u32 = epochs.iter().map(|e| e.end_tb - e.start_tb).sum();
