@@ -3,8 +3,11 @@
 //! `SmCore::dispatch` used to re-emulate a full [`WarpTrace`] for every
 //! warp of every dispatched block, even though regular kernels (stream,
 //! conv rows of Table VI) produce one identical trace per warp shape.
-//! A [`TraceArena`] memoises traces behind `Arc<[TraceInst]>` for the
+//! A [`TraceArena`] memoises traces behind `Arc<[TraceEntry]>` for the
 //! duration of one launch, so identical warps share a single allocation.
+//! It also owns the launch's [`StaticTable`], built once from the program
+//! tree like [`TraceDeps`]; every trace it hands out, interned or not,
+//! indexes that table.
 //!
 //! ## Why the key is exact, not a hash
 //!
@@ -77,10 +80,11 @@
 //! * thread-varying kernels bypass the cache entirely (every key is
 //!   distinct by construction) and are counted as `uncacheable`.
 
-use crate::trace::{trace_warp, TraceInst};
+use crate::trace::{trace_warp, StaticTable, TraceEntry, TraceInst};
+use crate::walker::initial_mask;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use tbpoint_ir::{AddrPattern, Cond, ExecCtx, Kernel, Node, TripCount, WARP_SIZE};
+use tbpoint_ir::{AddrPattern, Cond, ExecCtx, Kernel, Node, TripCount};
 
 /// Which block- and thread-varying inputs a kernel can observe, derived
 /// from a static walk of the program tree: the three control-flow
@@ -181,20 +185,29 @@ impl InternStats {
     }
 }
 
+/// A shared trace and its expansion; holding the entries keeps their
+/// address, the key, from being reused.
+type Expansion = (Arc<[TraceEntry]>, Arc<[TraceInst]>);
+
 /// Per-launch warp-trace interner.
 ///
 /// Callers must use one arena per `(kernel, launch)` pair: the key
 /// deliberately omits `kernel_seed`, `launch_id` and `work_scale`
-/// because they are launch constants. [`TraceArena::warp_trace`] checks
-/// this in debug builds.
+/// because they are launch constants. [`TraceArena::warp_entries`]
+/// checks this in debug builds.
 pub struct TraceArena {
     deps: TraceDeps,
+    table: StaticTable,
     caching: bool,
     /// Block-invariant entries, retained for the whole launch.
-    global: BTreeMap<TraceKey, Arc<[TraceInst]>>,
+    global: BTreeMap<TraceKey, Arc<[TraceEntry]>>,
     /// Block-varying entries for the most recently traced block only.
-    block_local: BTreeMap<u32, Arc<[TraceInst]>>,
+    block_local: BTreeMap<u32, Arc<[TraceEntry]>>,
     block_local_id: Option<u32>,
+    /// `warp_trace`'s expansions of shared traces, by entry address: the
+    /// harness holds every trace of a launch, so expanding per request
+    /// would keep one copy per warp where the arena keeps one per shape.
+    expanded: BTreeMap<usize, Expansion>,
     #[cfg(debug_assertions)]
     bound: Option<(u64, tbpoint_ir::LaunchId, f64)>,
     /// Hit/miss/bypass counters.
@@ -212,10 +225,12 @@ impl TraceArena {
     pub fn with_caching(kernel: &Kernel, caching: bool) -> Self {
         TraceArena {
             deps: TraceDeps::of(kernel),
+            table: StaticTable::of(kernel),
             caching,
             global: BTreeMap::new(),
             block_local: BTreeMap::new(),
             block_local_id: None,
+            expanded: BTreeMap::new(),
             #[cfg(debug_assertions)]
             bound: None,
             stats: InternStats::default(),
@@ -225,6 +240,11 @@ impl TraceArena {
     /// The dependence classes the arena derived from the program.
     pub fn deps(&self) -> &TraceDeps {
         &self.deps
+    }
+
+    /// The static instructions every trace entry of the launch indexes.
+    pub fn table(&self) -> &StaticTable {
+        &self.table
     }
 
     /// The exact interning key of warp `warp_id` of block `ctx.block_id`.
@@ -244,7 +264,12 @@ impl TraceArena {
 
     /// The trace of warp `warp_id` of block `ctx.block_id`, served from
     /// the arena when an identical warp was traced before.
-    pub fn warp_trace(&mut self, kernel: &Kernel, ctx: &ExecCtx, warp_id: u32) -> Arc<[TraceInst]> {
+    pub fn warp_entries(
+        &mut self,
+        kernel: &Kernel,
+        ctx: &ExecCtx,
+        warp_id: u32,
+    ) -> Arc<[TraceEntry]> {
         #[cfg(debug_assertions)]
         {
             let b = (ctx.kernel_seed, ctx.launch_id, ctx.work_scale);
@@ -287,30 +312,32 @@ impl TraceArena {
         t
     }
 
-    fn trace_fresh(&mut self, kernel: &Kernel, ctx: &ExecCtx, warp_id: u32) -> Arc<[TraceInst]> {
-        let t = trace_warp(kernel, ctx, warp_id);
+    fn trace_fresh(&mut self, kernel: &Kernel, ctx: &ExecCtx, warp_id: u32) -> Arc<[TraceEntry]> {
+        let t = trace_warp(kernel, &self.table, ctx, warp_id);
         self.stats.traced_warp_insts += t.len() as u64;
         t.into()
+    }
+
+    /// [`TraceArena::warp_entries`] with every entry expanded through the
+    /// table, for the benchmark harness. A trace the arena shares is
+    /// expanded once, so the expansions share as the entries do.
+    #[doc(hidden)]
+    pub fn warp_trace(&mut self, kernel: &Kernel, ctx: &ExecCtx, warp_id: u32) -> Arc<[TraceInst]> {
+        let entries = self.warp_entries(kernel, ctx, warp_id);
+        let addr = entries.as_ptr().addr();
+        if let Some((_, t)) = self.expanded.get(&addr) {
+            return Arc::clone(t);
+        }
+        let t: Arc<[TraceInst]> = entries.iter().map(|&e| self.table.expand(e)).collect();
+        if Arc::strong_count(&entries) > 1 {
+            self.expanded.insert(addr, (entries, Arc::clone(&t)));
+        }
+        t
     }
 
     /// Number of retained (block-invariant) entries.
     pub fn retained_entries(&self) -> usize {
         self.global.len()
-    }
-}
-
-/// Initial live-lane mask of `warp_id` (mirrors the walker's entry
-/// check: lanes whose thread id is within `threads_per_block`).
-fn initial_mask(kernel: &Kernel, warp_id: u32) -> u32 {
-    let first_thread = warp_id * WARP_SIZE;
-    if first_thread >= kernel.threads_per_block {
-        return 0;
-    }
-    let live = (kernel.threads_per_block - first_thread).min(WARP_SIZE);
-    if live == 32 {
-        u32::MAX
-    } else {
-        (1u32 << live) - 1
     }
 }
 
@@ -410,9 +437,35 @@ mod tests {
             let mut arena = TraceArena::new(&kernel);
             for block in 0..24 {
                 for w in 0..kernel.warps_per_block() {
-                    let interned = arena.warp_trace(&kernel, &ctx(block), w);
-                    let fresh = trace_warp(&kernel, &ctx(block), w);
+                    let interned = arena.warp_entries(&kernel, &ctx(block), w);
+                    let fresh = trace_warp(&kernel, arena.table(), &ctx(block), w);
                     assert_eq!(&interned[..], &fresh[..], "{} b{block} w{w}", kernel.name);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn expanded_traces_decode_and_share_like_their_entries() {
+        for kernel in [regular_kernel(), per_block_kernel(), per_thread_kernel()] {
+            let mut arena = TraceArena::new(&kernel);
+            let mut reference = TraceArena::new(&kernel);
+            let mut last = None;
+            for block in 0..3 {
+                for w in 0..kernel.warps_per_block() {
+                    let expanded = arena.warp_trace(&kernel, &ctx(block), w);
+                    let entries = reference.warp_entries(&kernel, &ctx(block), w);
+                    let table = reference.table();
+                    let decoded: Vec<TraceInst> = entries.iter().map(|&e| table.expand(e)).collect();
+                    assert_eq!(&expanded[..], &decoded[..], "{} b{block} w{w}", kernel.name);
+                    if let Some(prev) = last.replace(Arc::clone(&expanded)) {
+                        let shared = match kernel.name.as_str() {
+                            "reg" => true,
+                            "blk" => w > 0,
+                            _ => false,
+                        };
+                        assert_eq!(Arc::ptr_eq(&prev, &expanded), shared, "{}", kernel.name);
+                    }
                 }
             }
         }
@@ -424,7 +477,7 @@ mod tests {
         let mut arena = TraceArena::new(&kernel);
         for block in 0..50 {
             for w in 0..kernel.warps_per_block() {
-                arena.warp_trace(&kernel, &ctx(block), w);
+                arena.warp_entries(&kernel, &ctx(block), w);
             }
         }
         assert_eq!(arena.stats.misses, 1);
@@ -439,8 +492,8 @@ mod tests {
         let n = b.block(&[Op::IAlu]);
         let kernel = b.finish(n);
         let mut arena = TraceArena::new(&kernel);
-        let full = arena.warp_trace(&kernel, &ctx(0), 0);
-        let part = arena.warp_trace(&kernel, &ctx(0), 1);
+        let full = arena.warp_entries(&kernel, &ctx(0), 0);
+        let part = arena.warp_entries(&kernel, &ctx(0), 1);
         assert_ne!(&full[..], &part[..]);
         assert_eq!(arena.stats.misses, 2);
     }
@@ -451,7 +504,7 @@ mod tests {
         let mut arena = TraceArena::new(&kernel);
         for block in 0..10 {
             for w in 0..kernel.warps_per_block() {
-                arena.warp_trace(&kernel, &ctx(block), w);
+                arena.warp_entries(&kernel, &ctx(block), w);
             }
         }
         // One miss per block, the other three warps hit.
@@ -466,7 +519,7 @@ mod tests {
         let kernel = per_thread_kernel();
         let mut arena = TraceArena::new(&kernel);
         for w in 0..kernel.warps_per_block() {
-            arena.warp_trace(&kernel, &ctx(0), w);
+            arena.warp_entries(&kernel, &ctx(0), w);
         }
         assert_eq!(arena.stats.uncacheable, 4);
         assert_eq!(arena.stats.hits + arena.stats.misses, 0);
@@ -478,7 +531,7 @@ mod tests {
         let mut arena = TraceArena::new(&kernel);
         for block in 0..32 {
             for w in 0..kernel.warps_per_block() {
-                arena.warp_trace(&kernel, &ctx(block), w);
+                arena.warp_entries(&kernel, &ctx(block), w);
             }
         }
         // 32 blocks / 8 per slice = 4 slices; one shared trace each.
@@ -492,7 +545,7 @@ mod tests {
         let kernel = regular_kernel();
         let mut arena = TraceArena::with_caching(&kernel, false);
         for w in 0..kernel.warps_per_block() {
-            arena.warp_trace(&kernel, &ctx(0), w);
+            arena.warp_entries(&kernel, &ctx(0), w);
         }
         assert_eq!(arena.stats.uncacheable, 4);
         assert_eq!(arena.retained_entries(), 0);

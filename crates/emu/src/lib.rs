@@ -33,8 +33,9 @@
 //! * [`profile`] — streaming per-TB / per-launch profiles (no trace is
 //!   materialised; counters only), parallelised over thread blocks;
 //! * [`trace`] — materialised per-warp instruction traces that the timing
-//!   simulator replays. Traces store `(op, mask, iter_key)` and recompute
-//!   addresses deterministically, keeping them compact.
+//!   simulator replays. A trace entry is `(static index, mask, iter_key)`,
+//!   12 bytes: op, site and basic block live once per kernel in a
+//!   [`StaticTable`], and addresses are recomputed deterministically.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,5 +52,7 @@ pub use profile::{
     block_classes, profile_launch, profile_run, profile_run_obs, InterFeatures, LaunchProfile,
     RunProfile, TbStats,
 };
-pub use trace::{trace_warp, TraceInst, WarpTrace};
+#[doc(hidden)]
+pub use trace::TraceInst;
+pub use trace::{trace_warp, StaticInst, StaticTable, TraceEntry, WarpTrace};
 pub use walker::{walk_warp, WarpEvent};

@@ -16,6 +16,8 @@ pub struct WarpEvent<'a> {
     pub mask: u32,
     /// Basic block this instruction belongs to.
     pub bb: tbpoint_ir::BasicBlockId,
+    /// Position of the instruction within its basic block.
+    pub pos: u32,
     /// Mixed key of the enclosing loop iteration indices; feeds address
     /// generation so different iterations touch different data.
     pub iter_key: u32,
@@ -34,17 +36,12 @@ pub fn walk_warp(
     warp_id: u32,
     sink: &mut impl FnMut(WarpEvent<'_>),
 ) {
-    let first_thread = warp_id * WARP_SIZE;
-    if first_thread >= kernel.threads_per_block {
+    let initial_mask = initial_mask(kernel, warp_id);
+    if initial_mask == 0 {
         return; // warp entirely out of range
     }
-    let live_lanes = (kernel.threads_per_block - first_thread).min(WARP_SIZE);
-    let initial_mask = if live_lanes == 32 {
-        u32::MAX
-    } else {
-        (1u32 << live_lanes) - 1
-    };
     // Global thread id of lane 0: unique across blocks of the launch.
+    let first_thread = warp_id * WARP_SIZE;
     let gtid_base = ctx.block_id as u64 * kernel.threads_per_block as u64 + first_thread as u64;
     let mut draws = WarpDraws {
         initial_mask,
@@ -60,6 +57,21 @@ pub fn walk_warp(
         &mut draws,
         sink,
     );
+}
+
+/// Initial live-lane mask of `warp_id`: lanes whose thread id is within
+/// `threads_per_block` (zero for a warp entirely out of range).
+pub(crate) fn initial_mask(kernel: &Kernel, warp_id: u32) -> u32 {
+    let first_thread = warp_id * WARP_SIZE;
+    if first_thread >= kernel.threads_per_block {
+        return 0;
+    }
+    let live = (kernel.threads_per_block - first_thread).min(WARP_SIZE);
+    if live == 32 {
+        u32::MAX
+    } else {
+        (1u32 << live) - 1
+    }
 }
 
 /// What one warp's thread-varying nodes drew. `Cond::eval` and
@@ -109,11 +121,12 @@ fn walk_node(
     }
     match node {
         Node::Block { id, insts } => {
-            for inst in insts {
+            for (inst, pos) in insts.iter().zip(0..) {
                 sink(WarpEvent {
                     inst,
                     mask,
                     bb: *id,
+                    pos,
                     iter_key,
                 });
             }
@@ -321,11 +334,12 @@ mod tests {
         let lanes = (0..WARP_SIZE).filter(|lane| mask & (1 << lane) != 0);
         match node {
             Node::Block { id, insts } => {
-                for inst in insts {
+                for (inst, pos) in insts.iter().zip(0..) {
                     sink(WarpEvent {
                         inst,
                         mask,
                         bb: *id,
+                        pos,
                         iter_key,
                     });
                 }
@@ -441,8 +455,8 @@ mod tests {
     }
 
     /// Everything a sink can observe of an event.
-    fn key(ev: WarpEvent<'_>) -> (u32, u32, u16, u32) {
-        (ev.inst.site, ev.mask, ev.bb.0, ev.iter_key)
+    fn key(ev: WarpEvent<'_>) -> (u32, u32, u16, u32, u32) {
+        (ev.inst.site, ev.mask, ev.bb.0, ev.pos, ev.iter_key)
     }
 
     /// Full event streams of `walk_warp` against [`reference_walk`].

@@ -4,7 +4,7 @@ use crate::config::{GpuConfig, SchedPolicy};
 use crate::memory::MemorySystem;
 use crate::stats::SmStats;
 use std::sync::Arc;
-use tbpoint_emu::{TbStats, TraceArena, TraceInst};
+use tbpoint_emu::{StaticInst, TbStats, TraceArena, TraceEntry};
 use tbpoint_ir::{ExecCtx, Kernel, LatencyClass, Op, TbId};
 use tbpoint_obs::{NullRecorder, Recorder};
 
@@ -12,8 +12,9 @@ use tbpoint_obs::{NullRecorder, Recorder};
 #[derive(Debug)]
 struct WarpRt {
     /// Interned trace — identical warps across blocks share one
-    /// allocation (see [`tbpoint_emu::TraceArena`]).
-    trace: Arc<[TraceInst]>,
+    /// allocation (see [`tbpoint_emu::TraceArena`]). Entries index
+    /// `SmCore::table`.
+    trace: Arc<[TraceEntry]>,
     pc: usize,
     /// The cycle the warp can next issue. The scheduler reads the packed
     /// copy in `SmCore::sched_at`; this one stays exact for warps parked
@@ -124,6 +125,9 @@ pub struct SmCore {
     slots: Vec<Option<ResidentBlock>>,
     /// Warps per block — a launch constant, learnt at the first dispatch.
     wpb: usize,
+    /// The launch's static instructions (op, site, basic block) that
+    /// trace entries index — taken from the arena at the first dispatch.
+    table: Arc<[StaticInst]>,
     /// Packed scheduler words, `occupancy x wpb`: `sched_at[slot * wpb + w]`
     /// is the warp's `ready_at` while it is schedulable (slot occupied,
     /// not done, not at a barrier) and `u64::MAX` otherwise. So
@@ -173,6 +177,7 @@ impl SmCore {
             id,
             slots: (0..occupancy).map(|_| None).collect(),
             wpb: 0,
+            table: Arc::new([]),
             sched_at: Vec::new(),
             occupied: Vec::with_capacity(occupancy as usize),
             resident_since: 0,
@@ -233,9 +238,12 @@ impl SmCore {
         arena: &mut TraceArena,
     ) -> Option<TbId> {
         assert!(self.slots[slot].is_none(), "dispatch into occupied slot");
+        if !Arc::ptr_eq(&self.table, arena.table().insts()) {
+            self.table = Arc::clone(arena.table().insts());
+        }
         let mut warps = Vec::with_capacity(kernel.warps_per_block() as usize);
         for w in 0..kernel.warps_per_block() {
-            let trace = arena.warp_trace(kernel, &ctx, w);
+            let trace = arena.warp_entries(kernel, &ctx, w);
             let done = trace.is_empty();
             warps.push(WarpRt {
                 trace,
@@ -442,10 +450,11 @@ impl SmCore {
         };
         let ctx = block.ctx;
         let warp = &mut block.warps[w];
-        let inst = warp.trace[warp.pc];
+        let entry = warp.trace[warp.pc];
+        let inst = &self.table[entry.inst as usize];
         warp.pc += 1;
         self.issued_warp_insts += 1;
-        let lanes = inst.mask.count_ones();
+        let lanes = entry.mask.count_ones();
         self.issued_thread_insts += lanes as u64;
         block.stats.warp_insts += 1;
         block.stats.thread_insts += lanes as u64;
@@ -466,8 +475,8 @@ impl SmCore {
                     let lines = pat.coalesced_lines(
                         &ctx,
                         warp.gtid_base,
-                        inst.mask,
-                        inst.iter_key,
+                        entry.mask,
+                        entry.iter_key,
                         inst.site,
                     );
                     // Same count the profiler records: coalesced lines,

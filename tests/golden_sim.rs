@@ -20,7 +20,9 @@
 //! 3. **Interner key property**: over seeded random kernels spanning
 //!    every trip-count/condition dependence class, two (block, warp)
 //!    coordinates that map to the same `TraceKey` must produce equal
-//!    traces — the invariant the whole interner rests on.
+//!    traces — the invariant the whole interner rests on. On the same
+//!    kernels, every trace entry decodes through the static table to the
+//!    walker event it was made from.
 //! 4. **`simulate_launch_perf`'s `jobs` argument is inert**: the frozen
 //!    `benchmark/` harness still passes one.
 //! 5. **Event-horizon loop invariant**: per launch, under both scheduling
@@ -29,7 +31,7 @@
 mod common;
 
 use common::{random_kernel, random_mem_kernel, simulate_opts, Gen};
-use tbpoint::emu::{trace_warp, TraceArena, TraceKey};
+use tbpoint::emu::{trace_warp, walk_warp, TraceArena, TraceEntry, TraceKey};
 use tbpoint::ir::{ExecCtx, Kernel, LaunchId, LaunchSpec};
 use tbpoint::sim::{
     simulate_launch, simulate_launch_perf, simulate_run, GpuConfig, NullSampling, SchedPolicy,
@@ -263,14 +265,14 @@ fn interner_key_never_collides_differing_traces() {
         };
         let warps_per_block = kernel.threads_per_block.div_ceil(32);
         let mut arena = TraceArena::new(&kernel);
-        let mut by_key: Vec<(TraceKey, Vec<tbpoint::emu::TraceInst>, u32, u32)> = Vec::new();
+        let mut by_key: Vec<(TraceKey, Vec<TraceEntry>, u32, u32)> = Vec::new();
         // Visit blocks in dispatch order (the arena's block-local cache
         // assumes back-to-back warps of one block, like the simulator).
         for block_id in 0..num_blocks {
             for warp_id in 0..warps_per_block {
                 let c = ctx(block_id);
-                let fresh = trace_warp(&kernel, &c, warp_id);
-                let interned = arena.warp_trace(&kernel, &c, warp_id);
+                let fresh = trace_warp(&kernel, arena.table(), &c, warp_id);
+                let interned = arena.warp_entries(&kernel, &c, warp_id);
                 assert_eq!(
                     &*interned,
                     &fresh[..],
@@ -289,6 +291,59 @@ fn interner_key_never_collides_differing_traces() {
             }
         }
     }
+}
+
+/// A trace entry keeps only `(static index, mask, iter_key)`; op, site and
+/// basic block come back through the launch's static table. Over the
+/// seeded random kernels of layers 2 and 3, every warp's decoded entries
+/// must equal the walker's event stream, field for field, whether the
+/// arena interns or re-emulates.
+#[test]
+fn trace_entries_decode_to_the_walker_events() {
+    let kernels = (0..48).map(|case| {
+        let mut g = Gen::new(0x9d, case);
+        (random_kernel(&mut g, case, false), g.u32(4, 24))
+    });
+    let mem_kernels = (0..10).map(|case| {
+        let (kernel, spec) = mem_case(case);
+        (kernel, spec.num_blocks)
+    });
+    let mut entries = 0u64;
+    for (case, (kernel, num_blocks)) in kernels.chain(mem_kernels).enumerate() {
+        for caching in [true, false] {
+            let mut arena = TraceArena::with_caching(&kernel, caching);
+            for block_id in 0..num_blocks {
+                let c = ExecCtx {
+                    kernel_seed: kernel.seed,
+                    launch_id: LaunchId(g_launch(case as u64)),
+                    block_id,
+                    num_blocks,
+                    work_scale: 1.0,
+                };
+                for warp_id in 0..kernel.warps_per_block() {
+                    let mut want = Vec::new();
+                    walk_warp(&kernel, &c, warp_id, &mut |ev| {
+                        want.push((ev.inst.op, ev.inst.site, ev.bb.0, ev.mask, ev.iter_key));
+                    });
+                    let trace = arena.warp_entries(&kernel, &c, warp_id);
+                    let table = arena.table().insts();
+                    let got: Vec<_> = trace
+                        .iter()
+                        .map(|e| {
+                            let s = table[e.inst as usize];
+                            (s.op, s.site, s.bb, e.mask, e.iter_key)
+                        })
+                        .collect();
+                    assert_eq!(
+                        got, want,
+                        "case {case} caching {caching}: block {block_id} warp {warp_id}"
+                    );
+                    entries += got.len() as u64;
+                }
+            }
+        }
+    }
+    assert!(entries > 0);
 }
 
 /// Launch index for a case: varied so the property is not accidentally

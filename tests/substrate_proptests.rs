@@ -8,7 +8,7 @@
 mod common;
 
 use common::Gen;
-use tbpoint::emu::{profile_launch, trace_warp};
+use tbpoint::emu::{profile_launch, trace_warp, StaticTable};
 use tbpoint::ir::ExecCtx;
 use tbpoint::sim::cache::Cache;
 use tbpoint::sim::{simulate_launch, CacheConfig, GpuConfig, NullSampling};
@@ -54,6 +54,7 @@ fn synthetic_workloads_conserve_instruction_identities() {
         run.kernel.validate().unwrap();
         let launch = &run.launches[0];
         let profile = profile_launch(&run.kernel, launch, 1);
+        let table = StaticTable::of(&run.kernel);
         let mut trace_warp_insts = 0u64;
         let mut trace_thread_insts = 0u64;
         for tb in 0..launch.num_blocks {
@@ -65,7 +66,7 @@ fn synthetic_workloads_conserve_instruction_identities() {
                 work_scale: launch.work_scale,
             };
             for w in 0..run.kernel.warps_per_block() {
-                let t = trace_warp(&run.kernel, &ctx, w);
+                let t = trace_warp(&run.kernel, &table, &ctx, w);
                 trace_warp_insts += t.len() as u64;
                 trace_thread_insts += t
                     .iter()
