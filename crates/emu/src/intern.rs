@@ -456,7 +456,8 @@ mod tests {
                     let expanded = arena.warp_trace(&kernel, &ctx(block), w);
                     let entries = reference.warp_entries(&kernel, &ctx(block), w);
                     let table = reference.table();
-                    let decoded: Vec<TraceInst> = entries.iter().map(|&e| table.expand(e)).collect();
+                    let decoded: Vec<TraceInst> =
+                        entries.iter().map(|&e| table.expand(e)).collect();
                     assert_eq!(&expanded[..], &decoded[..], "{} b{block} w{w}", kernel.name);
                     if let Some(prev) = last.replace(Arc::clone(&expanded)) {
                         let shared = match kernel.name.as_str() {

@@ -45,8 +45,8 @@ pub trait Recorder {
 
 /// The default recorder: a zero-sized type whose methods are empty
 /// inline no-ops. Code monomorphised over `NullRecorder` compiles the
-/// instrumentation away entirely (the `obs_overhead` bench in
-/// `tbpoint-bench` keeps this honest).
+/// instrumentation away entirely (every end-to-end metric of the repo
+/// benchmark runs on it, so a cost here would show there).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NullRecorder;
 
