@@ -20,10 +20,9 @@
 //! `--pool-workers N` (default: the host's CPU count; `0` is a usage
 //! error) schedules whole launches and sweep units on the deterministic
 //! job pool, with results merged in canonical order so every artifact is
-//! byte-identical to a serial run (DESIGN.md, "Pool parallelism").
-//!
-//! `--threads` remains the profiler's thread count (the functional
-//! emulation is embarrassingly parallel and outside the plan).
+//! byte-identical to a serial run (DESIGN.md, "Pool parallelism"). The
+//! same count is the thread count of `fig5`'s Monte-Carlo study and of
+//! the profiler behind `profile` and `inspect`.
 //!
 //! `--live` switches `eval`, `fig12`/`fig13` and `ablate` to **live
 //! single-pass sampling** (`TbpointConfig::mode = Live`, DESIGN.md
@@ -37,10 +36,10 @@
 //!
 //! `eval`, `fig8` and `fig12`/`fig13` (the sensitivity sweep) run as
 //! **crash-safe resumable sweeps**: each benchmark's result is written
-//! to its own atomically-renamed unit file under
-//! `artifacts/units/` with a checksummed manifest. `--resume` skips
-//! verified units from an interrupted run (the final artifacts are
-//! byte-identical to an uninterrupted run); `--max-units K` stops after
+//! to its own atomically-renamed, sealed unit entry under
+//! `artifacts/units/`. `--resume` reuses the entries of an interrupted
+//! run that verify (the final artifacts are byte-identical to an
+//! uninterrupted run); `--max-units K` stops after
 //! K units and exits with code 3; `--cycle-budget N` arms a per-launch
 //! watchdog that aborts runaway simulations with a `BudgetExceeded`
 //! error while keeping finished units on disk.
@@ -75,7 +74,6 @@ struct Args {
     target: Option<String>,
     scale: Scale,
     samples: usize,
-    threads: usize,
     artifacts: PathBuf,
     trace_out: Option<PathBuf>,
     resume: bool,
@@ -125,7 +123,6 @@ fn parse_args() -> Args {
         target: None,
         scale: Scale::Dev,
         samples: 10_000,
-        threads: experiments::default_threads(),
         artifacts: PathBuf::from("artifacts"),
         trace_out: None,
         resume: false,
@@ -151,7 +148,6 @@ fn parse_args() -> Args {
                 });
             }
             "--samples" => args.samples = flag_value(&mut it, &a, "a sample count"),
-            "--threads" => args.threads = flag_value(&mut it, &a, "a thread count"),
             "--artifacts" => args.artifacts = flag_value(&mut it, &a, "a directory"),
             "--trace-out" => args.trace_out = Some(flag_value(&mut it, &a, "a path")),
             "--resume" => args.resume = true,
@@ -276,7 +272,7 @@ fn finish_sweep<T>(result: Result<SweepOutcome<T>, sweep::SweepError>, what: &st
 }
 
 /// Run a roster command through the resumable sweep, one unit per
-/// benchmark keyed by its name (unit files and the manifest live under
+/// benchmark keyed by its name (unit entries live under
 /// `<artifacts>/units/`); `unit(bench, trace)` computes a unit and its
 /// traces. With `trace_out`, units record, each unit's traces land in a
 /// slot indexed by unit, and once the sweep is complete they are written
@@ -364,7 +360,7 @@ fn load_or_run_eval(args: &Args) -> experiments::EvalResult {
 }
 
 fn cmd_fig5(args: &Args) {
-    let r = experiments::fig5(args.samples, args.threads);
+    let r = experiments::fig5(args.samples, args.plan.pool_workers);
     write_json_or_die(&args.artifacts.join("fig5.json"), &r);
     println!(
         "Fig. 5 — IPC variation of a homogeneous interval ({} samples)",
@@ -485,7 +481,7 @@ fn cmd_serve(args: &Args) {
         let responses = tbpoint_serve::process_text(&mut svc, &text, &rec);
         match &args.out {
             Some(path) => {
-                if let Err(e) = output::write_atomic(path, responses.as_bytes()) {
+                if let Err(e) = tbpoint_obs::write_atomic(path, responses.as_bytes()) {
                     die(&format!("writing responses {}", path.display()), e);
                 }
                 eprintln!("wrote {}", path.display());
@@ -573,7 +569,7 @@ fn main() {
                 std::process::exit(2);
             };
             let t0 = std::time::Instant::now();
-            let profile = tbpoint_emu::profile_run(&bench.run, args.threads);
+            let profile = tbpoint_emu::profile_run(&bench.run, args.plan.pool_workers);
             let path =
                 args.artifacts
                     .join(format!("profile_{}_{}.json", scale_tag(args.scale), name));
@@ -593,7 +589,7 @@ fn main() {
                 eprintln!("usage: tbpoint inspect <bench> [--scale ...]");
                 std::process::exit(2);
             };
-            match experiments::inspect(name, args.scale, args.threads) {
+            match experiments::inspect(name, args.scale, args.plan.pool_workers) {
                 Some(report) => println!("{report}"),
                 None => {
                     eprintln!("unknown benchmark {name:?}; see `tbpoint table6`");
@@ -691,7 +687,7 @@ fn main() {
         "" => {
             eprintln!(
                 "usage: tbpoint <table1|table6|fig5|fig8|eval|fig9|fig10|fig11|fig12|fig13|ablate|inspect <bench>|profile <bench>|faultmatrix [bench]|serve|all> \
-                 [--scale full|dev|tiny] [--samples N] [--threads N] [--artifacts DIR] [--trace-out FILE] \
+                 [--scale full|dev|tiny] [--samples N] [--artifacts DIR] [--trace-out FILE] \
                  [--resume] [--max-units K] [--cycle-budget N] [--pool-workers N] \
                  [--live] [--out FILE] \
                  [--requests FILE] [--cache-dir DIR] [--max-pending N]"

@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 use std::path::Path;
-use tbpoint_obs::{EventKind, TraceBundle};
+use tbpoint_obs::{write_atomic, EventKind, TraceBundle};
 
 /// Render rows as an aligned plain-text table with a header rule.
 pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
@@ -36,19 +36,6 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
         line(&mut out, row);
     }
     out
-}
-
-/// Write bytes crash-safely: create the parent, write a hidden
-/// `.<name>.tmp` sibling, fsync it, atomically rename it over the
-/// destination, then fsync the parent directory so the rename itself
-/// is durable. A crash at any point leaves either the old file or the
-/// new file — never a torn artifact (the invariant the `--resume`
-/// machinery in [`crate::sweep`] depends on). The canonical
-/// implementation lives in [`tbpoint_obs::write_atomic`] so the serve
-/// cache and the sweep machinery share one crash-consistency story;
-/// this re-export keeps the CLI's historical call sites working.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    tbpoint_obs::write_atomic(path, bytes)
 }
 
 /// Write a CSV file (quotes are not needed for our numeric content).

@@ -3,43 +3,37 @@
 //! A *sweep* is a list of independent units (one benchmark, or one
 //! benchmark's whole hardware grid), each named by a key and computed
 //! by `run(index)`. [`run_units`] schedules them across `tbpoint-pool`
-//! workers and persists each finished unit immediately:
+//! workers and persists each finished unit immediately as an entry of
+//! the workspace's sealed-entry store ([`tbpoint_obs::Store`]),
+//! `<sweep>.unit.<key>.json`:
 //!
-//! * every unit result is written to its own JSON file via
-//!   [`crate::output::write_atomic`] (tmp + fsync + rename), so a crash
-//!   leaves each unit either complete or absent — never torn;
-//! * after each unit, a *manifest* (JSONL sealed with the `tbpoint-obs`
-//!   integrity trailer) is atomically rewritten, recording every
-//!   completed unit's file name and FNV-1a-64 checksum;
-//! * `--resume` re-reads the manifest, verifies its trailer and each
-//!   unit file's checksum, skips verified units and recomputes the
-//!   rest. A unit file that was tampered with, torn, or orphaned by a
-//!   crash between its rename and the manifest update is simply
-//!   recomputed — a unit's computation is deterministic, so the bytes
-//!   come out the same;
-//! * the final result is assembled by **re-reading every unit file from
-//!   disk**, which is why an interrupted-then-resumed sweep produces
+//! * an entry is written atomically and carries its own seal, so a crash
+//!   leaves each unit either complete and verifiable or absent;
+//! * `--resume` looks every key up: a verified entry is reused, a
+//!   damaged one is quarantined (with a warning) and recomputed, and a
+//!   missing one is computed. A unit's computation is deterministic, so
+//!   a recomputed entry has the same bytes;
+//! * the final result is assembled from entries **read back through the
+//!   store**, which is why an interrupted-then-resumed sweep produces
 //!   final artifacts byte-identical to an uninterrupted one (the
 //!   vendored `serde_json` prints floats shortest-round-trip and keeps
-//!   field order, so parse -> serialize is the identity on our files);
+//!   field order, so parse -> serialize is the identity on our entries);
 //! * `--max-units K` stops after K units, reporting a partial sweep
 //!   (the CLI exits with code 3) — the deterministic stand-in for
 //!   killing the process mid-sweep.
 //!
 //! Persistence and scheduling are deliberately orthogonal: the pool
-//! decides *when* a unit runs (timing-dependent), the manifest records
-//! *what* completed (canonical key order), and the final assembly reads
-//! units back in key order — so unit files, manifest, and final
-//! artifact are all byte-identical at every `--pool-workers` value,
-//! with or without an interrupt + `--resume` in between.
+//! decides *when* a unit runs (timing-dependent), each entry's bytes
+//! depend only on its key, and the final assembly reads entries back in
+//! key order — so entries and final artifact are byte-identical at
+//! every `--pool-workers` value, with or without an interrupt +
+//! `--resume` in between.
 
-use crate::output;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use tbpoint_core::TbError;
-use tbpoint_obs::{fnv1a64, seal, verify};
+use tbpoint_obs::{safe_name, Lookup, Store};
 use tbpoint_pool::run_indexed;
 
 /// How a sweep failed.
@@ -48,7 +42,7 @@ pub enum SweepError {
     /// Filesystem trouble, with the path involved.
     Io(PathBuf, std::io::Error),
     /// The pipeline rejected one unit (e.g. a `--cycle-budget`
-    /// overrun). Completed unit files are preserved for `--resume`.
+    /// overrun). Completed unit entries are preserved for `--resume`.
     Pipeline {
         /// The unit that failed.
         unit: String,
@@ -77,10 +71,9 @@ impl std::error::Error for SweepError {}
 /// Sweep identity and resumption policy.
 #[derive(Debug, Clone)]
 pub struct SweepPlan {
-    /// Sweep name; prefixes every unit file and the manifest
-    /// (e.g. `"eval_tiny"`).
+    /// Sweep name; prefixes every unit entry (e.g. `"eval_tiny"`).
     pub name: String,
-    /// Directory holding unit files and the manifest.
+    /// Directory holding the unit entries.
     pub dir: PathBuf,
     /// Reuse verified units from a previous (interrupted) run.
     pub resume: bool,
@@ -98,7 +91,7 @@ pub struct SweepOutcome<T> {
     pub results: Vec<Option<T>>,
     /// Units computed in this invocation.
     pub computed: usize,
-    /// Units skipped because a previous run's verified file covered
+    /// Units skipped because a previous run's verified entry covered
     /// them.
     pub resumed: usize,
     /// True when `max_units` stopped the sweep early.
@@ -123,125 +116,15 @@ impl<T> SweepOutcome<T> {
     }
 }
 
-/// One manifest line.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct ManifestEntry {
-    sweep: String,
-    unit: String,
-    file: String,
-    fnv64: String,
-}
-
-fn manifest_path(plan: &SweepPlan) -> PathBuf {
-    plan.dir.join(format!("{}.manifest.jsonl", plan.name))
-}
-
-fn unit_path(plan: &SweepPlan, key: &str) -> PathBuf {
-    // Keys are bench names / bench@config labels; keep anything else
-    // filesystem-safe.
-    let safe: String = key
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect();
-    plan.dir.join(format!("{}.unit.{safe}.json", plan.name))
-}
-
-fn io_err(path: &Path, e: std::io::Error) -> SweepError {
-    SweepError::Io(path.to_path_buf(), e)
-}
-
-/// Atomically rewrite the manifest from the completed-unit map (sorted
-/// by key index, so the final manifest is deterministic no matter in
-/// which order pool workers finished).
-fn write_manifest(
-    plan: &SweepPlan,
-    keys: &[String],
-    done: &BTreeMap<usize, String>,
-) -> Result<(), SweepError> {
-    let mut body = String::new();
-    for (&i, fnv) in done {
-        let entry = ManifestEntry {
-            sweep: plan.name.clone(),
-            unit: keys[i].clone(),
-            file: unit_path(plan, &keys[i])
-                .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_default(),
-            fnv64: fnv.clone(),
-        };
-        match serde_json::to_string(&entry) {
-            Ok(line) => {
-                body.push_str(&line);
-                body.push('\n');
-            }
-            Err(e) => return Err(io_err(&manifest_path(plan), std::io::Error::other(e))),
-        }
-    }
-    let path = manifest_path(plan);
-    output::write_atomic(&path, seal(&body).as_bytes()).map_err(|e| io_err(&path, e))
-}
-
-/// Load the previous manifest and return, per key index, the checksum
-/// of a unit file that exists and verifies. Errors in the manifest or
-/// a unit file are not fatal: the unit is just recomputed.
-fn load_verified_units(plan: &SweepPlan, keys: &[String]) -> BTreeMap<usize, String> {
-    let mut verified = BTreeMap::new();
-    let Ok(text) = std::fs::read_to_string(manifest_path(plan)) else {
-        return verified;
-    };
-    let Ok(body) = verify(&text) else {
-        eprintln!(
-            "warning: manifest {} failed its integrity check; recomputing every unit",
-            manifest_path(plan).display()
-        );
-        return verified;
-    };
-    let entries: Vec<ManifestEntry> = body
-        .lines()
-        .filter(|l| !l.trim().is_empty())
-        .filter_map(|l| serde_json::from_str(l).ok())
-        .collect();
-    for entry in entries {
-        if entry.sweep != plan.name {
-            continue;
-        }
-        let Some(i) = keys.iter().position(|k| *k == entry.unit) else {
-            continue;
-        };
-        let path = unit_path(plan, &keys[i]);
-        match std::fs::read(&path) {
-            Ok(bytes) if format!("{:016x}", fnv1a64(&bytes)) == entry.fnv64 => {
-                verified.insert(i, entry.fnv64);
-            }
-            Ok(_) => {
-                eprintln!(
-                    "warning: unit file {} does not match its manifest checksum; recomputing",
-                    path.display()
-                );
-            }
-            Err(_) => {}
-        }
-    }
-    verified
-}
-
 /// Run (or resume) a sweep of `keys.len()` units on the deterministic
 /// job pool; `run(i)` computes unit `i`.
 ///
-/// Keys name the unit files and the manifest entries, so they must be
-/// unique and stable across runs, or `--resume` cannot match completed
-/// work. `run` must be deterministic and independent of other units —
-/// resumption correctness and the byte-identity guarantee both rest on
-/// that. Scheduling runs on `plan.workers` pool workers; persistence is
-/// serialized under one lock (compute in parallel, persist one at a
-/// time), so the manifest on disk always describes a consistent
-/// prefix-closed set of finished units.
+/// Keys name the unit entries, so they must be unique and stable across
+/// runs, or `--resume` cannot match completed work. `run` must be
+/// deterministic and independent of other units — resumption
+/// correctness and the byte-identity guarantee both rest on that. Units
+/// compute in parallel on `plan.workers` pool workers and are stored as
+/// they finish.
 pub fn run_units<T>(
     plan: &SweepPlan,
     keys: &[String],
@@ -250,73 +133,65 @@ pub fn run_units<T>(
 where
     T: Serialize + Deserialize + Send,
 {
-    std::fs::create_dir_all(&plan.dir).map_err(|e| io_err(&plan.dir, e))?;
-    // Sweep `write_atomic` staging files a crashed previous run left
-    // behind, exactly as the serve result cache does on open: a stale
-    // `.tmp` is never valid input, and leaving it around masks how much
-    // disk the unit directory really holds.
-    let swept = tbpoint_obs::clean_stale_tmps(&plan.dir).map_err(|e| io_err(&plan.dir, e))?;
+    let (store, swept) =
+        Store::<T>::open(&plan.dir).map_err(|e| SweepError::Io(plan.dir.clone(), e))?;
     for path in &swept {
         eprintln!("swept stale staging file {}", path.display());
     }
+    let names: Vec<String> = keys
+        .iter()
+        .map(|k| format!("{}.unit.{}.json", plan.name, safe_name(k)))
+        .collect();
 
-    let mut done: BTreeMap<usize, String> = if plan.resume {
-        load_verified_units(plan, keys)
-    } else {
-        BTreeMap::new()
-    };
-    let resumed = done.len();
+    let mut results: Vec<Option<T>> = keys.iter().map(|_| None).collect();
+    if plan.resume {
+        for (slot, name) in results.iter_mut().zip(&names) {
+            match store.lookup(name) {
+                Lookup::Hit(value) => *slot = Some(value),
+                Lookup::Quarantined => eprintln!(
+                    "warning: unit {} failed verification and was quarantined; recomputing",
+                    store.entry_path(name).display()
+                ),
+                Lookup::Miss => {}
+            }
+        }
+    }
+    let resumed = results.iter().flatten().count();
 
-    let todo: Vec<usize> = (0..keys.len()).filter(|i| !done.contains_key(i)).collect();
-    let allowed = plan.max_units.unwrap_or(todo.len()).min(todo.len());
-    let partial = allowed < todo.len();
+    let todo: Vec<usize> = (0..keys.len()).filter(|&i| results[i].is_none()).collect();
+    let computed = plan.max_units.unwrap_or(todo.len()).min(todo.len());
+    let partial = computed < todo.len();
 
     // The pool schedules the allowed prefix of missing units; each job
-    // computes its unit off-lock, then (under the lock) writes the unit
-    // file atomically and rewrites the manifest, so an interrupt at any
-    // instant preserves every finished unit. On failure the pool
-    // reports the lowest recorded unit index and stops scheduling new
-    // units; in-flight units still persist, ready for `--resume`.
-    let state: std::sync::Mutex<BTreeMap<usize, String>> =
-        std::sync::Mutex::new(std::mem::take(&mut done));
-    run_indexed(plan.workers, allowed, |n| {
+    // stores its unit as soon as it is computed, so an interrupt at any
+    // instant preserves every finished unit. On failure the pool reports
+    // the lowest failing unit and stops scheduling new ones; in-flight
+    // units still persist, ready for `--resume`.
+    run_indexed(plan.workers, computed, |n| {
         let i = todo[n];
         let value = run(i).map_err(|err| SweepError::Pipeline {
             unit: keys[i].clone(),
             err,
         })?;
-        let path = unit_path(plan, &keys[i]);
-        let json = serde_json::to_string_pretty(&value)
-            .map_err(|e| io_err(&path, std::io::Error::other(e)))?;
-        let fnv = format!("{:016x}", fnv1a64(json.as_bytes()));
-        let mut st = state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        output::write_atomic(&path, json.as_bytes()).map_err(|e| io_err(&path, e))?;
-        st.insert(i, fnv);
-        write_manifest(plan, keys, &st)
+        store
+            .store(&names[i], &value)
+            .map_err(|e| SweepError::Io(store.entry_path(&names[i]), e))
     })
     .map_err(|(_, e)| e)?;
 
-    let done = state
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let computed = done.len() - resumed;
-
-    // Assemble results by re-reading every unit file from disk: the
-    // in-memory values never reach the final artifact, so resumed and
-    // uninterrupted sweeps serialize identically.
-    let mut results: Vec<Option<T>> = Vec::with_capacity(keys.len());
-    for (i, key) in keys.iter().enumerate() {
-        if !done.contains_key(&i) {
-            results.push(None);
-            continue;
+    // Read the computed units back through the store: in-memory values
+    // never reach the final artifact, so resumed and uninterrupted
+    // sweeps serialize identically.
+    for &i in &todo[..computed] {
+        match store.lookup(&names[i]) {
+            Lookup::Hit(value) => results[i] = Some(value),
+            _ => {
+                return Err(SweepError::Io(
+                    store.entry_path(&names[i]),
+                    std::io::Error::other("unit entry did not verify after it was stored"),
+                ))
+            }
         }
-        let path = unit_path(plan, key);
-        let bytes = std::fs::read(&path).map_err(|e| io_err(&path, e))?;
-        let value: T =
-            serde_json::from_slice(&bytes).map_err(|e| io_err(&path, std::io::Error::other(e)))?;
-        results.push(Some(value));
     }
 
     Ok(SweepOutcome {

@@ -17,7 +17,11 @@ fn usage_errors_exit_2_and_name_the_offender() {
             "unknown argument \"--counts-out\"",
         ),
         (&["fig5", "--samples", "abc"], 2, "--samples needs"),
-        (&["fig5", "--threads", "x"], 2, "--threads needs"),
+        (
+            &["fig5", "--threads", "2"],
+            2,
+            "unknown argument \"--threads\"",
+        ),
         (&["eval", "--artifacts"], 2, "--artifacts needs"),
         (&["table6", "--scale", "huge"], 2, "unknown scale \"huge\""),
         (&["table6", "--jobs", "2"], 2, "unknown argument \"--jobs\""),

@@ -1,6 +1,6 @@
 //! The pool's headline guarantee, tested end-to-end: every on-disk
-//! artifact of a pooled sweep — unit files, the sealed manifest, the
-//! final assembled JSON, and the recorder's trace JSONL — is
+//! artifact of a pooled sweep — the sealed unit entries, the final
+//! assembled JSON, and the recorder's trace JSONL — is
 //! **byte-identical** at every `--pool-workers` value, with or without
 //! an interrupt + `--resume` in between. Scheduling order is
 //! timing-dependent; the bytes never are.

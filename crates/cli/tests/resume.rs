@@ -1,8 +1,8 @@
 //! Crash-safety contract of [`tbpoint_cli::sweep::run_units`]:
 //! an interrupted-then-resumed sweep must produce final artifacts
-//! byte-identical to an uninterrupted run, tampered unit files must be
-//! detected and recomputed, and a failing unit must not destroy the
-//! units that already finished.
+//! byte-identical to an uninterrupted run, tampered or unsealed unit
+//! entries must be quarantined and recomputed, and a failing unit must
+//! not destroy the units that already finished.
 //!
 //! The units here are a cheap deterministic stand-in (no simulations)
 //! so the tests exercise only the persistence machinery.
@@ -127,8 +127,8 @@ fn tampered_unit_file_is_detected_and_recomputed() {
     let full = sweep(&plan(&dir)).expect("first run");
     let expected = final_artifact(&dir, &full.into_complete());
 
-    // Flip one byte inside a unit file; the manifest checksum no longer
-    // matches, so --resume must recompute exactly that unit.
+    // Flip one byte inside a unit entry; its seal no longer verifies, so
+    // --resume must quarantine and recompute exactly that unit.
     let victim = dir.join("test_sweep.unit.cfd.json");
     let mut bytes = std::fs::read(&victim).expect("read unit file");
     let pos = bytes.len() / 2;
@@ -150,6 +150,11 @@ fn tampered_unit_file_is_detected_and_recomputed() {
         1,
         "only the tampered unit recomputes"
     );
+    assert_eq!(
+        std::fs::read(dir.join("test_sweep.unit.cfd.json.quarantined")).expect("quarantined"),
+        bytes,
+        "the damaged bytes are set aside"
+    );
     let healed = final_artifact(&dir, &resumed.into_complete());
     assert_eq!(
         expected, healed,
@@ -159,22 +164,52 @@ fn tampered_unit_file_is_detected_and_recomputed() {
 }
 
 #[test]
-fn truncated_manifest_recomputes_but_still_converges() {
-    let dir = scratch("manifest");
+fn unit_entries_are_sealed_pretty_json_and_no_manifest_is_written() {
+    let dir = scratch("sealed");
+    sweep(&plan(&dir)).expect("sweep");
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .expect("list")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    let keys = keys();
+    let expected: Vec<String> = keys
+        .iter()
+        .map(|k| format!("test_sweep.unit.{k}.json"))
+        .collect();
+    assert_eq!(names, expected, "one entry per unit and nothing else");
+    for (i, key) in keys.iter().enumerate() {
+        let text = std::fs::read_to_string(dir.join(&expected[i])).expect("read unit");
+        let pretty = serde_json::to_string_pretty(&compute(i, key).unwrap()).unwrap();
+        assert_eq!(text, tbpoint_obs::seal(&format!("{pretty}\n")), "{key}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn unsealed_units_are_quarantined_and_recomputed() {
+    // Unit files without a seal (the layout older sweeps left, whose
+    // checksums lived in a separate manifest) are never trusted.
+    let dir = scratch("unsealed");
     let full = sweep(&plan(&dir)).expect("first run");
     let expected = final_artifact(&dir, &full.into_complete());
-
-    // Chop the manifest mid-record: its integrity trailer no longer
-    // verifies, so resume falls back to recomputing everything — but
-    // the final bytes still match.
-    let manifest = dir.join("test_sweep.manifest.jsonl");
-    let text = std::fs::read_to_string(&manifest).expect("read manifest");
-    std::fs::write(&manifest, &text[..text.len() / 2]).expect("truncate manifest");
+    let keys = keys();
+    for (i, key) in keys.iter().enumerate() {
+        let pretty = serde_json::to_string_pretty(&compute(i, key).unwrap()).unwrap();
+        std::fs::write(dir.join(format!("test_sweep.unit.{key}.json")), pretty)
+            .expect("plant unsealed unit");
+    }
 
     let mut p = plan(&dir);
     p.resume = true;
-    let resumed = sweep(&p).expect("resume over broken manifest");
-    assert_eq!(resumed.resumed, 0, "a broken manifest trusts nothing");
+    let resumed = sweep(&p).expect("resume over unsealed units");
+    assert_eq!(resumed.resumed, 0, "an unsealed unit is never trusted");
+    assert_eq!(resumed.computed, keys.len());
+    for key in &keys {
+        assert!(dir
+            .join(format!("test_sweep.unit.{key}.json.quarantined"))
+            .exists());
+    }
     let healed = final_artifact(&dir, &resumed.into_complete());
     assert_eq!(expected, healed);
     let _ = std::fs::remove_dir_all(&dir);

@@ -35,12 +35,10 @@
 pub mod hierarchical;
 pub mod kmeans;
 pub mod point;
-pub mod silhouette;
 
 pub use hierarchical::{hierarchical_cluster, Linkage};
 pub use kmeans::{kmeans, kmeans_best_bic, KMeansResult};
 pub use point::{centroid, euclidean, normalize_by_mean, Point};
-pub use silhouette::silhouette_score;
 
 use serde::{Deserialize, Serialize};
 

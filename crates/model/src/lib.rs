@@ -42,9 +42,7 @@
 pub mod markov;
 pub mod monte_carlo;
 pub mod simulate;
-pub mod solve;
 
 pub use markov::{closed_form_ipc, steady_state_ipc, WarpChain};
 pub use monte_carlo::{ipc_variation, IpcVariationConfig, IpcVariationResult};
 pub use simulate::simulate_chain_ipc;
-pub use solve::{distribution_after, ipc_after, stationary_direct, warmup_steps};

@@ -325,9 +325,8 @@ impl TraceBundle {
         out
     }
 
-    /// Parse text produced by [`TraceBundle::to_jsonl`] (or by
-    /// `JsonlRecorder::finish`). Unknown line shapes are an error;
-    /// blank lines are skipped.
+    /// Parse text produced by [`TraceBundle::to_jsonl`]. Unknown line
+    /// shapes are an error; blank lines are skipped.
     ///
     /// This parser is *lenient*: text truncated exactly at a newline
     /// boundary parses as a valid shorter bundle, and a bit flip that

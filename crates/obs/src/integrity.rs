@@ -26,8 +26,8 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// FNV-1a 64-bit hash of `bytes`. Deterministic, dependency-free, and
-/// fast enough to checksum multi-megabyte traces; used for trace
-/// trailers here and for artifact manifests in the CLI sweep runner.
+/// fast enough to checksum multi-megabyte traces; used for the seals
+/// here (trace files, sealed store entries) and for serve's cache keys.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     fnv1a64_extend(FNV_OFFSET, bytes)
 }

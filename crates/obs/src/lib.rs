@@ -14,15 +14,15 @@
 //!   `&self` no-op on a zero-sized type, so when the simulator is
 //!   monomorphised over it the instrumentation compiles away entirely.
 //! - [`CollectingRecorder`]: in-memory collection, drained into a
-//!   [`TraceBundle`].
-//! - [`JsonlRecorder`]: a deterministic JSON-lines sink — each event is
-//!   serialised through the vendored `serde_json` the moment it is
-//!   recorded, counters and gauges are appended as summary lines by
-//!   [`JsonlRecorder::finish`].
+//!   [`TraceBundle`], whose [`TraceBundle::to_jsonl`] is the
+//!   deterministic JSON-lines form every trace file is written in.
+//! - [`Store`]: the sealed-entry store every persisted result lives in
+//!   (resumable sweep units, the serve result cache), with the atomic
+//!   writer [`write_atomic`] under it.
 //!
 //! Recording must never perturb results: recorders only *observe*, and
 //! the workspace golden test asserts that a `NullRecorder` run and a
-//! JSON-sink run produce bit-identical `TbpointResult`s.
+//! collecting run produce bit-identical `TbpointResult`s.
 //!
 //! Determinism note: nothing here reads wall-clock time or any other
 //! ambient state. Event order is exactly call order; counter and gauge
@@ -51,5 +51,5 @@ mod recorder;
 pub use event::{Counter, DegradeReason, Event, EventKind, GaugeSummary, Span, TraceBundle};
 pub use integrity::{fnv1a64, fnv1a64_extend, seal, verify, TraceError};
 pub use jsonl::{event_line, parse_event};
-pub use persist::{clean_stale_tmps, is_stale_tmp, write_atomic};
-pub use recorder::{CollectingRecorder, JsonlRecorder, NullRecorder, Recorder};
+pub use persist::{clean_stale_tmps, is_stale_tmp, safe_name, write_atomic, Lookup, Store};
+pub use recorder::{CollectingRecorder, NullRecorder, Recorder};

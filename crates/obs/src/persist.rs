@@ -1,7 +1,8 @@
-//! Crash-safe artifact persistence: atomic tmp+fsync+rename writes.
+//! Crash-safe persistence: atomic tmp+fsync+rename writes, and the
+//! sealed-entry [`Store`] every persisted result lives in.
 //!
-//! Every durable artifact in the workspace — sweep unit files, sealed
-//! manifests, serve cache entries, bench baselines — goes through
+//! Every durable artifact in the workspace — sweep unit entries, serve
+//! cache entries, final artifacts, trace files — goes through
 //! [`write_atomic`]. The protocol:
 //!
 //! 1. create the parent directory;
@@ -14,11 +15,23 @@
 //!
 //! A crash between steps 2 and 3 leaves a stale `.<name>.tmp` behind.
 //! Readers must never parse those: [`is_stale_tmp`] identifies them and
-//! [`clean_stale_tmps`] sweeps a directory on startup (the serve cache
-//! and the sweep resume loader both do).
+//! [`clean_stale_tmps`] sweeps a directory on startup ([`Store::open`]
+//! does).
+//!
+//! **Sealed entries.** A [`Store`] is one directory of results that are
+//! reused across runs (resumable sweep units, the serve result cache).
+//! One rule decides whether a stored result is intact: an entry is
+//! trusted if and only if its own seal ([`crate::seal`]) verifies.
+//! [`Store::lookup`] re-verifies on every read; any damage — unreadable
+//! bytes, a bad seal, or a sealed body that no longer parses — renames
+//! the entry to `<name>.quarantined` and reports
+//! [`Lookup::Quarantined`], so the caller recomputes and stores afresh.
+//! Damaged bytes are never deserialised into a result.
 
 use std::io::Write as _;
+use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// The hidden sibling [`write_atomic`] stages into: `.<name>.tmp`.
 fn tmp_sibling(path: &Path, name: &std::ffi::OsStr) -> PathBuf {
@@ -111,6 +124,129 @@ pub fn clean_stale_tmps(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
     Ok(removed)
 }
 
+/// A file-name-safe form of `raw`: ASCII alphanumerics, `-` and `_`
+/// stay, anything else becomes `_`. Entry names built from benchmark
+/// names or sweep keys pass their variable parts through here.
+pub fn safe_name(raw: &str) -> String {
+    raw.chars()
+        .map(|c| {
+            if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
+                c
+            } else {
+                '_'
+            }
+        })
+        .collect()
+}
+
+/// What a [`Store::lookup`] found.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Lookup<T> {
+    /// A verified entry, deserialised.
+    Hit(T),
+    /// No entry on disk.
+    Miss,
+    /// An entry was present but failed its seal (or verified yet no
+    /// longer parsed); it has been renamed aside and the caller must
+    /// recompute.
+    Quarantined,
+}
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// One directory of sealed entries of type `T`, one JSON file per name.
+///
+/// Lookups are lock-free (atomic rename means a reader sees the old
+/// entry or the new one, never a torn one). Stores and quarantines
+/// serialise on an internal mutex, so pool workers persisting at the
+/// same time never race on a staging file.
+#[derive(Debug)]
+pub struct Store<T> {
+    dir: PathBuf,
+    write_lock: Mutex<()>,
+    entry: PhantomData<fn() -> T>,
+}
+
+impl<T: serde::Serialize + serde::Deserialize> Store<T> {
+    /// Open (creating the directory if needed) and sweep stale
+    /// [`write_atomic`] staging files left by a crash. Returns the store
+    /// and the swept paths.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors creating or scanning the directory.
+    pub fn open(dir: &Path) -> std::io::Result<(Self, Vec<PathBuf>)> {
+        std::fs::create_dir_all(dir)?;
+        let swept = clean_stale_tmps(dir)?;
+        Ok((
+            Store {
+                dir: dir.to_path_buf(),
+                write_lock: Mutex::new(()),
+                entry: PhantomData,
+            },
+            swept,
+        ))
+    }
+
+    /// The directory entries live in.
+    pub fn dir(&self) -> &Path {
+        &self.dir
+    }
+
+    /// Path of an entry by name.
+    pub fn entry_path(&self, name: &str) -> PathBuf {
+        self.dir.join(name)
+    }
+
+    /// Read an entry: verify its seal, then deserialise. Damage of any
+    /// kind quarantines the entry instead of returning it.
+    pub fn lookup(&self, name: &str) -> Lookup<T> {
+        let path = self.entry_path(name);
+        let text = match std::fs::read_to_string(&path) {
+            Ok(t) => t,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Lookup::Miss,
+            // Unreadable bytes (permission flip, invalid UTF-8) are
+            // damage too: quarantine rather than retry forever.
+            Err(_) => return self.quarantine(&path),
+        };
+        match crate::verify(&text).map(serde_json::from_str::<T>) {
+            Ok(Ok(value)) => Lookup::Hit(value),
+            // A bad seal, or a sealed body of an unknown shape (schema
+            // skew): either way the entry is useless.
+            _ => self.quarantine(&path),
+        }
+    }
+
+    /// Persist an entry as pretty JSON plus a newline, sealed, through
+    /// [`write_atomic`].
+    ///
+    /// # Errors
+    ///
+    /// Serialisation or I/O errors from the atomic write.
+    pub fn store(&self, name: &str, value: &T) -> std::io::Result<()> {
+        // The seal covers newline-terminated bodies (the trailer
+        // convention every sealed text shares), so terminate first.
+        let json = format!("{}\n", serde_json::to_string_pretty(value)?);
+        let sealed = crate::seal(&json);
+        let _guard = lock(&self.write_lock);
+        write_atomic(&self.entry_path(name), sealed.as_bytes())
+    }
+
+    /// Rename a damaged entry aside (`<name>.quarantined`) so the next
+    /// lookup is a clean miss. Best-effort: if the rename itself fails
+    /// the entry is removed instead; either way it is never returned.
+    fn quarantine(&self, path: &Path) -> Lookup<T> {
+        let _guard = lock(&self.write_lock);
+        let aside = PathBuf::from(format!("{}.quarantined", path.display()));
+        if std::fs::rename(path, &aside).is_err() {
+            let _ = std::fs::remove_file(path);
+        }
+        Lookup::Quarantined
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,6 +263,76 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("create scratch dir");
         dir
+    }
+
+    #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+    struct Entry {
+        ipc: f64,
+        launches: u64,
+    }
+
+    fn entry() -> Entry {
+        Entry {
+            ipc: 1.25,
+            launches: 4,
+        }
+    }
+
+    #[test]
+    fn store_then_lookup_round_trips() {
+        let dir = scratch("store");
+        let (store, swept) = Store::<Entry>::open(&dir.join("new")).expect("open");
+        assert!(swept.is_empty());
+        assert_eq!(store.lookup("k.json"), Lookup::Miss);
+        store.store("k.json", &entry()).expect("store");
+        assert_eq!(store.lookup("k.json"), Lookup::Hit(entry()));
+        let text = std::fs::read_to_string(store.entry_path("k.json")).expect("read");
+        let body = crate::verify(&text).expect("sealed");
+        assert_eq!(
+            body,
+            format!("{}\n", serde_json::to_string_pretty(&entry()).unwrap())
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn damaged_entries_are_quarantined_not_returned() {
+        let dir = scratch("quarantine");
+        let (store, _) = Store::<Entry>::open(&dir).expect("open");
+        let path = store.entry_path("k.json");
+        let aside = dir.join("k.json.quarantined");
+        let sealed = crate::seal("{\"other\": 1}\n");
+        let unsealed = format!("{}\n", serde_json::to_string_pretty(&entry()).unwrap());
+        for damage in ["flip", "unsealed", "unparseable"] {
+            store.store("k.json", &entry()).expect("store");
+            match damage {
+                "flip" => {
+                    let mut bytes = std::fs::read(&path).expect("read");
+                    bytes[10] ^= 0x01;
+                    std::fs::write(&path, &bytes).expect("corrupt");
+                }
+                "unsealed" => std::fs::write(&path, &unsealed).expect("strip seal"),
+                _ => std::fs::write(&path, &sealed).expect("plant"),
+            }
+            assert_eq!(store.lookup("k.json"), Lookup::Quarantined, "{damage}");
+            assert!(!path.exists(), "{damage}: damaged entry renamed aside");
+            assert!(aside.exists(), "{damage}: quarantine file kept");
+            // The next lookup is a clean miss; a store heals the entry.
+            assert_eq!(store.lookup("k.json"), Lookup::Miss, "{damage}");
+        }
+        store.store("k.json", &entry()).expect("heal");
+        assert_eq!(store.lookup("k.json"), Lookup::Hit(entry()));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn open_sweeps_stale_staging_files() {
+        let dir = scratch("open");
+        std::fs::write(dir.join(".k.json.tmp"), b"torn").expect("plant");
+        let (store, swept) = Store::<Entry>::open(&dir).expect("open");
+        assert_eq!(swept, vec![dir.join(".k.json.tmp")]);
+        assert_eq!(store.lookup("k.json"), Lookup::Miss, "tmp never parsed");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

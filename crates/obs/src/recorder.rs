@@ -1,4 +1,4 @@
-//! The `Recorder` trait and its three implementations.
+//! The `Recorder` trait and its two implementations.
 
 use crate::event::{Counter, Event, EventKind, GaugeSummary, Span, TraceBundle};
 use std::cell::RefCell;
@@ -174,60 +174,6 @@ impl Recorder for CollectingRecorder {
     }
 }
 
-/// Deterministic JSON-lines sink: every event is serialised the moment
-/// it is recorded (so the text *is* the event stream, in order), while
-/// counters and gauges aggregate and are appended as summary lines by
-/// [`JsonlRecorder::finish`]. The output parses back with
-/// [`TraceBundle::from_jsonl`].
-#[derive(Debug, Default)]
-pub struct JsonlRecorder {
-    lines: RefCell<String>,
-    summary: RefCell<Collected>,
-}
-
-impl JsonlRecorder {
-    /// An empty sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Consume the sink, yielding the full JSON-lines text (events in
-    /// record order, then counter and gauge summary lines).
-    pub fn finish(self) -> String {
-        let mut out = self.lines.into_inner();
-        let bundle = self.summary.into_inner().into_bundle();
-        for c in &bundle.counters {
-            crate::jsonl::push_counter_line(&mut out, c);
-        }
-        for g in &bundle.gauges {
-            crate::jsonl::push_gauge_line(&mut out, g);
-        }
-        out
-    }
-}
-
-impl Recorder for JsonlRecorder {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn record(&self, cycle: u64, kind: EventKind) {
-        // Serialise straight into the long-lived buffer: no per-event
-        // `String`, and amortised growth instead of one allocation per
-        // record.
-        let ev = Event { cycle, kind };
-        crate::jsonl::push_event_line(&mut self.lines.borrow_mut(), &ev);
-    }
-
-    fn counter(&self, name: &'static str, delta: u64) {
-        self.summary.borrow_mut().counter(name, delta);
-    }
-
-    fn gauge(&self, name: &'static str, index: u32, value: u64) {
-        self.summary.borrow_mut().gauge(name, index, value);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,17 +221,5 @@ mod tests {
         assert_eq!(bundle.gauges[0].last, 2);
         assert_eq!(bundle.gauges[0].max, 4);
         assert_eq!(bundle.gauges[0].samples, 2);
-    }
-
-    #[test]
-    fn jsonl_recorder_matches_collecting_recorder() {
-        let collect = CollectingRecorder::new();
-        let sink = JsonlRecorder::new();
-        drive(&collect);
-        drive(&sink);
-        let bundle = collect.finish();
-        let text = sink.finish();
-        assert_eq!(bundle.to_jsonl(), text);
-        assert_eq!(TraceBundle::from_jsonl(&text).ok(), Some(bundle));
     }
 }

@@ -24,7 +24,7 @@
 //!
 //! Two pieces:
 //!
-//! * [`runner`] — [`run_indexed`] / [`map_indexed`], a work-stealing
+//! * [`runner`] — [`run_indexed`] / [`map_indexed`], an atomic-cursor
 //!   pool over index-addressed jobs whose output is **bit-identical to
 //!   a serial loop at every worker count** (canonical-order merge:
 //!   results land in per-index slots and are assembled in index order;

@@ -1,4 +1,4 @@
-//! Deterministic work-stealing execution of index-addressed jobs.
+//! Deterministic parallel execution of index-addressed jobs.
 //!
 //! The pool's contract is the *canonical-order merge*: jobs are
 //! identified by their index in `0..n`, every job writes its result
@@ -9,23 +9,22 @@
 //! function of the closure and therefore bit-identical to a serial
 //! `for` loop at every worker count.
 //!
-//! Distribution is stealing-based so the pool tolerates skewed job
-//! costs (real sweeps mix tiny and enormous launches): each worker is
-//! seeded with a contiguous chunk of indices and pops from the *front*
-//! of its own deque; when it runs dry it steals from the *back* of the
-//! longest sibling deque. Front/back separation keeps owner and thief
-//! at opposite ends of a chunk and preserves the rough locality of the
-//! seeding.
+//! Distribution is one atomic cursor: every worker claims the next
+//! unclaimed index, in order, until the cursor passes `n`. A worker that
+//! draws a cheap job simply claims again, so skewed job costs (real
+//! sweeps mix tiny and enormous launches) balance without any queues.
 //!
-//! Error discipline matches the rest of the workspace: the first
-//! observed failure raises a stop flag (no *new* jobs start; in-flight
-//! jobs finish), failures are collected keyed by index, and the lowest
-//! recorded index is reported. The success path — the one whose bytes
-//! CI compares — is always complete and canonical.
+//! Failure discipline matches the serial loop exactly: the first
+//! observed failure raises a stop flag, checked before each claim (no
+//! *new* jobs start; in-flight jobs finish), and the lowest recorded
+//! index is reported. Because indices are claimed in order, every index
+//! below a recorded failure was claimed, and a claimed job always runs
+//! to completion — so the lowest recorded failure is the lowest failing
+//! index overall, the one the serial loop reports. The success path —
+//! the one whose bytes CI compares — is always complete and canonical.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Lock a mutex, ignoring poisoning: every structure the pool shares is
@@ -36,64 +35,12 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Per-worker index deques, seeded with contiguous chunks.
-struct Queues {
-    deques: Vec<Mutex<VecDeque<usize>>>,
-}
-
-impl Queues {
-    /// Split `0..n` into `workers` contiguous chunks (front-loaded
-    /// remainder, so chunk sizes differ by at most one).
-    fn seeded(workers: usize, n: usize) -> Self {
-        let base = n / workers;
-        let extra = n % workers;
-        let mut next = 0usize;
-        let deques = (0..workers)
-            .map(|w| {
-                let len = base + usize::from(w < extra);
-                let chunk: VecDeque<usize> = (next..next + len).collect();
-                next += len;
-                Mutex::new(chunk)
-            })
-            .collect();
-        Queues { deques }
-    }
-
-    /// Pop the next index from `w`'s own deque (front = seeded order).
-    fn pop_own(&self, w: usize) -> Option<usize> {
-        lock(&self.deques[w]).pop_front()
-    }
-
-    /// Steal one index from the back of the longest sibling deque.
-    /// Rescans on a lost race; returns `None` only when every deque is
-    /// empty, which is terminal because nothing enqueues after seeding.
-    fn steal(&self, thief: usize) -> Option<usize> {
-        loop {
-            let mut best: Option<(usize, usize)> = None; // (len, victim)
-            for v in 0..self.deques.len() {
-                if v == thief {
-                    continue;
-                }
-                let len = lock(&self.deques[v]).len();
-                if len > 0 && best.is_none_or(|(l, _)| len > l) {
-                    best = Some((len, v));
-                }
-            }
-            let (_, v) = best?;
-            if let Some(i) = lock(&self.deques[v]).pop_back() {
-                return Some(i);
-            }
-        }
-    }
-}
-
-/// One worker: drain own deque, then steal, until the work or the run
-/// is exhausted. Results land in per-index slots — workers never touch
-/// each other's output — and any failure raises the stop flag after
-/// being recorded.
+/// One worker: claim the next index from the shared cursor until the
+/// work or the run is exhausted. Results land in per-index slots —
+/// workers never touch each other's output — and any failure raises the
+/// stop flag after being recorded.
 fn worker_loop<T, E, F>(
-    w: usize,
-    queues: &Queues,
+    cursor: &AtomicUsize,
     stop: &AtomicBool,
     slots: &[Mutex<Option<T>>],
     errors: &Mutex<Vec<(usize, E)>>,
@@ -103,10 +50,14 @@ fn worker_loop<T, E, F>(
     E: Send,
     F: Fn(usize) -> Result<T, E> + Sync,
 {
+    // `Relaxed` suffices: a claim is exclusive by the atomicity of
+    // `fetch_add` alone, the cursor publishes no data, and slots and
+    // errors are read only after the scope joins the workers.
     while !stop.load(Ordering::Relaxed) {
-        let Some(i) = queues.pop_own(w).or_else(|| queues.steal(w)) else {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= slots.len() {
             return;
-        };
+        }
         match job(i) {
             Ok(v) => *lock(&slots[i]) = Some(v),
             Err(e) => {
@@ -122,14 +73,14 @@ fn worker_loop<T, E, F>(
 /// `(0..n).map(job).collect()` at every worker count.
 ///
 /// `workers` is clamped to `[1, n]`; `workers <= 1` runs the plain
-/// serial loop on the calling thread (no pool setup, exact serial error
-/// semantics). On failure the error with the lowest recorded index is
-/// returned together with that index; jobs that had not started when
+/// serial loop on the calling thread (no pool setup). On failure the
+/// lowest failing index and its error are returned — the serial loop's
+/// answer at every worker count; jobs that had not been claimed when
 /// the first failure was observed are skipped.
 ///
 /// # Errors
 ///
-/// Returns `(index, error)` for the lowest-indexed recorded failure.
+/// Returns `(index, error)` for the lowest-indexed failure.
 pub fn run_indexed<T, E, F>(workers: usize, n: usize, job: F) -> Result<Vec<T>, (usize, E)>
 where
     T: Send,
@@ -148,15 +99,15 @@ where
         return Ok(out);
     }
 
-    let queues = Queues::seeded(workers, n);
+    let cursor = AtomicUsize::new(0);
     let stop = AtomicBool::new(false);
     let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let errors: Mutex<Vec<(usize, E)>> = Mutex::new(Vec::new());
     {
-        let (queues, stop, slots, errors, job) = (&queues, &stop, &slots, &errors, &job);
+        let (cursor, stop, slots, errors, job) = (&cursor, &stop, &slots, &errors, &job);
         std::thread::scope(|scope| {
-            for w in 0..workers {
-                scope.spawn(move || worker_loop(w, queues, stop, slots, errors, job));
+            for _ in 0..workers {
+                scope.spawn(move || worker_loop(cursor, stop, slots, errors, job));
             }
         });
     }
@@ -237,9 +188,9 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
 
-    /// Deliberately skewed work: low indices are ~100x heavier, so with
-    /// contiguous chunk seeding the workers owning the tail run dry and
-    /// must steal to finish.
+    /// Deliberately skewed work: low indices are ~100x heavier, so the
+    /// workers that draw them fall behind while the others keep
+    /// claiming.
     fn skewed(i: usize) -> u64 {
         let rounds = if i < 8 { 200_000 } else { 2_000 };
         let mut acc = i as u64;
@@ -348,6 +299,34 @@ mod tests {
                 i * 3
             });
             assert_eq!(out, expect, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn reported_failure_is_the_serial_loops_at_every_worker_count() {
+        // Jobs 1 and 10 fail at once; job 0 holds its worker until job
+        // 10 has run (for at most about 200 ms, so nothing can hang). A
+        // pool that hands index 10 to a worker before index 1 would stop
+        // on 10; in-order claiming reaches 1 first, as the serial loop
+        // does.
+        for workers in [1, 2, 4] {
+            let (ran_10, wait_10) = std::sync::mpsc::channel::<()>();
+            let wait_10 = Mutex::new(wait_10);
+            let r = run_indexed(workers, 20, |i| {
+                match i {
+                    0 => {
+                        let _ = lock(&wait_10).recv_timeout(std::time::Duration::from_millis(200));
+                    }
+                    1 => return Err(i),
+                    10 => {
+                        let _ = ran_10.send(());
+                        return Err(i);
+                    }
+                    _ => {}
+                }
+                Ok(i)
+            });
+            assert_eq!(r, Err((1, 1)), "workers={workers}");
         }
     }
 

@@ -6,13 +6,13 @@
 #![allow(clippy::unwrap_used)]
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use tbpoint_obs::{EventKind, JsonlRecorder, Recorder, TraceBundle};
+use tbpoint_obs::{CollectingRecorder, EventKind, Recorder, TraceBundle};
 use tbpoint_resilience::{corrupt_text, Fault};
 use tbpoint_stats::SplitMix64;
 
 /// A realistic sealed bundle: events, counters and gauges.
 fn sealed_bundle() -> String {
-    let rec = JsonlRecorder::new();
+    let rec = CollectingRecorder::new();
     for i in 0..40u64 {
         #[allow(clippy::cast_possible_truncation)]
         rec.record(
@@ -25,9 +25,7 @@ fn sealed_bundle() -> String {
         rec.counter("issued_warp_insts", 17 + i);
         rec.gauge("resident_blocks", 0, i);
     }
-    let body = rec.finish();
-    let bundle = TraceBundle::from_jsonl(&body).unwrap();
-    bundle.to_jsonl_checked()
+    rec.finish().to_jsonl_checked()
 }
 
 #[test]

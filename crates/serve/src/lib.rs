@@ -19,9 +19,10 @@
 //!   structured `rejected` response — never a silent drop — and a
 //!   `shutdown` request drains its batch before the loop exits.
 //! - **A self-healing result cache** ([`cache`]): content-addressed on
-//!   the full request inputs, persisted via `write_atomic` + sealed FNV
-//!   manifest, re-verified on every read; corrupt entries are
-//!   quarantined and recomputed, never served.
+//!   the full request inputs, kept in the workspace's sealed-entry store
+//!   ([`tbpoint_obs::Store`]): every entry carries its own seal and is
+//!   re-verified on every read; corrupt entries are quarantined and
+//!   recomputed, never served.
 //! - **Observability**: admission, rejection, deadline and cache
 //!   traffic are recorded as [`tbpoint_obs::EventKind`] events and
 //!   counters on the coordinator thread, in deterministic order.

@@ -69,7 +69,7 @@ pub mod prelude {
     };
     pub use crate::emu::{profile_launch, profile_run};
     pub use crate::obs::{
-        CollectingRecorder, Event, EventKind, JsonlRecorder, NullRecorder, Recorder, TraceBundle,
+        CollectingRecorder, Event, EventKind, NullRecorder, Recorder, TraceBundle,
     };
     pub use crate::pool::ExecPlan;
     pub use crate::sim::{simulate_launch, simulate_run, GpuConfig};
