@@ -7,13 +7,13 @@ use crate::output::{self, TraceEntry};
 use serde::{Deserialize, Serialize};
 use tbpoint_core::inter::{InterAlgo, InterConfig};
 use tbpoint_core::intra::IntraConfig;
-use tbpoint_core::predict::TbpointConfig;
+use tbpoint_core::predict::{SamplingMode, TbpointConfig};
 use tbpoint_core::TbError;
-use tbpoint_emu::profile_run;
-use tbpoint_pool::{run_indexed, ExecPlan};
+use tbpoint_emu::{profile_run, RunProfile};
+use tbpoint_pool::{map_indexed, run_indexed, ExecPlan};
 use tbpoint_sim::{simulate_run, GpuConfig, NullSampling};
 use tbpoint_stats::geometric_mean;
-use tbpoint_workloads::{all_benchmarks, Scale};
+use tbpoint_workloads::{all_benchmarks, Benchmark, Scale};
 
 /// One ablation point: a parameter setting and its aggregate outcome.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -54,8 +54,31 @@ impl AblationResult {
     }
 }
 
-/// Evaluate one TBPoint configuration across the whole roster and return
-/// (geomean error, geomean sample size) plus, with `trace`, every
+/// What every ablation point scores one roster benchmark against: the
+/// benchmark, its full-simulation IPC and, in two-phase mode, its
+/// profile. All are pure in (benchmark, scale, GPU config, mode), so a
+/// study computes them once, not once per point.
+type Reference = (Benchmark, f64, Option<RunProfile>);
+
+/// The roster's references on the Fermi baseline, one pool job per
+/// benchmark; a profile is taken only when `mode` samples against one.
+fn references(scale: Scale, plan: ExecPlan, mode: SamplingMode) -> Vec<Reference> {
+    let gpu = GpuConfig::fermi();
+    let benches = all_benchmarks(scale);
+    let computed = map_indexed(plan.pool_workers, benches.len(), |i| {
+        let run = &benches[i].run;
+        let full_ipc = simulate_run(run, &gpu, &mut NullSampling, None).overall_ipc();
+        (full_ipc, mode.needs_profile().then(|| profile_run(run, 1)))
+    });
+    benches
+        .into_iter()
+        .zip(computed)
+        .map(|(bench, (ipc, profile))| (bench, ipc, profile))
+        .collect()
+}
+
+/// Evaluate one TBPoint configuration across the roster's references and
+/// return (geomean error, geomean sample size) plus, with `trace`, every
 /// benchmark's traces labelled `default/<bench>`. Benchmarks fan out
 /// across `plan.pool_workers`; the geomeans fold per-benchmark numbers
 /// and the traces concatenate in roster order, so both are identical at
@@ -63,20 +86,17 @@ impl AblationResult {
 /// `cycle_budget` overrun) aborts the score.
 fn score(
     cfg: &TbpointConfig,
-    scale: Scale,
+    refs: &[Reference],
     plan: ExecPlan,
     trace: bool,
 ) -> Result<(f64, f64, Vec<TraceEntry>), TbError> {
     let gpu = GpuConfig::fermi();
-    let benches = all_benchmarks(scale);
-    let scored = run_indexed(plan.pool_workers, benches.len(), |i| {
-        let bench = &benches[i];
-        let full = simulate_run(&bench.run, &gpu, &mut NullSampling, None);
-        let profile = cfg.mode.needs_profile().then(|| profile_run(&bench.run, 1));
+    let scored = run_indexed(plan.pool_workers, refs.len(), |i| {
+        let (bench, full_ipc, profile) = &refs[i];
         let label = trace.then(|| format!("default/{}", bench.name));
         let (tbp, traces) =
             tbpoint_unit(&bench.run, profile.as_ref(), cfg, &gpu, label.as_deref())?;
-        let error = tbp.error_vs(full.overall_ipc()).max(0.05);
+        let error = tbp.error_vs(*full_ipc).max(0.05);
         Ok((error, tbp.sample_size(), traces))
     })
     .map_err(|(_, e)| e)?;
@@ -91,6 +111,11 @@ fn score(
 /// one knob; `base.mode` selects two-phase or live sampling for every
 /// point (so a live ablation shows how the same knobs move the online
 /// detector) and `base.cycle_budget` arms the per-launch watchdog.
+///
+/// The references (full-simulation IPC, and profiles in two-phase mode)
+/// are computed once, before the first point. Each distinct config is
+/// scored once: the paper-value row of every knob is `base` itself, so
+/// those rows copy the first one's score.
 ///
 /// With `trace`, the traces of the paper-default point are returned
 /// beside the result (the `--trace-out` path). They are recorded while
@@ -110,11 +135,21 @@ pub fn ablate(
     base: &TbpointConfig,
     trace: bool,
 ) -> Result<(AblationResult, Vec<TraceEntry>), TbError> {
+    let refs = references(scale, plan, base.mode);
     let mut points = vec![];
     let mut traces = vec![];
+    let mut scored: Vec<(TbpointConfig, f64, f64)> = vec![];
     let mut point = |knob: &str, value: String, cfg: TbpointConfig, record: bool| {
-        let (e, s, t) = score(&cfg, scale, plan, record)?;
-        traces.extend(t);
+        let hit = scored.iter().find(|&&(c, _, _)| !record && c == cfg);
+        let (e, s) = match hit {
+            Some(&(_, e, s)) => (e, s),
+            None => {
+                let (e, s, t) = score(&cfg, &refs, plan, record)?;
+                traces.extend(t);
+                scored.push((cfg, e, s));
+                (e, s)
+            }
+        };
         points.push(AblationPoint {
             knob: knob.into(),
             value,
@@ -210,15 +245,18 @@ mod tests {
         // A smoke test of the scoring helper on one config (full sweeps
         // are exercised via the CLI / recorded in EXPERIMENTS.md).
         let cfg = TbpointConfig::default();
-        let (e, s, traces) = score(&cfg, Scale::Tiny, ExecPlan::serial(), false).unwrap();
+        let serial = ExecPlan::serial();
+        let refs = references(Scale::Tiny, serial, cfg.mode);
+        let (e, s, traces) = score(&cfg, &refs, serial, false).unwrap();
         assert!(e.is_finite() && e > 0.0);
         assert!(s > 0.0 && s <= 1.0);
         assert!(traces.is_empty());
 
-        // The score folds per-benchmark geomeans in roster order, so it
-        // is invariant to the worker count.
+        // The references and the score fold per-benchmark numbers in
+        // roster order, so both are invariant to the worker count.
         let plan = ExecPlan { pool_workers: 3 };
-        let (e3, s3, _) = score(&cfg, Scale::Tiny, plan, false).unwrap();
+        let refs3 = references(Scale::Tiny, plan, cfg.mode);
+        let (e3, s3, _) = score(&cfg, &refs3, plan, false).unwrap();
         assert_eq!(e, e3);
         assert_eq!(s, s3);
     }

@@ -5,12 +5,11 @@
 //! tbpoint table6 [--scale full]       Table VI  benchmark roster
 //! tbpoint fig5   [--samples 10000]    Fig. 5    Monte-Carlo IPC variation
 //! tbpoint fig8   [--scale dev]        Fig. 8    TB-size scatter (CSV artefacts)
-//! tbpoint eval   [--scale dev]        Figs. 9-11 (computes + caches)
-//! tbpoint fig9 | fig10 | fig11        render from the cached eval
+//! tbpoint eval   [--scale dev]        Figs. 9-11
+//! tbpoint fig9 | fig10 | fig11        one figure of eval, reusing its units
 //! tbpoint fig12 | fig13 [--scale dev] hardware-sensitivity sweep
 //! tbpoint ablate [--scale dev]        design-choice quality ablations
 //! tbpoint inspect <bench>             characterisation report
-//! tbpoint profile <bench>             save a one-time profile (JSON)
 //! tbpoint faultmatrix [--scale tiny]  fault-injection containment matrix
 //! tbpoint serve  [--cache-dir DIR]    long-running JSONL request service
 //! tbpoint all    [--scale dev]        everything above
@@ -22,13 +21,13 @@
 //! job pool, with results merged in canonical order so every artifact is
 //! byte-identical to a serial run (DESIGN.md, "Pool parallelism"). The
 //! same count is the thread count of `fig5`'s Monte-Carlo study and of
-//! the profiler behind `profile` and `inspect`.
+//! the profiler behind `inspect`.
 //!
 //! `--live` switches `eval`, `fig12`/`fig13` and `ablate` to **live
 //! single-pass sampling** (`TbpointConfig::mode = Live`, DESIGN.md
 //! "Live sampling"): the separate profiling pass is skipped and the
 //! online epoch detector decides during the one timing pass when to
-//! warm, fast-forward and fall back. Live artifacts cache under
+//! warm, fast-forward and fall back. Live artifacts are written under
 //! distinct names (`eval_live_*.json`, `sensitivity_live_*.json`,
 //! `ablate_live_*.json`) so the modes never overwrite each other.
 //!
@@ -37,12 +36,16 @@
 //! `eval`, `fig8` and `fig12`/`fig13` (the sensitivity sweep) run as
 //! **crash-safe resumable sweeps**: each benchmark's result is written
 //! to its own atomically-renamed, sealed unit entry under
-//! `artifacts/units/`. `--resume` reuses the entries of an interrupted
-//! run that verify (the final artifacts are byte-identical to an
-//! uninterrupted run); `--max-units K` stops after
-//! K units and exits with code 3; `--cycle-budget N` arms a per-launch
-//! watchdog that aborts runaway simulations with a `BudgetExceeded`
-//! error while keeping finished units on disk.
+//! `artifacts/units/`, named by a hash of everything it depends on
+//! (command, benchmark, scale, TBPoint and GPU config), so `--live`,
+//! `--cycle-budget` and `--scale` all enter the name. `eval` and `fig8`
+//! reuse entries that verify only with `--resume` (the final artifacts
+//! are byte-identical to an uninterrupted run); `fig9`-`fig13` always
+//! reuse them, so a figure renders from the units `eval` or another
+//! figure left, and recomputes what is missing. `--max-units K` stops
+//! after K units and exits with code 3; `--cycle-budget N` arms a
+//! per-launch watchdog that aborts runaway simulations with a
+//! `BudgetExceeded` error while keeping finished units on disk.
 //!
 //! `eval`, `fig12`/`fig13` and `ablate` accept `--trace-out <path>`:
 //! the simulated launches are then recorded through the observability
@@ -51,9 +54,9 @@
 //! after the figures. Traced sweeps run on the same pool and resumable
 //! sweep as untraced ones; the trace file is written in roster order,
 //! byte-identical at any `--pool-workers`, and never changes the
-//! results. A partial sweep (`--max-units`) writes no trace file, and
-//! `--trace-out` with `--resume` is a usage error: a unit resumed from
-//! disk has no trace.
+//! results. A partial sweep (`--max-units`) writes no trace file,
+//! `--trace-out` with `--resume` is a usage error and a traced figure
+//! reuses no unit: a unit resumed from disk has no trace.
 
 use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
@@ -64,6 +67,7 @@ use tbpoint_cli::sweep::{self, SweepOutcome, SweepPlan};
 use tbpoint_core::predict::TbpointConfig;
 use tbpoint_core::TbError;
 use tbpoint_pool::ExecPlan;
+use tbpoint_sim::GpuConfig;
 use tbpoint_workloads::{Benchmark, Scale};
 
 /// Exit code for a deliberately partial sweep (`--max-units`).
@@ -81,7 +85,7 @@ struct Args {
     cycle_budget: Option<u64>,
     /// Live single-pass sampling (`TbpointConfig::mode = Live`): fuse
     /// profiling into the timing simulation for `eval`, `fig12`/`fig13`
-    /// and `ablate`. Live artifacts cache under distinct names
+    /// and `ablate`. Live artifacts are written under distinct names
     /// (`eval_live_*.json`, ...) so the modes never collide.
     live: bool,
     /// The parallelism plan: `--pool-workers`, else the host CPU count.
@@ -210,23 +214,13 @@ fn tbpoint_config(args: &Args) -> TbpointConfig {
     }
 }
 
-/// Artifact/sweep tag distinguishing live results from two-phase ones:
-/// the two modes produce different numbers, so their caches and unit
-/// files must never collide.
-fn mode_tag(args: &Args) -> &'static str {
-    if args.live {
-        "live_"
-    } else {
-        ""
-    }
-}
-
-fn eval_cache_path(args: &Args) -> PathBuf {
-    args.artifacts.join(format!(
-        "eval_{}{}.json",
-        mode_tag(args),
-        scale_tag(args.scale)
-    ))
+/// `<artifacts>/<stem>_[live_]<scale>.json`: the two sampling modes
+/// produce different numbers, so their artifacts must never overwrite
+/// each other.
+fn mode_artifact(args: &Args, stem: &str) -> PathBuf {
+    let live = if args.live { "live_" } else { "" };
+    let scale = scale_tag(args.scale);
+    args.artifacts.join(format!("{stem}_{live}{scale}.json"))
 }
 
 fn dump_traces(path: &Path, entries: &[TraceEntry]) {
@@ -271,17 +265,22 @@ fn finish_sweep<T>(result: Result<SweepOutcome<T>, sweep::SweepError>, what: &st
     outcome.into_complete()
 }
 
-/// Run a roster command through the resumable sweep, one unit per
-/// benchmark keyed by its name (unit entries live under
-/// `<artifacts>/units/`); `unit(bench, trace)` computes a unit and its
-/// traces. With `trace_out`, units record, each unit's traces land in a
-/// slot indexed by unit, and once the sweep is complete they are written
-/// in roster order — so the trace file is byte-identical at any
-/// `--pool-workers`. A partial sweep exits before writing it.
+/// Run roster command `cmd` through the resumable sweep, one unit per
+/// benchmark (unit entries live under `<artifacts>/units/`);
+/// `unit(bench, trace)` computes a unit and its traces. Entries are
+/// named like serve's cache entries, from the key text of `cmd`, the
+/// benchmark, the scale, `cfg` and `gpu`, so `resume` reuses only units
+/// computed from the same inputs. With `trace_out`, units record, each
+/// unit's traces land in a slot indexed by unit, and once the sweep is
+/// complete they are written in roster order — so the trace file is
+/// byte-identical at any `--pool-workers`. A partial sweep exits before
+/// writing it.
 fn run_roster<T>(
     args: &Args,
-    name: String,
-    what: &str,
+    cmd: &str,
+    cfg: &TbpointConfig,
+    gpu: &GpuConfig,
+    resume: bool,
     trace_out: Option<&Path>,
     unit: impl Fn(&Benchmark, bool) -> Result<(T, Vec<TraceEntry>), TbError> + Sync,
 ) -> Vec<T>
@@ -289,22 +288,28 @@ where
     T: serde::Serialize + serde::Deserialize + Send,
 {
     let benches = tbpoint_workloads::all_benchmarks(args.scale);
-    let keys: Vec<String> = benches.iter().map(|b| b.name.to_string()).collect();
+    let names: Vec<String> = benches
+        .iter()
+        .map(|b| {
+            let key = tbpoint_serve::key_text(cmd, b, args.scale, cfg, gpu)
+                .unwrap_or_else(|e| die(&format!("keying {cmd} unit {}", b.name), e));
+            tbpoint_serve::cache_name(cmd, b.name, &key)
+        })
+        .collect();
     let slots: Vec<OnceLock<Vec<TraceEntry>>> = benches.iter().map(|_| OnceLock::new()).collect();
     let plan = SweepPlan {
-        name,
         dir: args.artifacts.join("units"),
-        resume: args.resume,
+        resume,
         max_units: args.max_units,
         workers: args.plan.pool_workers,
     };
-    let outcome = sweep::run_units(&plan, &keys, |i| {
+    let outcome = sweep::run_units(&plan, &names, |i| {
         let (value, traces) = unit(&benches[i], trace_out.is_some())?;
         // A unit runs at most once per sweep, so its slot is empty.
         let _ = slots[i].set(traces);
         Ok(value)
     });
-    let results = finish_sweep(outcome, what);
+    let results = finish_sweep(outcome, cmd);
     if let Some(path) = trace_out {
         let entries: Vec<TraceEntry> = slots
             .into_iter()
@@ -316,7 +321,9 @@ where
     results
 }
 
-fn run_eval(args: &Args) -> experiments::EvalResult {
+/// Run the evaluation sweep (reusing verified units when `resume`),
+/// write `eval_*.json` and return it.
+fn run_eval(args: &Args, resume: bool) -> experiments::EvalResult {
     let cfg = EvalConfig {
         tbpoint: tbpoint_config(args),
         ..EvalConfig::new(args.scale)
@@ -332,11 +339,13 @@ fn run_eval(args: &Args) -> experiments::EvalResult {
         scale_tag(args.scale),
         args.plan.pool_workers
     );
-    let gpu = tbpoint_sim::GpuConfig::fermi();
+    let gpu = GpuConfig::fermi();
     let benches = run_roster(
         args,
-        format!("eval_{}{}", mode_tag(args), scale_tag(args.scale)),
         "eval",
+        &cfg.tbpoint,
+        &gpu,
+        resume,
         args.trace_out.as_deref(),
         |bench, trace| experiments::eval_bench(bench, &cfg, &gpu, trace),
     );
@@ -344,19 +353,8 @@ fn run_eval(args: &Args) -> experiments::EvalResult {
         config: cfg,
         benches,
     };
-    write_json_or_die(&eval_cache_path(args), &r);
+    write_json_or_die(&mode_artifact(args, "eval"), &r);
     r
-}
-
-fn load_or_run_eval(args: &Args) -> experiments::EvalResult {
-    let path = eval_cache_path(args);
-    if let Ok(text) = std::fs::read_to_string(&path) {
-        if let Ok(r) = serde_json::from_str(&text) {
-            eprintln!("using cached evaluation {}", path.display());
-            return r;
-        }
-    }
-    run_eval(args)
 }
 
 fn cmd_fig5(args: &Args) {
@@ -372,10 +370,14 @@ fn cmd_fig5(args: &Args) {
 fn cmd_fig8(args: &Args) {
     // Profiling inside a unit runs single-threaded; the sweep itself
     // fans units out over `--pool-workers` pool workers.
+    // Fig. 8 reads only the workload, so its units are keyed with the
+    // default configs whatever the flags say.
     let series = run_roster(
         args,
-        format!("fig8_{}", scale_tag(args.scale)),
         "fig8",
+        &TbpointConfig::default(),
+        &GpuConfig::fermi(),
+        args.resume,
         None,
         |bench, _| Ok((experiments::fig8_bench(bench, 1), Vec::new())),
     );
@@ -404,50 +406,36 @@ fn cmd_fig8(args: &Args) {
     println!("{}", r.render());
 }
 
-fn cmd_sensitivity(args: &Args, which: &str) {
-    let path = args.artifacts.join(format!(
-        "sensitivity_{}{}.json",
-        mode_tag(args),
-        scale_tag(args.scale)
-    ));
-    // Tracing needs the simulations to actually run, so it bypasses the
-    // cached sweep.
-    let cached: Option<experiments::SensitivityResult> = if args.trace_out.is_some() {
-        None
-    } else {
-        std::fs::read_to_string(&path)
-            .ok()
-            .and_then(|t| serde_json::from_str(&t).ok())
+/// Run the hardware-sensitivity sweep behind Figs. 12 and 13, reusing
+/// verified units unless traced, and write `sensitivity_*.json`. Units
+/// are keyed with the Fermi baseline the (W, S) grid departs from.
+fn run_sensitivity(args: &Args) -> experiments::SensitivityResult {
+    eprintln!("running hardware-sensitivity sweep (6 configs x 12 benchmarks)...");
+    let tb_cfg = tbpoint_config(args);
+    let rows = run_roster(
+        args,
+        "sensitivity",
+        &tb_cfg,
+        &GpuConfig::fermi(),
+        args.trace_out.is_none(),
+        args.trace_out.as_deref(),
+        |bench, trace| experiments::sensitivity_bench(bench, &tb_cfg, trace),
+    );
+    let r = experiments::SensitivityResult {
+        cells: rows.into_iter().flatten().collect(),
     };
-    let r: experiments::SensitivityResult = match cached {
-        Some(r) => {
-            eprintln!("using cached sweep {}", path.display());
-            r
-        }
-        None => {
-            eprintln!("running hardware-sensitivity sweep (6 configs x 12 benchmarks)...");
-            let tb_cfg = tbpoint_config(args);
-            let rows = run_roster(
-                args,
-                format!("sensitivity_{}{}", mode_tag(args), scale_tag(args.scale)),
-                "sensitivity",
-                args.trace_out.as_deref(),
-                |bench, trace| experiments::sensitivity_bench(bench, &tb_cfg, trace),
-            );
-            let r = experiments::SensitivityResult {
-                cells: rows.into_iter().flatten().collect(),
-            };
-            write_json_or_die(&path, &r);
-            r
-        }
-    };
-    if which == "fig12" {
-        println!("Fig. 12 — TBPoint sampling error across hardware configurations");
-        println!("{}", experiments::render_fig12(&r));
-    } else {
-        println!("Fig. 13 — TBPoint total sample size across hardware configurations");
-        println!("{}", experiments::render_fig13(&r));
-    }
+    write_json_or_die(&mode_artifact(args, "sensitivity"), &r);
+    r
+}
+
+fn print_fig12(r: &experiments::SensitivityResult) {
+    println!("Fig. 12 — TBPoint sampling error across hardware configurations");
+    println!("{}", experiments::render_fig12(r));
+}
+
+fn print_fig13(r: &experiments::SensitivityResult) {
+    println!("Fig. 13 — TBPoint total sample size across hardware configurations");
+    println!("{}", experiments::render_fig13(r));
 }
 
 /// `tbpoint serve`: the long-running JSONL request service (see
@@ -538,52 +526,28 @@ fn main() {
         "fig5" => cmd_fig5(&args),
         "fig8" => cmd_fig8(&args),
         "eval" => {
-            let r = run_eval(&args);
+            let r = run_eval(&args, args.resume);
             println!("{}", experiments::render_fig9(&r));
             println!("{}", experiments::render_fig10(&r));
             println!("{}", experiments::render_fig11(&r));
         }
         "fig9" => {
-            let r = load_or_run_eval(&args);
+            let r = run_eval(&args, args.trace_out.is_none());
             println!("Fig. 9 — overall IPC and sampling errors");
             println!("{}", experiments::render_fig9(&r));
         }
         "fig10" => {
-            let r = load_or_run_eval(&args);
+            let r = run_eval(&args, args.trace_out.is_none());
             println!("Fig. 10 — total sample size");
             println!("{}", experiments::render_fig10(&r));
         }
         "fig11" => {
-            let r = load_or_run_eval(&args);
+            let r = run_eval(&args, args.trace_out.is_none());
             println!("Fig. 11 — skipped-instruction breakdown");
             println!("{}", experiments::render_fig11(&r));
         }
-        "fig12" | "fig13" => cmd_sensitivity(&args, &args.command),
-        "profile" => {
-            let Some(name) = args.target.as_deref() else {
-                eprintln!("usage: tbpoint profile <bench> [--scale ...]");
-                std::process::exit(2);
-            };
-            let Some(bench) = tbpoint_workloads::benchmark_by_name(name, args.scale) else {
-                eprintln!("unknown benchmark {name:?}; see `tbpoint table6`");
-                std::process::exit(2);
-            };
-            let t0 = std::time::Instant::now();
-            let profile = tbpoint_emu::profile_run(&bench.run, args.plan.pool_workers);
-            let path =
-                args.artifacts
-                    .join(format!("profile_{}_{}.json", scale_tag(args.scale), name));
-            write_json_or_die(&path, &profile);
-            println!(
-                "profiled {name}: {} launches, {} thread blocks, {} warp insts in {:?}",
-                profile.launches.len(),
-                bench.run.total_blocks(),
-                profile.total_warp_insts(),
-                t0.elapsed()
-            );
-            println!("saved hardware-independent profile to {}", path.display());
-            println!("(reusable for any simulated configuration — Table II's one-time profiling)");
-        }
+        "fig12" => print_fig12(&run_sensitivity(&args)),
+        "fig13" => print_fig13(&run_sensitivity(&args)),
         "inspect" => {
             let Some(name) = args.target.as_deref() else {
                 eprintln!("usage: tbpoint inspect <bench> [--scale ...]");
@@ -609,14 +573,7 @@ fn main() {
             if let Some(trace_path) = &args.trace_out {
                 dump_traces(trace_path, &traces);
             }
-            write_json_or_die(
-                &args.artifacts.join(format!(
-                    "ablate_{}{}.json",
-                    mode_tag(&args),
-                    scale_tag(args.scale)
-                )),
-                &r,
-            );
+            write_json_or_die(&mode_artifact(&args, "ablate"), &r);
             println!(
                 "Design-choice ablations ({} scale; * marks the paper's value)",
                 scale_tag(args.scale)
@@ -675,18 +632,19 @@ fn main() {
             println!("Table VI\n{}", experiments::table6(args.scale));
             cmd_fig5(&args);
             cmd_fig8(&args);
-            let r = run_eval(&args);
+            let r = run_eval(&args, args.resume);
             println!("Fig. 9\n{}", experiments::render_fig9(&r));
             println!("Fig. 10\n{}", experiments::render_fig10(&r));
             println!("Fig. 11\n{}", experiments::render_fig11(&r));
-            cmd_sensitivity(&args, "fig12");
-            cmd_sensitivity(&args, "fig13");
+            let r = run_sensitivity(&args);
+            print_fig12(&r);
+            print_fig13(&r);
             let t1 = experiments::table1(args.scale);
             println!("Table I\n{}", t1.render());
         }
         "" => {
             eprintln!(
-                "usage: tbpoint <table1|table6|fig5|fig8|eval|fig9|fig10|fig11|fig12|fig13|ablate|inspect <bench>|profile <bench>|faultmatrix [bench]|serve|all> \
+                "usage: tbpoint <table1|table6|fig5|fig8|eval|fig9|fig10|fig11|fig12|fig13|ablate|inspect <bench>|faultmatrix [bench]|serve|all> \
                  [--scale full|dev|tiny] [--samples N] [--artifacts DIR] [--trace-out FILE] \
                  [--resume] [--max-units K] [--cycle-budget N] [--pool-workers N] \
                  [--live] [--out FILE] \

@@ -1,15 +1,17 @@
 //! Crash-safe, resumable sweep execution on the deterministic job pool.
 //!
 //! A *sweep* is a list of independent units (one benchmark, or one
-//! benchmark's whole hardware grid), each named by a key and computed
-//! by `run(index)`. [`run_units`] schedules them across `tbpoint-pool`
-//! workers and persists each finished unit immediately as an entry of
-//! the workspace's sealed-entry store ([`tbpoint_obs::Store`]),
-//! `<sweep>.unit.<key>.json`:
+//! benchmark's whole hardware grid), each computed by `run(index)`.
+//! [`run_units`] schedules them across `tbpoint-pool` workers and
+//! persists each finished unit immediately as an entry of the
+//! workspace's sealed-entry store ([`tbpoint_obs::Store`]), under a name
+//! the caller chooses. The `tbpoint` binary hashes every input a flag
+//! can change into each name, so a reused entry was computed from the
+//! same inputs:
 //!
 //! * an entry is written atomically and carries its own seal, so a crash
 //!   leaves each unit either complete and verifiable or absent;
-//! * `--resume` looks every key up: a verified entry is reused, a
+//! * with `resume`, every name is looked up: a verified entry is reused, a
 //!   damaged one is quarantined (with a warning) and recomputed, and a
 //!   missing one is computed. A unit's computation is deterministic, so
 //!   a recomputed entry has the same bytes;
@@ -24,8 +26,8 @@
 //!
 //! Persistence and scheduling are deliberately orthogonal: the pool
 //! decides *when* a unit runs (timing-dependent), each entry's bytes
-//! depend only on its key, and the final assembly reads entries back in
-//! key order — so entries and final artifact are byte-identical at
+//! depend only on its inputs, and the final assembly reads entries back
+//! in unit order — so entries and final artifact are byte-identical at
 //! every `--pool-workers` value, with or without an interrupt +
 //! `--resume` in between.
 
@@ -33,7 +35,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::path::PathBuf;
 use tbpoint_core::TbError;
-use tbpoint_obs::{safe_name, Lookup, Store};
+use tbpoint_obs::{Lookup, Store};
 use tbpoint_pool::run_indexed;
 
 /// How a sweep failed.
@@ -44,7 +46,7 @@ pub enum SweepError {
     /// The pipeline rejected one unit (e.g. a `--cycle-budget`
     /// overrun). Completed unit entries are preserved for `--resume`.
     Pipeline {
-        /// The unit that failed.
+        /// The entry name of the unit that failed.
         unit: String,
         /// Why.
         err: TbError,
@@ -58,8 +60,8 @@ impl fmt::Display for SweepError {
             SweepError::Pipeline { unit, err } => {
                 write!(
                     f,
-                    "unit {unit:?} failed: {err} (completed units are kept; \
-                     fix the config and re-run with --resume)"
+                    "unit {unit:?} failed: {err} (completed units are kept; a re-run \
+                     with the same flags reuses them, `eval` and `fig8` only with --resume)"
                 )
             }
         }
@@ -68,14 +70,12 @@ impl fmt::Display for SweepError {
 
 impl std::error::Error for SweepError {}
 
-/// Sweep identity and resumption policy.
+/// Where a sweep stores its units, and its resumption policy.
 #[derive(Debug, Clone)]
 pub struct SweepPlan {
-    /// Sweep name; prefixes every unit entry (e.g. `"eval_tiny"`).
-    pub name: String,
     /// Directory holding the unit entries.
     pub dir: PathBuf,
-    /// Reuse verified units from a previous (interrupted) run.
+    /// Reuse verified units from a previous run.
     pub resume: bool,
     /// Stop after computing this many units (partial sweep).
     pub max_units: Option<usize>,
@@ -86,7 +86,7 @@ pub struct SweepPlan {
 /// What [`run_units`] did.
 #[derive(Debug)]
 pub struct SweepOutcome<T> {
-    /// Per-unit results in key order; `None` for units not yet computed
+    /// Per-unit results in unit order; `None` for units not yet computed
     /// (only when `partial`).
     pub results: Vec<Option<T>>,
     /// Units computed in this invocation.
@@ -116,18 +116,19 @@ impl<T> SweepOutcome<T> {
     }
 }
 
-/// Run (or resume) a sweep of `keys.len()` units on the deterministic
-/// job pool; `run(i)` computes unit `i`.
+/// Run (or resume) a sweep of `names.len()` units on the deterministic
+/// job pool; `run(i)` computes unit `i` and stores it as entry
+/// `names[i]`.
 ///
-/// Keys name the unit entries, so they must be unique and stable across
-/// runs, or `--resume` cannot match completed work. `run` must be
+/// Names must be unique, and equal across runs exactly when the units'
+/// inputs are, or `resume` cannot match completed work. `run` must be
 /// deterministic and independent of other units — resumption
 /// correctness and the byte-identity guarantee both rest on that. Units
 /// compute in parallel on `plan.workers` pool workers and are stored as
 /// they finish.
 pub fn run_units<T>(
     plan: &SweepPlan,
-    keys: &[String],
+    names: &[String],
     run: impl Fn(usize) -> Result<T, TbError> + Sync,
 ) -> Result<SweepOutcome<T>, SweepError>
 where
@@ -138,14 +139,9 @@ where
     for path in &swept {
         eprintln!("swept stale staging file {}", path.display());
     }
-    let names: Vec<String> = keys
-        .iter()
-        .map(|k| format!("{}.unit.{}.json", plan.name, safe_name(k)))
-        .collect();
-
-    let mut results: Vec<Option<T>> = keys.iter().map(|_| None).collect();
+    let mut results: Vec<Option<T>> = names.iter().map(|_| None).collect();
     if plan.resume {
-        for (slot, name) in results.iter_mut().zip(&names) {
+        for (slot, name) in results.iter_mut().zip(names) {
             match store.lookup(name) {
                 Lookup::Hit(value) => *slot = Some(value),
                 Lookup::Quarantined => eprintln!(
@@ -158,7 +154,7 @@ where
     }
     let resumed = results.iter().flatten().count();
 
-    let todo: Vec<usize> = (0..keys.len()).filter(|&i| results[i].is_none()).collect();
+    let todo: Vec<usize> = (0..names.len()).filter(|&i| results[i].is_none()).collect();
     let computed = plan.max_units.unwrap_or(todo.len()).min(todo.len());
     let partial = computed < todo.len();
 
@@ -170,7 +166,7 @@ where
     run_indexed(plan.workers, computed, |n| {
         let i = todo[n];
         let value = run(i).map_err(|err| SweepError::Pipeline {
-            unit: keys[i].clone(),
+            unit: names[i].clone(),
             err,
         })?;
         store

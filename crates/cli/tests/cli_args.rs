@@ -9,6 +9,7 @@ use std::process::Command;
 fn usage_errors_exit_2_and_name_the_offender() {
     let cases: &[(&[&str], i32, &str)] = &[
         (&["bench"], 2, "unknown command \"bench\""),
+        (&["profile", "spmv"], 2, "unknown command \"profile\""),
         (&["eval", "--quick"], 2, "unknown argument \"--quick\""),
         (&["eval", "--check", "F"], 2, "unknown argument \"--check\""),
         (

@@ -64,18 +64,20 @@ fn eval_sweep(
     trace: bool,
 ) -> (SweepOutcome<BenchEval>, Vec<TraceEntry>) {
     let benches = roster();
-    let keys: Vec<String> = benches.iter().map(|b| b.name.to_string()).collect();
+    let names: Vec<String> = benches
+        .iter()
+        .map(|b| format!("poolid-{}.json", b.name))
+        .collect();
     let cfg = EvalConfig::new(Scale::Tiny);
     let gpu = GpuConfig::fermi();
     let plan = SweepPlan {
-        name: "poolid".to_string(),
         dir: dir.to_path_buf(),
         resume,
         max_units,
         workers,
     };
-    let slots: Vec<OnceLock<Vec<TraceEntry>>> = keys.iter().map(|_| OnceLock::new()).collect();
-    let outcome = run_units(&plan, &keys, |i| {
+    let slots: Vec<OnceLock<Vec<TraceEntry>>> = names.iter().map(|_| OnceLock::new()).collect();
+    let outcome = run_units(&plan, &names, |i| {
         let (b, traces) = eval_bench(&benches[i], &cfg, &gpu, trace)?;
         let _ = slots[i].set(traces);
         Ok(b)

@@ -39,15 +39,23 @@ fn keys() -> Vec<String> {
         .collect()
 }
 
+/// The entry name of unit `key`.
+fn entry(key: &str) -> String {
+    format!("test_sweep-{key}.json")
+}
+
+fn names() -> Vec<String> {
+    keys().iter().map(|k| entry(k)).collect()
+}
+
 /// Sweep the test keys with the stand-in computation.
 fn sweep(plan: &SweepPlan) -> Result<SweepOutcome<Unit>, SweepError> {
     let keys = keys();
-    run_units(plan, &keys, |i| compute(i, &keys[i]))
+    run_units(plan, &names(), |i| compute(i, &keys[i]))
 }
 
 fn plan(dir: &Path) -> SweepPlan {
     SweepPlan {
-        name: "test_sweep".to_string(),
         dir: dir.to_path_buf(),
         resume: false,
         max_units: None,
@@ -129,7 +137,7 @@ fn tampered_unit_file_is_detected_and_recomputed() {
 
     // Flip one byte inside a unit entry; its seal no longer verifies, so
     // --resume must quarantine and recompute exactly that unit.
-    let victim = dir.join("test_sweep.unit.cfd.json");
+    let victim = dir.join(entry("cfd"));
     let mut bytes = std::fs::read(&victim).expect("read unit file");
     let pos = bytes.len() / 2;
     bytes[pos] = bytes[pos].wrapping_add(1);
@@ -139,7 +147,7 @@ fn tampered_unit_file_is_detected_and_recomputed() {
     let keys = keys();
     let mut p = plan(&dir);
     p.resume = true;
-    let resumed = run_units(&p, &keys, |i| {
+    let resumed = run_units(&p, &names(), |i| {
         calls.fetch_add(1, Ordering::Relaxed);
         compute(i, &keys[i])
     })
@@ -151,7 +159,7 @@ fn tampered_unit_file_is_detected_and_recomputed() {
         "only the tampered unit recomputes"
     );
     assert_eq!(
-        std::fs::read(dir.join("test_sweep.unit.cfd.json.quarantined")).expect("quarantined"),
+        std::fs::read(dir.join(entry("cfd") + ".quarantined")).expect("quarantined"),
         bytes,
         "the damaged bytes are set aside"
     );
@@ -167,17 +175,14 @@ fn tampered_unit_file_is_detected_and_recomputed() {
 fn unit_entries_are_sealed_pretty_json_and_no_manifest_is_written() {
     let dir = scratch("sealed");
     sweep(&plan(&dir)).expect("sweep");
-    let mut names: Vec<String> = std::fs::read_dir(&dir)
+    let mut listed: Vec<String> = std::fs::read_dir(&dir)
         .expect("list")
         .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
         .collect();
-    names.sort();
+    listed.sort();
     let keys = keys();
-    let expected: Vec<String> = keys
-        .iter()
-        .map(|k| format!("test_sweep.unit.{k}.json"))
-        .collect();
-    assert_eq!(names, expected, "one entry per unit and nothing else");
+    let expected = names();
+    assert_eq!(listed, expected, "one entry per unit and nothing else");
     for (i, key) in keys.iter().enumerate() {
         let text = std::fs::read_to_string(dir.join(&expected[i])).expect("read unit");
         let pretty = serde_json::to_string_pretty(&compute(i, key).unwrap()).unwrap();
@@ -196,8 +201,7 @@ fn unsealed_units_are_quarantined_and_recomputed() {
     let keys = keys();
     for (i, key) in keys.iter().enumerate() {
         let pretty = serde_json::to_string_pretty(&compute(i, key).unwrap()).unwrap();
-        std::fs::write(dir.join(format!("test_sweep.unit.{key}.json")), pretty)
-            .expect("plant unsealed unit");
+        std::fs::write(dir.join(entry(key)), pretty).expect("plant unsealed unit");
     }
 
     let mut p = plan(&dir);
@@ -206,9 +210,7 @@ fn unsealed_units_are_quarantined_and_recomputed() {
     assert_eq!(resumed.resumed, 0, "an unsealed unit is never trusted");
     assert_eq!(resumed.computed, keys.len());
     for key in &keys {
-        assert!(dir
-            .join(format!("test_sweep.unit.{key}.json.quarantined"))
-            .exists());
+        assert!(dir.join(entry(key) + ".quarantined").exists());
     }
     let healed = final_artifact(&dir, &resumed.into_complete());
     assert_eq!(expected, healed);
@@ -223,14 +225,14 @@ fn stale_staging_files_are_swept_before_the_sweep() {
     // real unit files alone.
     let dir = scratch("tmpsweep");
     std::fs::create_dir_all(&dir).expect("mkdir");
-    let stale = dir.join(".test_sweep.unit.bfs.json.tmp");
+    let stale = dir.join(format!(".{}.tmp", entry("bfs")));
     std::fs::write(&stale, b"torn half-write").expect("plant stale tmp");
     let full = sweep(&plan(&dir)).expect("sweep over stale tmp");
     assert!(!full.partial);
     assert_eq!(full.computed, keys().len());
     assert!(!stale.exists(), "stale staging file swept on startup");
     assert!(
-        dir.join("test_sweep.unit.bfs.json").exists(),
+        dir.join(entry("bfs")).exists(),
         "real unit files are untouched"
     );
     let _ = std::fs::remove_dir_all(&dir);
@@ -245,7 +247,7 @@ fn failing_unit_keeps_completed_units_for_resume() {
     let mut p = plan(&dir);
     p.workers = 1;
     let keys = keys();
-    let err = run_units(&p, &keys, |i| {
+    let err = run_units(&p, &names(), |i| {
         if i == 2 {
             return Err(TbError::BudgetExceeded {
                 launch: 0,
@@ -256,7 +258,7 @@ fn failing_unit_keeps_completed_units_for_resume() {
     })
     .expect_err("unit 2 must fail the sweep");
     match err {
-        SweepError::Pipeline { unit, .. } => assert_eq!(unit, "hotspot"),
+        SweepError::Pipeline { unit, .. } => assert_eq!(unit, entry("hotspot")),
         other => panic!("expected a pipeline error, got {other}"),
     }
 
