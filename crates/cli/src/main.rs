@@ -56,7 +56,9 @@
 //! byte-identical at any `--pool-workers`, and never changes the
 //! results. A partial sweep (`--max-units`) writes no trace file,
 //! `--trace-out` with `--resume` is a usage error and a traced figure
-//! reuses no unit: a unit resumed from disk has no trace.
+//! reuses no unit: a unit resumed from disk has no trace. Every other
+//! command, `all` included (its two sweeps would write one file twice),
+//! rejects `--trace-out` as a usage error.
 
 use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
@@ -72,6 +74,10 @@ use tbpoint_workloads::{Benchmark, Scale};
 
 /// Exit code for a deliberately partial sweep (`--max-units`).
 const EXIT_PARTIAL: i32 = 3;
+
+/// The commands that record what `--trace-out` writes: one traced
+/// pipeline pass each.
+const TRACED_COMMANDS: [&str; 7] = ["eval", "fig9", "fig10", "fig11", "fig12", "fig13", "ablate"];
 
 struct Args {
     command: String,
@@ -186,6 +192,21 @@ fn parse_args() -> Args {
     }
     if args.trace_out.is_some() && args.resume {
         eprintln!("--trace-out cannot be combined with --resume: a resumed unit has no trace");
+        std::process::exit(2);
+    }
+    if args.trace_out.is_some() && !TRACED_COMMANDS.contains(&args.command.as_str()) {
+        if args.command == "all" {
+            eprintln!(
+                "--trace-out cannot be combined with all: eval and the sensitivity sweep \
+                 would write one trace file twice; trace them one command at a time"
+            );
+        } else {
+            eprintln!(
+                "--trace-out is not honoured by {:?}: only {} trace",
+                args.command,
+                TRACED_COMMANDS.join(", ")
+            );
+        }
         std::process::exit(2);
     }
     args

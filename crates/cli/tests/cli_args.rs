@@ -1,6 +1,6 @@
 //! The `tbpoint` binary's argument handling: an unknown command, an
-//! unknown flag, or a valued flag whose value is missing or malformed is
-//! a usage error (exit 2 and a message naming the offender), never a
+//! unknown flag, a valued flag whose value is missing or malformed, or
+//! `--trace-out` on a command that cannot honour it is a usage error (exit 2 and a message naming the offender), never a
 //! silent default.
 
 use std::process::Command;
@@ -51,6 +51,34 @@ fn usage_errors_exit_2_and_name_the_offender() {
             ],
             2,
             "--trace-out cannot be combined with --resume",
+        ),
+        // Commands that trace nothing, and `all`, whose two sweeps
+        // would write the one trace file twice.
+        (
+            &[
+                "fig8",
+                "--scale",
+                "tiny",
+                "--trace-out",
+                concat!(env!("CARGO_TARGET_TMPDIR"), "/cli_args_trace.jsonl"),
+                "--artifacts",
+                concat!(env!("CARGO_TARGET_TMPDIR"), "/cli_args_artifacts"),
+            ],
+            2,
+            "--trace-out is not honoured by \"fig8\"",
+        ),
+        (
+            &[
+                "all",
+                "--scale",
+                "tiny",
+                "--trace-out",
+                concat!(env!("CARGO_TARGET_TMPDIR"), "/cli_args_trace.jsonl"),
+                "--artifacts",
+                concat!(env!("CARGO_TARGET_TMPDIR"), "/cli_args_artifacts"),
+            ],
+            2,
+            "--trace-out cannot be combined with all",
         ),
         (&["table6", "--scale", "tiny"], 0, ""),
     ];

@@ -32,9 +32,9 @@ use crate::sampling::live::LiveSampler;
 use crate::sampling::{IntraOutcome, RegionSampler};
 use serde::{Deserialize, Serialize};
 use tbpoint_cluster::Clustering;
+use tbpoint_emu::BlockClasses;
 use tbpoint_emu::LaunchProfile;
 use tbpoint_emu::RunProfile;
-use tbpoint_emu::TraceDeps;
 use tbpoint_ir::KernelRun;
 use tbpoint_ir::LaunchSpec;
 use tbpoint_obs::{
@@ -102,11 +102,14 @@ pub struct TbpointConfig {
     /// Live mode: consecutive same-cluster epochs required before
     /// warming starts. Must be at least 1.
     pub live_min_run: u32,
-    /// Live mode: during fast-forward, every `live_guard_period`-th
-    /// dispatched block is simulated as a guard (destabilisation probe)
-    /// instead of skipped. Must be at least 1.
+    /// Live mode, per-block-path launches only: during fast-forward,
+    /// every `live_guard_period`-th dispatched block is simulated as a
+    /// guard (destabilisation probe) instead of skipped. A class-path
+    /// launch ([`tbpoint_emu::BlockClasses`]) checks every dispatched
+    /// block from the emulator and simulates no guards. Must be at
+    /// least 1.
     pub live_guard_period: u32,
-    /// Live mode: relative deviation of a guard block's stall
+    /// Live mode: relative deviation of a fast-forwarded block's stall
     /// probability from its cluster centre that destabilises the
     /// fast-forward. Must be finite and positive.
     pub live_destab_tolerance: f64,
@@ -381,8 +384,6 @@ struct Pipeline<'a> {
     cfg: &'a TbpointConfig,
     gpu: &'a GpuConfig,
     occupancy: u32,
-    /// Live mode: every thread block runs the same trace.
-    block_invariant: bool,
 }
 
 impl Pipeline<'_> {
@@ -450,13 +451,9 @@ impl Pipeline<'_> {
             let r = self.simulate_guarded(rep, &mut sampler, rec)?;
             (r, sampler.outcome())
         } else {
-            let mut sampler = LiveSampler::new(
-                self.cfg,
-                spec.num_blocks,
-                self.occupancy,
-                self.block_invariant,
-                rec,
-            )?;
+            let classes = BlockClasses::new(&self.run.kernel, spec);
+            let mut sampler =
+                LiveSampler::new(self.cfg, spec.num_blocks, self.occupancy, classes, rec)?;
             let r = self.simulate_guarded(rep, &mut sampler, rec)?;
             (r, sampler.outcome())
         };
@@ -609,14 +606,12 @@ fn drive<T: Send>(
         spec_classes(run)
     };
 
-    let deps = TraceDeps::of(&run.kernel);
     let pipeline = Pipeline {
         run,
         profile,
         cfg,
         gpu,
         occupancy: gpu.system_occupancy(&run.kernel),
-        block_invariant: !deps.per_thread && !deps.per_block,
     };
     let reps = &inter.representatives;
     let (rep_results, extras): (Vec<RepSim>, Vec<T>) =
@@ -639,8 +634,9 @@ fn drive<T: Send>(
 /// fast-forwarding all happen online inside the one timing simulation
 /// (see [`crate::sampling::live`]) — and ignores a supplied profile. The
 /// live result has the same shape, but `total_warp_insts` (and
-/// everything derived from it) is an *estimate*: exact for
-/// block-invariant kernels, the cluster running mean otherwise.
+/// everything derived from it) is an *estimate*: a representative's
+/// skipped blocks are charged exactly when the launch has block classes
+/// ([`tbpoint_emu::BlockClasses`]), the cluster running mean otherwise.
 ///
 /// Representatives fan out across `plan.pool_workers` threads of the
 /// deterministic job pool; the [`TbpointResult`] is bit-identical to

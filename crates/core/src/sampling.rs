@@ -26,7 +26,9 @@
 //!   same homogeneous region, *exit* on a dispatch from a different
 //!   region (or from none), skip with the profile's exact count.
 //! * [`live::Online`] ([`live::LiveSampler`]) clusters epochs as they
-//!   complete in the retire stream and skips with an estimated count.
+//!   complete in the retire stream and skips with the emulator's exact
+//!   count where a block's stats are a function of its class
+//!   ([`tbpoint_emu::BlockClasses`]), an estimated one elsewhere.
 //!
 //! Both are built from a [`TbpointConfig`]; every state transition is
 //! reported to the attached [`tbpoint_obs::Recorder`] (pass
@@ -50,8 +52,9 @@ pub struct IntraOutcome {
     /// Thread blocks skipped during fast-forward periods.
     pub skipped_tbs: u32,
     /// Warp instructions belonging to skipped thread blocks (they were
-    /// never issued): the profile's exact counts in two-phase mode, the
-    /// classifier's *estimates* in live mode.
+    /// never issued): the profile's exact counts in two-phase mode; in
+    /// live mode the emulator's exact counts for class-path launches and
+    /// the classifier's *estimates* for the rest.
     pub skipped_warp_insts: u64,
     /// Predicted cycles those instructions would have taken, from the
     /// last warm sampling unit's IPC (Table IV's intra-launch term).
@@ -109,9 +112,17 @@ pub trait Classifier {
     /// The event announcing that `region` starts fast-forwarding.
     fn fast_forward_event(region: u32, ipc: f64) -> EventKind;
 
-    /// `tb` is dispatched while `region` is fast-forwarded: the warp
-    /// instructions to charge for skipping it, or `None` to simulate it.
-    fn skip_insts(&mut self, tb: TbId, region: u32) -> Option<u64>;
+    /// `tb` is dispatched at `cycle` while `region` is fast-forwarded:
+    /// the warp instructions to charge for skipping it, or `None` to
+    /// simulate it (after leaving the region through `warming`, if the
+    /// block shows the region is over).
+    fn skip_insts(
+        &mut self,
+        warming: &mut Warming<'_>,
+        tb: TbId,
+        region: u32,
+        cycle: u64,
+    ) -> Option<u64>;
 
     /// `tb` was skipped (after its `BlockSkipped` event).
     fn on_skipped(&mut self, _warming: &mut Warming<'_>, _tb: TbId, _cycle: u64) {}
@@ -319,7 +330,10 @@ impl<C> Sampler<'_, C> {
 impl<C: Classifier> SamplingHook for Sampler<'_, C> {
     fn on_dispatch(&mut self, tb: TbId, cycle: u64, issued: u64) -> DispatchDecision {
         if let State::FastForward { region, ipc } = self.warming.state {
-            if let Some(insts) = self.classifier.skip_insts(tb, region) {
+            let skip = self
+                .classifier
+                .skip_insts(&mut self.warming, tb, region, cycle);
+            if let Some(insts) = skip {
                 self.warming.skip(tb, cycle, insts, ipc);
                 self.classifier.on_skipped(&mut self.warming, tb, cycle);
                 return DispatchDecision::Skip;
@@ -374,7 +388,13 @@ impl Classifier for Offline<'_> {
     /// profile (e.g. a truncated profile file) cannot be fast-forwarded —
     /// its instruction count is unknown — so it falls through to
     /// detailed simulation instead of indexing out of bounds.
-    fn skip_insts(&mut self, tb: TbId, region: u32) -> Option<u64> {
+    fn skip_insts(
+        &mut self,
+        _warming: &mut Warming<'_>,
+        tb: TbId,
+        region: u32,
+        _cycle: u64,
+    ) -> Option<u64> {
         if self.table.region_of(tb) != Some(region) {
             return None;
         }

@@ -23,28 +23,32 @@
 //!   IPCs agree pairwise within the warming threshold, fast-forwarding
 //!   begins (`LiveFastForward`).
 //! * **Fast-forwarding** skips dispatched blocks, predicting their
-//!   cycles as `estimated insts / unit IPC`. Every `guard_period`-th
-//!   dispatch is simulated as a *guard*; a guard whose stall probability
+//!   cycles as `insts / unit IPC`. A block whose stall probability
 //!   strays more than `destab_tolerance` (relative) from the cluster
 //!   centre — or a completed epoch that classifies into a different
 //!   cluster — *destabilises* the sampler (`LiveDestabilised`) and
-//!   returns it to detailed simulation.
+//!   returns it to detailed simulation. How a skipped block's stats are
+//!   known depends on the launch:
+//!   - *class path* (no thread- or block-varying control flow, no
+//!     gathers): a block's stats are a function of its class, read from
+//!     the emulator ([`tbpoint_emu::BlockClasses`]) at dispatch. Every
+//!     dispatch is checked and a skipped block is charged its exact
+//!     instruction count; no block is simulated to find out;
+//!   - *per-block path*: every `guard_period`-th dispatch is simulated as
+//!     a *guard* and checked when it retires; skipped blocks are charged
+//!     the running mean instruction count of the cluster's simulated
+//!     blocks.
 //!
 //! Degradation rides the shared ladder: a cluster whose warming budget
 //! runs out is abandoned with a `DegradedMode` event and its blocks stay
 //! on the detailed path, exactly like an abandoned offline region.
-//!
-//! Skipped-block instruction counts are *estimates*: exact when the
-//! kernel is block-invariant (identical traces per TB, known from
-//! [`tbpoint_emu::TraceDeps`]), otherwise the running mean instruction
-//! count of the cluster's simulated blocks.
 
 use super::{Classifier, Sampler, State, Warming};
 use crate::error::{invalid, TbError};
 use crate::predict::TbpointConfig;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
-use tbpoint_emu::TbStats;
+use tbpoint_emu::{BlockClasses, TbStats};
 use tbpoint_ir::TbId;
 use tbpoint_obs::{EventKind, Recorder};
 
@@ -60,10 +64,11 @@ pub struct LiveOutcome {
     pub epochs_classified: u32,
     /// Distinct clusters discovered online.
     pub clusters_discovered: u32,
-    /// Guard blocks simulated during fast-forward periods.
+    /// Guard blocks simulated during fast-forward periods (per-block-path
+    /// launches only).
     pub guard_tbs: u32,
-    /// Fast-forward periods cut short because a guard block (or a fresh
-    /// epoch) no longer matched the cluster.
+    /// Fast-forward periods cut short because a dispatched or guard block
+    /// (or a fresh epoch) no longer matched the cluster.
     pub destabilisations: u32,
 }
 
@@ -95,11 +100,14 @@ struct EpochAcc {
 
 /// The live classifier: leader-clustered epochs detected from the retire
 /// stream. Needs no profile and no region table — only the launch's
-/// block count and the GPU's system occupancy.
-pub struct Online {
+/// block count, the GPU's system occupancy and, for a class-path launch,
+/// its block classes.
+pub struct Online<'k> {
     occupancy: u32,
     num_blocks: u32,
-    block_invariant: bool,
+    /// The launch's block classes, when it has them: skipped blocks'
+    /// exact stats.
+    classes: Option<BlockClasses<'k>>,
     sigma: f64,
     min_run: u32,
     guard_period: u32,
@@ -113,24 +121,23 @@ pub struct Online {
     run_len: u32,
     guards: BTreeSet<u32>,
     ff_dispatch_idx: u64,
-    exact_insts: Option<u64>,
     global_sum_insts: u64,
     global_sim_tbs: u64,
     outcome: LiveOutcome,
 }
 
 /// The live sampling hook.
-pub type LiveSampler<'a> = Sampler<'a, Online>;
+pub type LiveSampler<'a> = Sampler<'a, Online<'a>>;
 
 impl<'a> LiveSampler<'a> {
     /// A live sampler for a launch of `num_blocks` thread blocks on a GPU
     /// with `occupancy` concurrently resident blocks (from
     /// [`tbpoint_sim::GpuConfig::system_occupancy`]), with `cfg`'s
     /// warming and live settings (the online clustering band reuses
-    /// `cfg.intra.sigma`). `block_invariant` says the kernel's traces
-    /// are identical for every thread block (from
-    /// [`tbpoint_emu::TraceDeps`]): skipped-block instruction counts are
-    /// then *exact*, taken from the first retired block.
+    /// `cfg.intra.sigma`). `classes` are the launch's block classes
+    /// ([`BlockClasses::new`]; `None` on the per-block path): with them
+    /// every fast-forward dispatch is checked and charged exactly, with
+    /// no guard blocks.
     ///
     /// # Errors
     ///
@@ -140,7 +147,7 @@ impl<'a> LiveSampler<'a> {
         cfg: &TbpointConfig,
         num_blocks: u32,
         occupancy: u32,
-        block_invariant: bool,
+        classes: Option<BlockClasses<'a>>,
         recorder: &'a dyn Recorder,
     ) -> Result<Self, TbError> {
         if occupancy == 0 {
@@ -151,7 +158,7 @@ impl<'a> LiveSampler<'a> {
             classifier: Online {
                 occupancy,
                 num_blocks,
-                block_invariant,
+                classes,
                 sigma: cfg.intra.sigma,
                 min_run: cfg.live_min_run,
                 guard_period: cfg.live_guard_period,
@@ -164,7 +171,6 @@ impl<'a> LiveSampler<'a> {
                 run_len: 0,
                 guards: BTreeSet::new(),
                 ff_dispatch_idx: 0,
-                exact_insts: None,
                 global_sum_insts: 0,
                 global_sim_tbs: 0,
                 outcome: LiveOutcome::default(),
@@ -178,7 +184,7 @@ impl<'a> LiveSampler<'a> {
     }
 }
 
-impl Online {
+impl Online<'_> {
     /// Blocks in epoch `e` (the last epoch may be ragged).
     fn epoch_size(&self, e: u32) -> u32 {
         let start = e * self.occupancy;
@@ -205,11 +211,8 @@ impl Online {
         id
     }
 
-    /// Estimated warp instructions of one skipped block.
+    /// Estimated warp instructions of one skipped per-block-path block.
     fn estimate_insts(&self, cluster: u32) -> u64 {
-        if let Some(exact) = self.exact_insts {
-            return exact;
-        }
         let c = &self.clusters[cluster as usize];
         if let Some(avg) = c.sum_insts.checked_div(c.sim_tbs) {
             return avg;
@@ -217,6 +220,13 @@ impl Online {
         self.global_sum_insts
             .checked_div(self.global_sim_tbs)
             .unwrap_or(0)
+    }
+
+    /// Whether a block with `stats` strays beyond the destabilisation
+    /// tolerance from `cluster`'s centre.
+    fn strays(&self, cluster: u32, stats: TbStats) -> bool {
+        let center = self.clusters[cluster as usize].center;
+        (stats.stall_probability() - center).abs() > self.destab_tolerance * center.max(EPS)
     }
 
     /// The only way out of a live fast-forward; the next one starts its
@@ -300,9 +310,6 @@ impl Online {
             acc.sim_count += 1;
             acc.sum_p += s.stall_probability();
             acc.sum_insts += s.warp_insts;
-            if self.block_invariant && self.exact_insts.is_none() {
-                self.exact_insts = Some(s.warp_insts);
-            }
             self.global_sum_insts += s.warp_insts;
             self.global_sim_tbs += 1;
         }
@@ -316,14 +323,31 @@ impl Online {
     }
 }
 
-impl Classifier for Online {
+impl Classifier for Online<'_> {
     fn fast_forward_event(cluster: u32, ipc: f64) -> EventKind {
         EventKind::LiveFastForward { cluster, ipc }
     }
 
-    /// Every `guard_period`-th dispatch of a fast-forward is simulated
-    /// as a guard; the rest are skipped at the cluster's estimate.
-    fn skip_insts(&mut self, tb: TbId, cluster: u32) -> Option<u64> {
+    /// A class-path block is skipped at its exact count unless its
+    /// stats stray from the cluster, which destabilises the sampler and
+    /// simulates it. On the per-block path every `guard_period`-th
+    /// dispatch of a fast-forward is simulated as a guard and the rest
+    /// are skipped at the cluster's estimate.
+    fn skip_insts(
+        &mut self,
+        warming: &mut Warming<'_>,
+        tb: TbId,
+        cluster: u32,
+        cycle: u64,
+    ) -> Option<u64> {
+        if let Some(classes) = &mut self.classes {
+            let stats = classes.stats(tb.0);
+            if self.strays(cluster, stats) {
+                self.destabilise(warming, cycle, cluster);
+                return None;
+            }
+            return Some(stats.warp_insts);
+        }
         let guard = self
             .ff_dispatch_idx
             .is_multiple_of(u64::from(self.guard_period));
@@ -346,9 +370,7 @@ impl Classifier for Online {
                 region: cluster, ..
             } = warming.state()
             {
-                let center = self.clusters[cluster as usize].center;
-                let p = stats.stall_probability();
-                if (p - center).abs() > self.destab_tolerance * center.max(EPS) {
+                if self.strays(cluster, stats) {
                     self.destabilise(warming, cycle, cluster);
                 }
             }
@@ -363,8 +385,10 @@ impl Classifier for Online {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tbpoint_emu::{profile_launch, TraceDeps};
-    use tbpoint_ir::{AddrPattern, Kernel, KernelBuilder, LaunchId, LaunchSpec, Op, TripCount};
+    use tbpoint_emu::profile_launch;
+    use tbpoint_ir::{
+        AddrPattern, Dist, Kernel, KernelBuilder, LaunchId, LaunchSpec, Op, TripCount,
+    };
     use tbpoint_obs::{CollectingRecorder, NullRecorder};
     use tbpoint_sim::{simulate_launch, GpuConfig, NullSampling};
 
@@ -382,6 +406,23 @@ mod tests {
         b.finish(n)
     }
 
+    /// [`homogeneous_kernel`] with a gather load: every block still
+    /// does the same work, but its stats are no function of a class, so
+    /// the launch takes the per-block path.
+    fn gather_kernel() -> Kernel {
+        let mut b = KernelBuilder::new("gather", 31, 128);
+        let body = b.block(&[
+            Op::IAlu,
+            Op::FAlu,
+            Op::LdGlobal(AddrPattern::Random {
+                region: 0,
+                bytes: 1 << 16,
+            }),
+        ]);
+        let n = b.loop_(TripCount::Const(30), body);
+        b.finish(n)
+    }
+
     fn spec(n: u32) -> LaunchSpec {
         LaunchSpec {
             launch_id: LaunchId(0),
@@ -392,14 +433,13 @@ mod tests {
 
     fn live_sampler<'a>(
         cfg: &TbpointConfig,
-        k: &Kernel,
+        k: &'a Kernel,
         gpu: &GpuConfig,
         n: u32,
         rec: &'a dyn Recorder,
     ) -> LiveSampler<'a> {
-        let deps = TraceDeps::of(k);
-        let invariant = !deps.per_thread && !deps.per_block;
-        LiveSampler::new(cfg, n, gpu.system_occupancy(k), invariant, rec).unwrap()
+        let classes = BlockClasses::new(k, &spec(n));
+        LiveSampler::new(cfg, n, gpu.system_occupancy(k), classes, rec).unwrap()
     }
 
     #[test]
@@ -415,7 +455,8 @@ mod tests {
         assert!(live.epochs_classified > 0);
         assert_eq!(live.clusters_discovered, 1, "homogeneous -> one cluster");
         assert_eq!(live.destabilisations, 0);
-        // Block-invariant kernel: skipped-inst accounting is exact.
+        assert_eq!(live.guard_tbs, 0, "a class-path launch simulates no guards");
+        // Class-path launch: skipped-inst accounting is exact.
         let profile = profile_launch(&k, &sp, 1);
         let total: u64 = profile.tbs.iter().map(|t| t.warp_insts).sum();
         assert_eq!(out.skipped_warp_insts + r.issued_warp_insts, total);
@@ -445,8 +486,9 @@ mod tests {
     }
 
     #[test]
-    fn guard_blocks_are_simulated_during_fast_forward() {
-        let k = homogeneous_kernel();
+    fn guard_blocks_are_simulated_during_per_block_fast_forward() {
+        let k = gather_kernel();
+        assert!(BlockClasses::new(&k, &spec(3000)).is_none());
         let gpu = GpuConfig::fermi();
         let sp = spec(3000);
         let cfg = TbpointConfig {
@@ -460,6 +502,92 @@ mod tests {
         assert!(out.skipped_tbs > live.guard_tbs, "guards stay the minority");
         // Guards of a homogeneous kernel never destabilise.
         assert_eq!(live.destabilisations, 0);
+    }
+
+    /// A class-path kernel in two phases of `PHASE` blocks: a fixed
+    /// strided load (32 requests) and a phase-drawn number of trips over
+    /// an ALU block, so the phases' stall probabilities differ by the
+    /// ratio of their trip counts.
+    const PHASE: u32 = 1500;
+
+    fn phase_kernel() -> Kernel {
+        let mut b = KernelBuilder::new("phases", 14, 128);
+        let site = b.fresh_site();
+        let load = b.block(&[Op::LdGlobal(AddrPattern::Strided {
+            region: 0,
+            stride: 128,
+        })]);
+        let alu = b.block(&[Op::IAlu, Op::FAlu]);
+        let trips = TripCount::PerBlockPhase {
+            base: 1,
+            spread: 60,
+            phase_len: PHASE,
+            dist: Dist::Uniform,
+            site,
+        };
+        let alus = b.loop_(trips, alu);
+        let n = b.seq(vec![load, alus]);
+        b.finish(n)
+    }
+
+    #[test]
+    fn class_path_phases_destabilise_at_the_boundary_and_skip_exactly() {
+        let k = phase_kernel();
+        let gpu = GpuConfig::fermi();
+        let sp = spec(2 * PHASE);
+        let cfg = TbpointConfig::default();
+        let profile = profile_launch(&k, &sp, 1);
+        let (p0, p1) = (
+            profile.tbs[0].stall_probability(),
+            profile.tbs[PHASE as usize].stall_probability(),
+        );
+        assert!(
+            (p1 - p0).abs() > cfg.live_destab_tolerance * p0.max(p1),
+            "the phases must differ beyond the tolerance: {p0} vs {p1}"
+        );
+
+        let rec = CollectingRecorder::new();
+        let mut sampler = live_sampler(&cfg, &k, &gpu, 2 * PHASE, &rec);
+        let r = simulate_launch(&k, &sp, &gpu, &mut sampler, None);
+        let (out, live) = (sampler.outcome(), sampler.live_outcome());
+        assert_eq!(live.guard_tbs, 0, "a class-path launch simulates no guards");
+        assert!(live.destabilisations >= 1, "{live:?}");
+
+        let events = rec.events();
+        let skipped: Vec<u32> = events
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::BlockSkipped { tb, .. } => Some(tb),
+                _ => None,
+            })
+            .collect();
+        // The first destabilisation comes from the first block of phase
+        // two: every block before it was skipped up to the boundary.
+        let i_destab = events
+            .iter()
+            .position(|e| matches!(e.kind, EventKind::LiveDestabilised { .. }))
+            .expect("the phase change must destabilise");
+        let last_skip_before = events[..i_destab].iter().rev().find_map(|e| match e.kind {
+            EventKind::BlockSkipped { tb, .. } => Some(tb),
+            _ => None,
+        });
+        assert_eq!(last_skip_before, Some(PHASE - 1));
+        assert!(!skipped.contains(&PHASE), "the boundary block is simulated");
+        assert!(
+            skipped.iter().any(|&tb| tb > PHASE),
+            "phase two fast-forwards too"
+        );
+
+        // Skipped blocks are charged exactly what the profile counts.
+        let expected: u64 = skipped
+            .iter()
+            .map(|&tb| profile.tbs[tb as usize].warp_insts)
+            .sum();
+        assert_eq!(out.skipped_warp_insts, expected);
+        assert_eq!(
+            out.skipped_warp_insts + r.issued_warp_insts,
+            profile.warp_insts()
+        );
     }
 
     #[test]
@@ -518,7 +646,7 @@ mod tests {
 
     #[test]
     fn zero_occupancy_is_rejected() {
-        let err = LiveSampler::new(&TbpointConfig::default(), 10, 0, false, &NullRecorder)
+        let err = LiveSampler::new(&TbpointConfig::default(), 10, 0, None, &NullRecorder)
             .err()
             .expect("must be rejected");
         assert!(matches!(

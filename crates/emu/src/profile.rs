@@ -26,7 +26,7 @@
 use crate::intern::TraceDeps;
 use crate::walker::walk_warp;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use tbpoint_ir::inst::LINE_BYTES;
 use tbpoint_ir::{ExecCtx, Kernel, KernelRun, LatencyClass, LaunchSpec};
 use tbpoint_obs::{NullRecorder, Recorder, Span};
@@ -227,21 +227,103 @@ fn block_class(deps: &TraceDeps, kernel: &Kernel, block_id: u32, key: &mut Vec<u
     key.push(block_id as u64 * kernel.threads_per_block as u64 % LINE_BYTES);
 }
 
+/// Block `block_id` of `spec`'s launch of `kernel`.
+fn block_ctx(kernel: &Kernel, spec: &LaunchSpec, block_id: u32) -> ExecCtx {
+    ExecCtx {
+        kernel_seed: kernel.seed,
+        launch_id: spec.launch_id,
+        block_id,
+        num_blocks: spec.num_blocks,
+        work_scale: spec.work_scale,
+    }
+}
+
+/// One emulated block standing for its class.
+#[derive(Debug)]
+struct Class {
+    stats: TbStats,
+    bbv: Vec<u64>,
+    mem_insts: u64,
+}
+
+/// A launch's blocks as a function of their class: for a kernel with
+/// block-invariant control flow and affine addresses, every block with
+/// the same [`block_class`] key has the same profile, so one emulated
+/// block per class answers for all of them. The one definition of that
+/// fact: [`profile_launch`] stamps its class path from it, and the live
+/// sampler reads skipped blocks' exact stats from it.
+#[derive(Debug)]
+pub struct BlockClasses<'k> {
+    kernel: &'k Kernel,
+    spec: LaunchSpec,
+    deps: TraceDeps,
+    /// The key of the block being looked up (reused, so lookups of
+    /// known classes do not allocate).
+    key: Vec<u64>,
+    /// Slot in `classes` by class key.
+    index: BTreeMap<Vec<u64>, usize>,
+    /// Classes in order of first sight.
+    classes: Vec<Class>,
+}
+
+impl<'k> BlockClasses<'k> {
+    /// The classes of `spec`'s blocks, or `None` when `kernel`'s blocks
+    /// must each be emulated (thread- or block-varying control flow, or
+    /// gather addresses).
+    pub fn new(kernel: &'k Kernel, spec: &LaunchSpec) -> Option<Self> {
+        Self::or_reason(kernel, spec).ok()
+    }
+
+    /// [`BlockClasses::new`], saying why there are no classes.
+    fn or_reason(kernel: &'k Kernel, spec: &LaunchSpec) -> Result<Self, &'static str> {
+        let deps = TraceDeps::of(kernel);
+        if let Some(reason) = per_block_reason(&deps) {
+            return Err(reason);
+        }
+        Ok(BlockClasses {
+            kernel,
+            spec: *spec,
+            deps,
+            key: Vec::new(),
+            index: BTreeMap::new(),
+            classes: Vec::new(),
+        })
+    }
+
+    /// The slot of `block`'s class, emulating the block if its class is
+    /// new.
+    fn slot(&mut self, block: u32) -> usize {
+        block_class(&self.deps, self.kernel, block, &mut self.key);
+        if let Some(&slot) = self.index.get(self.key.as_slice()) {
+            return slot;
+        }
+        let ctx = block_ctx(self.kernel, &self.spec, block);
+        let (mut bbv, mut mem_insts) = (vec![0; self.kernel.num_basic_blocks as usize], 0);
+        let stats = profile_tb(self.kernel, &ctx, &mut bbv, &mut mem_insts);
+        self.classes.push(Class {
+            stats,
+            bbv,
+            mem_insts,
+        });
+        self.index.insert(self.key.clone(), self.classes.len() - 1);
+        self.classes.len() - 1
+    }
+
+    /// `block`'s profile, exactly as [`profile_tb`] would count it.
+    pub fn stats(&mut self, block: u32) -> TbStats {
+        let slot = self.slot(block);
+        self.classes[slot].stats
+    }
+}
+
 /// How many distinct block classes [`profile_launch`] emulates for this
 /// launch, or why it emulates every block instead.
 pub fn block_classes(kernel: &Kernel, spec: &LaunchSpec) -> Result<usize, &'static str> {
-    let deps = TraceDeps::of(kernel);
-    if let Some(reason) = per_block_reason(&deps) {
-        return Err(reason);
+    let mut classes = BlockClasses::or_reason(kernel, spec)?;
+    for b in 0..spec.num_blocks {
+        classes.slot(b);
     }
-    let mut key = Vec::new();
-    Ok((0..spec.num_blocks)
-        .map(|b| {
-            block_class(&deps, kernel, b, &mut key);
-            key.clone()
-        })
-        .collect::<BTreeSet<_>>()
-        .len())
+    Ok(classes.classes.len())
 }
 
 /// `acc += count * part`, element-wise.
@@ -254,51 +336,34 @@ fn add_bbv(acc: &mut [u64], part: &[u64], count: u64) {
 /// Profile every thread block of a launch. Output order is by TB id.
 ///
 /// A kernel with block-invariant control flow and affine addresses is
-/// emulated once per block class: each block gets a copy of its class's
-/// stats, and the launch totals add each class's totals times its block
-/// count; `threads` is then unused (there are a handful of classes, and
-/// they are found in block order). Every other kernel has its TBs fanned
-/// out over `threads` scoped worker threads, each summing its own totals.
+/// emulated once per block class ([`BlockClasses`]): each block gets a
+/// copy of its class's stats, and the launch totals add each class's
+/// totals times its block count; `threads` is then unused (there are a
+/// handful of classes, and they are found in block order). Every other
+/// kernel has its TBs fanned out over `threads` scoped worker threads,
+/// each summing its own totals.
 pub fn profile_launch(kernel: &Kernel, spec: &LaunchSpec, threads: usize) -> LaunchProfile {
     let n = spec.num_blocks as usize;
     let dims = kernel.num_basic_blocks as usize;
     let mut tbs: Vec<TbStats> = Vec::with_capacity(n);
     let mut bbv = vec![0; dims];
     let mut mem_insts = 0;
-    let make_ctx = |block_id: u32| ExecCtx {
-        kernel_seed: kernel.seed,
-        launch_id: spec.launch_id,
-        block_id,
-        num_blocks: spec.num_blocks,
-        work_scale: spec.work_scale,
-    };
-    let deps = TraceDeps::of(kernel);
+    let make_ctx = |block_id| block_ctx(kernel, spec, block_id);
     let threads = threads.max(1);
-    if per_block_reason(&deps).is_none() {
-        // Per class: (stats, bbv, mem_insts, blocks in the class), found
-        // through `index` by class key.
-        let mut classes: Vec<(TbStats, Vec<u64>, u64, u64)> = Vec::new();
-        let mut index: BTreeMap<Vec<u64>, usize> = BTreeMap::new();
-        let mut key = Vec::new();
+    if let Some(mut classes) = BlockClasses::new(kernel, spec) {
+        // Blocks per class, by slot.
+        let mut counts: Vec<u64> = Vec::new();
         for b in 0..spec.num_blocks {
-            block_class(&deps, kernel, b, &mut key);
-            let slot = match index.get(key.as_slice()) {
-                Some(&slot) => slot,
-                None => {
-                    let (mut class_bbv, mut class_mem) = (vec![0; dims], 0);
-                    let stats = profile_tb(kernel, &make_ctx(b), &mut class_bbv, &mut class_mem);
-                    classes.push((stats, class_bbv, class_mem, 0));
-                    index.insert(key.clone(), classes.len() - 1);
-                    classes.len() - 1
-                }
-            };
-            let (stats, _, _, count) = &mut classes[slot];
-            *count += 1;
-            tbs.push(*stats);
+            let slot = classes.slot(b);
+            if slot == counts.len() {
+                counts.push(0);
+            }
+            counts[slot] += 1;
+            tbs.push(classes.classes[slot].stats);
         }
-        for (_, class_bbv, class_mem, count) in &classes {
-            add_bbv(&mut bbv, class_bbv, *count);
-            mem_insts += count * class_mem;
+        for (class, count) in classes.classes.iter().zip(counts) {
+            add_bbv(&mut bbv, &class.bbv, count);
+            mem_insts += count * class.mem_insts;
         }
     } else if threads == 1 || n < 64 {
         for b in 0..spec.num_blocks {

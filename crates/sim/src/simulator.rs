@@ -809,41 +809,6 @@ mod tests {
         );
     }
 
-    /// Record every retire-streamed [`TbStats`] for comparison against
-    /// the profiler.
-    #[derive(Debug, Default)]
-    struct StatRecorder {
-        stats: Vec<(u32, TbStats)>,
-    }
-
-    impl SamplingHook for StatRecorder {
-        fn on_dispatch(&mut self, _tb: TbId, _cycle: u64, _issued: u64) -> DispatchDecision {
-            DispatchDecision::Simulate
-        }
-
-        fn on_retire(&mut self, tb: TbId, _cycle: u64, _issued: u64, stats: TbStats) {
-            self.stats.push((tb.0, stats));
-        }
-    }
-
-    #[test]
-    fn retire_streamed_stats_match_the_profiler() {
-        let k = memory_kernel();
-        let spec = launch(30);
-        let cfg = GpuConfig::fermi();
-        let prof = tbpoint_emu::profile_launch(&k, &spec, 1);
-        let mut hook = StatRecorder::default();
-        let (r, perf) = simulate_launch_perf(&k, &spec, &cfg, &mut hook, None, 1);
-        assert_eq!(hook.stats.len(), 30);
-        assert_eq!(perf.stat_retires, 30);
-        assert_eq!(perf.hook_skips, 0);
-        for &(tb, stats) in &hook.stats {
-            assert_eq!(stats, prof.tbs[tb as usize], "tb {tb}");
-        }
-        let streamed: u64 = hook.stats.iter().map(|&(_, s)| s.warp_insts).sum();
-        assert_eq!(streamed, r.issued_warp_insts);
-    }
-
     #[test]
     fn run_simulation_aggregates_launches() {
         let k = compute_kernel();

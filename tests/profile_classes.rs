@@ -12,6 +12,11 @@
 //!    the rest unrestricted so the per-block route stays covered;
 //! 2. every launch of every roster kernel.
 //!
+//! On the roster, three sources of a block's stats must agree on every
+//! block of every launch: [`BlockClasses::stats`] (which the live sampler
+//! charges skipped blocks from), the profile, and the timing simulator's
+//! retire stream (which the live sampler clusters).
+//!
 //! The quick variants run in the workspace suite; the `#[ignore]`d ones
 //! are CI's release-mode step.
 
@@ -19,8 +24,11 @@ mod common;
 
 use common::{random_kernel, Gen};
 use tbpoint::emu::profile::profile_tb;
-use tbpoint::emu::{block_classes, profile_launch, profile_run, LaunchProfile};
-use tbpoint::ir::{ExecCtx, Kernel, LaunchId, LaunchSpec};
+use tbpoint::emu::{
+    block_classes, profile_launch, profile_run, BlockClasses, LaunchProfile, TbStats,
+};
+use tbpoint::ir::{ExecCtx, Kernel, LaunchId, LaunchSpec, TbId};
+use tbpoint::sim::{simulate_launch_perf, DispatchDecision, GpuConfig, SamplingHook};
 use tbpoint::workloads::{all_benchmarks, Scale};
 
 /// Every block through `profile_tb`, summing the launch totals block by
@@ -144,4 +152,68 @@ fn roster_split_between_the_two_paths() {
         by_class,
         ["black", "cfd", "conv", "hotspot", "kmeans", "lbm", "stream"]
     );
+}
+
+/// Every retire-streamed [`TbStats`], by block.
+struct RetireStream {
+    stats: Vec<Option<TbStats>>,
+}
+
+impl SamplingHook for RetireStream {
+    fn on_dispatch(&mut self, _tb: TbId, _cycle: u64, _issued: u64) -> DispatchDecision {
+        DispatchDecision::Simulate
+    }
+
+    fn on_retire(&mut self, tb: TbId, _cycle: u64, _issued: u64, stats: TbStats) {
+        let slot = &mut self.stats[tb.0 as usize];
+        assert!(slot.is_none(), "tb {} retired twice", tb.0);
+        *slot = Some(stats);
+    }
+}
+
+/// `BlockClasses` = profile = retire stream on every block of every
+/// roster launch. Classes are asked in reverse block order, so a class
+/// is first emulated from some block other than its lowest. Returns
+/// (launches, blocks answered from classes).
+fn roster_streams_match(scale: Scale) -> (usize, u64) {
+    let gpu = GpuConfig::fermi();
+    let (mut launches, mut class_blocks) = (0, 0u64);
+    for bench in all_benchmarks(scale) {
+        let kernel = &bench.run.kernel;
+        for spec in &bench.run.launches {
+            let at = format!("{} launch {} at {scale:?}", bench.name, spec.launch_id.0);
+            let profile = profile_launch(kernel, spec, 1);
+            if let Some(mut classes) = BlockClasses::new(kernel, spec) {
+                for b in (0..spec.num_blocks).rev() {
+                    assert_eq!(classes.stats(b), profile.tbs[b as usize], "{at}, tb {b}");
+                }
+                class_blocks += u64::from(spec.num_blocks);
+            }
+            let mut hook = RetireStream {
+                stats: vec![None; spec.num_blocks as usize],
+            };
+            let (r, perf) = simulate_launch_perf(kernel, spec, &gpu, &mut hook, None, 1);
+            assert_eq!(perf.stat_retires, u64::from(spec.num_blocks), "{at}");
+            assert_eq!(perf.hook_skips, 0, "{at}");
+            for (b, (streamed, profiled)) in hook.stats.iter().zip(&profile.tbs).enumerate() {
+                assert_eq!(*streamed, Some(*profiled), "{at}, tb {b}");
+            }
+            assert_eq!(r.issued_warp_insts, profile.warp_insts(), "{at}");
+            launches += 1;
+        }
+    }
+    println!("{scale:?}: {launches} launches, {class_blocks} blocks from classes: 0 mismatches");
+    (launches, class_blocks)
+}
+
+#[test]
+fn retire_streamed_stats_match_the_profiler() {
+    let (launches, class_blocks) = roster_streams_match(Scale::Tiny);
+    assert!(launches > 12 && class_blocks > 0);
+}
+
+#[test]
+#[ignore = "dev-scale roster; CI runs it in release (cargo test --release --test profile_classes -- --ignored)"]
+fn retire_streamed_stats_match_the_profiler_dev() {
+    roster_streams_match(Scale::Dev);
 }
