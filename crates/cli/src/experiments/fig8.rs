@@ -59,7 +59,7 @@ pub fn fig8_bench(bench: &tbpoint_workloads::Benchmark, threads: usize) -> Fig8S
     for spec in &bench.run.launches {
         launch_starts.push(sizes.len());
         let lp = profile_launch(&bench.run.kernel, spec, threads);
-        sizes.extend(lp.tbs.iter().map(|t| t.thread_insts as f64));
+        sizes.extend(lp.tbs().map(|t| t.thread_insts as f64));
     }
     let mean = tbpoint_stats::mean(&sizes);
     let size_cov = cov(&sizes);

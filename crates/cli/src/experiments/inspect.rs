@@ -1,12 +1,14 @@
 //! `tbpoint inspect <bench>` — a characterisation report for one
 //! benchmark: the kernel program, static/profile summaries, occupancy,
-//! and the timing simulator's per-SM statistics. The nvprof-style view
-//! an architect reads before deciding how to sample.
+//! what the live sampler does with the largest launch, and the timing
+//! simulator's per-SM statistics. The nvprof-style view an architect
+//! reads before deciding how to sample.
 
 use crate::output;
 use tbpoint_core::inter::{inter_launch_sample, InterConfig};
 use tbpoint_core::intra::{build_epochs, identify_regions, IntraConfig};
-use tbpoint_emu::{block_classes, profile_run, TraceDeps};
+use tbpoint_core::{LiveSampler, TbpointConfig};
+use tbpoint_emu::{block_classes, profile_run, BlockClasses, TraceDeps};
 use tbpoint_ir::render_program;
 use tbpoint_sim::{simulate_launch, GpuConfig, NullSampling};
 use tbpoint_workloads::{benchmark_by_name, Scale};
@@ -63,7 +65,7 @@ pub fn inspect(name: &str, scale: Scale, threads: usize) -> Option<String> {
         .launches
         .iter()
         .enumerate()
-        .max_by_key(|(_, l)| l.tbs.len())
+        .max_by_key(|(_, l)| l.num_blocks())
         .expect("at least one launch");
     let deps = TraceDeps::of(kernel);
     let yes_no = |b: bool| if b { "yes" } else { "no" };
@@ -74,9 +76,17 @@ pub fn inspect(name: &str, scale: Scale, threads: usize) -> Option<String> {
         deps.phase_lens,
         yes_no(deps.gather),
         match block_classes(kernel, &lp.spec) {
-            Ok(classes) => format!("{} blocks -> {classes} block class(es)", lp.tbs.len()),
-            Err(reason) => format!("{} blocks on the per-block path ({reason})", lp.tbs.len()),
+            Ok(classes) => format!("{} blocks -> {classes} block class(es)", lp.num_blocks()),
+            Err(reason) => format!("{} blocks on the per-block path ({reason})", lp.num_blocks()),
         }
+    ));
+    out.push_str(&format!(
+        "launch profile (launch {li}): {}, {} bytes held\n",
+        match lp.num_classes() {
+            Some(classes) => format!("class table of {classes} class(es) and a class id per block"),
+            None => "one record per block".to_string(),
+        },
+        lp.heap_bytes()
     ));
 
     // Inter-launch view.
@@ -97,6 +107,35 @@ pub fn inspect(name: &str, scale: Scale, threads: usize) -> Option<String> {
         isolated,
         table.regions.len(),
         table.covered_tbs()
+    ));
+
+    // What the live sampler does with that launch: one single-pass
+    // simulation, reporting the diagnostics a sampled run keeps to itself.
+    let spec = &bench.run.launches[li];
+    let occupancy = gpu.system_occupancy(kernel);
+    let classes = BlockClasses::new(kernel, spec);
+    let rec = tbpoint_obs::NullRecorder;
+    let mut live = LiveSampler::new(
+        &TbpointConfig::default(),
+        spec.num_blocks,
+        occupancy,
+        classes,
+        &rec,
+    )
+    .expect("the default config is valid");
+    let lr = simulate_launch(kernel, spec, &gpu, &mut live, None);
+    let (o, lo) = (live.outcome(), live.live_outcome());
+    let launch_insts = lr.issued_warp_insts + o.skipped_warp_insts;
+    out.push_str(&format!(
+        "live (launch {li}): {} epochs in {} clusters, {} guard blocks, {} destabilisations, \
+         {} of {} blocks skipped, sample {:.1}%\n",
+        lo.epochs_classified,
+        lo.clusters_discovered,
+        lo.guard_tbs,
+        lo.destabilisations,
+        o.skipped_tbs,
+        spec.num_blocks,
+        lr.issued_warp_insts as f64 / launch_insts.max(1) as f64 * 100.0
     ));
 
     // Timing simulation of that launch.
@@ -176,6 +215,38 @@ mod tests {
         assert!(
             s.contains("on the per-block path (thread-varying control flow)"),
             "{s}"
+        );
+    }
+
+    /// The line after `prefix`, without it.
+    fn line_after<'s>(s: &'s str, prefix: &str) -> &'s str {
+        s.lines()
+            .find_map(|l| l.strip_prefix(prefix))
+            .unwrap_or_else(|| panic!("no `{prefix}` line in:\n{s}"))
+    }
+
+    /// A class-path kernel holds a class table and its live sampler runs
+    /// no guard blocks; a per-block kernel holds a record per block.
+    #[test]
+    fn inspect_reports_the_profile_form_and_the_live_outcome() {
+        let s = inspect("hotspot", Scale::Tiny, 1).expect("hotspot exists");
+        let form = line_after(&s, "launch profile (launch 0): ");
+        assert!(form.starts_with("class table of 1 class(es)"), "{form}");
+        let live = line_after(&s, "live (launch 0): ");
+        assert!(live.contains(", 0 guard blocks,"), "{live}");
+        assert!(live.contains(" of 28 blocks skipped, sample "), "{live}");
+
+        let s = inspect("bfs", Scale::Tiny, 1).expect("bfs exists");
+        let li = line_after(&s, "intra-launch (launch ")
+            .split(')')
+            .next()
+            .expect("a launch index");
+        let form = line_after(&s, &format!("launch profile (launch {li}): "));
+        assert!(form.starts_with("one record per block, "), "{form}");
+        let live = line_after(&s, &format!("live (launch {li}): "));
+        assert!(
+            live.contains(" clusters, ") && live.ends_with('%'),
+            "{live}"
         );
     }
 

@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 use tbpoint_cluster::{hierarchical_cluster, Linkage};
 use tbpoint_emu::LaunchProfile;
 use tbpoint_ir::TbId;
-use tbpoint_stats::cov;
+use tbpoint_stats::cov_of;
 
 /// Intra-launch clustering parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -126,30 +126,24 @@ pub fn build_epochs(profile: &LaunchProfile, occupancy: u32) -> Vec<Epoch> {
     assert!(occupancy > 0, "occupancy must be positive");
     // TB count originates from spec.num_blocks: u32.
     #[expect(clippy::cast_possible_truncation)]
-    let n = profile.tbs.len() as u32;
+    let n = profile.num_blocks() as u32;
     let mut epochs = Vec::with_capacity(n.div_ceil(occupancy) as usize);
-    // Per-epoch feature columns, reused across epochs.
-    let width = occupancy.min(n) as usize;
-    let mut stall: Vec<f64> = Vec::with_capacity(width);
-    let mut mem: Vec<f64> = Vec::with_capacity(width);
-    let mut insts: Vec<f64> = Vec::with_capacity(width);
     let mut start = 0u32;
     let mut index = 0u32;
     while start < n {
         let end = (start + occupancy).min(n);
-        let tbs = &profile.tbs[start as usize..end as usize];
-        stall.clear();
-        stall.extend(tbs.iter().map(|t| t.stall_probability()));
-        mem.clear();
-        mem.extend(tbs.iter().map(|t| t.mem_requests as f64));
-        insts.clear();
-        insts.extend(tbs.iter().map(|t| t.warp_insts as f64));
+        // Each feature is summed over the epoch in block order, as the
+        // slice forms of `mean` and `cov` would.
+        let tbs = || profile.tbs_in(start as usize..end as usize);
+        let stall: f64 = tbs().map(|t| t.stall_probability()).sum();
+        let mem = cov_of(|| tbs().map(|t| t.mem_requests as f64));
+        let insts = cov_of(|| tbs().map(|t| t.warp_insts as f64));
         epochs.push(Epoch {
             index,
             start_tb: start,
             end_tb: end,
-            stall_probability: tbpoint_stats::mean(&stall),
-            variation_factor: cov(&mem).max(cov(&insts)),
+            stall_probability: stall / f64::from(end - start),
+            variation_factor: mem.max(insts),
         });
         start = end;
         index += 1;
@@ -226,23 +220,22 @@ mod tests {
 
     /// Hand-built launch profile: each entry is (warp_insts, mem_requests).
     fn launch_profile(tbs: &[(u64, u64)]) -> LaunchProfile {
-        LaunchProfile {
-            spec: LaunchSpec {
+        LaunchProfile::per_block(
+            LaunchSpec {
                 launch_id: LaunchId(0),
                 num_blocks: tbs.len() as u32,
                 work_scale: 1.0,
             },
-            tbs: tbs
-                .iter()
+            tbs.iter()
                 .map(|&(w, m)| TbStats {
                     thread_insts: w * 32,
                     warp_insts: w,
                     mem_requests: m,
                 })
                 .collect(),
-            bbv: vec![tbs.iter().map(|&(w, _)| w).sum()],
-            mem_insts: tbs.iter().map(|&(w, m)| m.min(w)).sum(),
-        }
+            vec![tbs.iter().map(|&(w, _)| w).sum()],
+            tbs.iter().map(|&(w, m)| m.min(w)).sum(),
+        )
     }
 
     #[test]

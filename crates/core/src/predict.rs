@@ -354,17 +354,19 @@ fn spec_classes(run: &KernelRun) -> InterResult {
 }
 
 /// Sanity-check one representative's launch profile before trusting it
-/// for fast-forwarding: the block roster must match the launch spec and
-/// the derived features must be finite numbers. A failure here means the
+/// for fast-forwarding: the block roster must match the launch spec, a
+/// class-table profile's class ids must name its classes, and the
+/// derived features must be finite numbers. A failure here means the
 /// profile is truncated, padded or numerically corrupt.
 fn validate_launch_profile(spec: &LaunchSpec, lp: &LaunchProfile) -> Result<(), String> {
-    if lp.tbs.len() != spec.num_blocks as usize {
+    if lp.num_blocks() != spec.num_blocks as usize {
         return Err(format!(
             "profile has {} thread blocks, launch declares {}",
-            lp.tbs.len(),
+            lp.num_blocks(),
             spec.num_blocks
         ));
     }
+    lp.check_classes()?;
     let f = lp.inter_features();
     if !(f.thread_insts.is_finite()
         && f.warp_insts.is_finite()
@@ -1009,7 +1011,9 @@ mod tests {
         // the pipeline must fall back to full detailed simulation of the
         // representatives instead of indexing out of bounds.
         for lp in &mut profile.launches {
-            lp.tbs.pop();
+            lp.edit_per_block(|tbs| {
+                tbs.pop();
+            });
         }
         let result = run_tbpoint(
             &run,
@@ -1026,13 +1030,51 @@ mod tests {
         assert!(result.predicted_ipc.is_finite() && result.predicted_ipc > 0.0);
     }
 
+    /// A class-table profile as a damaged file could hold it: class ids
+    /// that do not cover the launch, or that name a class past the table.
+    /// Validation must reject it and the launch degrade, not index out of
+    /// bounds.
+    #[test]
+    fn damaged_class_ids_degrade_to_detailed_simulation() {
+        let run = homogeneous_run(3, 200);
+        let gpu = GpuConfig::fermi();
+        let clean = profile_run(&run, 1);
+        assert!(clean.launches.iter().all(|lp| lp.num_classes() == Some(1)));
+        for past_table in [false, true] {
+            let mut profile = clean.clone();
+            for lp in &mut profile.launches {
+                let ids = lp.class_ids_mut().unwrap();
+                if past_table {
+                    ids[7] = 1;
+                } else {
+                    ids.pop();
+                }
+            }
+            let result = run_tbpoint(
+                &run,
+                Some(&profile),
+                &TbpointConfig::default(),
+                &gpu,
+                ExecPlan::serial(),
+            )
+            .unwrap();
+            assert_eq!(
+                result.degraded_launches, result.num_simulated_launches,
+                "past_table {past_table}"
+            );
+            assert_eq!(result.breakdown.intra_skipped_warp_insts, 0);
+        }
+    }
+
     #[test]
     fn invalid_profile_emits_degraded_mode_event() {
         let run = homogeneous_run(2, 100);
         let gpu = GpuConfig::fermi();
         let mut profile = profile_run(&run, 2);
         for lp in &mut profile.launches {
-            lp.tbs.pop();
+            lp.edit_per_block(|tbs| {
+                tbs.pop();
+            });
         }
         let (result, traces) = run_tbpoint_traced(
             &run,

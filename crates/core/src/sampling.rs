@@ -398,7 +398,7 @@ impl Classifier for Offline<'_> {
         if self.table.region_of(tb) != Some(region) {
             return None;
         }
-        self.profile.tbs.get(tb.0 as usize).map(|t| t.warp_insts)
+        self.profile.tb(tb.0 as usize).map(|t| t.warp_insts)
     }
 
     fn on_simulated(&mut self, warming: &mut Warming<'_>, tb: TbId, cycle: u64) {
@@ -504,7 +504,7 @@ mod tests {
         assert_eq!(out.regions_entered, 1);
         assert!(out.predicted_skipped_cycles > 0.0);
         // Accounting consistency: skipped + issued = full workload.
-        let total: u64 = profile.tbs.iter().map(|t| t.warp_insts).sum();
+        let total = profile.warp_insts();
         assert_eq!(out.skipped_warp_insts + r.issued_warp_insts, total);
     }
 

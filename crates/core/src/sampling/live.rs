@@ -458,7 +458,7 @@ mod tests {
         assert_eq!(live.guard_tbs, 0, "a class-path launch simulates no guards");
         // Class-path launch: skipped-inst accounting is exact.
         let profile = profile_launch(&k, &sp, 1);
-        let total: u64 = profile.tbs.iter().map(|t| t.warp_insts).sum();
+        let total = profile.warp_insts();
         assert_eq!(out.skipped_warp_insts + r.issued_warp_insts, total);
     }
 
@@ -538,8 +538,8 @@ mod tests {
         let cfg = TbpointConfig::default();
         let profile = profile_launch(&k, &sp, 1);
         let (p0, p1) = (
-            profile.tbs[0].stall_probability(),
-            profile.tbs[PHASE as usize].stall_probability(),
+            profile.tb(0).unwrap().stall_probability(),
+            profile.tb(PHASE as usize).unwrap().stall_probability(),
         );
         assert!(
             (p1 - p0).abs() > cfg.live_destab_tolerance * p0.max(p1),
@@ -581,7 +581,7 @@ mod tests {
         // Skipped blocks are charged exactly what the profile counts.
         let expected: u64 = skipped
             .iter()
-            .map(|&tb| profile.tbs[tb as usize].warp_insts)
+            .map(|&tb| profile.tb(tb as usize).unwrap().warp_insts)
             .sum();
         assert_eq!(out.skipped_warp_insts, expected);
         assert_eq!(

@@ -40,11 +40,9 @@ impl DivergenceReport {
         };
 
         let mut hist = Histogram::new(0.0, 1.0 + 1e-9, 16);
-        for tb in &profile.tbs {
-            if tb.warp_insts > 0 {
-                hist.record(tb.thread_insts as f64 / (tb.warp_insts as f64 * 32.0));
-            }
-        }
+        profile.tbs().filter(|tb| tb.warp_insts > 0).for_each(|tb| {
+            hist.record(tb.thread_insts as f64 / (tb.warp_insts as f64 * 32.0));
+        });
 
         DivergenceReport {
             avg_active_lanes: avg_active,

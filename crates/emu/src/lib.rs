@@ -50,7 +50,7 @@ pub use divergence::DivergenceReport;
 pub use intern::{InternStats, TraceArena, TraceDeps, TraceKey};
 pub use profile::{
     block_classes, profile_launch, profile_run, profile_run_obs, BlockClasses, InterFeatures,
-    LaunchProfile, RunProfile, TbStats,
+    LaunchProfile, RunProfile, TbStats, Tbs,
 };
 #[doc(hidden)]
 pub use trace::TraceInst;

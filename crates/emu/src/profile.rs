@@ -10,6 +10,13 @@
 //! * `mem_requests` — memory-divergence feature, and the numerator of the
 //!   stall probability `p ≈ mem_requests / warp_insts`.
 //!
+//! How a launch holds them depends on the kernel. Where a block's stats
+//! are a function of its class ([`BlockClasses`]), the launch keeps one
+//! `TbStats` per class, the blocks per class and a 2-byte class id per
+//! block; otherwise one `TbStats` per block. Readers see one interface
+//! either way ([`LaunchProfile::tb`], [`LaunchProfile::tbs`], the launch
+//! totals), and every float derived from it is summed in block order.
+//!
 //! Per launch we keep two totals that no sampler needs per block:
 //!
 //! * `bbv` — per-basic-block warp-instruction counts, read only by the
@@ -27,16 +34,17 @@ use crate::intern::TraceDeps;
 use crate::walker::walk_warp;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::ops::Range;
 use tbpoint_ir::inst::LINE_BYTES;
 use tbpoint_ir::{ExecCtx, Kernel, KernelRun, LatencyClass, LaunchSpec};
 use tbpoint_obs::{NullRecorder, Recorder, Span};
-use tbpoint_stats::cov;
+use tbpoint_stats::cov_of;
 
 /// The per-TB feature statistics both samplers consume. The profile
-/// keeps one per block, and the timing simulator reproduces the same
-/// counts at block retirement: they are hardware independent, so a
-/// stream of `TbStats` from the live sampler is an incremental,
-/// on-the-fly profile.
+/// keeps one per block (or per block class), and the timing simulator
+/// reproduces the same counts at block retirement: they are hardware
+/// independent, so a stream of `TbStats` from the live sampler is an
+/// incremental, on-the-fly profile.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TbStats {
     /// Warp instructions executed.
@@ -60,18 +68,110 @@ impl TbStats {
 }
 
 /// Profile of one kernel launch: per-TB statistics plus launch totals.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Blocks are read through [`LaunchProfile::tb`] and
+/// [`LaunchProfile::tbs`]; how they are held is private. A launch
+/// profiled by class ([`BlockClasses`]) keeps one [`TbStats`] per class
+/// and a 2-byte class id per block; every other launch keeps one
+/// `TbStats` per block.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LaunchProfile {
     /// Which launch this is.
     pub spec: LaunchSpec,
-    /// Per-thread-block statistics, indexed by TB id.
-    pub tbs: Vec<TbStats>,
+    /// Per-thread-block statistics, in one of two forms.
+    blocks: Blocks,
     /// Launch-level BBV: per-basic-block warp-instruction counts summed
     /// over the launch's thread blocks (the paper's footnote-2 extension
     /// feeds this into the inter-launch feature vector).
     pub bbv: Vec<u64>,
     /// Global-memory warp instructions executed by the launch.
     pub mem_insts: u64,
+}
+
+/// How a [`LaunchProfile`] holds its blocks' stats.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+enum Blocks {
+    /// One record per block, by block id.
+    PerBlock(Vec<TbStats>),
+    /// One record per class, in order of first sight.
+    Classes {
+        /// Each class's stats.
+        table: Vec<TbStats>,
+        /// Blocks per class, parallel to `table`.
+        counts: Vec<u64>,
+        /// Each block's class (an index into `table`), by block id.
+        ids: Vec<u16>,
+    },
+}
+
+/// Blocks of a [`LaunchProfile`] in block order ([`LaunchProfile::tbs`]).
+/// A class id outside the class table reads as an empty block:
+/// `validate_launch_profile` rejects such a profile before it is
+/// sampled against, and no reader panics on it before then.
+#[derive(Debug, Clone)]
+pub struct Tbs<'a>(TbsForm<'a>);
+
+/// What a [`Tbs`] walks.
+#[derive(Debug, Clone)]
+enum TbsForm<'a> {
+    /// Per-block records.
+    PerBlock(std::slice::Iter<'a, TbStats>),
+    /// The remaining blocks' class ids, looked up in the class table.
+    Classes {
+        table: &'a [TbStats],
+        ids: std::slice::Iter<'a, u16>,
+    },
+}
+
+/// `table[id]`, or an empty block for an id past the table.
+#[inline]
+fn class_stats(table: &[TbStats], id: u16) -> TbStats {
+    table.get(usize::from(id)).copied().unwrap_or_default()
+}
+
+impl Iterator for Tbs<'_> {
+    type Item = TbStats;
+
+    #[inline]
+    fn next(&mut self) -> Option<TbStats> {
+        match &mut self.0 {
+            TbsForm::PerBlock(it) => it.next().copied(),
+            TbsForm::Classes { table, ids } => ids.next().map(|&id| class_stats(table, id)),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match &self.0 {
+            TbsForm::PerBlock(it) => it.size_hint(),
+            TbsForm::Classes { ids, .. } => ids.size_hint(),
+        }
+    }
+
+    /// One match, then a tight loop over the records or class ids (`sum`,
+    /// `for_each` and `map(..).sum()` all fold).
+    #[inline]
+    fn fold<B, F: FnMut(B, TbStats) -> B>(self, init: B, mut f: F) -> B {
+        match self.0 {
+            TbsForm::PerBlock(it) => it.fold(init, |acc, t| f(acc, *t)),
+            TbsForm::Classes { table, ids } => {
+                ids.fold(init, |acc, &id| f(acc, class_stats(table, id)))
+            }
+        }
+    }
+}
+
+impl ExactSizeIterator for Tbs<'_> {}
+
+/// Two profiles are equal when they describe the same blocks, whichever
+/// form holds them.
+impl PartialEq for LaunchProfile {
+    fn eq(&self, other: &Self) -> bool {
+        self.spec == other.spec
+            && self.bbv == other.bbv
+            && self.mem_insts == other.mem_insts
+            && self.num_blocks() == other.num_blocks()
+            && self.tbs().eq(other.tbs())
+    }
 }
 
 /// The four inter-launch features of Eq. 2, *before* normalisation by the
@@ -102,25 +202,155 @@ impl InterFeatures {
 }
 
 impl LaunchProfile {
+    /// A profile holding one record per block, by block id.
+    pub fn per_block(spec: LaunchSpec, tbs: Vec<TbStats>, bbv: Vec<u64>, mem_insts: u64) -> Self {
+        LaunchProfile {
+            spec,
+            blocks: Blocks::PerBlock(tbs),
+            bbv,
+            mem_insts,
+        }
+    }
+
+    /// Number of thread blocks the profile holds (for a sound profile,
+    /// `spec.num_blocks`).
+    pub fn num_blocks(&self) -> usize {
+        match &self.blocks {
+            Blocks::PerBlock(tbs) => tbs.len(),
+            Blocks::Classes { ids, .. } => ids.len(),
+        }
+    }
+
+    /// Block `i`'s stats, or `None` past the last block.
+    pub fn tb(&self, i: usize) -> Option<TbStats> {
+        match &self.blocks {
+            Blocks::PerBlock(tbs) => tbs.get(i).copied(),
+            Blocks::Classes { table, ids, .. } => ids.get(i).map(|&id| class_stats(table, id)),
+        }
+    }
+
+    /// Every block's stats, in block order.
+    pub fn tbs(&self) -> Tbs<'_> {
+        self.tbs_in(0..self.num_blocks())
+    }
+
+    /// Blocks `range.start..range.end` in block order. Panics if the
+    /// range runs past [`LaunchProfile::num_blocks`].
+    pub fn tbs_in(&self, range: Range<usize>) -> Tbs<'_> {
+        Tbs(match &self.blocks {
+            Blocks::PerBlock(tbs) => TbsForm::PerBlock(tbs[range].iter()),
+            Blocks::Classes { table, ids, .. } => TbsForm::Classes {
+                table,
+                ids: ids[range].iter(),
+            },
+        })
+    }
+
+    /// The number of block classes, or `None` when the profile holds one
+    /// record per block.
+    pub fn num_classes(&self) -> Option<usize> {
+        match &self.blocks {
+            Blocks::PerBlock(_) => None,
+            Blocks::Classes { table, .. } => Some(table.len()),
+        }
+    }
+
+    /// Heap bytes the profile holds: its block records, class ids and
+    /// counts, and its BBV.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let blocks = match &self.blocks {
+            Blocks::PerBlock(tbs) => tbs.capacity() * size_of::<TbStats>(),
+            Blocks::Classes { table, counts, ids } => {
+                table.capacity() * size_of::<TbStats>()
+                    + counts.capacity() * size_of::<u64>()
+                    + ids.capacity() * size_of::<u16>()
+            }
+        };
+        blocks + self.bbv.capacity() * size_of::<u64>()
+    }
+
+    /// Whether the class ids can be trusted: each names a row of the class
+    /// table, and each class's block count is the number of blocks naming
+    /// it. Always `Ok` for a per-block profile. A profile read from a
+    /// damaged file can fail this; [`profile_launch`]'s cannot.
+    pub fn check_classes(&self) -> Result<(), String> {
+        let Blocks::Classes { table, counts, ids } = &self.blocks else {
+            return Ok(());
+        };
+        let mut seen = vec![0u64; table.len()];
+        for (b, &id) in ids.iter().enumerate() {
+            match seen.get_mut(usize::from(id)) {
+                Some(n) => *n += 1,
+                None => {
+                    return Err(format!(
+                        "block {b} names class {id}, the profile has {}",
+                        table.len()
+                    ))
+                }
+            }
+        }
+        if seen != *counts {
+            return Err("class counts disagree with the blocks' class ids".to_string());
+        }
+        Ok(())
+    }
+
+    /// Edit the blocks as one record per block, by block id, converting a
+    /// class-table profile to that form first (fault injection perturbs
+    /// blocks one by one).
+    pub fn edit_per_block(&mut self, f: impl FnOnce(&mut Vec<TbStats>)) {
+        let mut tbs = match std::mem::replace(&mut self.blocks, Blocks::PerBlock(Vec::new())) {
+            Blocks::PerBlock(tbs) => tbs,
+            Blocks::Classes { table, ids, .. } => {
+                ids.iter().map(|&id| class_stats(&table, id)).collect()
+            }
+        };
+        f(&mut tbs);
+        self.blocks = Blocks::PerBlock(tbs);
+    }
+
+    /// The class ids of a class-table profile, by block id, or `None` for
+    /// a per-block profile. Editing them leaves the class counts as they
+    /// were, which is how a damaged profile file looks (fault injection).
+    pub fn class_ids_mut(&mut self) -> Option<&mut Vec<u16>> {
+        match &mut self.blocks {
+            Blocks::PerBlock(_) => None,
+            Blocks::Classes { ids, .. } => Some(ids),
+        }
+    }
+
+    /// `f`'s sum over the launch's blocks: per class times its count on a
+    /// class-table profile, block by block otherwise. Integer sums, so the
+    /// two agree exactly.
+    fn total(&self, f: impl Fn(&TbStats) -> u64) -> u64 {
+        match &self.blocks {
+            Blocks::PerBlock(tbs) => tbs.iter().map(f).sum(),
+            Blocks::Classes { table, counts, .. } => {
+                table.iter().zip(counts).map(|(t, &n)| n * f(t)).sum()
+            }
+        }
+    }
+
     /// Total thread instructions in the launch.
     pub fn thread_insts(&self) -> u64 {
-        self.tbs.iter().map(|t| t.thread_insts).sum()
+        self.total(|t| t.thread_insts)
     }
 
     /// Total warp instructions in the launch.
     pub fn warp_insts(&self) -> u64 {
-        self.tbs.iter().map(|t| t.warp_insts).sum()
+        self.total(|t| t.warp_insts)
     }
 
     /// Total memory requests in the launch.
     pub fn mem_requests(&self) -> u64 {
-        self.tbs.iter().map(|t| t.mem_requests).sum()
+        self.total(|t| t.mem_requests)
     }
 
-    /// CoV of thread-block sizes (the fourth feature of Eq. 2).
+    /// CoV of thread-block sizes (the fourth feature of Eq. 2), summed in
+    /// block order without collecting the sizes.
     pub fn tb_size_cov(&self) -> f64 {
-        let sizes: Vec<f64> = self.tbs.iter().map(|t| t.thread_insts as f64).collect();
-        cov(&sizes)
+        cov_of(|| self.tbs().map(|t| t.thread_insts as f64))
     }
 
     /// The raw (unnormalised) inter-launch feature tuple.
@@ -336,71 +566,118 @@ fn add_bbv(acc: &mut [u64], part: &[u64], count: u64) {
 /// Profile every thread block of a launch. Output order is by TB id.
 ///
 /// A kernel with block-invariant control flow and affine addresses is
-/// emulated once per block class ([`BlockClasses`]): each block gets a
-/// copy of its class's stats, and the launch totals add each class's
-/// totals times its block count; `threads` is then unused (there are a
-/// handful of classes, and they are found in block order). Every other
-/// kernel has its TBs fanned out over `threads` scoped worker threads,
-/// each summing its own totals.
+/// emulated once per block class ([`BlockClasses`]): the profile keeps
+/// each class's stats once and each block's class id, and the launch
+/// totals add each class's totals times its block count; `threads` is
+/// then unused (there are a handful of classes, and they are found in
+/// block order). Every other kernel has its TBs fanned out over `threads`
+/// scoped worker threads, each summing its own totals.
 pub fn profile_launch(kernel: &Kernel, spec: &LaunchSpec, threads: usize) -> LaunchProfile {
-    let n = spec.num_blocks as usize;
-    let dims = kernel.num_basic_blocks as usize;
-    let mut tbs: Vec<TbStats> = Vec::with_capacity(n);
-    let mut bbv = vec![0; dims];
+    let mut bbv = vec![0; kernel.num_basic_blocks as usize];
     let mut mem_insts = 0;
-    let make_ctx = |block_id| block_ctx(kernel, spec, block_id);
-    let threads = threads.max(1);
-    if let Some(mut classes) = BlockClasses::new(kernel, spec) {
-        // Blocks per class, by slot.
-        let mut counts: Vec<u64> = Vec::new();
-        for b in 0..spec.num_blocks {
-            let slot = classes.slot(b);
-            if slot == counts.len() {
-                counts.push(0);
-            }
-            counts[slot] += 1;
-            tbs.push(classes.classes[slot].stats);
-        }
-        for (class, count) in classes.classes.iter().zip(counts) {
-            add_bbv(&mut bbv, &class.bbv, count);
-            mem_insts += count * class.mem_insts;
-        }
-    } else if threads == 1 || n < 64 {
-        for b in 0..spec.num_blocks {
-            tbs.push(profile_tb(kernel, &make_ctx(b), &mut bbv, &mut mem_insts));
-        }
-    } else {
-        let chunk = n.div_ceil(threads);
-        tbs.resize(n, TbStats::default());
-        let mut totals = vec![(vec![0; dims], 0); n.div_ceil(chunk)];
-        std::thread::scope(|scope| {
-            for (t, (slice, (chunk_bbv, chunk_mem))) in
-                tbs.chunks_mut(chunk).zip(&mut totals).enumerate()
-            {
-                let base = t * chunk;
-                scope.spawn(move || {
-                    for (off, slot) in slice.iter_mut().enumerate() {
-                        // `n` comes from spec.num_blocks: u32, so block ids
-                        // round-trip exactly.
-                        #[expect(clippy::cast_possible_truncation)]
-                        let b = (base + off) as u32;
-                        *slot = profile_tb(kernel, &make_ctx(b), chunk_bbv, chunk_mem);
-                    }
-                });
-            }
-        });
-        // Integer sums: the totals do not depend on `threads`.
-        for (chunk_bbv, chunk_mem) in &totals {
-            add_bbv(&mut bbv, chunk_bbv, 1);
-            mem_insts += chunk_mem;
-        }
-    }
+    let blocks = match BlockClasses::new(kernel, spec) {
+        Some(classes) => class_blocks(classes, &mut bbv, &mut mem_insts),
+        None => Blocks::PerBlock(per_block_tbs(
+            kernel,
+            spec,
+            threads,
+            &mut bbv,
+            &mut mem_insts,
+        )),
+    };
     LaunchProfile {
         spec: *spec,
-        tbs,
+        blocks,
         bbv,
         mem_insts,
     }
+}
+
+/// The class path of [`profile_launch`]: every block's class id, and each
+/// class's stats and block count. A launch with more classes than a
+/// 2-byte id can name (a phase length of a few blocks over a huge launch)
+/// keeps one record per block instead.
+fn class_blocks(mut classes: BlockClasses<'_>, bbv: &mut [u64], mem_insts: &mut u64) -> Blocks {
+    let n = classes.spec.num_blocks as usize;
+    let mut ids: Vec<u16> = Vec::with_capacity(n);
+    // Blocks per class, by slot.
+    let mut counts: Vec<u64> = Vec::new();
+    // Every block's stats, once a class id outgrows `u16`.
+    let mut wide: Option<Vec<TbStats>> = None;
+    for b in 0..classes.spec.num_blocks {
+        let slot = classes.slot(b);
+        if slot == counts.len() {
+            counts.push(0);
+        }
+        counts[slot] += 1;
+        match (&mut wide, u16::try_from(slot)) {
+            (None, Ok(id)) => ids.push(id),
+            (Some(tbs), _) => tbs.push(classes.classes[slot].stats),
+            (None, Err(_)) => {
+                let mut tbs = Vec::with_capacity(n);
+                tbs.extend(ids.iter().map(|&id| classes.classes[usize::from(id)].stats));
+                tbs.push(classes.classes[slot].stats);
+                ids = Vec::new();
+                wide = Some(tbs);
+            }
+        }
+    }
+    for (class, &count) in classes.classes.iter().zip(&counts) {
+        add_bbv(bbv, &class.bbv, count);
+        *mem_insts += count * class.mem_insts;
+    }
+    match wide {
+        Some(tbs) => Blocks::PerBlock(tbs),
+        None => Blocks::Classes {
+            table: classes.classes.iter().map(|c| c.stats).collect(),
+            counts,
+            ids,
+        },
+    }
+}
+
+/// The per-block path of [`profile_launch`]: every block emulated, over
+/// `threads` workers for launches of 64 blocks or more.
+fn per_block_tbs(
+    kernel: &Kernel,
+    spec: &LaunchSpec,
+    threads: usize,
+    bbv: &mut [u64],
+    mem_insts: &mut u64,
+) -> Vec<TbStats> {
+    let n = spec.num_blocks as usize;
+    let make_ctx = |block_id| block_ctx(kernel, spec, block_id);
+    let threads = threads.max(1);
+    if threads == 1 || n < 64 {
+        return (0..spec.num_blocks)
+            .map(|b| profile_tb(kernel, &make_ctx(b), bbv, mem_insts))
+            .collect();
+    }
+    let chunk = n.div_ceil(threads);
+    let mut tbs = vec![TbStats::default(); n];
+    let mut totals = vec![(vec![0; bbv.len()], 0); n.div_ceil(chunk)];
+    std::thread::scope(|scope| {
+        for (t, (slice, (chunk_bbv, chunk_mem))) in
+            tbs.chunks_mut(chunk).zip(&mut totals).enumerate()
+        {
+            let base = t * chunk;
+            scope.spawn(move || {
+                for (off, slot) in slice.iter_mut().enumerate() {
+                    // `n` comes from spec.num_blocks: u32, so block ids
+                    // round-trip exactly.
+                    #[expect(clippy::cast_possible_truncation)]
+                    let b = (base + off) as u32;
+                    *slot = profile_tb(kernel, &make_ctx(b), chunk_bbv, chunk_mem);
+                }
+            });
+        }
+    });
+    // Integer sums: the totals do not depend on `threads`.
+    for (chunk_bbv, chunk_mem) in &totals {
+        add_bbv(bbv, chunk_bbv, 1);
+        *mem_insts += chunk_mem;
+    }
+    tbs
 }
 
 /// Profile a whole benchmark run (all launches).
@@ -426,7 +703,7 @@ pub fn profile_run_obs<R: Recorder + ?Sized>(
         if rec.enabled() {
             rec.counter(
                 "profiled_tbs",
-                u64::try_from(lp.tbs.len()).unwrap_or(u64::MAX),
+                u64::try_from(lp.num_blocks()).unwrap_or(u64::MAX),
             );
             rec.counter("profiled_warp_insts", lp.warp_insts());
             rec.counter("profiled_thread_insts", lp.thread_insts());
@@ -538,7 +815,9 @@ mod tests {
     fn launch_aggregates_sum_tbs() {
         let k = simple_kernel(64);
         let lp = profile_launch(&k, &launch(10), 1);
-        assert_eq!(lp.tbs.len(), 10);
+        assert_eq!(lp.num_blocks(), 10);
+        // 64 threads per block: first-thread ids at two line residues.
+        assert_eq!(lp.num_classes(), Some(2));
         assert_eq!(lp.thread_insts(), 10 * 16 * 32);
         assert_eq!(lp.warp_insts(), 160);
         // Stamped class copies still add every block into the totals.
@@ -548,6 +827,102 @@ mod tests {
         assert_eq!(f.thread_insts, (10 * 16 * 32) as f64);
         // Homogeneous TBs: CoV must be 0.
         assert_eq!(f.tb_size_cov, 0.0);
+    }
+
+    /// A class-table profile reads like the per-block profile it stands
+    /// for, survives a save/load round trip in its own form, and turns
+    /// into that per-block profile when edited block by block.
+    #[test]
+    fn class_table_reads_like_its_blocks() {
+        let k = simple_kernel(96);
+        let lp = profile_launch(&k, &launch(10), 1);
+        assert_eq!(lp.num_classes(), Some(4));
+        let blocks: Vec<TbStats> = lp.tbs().collect();
+        let per_block =
+            LaunchProfile::per_block(lp.spec, blocks.clone(), lp.bbv.clone(), lp.mem_insts);
+        assert_eq!(lp, per_block);
+        assert_eq!(per_block.num_classes(), None);
+        assert_eq!(lp.tbs_in(3..7).collect::<Vec<_>>(), blocks[3..7]);
+        assert_eq!(lp.tb(9), Some(blocks[9]));
+        assert_eq!(lp.tb(10), None);
+        assert_eq!(
+            lp.tb_size_cov().to_bits(),
+            per_block.tb_size_cov().to_bits()
+        );
+        assert!(lp.heap_bytes() < per_block.heap_bytes());
+
+        let text = serde_json::to_string(&lp).unwrap();
+        let back: LaunchProfile = serde_json::from_str(&text).unwrap();
+        assert_eq!(back.num_classes(), Some(4));
+        assert_eq!(back, lp);
+
+        let mut edited = lp.clone();
+        edited.edit_per_block(|tbs| assert_eq!(*tbs, blocks));
+        assert_eq!(edited.num_classes(), None);
+        assert_eq!(edited, lp);
+    }
+
+    /// Damaged class ids read as empty blocks (no reader panics) and
+    /// fail `check_classes`.
+    #[test]
+    fn damaged_class_ids_fail_the_check() {
+        let k = simple_kernel(96);
+        let lp = profile_launch(&k, &launch(10), 1);
+        assert_eq!(lp.check_classes(), Ok(()));
+
+        let mut past = lp.clone();
+        past.class_ids_mut().unwrap()[2] = 4;
+        assert_eq!(past.tb(2), Some(TbStats::default()));
+        assert!(past.tb_size_cov().is_finite());
+        assert_eq!(
+            past.check_classes(),
+            Err("block 2 names class 4, the profile has 4".to_string())
+        );
+
+        let mut short = lp.clone();
+        short.class_ids_mut().unwrap().pop();
+        assert_eq!(short.num_blocks(), 9);
+        assert!(short.check_classes().is_err());
+
+        let mut moved = lp.clone();
+        let ids = moved.class_ids_mut().unwrap();
+        ids[1] = ids[0];
+        assert!(moved.check_classes().is_err());
+        assert!(LaunchProfile::per_block(lp.spec, vec![], vec![], 0)
+            .check_classes()
+            .is_ok());
+    }
+
+    /// With more classes than a 2-byte id can name (every block its own
+    /// phase), the profile keeps one record per block, equal to
+    /// emulating each.
+    #[test]
+    fn too_many_classes_fall_back_to_per_block_records() {
+        let mut b = KernelBuilder::new("t", 5, 32);
+        let site = b.fresh_site();
+        let body = b.block(&[Op::IAlu]);
+        let trips = TripCount::PerBlockPhase {
+            base: 1,
+            spread: 4,
+            phase_len: 1,
+            dist: Dist::Uniform,
+            site,
+        };
+        let n = b.loop_(trips, body);
+        let k = b.finish(n);
+        let spec = launch(70_000);
+        assert_eq!(block_classes(&k, &spec), Ok(70_000));
+        let lp = profile_launch(&k, &spec, 1);
+        assert_eq!(lp.num_classes(), None);
+        let mut bbv = vec![0; k.num_basic_blocks as usize];
+        let mut mem_insts = 0;
+        let reference: Vec<TbStats> = (0..spec.num_blocks)
+            .map(|b| profile_tb(&k, &block_ctx(&k, &spec, b), &mut bbv, &mut mem_insts))
+            .collect();
+        assert_eq!(
+            lp,
+            LaunchProfile::per_block(spec, reference, bbv, mem_insts)
+        );
     }
 
     #[test]

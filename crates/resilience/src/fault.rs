@@ -9,8 +9,9 @@
 //! * **profile faults** ([`inject_profile`]) perturb the one-time
 //!   emulator profile that inter-launch clustering and region sampling
 //!   trust: stall-probability jitter, dropped/duplicated epoch-sized
-//!   runs of thread blocks, and noise on the counters behind the Eq. 2
-//!   inter-launch feature vectors;
+//!   runs of thread blocks, noise on the counters behind the Eq. 2
+//!   inter-launch feature vectors, and damaged class ids in class-table
+//!   launch profiles;
 //! * **trace faults** ([`corrupt_text`]) damage a checksummed JSONL
 //!   trace bundle in transit: truncation, bit flips and mid-record
 //!   splices.
@@ -58,6 +59,13 @@ pub enum Fault {
         /// Maximum relative perturbation.
         magnitude: f64,
     },
+    /// Damage the class ids of every class-table launch profile the way a
+    /// truncated or corrupt profile file would: per launch, a seeded
+    /// choice between dropping the last block's id and pointing a seeded
+    /// block past the class table. Profile validation must reject the
+    /// launch and the pipeline degrade, not index out of bounds.
+    /// Per-block launch profiles are left as they are.
+    CorruptClassIds,
     /// Cut a sealed JSONL trace at a seeded byte offset.
     TruncateTrace,
     /// Flip one low bit of a seeded byte of a sealed JSONL trace.
@@ -80,6 +88,7 @@ impl Fault {
             Fault::DropEpochs { .. } => "drop-epochs",
             Fault::DuplicateEpochs { .. } => "duplicate-epochs",
             Fault::FeatureNoise { .. } => "feature-noise",
+            Fault::CorruptClassIds => "corrupt-class-ids",
             Fault::TruncateTrace => "truncate-trace",
             Fault::BitFlipTrace => "bit-flip-trace",
             Fault::SpliceTrace => "splice-trace",
@@ -95,6 +104,7 @@ impl Fault {
                 | Fault::DropEpochs { .. }
                 | Fault::DuplicateEpochs { .. }
                 | Fault::FeatureNoise { .. }
+                | Fault::CorruptClassIds
         )
     }
 
@@ -121,6 +131,7 @@ impl Fault {
             Fault::DropEpochs { fraction: 0.25 },
             Fault::DuplicateEpochs { fraction: 0.25 },
             Fault::FeatureNoise { magnitude: 0.3 },
+            Fault::CorruptClassIds,
             Fault::TruncateTrace,
             Fault::BitFlipTrace,
             Fault::SpliceTrace,
@@ -161,10 +172,12 @@ pub fn inject_profile(profile: &mut RunProfile, fault: Fault, seed: u64) {
     match fault {
         Fault::StallJitter { magnitude } => {
             for (l, lp) in profile.launches.iter_mut().enumerate() {
-                for (i, tb) in lp.tbs.iter_mut().enumerate() {
-                    let f = jitter_factor(&[seed, 1, l as u64, i as u64], magnitude);
-                    tb.mem_requests = scale_count(tb.mem_requests, f);
-                }
+                lp.edit_per_block(|tbs| {
+                    for (i, tb) in tbs.iter_mut().enumerate() {
+                        let f = jitter_factor(&[seed, 1, l as u64, i as u64], magnitude);
+                        tb.mem_requests = scale_count(tb.mem_requests, f);
+                    }
+                });
             }
         }
         Fault::FeatureNoise { magnitude } => {
@@ -174,52 +187,74 @@ pub fn inject_profile(profile: &mut RunProfile, fault: Fault, seed: u64) {
                 let ft = jitter_factor(&[seed, 2, l as u64, 0], magnitude);
                 let fw = jitter_factor(&[seed, 2, l as u64, 1], magnitude);
                 let fm = jitter_factor(&[seed, 2, l as u64, 2], magnitude);
-                for tb in &mut lp.tbs {
-                    tb.thread_insts = scale_count(tb.thread_insts, ft);
-                    tb.warp_insts = scale_count(tb.warp_insts, fw);
-                    tb.mem_requests = scale_count(tb.mem_requests, fm);
-                }
+                lp.edit_per_block(|tbs| {
+                    for tb in tbs {
+                        tb.thread_insts = scale_count(tb.thread_insts, ft);
+                        tb.warp_insts = scale_count(tb.warp_insts, fw);
+                        tb.mem_requests = scale_count(tb.mem_requests, fm);
+                    }
+                });
             }
         }
         Fault::DropEpochs { fraction } => {
             for (l, lp) in profile.launches.iter_mut().enumerate() {
-                let n_chunks = lp.tbs.len().div_ceil(EPOCH_CHUNK).max(1);
-                let mut keep: Vec<bool> = (0..n_chunks)
-                    .map(|c| unit_f64(&[seed, 3, l as u64, c as u64]) >= fraction)
-                    .collect();
-                // A positive fraction must drop something, or the cell
-                // silently tests nothing.
-                if fraction > 0.0 && keep.iter().all(|&k| k) {
-                    let c = seeded_index(&[seed, 4, l as u64], n_chunks);
-                    keep[c] = false;
-                }
-                let mut kept = Vec::with_capacity(lp.tbs.len());
-                for (i, tb) in lp.tbs.drain(..).enumerate() {
-                    if keep[i / EPOCH_CHUNK] {
-                        kept.push(tb);
+                lp.edit_per_block(|tbs| {
+                    let n_chunks = tbs.len().div_ceil(EPOCH_CHUNK).max(1);
+                    let mut keep: Vec<bool> = (0..n_chunks)
+                        .map(|c| unit_f64(&[seed, 3, l as u64, c as u64]) >= fraction)
+                        .collect();
+                    // A positive fraction must drop something, or the cell
+                    // silently tests nothing.
+                    if fraction > 0.0 && keep.iter().all(|&k| k) {
+                        let c = seeded_index(&[seed, 4, l as u64], n_chunks);
+                        keep[c] = false;
                     }
-                }
-                lp.tbs = kept;
+                    let mut i = 0;
+                    tbs.retain(|_| {
+                        i += 1;
+                        keep[(i - 1) / EPOCH_CHUNK]
+                    });
+                });
             }
         }
         Fault::DuplicateEpochs { fraction } => {
             for (l, lp) in profile.launches.iter_mut().enumerate() {
-                let n_chunks = lp.tbs.len().div_ceil(EPOCH_CHUNK).max(1);
-                let mut dup: Vec<bool> = (0..n_chunks)
-                    .map(|c| unit_f64(&[seed, 5, l as u64, c as u64]) < fraction)
-                    .collect();
-                if fraction > 0.0 && !dup.iter().any(|&d| d) {
-                    let c = seeded_index(&[seed, 6, l as u64], n_chunks);
-                    dup[c] = true;
-                }
-                let mut out = Vec::with_capacity(lp.tbs.len() * 2);
-                for (c, chunk) in lp.tbs.chunks(EPOCH_CHUNK).enumerate() {
-                    out.extend_from_slice(chunk);
-                    if dup[c] {
+                lp.edit_per_block(|tbs| {
+                    let n_chunks = tbs.len().div_ceil(EPOCH_CHUNK).max(1);
+                    let mut dup: Vec<bool> = (0..n_chunks)
+                        .map(|c| unit_f64(&[seed, 5, l as u64, c as u64]) < fraction)
+                        .collect();
+                    if fraction > 0.0 && !dup.iter().any(|&d| d) {
+                        let c = seeded_index(&[seed, 6, l as u64], n_chunks);
+                        dup[c] = true;
+                    }
+                    let mut out = Vec::with_capacity(tbs.len() * 2);
+                    for (c, chunk) in tbs.chunks(EPOCH_CHUNK).enumerate() {
                         out.extend_from_slice(chunk);
+                        if dup[c] {
+                            out.extend_from_slice(chunk);
+                        }
+                    }
+                    *tbs = out;
+                });
+            }
+        }
+        Fault::CorruptClassIds => {
+            for (l, lp) in profile.launches.iter_mut().enumerate() {
+                // An id one past the class table, when a u16 can hold it.
+                let past_table = lp.num_classes().and_then(|c| u16::try_from(c).ok());
+                let Some(ids) = lp.class_ids_mut() else {
+                    continue;
+                };
+                match past_table {
+                    Some(bad) if !ids.is_empty() && unit_f64(&[seed, 7, l as u64]) < 0.5 => {
+                        let b = seeded_index(&[seed, 8, l as u64], ids.len());
+                        ids[b] = bad;
+                    }
+                    _ => {
+                        ids.pop();
                     }
                 }
-                lp.tbs = out;
             }
         }
         Fault::TruncateTrace | Fault::BitFlipTrace | Fault::SpliceTrace | Fault::PanicInUnit => {}
@@ -311,13 +346,32 @@ mod tests {
         }
     }
 
+    /// Two launches of a class-path kernel: its profiles hold class ids.
+    fn class_run() -> KernelRun {
+        let mut run = tiny_run();
+        let mut b = KernelBuilder::new("classes", 7, 96);
+        let body = b.block(&[
+            Op::IAlu,
+            Op::LdGlobal(AddrPattern::Coalesced {
+                region: 0,
+                stride: 4,
+            }),
+        ]);
+        let n = b.loop_(TripCount::Const(6), body);
+        run.kernel = b.finish(n);
+        run
+    }
+
     #[test]
     fn injectors_are_deterministic_in_the_seed() {
-        let base = profile_run(&tiny_run(), 1);
         for fault in Fault::default_matrix() {
             if !fault.is_profile_fault() {
                 continue;
             }
+            let base = match fault {
+                Fault::CorruptClassIds => profile_run(&class_run(), 1),
+                _ => profile_run(&tiny_run(), 1),
+            };
             let mut a = base.clone();
             let mut b = base.clone();
             let mut c = base.clone();
@@ -335,11 +389,28 @@ mod tests {
         let base = profile_run(&tiny_run(), 1);
         let mut dropped = base.clone();
         inject_profile(&mut dropped, Fault::DropEpochs { fraction: 0.5 }, 7);
-        assert!(dropped.launches[0].tbs.len() < base.launches[0].tbs.len());
+        assert!(dropped.launches[0].num_blocks() < base.launches[0].num_blocks());
 
         let mut duped = base.clone();
         inject_profile(&mut duped, Fault::DuplicateEpochs { fraction: 0.5 }, 7);
-        assert!(duped.launches[0].tbs.len() > base.launches[0].tbs.len());
+        assert!(duped.launches[0].num_blocks() > base.launches[0].num_blocks());
+    }
+
+    #[test]
+    fn class_id_corruption_leaves_per_block_profiles_alone() {
+        let base = profile_run(&class_run(), 1);
+        assert!(base.launches.iter().all(|l| l.num_classes() == Some(4)));
+        for seed in 0..8 {
+            let mut damaged = base.clone();
+            inject_profile(&mut damaged, Fault::CorruptClassIds, seed);
+            for (d, b) in damaged.launches.iter().zip(&base.launches) {
+                assert!(d.check_classes().is_err() || d.num_blocks() < b.num_blocks());
+            }
+        }
+        let per_block = profile_run(&tiny_run(), 1);
+        let mut untouched = per_block.clone();
+        inject_profile(&mut untouched, Fault::CorruptClassIds, 3);
+        assert_eq!(untouched, per_block);
     }
 
     #[test]
@@ -349,9 +420,9 @@ mod tests {
         inject_profile(&mut j, Fault::StallJitter { magnitude: 0.5 }, 9);
         assert_eq!(j.launches.len(), base.launches.len());
         for (a, b) in j.launches.iter().zip(&base.launches) {
-            assert_eq!(a.tbs.len(), b.tbs.len());
+            assert_eq!(a.num_blocks(), b.num_blocks());
             // Only mem_requests moved.
-            for (ta, tb) in a.tbs.iter().zip(&b.tbs) {
+            for (ta, tb) in a.tbs().zip(b.tbs()) {
                 assert_eq!(ta.warp_insts, tb.warp_insts);
                 assert_eq!(ta.thread_insts, tb.thread_insts);
             }

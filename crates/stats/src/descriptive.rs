@@ -35,11 +35,29 @@ pub fn std_dev(xs: &[f64]) -> f64 {
 /// Returns `0.0` when the mean is zero (an epoch of all-empty thread blocks
 /// is perfectly homogeneous, not infinitely variable).
 pub fn cov(xs: &[f64]) -> f64 {
-    let m = mean(xs);
+    cov_of(|| xs.iter().copied())
+}
+
+/// [`cov`] of a sequence that `xs` can produce twice, without collecting
+/// it: one pass for the mean, one for the variance, each summed in
+/// sequence order, so the result is bit-identical to [`cov`] of the same
+/// values in a slice.
+pub fn cov_of<I: Iterator<Item = f64>>(xs: impl Fn() -> I) -> f64 {
+    let (n, sum) = xs().fold((0u64, 0.0), |(n, s), x| (n + 1, s + x));
+    if n == 0 {
+        return 0.0;
+    }
+    let n = n as f64;
+    let m = sum / n;
     if m.abs() < f64::MIN_POSITIVE {
         return 0.0;
     }
-    std_dev(xs) / m
+    let variance = if n < 2.0 {
+        0.0
+    } else {
+        xs().map(|x| (x - m) * (x - m)).sum::<f64>() / n
+    };
+    variance.sqrt() / m
 }
 
 /// Geometric mean of strictly positive values.
@@ -108,6 +126,31 @@ mod tests {
     fn cov_basic() {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((cov(&xs) - 2.0 / 5.0).abs() < 1e-12);
+    }
+
+    /// The two-pass `cov_of` gives the bits of `std_dev / mean` over a
+    /// slice, whatever the length (empty, one value, many).
+    #[test]
+    fn cov_of_is_bit_identical_to_std_dev_over_mean() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for len in 0..300 {
+            let xs: Vec<f64> = (0..len)
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1_442_695_040_888_963_407);
+                    (state >> 40) as f64 / 7.0
+                })
+                .collect();
+            let m = mean(&xs);
+            let want = if m.abs() < f64::MIN_POSITIVE {
+                0.0
+            } else {
+                std_dev(&xs) / m
+            };
+            assert_eq!(cov(&xs).to_bits(), want.to_bits(), "len {len}");
+            assert_eq!(cov_of(|| xs.iter().copied()).to_bits(), want.to_bits());
+        }
     }
 
     #[test]

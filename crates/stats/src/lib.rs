@@ -41,7 +41,9 @@ pub mod percentile;
 pub mod rng;
 
 pub use ci::{mean_ci, weighted_harmonic_mean, weighted_mean, ConfidenceInterval};
-pub use descriptive::{cov, geometric_mean, max_f64, mean, min_f64, population_variance, std_dev};
+pub use descriptive::{
+    cov, cov_of, geometric_mean, max_f64, mean, min_f64, population_variance, std_dev,
+};
 pub use error::{abs_pct_error, signed_pct_error};
 pub use histogram::Histogram;
 pub use online::OnlineStats;

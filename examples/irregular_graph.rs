@@ -53,7 +53,7 @@ fn main() {
     let rep = *inter
         .representatives
         .iter()
-        .max_by_key(|&&r| profile.launches[r].tbs.len())
+        .max_by_key(|&&r| profile.launches[r].num_blocks())
         .unwrap();
     let launch_profile = &profile.launches[rep];
     let occupancy = gpu.system_occupancy(&bench.run.kernel);
@@ -62,7 +62,7 @@ fn main() {
     println!();
     println!(
         "launch {rep}: {} thread blocks, epoch size = system occupancy = {occupancy}, {} epochs",
-        launch_profile.tbs.len(),
+        launch_profile.num_blocks(),
         epochs.len()
     );
     println!("homogeneous region table (Table III):");

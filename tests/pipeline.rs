@@ -2,7 +2,7 @@
 //! cluster -> sampled simulation -> prediction) against full simulation,
 //! across crates. Tiny scale keeps them fast.
 
-use tbpoint::core::predict::{run_tbpoint, TbpointConfig};
+use tbpoint::core::predict::{run_tbpoint, SamplingMode, TbpointConfig};
 use tbpoint::emu::profile_run;
 use tbpoint::pool::ExecPlan;
 use tbpoint::sim::{simulate_run, GpuConfig, NullSampling};
@@ -55,6 +55,51 @@ fn pipeline_invariants_hold_for_every_benchmark() {
         // be simulated).
         let s = tbp.sample_size();
         assert!(s > 0.0 && s <= 1.0, "{}: sample size {s}", bench.name);
+    }
+}
+
+/// The dev-scale accuracy ratchet: both sampling modes on the 12 dev
+/// workloads, every kernel inside the paper's 10% envelope except mri,
+/// whose phases differ in work per block but not in stall probability
+/// (ROADMAP item 1). mri must still read at or above 10% in both modes:
+/// when it stops, the exception has outlived its reason and goes.
+#[test]
+#[ignore = "dev-scale roster in both modes; CI runs it in release (cargo test --release --test pipeline -- --ignored)"]
+fn dev_scale_errors_stay_inside_the_envelope() {
+    let gpu = GpuConfig::fermi();
+    let two_phase = TbpointConfig::default();
+    let live = TbpointConfig {
+        mode: SamplingMode::Live,
+        ..TbpointConfig::default()
+    };
+    for bench in all_benchmarks(Scale::Dev) {
+        let profile = profile_run(&bench.run, 1);
+        let full_ipc = simulate_run(&bench.run, &gpu, &mut NullSampling, None).overall_ipc();
+        for (mode, cfg, profile) in [
+            ("two-phase", &two_phase, Some(&profile)),
+            ("live", &live, None),
+        ] {
+            let r = run_tbpoint(&bench.run, profile, cfg, &gpu, ExecPlan::serial()).unwrap();
+            let err = r.error_vs(full_ipc);
+            println!(
+                "{} {mode}: error {err:.2}%, sample {:.2}%",
+                bench.name,
+                r.sample_size() * 100.0
+            );
+            if bench.name == "mri" {
+                assert!(
+                    err >= 10.0,
+                    "mri {mode} error is {err:.2}%, inside the 10% envelope: delete mri's \
+                     exception from this test so the envelope holds for every kernel"
+                );
+            } else {
+                assert!(
+                    err < 10.0,
+                    "{} {mode}: error {err:.2}% at dev scale",
+                    bench.name
+                );
+            }
+        }
     }
 }
 

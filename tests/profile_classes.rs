@@ -15,7 +15,10 @@
 //! On the roster, three sources of a block's stats must agree on every
 //! block of every launch: [`BlockClasses::stats`] (which the live sampler
 //! charges skipped blocks from), the profile, and the timing simulator's
-//! retire stream (which the live sampler clusters).
+//! retire stream (which the live sampler clusters). And every way of
+//! reading a profile (block by block, in epoch-sized runs, launch totals,
+//! the size CoV) must give what `profile_tb`'s records give, whether the
+//! profile holds a class table or a record per block.
 //!
 //! The quick variants run in the workspace suite; the `#[ignore]`d ones
 //! are CI's release-mode step.
@@ -29,6 +32,7 @@ use tbpoint::emu::{
 };
 use tbpoint::ir::{ExecCtx, Kernel, LaunchId, LaunchSpec, TbId};
 use tbpoint::sim::{simulate_launch_perf, DispatchDecision, GpuConfig, SamplingHook};
+use tbpoint::stats::cov;
 use tbpoint::workloads::{all_benchmarks, Scale};
 
 /// Every block through `profile_tb`, summing the launch totals block by
@@ -48,12 +52,7 @@ fn per_block_reference(kernel: &Kernel, spec: &LaunchSpec) -> LaunchProfile {
             profile_tb(kernel, &ctx, &mut bbv, &mut mem_insts)
         })
         .collect();
-    LaunchProfile {
-        spec: *spec,
-        tbs,
-        bbv,
-        mem_insts,
-    }
+    LaunchProfile::per_block(*spec, tbs, bbv, mem_insts)
 }
 
 /// Returns (blocks compared, blocks whose profile was a stamped copy).
@@ -137,6 +136,67 @@ fn roster_profiles_like_profile_tb_dev() {
     roster_matches(Scale::Dev);
 }
 
+/// Every accessor of `profile_launch`'s result against `profile_tb`'s
+/// records, on every block of every roster launch. Returns the blocks read
+/// through a class table.
+fn roster_accessors_match(scale: Scale) -> u64 {
+    let gpu = GpuConfig::fermi();
+    let mut class_blocks = 0u64;
+    for bench in all_benchmarks(scale) {
+        let kernel = &bench.run.kernel;
+        let occupancy = gpu.system_occupancy(kernel) as usize;
+        for spec in &bench.run.launches {
+            let at = format!("{} launch {} at {scale:?}", bench.name, spec.launch_id.0);
+            let profile = profile_launch(kernel, spec, 1);
+            let records: Vec<TbStats> = per_block_reference(kernel, spec).tbs().collect();
+            let n = records.len();
+            assert_eq!(n, spec.num_blocks as usize, "{at}");
+            assert_eq!(profile.num_blocks(), n, "{at}");
+            match block_classes(kernel, spec) {
+                Ok(classes) => {
+                    assert_eq!(profile.num_classes(), Some(classes), "{at}");
+                    class_blocks += n as u64;
+                }
+                Err(_) => assert_eq!(profile.num_classes(), None, "{at}"),
+            }
+            assert_eq!(profile.check_classes(), Ok(()), "{at}");
+            for (b, record) in records.iter().enumerate() {
+                assert_eq!(profile.tb(b), Some(*record), "{at}, tb {b}");
+            }
+            assert_eq!(profile.tb(n), None, "{at}");
+            assert!(profile.tbs().eq(records.iter().copied()), "{at}");
+            for start in (0..n).step_by(occupancy) {
+                let end = (start + occupancy).min(n);
+                let run: Vec<TbStats> = profile.tbs_in(start..end).collect();
+                assert_eq!(run, records[start..end], "{at}, tbs {start}..{end}");
+            }
+            let sum = |f: fn(&TbStats) -> u64| records.iter().map(f).sum::<u64>();
+            assert_eq!(profile.thread_insts(), sum(|t| t.thread_insts), "{at}");
+            assert_eq!(profile.warp_insts(), sum(|t| t.warp_insts), "{at}");
+            assert_eq!(profile.mem_requests(), sum(|t| t.mem_requests), "{at}");
+            let sizes: Vec<f64> = records.iter().map(|t| t.thread_insts as f64).collect();
+            assert_eq!(
+                profile.tb_size_cov().to_bits(),
+                cov(&sizes).to_bits(),
+                "{at}"
+            );
+        }
+    }
+    println!("{scale:?}: every accessor agrees, {class_blocks} blocks read through class tables");
+    class_blocks
+}
+
+#[test]
+fn profile_accessors_match_profile_tb_tiny() {
+    assert!(roster_accessors_match(Scale::Tiny) > 0);
+}
+
+#[test]
+#[ignore = "dev-scale roster; CI runs it in release (cargo test --release --test profile_classes -- --ignored)"]
+fn profile_accessors_match_profile_tb_dev() {
+    roster_accessors_match(Scale::Dev);
+}
+
 /// The class path is chosen from the kernel alone: which roster kernels
 /// take it is part of the performance claim (EXPERIMENTS.md, "Profile
 /// pass cost"), so a kernel silently changing sides should fail here.
@@ -185,7 +245,11 @@ fn roster_streams_match(scale: Scale) -> (usize, u64) {
             let profile = profile_launch(kernel, spec, 1);
             if let Some(mut classes) = BlockClasses::new(kernel, spec) {
                 for b in (0..spec.num_blocks).rev() {
-                    assert_eq!(classes.stats(b), profile.tbs[b as usize], "{at}, tb {b}");
+                    assert_eq!(
+                        Some(classes.stats(b)),
+                        profile.tb(b as usize),
+                        "{at}, tb {b}"
+                    );
                 }
                 class_blocks += u64::from(spec.num_blocks);
             }
@@ -195,8 +259,8 @@ fn roster_streams_match(scale: Scale) -> (usize, u64) {
             let (r, perf) = simulate_launch_perf(kernel, spec, &gpu, &mut hook, None, 1);
             assert_eq!(perf.stat_retires, u64::from(spec.num_blocks), "{at}");
             assert_eq!(perf.hook_skips, 0, "{at}");
-            for (b, (streamed, profiled)) in hook.stats.iter().zip(&profile.tbs).enumerate() {
-                assert_eq!(*streamed, Some(*profiled), "{at}, tb {b}");
+            for (b, (streamed, profiled)) in hook.stats.iter().zip(profile.tbs()).enumerate() {
+                assert_eq!(*streamed, Some(profiled), "{at}, tb {b}");
             }
             assert_eq!(r.issued_warp_insts, profile.warp_insts(), "{at}");
             launches += 1;

@@ -217,13 +217,13 @@ fn epochs_tile_launch() {
         let mut g = Gen::new(0x09, case);
         let n_tbs = g.usize(1, 300);
         let occupancy = g.u32(1, 100);
-        let profile = tbpoint::emu::LaunchProfile {
-            spec: LaunchSpec {
+        let profile = tbpoint::emu::LaunchProfile::per_block(
+            LaunchSpec {
                 launch_id: LaunchId(0),
                 num_blocks: n_tbs as u32,
                 work_scale: 1.0,
             },
-            tbs: vec![
+            vec![
                 TbStats {
                     thread_insts: 320,
                     warp_insts: 10,
@@ -231,9 +231,9 @@ fn epochs_tile_launch() {
                 };
                 n_tbs
             ],
-            bbv: vec![10 * n_tbs as u64],
-            mem_insts: 2 * n_tbs as u64,
-        };
+            vec![10 * n_tbs as u64],
+            2 * n_tbs as u64,
+        );
         let epochs = build_epochs(&profile, occupancy);
         let covered: u32 = epochs.iter().map(|e| e.end_tb - e.start_tb).sum();
         assert_eq!(covered as usize, n_tbs);

@@ -74,8 +74,8 @@ fn synthetic_workloads_conserve_instruction_identities() {
                     .sum::<u64>();
             }
         }
-        let p_warp: u64 = profile.tbs.iter().map(|t| t.warp_insts).sum();
-        let p_thread: u64 = profile.tbs.iter().map(|t| t.thread_insts).sum();
+        let p_warp: u64 = profile.tbs().map(|t| t.warp_insts).sum();
+        let p_thread: u64 = profile.tbs().map(|t| t.thread_insts).sum();
         assert_eq!(trace_warp_insts, p_warp);
         assert_eq!(trace_thread_insts, p_thread);
         assert!(p_thread <= p_warp * 32);
@@ -92,7 +92,7 @@ fn simulation_issues_exactly_the_profiled_instructions() {
         let run = spec.build();
         let launch = &run.launches[0];
         let profile = profile_launch(&run.kernel, launch, 1);
-        let expected: u64 = profile.tbs.iter().map(|t| t.warp_insts).sum();
+        let expected: u64 = profile.tbs().map(|t| t.warp_insts).sum();
         let r = simulate_launch(
             &run.kernel,
             launch,
