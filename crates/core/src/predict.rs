@@ -26,7 +26,7 @@
 //! observability events without perturbing the result.
 
 use crate::error::{invalid, TbError};
-use crate::inter::{inter_launch_sample, InterConfig, InterResult};
+use crate::inter::{inter_launch_sample_at, InterConfig, InterResult};
 use crate::intra::{build_epochs, identify_regions, IntraConfig};
 use crate::sampling::live::LiveSampler;
 use crate::sampling::{IntraOutcome, RegionSampler};
@@ -600,10 +600,11 @@ fn drive<T: Send>(
         }
         SamplingMode::Live => None,
     };
+    let occupancy = gpu.system_occupancy(&run.kernel);
     let inter = if !cfg.inter_enabled {
         all_launches(n_launches)
     } else if let Some(p) = profile {
-        inter_launch_sample(p, &cfg.inter)
+        inter_launch_sample_at(p, &cfg.inter, occupancy)
     } else {
         spec_classes(run)
     };
@@ -613,7 +614,7 @@ fn drive<T: Send>(
         profile,
         cfg,
         gpu,
-        occupancy: gpu.system_occupancy(&run.kernel),
+        occupancy,
     };
     let reps = &inter.representatives;
     let (rep_results, extras): (Vec<RepSim>, Vec<T>) =
