@@ -3,7 +3,8 @@
 //! **Keying.** An entry's name is derived from everything that can
 //! change the answer: the command, the benchmark's full kernel run (the
 //! serialized program tree and launch roster), its dependence-exact
-//! [`TraceDeps`](tbpoint_emu::TraceDeps) summary, the complete
+//! [`TraceDeps`](tbpoint_emu::TraceDeps) summary, the revision of the
+//! sampling rules ([`tbpoint_core::SAMPLER_REV`]), the complete
 //! `TbpointConfig` (so cycle/warming budgets hash differently), the GPU
 //! config and the scale. The canonical key text is FNV-1a-64 hashed
 //! into the file name — `<cmd>-<bench>-<fnv16hex>.json` — so *any* input
@@ -27,7 +28,7 @@
 //! a response.
 
 use crate::proto::WorkBody;
-use tbpoint_core::TbpointConfig;
+use tbpoint_core::{TbpointConfig, SAMPLER_REV};
 use tbpoint_emu::TraceDeps;
 use tbpoint_sim::GpuConfig;
 use tbpoint_workloads::{Benchmark, Scale};
@@ -44,7 +45,7 @@ pub(crate) fn key_head(cmd: &str, bench: &Benchmark, scale: Scale) -> Result<Str
     let deps = TraceDeps::of(&bench.run.kernel);
     let run_json = serde_json::to_string(&bench.run).map_err(|e| e.to_string())?;
     Ok(format!(
-        "cmd={cmd}\nbench={}\nscale={scale:?}\ntrace_deps=per_thread:{},per_block:{},phase_lens:{:?}\nrun={run_json}\n",
+        "cmd={cmd}\nbench={}\nscale={scale:?}\nsampler_rev={SAMPLER_REV}\ntrace_deps=per_thread:{},per_block:{},phase_lens:{:?}\nrun={run_json}\n",
         bench.name, deps.per_thread, deps.per_block, deps.phase_lens
     ))
 }

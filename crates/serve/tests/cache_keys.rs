@@ -7,7 +7,7 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use tbpoint_core::TbpointConfig;
+use tbpoint_core::{TbpointConfig, SAMPLER_REV};
 use tbpoint_serve::{
     cache_name, key_text, Lookup, ResultCache, ServeOptions, SimSummary, WorkBody,
 };
@@ -106,6 +106,26 @@ fn trace_deps_and_config_reach_the_key_text() {
         cache_name("simulate", benches[0].name, &a),
         cache_name("simulate", benches[0].name, &c)
     );
+}
+
+#[test]
+fn the_previous_sampler_revision_names_another_entry() {
+    // Results computed under older sampling rules must not be served
+    // from a warm cache directory or resumed by a sweep.
+    let gpu = GpuConfig::fermi();
+    let cfg = TbpointConfig::default();
+    for bench in all_benchmarks(Scale::Tiny) {
+        let key = key_text("eval", &bench, Scale::Tiny, &cfg, &gpu).expect("key");
+        let line = format!("\nsampler_rev={SAMPLER_REV}\n");
+        assert_eq!(key.matches(&line).count(), 1, "{key}");
+        let previous = key.replace(&line, &format!("\nsampler_rev={}\n", SAMPLER_REV - 1));
+        assert_ne!(
+            cache_name("eval", bench.name, &key),
+            cache_name("eval", bench.name, &previous),
+            "{}",
+            bench.name
+        );
+    }
 }
 
 fn scratch(tag: &str) -> PathBuf {
