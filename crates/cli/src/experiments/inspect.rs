@@ -5,7 +5,7 @@
 //! reads before deciding how to sample.
 
 use crate::output;
-use tbpoint_core::inter::{inter_launch_sample, InterConfig};
+use tbpoint_core::inter::{inter_launch_sample_at, InterConfig};
 use tbpoint_core::intra::{build_epochs, identify_regions, IntraConfig};
 use tbpoint_core::{LiveSampler, TbpointConfig};
 use tbpoint_emu::{block_classes, profile_run, BlockClasses, TraceDeps};
@@ -89,13 +89,24 @@ pub fn inspect(name: &str, scale: Scale, threads: usize) -> Option<String> {
         lp.heap_bytes()
     ));
 
-    // Inter-launch view.
-    let inter = inter_launch_sample(&profile, &InterConfig::default());
+    // Inter-launch view: the clusters a two-phase run simulates, one
+    // representative each.
+    let inter = inter_launch_sample_at(
+        &profile,
+        &InterConfig::default(),
+        gpu.system_occupancy(kernel),
+    );
     out.push_str(&format!(
-        "inter-launch: {} clusters over {} launches\n",
+        "inter-launch: {} clusters over {} launches (members -> representative)\n",
         inter.num_simulated(),
         bench.run.num_launches()
     ));
+    for (c, &rep) in inter.representatives.iter().enumerate() {
+        out.push_str(&format!(
+            "  {} -> {rep}\n",
+            launch_ranges(&inter.clustering.members(c))
+        ));
+    }
 
     // Intra-launch view of the biggest launch.
     let epochs = build_epochs(lp, gpu.system_occupancy(kernel));
@@ -194,6 +205,27 @@ pub fn inspect(name: &str, scale: Scale, threads: usize) -> Option<String> {
     Some(out)
 }
 
+/// Ascending launch indices as comma-separated runs: `0-3, 5, 7-8`.
+fn launch_ranges(members: &[usize]) -> String {
+    let mut runs: Vec<(usize, usize)> = Vec::new();
+    for &m in members {
+        match runs.last_mut() {
+            Some((_, end)) if *end + 1 == m => *end = m,
+            _ => runs.push((m, m)),
+        }
+    }
+    runs.iter()
+        .map(|&(a, b)| {
+            if a == b {
+                a.to_string()
+            } else {
+                format!("{a}-{b}")
+            }
+        })
+        .collect::<Vec<_>>()
+        .join(", ")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,6 +280,44 @@ mod tests {
             live.contains(" clusters, ") && live.ends_with('%'),
             "{live}"
         );
+    }
+
+    /// Every launch appears in exactly one cluster line, and each line
+    /// names a representative among its members.
+    #[test]
+    fn inspect_lists_the_simulated_clusters() {
+        assert_eq!(launch_ranges(&[0, 1, 2, 3, 5, 7, 8]), "0-3, 5, 7-8");
+        let s = inspect("stream", Scale::Tiny, 1).expect("stream exists");
+        let head = line_after(&s, "inter-launch: ");
+        assert!(
+            head.ends_with(" launches (members -> representative)"),
+            "{head}"
+        );
+        let clusters: Vec<&str> = s
+            .lines()
+            .skip_while(|l| !l.starts_with("inter-launch: "))
+            .skip(1)
+            .take_while(|l| l.starts_with("  "))
+            .collect();
+        let words: Vec<&str> = head.split(' ').collect();
+        let (n, launches): (usize, usize) = (words[0].parse().unwrap(), words[3].parse().unwrap());
+        assert_eq!(clusters.len(), n, "{s}");
+        let mut seen = Vec::new();
+        for line in clusters {
+            let (members, rep) = line.trim().split_once(" -> ").expect("an arrow");
+            let rep: usize = rep.parse().expect("a launch index");
+            let members: Vec<usize> = members
+                .split(", ")
+                .flat_map(|run| {
+                    let (a, b) = run.split_once('-').unwrap_or((run, run));
+                    a.parse::<usize>().unwrap()..=b.parse().unwrap()
+                })
+                .collect();
+            assert!(members.contains(&rep), "{line}");
+            seen.extend(members);
+        }
+        seen.sort_unstable();
+        assert_eq!(seen, (0..launches).collect::<Vec<_>>(), "{s}");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!                                                 # full-scale bfs launch twice
 //! ```
 
-use tbpoint::core::inter::{inter_launch_sample, InterConfig};
+use tbpoint::core::inter::{inter_launch_sample_at, InterConfig};
 use tbpoint::core::intra::{build_epochs, identify_regions, IntraConfig};
 use tbpoint::core::sampling::RegionSampler;
 use tbpoint::core::TbpointConfig;
@@ -30,8 +30,10 @@ fn main() {
     // One-time profile.
     let profile = profile_run(&bench.run, 4);
 
-    // Inter-launch sampling: which launches are homogeneous?
-    let inter = inter_launch_sample(&profile, &InterConfig::default());
+    // Inter-launch sampling: which launches are homogeneous? Size counts
+    // up to one machine-wide wave; the TB-size CoV is not normalised.
+    let occupancy = gpu.system_occupancy(&bench.run.kernel);
+    let inter = inter_launch_sample_at(&profile, &InterConfig::default(), occupancy);
     println!(
         "bfs: {} launches -> {} clusters (simulate one per cluster)",
         bench.run.num_launches(),
@@ -39,7 +41,7 @@ fn main() {
     );
     for (i, f) in inter.features.iter().enumerate() {
         println!(
-            "  launch {i:>2}: size {:>7.3}  cfd {:>7.3}  memdiv {:>7.3}  tbvar {:>7.3}  -> cluster {}{}",
+            "  launch {i:>2}: size {:>7.3}  cfd {:>7.3}  memdiv {:>7.3}  raw tb cov {:>7.3}  -> cluster {}{}",
             f[0],
             f[1],
             f[2],
@@ -56,7 +58,6 @@ fn main() {
         .max_by_key(|&&r| profile.launches[r].num_blocks())
         .unwrap();
     let launch_profile = &profile.launches[rep];
-    let occupancy = gpu.system_occupancy(&bench.run.kernel);
     let epochs = build_epochs(launch_profile, occupancy);
     let table = identify_regions(&epochs, &IntraConfig::default());
     println!();
