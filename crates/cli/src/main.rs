@@ -15,7 +15,7 @@
 //! tbpoint all    [--scale dev]        everything above
 //! ```
 //!
-//! Parallelism is one [`ExecPlan`](tbpoint_pool::ExecPlan):
+//! Parallelism is one [`ExecPlan`]:
 //! `--pool-workers N` (default: the host's CPU count; `0` is a usage
 //! error) schedules whole launches and sweep units on the deterministic
 //! job pool, with results merged in canonical order so every artifact is

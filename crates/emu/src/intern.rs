@@ -1,6 +1,6 @@
 //! Content-addressed warp-trace interning.
 //!
-//! `SmCore::dispatch` used to re-emulate a full [`WarpTrace`] for every
+//! `SmCore::dispatch` used to re-emulate a full [`WarpTrace`](crate::WarpTrace) for every
 //! warp of every dispatched block, even though regular kernels (stream,
 //! conv rows of Table VI) produce one identical trace per warp shape.
 //! A [`TraceArena`] memoises traces behind `Arc<[TraceEntry]>` for the

@@ -478,7 +478,7 @@ struct Class {
 
 /// A launch's blocks as a function of their class: for a kernel with
 /// block-invariant control flow and affine addresses, every block with
-/// the same [`block_class`] key has the same profile, so one emulated
+/// the same `block_class` key has the same profile, so one emulated
 /// block per class answers for all of them. The one definition of that
 /// fact: [`profile_launch`] stamps its class path from it, and the live
 /// sampler reads skipped blocks' exact stats from it.

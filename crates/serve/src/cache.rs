@@ -3,7 +3,7 @@
 //! **Keying.** An entry's name is derived from everything that can
 //! change the answer: the command, the benchmark's full kernel run (the
 //! serialized program tree and launch roster), its dependence-exact
-//! [`TraceDeps`](tbpoint_emu::TraceDeps) summary, the revision of the
+//! [`TraceDeps`] summary, the revision of the
 //! sampling rules ([`tbpoint_core::SAMPLER_REV`]), the complete
 //! `TbpointConfig` (so cycle/warming budgets hash differently), the GPU
 //! config and the scale. The canonical key text is FNV-1a-64 hashed
