@@ -110,8 +110,12 @@ pub fn inspect(name: &str, scale: Scale, threads: usize) -> Option<String> {
 
     // Intra-launch view of the biggest launch.
     let epochs = build_epochs(lp, gpu.system_occupancy(kernel));
-    let table = identify_regions(&epochs, &IntraConfig::default());
-    let isolated = epochs.iter().filter(|e| e.variation_factor > 0.3).count();
+    let intra = IntraConfig::default();
+    let table = identify_regions(&epochs, &intra);
+    let isolated = epochs
+        .iter()
+        .filter(|e| e.variation_factor > intra.variation_factor)
+        .count();
     out.push_str(&format!(
         "intra-launch (launch {li}): {} epochs, {} isolated by VF, {} regions covering {} TBs\n",
         epochs.len(),
