@@ -307,6 +307,9 @@ pub struct LaunchTrace {
 struct RepSim {
     issued: u64,
     skipped_insts: u64,
+    /// The launch's warp instructions: the profile's count when the
+    /// profile is trusted, otherwise issued plus the sampler's skipped.
+    launch_insts: u64,
     sim_cycles: u64,
     predicted_cycles: f64,
     predicted_ipc: f64,
@@ -476,6 +479,7 @@ impl Pipeline<'_> {
         Ok(RepSim {
             issued: r.issued_warp_insts,
             skipped_insts: o.skipped_warp_insts,
+            launch_insts,
             sim_cycles: r.cycles,
             predicted_cycles,
             predicted_ipc,
@@ -486,11 +490,11 @@ impl Pipeline<'_> {
 
 /// Steps 3-4: extend representatives to their clusters and aggregate.
 ///
-/// Per-launch instruction totals come from the profile when there is one.
-/// In live mode a non-representative launch is charged its class
-/// representative's total (issued + estimated skipped) — an *estimate*,
-/// since same-spec launches do equal work in distribution only (see
-/// [`spec_classes`]).
+/// A representative is charged its own [`RepSim::launch_insts`]; other
+/// launches' totals come from the profile when there is one. In live mode
+/// a non-representative launch is charged its class representative's
+/// total (issued + estimated skipped) — an *estimate*, since same-spec
+/// launches do equal work in distribution only (see [`spec_classes`]).
 fn aggregate(
     run: &KernelRun,
     profile: Option<&RunProfile>,
@@ -498,7 +502,7 @@ fn aggregate(
     rep_results: &[RepSim],
 ) -> TbpointResult {
     let n_launches = run.launches.len();
-    // rep_outcome[launch] = (predicted_cycles, predicted_ipc, est insts).
+    // rep_outcome[launch] = (predicted_cycles, predicted_ipc, launch insts).
     let mut rep_outcome: Vec<Option<(f64, f64, u64)>> = vec![None; n_launches];
     let mut simulated_warp_insts = 0u64;
     let mut intra_skipped = 0u64;
@@ -509,11 +513,7 @@ fn aggregate(
         if r.degraded {
             degraded_launches += 1;
         }
-        rep_outcome[rep] = Some((
-            r.predicted_cycles,
-            r.predicted_ipc,
-            r.issued + r.skipped_insts,
-        ));
+        rep_outcome[rep] = Some((r.predicted_cycles, r.predicted_ipc, r.launch_insts));
     }
 
     let mut per_launch_predicted_cycles = Vec::with_capacity(n_launches);
@@ -525,8 +525,8 @@ fn aggregate(
         // fallback only guards an impossible index.
         let (rep_cycles, rep_ipc, rep_insts) = rep_outcome[rep].unwrap_or((0.0, 0.0, 0));
         let launch_insts = match profile {
-            Some(p) => p.launches[i].warp_insts(),
-            None => rep_insts,
+            Some(p) if i != rep => p.launches[i].warp_insts(),
+            _ => rep_insts,
         };
         total_insts += launch_insts;
         if i == rep {

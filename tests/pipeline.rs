@@ -204,3 +204,23 @@ fn null_config_is_exact() {
     assert!(tbp.error_vs(full.overall_ipc()) < 1e-9);
     assert_eq!(tbp.sample_size(), 1.0);
 }
+
+/// A launch whose profile fails validation is simulated in detail, so a
+/// one-launch run with a truncated profile must reproduce the full
+/// simulation exactly (the null sampling identity).
+#[test]
+fn truncated_profile_is_exact() {
+    let bench = benchmark_by_name("hotspot", Scale::Tiny).unwrap();
+    assert_eq!(bench.run.num_launches(), 1);
+    let gpu = GpuConfig::fermi();
+    let mut profile = profile_run(&bench.run, 2);
+    profile.launches[0].edit_per_block(|tbs| {
+        tbs.pop();
+    });
+    let full = simulate_run(&bench.run, &gpu, &mut NullSampling, None);
+    let cfg = TbpointConfig::default();
+    let tbp = run_tbpoint(&bench.run, Some(&profile), &cfg, &gpu, ExecPlan::serial()).unwrap();
+    assert_eq!(tbp.degraded_launches, 1);
+    assert_eq!(tbp.predicted_ipc, full.overall_ipc());
+    assert_eq!(tbp.sample_size(), 1.0);
+}
