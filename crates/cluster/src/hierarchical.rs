@@ -34,18 +34,6 @@ use crate::Clustering;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
-/// Linkage criterion: how the distance between two *clusters* is derived
-/// from point distances.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Linkage {
-    /// Minimum pairwise distance (chains easily; ablation only).
-    Single,
-    /// Maximum pairwise distance — matches the paper's σ definition.
-    Complete,
-    /// Unweighted average pairwise distance (UPGMA; ablation only).
-    Average,
-}
-
 /// A point ordered by the bit patterns of its coordinates, so that map
 /// equality is bitwise identity (`-0.0` and `0.0` stay distinct points, at
 /// distance zero from each other).
@@ -72,8 +60,9 @@ impl PartialEq for Bits<'_> {
 
 impl Eq for Bits<'_> {}
 
-/// Agglomeratively cluster `points`, merging greedily while the closest
-/// pair of clusters is within `threshold` under `linkage`.
+/// Agglomeratively cluster `points` under complete linkage (a cluster's
+/// distance to another is its farthest pair of points), merging greedily
+/// while the closest pair of clusters is within `threshold`.
 ///
 /// Returns dense cluster ids ordered by first appearance. An empty input
 /// yields an empty clustering; a single point yields one cluster.
@@ -86,30 +75,23 @@ impl Eq for Bits<'_> {}
 /// zero-distance merge before any other; it always picks the
 /// lowest-indexed closest pair and keeps the lower index as the survivor,
 /// so a cluster absorbs each group's first member before its duplicates;
-/// and absorbing a duplicate of a member leaves a `max` or `min`
-/// Lance–Williams row unchanged. Once the zero-distance merges are done the
-/// uncollapsed state is therefore the collapsed one with every group
-/// expanded, and the two runs make the same merges from there. (Single
-/// linkage needs none of this: its result is the connected components of
-/// the `distance <= threshold` graph, whatever the merge order.)
+/// and absorbing a duplicate of a member leaves a `max` Lance–Williams row
+/// unchanged. Once the zero-distance merges are done the uncollapsed state
+/// is therefore the collapsed one with every group expanded, and the two
+/// runs make the same merges from there.
 ///
 /// The argument needs each of its premises, so the collapse is skipped —
 /// every point is its own representative — when one fails:
 /// `threshold < 0` or NaN (zero-distance pairs do not merge first, or at
-/// all), a non-finite coordinate (a duplicate of such a point is at
-/// distance NaN from it, not zero), and [`Linkage::Average`], whose update
-/// `(sa·d + sb·d) / (sa + sb)` is not guaranteed to round back to `d`.
-/// Average linkage is ablation-only and never sees large inputs.
-pub fn hierarchical_cluster(points: &[Point], threshold: f64, linkage: Linkage) -> Clustering {
-    let collapse = threshold >= 0.0
-        && linkage != Linkage::Average
-        && points.iter().flatten().all(|x| x.is_finite());
+/// all), or a non-finite coordinate (a duplicate of such a point is at
+/// distance NaN from it, not zero).
+pub fn hierarchical_cluster(points: &[Point], threshold: f64) -> Clustering {
+    let collapse = threshold >= 0.0 && points.iter().flatten().all(|x| x.is_finite());
 
     // group_of[i]: group of point i, numbered by first appearance;
-    // reps[g]: first point of group g; size[g]: member count.
+    // reps[g]: first point of group g.
     let mut group_of: Vec<usize> = Vec::with_capacity(points.len());
     let mut reps: Vec<usize> = Vec::new();
-    let mut size: Vec<usize> = Vec::new();
     let mut seen: BTreeMap<Bits, usize> = BTreeMap::new();
     for (i, p) in points.iter().enumerate() {
         let fresh = reps.len();
@@ -120,9 +102,7 @@ pub fn hierarchical_cluster(points: &[Point], threshold: f64, linkage: Linkage) 
         };
         if g == fresh {
             reps.push(i);
-            size.push(0);
         }
-        size[g] += 1;
         group_of.push(g);
     }
     let m = reps.len();
@@ -191,41 +171,21 @@ pub fn hierarchical_cluster(points: &[Point], threshold: f64, linkage: Linkage) 
             if !active[k] || k == a || k == b {
                 continue;
             }
-            let dak = pair_dist(&dist, a, k);
-            let dbk = pair_dist(&dist, b, k);
-            let new = match linkage {
-                Linkage::Single => dak.min(dbk),
-                Linkage::Complete => dak.max(dbk),
-                Linkage::Average => {
-                    let (sa, sb) = (size[a] as f64, size[b] as f64);
-                    (sa * dak + sb * dbk) / (sa + sb)
-                }
-            };
+            let new = pair_dist(&dist, a, k).max(pair_dist(&dist, b, k));
             dist[idx(a.min(k), a.max(k))] = new;
         }
-        size[a] += size[b];
         active[b] = false;
         parent[b] = a;
         // Repair the NN cache: entries pointing at a or b are stale (a's
         // distances changed, b vanished); a itself needs a fresh scan.
+        // Complete linkage only lengthens distances (`max` returns the
+        // other operand of a NaN), so no other entry can have a nearer
+        // neighbour in the merged cluster.
         nn[b] = None;
         nn[a] = compute_nn(&dist, &active, a);
         for i in 0..m {
-            if !active[i] || i == a {
-                continue;
-            }
-            match nn[i] {
-                Some((_, j)) if j == a || j == b => {
-                    nn[i] = compute_nn(&dist, &active, i);
-                }
-                _ => {
-                    // Distance to the merged cluster may have *shrunk*
-                    // under single/average linkage — check it.
-                    let dia = pair_dist(&dist, i, a);
-                    if nn[i].is_none_or(|(bd, _)| dia < bd) {
-                        nn[i] = Some((dia, a));
-                    }
-                }
+            if active[i] && i != a && nn[i].is_some_and(|(_, j)| j == a || j == b) {
+                nn[i] = compute_nn(&dist, &active, i);
             }
         }
     }
@@ -249,10 +209,10 @@ mod tests {
     }
 
     /// The algorithm as it stood before duplicate points were collapsed,
-    /// kept verbatim as the oracle for the differential tests below: one
-    /// cluster per input point, an n(n-1)/2 distance matrix, a relabel
-    /// sweep per merge.
-    fn reference_cluster(points: &[Point], threshold: f64, linkage: Linkage) -> Clustering {
+    /// trimmed to complete linkage and kept as the oracle for the
+    /// differential tests below: one cluster per input point, an
+    /// n(n-1)/2 distance matrix, a relabel sweep per merge.
+    fn reference_cluster(points: &[Point], threshold: f64) -> Clustering {
         let n = points.len();
         if n == 0 {
             return Clustering {
@@ -279,9 +239,8 @@ mod tests {
             }
         }
 
-        // active[c]: cluster c still exists; size[c]: member count.
+        // active[c]: cluster c still exists.
         let mut active = vec![true; n];
-        let mut size = vec![1usize; n];
         // parent pointers for final assignment extraction.
         let mut assign: Vec<usize> = (0..n).collect();
 
@@ -331,17 +290,8 @@ mod tests {
                 }
                 let dak = pair_dist(&dist, a, k);
                 let dbk = pair_dist(&dist, b, k);
-                let new = match linkage {
-                    Linkage::Single => dak.min(dbk),
-                    Linkage::Complete => dak.max(dbk),
-                    Linkage::Average => {
-                        let (sa, sb) = (size[a] as f64, size[b] as f64);
-                        (sa * dak + sb * dbk) / (sa + sb)
-                    }
-                };
-                dist[idx(a.min(k), a.max(k))] = new;
+                dist[idx(a.min(k), a.max(k))] = dak.max(dbk);
             }
-            size[a] += size[b];
             active[b] = false;
             for asg in assign.iter_mut() {
                 if *asg == b {
@@ -361,8 +311,9 @@ mod tests {
                         nn[i] = compute_nn(&dist, &active, i);
                     }
                     _ => {
-                        // Distance to the merged cluster may have *shrunk*
-                        // under single/average linkage — check it.
+                        // The general repair: the merged cluster may have
+                        // come nearer. (Complete linkage never does; the
+                        // oracle keeps the check.)
                         let dia = pair_dist(&dist, i, a);
                         if nn[i].is_none_or(|(bd, _)| dia < bd) {
                             nn[i] = Some((dia, a));
@@ -434,21 +385,17 @@ mod tests {
     }
 
     /// Run `cases` seeded inputs through both implementations and demand
-    /// whole-`Clustering` equality: complete and single linkage on every
-    /// case, average (which never collapses) on every eighth.
+    /// whole-`Clustering` equality.
     fn differential(seed: u64, cases: usize) {
         let mut rng = SplitMix64::new(seed);
         for case in 0..cases {
             let (points, threshold) = random_case(&mut rng);
-            let linkages = [Linkage::Complete, Linkage::Single, Linkage::Average];
-            for &linkage in &linkages[..if case % 8 == 0 { 3 } else { 2 }] {
-                let got = hierarchical_cluster(&points, threshold, linkage);
-                let want = reference_cluster(&points, threshold, linkage);
-                assert_eq!(
-                    got, want,
-                    "case {case} (seed {seed:#x}): {linkage:?}, threshold {threshold:?}, points {points:?}"
-                );
-            }
+            let got = hierarchical_cluster(&points, threshold);
+            let want = reference_cluster(&points, threshold);
+            assert_eq!(
+                got, want,
+                "case {case} (seed {seed:#x}): threshold {threshold:?}, points {points:?}"
+            );
         }
     }
 
@@ -467,11 +414,9 @@ mod tests {
     fn negative_threshold_merges_nothing_not_even_duplicates() {
         let points = pts(&[1.0, 1.0, 2.0, 1.0]);
         for t in [-1.0, -1e-300, f64::NEG_INFINITY] {
-            for linkage in [Linkage::Complete, Linkage::Single, Linkage::Average] {
-                let c = hierarchical_cluster(&points, t, linkage);
-                assert_eq!(c, reference_cluster(&points, t, linkage));
-                assert_eq!(c.assignments, vec![0, 1, 2, 3], "threshold {t}");
-            }
+            let c = hierarchical_cluster(&points, t);
+            assert_eq!(c, reference_cluster(&points, t));
+            assert_eq!(c.assignments, vec![0, 1, 2, 3], "threshold {t}");
         }
     }
 
@@ -479,31 +424,25 @@ mod tests {
     fn nan_threshold_never_stops_merging() {
         // `d > NaN` is false, so the stop rule never fires.
         let points = pts(&[1.0, 1.0, 2.0, 50.0, 2.0]);
-        for linkage in [Linkage::Complete, Linkage::Single, Linkage::Average] {
-            let c = hierarchical_cluster(&points, f64::NAN, linkage);
-            assert_eq!(c, reference_cluster(&points, f64::NAN, linkage));
-            assert_eq!(c.num_clusters, 1);
-        }
+        let c = hierarchical_cluster(&points, f64::NAN);
+        assert_eq!(c, reference_cluster(&points, f64::NAN));
+        assert_eq!(c.num_clusters, 1);
     }
 
     #[test]
     fn infinite_threshold_merges_everything() {
         let points = pts(&[1.0, 1.0, 2.0, 1e308, -1e308, 2.0]);
-        for linkage in [Linkage::Complete, Linkage::Single, Linkage::Average] {
-            let c = hierarchical_cluster(&points, f64::INFINITY, linkage);
-            assert_eq!(c, reference_cluster(&points, f64::INFINITY, linkage));
-            assert_eq!(c.num_clusters, 1);
-        }
+        let c = hierarchical_cluster(&points, f64::INFINITY);
+        assert_eq!(c, reference_cluster(&points, f64::INFINITY));
+        assert_eq!(c.num_clusters, 1);
     }
 
     #[test]
     fn signed_zeros_are_distinct_points_at_distance_zero() {
         let points = pts(&[0.0, -0.0, 1.0, -0.0, 0.0]);
-        for linkage in [Linkage::Complete, Linkage::Single] {
-            let c = hierarchical_cluster(&points, 0.0, linkage);
-            assert_eq!(c, reference_cluster(&points, 0.0, linkage));
-            assert_eq!(c.assignments, vec![0, 0, 1, 0, 0]);
-        }
+        let c = hierarchical_cluster(&points, 0.0);
+        assert_eq!(c, reference_cluster(&points, 0.0));
+        assert_eq!(c.assignments, vec![0, 0, 1, 0, 0]);
     }
 
     #[test]
@@ -511,16 +450,16 @@ mod tests {
         // 200,000 points, two distinct values: the uncollapsed distance
         // matrix alone would be 160 GB.
         let points: Vec<Point> = (0..200_000).map(|i| vec![(i % 2) as f64 * 10.0]).collect();
-        let c = hierarchical_cluster(&points, 0.5, Linkage::Complete);
+        let c = hierarchical_cluster(&points, 0.5);
         assert_eq!(c.num_clusters, 2);
         assert!(c.assignments.iter().enumerate().all(|(i, &a)| a == i % 2));
     }
 
     #[test]
     fn empty_and_singleton() {
-        let c = hierarchical_cluster(&[], 1.0, Linkage::Complete);
+        let c = hierarchical_cluster(&[], 1.0);
         assert_eq!(c.num_clusters, 0);
-        let c = hierarchical_cluster(&pts(&[5.0]), 1.0, Linkage::Complete);
+        let c = hierarchical_cluster(&pts(&[5.0]), 1.0);
         assert_eq!(c.num_clusters, 1);
         assert_eq!(c.assignments, vec![0]);
     }
@@ -528,7 +467,7 @@ mod tests {
     #[test]
     fn two_well_separated_groups() {
         let points = pts(&[0.0, 0.1, 0.2, 10.0, 10.1]);
-        let c = hierarchical_cluster(&points, 1.0, Linkage::Complete);
+        let c = hierarchical_cluster(&points, 1.0);
         assert_eq!(c.num_clusters, 2);
         assert_eq!(c.assignments[0], c.assignments[1]);
         assert_eq!(c.assignments[1], c.assignments[2]);
@@ -539,14 +478,14 @@ mod tests {
     #[test]
     fn threshold_zero_keeps_distinct_points_apart() {
         let points = pts(&[0.0, 1.0, 2.0]);
-        let c = hierarchical_cluster(&points, 0.0, Linkage::Complete);
+        let c = hierarchical_cluster(&points, 0.0);
         assert_eq!(c.num_clusters, 3);
     }
 
     #[test]
     fn threshold_zero_merges_identical_points() {
         let points = pts(&[1.0, 1.0, 2.0]);
-        let c = hierarchical_cluster(&points, 0.0, Linkage::Complete);
+        let c = hierarchical_cluster(&points, 0.0);
         assert_eq!(c.num_clusters, 2);
         assert_eq!(c.assignments[0], c.assignments[1]);
     }
@@ -554,7 +493,7 @@ mod tests {
     #[test]
     fn huge_threshold_merges_everything() {
         let points = pts(&[0.0, 5.0, 50.0, 500.0]);
-        let c = hierarchical_cluster(&points, 1e9, Linkage::Complete);
+        let c = hierarchical_cluster(&points, 1e9);
         assert_eq!(c.num_clusters, 1);
     }
 
@@ -564,28 +503,8 @@ mod tests {
         // apart than sigma — the paper's definition of the threshold.
         let points = pts(&[0.0, 0.4, 0.8, 1.2, 1.6, 2.0]);
         let sigma = 0.9;
-        let c = hierarchical_cluster(&points, sigma, Linkage::Complete);
+        let c = hierarchical_cluster(&points, sigma);
         assert!(c.max_intra_distance(&points) <= sigma + 1e-12);
-    }
-
-    #[test]
-    fn single_linkage_chains_where_complete_does_not() {
-        // A chain of points each 0.9 apart, threshold 1.0: single linkage
-        // merges the whole chain; complete stops early.
-        let points = pts(&[0.0, 0.9, 1.8, 2.7, 3.6]);
-        let single = hierarchical_cluster(&points, 1.0, Linkage::Single);
-        let complete = hierarchical_cluster(&points, 1.0, Linkage::Complete);
-        assert_eq!(single.num_clusters, 1);
-        assert!(complete.num_clusters > 1);
-    }
-
-    #[test]
-    fn average_linkage_between_the_two() {
-        let points = pts(&[0.0, 0.9, 1.8, 2.7, 3.6]);
-        let s = hierarchical_cluster(&points, 1.0, Linkage::Single).num_clusters;
-        let a = hierarchical_cluster(&points, 1.0, Linkage::Average).num_clusters;
-        let c = hierarchical_cluster(&points, 1.0, Linkage::Complete).num_clusters;
-        assert!(s <= a && a <= c, "s={s} a={a} c={c}");
     }
 
     #[test]
@@ -595,7 +514,7 @@ mod tests {
             vec![0.05, 0.0, 0.0, 0.0],
             vec![5.0, 5.0, 5.0, 5.0],
         ];
-        let c = hierarchical_cluster(&points, 0.1, Linkage::Complete);
+        let c = hierarchical_cluster(&points, 0.1);
         assert_eq!(c.num_clusters, 2);
     }
 
@@ -604,7 +523,7 @@ mod tests {
         // The stream benchmark scenario: hundreds of identical launches
         // must land in one cluster (inter-launch savings, Fig. 11).
         let points: Vec<Point> = (0..200).map(|_| vec![1.0, 1.0, 1.0, 0.0]).collect();
-        let c = hierarchical_cluster(&points, 0.1, Linkage::Complete);
+        let c = hierarchical_cluster(&points, 0.1);
         assert_eq!(c.num_clusters, 1);
     }
 }

@@ -23,8 +23,7 @@
 //!   stopping rule — TBPoint's choice for both inter-launch and
 //!   intra-launch (epoch) clustering. The paper defines the threshold σ as
 //!   "the maximum distance between any two points in a cluster", which is
-//!   **complete linkage**; single and average linkage are provided for the
-//!   ablation benches.
+//!   **complete linkage**, the only linkage implemented.
 //! * **k-means** (k-means++ seeding, Lloyd iterations) with **BIC** model
 //!   selection — what the SimPoint tool uses, needed for the Ideal-SimPoint
 //!   baseline and for the "hierarchical vs k-means" design ablation.
@@ -36,7 +35,7 @@ pub mod hierarchical;
 pub mod kmeans;
 pub mod point;
 
-pub use hierarchical::{hierarchical_cluster, Linkage};
+pub use hierarchical::hierarchical_cluster;
 pub use kmeans::{kmeans, kmeans_best_bic, KMeansResult};
 pub use point::{centroid, euclidean, normalize_by_mean, Point};
 

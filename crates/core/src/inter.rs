@@ -9,9 +9,7 @@
 
 use crate::error::{invalid, TbError};
 use serde::{Deserialize, Serialize};
-use tbpoint_cluster::{
-    hierarchical_cluster, kmeans_best_bic, normalize_by_mean, Clustering, Linkage,
-};
+use tbpoint_cluster::{hierarchical_cluster, kmeans_best_bic, normalize_by_mean, Clustering};
 use tbpoint_emu::RunProfile;
 
 /// Which clustering algorithm groups the launches.
@@ -160,7 +158,7 @@ pub fn inter_launch_sample_at(
         f[TB_SIZE_COV] = r[TB_SIZE_COV];
     }
     let clustering = match cfg.algo {
-        InterAlgo::Hierarchical => hierarchical_cluster(&features, cfg.sigma, Linkage::Complete),
+        InterAlgo::Hierarchical => hierarchical_cluster(&features, cfg.sigma),
         InterAlgo::KMeansBic { max_k } => kmeans_best_bic(&features, max_k, 0xBEEF, 0.9).clustering,
     };
     let representatives = clustering.representatives(&features);

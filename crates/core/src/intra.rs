@@ -11,7 +11,7 @@
 
 use crate::error::{invalid, TbError};
 use serde::{Deserialize, Serialize};
-use tbpoint_cluster::{hierarchical_cluster, Linkage};
+use tbpoint_cluster::hierarchical_cluster;
 use tbpoint_emu::LaunchProfile;
 use tbpoint_ir::TbId;
 use tbpoint_stats::cov_of;
@@ -173,7 +173,7 @@ pub fn identify_regions(epochs: &[Epoch], cfg: &IntraConfig) -> RegionTable {
         .iter()
         .map(|&p| vec![if mean_p > 0.0 { p / mean_p } else { p }])
         .collect();
-    let clustering = hierarchical_cluster(&points, cfg.sigma, Linkage::Complete);
+    let clustering = hierarchical_cluster(&points, cfg.sigma);
 
     // Cluster id per epoch; None marks an isolated (outlier) epoch.
     let labels: Vec<Option<u32>> = epochs

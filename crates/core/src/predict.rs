@@ -18,7 +18,7 @@
 //! The same accounting yields the Fig. 10 *total sample size* (simulated
 //! insts / total insts) and the Fig. 11 breakdown of skipped instructions
 //! between the two techniques. Inter- and intra-launch sampling are
-//! orthogonal (the paper's Table IV note); the config can disable either.
+//! orthogonal (the paper's Table IV note).
 //!
 //! [`run_tbpoint`] validates its configuration, reads `cfg.mode` and
 //! returns `Result<TbpointResult, TbError>`; [`run_tbpoint_traced`]
@@ -83,10 +83,6 @@ pub struct TbpointConfig {
     /// Trailing units that must agree before fast-forwarding (the paper
     /// compares 2; see `sampling::WARMING_WINDOW`).
     pub warming_window: usize,
-    /// Enable inter-launch sampling.
-    pub inter_enabled: bool,
-    /// Enable intra-launch sampling.
-    pub intra_enabled: bool,
     /// Bound on warming units per region before the sampler abandons the
     /// region and degrades to detailed simulation (`None` = warm
     /// indefinitely, the paper's behaviour). Must be at least
@@ -99,20 +95,6 @@ pub struct TbpointConfig {
     /// Which sampling mode [`run_tbpoint`] runs
     /// ([`SamplingMode::TwoPhase`] by default).
     pub mode: SamplingMode,
-    /// Live mode: consecutive same-cluster epochs required before
-    /// warming starts. Must be at least 1.
-    pub live_min_run: u32,
-    /// Live mode, per-block-path launches only: during fast-forward,
-    /// every `live_guard_period`-th dispatched block is simulated as a
-    /// guard (destabilisation probe) instead of skipped. A class-path
-    /// launch ([`tbpoint_emu::BlockClasses`]) checks every dispatched
-    /// block from the emulator and simulates no guards. Must be at
-    /// least 1.
-    pub live_guard_period: u32,
-    /// Live mode: relative deviation of a fast-forwarded block's stall
-    /// probability from its cluster centre that destabilises the
-    /// fast-forward. Must be finite and positive.
-    pub live_destab_tolerance: f64,
 }
 
 impl Default for TbpointConfig {
@@ -123,14 +105,9 @@ impl Default for TbpointConfig {
             warming_threshold: 0.10,
             unit_tb_span: crate::sampling::DEFAULT_UNIT_TB_SPAN,
             warming_window: crate::sampling::WARMING_WINDOW,
-            inter_enabled: true,
-            intra_enabled: true,
             warming_budget: None,
             cycle_budget: None,
             mode: SamplingMode::TwoPhase,
-            live_min_run: 2,
-            live_guard_period: 8,
-            live_destab_tolerance: 0.5,
         }
     }
 }
@@ -187,21 +164,6 @@ impl TbpointConfig {
         }
         if self.cycle_budget == Some(0) {
             return Err(invalid("cycle_budget", "must be at least 1 cycle (got 0)"));
-        }
-        if self.live_min_run == 0 {
-            return Err(invalid("live_min_run", "must be at least 1 (got 0)"));
-        }
-        if self.live_guard_period == 0 {
-            return Err(invalid("live_guard_period", "must be at least 1 (got 0)"));
-        }
-        if !self.live_destab_tolerance.is_finite() || self.live_destab_tolerance <= 0.0 {
-            return Err(invalid(
-                "live_destab_tolerance",
-                format!(
-                    "must be finite and positive (got {})",
-                    self.live_destab_tolerance
-                ),
-            ));
         }
         Ok(())
     }
@@ -316,15 +278,6 @@ struct RepSim {
     degraded: bool,
 }
 
-/// Every launch its own cluster: all are simulated.
-fn all_launches(n: usize) -> InterResult {
-    InterResult {
-        clustering: Clustering::from_assignments(&(0..n).collect::<Vec<_>>()),
-        representatives: (0..n).collect(),
-        features: vec![],
-    }
-}
-
 /// Live inter-launch grouping: with no profile (and therefore no Eq. 2
 /// feature vectors), launches are grouped by their *specs*. Launches
 /// with equal `(num_blocks, work_scale)` run the same program over the
@@ -419,9 +372,8 @@ impl Pipeline<'_> {
     }
 
     /// Step 2 for one representative: simulate it with intra-launch
-    /// sampling (when enabled), reporting into `rec`. Monomorphised over
-    /// the recorder, so the untraced pipeline keeps its
-    /// zero-instrumentation fast path.
+    /// sampling, reporting into `rec`. Monomorphised over the recorder,
+    /// so the untraced pipeline keeps its zero-instrumentation fast path.
     ///
     /// Degradation ladder: a representative whose profile fails
     /// validation is simulated in full and its IPC taken from the
@@ -444,9 +396,8 @@ impl Pipeline<'_> {
             );
         }
 
-        let (r, o) = if !(self.cfg.intra_enabled && profile_ok) {
-            // Detailed simulation: intra-launch sampling is disabled, or
-            // the profile cannot be trusted (degraded).
+        let (r, o) = if !profile_ok {
+            // Detailed simulation: the profile cannot be trusted.
             let r = self.simulate_guarded(rep, &mut NullSampling, rec)?;
             (r, IntraOutcome::default())
         } else if let Some(lp) = launch_profile {
@@ -601,9 +552,7 @@ fn drive<T: Send>(
         SamplingMode::Live => None,
     };
     let occupancy = gpu.system_occupancy(&run.kernel);
-    let inter = if !cfg.inter_enabled {
-        all_launches(n_launches)
-    } else if let Some(p) = profile {
+    let inter = if let Some(p) = profile {
         inter_launch_sample_at(p, &cfg.inter, occupancy)
     } else {
         spec_classes(run)
@@ -778,6 +727,14 @@ mod tests {
     }
 
     fn homogeneous_run(n_launches: u32, blocks_per_launch: u32) -> KernelRun {
+        sized_run(&vec![blocks_per_launch; n_launches as usize])
+    }
+
+    /// A homogeneous kernel with one launch per entry of `blocks`. Sizes
+    /// under one wave differ in every extensive inter-launch feature and
+    /// in their specs, so such launches are representatives of their own
+    /// in either mode and the pool has several to schedule.
+    fn sized_run(blocks: &[u32]) -> KernelRun {
         let mut b = KernelBuilder::new("homog", 31, 128);
         let body = b.block(&[
             Op::IAlu,
@@ -791,10 +748,11 @@ mod tests {
         let kernel = b.finish(n);
         KernelRun {
             kernel,
-            launches: (0..n_launches)
-                .map(|i| LaunchSpec {
+            launches: (0u32..)
+                .zip(blocks)
+                .map(|(i, &num_blocks)| LaunchSpec {
                     launch_id: LaunchId(i),
-                    num_blocks: blocks_per_launch,
+                    num_blocks,
                     work_scale: 1.0,
                 })
                 .collect(),
@@ -835,53 +793,6 @@ mod tests {
             result.simulated_warp_insts + result.breakdown.total_skipped(),
             result.total_warp_insts
         );
-    }
-
-    #[test]
-    fn disabling_inter_simulates_every_launch() {
-        let run = homogeneous_run(4, 200);
-        let gpu = GpuConfig::fermi();
-        let profile = profile_run(&run, 2);
-        let cfg = TbpointConfig {
-            inter_enabled: false,
-            ..Default::default()
-        };
-        let result = run_tbpoint(&run, Some(&profile), &cfg, &gpu, ExecPlan::serial()).unwrap();
-        assert_eq!(result.num_simulated_launches, 4);
-        assert_eq!(result.breakdown.inter_skipped_warp_insts, 0);
-    }
-
-    #[test]
-    fn disabling_intra_runs_representatives_in_full() {
-        let run = homogeneous_run(4, 200);
-        let gpu = GpuConfig::fermi();
-        let profile = profile_run(&run, 2);
-        let cfg = TbpointConfig {
-            intra_enabled: false,
-            ..Default::default()
-        };
-        let result = run_tbpoint(&run, Some(&profile), &cfg, &gpu, ExecPlan::serial()).unwrap();
-        assert_eq!(result.breakdown.intra_skipped_warp_insts, 0);
-        assert_eq!(result.num_simulated_launches, 1);
-        // The one simulated launch runs in full.
-        let one_launch: u64 = profile.launches[0].warp_insts();
-        assert_eq!(result.simulated_warp_insts, one_launch);
-    }
-
-    #[test]
-    fn disabling_both_is_full_simulation() {
-        let run = homogeneous_run(3, 100);
-        let gpu = GpuConfig::fermi();
-        let profile = profile_run(&run, 2);
-        let cfg = TbpointConfig {
-            inter_enabled: false,
-            intra_enabled: false,
-            ..Default::default()
-        };
-        let result = run_tbpoint(&run, Some(&profile), &cfg, &gpu, ExecPlan::serial()).unwrap();
-        assert_eq!(result.sample_size(), 1.0);
-        let full = simulate_run(&run, &gpu, &mut NullSampling, None);
-        assert!(result.error_vs(full.overall_ipc()) < 1e-9);
     }
 
     #[test]
@@ -1306,21 +1217,6 @@ mod tests {
     }
 
     #[test]
-    fn live_with_intra_disabled_matches_full_simulation() {
-        let run = homogeneous_run(2, 300);
-        let gpu = GpuConfig::fermi();
-        let cfg = TbpointConfig {
-            inter_enabled: false,
-            intra_enabled: false,
-            ..live_defaults()
-        };
-        let result = run_tbpoint(&run, None, &cfg, &gpu, ExecPlan::serial()).unwrap();
-        assert_eq!(result.sample_size(), 1.0);
-        let full = simulate_run(&run, &gpu, &mut NullSampling, None);
-        assert!(result.error_vs(full.overall_ipc()) < 1e-9);
-    }
-
-    #[test]
     fn live_warming_budget_degrades_gracefully() {
         let run = homogeneous_run(1, 1800);
         let gpu = GpuConfig::fermi();
@@ -1362,49 +1258,12 @@ mod tests {
     }
 
     #[test]
-    fn live_config_knobs_are_validated() {
-        let run = homogeneous_run(1, 10);
-        let gpu = GpuConfig::fermi();
-        for (cfg, field) in [
-            (
-                TbpointConfig {
-                    live_min_run: 0,
-                    ..live_defaults()
-                },
-                "live_min_run",
-            ),
-            (
-                TbpointConfig {
-                    live_guard_period: 0,
-                    ..live_defaults()
-                },
-                "live_guard_period",
-            ),
-            (
-                TbpointConfig {
-                    live_destab_tolerance: f64::NAN,
-                    ..live_defaults()
-                },
-                "live_destab_tolerance",
-            ),
-        ] {
-            let err = run_tbpoint(&run, None, &cfg, &gpu, ExecPlan::serial()).unwrap_err();
-            match err {
-                TbError::InvalidConfig { field: f, .. } => assert_eq!(f, field),
-                other => panic!("unexpected error {other:?}"),
-            }
-        }
-    }
-
-    #[test]
     fn live_pooled_results_and_traces_are_identical_at_any_worker_count() {
-        let run = homogeneous_run(5, 300);
+        let run = sized_run(&[30, 60, 90, 300]);
         let gpu = GpuConfig::fermi();
-        let cfg = TbpointConfig {
-            inter_enabled: false,
-            ..live_defaults()
-        };
+        let cfg = live_defaults();
         let serial = run_tbpoint(&run, None, &cfg, &gpu, ExecPlan::serial()).unwrap();
+        assert!(serial.num_simulated_launches >= 2, "{serial:?}");
         let (serial_traced, serial_traces) =
             run_tbpoint_traced(&run, None, &cfg, &gpu, ExecPlan::serial()).unwrap();
         assert_eq!(serial, serial_traced, "tracing changed the live result");
@@ -1420,16 +1279,12 @@ mod tests {
 
     #[test]
     fn pooled_results_and_traces_are_identical_at_any_worker_count() {
-        // Disable inter-launch sampling so several representatives are
-        // actually simulated and the pool has launches to schedule.
-        let run = homogeneous_run(5, 300);
+        let run = sized_run(&[30, 60, 90, 300]);
         let gpu = GpuConfig::fermi();
         let profile = profile_run(&run, 2);
-        let cfg = TbpointConfig {
-            inter_enabled: false,
-            ..Default::default()
-        };
+        let cfg = TbpointConfig::default();
         let serial = run_tbpoint(&run, Some(&profile), &cfg, &gpu, ExecPlan::serial()).unwrap();
+        assert!(serial.num_simulated_launches >= 2, "{serial:?}");
         let (serial_traced, serial_traces) =
             run_tbpoint_traced(&run, Some(&profile), &cfg, &gpu, ExecPlan::serial()).unwrap();
         for pool_workers in [1, 2, 4] {

@@ -109,9 +109,6 @@ pub const DEFAULT_UNIT_TB_SPAN: u32 = 2;
 /// enters and leaves a region and what skipping a block costs. The
 /// machine calls these from the simulator's dispatch/retire hooks.
 pub trait Classifier {
-    /// The event announcing that `region` starts fast-forwarding.
-    fn fast_forward_event(region: u32, ipc: f64) -> EventKind;
-
     /// `tb` is dispatched at `cycle` while `region` is fast-forwarded:
     /// the warp instructions to charge for skipping it, or `None` to
     /// simulate it (after leaving the region through `warming`, if the
@@ -247,7 +244,7 @@ impl<'a> Warming<'a> {
     /// Retire-side unit clock: if `tb` was the designated block, hand
     /// over, and after `unit_tb_span` such lifetimes close the unit and
     /// run the convergence / budget tests.
-    fn retire<C: Classifier>(&mut self, tb: TbId, cycle: u64, issued: u64) {
+    fn retire(&mut self, tb: TbId, cycle: u64, issued: u64) {
         if self.designated != Some(tb.0) {
             return;
         }
@@ -290,7 +287,13 @@ impl<'a> Warming<'a> {
                     region,
                     ipc: unit_ipc,
                 };
-                self.record(cycle, C::fast_forward_event(region, unit_ipc));
+                self.record(
+                    cycle,
+                    EventKind::FastForwardStarted {
+                        region,
+                        ipc: unit_ipc,
+                    },
+                );
                 return;
             }
         }
@@ -347,7 +350,7 @@ impl<C: Classifier> SamplingHook for Sampler<'_, C> {
     fn on_retire(&mut self, tb: TbId, cycle: u64, issued: u64, stats: TbStats) {
         self.classifier
             .before_unit(&mut self.warming, tb, cycle, stats);
-        self.warming.retire::<C>(tb, cycle, issued);
+        self.warming.retire(tb, cycle, issued);
         self.classifier
             .on_retired(&mut self.warming, tb, cycle, stats);
     }
@@ -380,10 +383,6 @@ impl Offline<'_> {
 }
 
 impl Classifier for Offline<'_> {
-    fn fast_forward_event(region: u32, ipc: f64) -> EventKind {
-        EventKind::FastForwardStarted { region, ipc }
-    }
-
     /// In-region blocks are skipped outright. A block missing from the
     /// profile (e.g. a truncated profile file) cannot be fast-forwarded —
     /// its instruction count is unknown — so it falls through to

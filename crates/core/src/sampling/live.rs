@@ -17,14 +17,14 @@
 //!   stall probability: an epoch joins the first cluster whose running
 //!   centre is within a relative `sigma` band, otherwise it founds a new
 //!   cluster (`LiveEpochDetected` event either way).
-//! * **Warming** starts after `min_run` consecutive epochs land in the
+//! * **Warming** starts after `MIN_RUN` consecutive epochs land in the
 //!   same (non-abandoned) cluster, and runs on the shared
 //!   [`super::Warming`] machine: once the trailing `warming_window` unit
 //!   IPCs agree pairwise within the warming threshold, fast-forwarding
-//!   begins (`LiveFastForward`).
+//!   begins (`FastForwardStarted`, with the cluster as its region).
 //! * **Fast-forwarding** skips dispatched blocks, predicting their
 //!   cycles as `insts / unit IPC`. A block whose stall probability
-//!   strays more than `destab_tolerance` (relative) from the cluster
+//!   strays more than `DESTAB_TOLERANCE` (relative) from the cluster
 //!   centre — or a completed epoch that classifies into a different
 //!   cluster — *destabilises* the sampler (`LiveDestabilised`) and
 //!   returns it to detailed simulation. How a skipped block's stats are
@@ -34,7 +34,7 @@
 //!     the emulator ([`tbpoint_emu::BlockClasses`]) at dispatch. Every
 //!     dispatch is checked and a skipped block is charged its exact
 //!     instruction count; no block is simulated to find out;
-//!   - *per-block path*: every `guard_period`-th dispatch is simulated as
+//!   - *per-block path*: every `GUARD_PERIOD`-th dispatch is simulated as
 //!     a *guard* and checked when it retires; skipped blocks are charged
 //!     the running mean instruction count of the cluster's simulated
 //!     blocks.
@@ -55,6 +55,18 @@ use tbpoint_obs::{EventKind, Recorder};
 /// Relative-band floor: clusters whose centre is (near) zero still accept
 /// exactly-zero epochs without the band collapsing to nothing.
 const EPS: f64 = 1e-9;
+
+/// Consecutive same-cluster epochs required before warming starts.
+const MIN_RUN: u32 = 2;
+
+/// Per-block-path launches only: during fast-forward, every
+/// `GUARD_PERIOD`-th dispatched block is simulated as a guard
+/// (destabilisation probe) instead of skipped.
+const GUARD_PERIOD: u64 = 8;
+
+/// Relative deviation of a fast-forwarded block's stall probability
+/// from its cluster centre that destabilises the fast-forward.
+const DESTAB_TOLERANCE: f64 = 0.5;
 
 /// Live-only diagnostics of one sampled launch, beside the shared
 /// [`super::IntraOutcome`].
@@ -109,9 +121,6 @@ pub struct Online<'k> {
     /// exact stats.
     classes: Option<BlockClasses<'k>>,
     sigma: f64,
-    min_run: u32,
-    guard_period: u32,
-    destab_tolerance: f64,
 
     epochs: Vec<EpochAcc>,
     next_epoch: u32,
@@ -160,9 +169,6 @@ impl<'a> LiveSampler<'a> {
                 num_blocks,
                 classes,
                 sigma: cfg.intra.sigma,
-                min_run: cfg.live_min_run,
-                guard_period: cfg.live_guard_period,
-                destab_tolerance: cfg.live_destab_tolerance,
                 epochs: vec![EpochAcc::default(); num_blocks.div_ceil(occupancy) as usize],
                 next_epoch: 0,
                 clusters: Vec::new(),
@@ -226,7 +232,7 @@ impl Online<'_> {
     /// tolerance from `cluster`'s centre.
     fn strays(&self, cluster: u32, stats: TbStats) -> bool {
         let center = self.clusters[cluster as usize].center;
-        (stats.stall_probability() - center).abs() > self.destab_tolerance * center.max(EPS)
+        (stats.stall_probability() - center).abs() > DESTAB_TOLERANCE * center.max(EPS)
     }
 
     /// The only way out of a live fast-forward; the next one starts its
@@ -274,7 +280,7 @@ impl Online<'_> {
         }
         match warming.state() {
             State::Outside => {
-                if self.run_len >= self.min_run {
+                if self.run_len >= MIN_RUN {
                     warming.enter(cycle, cluster);
                 }
             }
@@ -324,13 +330,9 @@ impl Online<'_> {
 }
 
 impl Classifier for Online<'_> {
-    fn fast_forward_event(cluster: u32, ipc: f64) -> EventKind {
-        EventKind::LiveFastForward { cluster, ipc }
-    }
-
     /// A class-path block is skipped at its exact count unless its
     /// stats stray from the cluster, which destabilises the sampler and
-    /// simulates it. On the per-block path every `guard_period`-th
+    /// simulates it. On the per-block path every `GUARD_PERIOD`-th
     /// dispatch of a fast-forward is simulated as a guard and the rest
     /// are skipped at the cluster's estimate.
     fn skip_insts(
@@ -348,9 +350,7 @@ impl Classifier for Online<'_> {
             }
             return Some(stats.warp_insts);
         }
-        let guard = self
-            .ff_dispatch_idx
-            .is_multiple_of(u64::from(self.guard_period));
+        let guard = self.ff_dispatch_idx.is_multiple_of(GUARD_PERIOD);
         self.ff_dispatch_idx += 1;
         if guard {
             self.guards.insert(tb.0);
@@ -491,11 +491,7 @@ mod tests {
         assert!(BlockClasses::new(&k, &spec(3000)).is_none());
         let gpu = GpuConfig::fermi();
         let sp = spec(3000);
-        let cfg = TbpointConfig {
-            live_guard_period: 4,
-            ..Default::default()
-        };
-        let mut sampler = live_sampler(&cfg, &k, &gpu, 3000, &NullRecorder);
+        let mut sampler = live_sampler(&TbpointConfig::default(), &k, &gpu, 3000, &NullRecorder);
         simulate_launch(&k, &sp, &gpu, &mut sampler, None);
         let (out, live) = (sampler.outcome(), sampler.live_outcome());
         assert!(live.guard_tbs > 0, "guards must run: {live:?}");
@@ -542,7 +538,7 @@ mod tests {
             profile.tb(PHASE as usize).unwrap().stall_probability(),
         );
         assert!(
-            (p1 - p0).abs() > cfg.live_destab_tolerance * p0.max(p1),
+            (p1 - p0).abs() > DESTAB_TOLERANCE * p0.max(p1),
             "the phases must differ beyond the tolerance: {p0} vs {p1}"
         );
 
@@ -621,7 +617,7 @@ mod tests {
             .unwrap();
         let i_ff = events
             .iter()
-            .position(|e| matches!(e.kind, EventKind::LiveFastForward { .. }))
+            .position(|e| matches!(e.kind, EventKind::FastForwardStarted { .. }))
             .expect("homogeneous launch must fast-forward live");
         assert!(i_epoch < i_enter && i_enter < i_ff);
     }

@@ -86,7 +86,8 @@ pub enum EventKind {
     /// The sampler crossed into a new homogeneous region and started
     /// warming.
     RegionEntered {
-        /// Region index.
+        /// Region index: a region-table id in two-phase mode, the online
+        /// cluster id in live mode.
         region: u32,
     },
     /// The sampler left the launch (all blocks dispatched).
@@ -98,7 +99,7 @@ pub enum EventKind {
     },
     /// Warming converged; subsequent blocks in the region fast-forward.
     FastForwardStarted {
-        /// Region index.
+        /// Region index, as in `RegionEntered`.
         region: u32,
         /// The stabilised IPC used to extrapolate the region.
         ipc: f64,
@@ -119,14 +120,6 @@ pub enum EventKind {
         epoch: u32,
         /// Cluster the epoch's mean stall probability landed in.
         cluster: u32,
-    },
-    /// A cluster's warming converged during the single pass; subsequent
-    /// blocks of the cluster fast-forward at the given IPC.
-    LiveFastForward {
-        /// Cluster index.
-        cluster: u32,
-        /// The stabilised IPC used to extrapolate skipped blocks.
-        ipc: f64,
     },
     /// A guard block's statistics deviated from its cluster's running
     /// representative: fast-forwarding stopped and the sampler fell back
@@ -214,7 +207,6 @@ impl EventKind {
             EventKind::FastForwardStarted { .. } => "FastForwardStarted",
             EventKind::BlockSkipped { .. } => "BlockSkipped",
             EventKind::LiveEpochDetected { .. } => "LiveEpochDetected",
-            EventKind::LiveFastForward { .. } => "LiveFastForward",
             EventKind::LiveDestabilised { .. } => "LiveDestabilised",
             EventKind::DegradedMode { .. } => "DegradedMode",
             EventKind::RequestAdmitted { .. } => "RequestAdmitted",
@@ -397,10 +389,6 @@ mod tests {
             EventKind::LiveEpochDetected {
                 epoch: 3,
                 cluster: 1,
-            },
-            EventKind::LiveFastForward {
-                cluster: 1,
-                ipc: 12.5,
             },
             EventKind::LiveDestabilised { cluster: 1 },
         ];

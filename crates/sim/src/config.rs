@@ -3,17 +3,6 @@
 use serde::{Deserialize, Serialize};
 use tbpoint_ir::{Kernel, WARP_SIZE};
 
-/// Warp-scheduler policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SchedPolicy {
-    /// Loose round-robin: rotate the start position every issued
-    /// instruction (Fermi's baseline scheduler; the paper's default).
-    RoundRobin,
-    /// Greedy-then-oldest: keep issuing from the current warp until it
-    /// stalls, then pick the oldest ready warp (ablation option).
-    Gto,
-}
-
 /// Geometry of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheConfig {
@@ -48,8 +37,6 @@ pub struct GpuConfig {
     pub regs_per_sm: u32,
     /// Shared-memory bytes per SM.
     pub smem_per_sm: u32,
-    /// Warp scheduler policy.
-    pub sched: SchedPolicy,
 
     /// Dependent-issue latency of ALU ops (cycles).
     pub alu_latency: u32,
@@ -102,7 +89,6 @@ impl GpuConfig {
             max_blocks_per_sm: 8,
             regs_per_sm: 32_768,
             smem_per_sm: 49_152,
-            sched: SchedPolicy::RoundRobin,
             alu_latency: 4,
             sfu_latency: 16,
             smem_latency: 24,

@@ -58,7 +58,7 @@ pub mod sm;
 pub mod stats;
 pub mod units;
 
-pub use config::{CacheConfig, GpuConfig, SchedPolicy};
+pub use config::{CacheConfig, GpuConfig};
 pub use dispatch::{CycleBudgetHook, DispatchDecision, NullSampling, SamplingHook};
 pub use simulator::{
     simulate_launch, simulate_launch_perf, simulate_launch_with, simulate_run, LaunchSimResult,

@@ -604,7 +604,6 @@ mod tests {
             max_blocks_per_sm: 0,
             regs_per_sm: 0,
             smem_per_sm: 0,
-            sched: crate::SchedPolicy::RoundRobin,
             alu_latency: 0,
             sfu_latency: 0,
             smem_latency: 0,
@@ -771,17 +770,6 @@ mod tests {
         assert_eq!(bbv_insts, r.issued_warp_insts);
         // 20 TBs * 4 warps * 400 insts = 32000 -> 6 full units + 1 partial.
         assert_eq!(r.units.len(), 7);
-    }
-
-    #[test]
-    fn gto_and_rr_both_complete_with_similar_totals() {
-        let k = memory_kernel();
-        let mut cfg = GpuConfig::fermi();
-        let rr = simulate_launch(&k, &launch(28), &cfg, &mut NullSampling, None);
-        cfg.sched = crate::config::SchedPolicy::Gto;
-        let gto = simulate_launch(&k, &launch(28), &cfg, &mut NullSampling, None);
-        assert_eq!(rr.issued_warp_insts, gto.issued_warp_insts);
-        assert!(gto.cycles > 0);
     }
 
     #[test]

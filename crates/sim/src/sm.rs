@@ -1,6 +1,6 @@
 //! One streaming multiprocessor: resident blocks, warp scheduling, issue.
 
-use crate::config::{GpuConfig, SchedPolicy};
+use crate::config::GpuConfig;
 use crate::memory::MemorySystem;
 use crate::stats::SmStats;
 use std::sync::Arc;
@@ -33,8 +33,6 @@ struct ResidentBlock {
     warps: Vec<WarpRt>,
     live: u32,
     at_barrier: u32,
-    /// Dispatch cycle — the age GTO's oldest-first scan compares.
-    birth: u64,
     /// Feature counters accumulated at issue time — at retirement they
     /// equal exactly what the profiler would have recorded for this
     /// block ([`tbpoint_emu::profile_tb`] counts the same events), which
@@ -142,7 +140,7 @@ pub struct SmCore {
     resident_since: u64,
     /// Conservative lower bound on the next cycle at which some warp
     /// could issue; `u64::MAX` when nothing is issueable — in particular
-    /// after a scan of an SM with no resident block, under either policy.
+    /// after a scan of an SM with no resident block.
     /// Lowered at dispatch, reset to `now` on every issue, raised to the
     /// exact candidate minimum by a failed scheduling scan. `try_issue`
     /// returns without scanning while `now < ready_hint`.
@@ -157,8 +155,6 @@ pub struct SmCore {
     /// `rr_cursor` as `(rank in occupied, warp)`; `None` once occupancy
     /// changed, so the divisions run only then.
     rr_pos: Option<(usize, usize)>,
-    gto_current: Option<(usize, usize)>,
-    sched: SchedPolicy,
     alu_latency: u64,
     sfu_latency: u64,
     smem_latency: u64,
@@ -185,8 +181,6 @@ impl SmCore {
             use_hint: true,
             rr_cursor: 0,
             rr_pos: None,
-            gto_current: None,
-            sched: cfg.sched,
             alu_latency: cfg.alu_latency as u64,
             sfu_latency: cfg.sfu_latency as u64,
             smem_latency: cfg.smem_latency as u64,
@@ -288,7 +282,6 @@ impl SmCore {
             warps,
             live,
             at_barrier: 0,
-            birth: now,
             stats: TbStats::default(),
         });
         None
@@ -296,91 +289,55 @@ impl SmCore {
 
     /// Select a warp to issue at `now`, maintaining `ready_hint` as a
     /// side effect: a successful pick resets it to `now` (forcing a full
-    /// scan next cycle, so scheduler bookkeeping such as `gto_current`
-    /// stays exactly as in the always-scan reference), and a failed scan
-    /// raises it to the exact minimum `ready_at` among candidate warps
-    /// (`u64::MAX` when none exist). Reads only the packed words.
+    /// scan next cycle, so the round-robin cursor stays exactly as in the
+    /// always-scan reference), and a failed scan raises it to the exact
+    /// minimum `ready_at` among candidate warps (`u64::MAX` when none
+    /// exist). Reads only the packed words.
     fn pick_warp(&mut self, now: u64) -> Option<(usize, usize)> {
         let wpb = self.wpb;
-        let picked = match self.sched {
-            SchedPolicy::RoundRobin => 'rr: {
-                // Walk (slot, warp) pairs starting from the cursor; the
-                // cursor advances past each issued warp, giving loose
-                // round-robin.
-                let n = self.occupied.len();
-                if n == 0 {
-                    // Rule 4: an SM with no resident block never wakes.
-                    self.ready_hint = u64::MAX;
-                    break 'rr None;
-                }
-                let (rank, warp) = self.rr_pos.unwrap_or_else(|| {
-                    let start = self.rr_cursor % (n * wpb);
-                    (start / wpb, start % wpb)
-                });
-                // One lap in n + 1 runs of contiguous words: the tail of
-                // the cursor's block, the other blocks in slot order, then
-                // the head of the cursor's block.
-                let mut wake = u64::MAX;
-                let mut r = rank;
-                for run in 0..=n {
-                    let lo = if run == 0 { warp } else { 0 };
-                    let hi = if run == n { warp } else { wpb };
-                    let slot = self.occupied[r];
-                    let next_r = if r + 1 == n { 0 } else { r + 1 };
-                    for (w, &t) in self.sched_at[slot * wpb..][lo..hi].iter().enumerate() {
-                        if t <= now {
-                            let w = lo + w;
-                            let next = if w + 1 == wpb {
-                                (next_r, 0)
-                            } else {
-                                (r, w + 1)
-                            };
-                            self.rr_pos = Some(next);
-                            self.rr_cursor = next.0 * wpb + next.1;
-                            break 'rr Some((slot, w));
-                        }
-                        wake = wake.min(t);
-                    }
-                    r = next_r;
-                }
-                self.rr_pos = Some((rank, warp));
-                self.ready_hint = wake;
-                None
+        let picked = 'rr: {
+            // Walk (slot, warp) pairs starting from the cursor; the
+            // cursor advances past each issued warp, giving loose
+            // round-robin.
+            let n = self.occupied.len();
+            if n == 0 {
+                // Rule 4: an SM with no resident block never wakes.
+                self.ready_hint = u64::MAX;
+                break 'rr None;
             }
-            SchedPolicy::Gto => 'gto: {
-                // Stick with the current warp while it is ready.
-                if let Some((s, w)) = self.gto_current {
-                    if self.sched_at[s * wpb + w] <= now {
-                        break 'gto Some((s, w));
+            let (rank, warp) = self.rr_pos.unwrap_or_else(|| {
+                let start = self.rr_cursor % (n * wpb);
+                (start / wpb, start % wpb)
+            });
+            // One lap in n + 1 runs of contiguous words: the tail of
+            // the cursor's block, the other blocks in slot order, then
+            // the head of the cursor's block.
+            let mut wake = u64::MAX;
+            let mut r = rank;
+            for run in 0..=n {
+                let lo = if run == 0 { warp } else { 0 };
+                let hi = if run == n { warp } else { wpb };
+                let slot = self.occupied[r];
+                let next_r = if r + 1 == n { 0 } else { r + 1 };
+                for (w, &t) in self.sched_at[slot * wpb..][lo..hi].iter().enumerate() {
+                    if t <= now {
+                        let w = lo + w;
+                        let next = if w + 1 == wpb {
+                            (next_r, 0)
+                        } else {
+                            (r, w + 1)
+                        };
+                        self.rr_pos = Some(next);
+                        self.rr_cursor = next.0 * wpb + next.1;
+                        break 'rr Some((slot, w));
                     }
+                    wake = wake.min(t);
                 }
-                // Otherwise the oldest ready warp: the first ready warp
-                // of the first-dispatched block (a block's warps share its
-                // birth, and ties keep the earlier slot).
-                let mut best: Option<(u64, usize, usize)> = None;
-                let mut wake = u64::MAX;
-                for &s in &self.occupied {
-                    let mut first_ready = None;
-                    for (w, &t) in self.sched_at[s * wpb..][..wpb].iter().enumerate() {
-                        if t > now {
-                            wake = wake.min(t);
-                        } else if first_ready.is_none() {
-                            first_ready = Some(w);
-                        }
-                    }
-                    if let (Some(w), Some(b)) = (first_ready, self.slots[s].as_ref()) {
-                        if best.is_none_or(|(bb, _, _)| b.birth < bb) {
-                            best = Some((b.birth, s, w));
-                        }
-                    }
-                }
-                let pick = best.map(|(_, s, w)| (s, w));
-                self.gto_current = pick;
-                if pick.is_none() {
-                    self.ready_hint = wake;
-                }
-                pick
+                r = next_r;
             }
+            self.rr_pos = Some((rank, warp));
+            self.ready_hint = wake;
+            None
         };
         if picked.is_some() {
             self.ready_hint = now;
@@ -422,9 +379,8 @@ impl SmCore {
         // SM with no resident block, which never wakes: `u64::MAX`). The
         // only later write is a dispatch (rule 3), which lowers the hint
         // to the new block's start, never below its own `now`. A repeat
-        // scan would fail again and failed scans are idempotent (the
-        // first one already cleared `gto_current`), so skipping them is
-        // free of observable effects.
+        // scan would fail again and failed scans are idempotent, so
+        // skipping them is free of observable effects.
         if self.use_hint && now < self.ready_hint {
             return IssueResult::none();
         }
@@ -539,9 +495,6 @@ impl SmCore {
                 self.stats.resident_cycles += now - self.resident_since;
             }
             self.rr_pos = None;
-            if self.gto_current == Some((s, w)) {
-                self.gto_current = None;
-            }
         } else if block.at_barrier > 0 && block.at_barrier == block.live {
             // Barrier release: all live warps arrived.
             for (warp, word) in block.warps.iter_mut().zip(words) {
@@ -599,69 +552,37 @@ mod tests {
         /// gone (that was a bug, see `no_resident_warp_starves`).
         fn pick_warp_reference(&mut self, now: u64) -> Option<(usize, usize)> {
             let ready = |w: &WarpRt| !w.done && !w.at_barrier && w.ready_at <= now;
-            let picked = match self.sched {
-                SchedPolicy::RoundRobin => 'rr: {
-                    let mut order = Vec::new();
-                    for (s, blk) in self.slots.iter().enumerate() {
-                        if let Some(b) = blk {
-                            order.extend((0..b.warps.len()).map(|w| (s, w)));
-                        }
+            let picked = 'rr: {
+                let mut order = Vec::new();
+                for (s, blk) in self.slots.iter().enumerate() {
+                    if let Some(b) = blk {
+                        order.extend((0..b.warps.len()).map(|w| (s, w)));
                     }
-                    let len = order.len();
-                    if len == 0 {
-                        self.ready_hint = u64::MAX;
-                        break 'rr None;
-                    }
-                    let start = self.rr_cursor % len;
-                    let mut pick = None;
-                    let mut wake = u64::MAX;
-                    for k in 0..len {
-                        let (s, w) = order[(start + k) % len];
-                        let warp = &self.slots[s].as_ref().unwrap().warps[w];
-                        if ready(warp) {
-                            self.rr_cursor = (start + k + 1) % len;
-                            pick = Some((s, w));
-                            break;
-                        }
-                        if !warp.done && !warp.at_barrier {
-                            wake = wake.min(warp.ready_at);
-                        }
-                    }
-                    if pick.is_none() {
-                        self.ready_hint = wake;
-                    }
-                    pick
                 }
-                SchedPolicy::Gto => 'gto: {
-                    if let Some((s, w)) = self.gto_current {
-                        if let Some(b) = self.slots[s].as_ref() {
-                            if w < b.warps.len() && ready(&b.warps[w]) {
-                                break 'gto Some((s, w));
-                            }
-                        }
-                    }
-                    let mut best: Option<(u64, usize, usize)> = None;
-                    let mut wake = u64::MAX;
-                    for (s, blk) in self.slots.iter().enumerate() {
-                        if let Some(b) = blk {
-                            for (w, warp) in b.warps.iter().enumerate() {
-                                if ready(warp) {
-                                    if best.is_none_or(|(bb, _, _)| b.birth < bb) {
-                                        best = Some((b.birth, s, w));
-                                    }
-                                } else if !warp.done && !warp.at_barrier {
-                                    wake = wake.min(warp.ready_at);
-                                }
-                            }
-                        }
-                    }
-                    let pick = best.map(|(_, s, w)| (s, w));
-                    self.gto_current = pick;
-                    if pick.is_none() {
-                        self.ready_hint = wake;
-                    }
-                    pick
+                let len = order.len();
+                if len == 0 {
+                    self.ready_hint = u64::MAX;
+                    break 'rr None;
                 }
+                let start = self.rr_cursor % len;
+                let mut pick = None;
+                let mut wake = u64::MAX;
+                for k in 0..len {
+                    let (s, w) = order[(start + k) % len];
+                    let warp = &self.slots[s].as_ref().unwrap().warps[w];
+                    if ready(warp) {
+                        self.rr_cursor = (start + k + 1) % len;
+                        pick = Some((s, w));
+                        break;
+                    }
+                    if !warp.done && !warp.at_barrier {
+                        wake = wake.min(warp.ready_at);
+                    }
+                }
+                if pick.is_none() {
+                    self.ready_hint = wake;
+                }
+                pick
             };
             if picked.is_some() {
                 self.ready_hint = now;
@@ -670,8 +591,8 @@ mod tests {
         }
 
         /// Scheduler state both picks may write.
-        fn sched_state(&self) -> (usize, Option<(usize, usize)>, u64) {
-            (self.rr_cursor, self.gto_current, self.ready_hint)
+        fn sched_state(&self) -> (usize, u64) {
+            (self.rr_cursor, self.ready_hint)
         }
 
         /// The packed-word invariant: `sched_at[i] == ready_at` iff the
@@ -708,7 +629,7 @@ mod tests {
             }
             let want = self.pick_warp_reference(now);
             let want_state = self.sched_state();
-            (self.rr_cursor, self.gto_current, self.ready_hint) = before;
+            (self.rr_cursor, self.ready_hint) = before;
             let got = self.pick_warp(now);
             assert_eq!(got, want, "pick at {now}");
             assert_eq!(self.sched_state(), want_state, "scheduler state at {now}");
@@ -800,16 +721,12 @@ mod tests {
     /// One random SM history: dispatches, issues, barrier arrivals and
     /// releases and retirements interleaved at random, every pick
     /// compared with the reference. Returns the number of picks compared.
-    fn run_history(seed: u64, sched: SchedPolicy, use_hint: bool) -> u64 {
+    fn run_history(seed: u64, use_hint: bool) -> u64 {
         let mut rng = SplitMix64::new(seed);
         let wpb = 1 + below(&mut rng, 32);
         let occupancy = 1 + below(&mut rng, 8);
         let kernel = random_kernel(&mut rng, wpb);
-        let cfg = GpuConfig {
-            sched,
-            ..GpuConfig::fermi()
-        };
-        let mut sm = SmCore::new(0, occupancy as u32, &cfg);
+        let mut sm = SmCore::new(0, occupancy as u32, &GpuConfig::fermi());
         sm.set_event_horizon(use_hint);
         let mut arena = TraceArena::with_caching(&kernel, true);
         let mut mem = ScriptedMem {
@@ -857,11 +774,9 @@ mod tests {
     fn differential(seed: u64, histories: u64) {
         let mut picks = 0;
         for h in 0..histories {
-            for sched in [SchedPolicy::RoundRobin, SchedPolicy::Gto] {
-                picks += run_history(seed + h, sched, h % 2 == 0);
-            }
+            picks += run_history(seed + h, h % 2 == 0);
         }
-        println!("packed pick vs reference: {histories} histories x 2 policies, {picks} picks, 0 mismatches");
+        println!("packed pick vs reference: {histories} histories, {picks} picks, 0 mismatches");
     }
 
     #[test]
@@ -878,43 +793,40 @@ mod tests {
     /// The old scheduler's scratch array held 128 (slot, warp) pairs and
     /// silently dropped the rest, so with 8 x 32 resident warps slots 4-7
     /// starved until slots 0-3 drained. An ALU latency of one lap makes
-    /// either policy visit every warp once before any is ready again.
+    /// the scheduler visit every warp once before any is ready again.
     #[test]
     fn no_resident_warp_starves() {
         let mut b = KernelBuilder::new("alu", 3, 1024);
         let body = b.block(&[Op::IAlu]);
         let program = b.loop_(TripCount::Const(8), body);
         let kernel = b.finish(program);
-        for sched in [SchedPolicy::RoundRobin, SchedPolicy::Gto] {
-            let cfg = GpuConfig {
-                sched,
-                alu_latency: 256,
-                regs_per_sm: 1 << 20,
-                ..GpuConfig::with_occupancy(256, 1)
+        let cfg = GpuConfig {
+            alu_latency: 256,
+            regs_per_sm: 1 << 20,
+            ..GpuConfig::with_occupancy(256, 1)
+        };
+        let occupancy = cfg.sm_occupancy(&kernel);
+        assert_eq!(occupancy * kernel.warps_per_block(), 256);
+        let mut sm = SmCore::new(0, occupancy, &cfg);
+        let mut arena = TraceArena::with_caching(&kernel, true);
+        let mut mem = MemorySystem::new(&cfg);
+        for block_id in 0..occupancy {
+            let ctx = ExecCtx {
+                kernel_seed: kernel.seed,
+                launch_id: LaunchId(0),
+                block_id,
+                num_blocks: occupancy,
+                work_scale: 1.0,
             };
-            let occupancy = cfg.sm_occupancy(&kernel);
-            assert_eq!(occupancy * kernel.warps_per_block(), 256);
-            let mut sm = SmCore::new(0, occupancy, &cfg);
-            let mut arena = TraceArena::with_caching(&kernel, true);
-            let mut mem = MemorySystem::new(&cfg);
-            for block_id in 0..occupancy {
-                let ctx = ExecCtx {
-                    kernel_seed: kernel.seed,
-                    launch_id: LaunchId(0),
-                    block_id,
-                    num_blocks: occupancy,
-                    work_scale: 1.0,
-                };
-                let slot = sm.free_slot().unwrap();
-                sm.dispatch(slot, &kernel, ctx, TbId(block_id), 0, 0, &mut arena);
-            }
-            for now in 0..2 * 256 {
-                sm.try_issue(now, &mut mem);
-            }
-            for (s, blk) in sm.slots.iter().enumerate() {
-                for (w, warp) in blk.as_ref().unwrap().warps.iter().enumerate() {
-                    assert!(warp.pc > 0, "{sched:?}: slot {s} warp {w} never issued");
-                }
+            let slot = sm.free_slot().unwrap();
+            sm.dispatch(slot, &kernel, ctx, TbId(block_id), 0, 0, &mut arena);
+        }
+        for now in 0..2 * 256 {
+            sm.try_issue(now, &mut mem);
+        }
+        for (s, blk) in sm.slots.iter().enumerate() {
+            for (w, warp) in blk.as_ref().unwrap().warps.iter().enumerate() {
+                assert!(warp.pc > 0, "slot {s} warp {w} never issued");
             }
         }
     }

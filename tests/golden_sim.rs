@@ -25,8 +25,8 @@
 //!    walker event it was made from.
 //! 4. **`simulate_launch_perf`'s `jobs` argument is inert**: the frozen
 //!    `benchmark/` harness still passes one.
-//! 5. **Event-horizon loop invariant**: per launch, under both scheduling
-//!    policies, `cycles - idle_cycles_skipped <= issued_warp_insts`.
+//! 5. **Event-horizon loop invariant**: per launch,
+//!    `cycles - idle_cycles_skipped <= issued_warp_insts`.
 
 mod common;
 
@@ -34,8 +34,7 @@ use common::{random_kernel, random_mem_kernel, simulate_opts, Gen};
 use tbpoint::emu::{trace_warp, walk_warp, TraceArena, TraceEntry, TraceKey};
 use tbpoint::ir::{ExecCtx, Kernel, LaunchId, LaunchSpec};
 use tbpoint::sim::{
-    simulate_launch, simulate_launch_perf, simulate_run, GpuConfig, NullSampling, SchedPolicy,
-    SimOptions,
+    simulate_launch, simulate_launch_perf, simulate_run, GpuConfig, NullSampling, SimOptions,
 };
 use tbpoint::workloads::{all_benchmarks, Scale};
 
@@ -202,27 +201,22 @@ fn check_stepped_cycles(scale: Scale) {
     for bench in &benches {
         cases.extend(bench.run.launches.iter().map(|s| (&bench.run.kernel, s)));
     }
+    let cfg = GpuConfig::fermi();
     let mut worst = 0.0_f64;
-    for sched in [SchedPolicy::RoundRobin, SchedPolicy::Gto] {
-        let cfg = GpuConfig {
-            sched,
-            ..GpuConfig::fermi()
-        };
-        for &(kernel, spec) in &cases {
-            let (r, perf) = simulate_launch_perf(kernel, spec, &cfg, &mut NullSampling, None, 1);
-            let stepped = r.cycles - perf.idle_cycles_skipped;
-            assert!(
-                stepped <= r.issued_warp_insts,
-                "{} launch {} under {sched:?}: {stepped} stepped cycles for {} warp instructions",
-                kernel.name,
-                spec.launch_id.0,
-                r.issued_warp_insts
-            );
-            worst = worst.max(stepped as f64 / r.issued_warp_insts.max(1) as f64);
-        }
+    for &(kernel, spec) in &cases {
+        let (r, perf) = simulate_launch_perf(kernel, spec, &cfg, &mut NullSampling, None, 1);
+        let stepped = r.cycles - perf.idle_cycles_skipped;
+        assert!(
+            stepped <= r.issued_warp_insts,
+            "{} launch {}: {stepped} stepped cycles for {} warp instructions",
+            kernel.name,
+            spec.launch_id.0,
+            r.issued_warp_insts
+        );
+        worst = worst.max(stepped as f64 / r.issued_warp_insts.max(1) as f64);
     }
     println!(
-        "stepped <= issued on {} launches x 2 policies, worst stepped/issued {worst:.3}",
+        "stepped <= issued on {} launches, worst stepped/issued {worst:.3}",
         cases.len()
     );
 }
@@ -234,7 +228,7 @@ fn stepped_cycles_never_exceed_issued_instructions() {
 }
 
 #[test]
-#[ignore = "483 dev-scale launches x 2 policies; CI runs it in release (cargo test --release --test golden_sim -- --ignored)"]
+#[ignore = "483 dev-scale launches; CI runs it in release (cargo test --release --test golden_sim -- --ignored)"]
 fn stepped_cycles_never_exceed_issued_instructions_dev() {
     check_stepped_cycles(Scale::Dev);
 }

@@ -91,7 +91,7 @@ fn arbitrary_span(g: &mut Gen) -> Span {
 }
 
 fn arbitrary_kind(g: &mut Gen) -> EventKind {
-    match g.u64(0, 16) {
+    match g.u64(0, 15) {
         0 => EventKind::SpanStart {
             span: arbitrary_span(g),
         },
@@ -135,11 +135,7 @@ fn arbitrary_kind(g: &mut Gen) -> EventKind {
             epoch: g.u32(0, 1 << 20),
             cluster: g.u32(0, 1 << 16),
         },
-        13 => EventKind::LiveFastForward {
-            cluster: g.u32(0, 1 << 16),
-            ipc: g.f64(0.0, 64.0),
-        },
-        14 => EventKind::LiveDestabilised {
+        13 => EventKind::LiveDestabilised {
             cluster: g.u32(0, 1 << 16),
         },
         _ => EventKind::BlockSkipped {

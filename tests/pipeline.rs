@@ -187,24 +187,6 @@ fn one_profile_serves_multiple_configs() {
     }
 }
 
-/// Disabling both techniques must reproduce the full simulation exactly
-/// (the null sampling identity).
-#[test]
-fn null_config_is_exact() {
-    let bench = benchmark_by_name("hotspot", Scale::Tiny).unwrap();
-    let gpu = GpuConfig::fermi();
-    let profile = profile_run(&bench.run, 2);
-    let full = simulate_run(&bench.run, &gpu, &mut NullSampling, None);
-    let cfg = TbpointConfig {
-        inter_enabled: false,
-        intra_enabled: false,
-        ..TbpointConfig::default()
-    };
-    let tbp = run_tbpoint(&bench.run, Some(&profile), &cfg, &gpu, ExecPlan::serial()).unwrap();
-    assert!(tbp.error_vs(full.overall_ipc()) < 1e-9);
-    assert_eq!(tbp.sample_size(), 1.0);
-}
-
 /// A launch whose profile fails validation is simulated in detail, so a
 /// one-launch run with a truncated profile must reproduce the full
 /// simulation exactly (the null sampling identity).

@@ -8,7 +8,7 @@
 mod common;
 
 use common::Gen;
-use tbpoint::cluster::{hierarchical_cluster, kmeans, normalize_by_mean, Linkage};
+use tbpoint::cluster::{hierarchical_cluster, kmeans, normalize_by_mean};
 use tbpoint::core::intra::{build_epochs, identify_regions, IntraConfig, Region, RegionTable};
 use tbpoint::ir::{Cond, Dist, ExecCtx, LaunchId, LaunchSpec, TbId, TripCount};
 use tbpoint::stats::{cov, mean, percentile, OnlineStats, SplitMix64};
@@ -23,7 +23,7 @@ fn hierarchical_clustering_invariants() {
         let mut g = Gen::new(0x01, case);
         let points = g.points(40, 5);
         let sigma = g.f64(0.0, 50.0);
-        let c = hierarchical_cluster(&points, sigma, Linkage::Complete);
+        let c = hierarchical_cluster(&points, sigma);
         assert_eq!(c.assignments.len(), points.len());
         assert!(c.num_clusters >= 1);
         assert!(c.num_clusters <= points.len());
