@@ -49,8 +49,8 @@ pub mod walker;
 pub use divergence::DivergenceReport;
 pub use intern::{InternStats, TraceArena, TraceDeps, TraceKey};
 pub use profile::{
-    block_classes, profile_launch, profile_run, profile_run_obs, BlockClasses, InterFeatures,
-    LaunchProfile, RunProfile, TbStats, Tbs,
+    block_classes, profile_launch, profile_run, BlockClasses, InterFeatures, LaunchProfile,
+    RunProfile, TbStats, Tbs,
 };
 #[doc(hidden)]
 pub use trace::TraceInst;

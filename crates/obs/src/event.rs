@@ -5,18 +5,12 @@
 //! `NullRecorder` discard it for free. Anything that would be expensive
 //! to gather is guarded by `Recorder::enabled` at the call site instead.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A paired region of work, opened by [`EventKind::SpanStart`] and closed
 /// by [`EventKind::SpanEnd`] carrying the same payload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Span {
-    /// Functional profiling of one launch (`tbpoint-emu`). Profiling has
-    /// no simulated clock, so these events carry cycle 0.
-    ProfileLaunch {
-        /// Launch index within the run.
-        launch: u32,
-    },
     /// Cycle-level simulation of one representative launch
     /// (`tbpoint-core`). `SpanEnd` is stamped with the final cycle.
     SimulateLaunch {
@@ -27,7 +21,7 @@ pub enum Span {
 
 /// What happened. Variant names double as the "kind" label in the CLI
 /// trace summary (`EventKind::name`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum EventKind {
     /// A span opened.
     SpanStart {
@@ -174,7 +168,7 @@ pub enum EventKind {
 
 /// Why the pipeline degraded to detailed simulation (payload of
 /// [`EventKind::DegradedMode`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum DegradeReason {
     /// A representative launch's profile failed validation (wrong block
     /// count or non-finite features): the launch is simulated in full
@@ -220,8 +214,8 @@ impl EventKind {
 
 /// A cycle-stamped event. `cycle` is the simulated cycle when the layer
 /// has a clock (the simulator and sampler) and 0 where it does not
-/// (functional profiling).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// (serve's request events).
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Event {
     /// Simulated cycle at which the event occurred.
     pub cycle: u64,
@@ -230,7 +224,7 @@ pub struct Event {
 }
 
 /// Final value of one named monotonic counter.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Counter {
     /// Counter name (e.g. `l1_hit`).
     pub name: String,
@@ -239,7 +233,7 @@ pub struct Counter {
 }
 
 /// Summary of one indexed gauge (e.g. resident blocks on SM 3).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct GaugeSummary {
     /// Gauge name (e.g. `sm_resident_blocks`).
     pub name: String,
@@ -253,8 +247,8 @@ pub struct GaugeSummary {
     pub samples: u64,
 }
 
-/// Everything one recorder saw, in a serialisable, mergeable form.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+/// Everything one recorder saw, written out by [`TraceBundle::to_jsonl`].
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TraceBundle {
     /// Events in record order.
     pub events: Vec<Event>,
@@ -265,35 +259,6 @@ pub struct TraceBundle {
 }
 
 impl TraceBundle {
-    /// Fold `other` into `self`: events append in order, counters sum,
-    /// gauges take the later `last`, the larger `max`, and sum samples.
-    /// Used to merge per-launch traces into a run-level trace in a
-    /// deterministic (launch-index) order.
-    pub fn merge(&mut self, other: TraceBundle) {
-        self.events.extend(other.events);
-        for c in other.counters {
-            match self.counters.binary_search_by(|p| p.name.cmp(&c.name)) {
-                Ok(i) => self.counters[i].value += c.value,
-                Err(i) => self.counters.insert(i, c),
-            }
-        }
-        for g in other.gauges {
-            let key = |p: &GaugeSummary| (p.name.clone(), p.index);
-            match self
-                .gauges
-                .binary_search_by(|p| key(p).cmp(&(g.name.clone(), g.index)))
-            {
-                Ok(i) => {
-                    let cur = &mut self.gauges[i];
-                    cur.last = g.last;
-                    cur.max = cur.max.max(g.max);
-                    cur.samples += g.samples;
-                }
-                Err(i) => self.gauges.insert(i, g),
-            }
-        }
-    }
-
     /// Serialise to deterministic JSON-lines text: one line per event in
     /// record order, then one per counter, then one per gauge summary.
     ///
@@ -316,40 +281,6 @@ impl TraceBundle {
         }
         out
     }
-
-    /// Parse text produced by [`TraceBundle::to_jsonl`]. Unknown line
-    /// shapes are an error; blank lines are skipped.
-    ///
-    /// This parser is *lenient*: text truncated exactly at a newline
-    /// boundary parses as a valid shorter bundle, and a bit flip that
-    /// stays within JSON syntax goes unnoticed. Durable artifacts should
-    /// use [`TraceBundle::to_jsonl_checked`] /
-    /// [`TraceBundle::from_jsonl_checked`] instead.
-    pub fn from_jsonl(text: &str) -> Result<TraceBundle, serde_json::Error> {
-        crate::jsonl::parse_bundle(text)
-    }
-
-    /// [`TraceBundle::to_jsonl`] followed by an integrity trailer line
-    /// (non-empty line count + FNV-1a-64 checksum of the body). The
-    /// sealed text is still line-oriented JSON; parse it back with
-    /// [`TraceBundle::from_jsonl_checked`].
-    pub fn to_jsonl_checked(&self) -> String {
-        crate::integrity::seal(&self.to_jsonl())
-    }
-
-    /// Strict parse of text produced by [`TraceBundle::to_jsonl_checked`]:
-    /// the trailer is required, and any byte damage to the body —
-    /// truncation (even at a newline boundary), bit flips, spliced or
-    /// dropped records — fails verification before parsing begins.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::TraceError`] describing the first integrity violation, or
-    /// wrapping the parse error when the verified body is not a trace.
-    pub fn from_jsonl_checked(text: &str) -> Result<TraceBundle, crate::TraceError> {
-        let body = crate::integrity::verify(text)?;
-        crate::jsonl::parse_bundle(body).map_err(|e| crate::TraceError::Parse(e.to_string()))
-    }
 }
 
 #[cfg(test)]
@@ -363,92 +294,5 @@ mod tests {
             EventKind::TbDispatched { tb: 0, sm: 0 }.name(),
             "TbDispatched"
         );
-    }
-
-    #[test]
-    fn serve_events_round_trip_through_jsonl() {
-        let kinds = [
-            EventKind::RequestAdmitted { seq: 7 },
-            EventKind::RequestRejected { seq: 8 },
-            EventKind::DeadlineExceeded { seq: 9 },
-            EventKind::CacheHit { seq: 10 },
-            EventKind::CacheQuarantined { seq: 11 },
-        ];
-        for kind in kinds {
-            let ev = Event { cycle: 0, kind };
-            let line = crate::jsonl::event_line(&ev);
-            let back = crate::jsonl::parse_event(&line).expect("round trip");
-            assert_eq!(back, ev, "{}", kind.name());
-            assert!(!kind.name().is_empty());
-        }
-    }
-
-    #[test]
-    fn live_events_round_trip_through_jsonl() {
-        let kinds = [
-            EventKind::LiveEpochDetected {
-                epoch: 3,
-                cluster: 1,
-            },
-            EventKind::LiveDestabilised { cluster: 1 },
-        ];
-        for kind in kinds {
-            let ev = Event { cycle: 42, kind };
-            let line = crate::jsonl::event_line(&ev);
-            let back = crate::jsonl::parse_event(&line).expect("round trip");
-            assert_eq!(back, ev, "{}", kind.name());
-            assert!(!kind.name().is_empty());
-        }
-    }
-
-    #[test]
-    fn merge_sums_counters_and_maxes_gauges() {
-        let mut a = TraceBundle {
-            events: vec![Event {
-                cycle: 1,
-                kind: EventKind::RegionEntered { region: 0 },
-            }],
-            counters: vec![Counter {
-                name: "l1_hit".into(),
-                value: 3,
-            }],
-            gauges: vec![GaugeSummary {
-                name: "occ".into(),
-                index: 0,
-                last: 2,
-                max: 4,
-                samples: 5,
-            }],
-        };
-        let b = TraceBundle {
-            events: vec![Event {
-                cycle: 2,
-                kind: EventKind::RegionExited,
-            }],
-            counters: vec![
-                Counter {
-                    name: "l1_hit".into(),
-                    value: 2,
-                },
-                Counter {
-                    name: "l1_miss".into(),
-                    value: 1,
-                },
-            ],
-            gauges: vec![GaugeSummary {
-                name: "occ".into(),
-                index: 0,
-                last: 1,
-                max: 3,
-                samples: 2,
-            }],
-        };
-        a.merge(b);
-        assert_eq!(a.events.len(), 2);
-        assert_eq!(a.counters[0].value, 5);
-        assert_eq!(a.counters[1].name, "l1_miss");
-        assert_eq!(a.gauges[0].last, 1);
-        assert_eq!(a.gauges[0].max, 4);
-        assert_eq!(a.gauges[0].samples, 7);
     }
 }

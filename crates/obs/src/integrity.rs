@@ -1,10 +1,9 @@
 //! Tamper-evident JSON-lines: a checksummed trailer over the raw text.
 //!
-//! The lenient [`crate::TraceBundle::from_jsonl`] parser has a structural
-//! blind spot: JSON-lines truncated exactly at a newline boundary parse
-//! as a *valid, shorter* bundle, and a bit flip inside a numeric literal
-//! can yield different-but-well-formed JSON. Both corruptions pass
-//! undetected through any purely syntactic parser.
+//! A purely syntactic reader has a structural blind spot: JSON-lines
+//! truncated exactly at a newline boundary read as *valid, shorter*
+//! text, and a bit flip inside a numeric literal can yield
+//! different-but-well-formed JSON.
 //!
 //! [`seal`] closes the gap by appending one trailer line carrying the
 //! non-empty line count and an FNV-1a-64 checksum of every preceding
@@ -12,6 +11,9 @@
 //! count disagrees, or whose checksum does not match — so *any* byte
 //! damage (truncation, bit flip, record splice, reordering) surfaces as
 //! a [`TraceError`] instead of silently dropped or altered records.
+//! [`crate::Store`] reads its entries back through [`verify`]; the trace
+//! files the CLI writes carry the same trailer, so damage in transit is
+//! detectable with [`verify`].
 //!
 //! The trailer is itself a JSON line (`{"trailer":{...}}`), so sealed
 //! text remains line-oriented and greppable; the checksum is rendered as
@@ -66,8 +68,6 @@ pub enum TraceError {
         /// Non-empty lines actually present in the body.
         actual: u64,
     },
-    /// The body verified but failed to parse as trace records.
-    Parse(String),
 }
 
 impl fmt::Display for TraceError {
@@ -84,7 +84,6 @@ impl fmt::Display for TraceError {
                 f,
                 "trace line count mismatch: trailer says {expected}, body has {actual}"
             ),
-            TraceError::Parse(msg) => write!(f, "sealed trace body failed to parse: {msg}"),
         }
     }
 }
@@ -211,7 +210,7 @@ mod tests {
 
     #[test]
     fn newline_boundary_truncation_is_detected() {
-        // The exact case the lenient parser misses.
+        // The exact case a syntactic reader misses.
         let sealed = seal("{\"x\":1}\n{\"y\":2}\n");
         let first_line_end = sealed.find('\n').unwrap() + 1;
         assert!(verify(&sealed[..first_line_end]).is_err());

@@ -8,17 +8,17 @@
 //! - counter: `{"counter":{"name":"l1_hit","value":42}}`
 //! - gauge:   `{"gauge":{"name":"sm_resident_blocks","index":3,...}}`
 
-use crate::event::{Counter, Event, GaugeSummary, TraceBundle};
-use serde::{Deserialize, Serialize};
+use crate::event::{Counter, Event, GaugeSummary};
+use serde::Serialize;
 
 /// Wrapper giving counter lines their `{"counter":...}` shape.
-#[derive(Serialize, Deserialize)]
+#[derive(Serialize)]
 struct CounterLine {
     counter: Counter,
 }
 
 /// Wrapper giving gauge lines their `{"gauge":...}` shape.
-#[derive(Serialize, Deserialize)]
+#[derive(Serialize)]
 struct GaugeLine {
     gauge: GaugeSummary,
 }
@@ -64,93 +64,39 @@ pub(crate) fn push_gauge_line(out: &mut String, g: &GaugeSummary) {
     push_line(out, &GaugeLine { gauge: g.clone() })
 }
 
-/// Parse a single event line produced by [`event_line`].
-pub fn parse_event(text: &str) -> Result<Event, serde_json::Error> {
-    serde_json::from_str(text)
-}
-
-/// Parse a full JSON-lines trace back into a [`TraceBundle`].
-pub(crate) fn parse_bundle(text: &str) -> Result<TraceBundle, serde_json::Error> {
-    let mut bundle = TraceBundle::default();
-    for raw in text.lines() {
-        let ln = raw.trim();
-        if ln.is_empty() {
-            continue;
-        }
-        // Counter/gauge wrappers have a unique top-level key, so probing
-        // them first cannot misparse an event line (whose top-level keys
-        // are `cycle`/`kind`).
-        if let Ok(c) = serde_json::from_str::<CounterLine>(ln) {
-            bundle.counters.push(c.counter);
-        } else if let Ok(g) = serde_json::from_str::<GaugeLine>(ln) {
-            bundle.gauges.push(g.gauge);
-        } else {
-            bundle.events.push(serde_json::from_str::<Event>(ln)?);
-        }
-    }
-    Ok(bundle)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{EventKind, Span};
+    use crate::event::{EventKind, Span, TraceBundle};
+    use serde::Value;
 
+    /// Every line `to_jsonl` writes is the JSON of its record, in record
+    /// order: events as they are, counters and gauges under their
+    /// wrapper key.
     #[test]
-    fn event_lines_round_trip() {
-        let evs = [
-            Event {
-                cycle: 0,
-                kind: EventKind::SpanStart {
-                    span: Span::ProfileLaunch { launch: 7 },
-                },
-            },
-            Event {
-                cycle: 12,
-                kind: EventKind::DramAccess {
-                    sm: 3,
-                    row_hit: true,
-                },
-            },
-            Event {
-                cycle: 99,
-                kind: EventKind::UnitClosed { ipc: 1.625 },
-            },
-            Event {
-                cycle: 100,
-                kind: EventKind::RegionExited,
-            },
-        ];
-        for ev in evs {
-            let ln = event_line(&ev);
-            assert_eq!(parse_event(&ln).unwrap(), ev, "line was: {ln}");
-        }
-    }
-
-    #[test]
-    fn encoding_is_deterministic() {
-        let ev = Event {
-            cycle: 5,
-            kind: EventKind::MshrStall { sm: 1, cycles: 40 },
-        };
-        assert_eq!(event_line(&ev), event_line(&ev.clone()));
-        assert_eq!(
-            event_line(&ev),
-            "{\"cycle\":5,\"kind\":{\"MshrStall\":{\"sm\":1,\"cycles\":40}}}"
-        );
-    }
-
-    #[test]
-    fn bundle_round_trips_through_jsonl() {
+    fn bundle_lines_are_the_records_values() {
         let bundle = TraceBundle {
             events: vec![
                 Event {
-                    cycle: 1,
-                    kind: EventKind::TbDispatched { tb: 0, sm: 0 },
+                    cycle: 0,
+                    kind: EventKind::SpanStart {
+                        span: Span::SimulateLaunch { launch: 7 },
+                    },
                 },
                 Event {
-                    cycle: 8,
-                    kind: EventKind::TbRetired { tb: 0, sm: 0 },
+                    cycle: 12,
+                    kind: EventKind::DramAccess {
+                        sm: 3,
+                        row_hit: true,
+                    },
+                },
+                Event {
+                    cycle: 99,
+                    kind: EventKind::UnitClosed { ipc: 1.625 },
+                },
+                Event {
+                    cycle: 100,
+                    kind: EventKind::RegionExited,
                 },
             ],
             counters: vec![Counter {
@@ -165,12 +111,38 @@ mod tests {
                 samples: 2,
             }],
         };
+        let wrap = |key: &str, v: Value| Value::Obj(vec![(key.to_string(), v)]);
+        let expected: Vec<Value> = (bundle.events.iter().map(Serialize::to_value))
+            .chain(
+                bundle
+                    .counters
+                    .iter()
+                    .map(|c| wrap("counter", c.to_value())),
+            )
+            .chain(bundle.gauges.iter().map(|g| wrap("gauge", g.to_value())))
+            .collect();
         let text = bundle.to_jsonl();
-        assert_eq!(TraceBundle::from_jsonl(&text).unwrap(), bundle);
+        let lines: Vec<Value> = text
+            .lines()
+            .map(|l| serde_json::parse(l).unwrap())
+            .collect();
+        assert_eq!(lines, expected, "text was:\n{text}");
+        assert_eq!(
+            text.lines().next(),
+            Some(event_line(&bundle.events[0]).as_str())
+        );
     }
 
     #[test]
-    fn garbage_lines_are_an_error() {
-        assert!(TraceBundle::from_jsonl("{\"nope\":1}\n").is_err());
+    fn encoding_is_deterministic() {
+        let ev = Event {
+            cycle: 5,
+            kind: EventKind::MshrStall { sm: 1, cycles: 40 },
+        };
+        assert_eq!(event_line(&ev), event_line(&ev.clone()));
+        assert_eq!(
+            event_line(&ev),
+            "{\"cycle\":5,\"kind\":{\"MshrStall\":{\"sm\":1,\"cycles\":40}}}"
+        );
     }
 }

@@ -50,6 +50,6 @@ mod recorder;
 
 pub use event::{Counter, DegradeReason, Event, EventKind, GaugeSummary, Span, TraceBundle};
 pub use integrity::{fnv1a64, fnv1a64_extend, seal, verify, TraceError};
-pub use jsonl::{event_line, parse_event};
+pub use jsonl::event_line;
 pub use persist::{clean_stale_tmps, is_stale_tmp, safe_name, write_atomic, Lookup, Store};
 pub use recorder::{CollectingRecorder, NullRecorder, Recorder};

@@ -12,9 +12,12 @@
 //!   runs of thread blocks, noise on the counters behind the Eq. 2
 //!   inter-launch feature vectors, and damaged class ids in class-table
 //!   launch profiles;
-//! * **trace faults** ([`corrupt_text`]) damage a checksummed JSONL
-//!   trace bundle in transit: truncation, bit flips and mid-record
-//!   splices.
+//! * the **pool fault** ([`Fault::PanicInUnit`]) panics inside a unit
+//!   scheduled on the supervised job pool.
+//!
+//! Sealed files that are read back (sweep units, serve's cache) are
+//! attacked by the byte-flip tests of `tbpoint-obs`'s `Store` and of
+//! its two users, not here.
 
 use serde::{Deserialize, Serialize};
 use tbpoint_emu::RunProfile;
@@ -66,13 +69,6 @@ pub enum Fault {
     /// launch and the pipeline degrade, not index out of bounds.
     /// Per-block launch profiles are left as they are.
     CorruptClassIds,
-    /// Cut a sealed JSONL trace at a seeded byte offset.
-    TruncateTrace,
-    /// Flip one low bit of a seeded byte of a sealed JSONL trace.
-    BitFlipTrace,
-    /// Delete a seeded byte range spanning a record boundary, splicing
-    /// two records into one malformed line.
-    SpliceTrace,
     /// Panic inside a seeded unit scheduled on the supervised job pool.
     /// The pool must contain it: that index alone reports the panic
     /// message, every other index completes, and the
@@ -89,9 +85,6 @@ impl Fault {
             Fault::DuplicateEpochs { .. } => "duplicate-epochs",
             Fault::FeatureNoise { .. } => "feature-noise",
             Fault::CorruptClassIds => "corrupt-class-ids",
-            Fault::TruncateTrace => "truncate-trace",
-            Fault::BitFlipTrace => "bit-flip-trace",
-            Fault::SpliceTrace => "splice-trace",
             Fault::PanicInUnit => "panic-in-unit",
         }
     }
@@ -105,14 +98,6 @@ impl Fault {
                 | Fault::DuplicateEpochs { .. }
                 | Fault::FeatureNoise { .. }
                 | Fault::CorruptClassIds
-        )
-    }
-
-    /// Whether this fault damages a serialized trace bundle.
-    pub fn is_trace_fault(&self) -> bool {
-        matches!(
-            self,
-            Fault::TruncateTrace | Fault::BitFlipTrace | Fault::SpliceTrace
         )
     }
 
@@ -132,9 +117,6 @@ impl Fault {
             Fault::DuplicateEpochs { fraction: 0.25 },
             Fault::FeatureNoise { magnitude: 0.3 },
             Fault::CorruptClassIds,
-            Fault::TruncateTrace,
-            Fault::BitFlipTrace,
-            Fault::SpliceTrace,
             Fault::PanicInUnit,
         ]
     }
@@ -167,7 +149,7 @@ pub(crate) fn seeded_index(coords: &[u64], n: usize) -> usize {
 }
 
 /// Apply a profile fault in place, deterministically under `seed`.
-/// Trace faults leave the profile untouched (use [`corrupt_text`]).
+/// The pool fault leaves the profile untouched.
 pub fn inject_profile(profile: &mut RunProfile, fault: Fault, seed: u64) {
     match fault {
         Fault::StallJitter { magnitude } => {
@@ -257,52 +239,7 @@ pub fn inject_profile(profile: &mut RunProfile, fault: Fault, seed: u64) {
                 }
             }
         }
-        Fault::TruncateTrace | Fault::BitFlipTrace | Fault::SpliceTrace | Fault::PanicInUnit => {}
-    }
-}
-
-/// Damage serialized trace text, deterministically under `seed`.
-/// Guaranteed to return text different from the input whenever the
-/// input is at least 4 bytes; profile faults return the input unchanged.
-pub fn corrupt_text(text: &str, fault: Fault, seed: u64) -> String {
-    let bytes = text.as_bytes();
-    if bytes.len() < 4 {
-        return text.to_string();
-    }
-    match fault {
-        Fault::TruncateTrace => {
-            // Cut somewhere in [1, len-1]: always removes at least one
-            // byte, never returns the empty string.
-            let cut = 1 + seeded_index(&[seed, 10], bytes.len() - 1);
-            String::from_utf8_lossy(&bytes[..cut]).into_owned()
-        }
-        Fault::BitFlipTrace => {
-            let pos = seeded_index(&[seed, 11], bytes.len());
-            let bit = seeded_index(&[seed, 12], 5); // bits 0..4 keep ASCII
-            let mut out = bytes.to_vec();
-            out[pos] ^= 1 << bit;
-            String::from_utf8_lossy(&out).into_owned()
-        }
-        Fault::SpliceTrace => {
-            // Remove a range centred on a record boundary: two records
-            // merge into one malformed line (and the line count drops).
-            let newlines: Vec<usize> = bytes
-                .iter()
-                .enumerate()
-                .filter(|&(_, &b)| b == b'\n')
-                .map(|(i, _)| i)
-                .collect();
-            if newlines.is_empty() {
-                return corrupt_text(text, Fault::TruncateTrace, seed);
-            }
-            let nl = newlines[seeded_index(&[seed, 13], newlines.len())];
-            let lo = nl.saturating_sub(1 + seeded_index(&[seed, 14], 8));
-            let hi = (nl + 1 + seeded_index(&[seed, 15], 8)).min(bytes.len());
-            let mut out = bytes[..lo].to_vec();
-            out.extend_from_slice(&bytes[hi..]);
-            String::from_utf8_lossy(&out).into_owned()
-        }
-        _ => text.to_string(),
+        Fault::PanicInUnit => {}
     }
 }
 
@@ -425,27 +362,6 @@ mod tests {
             for (ta, tb) in a.tbs().zip(b.tbs()) {
                 assert_eq!(ta.warp_insts, tb.warp_insts);
                 assert_eq!(ta.thread_insts, tb.thread_insts);
-            }
-        }
-    }
-
-    #[test]
-    fn text_corruptors_always_change_the_text() {
-        let text = "{\"a\":1}\n{\"b\":2}\n{\"c\":3}\n";
-        for fault in [
-            Fault::TruncateTrace,
-            Fault::BitFlipTrace,
-            Fault::SpliceTrace,
-        ] {
-            for seed in 0..32u64 {
-                let out = corrupt_text(text, fault, seed);
-                assert_ne!(out, text, "{} seed {seed} was a no-op", fault.name());
-                assert_eq!(
-                    out,
-                    corrupt_text(text, fault, seed),
-                    "{} seed {seed} not deterministic",
-                    fault.name()
-                );
             }
         }
     }

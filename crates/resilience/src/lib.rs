@@ -18,11 +18,10 @@
 //! Deterministic fault injection for the TBPoint pipeline's trust
 //! boundaries, and the matrix runner that asserts every fault is
 //! *contained*: the pipeline returns `Err` or degrades gracefully —
-//! it never panics, and corrupted trace bundles never parse silently.
+//! it never panics, and a damaged profile never passes as a clean run.
 //!
-//! * [`fault`] — the fault taxonomy ([`Fault`]) and seeded injectors:
-//!   profile perturbations ([`inject_profile`]) and serialized-trace
-//!   damage ([`corrupt_text`]). Everything is a pure function of
+//! * [`fault`] — the fault taxonomy ([`Fault`]) and the seeded profile
+//!   injector ([`inject_profile`]). Everything is a pure function of
 //!   `(input, fault, seed)`, so a failing cell replays exactly.
 //! * [`matrix`] — [`run_fault_matrix`] executes every
 //!   `(benchmark, fault, seed)` cell under `catch_unwind` and
@@ -33,8 +32,8 @@
 //! The graceful-degradation behaviour itself lives in `tbpoint-core`
 //! (`TbpointConfig::{warming_budget, cycle_budget}`,
 //! `TbpointResult::degradation_ratio`) and `tbpoint-obs`
-//! (`DegradedMode` events, checksummed JSONL); this crate supplies the
-//! adversarial inputs and the containment report.
+//! (`DegradedMode` events); this crate supplies the adversarial inputs
+//! and the containment report.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,7 +41,7 @@
 pub mod fault;
 pub mod matrix;
 
-pub use fault::{corrupt_text, inject_profile, Fault, EPOCH_CHUNK};
+pub use fault::{inject_profile, Fault, EPOCH_CHUNK};
 pub use matrix::{
     error_growth, run_fault_matrix, GrowthPoint, MatrixCell, MatrixOptions, MatrixReport, Outcome,
 };

@@ -1,11 +1,13 @@
 //! Cross-crate observability guarantees: recorders observe, they never
 //! influence. The golden tests pin the bit-identity of traced vs
-//! untraced runs; the property tests pin the JSON-lines encoding.
+//! untraced runs; the property tests pin that every JSON line a trace
+//! is written in is exactly its record's serialised value.
 
 mod common;
 
 use common::Gen;
-use tbpoint::obs::{event_line, parse_event, Counter, GaugeSummary, Span};
+use serde::{Serialize, Value};
+use tbpoint::obs::{event_line, Counter, DegradeReason, GaugeSummary, Span};
 use tbpoint::prelude::*;
 use tbpoint::sim::{simulate_launch_with, NullSampling, SimOptions};
 use tbpoint::workloads::{benchmark_by_name, Scale};
@@ -71,27 +73,41 @@ fn every_recorder_leaves_the_simulation_untouched() {
     assert_eq!(baseline, collected);
     assert!(!collect.is_empty(), "collecting recorder saw nothing");
 
-    // The collected stream's JSON-lines text — the form every trace
-    // file is written in — must parse back to the same bundle.
-    let bundle = collect.finish();
+    // The collected stream's JSON-lines text is the form every trace
+    // file is written in.
+    assert_lines_are_the_records(&collect.finish(), "hotspot");
+}
+
+/// `bundle.to_jsonl()` has one line per record, in record order, and
+/// each line is the record's serialised value: events as they are,
+/// counters and gauges under their `counter` / `gauge` key.
+fn assert_lines_are_the_records(bundle: &TraceBundle, what: &str) {
+    let wrap = |key: &str, v: Value| Value::Obj(vec![(key.to_string(), v)]);
+    let expected: Vec<Value> = (bundle.events.iter().map(Serialize::to_value))
+        .chain(
+            bundle
+                .counters
+                .iter()
+                .map(|c| wrap("counter", c.to_value())),
+        )
+        .chain(bundle.gauges.iter().map(|g| wrap("gauge", g.to_value())))
+        .collect();
     let text = bundle.to_jsonl();
-    assert_eq!(TraceBundle::from_jsonl(&text).unwrap(), bundle);
+    let lines: Vec<Value> = text
+        .lines()
+        .map(|l| serde_json::parse(l).unwrap_or_else(|e| panic!("{what}: {e:?} in {l}")))
+        .collect();
+    assert_eq!(lines, expected, "{what}");
 }
 
 fn arbitrary_span(g: &mut Gen) -> Span {
-    if g.u64(0, 2) == 0 {
-        Span::ProfileLaunch {
-            launch: g.u32(0, 1 << 20),
-        }
-    } else {
-        Span::SimulateLaunch {
-            launch: g.u32(0, 1 << 20),
-        }
+    Span::SimulateLaunch {
+        launch: g.u32(0, 1 << 20),
     }
 }
 
 fn arbitrary_kind(g: &mut Gen) -> EventKind {
-    match g.u64(0, 15) {
+    match g.u64(0, 22) {
         0 => EventKind::SpanStart {
             span: arbitrary_span(g),
         },
@@ -138,6 +154,19 @@ fn arbitrary_kind(g: &mut Gen) -> EventKind {
         13 => EventKind::LiveDestabilised {
             cluster: g.u32(0, 1 << 16),
         },
+        14 => EventKind::DegradedMode {
+            reason: DegradeReason::ProfileInvalid,
+        },
+        15 => EventKind::DegradedMode {
+            reason: DegradeReason::WarmingBudgetExceeded {
+                region: g.u32(0, 1 << 16),
+            },
+        },
+        16 => EventKind::RequestAdmitted { seq: g.any_u64() },
+        17 => EventKind::RequestRejected { seq: g.any_u64() },
+        18 => EventKind::DeadlineExceeded { seq: g.any_u64() },
+        19 => EventKind::CacheHit { seq: g.any_u64() },
+        20 => EventKind::CacheQuarantined { seq: g.any_u64() },
         _ => EventKind::BlockSkipped {
             tb: g.u32(0, 1 << 24),
             warp_insts: g.any_u64(),
@@ -145,9 +174,10 @@ fn arbitrary_kind(g: &mut Gen) -> EventKind {
     }
 }
 
-/// Property: any event survives `event_line` -> `parse_event` exactly.
+/// Property: `event_line` writes any event as exactly its serialised
+/// value.
 #[test]
-fn arbitrary_events_round_trip_through_json_lines() {
+fn arbitrary_events_write_their_json_values() {
     for case in 0..500 {
         let mut g = Gen::new(0x0b5e_7001, case);
         let ev = Event {
@@ -155,15 +185,16 @@ fn arbitrary_events_round_trip_through_json_lines() {
             kind: arbitrary_kind(&mut g),
         };
         let ln = event_line(&ev);
-        let back = parse_event(&ln).unwrap_or_else(|e| panic!("case {case}: {e:?} in {ln}"));
-        assert_eq!(back, ev, "case {case}: line was {ln}");
+        let back = serde_json::parse(&ln).unwrap_or_else(|e| panic!("case {case}: {e:?} in {ln}"));
+        assert_eq!(back, ev.to_value(), "case {case}: line was {ln}");
     }
 }
 
-/// Property: any well-formed bundle (sorted counters/gauges, as every
-/// recorder produces) survives `to_jsonl` -> `from_jsonl` exactly.
+/// Property: `to_jsonl` writes any well-formed bundle (sorted
+/// counters/gauges, as every recorder produces) as one JSON value per
+/// record.
 #[test]
-fn arbitrary_bundles_round_trip_through_json_lines() {
+fn arbitrary_bundles_write_one_json_value_per_record() {
     for case in 0..100 {
         let mut g = Gen::new(0x0b5e_7002, case);
         let events = (0..g.usize(0, 40))
@@ -198,8 +229,6 @@ fn arbitrary_bundles_round_trip_through_json_lines() {
             counters,
             gauges,
         };
-        let text = bundle.to_jsonl();
-        let back = TraceBundle::from_jsonl(&text).unwrap_or_else(|e| panic!("case {case}: {e:?}"));
-        assert_eq!(back, bundle, "case {case}");
+        assert_lines_are_the_records(&bundle, &format!("case {case}"));
     }
 }
