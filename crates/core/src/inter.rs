@@ -10,7 +10,7 @@
 use crate::error::{invalid, TbError};
 use serde::{Deserialize, Serialize};
 use tbpoint_cluster::{hierarchical_cluster, kmeans_best_bic, normalize_by_mean, Clustering};
-use tbpoint_emu::RunProfile;
+use tbpoint_emu::{InterFeatures, LaunchProfile, RunProfile};
 
 /// Which clustering algorithm groups the launches.
 ///
@@ -85,7 +85,8 @@ pub struct InterResult {
     /// Per cluster, the index of the representative launch (the
     /// simulation point): the member closest to the cluster centroid.
     pub representatives: Vec<usize>,
-    /// The normalised feature vectors that were clustered (Eq. 2).
+    /// The normalised feature vectors that were clustered (Eq. 2), by
+    /// launch; empty for a launch left out of clustering.
     pub features: Vec<Vec<f64>>,
 }
 
@@ -132,11 +133,38 @@ pub fn inter_launch_sample_at(
     cfg: &InterConfig,
     occupancy: u32,
 ) -> InterResult {
-    let raw: Vec<Vec<f64>> = profile
+    let features: Vec<InterFeatures> = profile
         .launches
         .iter()
-        .map(|l| {
-            let mut point = l.inter_features().to_point();
+        .map(LaunchProfile::inter_features)
+        .collect();
+    inter_launch_sample_trusted(
+        profile,
+        &features,
+        &vec![true; features.len()],
+        cfg,
+        occupancy,
+    )
+}
+
+/// [`inter_launch_sample_at`] over the launches `trusted` marks, given
+/// every launch's features. The other launches are left out of
+/// clustering (and of the feature means): each is a cluster of its own,
+/// numbered after the clustered ones, that it represents, and its entry
+/// in [`InterResult::features`] is empty.
+pub(crate) fn inter_launch_sample_trusted(
+    profile: &RunProfile,
+    features: &[InterFeatures],
+    trusted: &[bool],
+    cfg: &InterConfig,
+    occupancy: u32,
+) -> InterResult {
+    let members: Vec<usize> = (0..features.len()).filter(|&i| trusted[i]).collect();
+    let raw: Vec<Vec<f64>> = members
+        .iter()
+        .map(|&i| {
+            let l = &profile.launches[i];
+            let mut point = features[i].to_point();
             let wave = (f64::from(occupancy) / l.num_blocks().max(1) as f64).min(1.0);
             for x in &mut point[..TB_SIZE_COV] {
                 *x *= wave;
@@ -151,21 +179,41 @@ pub fn inter_launch_sample_at(
             point
         })
         .collect();
-    let mut features = normalize_by_mean(&raw);
+    let mut normalised = normalize_by_mean(&raw);
     // Divided by its mean across launches, sssp's CoVs of 0.025-0.054
     // would sit ±40% apart and split equal-size launches whose IPC agrees.
-    for (f, r) in features.iter_mut().zip(&raw) {
+    for (f, r) in normalised.iter_mut().zip(&raw) {
         f[TB_SIZE_COV] = r[TB_SIZE_COV];
     }
     let clustering = match cfg.algo {
-        InterAlgo::Hierarchical => hierarchical_cluster(&features, cfg.sigma),
-        InterAlgo::KMeansBic { max_k } => kmeans_best_bic(&features, max_k, 0xBEEF, 0.9).clustering,
+        InterAlgo::KMeansBic { max_k } if !normalised.is_empty() => {
+            kmeans_best_bic(&normalised, max_k, 0xBEEF, 0.9).clustering
+        }
+        _ => hierarchical_cluster(&normalised, cfg.sigma),
     };
-    let representatives = clustering.representatives(&features);
+    let mut representatives: Vec<usize> = clustering
+        .representatives(&normalised)
+        .into_iter()
+        .map(|r| members[r])
+        .collect();
+
+    let mut assignments = vec![0; features.len()];
+    let mut points = vec![Vec::new(); features.len()];
+    for ((&i, &c), f) in members.iter().zip(&clustering.assignments).zip(normalised) {
+        assignments[i] = c;
+        points[i] = f;
+    }
+    for (i, _) in trusted.iter().enumerate().filter(|(_, &t)| !t) {
+        assignments[i] = representatives.len();
+        representatives.push(i);
+    }
     InterResult {
-        clustering,
+        clustering: Clustering {
+            assignments,
+            num_clusters: representatives.len(),
+        },
         representatives,
-        features,
+        features: points,
     }
 }
 
