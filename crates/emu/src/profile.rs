@@ -36,7 +36,7 @@ use crate::intern::TraceDeps;
 use crate::walker::walk_warp;
 use std::collections::BTreeMap;
 use std::ops::Range;
-use tbpoint_ir::inst::LINE_BYTES;
+use tbpoint_ir::inst::{CoalescedLines, LINE_BYTES};
 use tbpoint_ir::{ExecCtx, Kernel, KernelRun, LatencyClass, LaunchSpec};
 use tbpoint_stats::cov_of;
 
@@ -392,6 +392,7 @@ impl RunProfile {
 /// instructions into `mem_insts`: the caller's launch totals.
 pub fn profile_tb(kernel: &Kernel, ctx: &ExecCtx, bbv: &mut [u64], mem_insts: &mut u64) -> TbStats {
     let mut s = TbStats::default();
+    let mut lines = CoalescedLines::default();
     for warp in 0..kernel.warps_per_block() {
         let gtid_base = ctx.block_id as u64 * kernel.threads_per_block as u64 + warp as u64 * 32;
         walk_warp(kernel, ctx, warp, &mut |ev| {
@@ -404,9 +405,15 @@ pub fn profile_tb(kernel: &Kernel, ctx: &ExecCtx, bbv: &mut [u64], mem_insts: &m
                 // the IR; a missing one counts as zero requests rather
                 // than aborting the profile.
                 if let Some(pat) = ev.inst.op.addr_pattern() {
-                    s.mem_requests += pat
-                        .coalesced_lines(ctx, gtid_base, ev.mask, ev.iter_key, ev.inst.site)
-                        .len() as u64;
+                    pat.coalesced_lines_into(
+                        ctx,
+                        gtid_base,
+                        ev.mask,
+                        ev.iter_key,
+                        ev.inst.site,
+                        &mut lines,
+                    );
+                    s.mem_requests += lines.len() as u64;
                 }
             }
         });

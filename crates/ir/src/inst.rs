@@ -127,13 +127,41 @@ impl AddrPattern {
         iter: u32,
         site: u32,
     ) -> CoalescedLines {
+        let mut lines = CoalescedLines::default();
+        self.coalesced_lines_into(ctx, gtid_base, active_mask, iter, site, &mut lines);
+        lines
+    }
+
+    /// [`AddrPattern::coalesced_lines`] written into `lines`, whose
+    /// previous contents are dropped. The profiler and the simulator keep
+    /// one buffer each and refill it per memory instruction, so the hot
+    /// path neither zeroes nor copies the 32-line array.
+    pub fn coalesced_lines_into(
+        &self,
+        ctx: &ExecCtx,
+        gtid_base: u64,
+        active_mask: u32,
+        iter: u32,
+        site: u32,
+        lines: &mut CoalescedLines,
+    ) {
+        lines.len = 0;
         let stride = match *self {
             AddrPattern::Coalesced { stride, .. } | AddrPattern::Strided { stride, .. } => {
                 stride as u64
             }
             AddrPattern::Broadcast { .. } => 0,
             AddrPattern::Random { region, bytes } => {
-                return gather_lines(ctx, region, bytes, gtid_base, active_mask, iter, site)
+                return gather_lines(
+                    ctx,
+                    region,
+                    bytes,
+                    gtid_base,
+                    active_mask,
+                    iter,
+                    site,
+                    lines,
+                )
             }
         };
         // `C`: the address thread 0 would touch.
@@ -146,11 +174,10 @@ impl AddrPattern {
             .and_then(|off| base.checked_add(off))
             .is_some();
         if !last_fits {
-            return self.lines_by_lane(ctx, gtid_base, active_mask, iter, site);
+            return self.lines_by_lane(ctx, gtid_base, active_mask, iter, site, lines);
         }
         let line_of =
             |lane: u32| (base + (gtid_base + lane as u64) * stride) / LINE_BYTES * LINE_BYTES;
-        let mut lines = CoalescedLines::default();
         if active_mask == u32::MAX && stride <= LINE_BYTES {
             let first = line_of(0);
             for i in 0..=(line_of(WARP_SIZE - 1) - first) / LINE_BYTES {
@@ -166,7 +193,6 @@ impl AddrPattern {
                 }
             }
         }
-        lines
     }
 
     /// One address per active lane, deduplicated against every line seen
@@ -179,22 +205,34 @@ impl AddrPattern {
         active_mask: u32,
         iter: u32,
         site: u32,
-    ) -> CoalescedLines {
-        let mut lines = CoalescedLines::default();
+        lines: &mut CoalescedLines,
+    ) {
         let mut rest = active_mask;
         while rest != 0 {
             let addr = self.lane_addr(ctx, gtid_base, rest.trailing_zeros(), iter, site);
             rest &= rest - 1;
             lines.push(addr / LINE_BYTES * LINE_BYTES);
         }
-        lines
     }
 }
+
+/// Bits in [`gather_lines`]'s filter of line indices.
+const FILTER_BITS: u64 = 1024;
 
 /// The lane loop for `Random { region, bytes }`: [`AddrPattern::lane_addr`]
 /// per active lane with the hash's two warp-invariant coordinates
 /// (seed, launch) folded once, and the reduction to the span done with a
 /// mask when the span is a power of two (`r % 2^k == r & (2^k - 1)`).
+///
+/// Deduplication goes through a filter of line indices modulo
+/// [`FILTER_BITS`]: a clear bit proves the line new, so the scan of the
+/// lines already pushed runs only when a lane's bit is set — for a lane
+/// repeating an earlier lane's line, or for two distinct lines a multiple
+/// of `FILTER_BITS` lines apart.
+// Eight arguments: the pattern's two fields, the warp's four
+// coordinates and the output buffer; `coalesced_lines_into` is the one
+// caller.
+#[expect(clippy::too_many_arguments)]
 fn gather_lines(
     ctx: &ExecCtx,
     region: u32,
@@ -203,21 +241,29 @@ fn gather_lines(
     active_mask: u32,
     iter: u32,
     site: u32,
-) -> CoalescedLines {
+    lines: &mut CoalescedLines,
+) {
     let prefix = rng::hash_fold(rng::HASH_SEED, &[ctx.kernel_seed, ctx.launch_id.0 as u64]);
     let base = region_base(region);
     let span = bytes.max(LINE_BYTES);
     let pow2_mask = span.is_power_of_two().then(|| span - 1);
-    let mut lines = CoalescedLines::default();
+    let mut seen = [0u64; (FILTER_BITS / 64) as usize];
     let mut rest = active_mask;
     while rest != 0 {
         let gtid = gtid_base.wrapping_add(rest.trailing_zeros() as u64);
         rest &= rest - 1;
         let r = rng::hash_fold(prefix, &[gtid, iter as u64, site as u64]);
         let off = pow2_mask.map_or_else(|| r % span, |m| r & m);
-        lines.push(base.wrapping_add(off) / LINE_BYTES * LINE_BYTES);
+        let line = base.wrapping_add(off) / LINE_BYTES * LINE_BYTES;
+        let key = line / LINE_BYTES % FILTER_BITS;
+        let (word, bit) = (&mut seen[(key / 64) as usize], 1u64 << (key % 64));
+        if *word & bit == 0 {
+            *word |= bit;
+            lines.append(line);
+        } else {
+            lines.push(line);
+        }
     }
-    lines
 }
 
 /// Small fixed-capacity set of distinct line addresses (max one per lane).
@@ -480,9 +526,11 @@ pub(crate) mod tests {
     }
 
     /// Gather spans on both sides of the power-of-two reduction and of
-    /// the `max(LINE_BYTES)` floor; the roster's 6 MiB (sssp) and 8 MiB
-    /// (bfs); the largest span `validate` admits.
-    const SPANS: [u64; 7] = [0, 1, 96, 128, 6 << 20, 8 << 20, REGION_BYTES];
+    /// the `max(LINE_BYTES)` floor; 256 KiB, whose 2,048 lines share the
+    /// filter's 1,024 bits in pairs, so two of a full warp's distinct
+    /// lines share a bit in about one warp in five; the roster's 6 MiB (sssp)
+    /// and 8 MiB (bfs); the largest span `validate` admits.
+    const SPANS: [u64; 8] = [0, 1, 96, 128, 256 << 10, 6 << 20, 8 << 20, REGION_BYTES];
 
     pub(crate) fn random_ctx(rng: &mut SplitMix64) -> ExecCtx {
         ExecCtx {

@@ -5,6 +5,7 @@ use crate::memory::MemorySystem;
 use crate::stats::SmStats;
 use std::sync::Arc;
 use tbpoint_emu::{StaticInst, TbStats, TraceArena, TraceEntry};
+use tbpoint_ir::inst::CoalescedLines;
 use tbpoint_ir::{ExecCtx, Kernel, LatencyClass, Op, TbId};
 use tbpoint_obs::{NullRecorder, Recorder};
 
@@ -49,16 +50,10 @@ pub(crate) trait IssueMem {
     /// Resolve the lines of one load from SM `sm` and return its
     /// completion cycle; `alu_done` is the issue pipeline floor
     /// (`now + alu_latency`).
-    fn load(
-        &mut self,
-        sm: usize,
-        lines: &tbpoint_ir::inst::CoalescedLines,
-        now: u64,
-        alu_done: u64,
-    ) -> u64;
+    fn load(&mut self, sm: usize, lines: &CoalescedLines, now: u64, alu_done: u64) -> u64;
 
     /// Resolve the lines of one store (fire-and-forget).
-    fn store(&mut self, sm: usize, lines: &tbpoint_ir::inst::CoalescedLines, now: u64);
+    fn store(&mut self, sm: usize, lines: &CoalescedLines, now: u64);
 }
 
 /// The simulator's backend: the inline walk through [`MemorySystem`].
@@ -68,13 +63,7 @@ pub(crate) struct DirectMem<'a, 'r, R: Recorder + ?Sized> {
 }
 
 impl<R: Recorder + ?Sized> IssueMem for DirectMem<'_, '_, R> {
-    fn load(
-        &mut self,
-        sm: usize,
-        lines: &tbpoint_ir::inst::CoalescedLines,
-        now: u64,
-        alu_done: u64,
-    ) -> u64 {
+    fn load(&mut self, sm: usize, lines: &CoalescedLines, now: u64, alu_done: u64) -> u64 {
         let mut done_at = alu_done;
         for line in lines.iter() {
             done_at = done_at.max(self.mem.load_obs(sm, line, now, self.rec));
@@ -82,7 +71,7 @@ impl<R: Recorder + ?Sized> IssueMem for DirectMem<'_, '_, R> {
         done_at
     }
 
-    fn store(&mut self, sm: usize, lines: &tbpoint_ir::inst::CoalescedLines, now: u64) {
+    fn store(&mut self, sm: usize, lines: &CoalescedLines, now: u64) {
         for line in lines.iter() {
             self.mem.store_obs(sm, line, now, self.rec);
         }
@@ -158,6 +147,9 @@ pub struct SmCore {
     alu_latency: u64,
     sfu_latency: u64,
     smem_latency: u64,
+    /// The coalesced lines of the memory instruction being issued,
+    /// refilled in place by every global load or store.
+    lines: CoalescedLines,
     /// Warp instructions issued by this SM.
     pub issued_warp_insts: u64,
     /// Thread instructions issued by this SM.
@@ -184,6 +176,7 @@ impl SmCore {
             alu_latency: cfg.alu_latency as u64,
             sfu_latency: cfg.sfu_latency as u64,
             smem_latency: cfg.smem_latency as u64,
+            lines: CoalescedLines::default(),
             issued_warp_insts: 0,
             issued_thread_insts: 0,
             stats: SmStats::default(),
@@ -428,23 +421,25 @@ impl SmCore {
                 // the IR; a missing one degrades to ALU latency instead of
                 // aborting the simulation.
                 if let Some(pat) = inst.op.addr_pattern() {
-                    let lines = pat.coalesced_lines(
+                    let lines = &mut self.lines;
+                    pat.coalesced_lines_into(
                         &ctx,
                         warp.gtid_base,
                         entry.mask,
                         entry.iter_key,
                         inst.site,
+                        lines,
                     );
                     // Same count the profiler records: coalesced lines,
                     // loads and stores alike.
                     block.stats.mem_requests += lines.len() as u64;
                     let is_store = matches!(inst.op, Op::StGlobal(_));
                     if is_store {
-                        mem.store(self.id, &lines, now);
+                        mem.store(self.id, lines, now);
                         // Fire-and-forget: the warp only pays issue latency.
                         warp.ready_at = now + self.alu_latency;
                     } else {
-                        let done_at = mem.load(self.id, &lines, now, now + self.alu_latency);
+                        let done_at = mem.load(self.id, lines, now, now + self.alu_latency);
                         warp.ready_at = done_at;
                         self.stats.load_latency_sum += done_at - now;
                         self.stats.loads_waited += 1;
@@ -655,17 +650,11 @@ mod tests {
     }
 
     impl IssueMem for ScriptedMem {
-        fn load(
-            &mut self,
-            _sm: usize,
-            _lines: &tbpoint_ir::inst::CoalescedLines,
-            now: u64,
-            alu_done: u64,
-        ) -> u64 {
+        fn load(&mut self, _sm: usize, _lines: &CoalescedLines, now: u64, alu_done: u64) -> u64 {
             alu_done.max(now + self.rng.next_index(300))
         }
 
-        fn store(&mut self, _sm: usize, _lines: &tbpoint_ir::inst::CoalescedLines, _now: u64) {}
+        fn store(&mut self, _sm: usize, _lines: &CoalescedLines, _now: u64) {}
     }
 
     fn below(rng: &mut SplitMix64, n: usize) -> usize {
