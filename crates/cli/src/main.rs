@@ -45,13 +45,15 @@
 //! figure left, and recomputes what is missing. `--max-units K` stops
 //! after K units and exits with code 3; `--cycle-budget N` arms a
 //! per-launch watchdog that aborts runaway simulations with a
-//! `BudgetExceeded` error while keeping finished units on disk.
+//! `BudgetExceeded` error while keeping finished units on disk. `0` for
+//! either, as for `--pool-workers` and `--max-pending`, is a usage error.
 //!
 //! `eval`, `fig12`/`fig13` and `ablate` accept `--trace-out <path>`:
 //! the simulated launches are then recorded through the observability
-//! layer and written as deterministic, integrity-sealed JSON lines,
-//! with a summary (events by kind, heaviest memory-stall sites) printed
-//! after the figures. Traced sweeps run on the same pool and resumable
+//! layer (events, plus each launch's simulator statistics as counters)
+//! and written as deterministic, integrity-sealed JSON lines, with a
+//! summary (events by kind, heaviest memory-stall sites) printed after
+//! the figures. Traced sweeps run on the same pool and resumable
 //! sweep as untraced ones; the trace file is written in roster order,
 //! byte-identical at any `--pool-workers`, and never changes the
 //! results. A partial sweep (`--max-units`) writes no trace file,
@@ -60,7 +62,7 @@
 //! command, `all` included (its two sweeps would write one file twice),
 //! rejects `--trace-out` as a usage error.
 
-use std::num::NonZeroUsize;
+use std::num::{NonZeroU64, NonZeroUsize};
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 use tbpoint_cli::experiments::{self, EvalConfig};
@@ -162,10 +164,12 @@ fn parse_args() -> Args {
             "--trace-out" => args.trace_out = Some(flag_value(&mut it, &a, "a path")),
             "--resume" => args.resume = true,
             "--max-units" => {
-                args.max_units = Some(flag_value(&mut it, &a, "a positive integer"));
+                let k: NonZeroUsize = flag_value(&mut it, &a, "a positive integer");
+                args.max_units = Some(k.get());
             }
             "--cycle-budget" => {
-                args.cycle_budget = Some(flag_value(&mut it, &a, "a positive cycle count"));
+                let n: NonZeroU64 = flag_value(&mut it, &a, "a positive cycle count");
+                args.cycle_budget = Some(n.get());
             }
             "--live" => args.live = true,
             "--pool-workers" => {
@@ -177,7 +181,10 @@ fn parse_args() -> Args {
             "--out" => args.out = Some(flag_value(&mut it, &a, "a path")),
             "--requests" => args.requests = Some(flag_value(&mut it, &a, "a path")),
             "--cache-dir" => args.cache_dir = Some(flag_value(&mut it, &a, "a path")),
-            "--max-pending" => args.max_pending = flag_value(&mut it, &a, "a positive integer"),
+            "--max-pending" => {
+                let n: NonZeroUsize = flag_value(&mut it, &a, "a positive integer");
+                args.max_pending = n.get();
+            }
             cmd if args.command.is_empty() && !cmd.starts_with('-') => {
                 args.command = cmd.to_string();
             }

@@ -72,7 +72,7 @@ pub struct TraceEntry {
     pub label: String,
     /// Launch index within that benchmark's run.
     pub launch: usize,
-    /// The recorded events, counters and gauges.
+    /// The recorded events and counters.
     pub trace: TraceBundle,
 }
 
@@ -84,10 +84,11 @@ struct TraceHeader {
 
 /// Write traces as deterministic JSON lines: each launch starts with a
 /// `{"bench":...,"launch":...}` header line followed by its bundle
-/// (events in cycle order, then counters, then gauges). The whole file
-/// is sealed with the `tbpoint-obs` integrity trailer, so truncation or
-/// bit damage in transit is detectable with [`tbpoint_obs::verify`],
-/// and written atomically.
+/// (events in record order, then one `{"counter":...}` line per
+/// simulator statistic, by name). The whole file is sealed with the
+/// `tbpoint-obs` integrity trailer, so truncation or bit damage in
+/// transit is detectable with [`tbpoint_obs::verify`], and written
+/// atomically.
 pub fn write_trace_jsonl(path: &Path, entries: &[TraceEntry]) -> std::io::Result<()> {
     let mut out = String::new();
     for e in entries {

@@ -36,6 +36,39 @@ fn usage_errors_exit_2_and_name_the_offender() {
             2,
             "--pool-workers needs a worker count",
         ),
+        // Zero is no bound: each of these would compute nothing,
+        // fail at the first unit or reject every request.
+        (
+            &[
+                "eval",
+                "--scale",
+                "tiny",
+                "--max-units",
+                "0",
+                "--artifacts",
+                concat!(env!("CARGO_TARGET_TMPDIR"), "/cli_args_artifacts"),
+            ],
+            2,
+            "--max-units needs a positive integer",
+        ),
+        (
+            &[
+                "eval",
+                "--scale",
+                "tiny",
+                "--cycle-budget",
+                "0",
+                "--artifacts",
+                concat!(env!("CARGO_TARGET_TMPDIR"), "/cli_args_artifacts"),
+            ],
+            2,
+            "--cycle-budget needs a positive cycle count",
+        ),
+        (
+            &["serve", "--max-pending", "0"],
+            2,
+            "--max-pending needs a positive integer",
+        ),
         // Rejected while parsing, before any unit runs: a resumed unit
         // has no trace.
         (

@@ -260,7 +260,7 @@ impl TbpointResult {
 pub struct LaunchTrace {
     /// Index of the launch within the run.
     pub launch: usize,
-    /// Events, counters and gauges recorded while simulating it.
+    /// Events and counters recorded while simulating it.
     pub trace: TraceBundle,
 }
 
@@ -660,9 +660,9 @@ pub fn run_tbpoint_traced(
         let span = Span::SimulateLaunch {
             launch: run.launches[rep].launch_id.0,
         };
-        rec.span_start(0, span);
+        rec.record(0, EventKind::SpanStart { span });
         let r = p.simulate(rep, &rec)?;
-        rec.span_end(r.sim_cycles, span);
+        rec.record(r.sim_cycles, EventKind::SpanEnd { span });
         let trace = rec.finish();
         Ok((r, LaunchTrace { launch: rep, trace }))
     })
@@ -1192,7 +1192,7 @@ mod tests {
                 t.trace.events.last().map(|e| e.kind),
                 Some(tbpoint_obs::EventKind::SpanEnd { .. })
             ));
-            // And saw real simulator traffic (counters from the SM layer).
+            // And carries the simulator's per-launch counters.
             assert!(t
                 .trace
                 .counters

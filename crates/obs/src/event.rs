@@ -1,9 +1,8 @@
 //! Event vocabulary shared by every instrumented layer.
 //!
 //! Events are plain `Copy` data — constructing one never allocates, so
-//! call sites can build the payload unconditionally and let a
-//! `NullRecorder` discard it for free. Anything that would be expensive
-//! to gather is guarded by `Recorder::enabled` at the call site instead.
+//! call sites build the payload unconditionally and let a
+//! `NullRecorder` discard it for free.
 
 use serde::Serialize;
 
@@ -232,21 +231,6 @@ pub struct Counter {
     pub value: u64,
 }
 
-/// Summary of one indexed gauge (e.g. resident blocks on SM 3).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
-pub struct GaugeSummary {
-    /// Gauge name (e.g. `sm_resident_blocks`).
-    pub name: String,
-    /// Instance index (e.g. the SM id).
-    pub index: u32,
-    /// Last value set.
-    pub last: u64,
-    /// Maximum value observed.
-    pub max: u64,
-    /// Number of samples recorded.
-    pub samples: u64,
-}
-
 /// Everything one recorder saw, written out by [`TraceBundle::to_jsonl`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TraceBundle {
@@ -254,13 +238,11 @@ pub struct TraceBundle {
     pub events: Vec<Event>,
     /// Counters, name-sorted.
     pub counters: Vec<Counter>,
-    /// Gauge summaries, (name, index)-sorted.
-    pub gauges: Vec<GaugeSummary>,
 }
 
 impl TraceBundle {
     /// Serialise to deterministic JSON-lines text: one line per event in
-    /// record order, then one per counter, then one per gauge summary.
+    /// record order, then one per counter.
     ///
     /// The output buffer is sized up front from the record count (big
     /// traces reach millions of events, and repeated doubling of a
@@ -268,16 +250,13 @@ impl TraceBundle {
     /// each line is serialised directly into it rather than through a
     /// per-record temporary.
     pub fn to_jsonl(&self) -> String {
-        let records = self.events.len() + self.counters.len() + self.gauges.len();
+        let records = self.events.len() + self.counters.len();
         let mut out = String::with_capacity(records * crate::jsonl::EST_LINE_BYTES);
         for ev in &self.events {
             crate::jsonl::push_event_line(&mut out, ev);
         }
         for c in &self.counters {
             crate::jsonl::push_counter_line(&mut out, c);
-        }
-        for g in &self.gauges {
-            crate::jsonl::push_gauge_line(&mut out, g);
         }
         out
     }

@@ -100,7 +100,7 @@ struct Trailer {
 }
 
 /// Wrapper giving the trailer its `{"trailer":...}` line shape, which no
-/// event/counter/gauge line can collide with.
+/// event or counter line can collide with.
 #[derive(Serialize, Deserialize)]
 struct TrailerLine {
     trailer: Trailer,

@@ -1,14 +1,13 @@
 //! Deterministic JSON-lines encoding of trace records.
 //!
-//! Three line shapes, distinguishable by their single top-level key
-//! layout (the vendored `serde_json` keeps struct-field order, so the
-//! encoding is byte-stable for equal values):
+//! Two line shapes, distinguishable by their top-level keys (the
+//! vendored `serde_json` keeps struct-field order, so the encoding is
+//! byte-stable for equal values):
 //!
 //! - event:   `{"cycle":123,"kind":{"TbDispatched":{"tb":1,"sm":0}}}`
 //! - counter: `{"counter":{"name":"l1_hit","value":42}}`
-//! - gauge:   `{"gauge":{"name":"sm_resident_blocks","index":3,...}}`
 
-use crate::event::{Counter, Event, GaugeSummary};
+use crate::event::{Counter, Event};
 use serde::Serialize;
 
 /// Wrapper giving counter lines their `{"counter":...}` shape.
@@ -17,16 +16,9 @@ struct CounterLine {
     counter: Counter,
 }
 
-/// Wrapper giving gauge lines their `{"gauge":...}` shape.
-#[derive(Serialize)]
-struct GaugeLine {
-    gauge: GaugeSummary,
-}
-
 /// Rough bytes-per-line estimate used to pre-size serialization buffers.
 /// A typical event line (`{"cycle":123,"kind":{"TbDispatched":{"tb":1,
-/// "sm":0}}}`) runs 45–70 bytes; counter and gauge summary lines are in
-/// the same range. Oversizing slightly beats regrowing a multi-megabyte
+/// "sm":0}}}`) runs 45–70 bytes; counter lines are in the same range. Oversizing slightly beats regrowing a multi-megabyte
 /// buffer several times.
 pub(crate) const EST_LINE_BYTES: usize = 72;
 
@@ -59,11 +51,6 @@ pub(crate) fn push_counter_line(out: &mut String, c: &Counter) {
     push_line(out, &CounterLine { counter: c.clone() });
 }
 
-/// Append a gauge summary line (newline included) to `out`.
-pub(crate) fn push_gauge_line(out: &mut String, g: &GaugeSummary) {
-    push_line(out, &GaugeLine { gauge: g.clone() })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -71,8 +58,7 @@ mod tests {
     use serde::Value;
 
     /// Every line `to_jsonl` writes is the JSON of its record, in record
-    /// order: events as they are, counters and gauges under their
-    /// wrapper key.
+    /// order: events as they are, counters under their wrapper key.
     #[test]
     fn bundle_lines_are_the_records_values() {
         let bundle = TraceBundle {
@@ -103,13 +89,6 @@ mod tests {
                 name: "l1_hit".into(),
                 value: 2,
             }],
-            gauges: vec![GaugeSummary {
-                name: "sm_resident_blocks".into(),
-                index: 0,
-                last: 0,
-                max: 1,
-                samples: 2,
-            }],
         };
         let wrap = |key: &str, v: Value| Value::Obj(vec![(key.to_string(), v)]);
         let expected: Vec<Value> = (bundle.events.iter().map(Serialize::to_value))
@@ -119,7 +98,6 @@ mod tests {
                     .iter()
                     .map(|c| wrap("counter", c.to_value())),
             )
-            .chain(bundle.gauges.iter().map(|g| wrap("gauge", g.to_value())))
             .collect();
         let text = bundle.to_jsonl();
         let lines: Vec<Value> = text

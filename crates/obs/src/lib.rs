@@ -5,11 +5,12 @@
 //! failed to stabilise, which SMs sat behind the memory system. This
 //! crate provides the plumbing every layer shares:
 //!
-//! - [`Recorder`]: a trait with cycle-stamped **events**, monotonic
-//!   **counters**, indexed **gauges**, and paired **spans**. All methods
-//!   take `&self` (implementations use interior mutability) so a single
-//!   recorder can be shared by the sampler and the simulator within one
-//!   launch without aliasing conflicts.
+//! - [`Recorder`]: two methods, cycle-stamped **events** (`record`) and
+//!   named monotonic **counters** (`counter`, emitted once per launch
+//!   from the simulator's own statistics). Both take `&self`
+//!   (implementations use interior mutability) so a single recorder can
+//!   be shared by the sampler and the simulator within one launch
+//!   without aliasing conflicts.
 //! - [`NullRecorder`]: the default. Every method is an empty inline
 //!   `&self` no-op on a zero-sized type, so when the simulator is
 //!   monomorphised over it the instrumentation compiles away entirely.
@@ -25,8 +26,8 @@
 //! collecting run produce bit-identical `TbpointResult`s.
 //!
 //! Determinism note: nothing here reads wall-clock time or any other
-//! ambient state. Event order is exactly call order; counter and gauge
-//! summaries are emitted in `BTreeMap` (name, index) order.
+//! ambient state. Event order is exactly call order; counters are
+//! emitted in name order.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,7 +49,7 @@ mod jsonl;
 mod persist;
 mod recorder;
 
-pub use event::{Counter, DegradeReason, Event, EventKind, GaugeSummary, Span, TraceBundle};
+pub use event::{Counter, DegradeReason, Event, EventKind, Span, TraceBundle};
 pub use integrity::{fnv1a64, fnv1a64_extend, seal, verify, TraceError};
 pub use jsonl::event_line;
 pub use persist::{clean_stale_tmps, is_stale_tmp, safe_name, write_atomic, Lookup, Store};

@@ -1,6 +1,6 @@
 //! The `Recorder` trait and its two implementations.
 
-use crate::event::{Counter, Event, EventKind, GaugeSummary, Span, TraceBundle};
+use crate::event::{Counter, Event, EventKind, TraceBundle};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 
@@ -14,33 +14,16 @@ use std::collections::BTreeMap;
 /// the computation it watches, and the workspace golden test checks
 /// that swapping recorders leaves `TbpointResult` bit-identical.
 ///
-/// Hot paths should guard payload *gathering* with [`Recorder::enabled`];
-/// building an [`EventKind`] itself is allocation-free and needs no
-/// guard.
+/// Building an [`EventKind`] is allocation-free, so call sites build
+/// payloads unconditionally. Counters are not per-access tallies: the
+/// simulator emits each one once per launch from the statistics it
+/// keeps anyway.
 pub trait Recorder {
-    /// False for [`NullRecorder`]; lets hot paths skip gathering data
-    /// that exists only to be recorded.
-    fn enabled(&self) -> bool;
-
     /// Record a cycle-stamped event.
     fn record(&self, cycle: u64, kind: EventKind);
 
     /// Add `delta` to the named monotonic counter.
     fn counter(&self, name: &'static str, delta: u64);
-
-    /// Set the gauge `name[index]` to `value` (e.g. resident blocks on
-    /// one SM).
-    fn gauge(&self, name: &'static str, index: u32, value: u64);
-
-    /// Open a span at `cycle`.
-    fn span_start(&self, cycle: u64, span: Span) {
-        self.record(cycle, EventKind::SpanStart { span });
-    }
-
-    /// Close a span at `cycle`.
-    fn span_end(&self, cycle: u64, span: Span) {
-        self.record(cycle, EventKind::SpanEnd { span });
-    }
 }
 
 /// The default recorder: a zero-sized type whose methods are empty
@@ -52,78 +35,20 @@ pub struct NullRecorder;
 
 impl Recorder for NullRecorder {
     #[inline(always)]
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    #[inline(always)]
     fn record(&self, _cycle: u64, _kind: EventKind) {}
 
     #[inline(always)]
     fn counter(&self, _name: &'static str, _delta: u64) {}
-
-    #[inline(always)]
-    fn gauge(&self, _name: &'static str, _index: u32, _value: u64) {}
-}
-
-#[derive(Debug, Default)]
-struct GaugeCell {
-    last: u64,
-    max: u64,
-    samples: u64,
 }
 
 #[derive(Debug, Default)]
 struct Collected {
     events: Vec<Event>,
     counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<(&'static str, u32), GaugeCell>,
 }
 
-impl Collected {
-    fn record(&mut self, cycle: u64, kind: EventKind) {
-        self.events.push(Event { cycle, kind });
-    }
-
-    fn counter(&mut self, name: &'static str, delta: u64) {
-        *self.counters.entry(name).or_insert(0) += delta;
-    }
-
-    fn gauge(&mut self, name: &'static str, index: u32, value: u64) {
-        let cell = self.gauges.entry((name, index)).or_default();
-        cell.last = value;
-        cell.max = cell.max.max(value);
-        cell.samples += 1;
-    }
-
-    fn into_bundle(self) -> TraceBundle {
-        TraceBundle {
-            events: self.events,
-            counters: self
-                .counters
-                .into_iter()
-                .map(|(name, value)| Counter {
-                    name: name.to_string(),
-                    value,
-                })
-                .collect(),
-            gauges: self
-                .gauges
-                .into_iter()
-                .map(|((name, index), cell)| GaugeSummary {
-                    name: name.to_string(),
-                    index,
-                    last: cell.last,
-                    max: cell.max,
-                    samples: cell.samples,
-                })
-                .collect(),
-        }
-    }
-}
-
-/// In-memory recorder: keeps every event in record order plus aggregated
-/// counters and gauges; drain with [`CollectingRecorder::finish`].
+/// In-memory recorder: keeps every event in record order plus the
+/// counters summed by name; drain with [`CollectingRecorder::finish`].
 #[derive(Debug, Default)]
 pub struct CollectingRecorder {
     inner: RefCell<Collected>,
@@ -152,47 +77,47 @@ impl CollectingRecorder {
 
     /// Consume the recorder, yielding everything it saw.
     pub fn finish(self) -> TraceBundle {
-        self.inner.into_inner().into_bundle()
+        let Collected { events, counters } = self.inner.into_inner();
+        TraceBundle {
+            events,
+            counters: counters
+                .into_iter()
+                .map(|(name, value)| Counter {
+                    name: name.to_string(),
+                    value,
+                })
+                .collect(),
+        }
     }
 }
 
 impl Recorder for CollectingRecorder {
-    fn enabled(&self) -> bool {
-        true
-    }
-
     fn record(&self, cycle: u64, kind: EventKind) {
-        self.inner.borrow_mut().record(cycle, kind);
+        self.inner.borrow_mut().events.push(Event { cycle, kind });
     }
 
     fn counter(&self, name: &'static str, delta: u64) {
-        self.inner.borrow_mut().counter(name, delta);
-    }
-
-    fn gauge(&self, name: &'static str, index: u32, value: u64) {
-        self.inner.borrow_mut().gauge(name, index, value);
+        *self.inner.borrow_mut().counters.entry(name).or_insert(0) += delta;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::Span;
 
     fn drive<R: Recorder>(rec: &R) {
-        rec.span_start(0, Span::SimulateLaunch { launch: 2 });
+        let span = Span::SimulateLaunch { launch: 2 };
+        rec.record(0, EventKind::SpanStart { span });
         rec.record(3, EventKind::TbDispatched { tb: 0, sm: 1 });
         rec.counter("l1_hit", 2);
         rec.counter("l1_hit", 3);
-        rec.gauge("sm_resident_blocks", 1, 4);
-        rec.gauge("sm_resident_blocks", 1, 2);
-        rec.span_end(9, Span::SimulateLaunch { launch: 2 });
+        rec.record(9, EventKind::SpanEnd { span });
     }
 
     #[test]
-    fn null_recorder_is_disabled_and_silent() {
-        let rec = NullRecorder;
-        assert!(!rec.enabled());
-        drive(&rec); // must not panic, must not do anything observable
+    fn null_recorder_is_silent() {
+        drive(&NullRecorder); // must not panic, must not do anything observable
     }
 
     #[test]
@@ -216,10 +141,5 @@ mod tests {
                 value: 5
             }]
         );
-        assert_eq!(bundle.gauges.len(), 1);
-        assert_eq!(bundle.gauges[0].index, 1);
-        assert_eq!(bundle.gauges[0].last, 2);
-        assert_eq!(bundle.gauges[0].max, 4);
-        assert_eq!(bundle.gauges[0].samples, 2);
     }
 }

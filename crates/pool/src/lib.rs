@@ -42,4 +42,4 @@ pub mod plan;
 pub mod runner;
 
 pub use plan::ExecPlan;
-pub use runner::{map_indexed, run_indexed, run_supervised};
+pub use runner::{map_indexed, panic_message, run_indexed, run_supervised};

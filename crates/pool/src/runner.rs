@@ -148,7 +148,7 @@ where
 /// Best-effort text of a panic payload (the common `&str` / `String`
 /// shapes; anything else gets a fixed label so messages stay
 /// deterministic).
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -18,7 +18,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use tbpoint_core::{run_tbpoint, TbpointConfig};
 use tbpoint_emu::{profile_run, RunProfile};
 use tbpoint_ir::KernelRun;
-use tbpoint_pool::{run_supervised, ExecPlan};
+use tbpoint_pool::{panic_message, run_supervised, ExecPlan};
 use tbpoint_sim::{simulate_run, GpuConfig, NullSampling};
 
 /// What one matrix cell did with its fault.
@@ -162,16 +162,6 @@ impl Default for MatrixOptions {
     }
 }
 
-fn panic_msg(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// Run one profile-fault cell: inject, run the pipeline, classify.
 fn profile_cell(
     run: &KernelRun,
@@ -193,7 +183,7 @@ fn profile_cell(
         )
     }));
     match outcome {
-        Err(p) => Outcome::Panicked(panic_msg(p)),
+        Err(p) => Outcome::Panicked(panic_message(p)),
         Ok(Err(e)) => Outcome::GracefulError(e.to_string()),
         Ok(Ok(r)) => {
             let err_pct = r.error_vs(full_ipc);
@@ -245,7 +235,7 @@ fn pool_cell(seed: u64) -> Outcome {
             })
         }));
         match run {
-            Err(p) => return Outcome::Panicked(panic_msg(p)),
+            Err(p) => return Outcome::Panicked(panic_message(p)),
             Ok(results) => runs.push(results),
         }
     }

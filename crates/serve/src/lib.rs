@@ -24,8 +24,9 @@
 //!   re-verified on every read; corrupt entries are quarantined and
 //!   recomputed, never served.
 //! - **Observability**: admission, rejection, deadline and cache
-//!   traffic are recorded as [`tbpoint_obs::EventKind`] events and
-//!   counters on the coordinator thread, in deterministic order.
+//!   traffic are recorded as [`tbpoint_obs::EventKind`] events on the
+//!   coordinator thread, in deterministic order; their totals are the
+//!   `status` report's counters.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -283,7 +283,6 @@ impl Service {
             }
         }
 
-        rec.counter("serve_batches", 1);
         responses
             .into_iter()
             .map(|r| match r {
@@ -369,12 +368,10 @@ impl Service {
         if done.quarantined {
             self.counters.cache_quarantined += 1;
             rec.record(0, EventKind::CacheQuarantined { seq: req.seq });
-            rec.counter("serve_cache_quarantined", 1);
         }
         if done.cache_hit {
             self.counters.cache_hits += 1;
             rec.record(0, EventKind::CacheHit { seq: req.seq });
-            rec.counter("serve_cache_hit", 1);
         }
         if done.stored {
             self.counters.cache_stores += 1;

@@ -169,9 +169,9 @@ impl Dram {
         }
     }
 
-    /// Number of accesses served.
-    pub fn accesses(&self) -> u64 {
-        self.accesses
+    /// (row hits, row misses) so far.
+    pub fn row_stats(&self) -> (u64, u64) {
+        (self.row_hits, self.accesses - self.row_hits)
     }
 }
 

@@ -2,8 +2,9 @@
 //!
 //! A counting global allocator sees every allocation the code under test
 //! makes, callees included: `pick_warp`, `try_issue_mem`, `issue_picked`,
-//! the MSHR `issue_time` and the memory system's `load_obs` /
-//! `store_obs`. Counts are per thread, so tests running in parallel do
+//! the MSHR `issue_time` and the memory system's `load_obs` and `store`
+//! (the recorder sees only events there: counters are emitted once per
+//! launch). Counts are per thread, so tests running in parallel do
 //! not see each other's allocations. The same allocator tracks live and
 //! peak heap bytes, which bounds what a resident warp's trace costs.
 

@@ -1,16 +1,17 @@
 //! Cross-crate observability guarantees: recorders observe, they never
 //! influence. The golden tests pin the bit-identity of traced vs
-//! untraced runs; the property tests pin that every JSON line a trace
-//! is written in is exactly its record's serialised value.
+//! untraced runs and that a trace's counters are the result's own
+//! statistics; the property tests pin that every JSON line a trace is
+//! written in is exactly its record's serialised value.
 
 mod common;
 
 use common::Gen;
 use serde::{Serialize, Value};
-use tbpoint::obs::{event_line, Counter, DegradeReason, GaugeSummary, Span};
+use tbpoint::obs::{event_line, Counter, DegradeReason, Span};
 use tbpoint::prelude::*;
 use tbpoint::sim::{simulate_launch_with, NullSampling, SimOptions};
-use tbpoint::workloads::{benchmark_by_name, Scale};
+use tbpoint::workloads::{all_benchmarks, benchmark_by_name, Scale};
 
 /// Golden test: swapping the recorder must leave every simulated number
 /// bit-identical, at both the single-launch and whole-pipeline level.
@@ -78,9 +79,56 @@ fn every_recorder_leaves_the_simulation_untouched() {
     assert_lines_are_the_records(&collect.finish(), "hotspot");
 }
 
+/// The counters a launch's trace carries are the statistics its
+/// `LaunchSimResult` reports: the same issued instructions, and cache
+/// and DRAM counts whose ratios are the result's hit rates, bit for bit
+/// (store probes included, as in the result).
+#[test]
+fn trace_counters_are_the_results_statistics() {
+    let gpu = GpuConfig::fermi();
+    for bench in all_benchmarks(Scale::Tiny) {
+        for spec in &bench.run.launches {
+            let what = format!("{} launch {}", bench.name, spec.launch_id.0);
+            let rec = CollectingRecorder::new();
+            let (r, _) = simulate_launch_with(
+                &bench.run.kernel,
+                spec,
+                &gpu,
+                &mut NullSampling,
+                None,
+                SimOptions::default(),
+                &rec,
+            );
+            let counters = rec.finish().counters;
+            let get = |name: &str| {
+                let c = counters.iter().find(|c| c.name == name);
+                c.unwrap_or_else(|| panic!("{what}: no {name} counter"))
+                    .value
+            };
+            let rate = |hit: &str, miss: &str| {
+                let (h, m) = (get(hit), get(miss));
+                if h + m == 0 {
+                    0.0
+                } else {
+                    h as f64 / (h + m) as f64
+                }
+            };
+            assert_eq!(get("issued_warp_insts"), r.issued_warp_insts, "{what}");
+            let rates = [
+                (rate("l1_hit", "l1_miss"), r.l1_hit_rate),
+                (rate("l2_hit", "l2_miss"), r.l2_hit_rate),
+                (rate("dram_row_hit", "dram_row_miss"), r.dram_row_hit_rate),
+            ];
+            for (i, (got, want)) in rates.into_iter().enumerate() {
+                assert_eq!(got.to_bits(), want.to_bits(), "{what}: rate {i}");
+            }
+        }
+    }
+}
+
 /// `bundle.to_jsonl()` has one line per record, in record order, and
 /// each line is the record's serialised value: events as they are,
-/// counters and gauges under their `counter` / `gauge` key.
+/// counters under their `counter` key.
 fn assert_lines_are_the_records(bundle: &TraceBundle, what: &str) {
     let wrap = |key: &str, v: Value| Value::Obj(vec![(key.to_string(), v)]);
     let expected: Vec<Value> = (bundle.events.iter().map(Serialize::to_value))
@@ -90,7 +138,6 @@ fn assert_lines_are_the_records(bundle: &TraceBundle, what: &str) {
                 .iter()
                 .map(|c| wrap("counter", c.to_value())),
         )
-        .chain(bundle.gauges.iter().map(|g| wrap("gauge", g.to_value())))
         .collect();
     let text = bundle.to_jsonl();
     let lines: Vec<Value> = text
@@ -190,9 +237,8 @@ fn arbitrary_events_write_their_json_values() {
     }
 }
 
-/// Property: `to_jsonl` writes any well-formed bundle (sorted
-/// counters/gauges, as every recorder produces) as one JSON value per
-/// record.
+/// Property: `to_jsonl` writes any well-formed bundle (name-sorted
+/// counters, as every recorder produces) as one JSON value per record.
 #[test]
 fn arbitrary_bundles_write_one_json_value_per_record() {
     for case in 0..100 {
@@ -212,23 +258,7 @@ fn arbitrary_bundles_write_one_json_value_per_record() {
                 value: g.any_u64(),
             })
             .collect();
-        let gauges = (0..g.u32(0, 4))
-            .map(|index| {
-                let last = g.any_u64();
-                GaugeSummary {
-                    name: "sm_resident_blocks".to_string(),
-                    index,
-                    last,
-                    max: last.max(g.any_u64()),
-                    samples: g.u64(1, 1 << 32),
-                }
-            })
-            .collect();
-        let bundle = TraceBundle {
-            events,
-            counters,
-            gauges,
-        };
+        let bundle = TraceBundle { events, counters };
         assert_lines_are_the_records(&bundle, &format!("case {case}"));
     }
 }
