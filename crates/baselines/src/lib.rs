@@ -75,22 +75,18 @@ impl BaselineResult {
 /// Run the full timing simulation of `run` and collect its sampling
 /// units (concatenated across launches, in execution order).
 ///
-/// `collect_bbv` is needed by Ideal-SimPoint only. Returns the units and
-/// the full-simulation overall IPC (the error reference).
+/// Returns the units, each with its BBV (Ideal-SimPoint's input), and the
+/// full-simulation overall IPC (the error reference).
 pub fn collect_units(
     run: &KernelRun,
     gpu: &GpuConfig,
     unit_warp_insts: u64,
-    collect_bbv: bool,
 ) -> (Vec<UnitRecord>, f64) {
     let result = simulate_run(
         run,
         gpu,
         &mut NullSampling,
-        Some(UnitsConfig {
-            unit_warp_insts,
-            collect_bbv,
-        }),
+        Some(UnitsConfig { unit_warp_insts }),
     );
     let ipc = result.overall_ipc();
     let units = result.launches.into_iter().flat_map(|l| l.units).collect();

@@ -7,7 +7,7 @@
 //! the simulated instruction count is proportional to the total (no
 //! benefit from regularity), and it offers no insight into *why* a
 //! sample is representative. Implemented here so the claim can be
-//! measured rather than asserted — `tbpoint ablate`/EXPERIMENTS.md
+//! measured rather than asserted — `tbpoint eval`/EXPERIMENTS.md
 //! include it in the comparison.
 
 use crate::{subset_fraction, subset_ipc, BaselineResult};

@@ -5,7 +5,7 @@
 use super::tbpoint_unit;
 use crate::output::{self, TraceEntry};
 use serde::{Deserialize, Serialize};
-use tbpoint_core::inter::{InterAlgo, InterConfig};
+use tbpoint_core::inter::InterConfig;
 use tbpoint_core::intra::IntraConfig;
 use tbpoint_core::predict::{SamplingMode, TbpointConfig};
 use tbpoint_core::TbError;
@@ -163,10 +163,7 @@ pub fn ablate(
     for sigma in [0.02, 0.05, 0.1, 0.2, 0.5] {
         let paper = sigma == 0.1;
         let cfg = TbpointConfig {
-            inter: InterConfig {
-                sigma,
-                ..base.inter
-            },
+            inter: InterConfig { sigma },
             ..*base
         };
         let value = format!("{sigma}{}", if paper { "*" } else { "" });
@@ -209,30 +206,6 @@ pub fn ablate(
         point("warming_threshold", value, cfg, false)?;
     }
 
-    // 5. Footnote-2 extension: BBV appended to the inter features.
-    for (label, use_bbv) in [("off*", false), ("on", true)] {
-        let cfg = TbpointConfig {
-            inter: InterConfig {
-                use_bbv,
-                ..base.inter
-            },
-            ..*base
-        };
-        point("inter_bbv_extension", label.into(), cfg, false)?;
-    }
-
-    // 6. Inter clustering algorithm (paper: hierarchical).
-    for (label, algo) in [
-        ("hierarchical*", InterAlgo::Hierarchical),
-        ("kmeans_bic", InterAlgo::KMeansBic { max_k: 15 }),
-    ] {
-        let cfg = TbpointConfig {
-            inter: InterConfig { algo, ..base.inter },
-            ..*base
-        };
-        point("inter_algo", label.into(), cfg, false)?;
-    }
-
     Ok((AblationResult { points }, traces))
 }
 
@@ -259,6 +232,35 @@ mod tests {
         let (e3, s3, _) = score(&cfg, &refs3, plan, false).unwrap();
         assert_eq!(e, e3);
         assert_eq!(s, s3);
+    }
+
+    #[test]
+    fn ablate_sweeps_four_knobs_with_one_paper_row_each() {
+        let (r, traces) = ablate(
+            Scale::Tiny,
+            ExecPlan::serial(),
+            &TbpointConfig::default(),
+            false,
+        )
+        .unwrap();
+        assert!(traces.is_empty());
+        let mut knobs: Vec<(&str, usize)> = Vec::new();
+        for p in &r.points {
+            let starred = usize::from(p.value.ends_with('*'));
+            match knobs.last_mut() {
+                Some((k, n)) if *k == p.knob => *n += starred,
+                _ => knobs.push((&p.knob, starred)),
+            }
+        }
+        assert_eq!(
+            knobs,
+            [
+                ("inter_sigma", 1),
+                ("intra_sigma", 1),
+                ("variation_factor", 1),
+                ("warming_threshold", 1)
+            ]
+        );
     }
 
     #[test]

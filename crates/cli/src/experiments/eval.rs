@@ -152,7 +152,7 @@ pub fn eval_bench(
 
     // Full simulation + sampling units for the baselines.
     let unit_size = (total_insts / cfg.target_units).clamp(2_000, 1_000_000);
-    let (units, full_ipc) = collect_units(&bench.run, gpu, unit_size, true);
+    let (units, full_ipc) = collect_units(&bench.run, gpu, unit_size);
 
     // Full cycles derive from the recorded units plus IPC identity.
     let full_cycles = (total_insts as f64 / full_ipc).round() as u64;

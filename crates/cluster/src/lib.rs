@@ -25,8 +25,8 @@
 //!   "the maximum distance between any two points in a cluster", which is
 //!   **complete linkage**, the only linkage implemented.
 //! * **k-means** (k-means++ seeding, Lloyd iterations) with **BIC** model
-//!   selection — what the SimPoint tool uses, needed for the Ideal-SimPoint
-//!   baseline and for the "hierarchical vs k-means" design ablation.
+//!   selection — what the SimPoint tool uses, needed only for the
+//!   Ideal-SimPoint baseline.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -233,7 +233,6 @@ mod tests {
                     mem_requests: m,
                 })
                 .collect(),
-            vec![tbs.iter().map(|&(w, _)| w).sum()],
             tbs.iter().map(|&(w, m)| m.min(w)).sum(),
         )
     }

@@ -305,7 +305,6 @@ fn spec_classes(run: &KernelRun) -> InterResult {
     InterResult {
         clustering: Clustering::from_assignments(&assignments),
         representatives,
-        features: vec![],
     }
 }
 
@@ -883,10 +882,7 @@ mod tests {
         ));
 
         let bad_sigma = TbpointConfig {
-            inter: InterConfig {
-                sigma: f64::NAN,
-                ..Default::default()
-            },
+            inter: InterConfig { sigma: f64::NAN },
             ..Default::default()
         };
         let err = bad_sigma.validate().unwrap_err();

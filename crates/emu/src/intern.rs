@@ -59,11 +59,11 @@
 //!   ([`TraceDeps::gather`]).
 //!
 //! So for a kernel with no `per_thread`, `per_block` or `gather`
-//! dependence, a block's whole profile (stats and BBV) is a function
-//! of its *block class*: the `block_id / phase_len` quotients already in
-//! [`TraceKey`] plus that residue. `profile_launch` profiles one block
-//! per class; `tests/profile_classes.rs` checks it against `profile_tb`
-//! on every block.
+//! dependence, a block's whole profile (stats and memory-instruction
+//! count) is a function of its *block class*: the `block_id / phase_len`
+//! quotients already in [`TraceKey`] plus that residue. `profile_launch`
+//! profiles one block per class; `tests/profile_classes.rs` checks it
+//! against `profile_tb` on every block.
 //!
 //! ## Memory discipline
 //!

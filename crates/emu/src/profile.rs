@@ -17,14 +17,11 @@
 //! either way ([`LaunchProfile::tb`], [`LaunchProfile::tbs`], the launch
 //! totals), and every float derived from it is summed in block order.
 //!
-//! Per launch we keep two totals that no sampler needs per block:
-//!
-//! * `bbv` — per-basic-block warp-instruction counts, read only by the
-//!   paper's footnote-2 extension of the inter-launch features
-//!   (`InterConfig::use_bbv`, ablation row `inter_bbv_extension`). The
-//!   Ideal-SimPoint baseline reads the simulator's per-unit BBVs instead;
-//! * `mem_insts` — global-memory warp instructions, the denominator of
-//!   [`crate::DivergenceReport`]'s requests per memory instruction.
+//! Per launch we keep one total that no sampler needs per block,
+//! `mem_insts`: global-memory warp instructions, the denominator of
+//! [`crate::DivergenceReport`]'s requests per memory instruction. There is
+//! no launch BBV: the inter-launch features are Eq. 2's four, and the
+//! Ideal-SimPoint baseline reads the simulator's per-unit BBVs.
 //!
 //! Profiling is one-time per kernel/input pair: every downstream artifact
 //! (inter-launch clustering, epoch tables for any occupancy) derives from
@@ -80,10 +77,6 @@ pub struct LaunchProfile {
     pub spec: LaunchSpec,
     /// Per-thread-block statistics, in one of two forms.
     blocks: Blocks,
-    /// Launch-level BBV: per-basic-block warp-instruction counts summed
-    /// over the launch's thread blocks (the paper's footnote-2 extension
-    /// feeds this into the inter-launch feature vector).
-    pub bbv: Vec<u64>,
     /// Global-memory warp instructions executed by the launch.
     pub mem_insts: u64,
 }
@@ -167,7 +160,6 @@ impl ExactSizeIterator for Tbs<'_> {}
 impl PartialEq for LaunchProfile {
     fn eq(&self, other: &Self) -> bool {
         self.spec == other.spec
-            && self.bbv == other.bbv
             && self.mem_insts == other.mem_insts
             && self.num_blocks() == other.num_blocks()
             && self.tbs().eq(other.tbs())
@@ -203,11 +195,10 @@ impl InterFeatures {
 
 impl LaunchProfile {
     /// A profile holding one record per block, by block id.
-    pub fn per_block(spec: LaunchSpec, tbs: Vec<TbStats>, bbv: Vec<u64>, mem_insts: u64) -> Self {
+    pub fn per_block(spec: LaunchSpec, tbs: Vec<TbStats>, mem_insts: u64) -> Self {
         LaunchProfile {
             spec,
             blocks: Blocks::PerBlock(tbs),
-            bbv,
             mem_insts,
         }
     }
@@ -256,18 +247,17 @@ impl LaunchProfile {
     }
 
     /// Heap bytes the profile holds: its block records, class ids and
-    /// counts, and its BBV.
+    /// counts.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
-        let blocks = match &self.blocks {
+        match &self.blocks {
             Blocks::PerBlock(tbs) => tbs.capacity() * size_of::<TbStats>(),
             Blocks::Classes { table, counts, ids } => {
                 table.capacity() * size_of::<TbStats>()
                     + counts.capacity() * size_of::<u64>()
                     + ids.capacity() * size_of::<u16>()
             }
-        };
-        blocks + self.bbv.capacity() * size_of::<u64>()
+        }
     }
 
     /// Whether the class ids can be trusted: each names a row of the class
@@ -387,10 +377,9 @@ impl RunProfile {
 }
 
 /// Profile one thread block (single-threaded, streaming). The block's
-/// per-basic-block warp-instruction counts are added into `bbv` (one
-/// entry per basic block of `kernel`) and its global-memory warp
-/// instructions into `mem_insts`: the caller's launch totals.
-pub fn profile_tb(kernel: &Kernel, ctx: &ExecCtx, bbv: &mut [u64], mem_insts: &mut u64) -> TbStats {
+/// global-memory warp instructions are added into `mem_insts`, the
+/// caller's launch total.
+pub fn profile_tb(kernel: &Kernel, ctx: &ExecCtx, mem_insts: &mut u64) -> TbStats {
     let mut s = TbStats::default();
     let mut lines = CoalescedLines::default();
     for warp in 0..kernel.warps_per_block() {
@@ -398,7 +387,6 @@ pub fn profile_tb(kernel: &Kernel, ctx: &ExecCtx, bbv: &mut [u64], mem_insts: &m
         walk_warp(kernel, ctx, warp, &mut |ev| {
             s.warp_insts += 1;
             s.thread_insts += ev.mask.count_ones() as u64;
-            bbv[ev.bb.0 as usize] += 1;
             if ev.inst.op.latency_class() == LatencyClass::GlobalMem {
                 *mem_insts += 1;
                 // Every GlobalMem op carries a pattern by construction of
@@ -463,7 +451,6 @@ fn block_ctx(kernel: &Kernel, spec: &LaunchSpec, block_id: u32) -> ExecCtx {
 #[derive(Debug)]
 struct Class {
     stats: TbStats,
-    bbv: Vec<u64>,
     mem_insts: u64,
 }
 
@@ -519,13 +506,9 @@ impl<'k> BlockClasses<'k> {
             return slot;
         }
         let ctx = block_ctx(self.kernel, &self.spec, block);
-        let (mut bbv, mut mem_insts) = (vec![0; self.kernel.num_basic_blocks as usize], 0);
-        let stats = profile_tb(self.kernel, &ctx, &mut bbv, &mut mem_insts);
-        self.classes.push(Class {
-            stats,
-            bbv,
-            mem_insts,
-        });
+        let mut mem_insts = 0;
+        let stats = profile_tb(self.kernel, &ctx, &mut mem_insts);
+        self.classes.push(Class { stats, mem_insts });
         self.index.insert(self.key.clone(), self.classes.len() - 1);
         self.classes.len() - 1
     }
@@ -547,39 +530,24 @@ pub fn block_classes(kernel: &Kernel, spec: &LaunchSpec) -> Result<usize, &'stat
     Ok(classes.classes.len())
 }
 
-/// `acc += count * part`, element-wise.
-fn add_bbv(acc: &mut [u64], part: &[u64], count: u64) {
-    for (a, &c) in acc.iter_mut().zip(part) {
-        *a += count * c;
-    }
-}
-
 /// Profile every thread block of a launch. Output order is by TB id.
 ///
 /// A kernel with block-invariant control flow and affine addresses is
 /// emulated once per block class ([`BlockClasses`]): the profile keeps
-/// each class's stats once and each block's class id, and the launch
-/// totals add each class's totals times its block count; `threads` is
-/// then unused (there are a handful of classes, and they are found in
-/// block order). Every other kernel has its TBs fanned out over `threads`
-/// scoped worker threads, each summing its own totals.
+/// each class's stats once and each block's class id, and `mem_insts`
+/// adds each class's count times its block count; `threads` is then
+/// unused (there are a handful of classes, and they are found in block
+/// order). Every other kernel has its TBs fanned out over `threads`
+/// scoped worker threads, each summing its own `mem_insts`.
 pub fn profile_launch(kernel: &Kernel, spec: &LaunchSpec, threads: usize) -> LaunchProfile {
-    let mut bbv = vec![0; kernel.num_basic_blocks as usize];
     let mut mem_insts = 0;
     let blocks = match BlockClasses::new(kernel, spec) {
-        Some(classes) => class_blocks(classes, &mut bbv, &mut mem_insts),
-        None => Blocks::PerBlock(per_block_tbs(
-            kernel,
-            spec,
-            threads,
-            &mut bbv,
-            &mut mem_insts,
-        )),
+        Some(classes) => class_blocks(classes, &mut mem_insts),
+        None => Blocks::PerBlock(per_block_tbs(kernel, spec, threads, &mut mem_insts)),
     };
     LaunchProfile {
         spec: *spec,
         blocks,
-        bbv,
         mem_insts,
     }
 }
@@ -588,7 +556,7 @@ pub fn profile_launch(kernel: &Kernel, spec: &LaunchSpec, threads: usize) -> Lau
 /// class's stats and block count. A launch with more classes than a
 /// 2-byte id can name (a phase length of a few blocks over a huge launch)
 /// keeps one record per block instead.
-fn class_blocks(mut classes: BlockClasses<'_>, bbv: &mut [u64], mem_insts: &mut u64) -> Blocks {
+fn class_blocks(mut classes: BlockClasses<'_>, mem_insts: &mut u64) -> Blocks {
     let n = classes.spec.num_blocks as usize;
     let mut ids: Vec<u16> = Vec::with_capacity(n);
     // Blocks per class, by slot.
@@ -614,7 +582,6 @@ fn class_blocks(mut classes: BlockClasses<'_>, bbv: &mut [u64], mem_insts: &mut 
         }
     }
     for (class, &count) in classes.classes.iter().zip(&counts) {
-        add_bbv(bbv, &class.bbv, count);
         *mem_insts += count * class.mem_insts;
     }
     match wide {
@@ -633,7 +600,6 @@ fn per_block_tbs(
     kernel: &Kernel,
     spec: &LaunchSpec,
     threads: usize,
-    bbv: &mut [u64],
     mem_insts: &mut u64,
 ) -> Vec<TbStats> {
     let n = spec.num_blocks as usize;
@@ -641,16 +607,14 @@ fn per_block_tbs(
     let threads = threads.max(1);
     if threads == 1 || n < 64 {
         return (0..spec.num_blocks)
-            .map(|b| profile_tb(kernel, &make_ctx(b), bbv, mem_insts))
+            .map(|b| profile_tb(kernel, &make_ctx(b), mem_insts))
             .collect();
     }
     let chunk = n.div_ceil(threads);
     let mut tbs = vec![TbStats::default(); n];
-    let mut totals = vec![(vec![0; bbv.len()], 0); n.div_ceil(chunk)];
+    let mut totals = vec![0; n.div_ceil(chunk)];
     std::thread::scope(|scope| {
-        for (t, (slice, (chunk_bbv, chunk_mem))) in
-            tbs.chunks_mut(chunk).zip(&mut totals).enumerate()
-        {
+        for (t, (slice, chunk_mem)) in tbs.chunks_mut(chunk).zip(&mut totals).enumerate() {
             let base = t * chunk;
             scope.spawn(move || {
                 for (off, slot) in slice.iter_mut().enumerate() {
@@ -658,16 +622,13 @@ fn per_block_tbs(
                     // round-trip exactly.
                     #[expect(clippy::cast_possible_truncation)]
                     let b = (base + off) as u32;
-                    *slot = profile_tb(kernel, &make_ctx(b), chunk_bbv, chunk_mem);
+                    *slot = profile_tb(kernel, &make_ctx(b), chunk_mem);
                 }
             });
         }
     });
-    // Integer sums: the totals do not depend on `threads`.
-    for (chunk_bbv, chunk_mem) in &totals {
-        add_bbv(bbv, chunk_bbv, 1);
-        *mem_insts += chunk_mem;
-    }
+    // Integer sums: the total does not depend on `threads`.
+    *mem_insts += totals.iter().sum::<u64>();
     tbs
 }
 
@@ -711,7 +672,7 @@ mod tests {
 
     /// `profile_tb` into totals of its own.
     fn profile_alone(k: &Kernel, ctx: &ExecCtx) -> TbStats {
-        profile_tb(k, ctx, &mut vec![0; k.num_basic_blocks as usize], &mut 0)
+        profile_tb(k, ctx, &mut 0)
     }
 
     #[test]
@@ -724,15 +685,14 @@ mod tests {
             num_blocks: 1,
             work_scale: 1.0,
         };
-        let (mut bbv, mut mem_insts) = (vec![0; 1], 0);
-        let p = profile_tb(&k, &ctx, &mut bbv, &mut mem_insts);
+        let mut mem_insts = 0;
+        let p = profile_tb(&k, &ctx, &mut mem_insts);
         // 2 warps * 4 iterations * 2 insts = 16 warp insts.
         assert_eq!(p.warp_insts, 16);
         assert_eq!(p.thread_insts, 16 * 32);
         // 1 coalesced load per iteration per warp = 8 requests (32 lanes x
         // 4B = 1 line each).
         assert_eq!(p.mem_requests, 8);
-        assert_eq!(bbv, [16]);
         assert_eq!(mem_insts, 8);
         assert!((p.stall_probability() - 0.5).abs() < 1e-12);
     }
@@ -785,8 +745,7 @@ mod tests {
         assert_eq!(lp.num_classes(), Some(2));
         assert_eq!(lp.thread_insts(), 10 * 16 * 32);
         assert_eq!(lp.warp_insts(), 160);
-        // Stamped class copies still add every block into the totals.
-        assert_eq!(lp.bbv, [160]);
+        // Stamped class copies still add every block into the total.
         assert_eq!(lp.mem_insts, 80);
         let f = lp.inter_features();
         assert_eq!(f.thread_insts, (10 * 16 * 32) as f64);
@@ -803,8 +762,7 @@ mod tests {
         let lp = profile_launch(&k, &launch(10), 1);
         assert_eq!(lp.num_classes(), Some(4));
         let blocks: Vec<TbStats> = lp.tbs().collect();
-        let per_block =
-            LaunchProfile::per_block(lp.spec, blocks.clone(), lp.bbv.clone(), lp.mem_insts);
+        let per_block = LaunchProfile::per_block(lp.spec, blocks.clone(), lp.mem_insts);
         assert_eq!(lp, per_block);
         assert_eq!(per_block.num_classes(), None);
         assert_eq!(lp.tbs_in(3..7).collect::<Vec<_>>(), blocks[3..7]);
@@ -848,7 +806,7 @@ mod tests {
         let ids = moved.class_ids_mut().unwrap();
         ids[1] = ids[0];
         assert!(moved.check_classes().is_err());
-        assert!(LaunchProfile::per_block(lp.spec, vec![], vec![], 0)
+        assert!(LaunchProfile::per_block(lp.spec, vec![], 0)
             .check_classes()
             .is_ok());
     }
@@ -874,15 +832,11 @@ mod tests {
         assert_eq!(block_classes(&k, &spec), Ok(70_000));
         let lp = profile_launch(&k, &spec, 1);
         assert_eq!(lp.num_classes(), None);
-        let mut bbv = vec![0; k.num_basic_blocks as usize];
         let mut mem_insts = 0;
         let reference: Vec<TbStats> = (0..spec.num_blocks)
-            .map(|b| profile_tb(&k, &block_ctx(&k, &spec, b), &mut bbv, &mut mem_insts))
+            .map(|b| profile_tb(&k, &block_ctx(&k, &spec, b), &mut mem_insts))
             .collect();
-        assert_eq!(
-            lp,
-            LaunchProfile::per_block(spec, reference, bbv, mem_insts)
-        );
+        assert_eq!(lp, LaunchProfile::per_block(spec, reference, mem_insts));
     }
 
     #[test]

@@ -203,8 +203,7 @@ mod tests {
         // instruction — they are two sinks over the same walker.
         let k = divergent_kernel();
         let c = ctx(3);
-        let mut bbv = vec![0; k.num_basic_blocks as usize];
-        let profile = profile_tb(&k, &c, &mut bbv, &mut 0);
+        let profile = profile_tb(&k, &c, &mut 0);
         let mut warp_insts = 0u64;
         let mut thread_insts = 0u64;
         for w in 0..k.warps_per_block() {

@@ -769,7 +769,6 @@ mod tests {
             &mut NullSampling,
             Some(UnitsConfig {
                 unit_warp_insts: 5000,
-                collect_bbv: true,
             }),
         );
         let unit_insts: u64 = r.units.iter().map(|u| u.warp_insts).sum();

@@ -4,7 +4,7 @@
 //! of a fixed number of instructions (one million in the paper,
 //! Section V-A). During a *full* timing simulation this collector slices
 //! the aggregate issued-instruction stream into units and records each
-//! unit's cycle span (hence IPC) and, optionally, its BBV. The paper is
+//! unit's cycle span (hence IPC) and its BBV. The paper is
 //! explicit that collecting BBVs this way requires full timing simulation
 //! — "Ideal-SimPoint is not a viable solution for the GPGPU platform" —
 //! which is exactly why it is a baseline and not a competitor.
@@ -16,9 +16,6 @@ use serde::{Deserialize, Serialize};
 pub struct UnitsConfig {
     /// Warp instructions per sampling unit (paper: 1,000,000).
     pub unit_warp_insts: u64,
-    /// Whether to accumulate a BBV per unit (needed by Ideal-SimPoint,
-    /// wasted work for Random).
-    pub collect_bbv: bool,
 }
 
 /// One completed sampling unit.
@@ -30,7 +27,7 @@ pub struct UnitRecord {
     pub cycles: u64,
     /// Warp instructions in the unit (== config size except the last).
     pub warp_insts: u64,
-    /// Per-basic-block warp-instruction counts (empty when not collected).
+    /// Per-basic-block warp-instruction counts.
     pub bbv: Vec<u64>,
 }
 
@@ -66,11 +63,7 @@ impl UnitCollector {
             records: vec![],
             unit_start_cycle: 0,
             unit_insts: 0,
-            bbv: if cfg.collect_bbv {
-                vec![0; num_bbs]
-            } else {
-                vec![]
-            },
+            bbv: vec![0; num_bbs],
         }
     }
 
@@ -80,20 +73,14 @@ impl UnitCollector {
             self.unit_start_cycle = cycle;
         }
         self.unit_insts += 1;
-        if self.cfg.collect_bbv {
-            self.bbv[bb as usize] += 1;
-        }
+        self.bbv[bb as usize] += 1;
         if self.unit_insts >= self.cfg.unit_warp_insts {
             self.close_unit(cycle + 1);
         }
     }
 
     fn close_unit(&mut self, end_cycle: u64) {
-        let bbv = if self.cfg.collect_bbv {
-            std::mem::replace(&mut self.bbv, vec![0; self.num_bbs])
-        } else {
-            vec![]
-        };
+        let bbv = std::mem::replace(&mut self.bbv, vec![0; self.num_bbs]);
         self.records.push(UnitRecord {
             start_cycle: self.unit_start_cycle,
             cycles: end_cycle.saturating_sub(self.unit_start_cycle).max(1),
@@ -122,7 +109,6 @@ mod tests {
         let mut c = UnitCollector::new(
             UnitsConfig {
                 unit_warp_insts: 10,
-                collect_bbv: false,
             },
             1,
         );
@@ -140,13 +126,7 @@ mod tests {
 
     #[test]
     fn bbv_accumulates_per_unit() {
-        let mut c = UnitCollector::new(
-            UnitsConfig {
-                unit_warp_insts: 4,
-                collect_bbv: true,
-            },
-            3,
-        );
+        let mut c = UnitCollector::new(UnitsConfig { unit_warp_insts: 4 }, 3);
         for (i, bb) in [0u16, 0, 1, 2, 1, 1, 1, 1].iter().enumerate() {
             c.on_issue(i as u64, *bb);
         }
@@ -157,26 +137,10 @@ mod tests {
     }
 
     #[test]
-    fn no_bbv_when_disabled() {
-        let mut c = UnitCollector::new(
-            UnitsConfig {
-                unit_warp_insts: 2,
-                collect_bbv: false,
-            },
-            5,
-        );
-        c.on_issue(0, 3);
-        c.on_issue(1, 3);
-        let recs = c.finish(2);
-        assert!(recs[0].bbv.is_empty());
-    }
-
-    #[test]
     fn empty_stream_yields_no_units() {
         let c = UnitCollector::new(
             UnitsConfig {
                 unit_warp_insts: 10,
-                collect_bbv: false,
             },
             1,
         );
@@ -186,12 +150,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "unit size must be positive")]
     fn zero_unit_size_rejected() {
-        UnitCollector::new(
-            UnitsConfig {
-                unit_warp_insts: 0,
-                collect_bbv: false,
-            },
-            1,
-        );
+        UnitCollector::new(UnitsConfig { unit_warp_insts: 0 }, 1);
     }
 }

@@ -25,12 +25,7 @@ pub fn population_variance(xs: &[f64]) -> f64 {
     xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64
 }
 
-/// Population standard deviation.
-pub fn std_dev(xs: &[f64]) -> f64 {
-    population_variance(xs).sqrt()
-}
-
-/// Coefficient of variation: `std_dev / mean`.
+/// Coefficient of variation: population standard deviation over mean.
 ///
 /// Returns `0.0` when the mean is zero (an epoch of all-empty thread blocks
 /// is perfectly homogeneous, not infinitely variable).
@@ -112,7 +107,7 @@ mod tests {
         // Var([2,4,4,4,5,5,7,9]) = 4 (classic textbook example).
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((population_variance(&xs) - 4.0).abs() < 1e-12);
-        assert_eq!(std_dev(&xs), 2.0);
+        assert_eq!(population_variance(&xs).sqrt(), 2.0);
     }
 
     #[test]
@@ -128,10 +123,10 @@ mod tests {
         assert!((cov(&xs) - 2.0 / 5.0).abs() < 1e-12);
     }
 
-    /// The two-pass `cov_of` gives the bits of `std_dev / mean` over a
+    /// The two-pass `cov_of` gives the bits of `sqrt(variance) / mean` over a
     /// slice, whatever the length (empty, one value, many).
     #[test]
-    fn cov_of_is_bit_identical_to_std_dev_over_mean() {
+    fn cov_of_is_bit_identical_to_sqrt_variance_over_mean() {
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         for len in 0..300 {
             let xs: Vec<f64> = (0..len)
@@ -146,7 +141,7 @@ mod tests {
             let want = if m.abs() < f64::MIN_POSITIVE {
                 0.0
             } else {
-                std_dev(&xs) / m
+                population_variance(&xs).sqrt() / m
             };
             assert_eq!(cov(&xs).to_bits(), want.to_bits(), "len {len}");
             assert_eq!(cov_of(|| xs.iter().copied()).to_bits(), want.to_bits());

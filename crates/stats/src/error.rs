@@ -10,20 +10,13 @@
 /// a zero prediction is a perfect match (0%); a zero reference with a
 /// nonzero prediction is reported as 100%.
 pub fn abs_pct_error(predicted: f64, reference: f64) -> f64 {
-    signed_pct_error(predicted, reference).abs()
-}
-
-/// Signed percentage error of `predicted` relative to `reference`.
-///
-/// Positive means the prediction over-estimates the reference.
-pub fn signed_pct_error(predicted: f64, reference: f64) -> f64 {
     if reference.abs() < f64::MIN_POSITIVE {
         if predicted.abs() < f64::MIN_POSITIVE {
             return 0.0;
         }
-        return 100.0 * predicted.signum();
+        return (100.0 * predicted.signum()).abs();
     }
-    (predicted - reference) / reference * 100.0
+    ((predicted - reference) / reference * 100.0).abs()
 }
 
 #[cfg(test)]
@@ -34,7 +27,6 @@ mod tests {
     fn pct_error_basic() {
         assert!((abs_pct_error(10.5, 10.0) - 5.0).abs() < 1e-12);
         assert!((abs_pct_error(9.5, 10.0) - 5.0).abs() < 1e-12);
-        assert!((signed_pct_error(9.5, 10.0) + 5.0).abs() < 1e-12);
     }
 
     #[test]
@@ -46,6 +38,6 @@ mod tests {
     fn pct_error_zero_reference() {
         assert_eq!(abs_pct_error(0.0, 0.0), 0.0);
         assert_eq!(abs_pct_error(1.0, 0.0), 100.0);
-        assert_eq!(signed_pct_error(-1.0, 0.0), -100.0);
+        assert_eq!(abs_pct_error(-1.0, 0.0), 100.0);
     }
 }

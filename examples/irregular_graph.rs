@@ -30,8 +30,10 @@ fn main() {
     // One-time profile.
     let profile = profile_run(&bench.run, 4);
 
-    // Inter-launch sampling: which launches are homogeneous? Size counts
-    // up to one machine-wide wave; the TB-size CoV is not normalised.
+    // Inter-launch sampling: which launches are homogeneous? Clustering
+    // counts size up to one machine-wide wave and divides the three
+    // extensive features by their mean; the TB-size CoV enters as is.
+    // Printed here are the raw Eq. 2 features.
     let occupancy = gpu.system_occupancy(&bench.run.kernel);
     let inter = inter_launch_sample_at(&profile, &InterConfig::default(), occupancy);
     println!(
@@ -39,15 +41,21 @@ fn main() {
         bench.run.num_launches(),
         inter.num_simulated()
     );
-    for (i, f) in inter.features.iter().enumerate() {
+    for (i, (lp, &c)) in profile
+        .launches
+        .iter()
+        .zip(&inter.clustering.assignments)
+        .enumerate()
+    {
+        let f = lp.inter_features();
         println!(
-            "  launch {i:>2}: size {:>7.3}  cfd {:>7.3}  memdiv {:>7.3}  raw tb cov {:>7.3}  -> cluster {}{}",
-            f[0],
-            f[1],
-            f[2],
-            f[3],
-            inter.clustering.assignments[i],
-            if inter.is_representative(i) { "  [simulation point]" } else { "" }
+            "  launch {i:>2}: {:>4} blocks  thread insts {:>10}  warp insts {:>8}  mem reqs {:>8}  tb cov {:>6.3}  -> cluster {c}{}",
+            lp.num_blocks(),
+            f.thread_insts,
+            f.warp_insts,
+            f.mem_requests,
+            f.tb_size_cov,
+            if inter.representatives[c] == i { "  [simulation point]" } else { "" }
         );
     }
 

@@ -12,7 +12,7 @@ use tbpoint::workloads::{benchmark_by_name, Scale};
 fn unit_collection_conserves_instructions() {
     let bench = benchmark_by_name("conv", Scale::Tiny).unwrap();
     let gpu = GpuConfig::fermi();
-    let (units, full_ipc) = collect_units(&bench.run, &gpu, 3_000, true);
+    let (units, full_ipc) = collect_units(&bench.run, &gpu, 3_000);
     assert!(!units.is_empty());
     assert!(full_ipc > 0.0);
     // Unit BBV totals equal unit instruction counts.
@@ -27,7 +27,7 @@ fn baselines_predict_regular_kernel_accurately() {
     // A uniform kernel is the easy case: both baselines must land close.
     let bench = benchmark_by_name("kmeans", Scale::Tiny).unwrap();
     let gpu = GpuConfig::fermi();
-    let (units, full_ipc) = collect_units(&bench.run, &gpu, 3_000, true);
+    let (units, full_ipc) = collect_units(&bench.run, &gpu, 3_000);
     let rnd = random_sampling(&units, &RandomConfig::default());
     let isp = ideal_simpoint(&units, &IdealSimpointConfig::default());
     assert!(
@@ -48,7 +48,7 @@ fn baselines_predict_regular_kernel_accurately() {
 fn random_sample_size_is_ten_percent() {
     let bench = benchmark_by_name("cfd", Scale::Tiny).unwrap();
     let gpu = GpuConfig::fermi();
-    let (units, _) = collect_units(&bench.run, &gpu, 2_000, false);
+    let (units, _) = collect_units(&bench.run, &gpu, 2_000);
     let rnd = random_sampling(&units, &RandomConfig::default());
     assert!(
         (rnd.sample_size - 0.10).abs() < 0.05,
@@ -62,7 +62,7 @@ fn ideal_simpoint_sample_shrinks_on_uniform_workload() {
     // Uniform BBVs collapse to very few clusters.
     let bench = benchmark_by_name("lbm", Scale::Tiny).unwrap();
     let gpu = GpuConfig::fermi();
-    let (units, _) = collect_units(&bench.run, &gpu, 3_000, true);
+    let (units, _) = collect_units(&bench.run, &gpu, 3_000);
     let isp = ideal_simpoint(&units, &IdealSimpointConfig::default());
     assert!(
         isp.sample_size < 0.30,

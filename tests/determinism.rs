@@ -74,8 +74,8 @@ fn tbpoint_is_worker_count_invariant() {
 fn baseline_unit_collection_is_deterministic() {
     let bench = benchmark_by_name("kmeans", Scale::Tiny).unwrap();
     let gpu = GpuConfig::fermi();
-    let (units_a, ipc_a) = collect_units(&bench.run, &gpu, 5_000, true);
-    let (units_b, ipc_b) = collect_units(&bench.run, &gpu, 5_000, true);
+    let (units_a, ipc_a) = collect_units(&bench.run, &gpu, 5_000);
+    let (units_b, ipc_b) = collect_units(&bench.run, &gpu, 5_000);
     assert_eq!(units_a, units_b);
     assert_eq!(ipc_a, ipc_b);
     let isp_a = ideal_simpoint(&units_a, &IdealSimpointConfig::default());

@@ -82,7 +82,7 @@ fn dev_scale_errors_stay_inside_the_envelope() {
         let profile = profile_run(&bench.run, 1);
         // `eval`'s unit size: 60 units per run, clamped.
         let unit_size = (profile.total_warp_insts() / 60).clamp(2_000, 1_000_000);
-        let (units, full_ipc) = collect_units(&bench.run, &gpu, unit_size, false);
+        let (units, full_ipc) = collect_units(&bench.run, &gpu, unit_size);
         random_samples.push(random_sampling(&units, &RandomConfig::default()).sample_size);
         for (mode, cfg, profile) in [
             ("two-phase", &two_phase, Some(&profile)),

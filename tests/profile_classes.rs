@@ -3,7 +3,7 @@
 //! A kernel with block-invariant control flow and affine addresses is
 //! profiled once per block class (see DESIGN.md, "Profiling by block
 //! class"); the result must equal emulating every block — per-block
-//! stats, launch BBV and memory-instruction total — whichever route a
+//! stats and memory-instruction total — whichever route a
 //! kernel takes. Two populations:
 //!
 //! 1. seeded random kernels, three in four drawn from the class-eligible
@@ -38,7 +38,6 @@ use tbpoint::workloads::{all_benchmarks, Scale};
 /// Every block through `profile_tb`, summing the launch totals block by
 /// block: what `profile_launch` must equal.
 fn per_block_reference(kernel: &Kernel, spec: &LaunchSpec) -> LaunchProfile {
-    let mut bbv = vec![0; kernel.num_basic_blocks as usize];
     let mut mem_insts = 0;
     let tbs = (0..spec.num_blocks)
         .map(|block_id| {
@@ -49,10 +48,10 @@ fn per_block_reference(kernel: &Kernel, spec: &LaunchSpec) -> LaunchProfile {
                 num_blocks: spec.num_blocks,
                 work_scale: spec.work_scale,
             };
-            profile_tb(kernel, &ctx, &mut bbv, &mut mem_insts)
+            profile_tb(kernel, &ctx, &mut mem_insts)
         })
         .collect();
-    LaunchProfile::per_block(*spec, tbs, bbv, mem_insts)
+    LaunchProfile::per_block(*spec, tbs, mem_insts)
 }
 
 /// Returns (blocks compared, blocks whose profile was a stamped copy).
