@@ -39,7 +39,7 @@ impl Default for IdealSimpointConfig {
 /// Run Ideal-SimPoint over the recorded units.
 ///
 /// # Panics
-/// Panics if any unit lacks a BBV (collect with `collect_bbv: true`).
+/// Panics if any unit's BBV is empty.
 pub fn ideal_simpoint(units: &[UnitRecord], cfg: &IdealSimpointConfig) -> BaselineResult {
     if units.is_empty() {
         return BaselineResult {
@@ -53,10 +53,7 @@ pub fn ideal_simpoint(units: &[UnitRecord], cfg: &IdealSimpointConfig) -> Baseli
     let points: Vec<Point> = units
         .iter()
         .map(|u| {
-            assert!(
-                !u.bbv.is_empty(),
-                "Ideal-SimPoint needs per-unit BBVs (collect_bbv: true)"
-            );
+            assert!(!u.bbv.is_empty(), "Ideal-SimPoint needs per-unit BBVs");
             let total = u.warp_insts.max(1) as f64;
             u.bbv.iter().map(|&c| c as f64 / total).collect()
         })
