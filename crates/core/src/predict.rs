@@ -29,7 +29,7 @@ use crate::error::{invalid, TbError};
 use crate::inter::{inter_launch_sample_trusted, InterConfig, InterResult};
 use crate::intra::{build_epochs, identify_regions, IntraConfig};
 use crate::sampling::live::LiveSampler;
-use crate::sampling::{IntraOutcome, RegionSampler};
+use crate::sampling::{IntraOutcome, RegionSampler, WARMING_WINDOW};
 use serde::{Deserialize, Serialize};
 use tbpoint_cluster::Clustering;
 use tbpoint_emu::BlockClasses;
@@ -77,16 +77,10 @@ pub struct TbpointConfig {
     pub intra: IntraConfig,
     /// Warming convergence threshold (10%).
     pub warming_threshold: f64,
-    /// Designated-TB lifetimes per sampling unit (scale compensation; see
-    /// `sampling::DEFAULT_UNIT_TB_SPAN`).
-    pub unit_tb_span: u32,
-    /// Trailing units that must agree before fast-forwarding (the paper
-    /// compares 2; see `sampling::WARMING_WINDOW`).
-    pub warming_window: usize,
     /// Bound on warming units per region before the sampler abandons the
     /// region and degrades to detailed simulation (`None` = warm
     /// indefinitely, the paper's behaviour). Must be at least
-    /// `warming_window` when set.
+    /// [`crate::sampling::WARMING_WINDOW`] when set.
     pub warming_budget: Option<u32>,
     /// Per-launch simulated-cycle watchdog: a representative still
     /// dispatching blocks past this many cycles is drained and reported
@@ -103,8 +97,6 @@ impl Default for TbpointConfig {
             inter: InterConfig::default(),
             intra: IntraConfig::default(),
             warming_threshold: 0.10,
-            unit_tb_span: crate::sampling::DEFAULT_UNIT_TB_SPAN,
-            warming_window: crate::sampling::WARMING_WINDOW,
             warming_budget: None,
             cycle_budget: None,
             mode: SamplingMode::TwoPhase,
@@ -122,8 +114,9 @@ impl TbpointConfig {
     ///
     /// [`TbError::InvalidConfig`] when a clustering σ is non-finite or
     /// non-positive, the variation factor is negative, the warming
-    /// threshold is non-finite or non-positive, `unit_tb_span` is zero,
-    /// or `warming_window` is below 2. Parallelism lives outside this
+    /// threshold is non-finite or non-positive, the warming budget is
+    /// below [`crate::sampling::WARMING_WINDOW`], or the cycle budget is
+    /// zero. Parallelism lives outside this
     /// config — see [`tbpoint_pool::ExecPlan`] — because results are
     /// bit-identical at any worker count, so the
     /// worker count is an execution concern, not a result-affecting one.
@@ -139,26 +132,11 @@ impl TbpointConfig {
                 ),
             ));
         }
-        if self.unit_tb_span == 0 {
-            return Err(invalid("unit_tb_span", "must be at least 1 (got 0)"));
-        }
-        if self.warming_window < 2 {
-            return Err(invalid(
-                "warming_window",
-                format!(
-                    "needs at least 2 units to compare (got {})",
-                    self.warming_window
-                ),
-            ));
-        }
         if let Some(budget) = self.warming_budget {
-            if (budget as usize) < self.warming_window {
+            if (budget as usize) < WARMING_WINDOW {
                 return Err(invalid(
                     "warming_budget",
-                    format!(
-                        "must allow at least warming_window = {} units (got {budget})",
-                        self.warming_window
-                    ),
+                    format!("must allow at least {WARMING_WINDOW} warming units (got {budget})"),
                 ));
             }
         }
@@ -847,20 +825,6 @@ mod tests {
         let profile = profile_run(&run, 1);
         let gpu = GpuConfig::fermi();
 
-        let zero_span = TbpointConfig {
-            unit_tb_span: 0,
-            ..Default::default()
-        };
-        let err =
-            run_tbpoint(&run, Some(&profile), &zero_span, &gpu, ExecPlan::serial()).unwrap_err();
-        assert!(matches!(
-            err,
-            TbError::InvalidConfig {
-                field: "unit_tb_span",
-                ..
-            }
-        ));
-
         let bad_threshold = TbpointConfig {
             warming_threshold: -0.1,
             ..Default::default()
@@ -901,18 +865,9 @@ mod tests {
             },
             ..Default::default()
         };
-        let one_unit_window = TbpointConfig {
-            warming_window: 1,
-            ..Default::default()
-        };
-        for (cfg, field) in [
-            (bad_intra_sigma, "intra.sigma"),
-            (one_unit_window, "warming_window"),
-        ] {
-            match cfg.validate().unwrap_err() {
-                TbError::InvalidConfig { field: f, .. } => assert_eq!(f, field),
-                other => panic!("unexpected error {other:?}"),
-            }
+        match bad_intra_sigma.validate().unwrap_err() {
+            TbError::InvalidConfig { field, .. } => assert_eq!(field, "intra.sigma"),
+            other => panic!("unexpected error {other:?}"),
         }
     }
 

@@ -19,7 +19,7 @@
 //!   cluster (`LiveEpochDetected` event either way).
 //! * **Warming** starts after `MIN_RUN` consecutive epochs land in the
 //!   same (non-abandoned) cluster, and runs on the shared
-//!   [`super::Warming`] machine: once the trailing `warming_window` unit
+//!   [`super::Warming`] machine: once the trailing `WARMING_WINDOW` unit
 //!   IPCs agree pairwise within the warming threshold, fast-forwarding
 //!   begins (`FastForwardStarted`, with the cluster as its region).
 //! * **Fast-forwarding** skips dispatched blocks, predicting their
