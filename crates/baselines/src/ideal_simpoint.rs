@@ -11,36 +11,23 @@
 //! instructions land in which unit.
 
 use crate::{subset_fraction, BaselineResult};
-use serde::{Deserialize, Serialize};
 use tbpoint_cluster::{kmeans_best_bic, Point};
 use tbpoint_sim::UnitRecord;
 
-/// Ideal-SimPoint parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct IdealSimpointConfig {
-    /// Largest cluster count k-means may choose (SimPoint default ~30).
-    pub max_k: usize,
-    /// BIC quality fraction for the smallest-acceptable-k rule (0.9).
-    pub bic_quality: f64,
-    /// Clustering seed.
-    pub seed: u64,
-}
+/// Largest cluster count k-means may choose (SimPoint's default ~30).
+const MAX_K: usize = 30;
 
-impl Default for IdealSimpointConfig {
-    fn default() -> Self {
-        IdealSimpointConfig {
-            max_k: 30,
-            bic_quality: 0.9,
-            seed: 0x51A9,
-        }
-    }
-}
+/// BIC quality fraction for the smallest-acceptable-k rule.
+const BIC_QUALITY: f64 = 0.9;
+
+/// Clustering seed.
+const SEED: u64 = 0x51A9;
 
 /// Run Ideal-SimPoint over the recorded units.
 ///
 /// # Panics
 /// Panics if any unit's BBV is empty.
-pub fn ideal_simpoint(units: &[UnitRecord], cfg: &IdealSimpointConfig) -> BaselineResult {
+pub fn ideal_simpoint(units: &[UnitRecord]) -> BaselineResult {
     if units.is_empty() {
         return BaselineResult {
             predicted_ipc: 0.0,
@@ -59,12 +46,7 @@ pub fn ideal_simpoint(units: &[UnitRecord], cfg: &IdealSimpointConfig) -> Baseli
         })
         .collect();
 
-    let km = kmeans_best_bic(
-        &points,
-        cfg.max_k.min(points.len()),
-        cfg.seed,
-        cfg.bic_quality,
-    );
+    let km = kmeans_best_bic(&points, MAX_K.min(points.len()), SEED, BIC_QUALITY);
     let reps = km.clustering.representatives(&points);
 
     // Predicted total cycles: each unit contributes its instructions at
@@ -121,7 +103,7 @@ mod tests {
         for _ in 0..20 {
             units.push(unit(1, 0.25));
         }
-        let r = ideal_simpoint(&units, &IdealSimpointConfig::default());
+        let r = ideal_simpoint(&units);
         assert_eq!(r.num_selected, 2, "two BBV phases -> two simulation points");
         // Exact prediction: each phase is internally homogeneous.
         let full_cycles: u64 = units.iter().map(|u| u.cycles).sum();
@@ -146,7 +128,7 @@ mod tests {
         for _ in 0..10 {
             units.push(unit(0, 0.2)); // same code signature, 5x slower
         }
-        let r = ideal_simpoint(&units, &IdealSimpointConfig::default());
+        let r = ideal_simpoint(&units);
         assert_eq!(r.num_selected, 1, "identical BBVs collapse to one cluster");
         let full_cycles: u64 = units.iter().map(|u| u.cycles).sum();
         let full_ipc = 40_000.0 / full_cycles as f64;
@@ -160,14 +142,14 @@ mod tests {
     #[test]
     fn homogeneous_units_one_point_exact() {
         let units: Vec<UnitRecord> = (0..25).map(|_| unit(2, 0.6)).collect();
-        let r = ideal_simpoint(&units, &IdealSimpointConfig::default());
+        let r = ideal_simpoint(&units);
         assert_eq!(r.num_selected, 1);
         assert!((r.predicted_ipc - 0.6).abs() < 0.01);
     }
 
     #[test]
     fn empty_units_is_graceful() {
-        let r = ideal_simpoint(&[], &IdealSimpointConfig::default());
+        let r = ideal_simpoint(&[]);
         assert_eq!(r.num_units, 0);
     }
 
@@ -180,6 +162,6 @@ mod tests {
             warp_insts: 100,
             bbv: vec![],
         };
-        ideal_simpoint(&[u], &IdealSimpointConfig::default());
+        ideal_simpoint(&[u]);
     }
 }

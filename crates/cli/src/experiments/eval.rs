@@ -15,8 +15,7 @@ use super::tbpoint_unit;
 use crate::output::{self, TraceEntry};
 use serde::{Deserialize, Serialize};
 use tbpoint_baselines::{
-    collect_units, ideal_simpoint, random_sampling, systematic_sampling, IdealSimpointConfig,
-    RandomConfig, SystematicConfig,
+    collect_units, ideal_simpoint, random_sampling, systematic_sampling, unit_size,
 };
 use tbpoint_core::predict::TbpointConfig;
 use tbpoint_core::TbError;
@@ -30,11 +29,6 @@ use tbpoint_workloads::{Benchmark, KernelKind, Scale};
 pub struct EvalConfig {
     /// Workload scale.
     pub scale: Scale,
-    /// Target number of sampling units per benchmark. The paper uses
-    /// fixed one-million-instruction units on multi-billion-instruction
-    /// workloads; our scaled workloads use `total / target` so the unit
-    /// *count* lands in the same regime (documented in DESIGN.md).
-    pub target_units: u64,
     /// TBPoint thresholds (paper defaults).
     pub tbpoint: TbpointConfig,
 }
@@ -44,7 +38,6 @@ impl EvalConfig {
     pub fn new(scale: Scale) -> Self {
         EvalConfig {
             scale,
-            target_units: 60,
             tbpoint: TbpointConfig::default(),
         }
     }
@@ -151,15 +144,14 @@ pub fn eval_bench(
     let total_insts = profile.total_warp_insts();
 
     // Full simulation + sampling units for the baselines.
-    let unit_size = (total_insts / cfg.target_units).clamp(2_000, 1_000_000);
-    let (units, full_ipc) = collect_units(&bench.run, gpu, unit_size);
+    let (units, full_ipc) = collect_units(&bench.run, gpu, unit_size(total_insts));
 
     // Full cycles derive from the recorded units plus IPC identity.
     let full_cycles = (total_insts as f64 / full_ipc).round() as u64;
 
-    let rnd = random_sampling(&units, &RandomConfig::default());
-    let sys = systematic_sampling(&units, &SystematicConfig::default());
-    let ideal = ideal_simpoint(&units, &IdealSimpointConfig::default());
+    let rnd = random_sampling(&units);
+    let sys = systematic_sampling(&units);
+    let ideal = ideal_simpoint(&units);
     let (tbp, traces) = tbpoint_unit(
         &bench.run,
         Some(&profile),

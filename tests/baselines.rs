@@ -2,9 +2,7 @@
 //! the real simulator (unit-level behaviour is covered inside the
 //! baselines crate; here the full collection pipeline runs).
 
-use tbpoint::baselines::{
-    collect_units, ideal_simpoint, random_sampling, IdealSimpointConfig, RandomConfig,
-};
+use tbpoint::baselines::{collect_units, ideal_simpoint, random_sampling};
 use tbpoint::sim::GpuConfig;
 use tbpoint::workloads::{benchmark_by_name, Scale};
 
@@ -28,8 +26,8 @@ fn baselines_predict_regular_kernel_accurately() {
     let bench = benchmark_by_name("kmeans", Scale::Tiny).unwrap();
     let gpu = GpuConfig::fermi();
     let (units, full_ipc) = collect_units(&bench.run, &gpu, 3_000);
-    let rnd = random_sampling(&units, &RandomConfig::default());
-    let isp = ideal_simpoint(&units, &IdealSimpointConfig::default());
+    let rnd = random_sampling(&units);
+    let isp = ideal_simpoint(&units);
     assert!(
         rnd.error_vs(full_ipc) < 10.0,
         "random err {:.2}%",
@@ -49,7 +47,7 @@ fn random_sample_size_is_ten_percent() {
     let bench = benchmark_by_name("cfd", Scale::Tiny).unwrap();
     let gpu = GpuConfig::fermi();
     let (units, _) = collect_units(&bench.run, &gpu, 2_000);
-    let rnd = random_sampling(&units, &RandomConfig::default());
+    let rnd = random_sampling(&units);
     assert!(
         (rnd.sample_size - 0.10).abs() < 0.05,
         "sample {:.3}",
@@ -63,7 +61,7 @@ fn ideal_simpoint_sample_shrinks_on_uniform_workload() {
     let bench = benchmark_by_name("lbm", Scale::Tiny).unwrap();
     let gpu = GpuConfig::fermi();
     let (units, _) = collect_units(&bench.run, &gpu, 3_000);
-    let isp = ideal_simpoint(&units, &IdealSimpointConfig::default());
+    let isp = ideal_simpoint(&units);
     assert!(
         isp.sample_size < 0.30,
         "uniform workload should need few points, got {:.2}",

@@ -3,7 +3,7 @@
 //! prediction — must be bit-reproducible. Reproducibility is what makes
 //! profile-once-simulate-anywhere sound.
 
-use tbpoint::baselines::{collect_units, ideal_simpoint, IdealSimpointConfig};
+use tbpoint::baselines::{collect_units, ideal_simpoint};
 use tbpoint::core::predict::{run_tbpoint, TbpointConfig};
 use tbpoint::emu::{profile_launch, profile_run};
 use tbpoint::pool::ExecPlan;
@@ -78,7 +78,7 @@ fn baseline_unit_collection_is_deterministic() {
     let (units_b, ipc_b) = collect_units(&bench.run, &gpu, 5_000);
     assert_eq!(units_a, units_b);
     assert_eq!(ipc_a, ipc_b);
-    let isp_a = ideal_simpoint(&units_a, &IdealSimpointConfig::default());
-    let isp_b = ideal_simpoint(&units_b, &IdealSimpointConfig::default());
+    let isp_a = ideal_simpoint(&units_a);
+    let isp_b = ideal_simpoint(&units_b);
     assert_eq!(isp_a, isp_b);
 }

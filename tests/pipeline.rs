@@ -2,7 +2,7 @@
 //! cluster -> sampled simulation -> prediction) against full simulation,
 //! across crates. Tiny scale keeps them fast.
 
-use tbpoint::baselines::{collect_units, random_sampling, RandomConfig};
+use tbpoint::baselines::{collect_units, random_sampling, unit_size};
 use tbpoint::core::predict::{run_tbpoint, SamplingMode, TbpointConfig};
 use tbpoint::emu::profile_run;
 use tbpoint::pool::ExecPlan;
@@ -80,10 +80,9 @@ fn dev_scale_errors_stay_inside_the_envelope() {
     let (mut two_phase_samples, mut random_samples) = (Vec::new(), Vec::new());
     for bench in all_benchmarks(Scale::Dev) {
         let profile = profile_run(&bench.run, 1);
-        // `eval`'s unit size: 60 units per run, clamped.
-        let unit_size = (profile.total_warp_insts() / 60).clamp(2_000, 1_000_000);
-        let (units, full_ipc) = collect_units(&bench.run, &gpu, unit_size);
-        random_samples.push(random_sampling(&units, &RandomConfig::default()).sample_size);
+        let size = unit_size(profile.total_warp_insts());
+        let (units, full_ipc) = collect_units(&bench.run, &gpu, size);
+        random_samples.push(random_sampling(&units).sample_size);
         for (mode, cfg, profile) in [
             ("two-phase", &two_phase, Some(&profile)),
             ("live", &live, None),
