@@ -489,12 +489,11 @@ fn cmd_serve(args: &Args) {
         ..ServeOptions::default()
     };
     let mut svc = Service::new(opts).unwrap_or_else(|e| die("opening the serve result cache", e));
-    let rec = tbpoint_obs::NullRecorder;
 
     if let Some(reqs) = &args.requests {
         let text = std::fs::read_to_string(reqs)
             .unwrap_or_else(|e| die(&format!("reading requests {}", reqs.display()), e));
-        let responses = tbpoint_serve::process_text(&mut svc, &text, &rec);
+        let responses = tbpoint_serve::process_text(&mut svc, &text);
         match &args.out {
             Some(path) => {
                 if let Err(e) = tbpoint_obs::write_atomic(path, responses.as_bytes()) {
@@ -507,7 +506,7 @@ fn cmd_serve(args: &Args) {
     } else {
         let stdin = std::io::stdin();
         let mut stdout = std::io::stdout();
-        if let Err(e) = tbpoint_serve::run_loop(&mut svc, stdin.lock(), &mut stdout, &rec) {
+        if let Err(e) = tbpoint_serve::run_loop(&mut svc, stdin.lock(), &mut stdout) {
             die("serve request loop", e);
         }
     }
@@ -626,14 +625,13 @@ fn main() {
                 );
                 std::process::exit(2);
             }
-            let opts = tbpoint_resilience::MatrixOptions::default();
             eprintln!(
                 "injecting {} fault kinds x {} seeds into {} benchmark(s)...",
-                opts.faults.len(),
-                opts.seeds.len(),
+                tbpoint_resilience::Fault::default_matrix().len(),
+                tbpoint_resilience::MATRIX_SEEDS.len(),
                 runs.len()
             );
-            let report = tbpoint_resilience::run_fault_matrix(&runs, &opts);
+            let report = tbpoint_resilience::run_fault_matrix(&runs);
             write_json_or_die(
                 &args
                     .artifacts

@@ -129,40 +129,6 @@ pub enum EventKind {
         /// What triggered the fallback.
         reason: DegradeReason,
     },
-
-    // --- request service (tbpoint-serve) ---
-    // Requests are identified by their arrival sequence number (`seq`),
-    // not their caller-chosen id string: event payloads stay `Copy`.
-    /// A request passed admission control and was queued for execution.
-    RequestAdmitted {
-        /// Arrival sequence number within the service run.
-        seq: u64,
-    },
-    /// A request was load-shed at admission (bounded queue full). The
-    /// caller still gets a structured `rejected` response — rejection
-    /// is never a silent drop.
-    RequestRejected {
-        /// Arrival sequence number within the service run.
-        seq: u64,
-    },
-    /// A request exceeded its cycle budget and was answered with a
-    /// structured deadline error instead of a result.
-    DeadlineExceeded {
-        /// Arrival sequence number within the service run.
-        seq: u64,
-    },
-    /// A request was answered from the content-addressed result cache.
-    CacheHit {
-        /// Arrival sequence number within the service run.
-        seq: u64,
-    },
-    /// A cache entry failed its checksum re-verification on read and
-    /// was quarantined (renamed aside) before recomputation — corrupt
-    /// bytes are never deserialized into a response.
-    CacheQuarantined {
-        /// Arrival sequence number within the service run.
-        seq: u64,
-    },
 }
 
 /// Why the pipeline degraded to detailed simulation (payload of
@@ -202,18 +168,12 @@ impl EventKind {
             EventKind::LiveEpochDetected { .. } => "LiveEpochDetected",
             EventKind::LiveDestabilised { .. } => "LiveDestabilised",
             EventKind::DegradedMode { .. } => "DegradedMode",
-            EventKind::RequestAdmitted { .. } => "RequestAdmitted",
-            EventKind::RequestRejected { .. } => "RequestRejected",
-            EventKind::DeadlineExceeded { .. } => "DeadlineExceeded",
-            EventKind::CacheHit { .. } => "CacheHit",
-            EventKind::CacheQuarantined { .. } => "CacheQuarantined",
         }
     }
 }
 
-/// A cycle-stamped event. `cycle` is the simulated cycle when the layer
-/// has a clock (the simulator and sampler) and 0 where it does not
-/// (serve's request events).
+/// A cycle-stamped event. `cycle` is the simulated cycle (every event
+/// comes from the simulator or the sampler).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Event {
     /// Simulated cycle at which the event occurred.

@@ -25,9 +25,8 @@
 //!   `(input, fault, seed)`, so a failing cell replays exactly.
 //! * [`matrix`] — [`run_fault_matrix`] executes every
 //!   `(benchmark, fault, seed)` cell under `catch_unwind` and
-//!   classifies the [`Outcome`]; [`error_growth`] sweeps injected
-//!   stall-probability noise and quantifies how the sampling error
-//!   grows with it, empirically bracketing the paper's ~10% claim.
+//!   classifies the [`Outcome`], next to each benchmark's clean
+//!   sampling error.
 //!
 //! The graceful-degradation behaviour itself lives in `tbpoint-core`
 //! (`TbpointConfig::{warming_budget, cycle_budget}`,
@@ -42,6 +41,4 @@ pub mod fault;
 pub mod matrix;
 
 pub use fault::{inject_profile, Fault, EPOCH_CHUNK};
-pub use matrix::{
-    error_growth, run_fault_matrix, GrowthPoint, MatrixCell, MatrixOptions, MatrixReport, Outcome,
-};
+pub use matrix::{run_fault_matrix, MatrixCell, MatrixReport, Outcome, MATRIX_SEEDS};

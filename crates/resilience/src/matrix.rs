@@ -6,11 +6,6 @@
 //! each one surfaces as a [`tbpoint_core::TbError`], as degraded mode
 //! (with `DegradedMode` events and a nonzero `degradation_ratio`), or
 //! as a quantified IPC error.
-//!
-//! [`error_growth`] additionally sweeps a jitter magnitude and reports
-//! how the sampling error grows with injected profile noise, which
-//! checks the paper's headline empirically: at zero injected noise the
-//! TBPoint prediction stays within ~10% of the full simulation.
 
 use crate::fault::{inject_profile, Fault};
 use serde::{Deserialize, Serialize};
@@ -133,32 +128,17 @@ impl MatrixReport {
     }
 }
 
-/// Matrix shape: which faults, which seeds, and the pipeline config the
-/// faulty profiles run under.
-#[derive(Debug, Clone)]
-pub struct MatrixOptions {
-    /// Faults to inject (default: [`Fault::default_matrix`]).
-    pub faults: Vec<Fault>,
-    /// Injection seeds (default: 8 seeds).
-    pub seeds: Vec<u64>,
-    /// GPU model for simulations.
-    pub gpu: GpuConfig,
-    /// Pipeline config. The default enables a warming budget so regions
-    /// destabilised by jitter degrade instead of warming forever.
-    pub config: TbpointConfig,
-}
+/// Injection seeds: eight per `(benchmark, fault)`.
+pub const MATRIX_SEEDS: [u64; 8] = [
+    0xF00D, 0xF00E, 0xF00F, 0xF010, 0xF011, 0xF012, 0xF013, 0xF014,
+];
 
-impl Default for MatrixOptions {
-    fn default() -> Self {
-        MatrixOptions {
-            faults: Fault::default_matrix(),
-            seeds: (0..8).map(|i| 0xF00D + i).collect(),
-            gpu: GpuConfig::fermi(),
-            config: TbpointConfig {
-                warming_budget: Some(32),
-                ..TbpointConfig::default()
-            },
-        }
+/// The pipeline config the faulty profiles run under: a warming budget
+/// so regions destabilised by jitter degrade instead of warming forever.
+fn matrix_config() -> TbpointConfig {
+    TbpointConfig {
+        warming_budget: Some(32),
+        ..TbpointConfig::default()
     }
 }
 
@@ -169,7 +149,7 @@ fn profile_cell(
     full_ipc: f64,
     fault: Fault,
     seed: u64,
-    opts: &MatrixOptions,
+    gpu: &GpuConfig,
 ) -> Outcome {
     let mut faulty = profile.clone();
     inject_profile(&mut faulty, fault, seed);
@@ -177,8 +157,8 @@ fn profile_cell(
         run_tbpoint(
             run,
             Some(&faulty),
-            &opts.config,
-            &opts.gpu,
+            &matrix_config(),
+            gpu,
             ExecPlan::serial(),
         )
     }));
@@ -261,22 +241,26 @@ fn pool_cell(seed: u64) -> Outcome {
     }
 }
 
-/// Run the full fault matrix over the given named workloads.
+/// Run the full fault matrix over the given named workloads: every
+/// fault of [`Fault::default_matrix`] at each of [`MATRIX_SEEDS`], on the Fermi
+/// model.
 ///
 /// Per benchmark this profiles once, runs one full simulation (the IPC
 /// reference) and one clean TBPoint pass, then executes every
 /// `(fault, seed)` cell.
-pub fn run_fault_matrix(runs: &[(String, KernelRun)], opts: &MatrixOptions) -> MatrixReport {
+pub fn run_fault_matrix(runs: &[(String, KernelRun)]) -> MatrixReport {
+    let faults = Fault::default_matrix();
+    let gpu = GpuConfig::fermi();
     let mut report = MatrixReport::default();
     for (name, run) in runs {
         let profile = profile_run(run, 1);
-        let full = simulate_run(run, &opts.gpu, &mut NullSampling, None);
+        let full = simulate_run(run, &gpu, &mut NullSampling, None);
         let full_ipc = full.overall_ipc();
         match run_tbpoint(
             run,
             Some(&profile),
-            &opts.config,
-            &opts.gpu,
+            &matrix_config(),
+            &gpu,
             ExecPlan::serial(),
         ) {
             Ok(clean) => report
@@ -286,8 +270,8 @@ pub fn run_fault_matrix(runs: &[(String, KernelRun)], opts: &MatrixOptions) -> M
                 // A benchmark whose *clean* run fails is reported as one
                 // graceful-error cell per fault so the hole is visible.
                 report.clean_err_pct.push((name.clone(), f64::NAN));
-                for &fault in &opts.faults {
-                    for &seed in &opts.seeds {
+                for &fault in &faults {
+                    for seed in MATRIX_SEEDS {
                         report.cells.push(MatrixCell {
                             bench: name.clone(),
                             fault,
@@ -299,12 +283,12 @@ pub fn run_fault_matrix(runs: &[(String, KernelRun)], opts: &MatrixOptions) -> M
                 continue;
             }
         }
-        for &fault in &opts.faults {
-            for &seed in &opts.seeds {
+        for &fault in &faults {
+            for seed in MATRIX_SEEDS {
                 let outcome = if fault.is_pool_fault() {
                     pool_cell(seed)
                 } else {
-                    profile_cell(run, &profile, full_ipc, fault, seed, opts)
+                    profile_cell(run, &profile, full_ipc, fault, seed, &gpu)
                 };
                 report.cells.push(MatrixCell {
                     bench: name.clone(),
@@ -316,58 +300,4 @@ pub fn run_fault_matrix(runs: &[(String, KernelRun)], opts: &MatrixOptions) -> M
         }
     }
     report
-}
-
-/// One point of the noise-vs-error curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct GrowthPoint {
-    /// Injected stall-jitter magnitude (0 = clean).
-    pub magnitude: f64,
-    /// Mean absolute IPC error (percent) vs full simulation across
-    /// seeds.
-    pub mean_err_pct: f64,
-    /// Worst seed's error.
-    pub max_err_pct: f64,
-}
-
-/// Sweep stall-jitter magnitude and measure how the TBPoint IPC error
-/// grows with injected profile noise (the empirical check on the
-/// paper's ~10% claim: the `magnitude = 0` point is the clean sampling
-/// error). Degraded and failed runs count as `100%` error so they are
-/// visible in the curve rather than silently dropped.
-pub fn error_growth(
-    run: &KernelRun,
-    magnitudes: &[f64],
-    seeds: &[u64],
-    opts: &MatrixOptions,
-) -> Vec<GrowthPoint> {
-    let profile = profile_run(run, 1);
-    let full_ipc = simulate_run(run, &opts.gpu, &mut NullSampling, None).overall_ipc();
-    magnitudes
-        .iter()
-        .map(|&magnitude| {
-            let errs: Vec<f64> = seeds
-                .iter()
-                .map(|&seed| {
-                    let mut faulty = profile.clone();
-                    inject_profile(&mut faulty, Fault::StallJitter { magnitude }, seed);
-                    match run_tbpoint(
-                        run,
-                        Some(&faulty),
-                        &opts.config,
-                        &opts.gpu,
-                        ExecPlan::serial(),
-                    ) {
-                        Ok(r) => r.error_vs(full_ipc),
-                        Err(_) => 100.0,
-                    }
-                })
-                .collect();
-            GrowthPoint {
-                magnitude,
-                mean_err_pct: tbpoint_stats::mean(&errs),
-                max_err_pct: tbpoint_stats::max_f64(&errs),
-            }
-        })
-        .collect()
 }

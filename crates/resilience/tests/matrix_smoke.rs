@@ -7,7 +7,7 @@
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
 
 use tbpoint_ir::{AddrPattern, KernelBuilder, KernelRun, LaunchId, LaunchSpec, Op, TripCount};
-use tbpoint_resilience::{error_growth, run_fault_matrix, MatrixOptions, Outcome};
+use tbpoint_resilience::{run_fault_matrix, Fault, Outcome, MATRIX_SEEDS};
 use tbpoint_workloads::{benchmark_by_name, Scale};
 
 fn synthetic_run(name: &str, seed: u64, n_launches: u32, blocks: u32) -> KernelRun {
@@ -49,12 +49,11 @@ fn matrix_workloads() -> Vec<(String, KernelRun)> {
 
 #[test]
 fn full_matrix_contains_every_fault() {
-    let opts = MatrixOptions::default();
-    assert!(opts.seeds.len() >= 8, "acceptance demands >= 8 seeds");
-    let report = run_fault_matrix(&matrix_workloads(), &opts);
+    let report = run_fault_matrix(&matrix_workloads());
 
-    let expected = 2 * opts.faults.len() * opts.seeds.len();
-    assert_eq!(report.cells.len(), expected);
+    assert!(MATRIX_SEEDS.len() >= 8, "acceptance demands >= 8 seeds");
+    let faults = Fault::default_matrix();
+    assert_eq!(report.cells.len(), 2 * faults.len() * MATRIX_SEEDS.len());
     assert_eq!(report.panics(), 0, "panicking cells:\n{}", report.summary());
     assert_eq!(
         report.silently_accepted(),
@@ -64,15 +63,24 @@ fn full_matrix_contains_every_fault() {
     );
     assert!(report.all_contained());
 
+    // The paper's claim, checked on the clean baseline: with no injected
+    // damage the TBPoint prediction is within 10% of the full simulation.
+    assert_eq!(report.clean_err_pct.len(), 2);
+    for (bench, err) in &report.clean_err_pct {
+        assert!(
+            *err < 10.0,
+            "{bench}: clean sampling error {err:.2}% breaches the paper's 10% claim"
+        );
+    }
+
     // Structural profile faults (drop/duplicate) must degrade or error,
     // never pass as a clean quantified run.
     for cell in &report.cells {
         // Class ids exist only in the class-path synthetic kernel's
         // profile (bfs is profiled block by block).
         let structural = match cell.fault {
-            tbpoint_resilience::Fault::DropEpochs { .. }
-            | tbpoint_resilience::Fault::DuplicateEpochs { .. } => true,
-            tbpoint_resilience::Fault::CorruptClassIds => cell.bench == "synth-homog",
+            Fault::DropEpochs { .. } | Fault::DuplicateEpochs { .. } => true,
+            Fault::CorruptClassIds => cell.bench == "synth-homog",
             _ => false,
         };
         if structural {
@@ -110,34 +118,11 @@ fn full_matrix_contains_every_fault() {
         .iter()
         .map(|l| l.split_whitespace().next().unwrap())
         .collect();
-    let expected: Vec<&str> = opts.faults.iter().map(|f| f.name()).collect();
+    let expected: Vec<&str> = faults.iter().map(|f| f.name()).collect();
     assert_eq!(names, expected, "summary:\n{summary}");
 
     // The report round-trips through JSON (the CLI writes it out).
     let json = serde_json::to_string(&report).unwrap();
     let back: tbpoint_resilience::MatrixReport = serde_json::from_str(&json).unwrap();
     assert_eq!(back, report);
-}
-
-#[test]
-fn error_grows_from_a_sub_ten_percent_baseline() {
-    let run = synthetic_run("growth", 5, 2, 240);
-    let opts = MatrixOptions::default();
-    let curve = error_growth(&run, &[0.0, 0.4, 0.8], &[1, 2, 3, 4], &opts);
-    assert_eq!(curve.len(), 3);
-    // The paper's claim, checked empirically: with no injected noise
-    // the TBPoint prediction is within 10% of the full simulation.
-    assert!(
-        curve[0].mean_err_pct < 10.0,
-        "clean sampling error {:.2}% breaches the paper's 10% claim",
-        curve[0].mean_err_pct
-    );
-    // Errors stay finite and the curve reports every magnitude.
-    for p in &curve {
-        assert!(p.mean_err_pct.is_finite());
-        assert!(p.max_err_pct >= p.mean_err_pct - 1e-12);
-    }
-    // Determinism: the whole curve replays bit-identically.
-    let again = error_growth(&run, &[0.0, 0.4, 0.8], &[1, 2, 3, 4], &opts);
-    assert_eq!(curve, again);
 }

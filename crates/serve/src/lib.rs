@@ -23,10 +23,9 @@
 //!   ([`tbpoint_obs::Store`]): every entry carries its own seal and is
 //!   re-verified on every read; corrupt entries are quarantined and
 //!   recomputed, never served.
-//! - **Observability**: admission, rejection, deadline and cache
-//!   traffic are recorded as [`tbpoint_obs::EventKind`] events on the
-//!   coordinator thread, in deterministic order; their totals are the
-//!   `status` report's counters.
+//! - **Counters**: admission, rejection, deadline and cache traffic are
+//!   counted on the coordinator thread, in deterministic order, and
+//!   reported by `status` and on `tbpoint serve`'s exit line.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

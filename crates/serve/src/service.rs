@@ -30,8 +30,8 @@
 //! Responses are a pure function of the request lines: work fans out on
 //! the supervised pool ([`tbpoint_pool::run_supervised`]) whose outcome
 //! vector is index-canonical at every worker count; cache hits
-//! deserialize exactly the bytes a fresh computation would produce; obs
-//! events are recorded on the coordinator thread in arrival order.
+//! deserialize exactly the bytes a fresh computation would produce; the
+//! status counters are kept on the coordinator thread in arrival order.
 //! Cache entry names are resolved on the coordinator before fan-out,
 //! and a window runs in two waves — the first request for each entry
 //! (and every request that bypasses the cache), then the repeats, which
@@ -51,10 +51,13 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use tbpoint_core::{run_tbpoint, SamplingMode, TbError, TbpointConfig};
 use tbpoint_emu::profile_run;
-use tbpoint_obs::{fnv1a64, fnv1a64_extend, EventKind, Recorder};
+use tbpoint_obs::{fnv1a64, fnv1a64_extend, Recorder};
 use tbpoint_pool::{run_supervised, ExecPlan};
 use tbpoint_sim::{simulate_run, GpuConfig, NullSampling};
 use tbpoint_workloads::benchmark_by_name;
+
+/// The simulated GPU every request runs on: the paper's Fermi (Table V).
+const GPU: GpuConfig = GpuConfig::fermi();
 
 /// Service configuration.
 #[derive(Debug, Clone)]
@@ -62,8 +65,6 @@ pub struct ServeOptions {
     /// Execution plan; work requests fan out across
     /// `plan.pool_workers`, each running serially.
     pub plan: ExecPlan,
-    /// Simulated GPU (default: the paper's Fermi, Table V).
-    pub gpu: GpuConfig,
     /// Baseline pipeline config requests override per-field. The
     /// default enables a warming budget so a destabilised region
     /// degrades instead of warming forever — a service must bound
@@ -80,7 +81,6 @@ impl Default for ServeOptions {
     fn default() -> Self {
         ServeOptions {
             plan: ExecPlan::serial(),
-            gpu: GpuConfig::fermi(),
             config: TbpointConfig {
                 warming_budget: Some(32),
                 ..TbpointConfig::default()
@@ -92,8 +92,8 @@ impl Default for ServeOptions {
 }
 
 /// What one work unit produced, with the cache-path facts the
-/// coordinator turns into obs events (units must not touch the shared
-/// recorder: events are recorded in arrival order on the coordinator).
+/// coordinator adds to its counters (in arrival order, so the counts do
+/// not depend on which worker finished first).
 struct WorkDone {
     body: Result<WorkBody, TbError>,
     cache_hit: bool,
@@ -141,8 +141,8 @@ impl Service {
             Some(dir) => Some(ResultCache::open(dir)?.0),
             None => None,
         };
-        let key_tails = [false, true]
-            .map(|live| key_tail(&request_config(&opts, live, None, None), &opts.gpu).ok());
+        let key_tails =
+            [false, true].map(|live| key_tail(&request_config(&opts, live, None, None), &GPU).ok());
         Ok(Service {
             opts,
             cache,
@@ -194,8 +194,13 @@ impl Service {
 
     /// Process one batch window of request lines and return their
     /// responses in arrival order. See the module docs for the
-    /// lifecycle and determinism contract.
-    pub fn run_batch(&mut self, lines: &[String], rec: &impl Recorder) -> Vec<Response> {
+    /// lifecycle and determinism contract. `_rec` is unused: the status
+    /// counters are the service's only telemetry.
+    pub fn run_batch(&mut self, lines: &[String], _rec: &impl Recorder) -> Vec<Response> {
+        self.batch(lines)
+    }
+
+    fn batch(&mut self, lines: &[String]) -> Vec<Response> {
         // Parse, assigning arrival numbers; a malformed line consumes
         // its seq and admission slot like any other arrival.
         let parsed: Vec<(u64, Result<Request, String>)> = lines
@@ -215,7 +220,6 @@ impl Service {
         for (slot, (seq, result)) in parsed.into_iter().enumerate() {
             if slot >= self.opts.max_pending {
                 self.counters.rejected += 1;
-                rec.record(0, EventKind::RequestRejected { seq });
                 let (id, cmd, bench) = match &result {
                     Ok(r) => (r.id.clone(), r.cmd.name(), r.bench.clone()),
                     Err(_) => (seq.to_string(), "", String::new()),
@@ -231,7 +235,6 @@ impl Service {
             match result {
                 Ok(req) => {
                     self.counters.admitted += 1;
-                    rec.record(0, EventKind::RequestAdmitted { seq });
                     if req.cmd == Command::Shutdown {
                         self.shutdown = true;
                     }
@@ -256,7 +259,7 @@ impl Service {
         }
         let outcomes = self.run_work_batch(&work);
         for (k, done) in outcomes.into_iter().enumerate() {
-            responses[work_slots[k]] = Some(self.finish_work(work[k], done, rec));
+            responses[work_slots[k]] = Some(self.finish_work(work[k], done));
         }
 
         // Control requests answer after the batch's work has settled,
@@ -320,7 +323,7 @@ impl Service {
             self.key_tails[usize::from(req.live)].as_deref()?
         } else {
             let cfg = request_config(&self.opts, req.live, req.warming_budget, req.cycle_budget);
-            rendered = key_tail(&cfg, &self.opts.gpu).ok()?;
+            rendered = key_tail(&cfg, &GPU).ok()?;
             &rendered
         };
         let key_hash = fnv1a64_extend(head, tail.as_bytes());
@@ -362,16 +365,14 @@ impl Service {
         outcomes.into_iter().map(|(_, done)| done).collect()
     }
 
-    /// Turn a settled work outcome into its response, recording the
-    /// cache and deadline events in arrival order.
-    fn finish_work(&mut self, req: &Request, done: WorkDone, rec: &impl Recorder) -> Response {
+    /// Turn a settled work outcome into its response, counting its
+    /// cache and deadline traffic in arrival order.
+    fn finish_work(&mut self, req: &Request, done: WorkDone) -> Response {
         if done.quarantined {
             self.counters.cache_quarantined += 1;
-            rec.record(0, EventKind::CacheQuarantined { seq: req.seq });
         }
         if done.cache_hit {
             self.counters.cache_hits += 1;
-            rec.record(0, EventKind::CacheHit { seq: req.seq });
         }
         if done.stored {
             self.counters.cache_stores += 1;
@@ -390,7 +391,6 @@ impl Service {
                 let deadline = matches!(e, TbError::BudgetExceeded { .. });
                 if deadline {
                     self.counters.deadline_exceeded += 1;
-                    rec.record(0, EventKind::DeadlineExceeded { seq: req.seq });
                     resp.status = "deadline-exceeded".to_string();
                 } else {
                     self.counters.failed += 1;
@@ -473,13 +473,7 @@ fn run_work(req: &Request, entry: Option<(&ResultCache, &str)>, opts: &ServeOpti
     // detector learns from the retire stream — which is the whole
     // point of accepting `"live": true` on a service request.
     let profile = cfg.mode.needs_profile().then(|| profile_run(&bench.run, 1));
-    let tbp = run_tbpoint(
-        &bench.run,
-        profile.as_ref(),
-        &cfg,
-        &opts.gpu,
-        ExecPlan::serial(),
-    );
+    let tbp = run_tbpoint(&bench.run, profile.as_ref(), &cfg, &GPU, ExecPlan::serial());
     let tbp = match tbp {
         Ok(r) => r,
         Err(e) => {
@@ -489,8 +483,7 @@ fn run_work(req: &Request, entry: Option<(&ResultCache, &str)>, opts: &ServeOpti
     };
     let body = match req.cmd {
         Command::Eval => {
-            let full_ipc =
-                simulate_run(&bench.run, &opts.gpu, &mut NullSampling, None).overall_ipc();
+            let full_ipc = simulate_run(&bench.run, &GPU, &mut NullSampling, None).overall_ipc();
             WorkBody::Eval(EvalSummary {
                 full_ipc,
                 error_pct: tbp.error_vs(full_ipc),
@@ -509,11 +502,11 @@ fn run_work(req: &Request, entry: Option<(&ResultCache, &str)>, opts: &ServeOpti
 /// [`run_loop`] over in-memory request text: all response lines joined
 /// (one per request, in arrival order, each newline-terminated). Stops
 /// after the batch that drains a `shutdown` request.
-pub fn process_text(svc: &mut Service, text: &str, rec: &impl Recorder) -> String {
+pub fn process_text(svc: &mut Service, text: &str) -> String {
     let mut out = Vec::new();
     // Reading a `&str` and writing a `Vec` cannot fail, and every
     // response line is JSON text, so the conversion is lossless.
-    let _ = run_loop(svc, text.as_bytes(), &mut out, rec);
+    let _ = run_loop(svc, text.as_bytes(), &mut out);
     String::from_utf8_lossy(&out).into_owned()
 }
 
@@ -529,7 +522,6 @@ pub fn run_loop(
     svc: &mut Service,
     input: impl std::io::BufRead,
     output: &mut impl std::io::Write,
-    rec: &impl Recorder,
 ) -> std::io::Result<()> {
     let mut batch: Vec<String> = Vec::new();
     // EOF closes the last window like a blank line.
@@ -540,7 +532,7 @@ pub fn run_loop(
             continue;
         }
         if !batch.is_empty() {
-            for resp in svc.run_batch(&batch, rec) {
+            for resp in svc.batch(&batch) {
                 writeln!(output, "{}", resp.to_line())?;
             }
             output.flush()?;
@@ -558,7 +550,6 @@ mod tests {
     use super::*;
     use crate::cache::{cache_name, key_text};
     use std::sync::atomic::{AtomicU64, Ordering};
-    use tbpoint_obs::NullRecorder;
     use tbpoint_workloads::{all_benchmarks, Scale};
 
     fn cached_service(tag: &str) -> (Service, PathBuf) {
@@ -606,7 +597,7 @@ mod tests {
                             req.warming_budget,
                             req.cycle_budget,
                         );
-                        let key = key_text(cmd, &bench, scale, &cfg, &svc.opts.gpu).expect("key");
+                        let key = key_text(cmd, &bench, scale, &cfg, &GPU).expect("key");
                         let public = cache_name(cmd, bench.name, &key);
                         // First sight of (cmd, bench, scale) on the first
                         // override, memoised from then on; ask twice so
@@ -641,7 +632,6 @@ mod tests {
         let out = process_text(
             &mut svc,
             "{\"cmd\":\"simulate\",\"bench\":\"no-such-bench\"}\n",
-            &NullRecorder,
         );
         assert!(out.contains("unknown benchmark `no-such-bench`"), "{out}");
         assert_eq!(svc.key_heads.len(), 0, "unknown names never enter the memo");
@@ -666,14 +656,7 @@ mod tests {
         // An entry this service never computed, stored under the name
         // the public functions give — with a body no simulation yields.
         let bench = benchmark_by_name("bfs", Scale::Tiny).expect("roster name");
-        let key = key_text(
-            "simulate",
-            &bench,
-            Scale::Tiny,
-            &svc.opts.config,
-            &svc.opts.gpu,
-        )
-        .expect("key");
+        let key = key_text("simulate", &bench, Scale::Tiny, &svc.opts.config, &GPU).expect("key");
         let name = cache_name("simulate", "bfs", &key);
         let planted = SimSummary {
             predicted_ipc: 1.25,
@@ -689,7 +672,7 @@ mod tests {
             .expect("store");
         let path = cache.entry_path(&name);
 
-        let first = process_text(&mut svc, line, &NullRecorder);
+        let first = process_text(&mut svc, line);
         assert_eq!(
             simulate_of(&first),
             planted,
@@ -701,9 +684,9 @@ mod tests {
         let mut bytes = std::fs::read(&path).expect("read entry");
         bytes[12] ^= 0x01;
         std::fs::write(&path, &bytes).expect("corrupt entry");
-        let healed = process_text(&mut svc, line, &NullRecorder);
+        let healed = process_text(&mut svc, line);
         let mut bare = Service::new(ServeOptions::default()).expect("service");
-        let computed = simulate_of(&process_text(&mut bare, line, &NullRecorder));
+        let computed = simulate_of(&process_text(&mut bare, line));
         assert_eq!(
             simulate_of(&healed),
             computed,
@@ -720,7 +703,7 @@ mod tests {
             (1, 1, 1)
         );
 
-        let again = process_text(&mut svc, line, &NullRecorder);
+        let again = process_text(&mut svc, line);
         assert_eq!(simulate_of(&again), computed, "the healed entry is served");
         assert_eq!(svc.counters().cache_hits, 2);
         assert_eq!(svc.key_heads.len(), 1);

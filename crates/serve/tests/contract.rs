@@ -8,7 +8,6 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use tbpoint_obs::{CollectingRecorder, EventKind, NullRecorder};
 use tbpoint_pool::ExecPlan;
 use tbpoint_serve::{process_text, ServeOptions, Service};
 
@@ -43,7 +42,7 @@ this line is not json
 
 fn run_adverse(pool_workers: usize) -> String {
     let mut svc = Service::new(opts(pool_workers, None)).expect("service");
-    process_text(&mut svc, ADVERSE_BATCH, &NullRecorder)
+    process_text(&mut svc, ADVERSE_BATCH)
 }
 
 #[test]
@@ -97,39 +96,27 @@ fn admission_control_sheds_load_with_structured_rejections() {
     let mut o = opts(2, None);
     o.max_pending = 2;
     let mut svc = Service::new(o).expect("service");
-    let rec = CollectingRecorder::new();
     let batch = "{\"id\":\"a\",\"cmd\":\"simulate\",\"bench\":\"bfs\"}\n\
                  {\"id\":\"b\",\"cmd\":\"status\"}\n\
                  {\"id\":\"c\",\"cmd\":\"simulate\",\"bench\":\"bfs\"}\n\
                  {\"id\":\"d\",\"cmd\":\"simulate\",\"bench\":\"bfs\"}\n";
-    let out = process_text(&mut svc, batch, &rec);
+    let out = process_text(&mut svc, batch);
     let lines: Vec<&str> = out.lines().collect();
     assert_eq!(lines.len(), 4, "overflow answered, never silently dropped");
     assert!(lines[2].contains("\"status\":\"rejected\""));
     assert!(lines[3].contains("\"status\":\"rejected\""));
     assert_eq!(svc.counters().admitted, 2);
     assert_eq!(svc.counters().rejected, 2);
-    let rejected_events = rec
-        .events()
-        .iter()
-        .filter(|e| matches!(e.kind, EventKind::RequestRejected { .. }))
-        .count();
-    assert_eq!(rejected_events, 2);
 }
 
 #[test]
 fn deadline_traffic_is_observable() {
     let mut svc = Service::new(opts(2, None)).expect("service");
-    let rec = CollectingRecorder::new();
     let batch = "{\"id\":\"d\",\"cmd\":\"simulate\",\"bench\":\"mri\",\"cycle_budget\":1}\n";
-    let _ = process_text(&mut svc, batch, &rec);
-    assert!(
-        rec.events()
-            .iter()
-            .any(|e| matches!(e.kind, EventKind::DeadlineExceeded { seq: 0 })),
-        "the overrun is recorded"
-    );
+    let out = process_text(&mut svc, batch);
+    assert!(out.contains("\"status\":\"deadline-exceeded\""), "{out}");
     assert_eq!(svc.counters().deadline_exceeded, 1);
+    assert_eq!(svc.counters().failed, 0);
 }
 
 #[test]
@@ -140,20 +127,20 @@ fn kill_and_restart_reuses_the_cache_and_answers_identically() {
 
     // Reference: one uninterrupted service, no cache.
     let mut bare = Service::new(opts(2, None)).expect("service");
-    let reference = process_text(&mut bare, batch, &NullRecorder);
+    let reference = process_text(&mut bare, batch);
 
     // First incarnation computes and persists; simulate the kill -9 by
     // dropping it mid-life (drop is not a clean shutdown path — the
     // cache is crash-consistent by construction, not by teardown).
     let mut first = Service::new(opts(2, Some(dir.clone()))).expect("service");
-    let run1 = process_text(&mut first, batch, &NullRecorder);
+    let run1 = process_text(&mut first, batch);
     assert_eq!(first.counters().cache_stores, 2);
     assert_eq!(first.counters().cache_hits, 0);
     drop(first);
 
     // Second incarnation answers from the persisted entries.
     let mut second = Service::new(opts(2, Some(dir.clone()))).expect("service");
-    let run2 = process_text(&mut second, batch, &NullRecorder);
+    let run2 = process_text(&mut second, batch);
     assert_eq!(second.counters().cache_hits, 2, "restart reuses the cache");
 
     assert_eq!(run1, reference, "caching changes no bytes");
@@ -172,7 +159,7 @@ fn duplicate_requests_in_one_window_compute_once_at_every_worker_count() {
     let run = |workers: usize, cached: bool| -> (String, u64, u64) {
         let dir = scratch("dups");
         let mut svc = Service::new(opts(workers, cached.then(|| dir.clone()))).expect("service");
-        let out = process_text(&mut svc, window, &NullRecorder);
+        let out = process_text(&mut svc, window);
         let _ = std::fs::remove_dir_all(&dir);
         (out, svc.counters().cache_stores, svc.counters().cache_hits)
     };
@@ -195,7 +182,7 @@ fn corrupted_cache_entry_is_quarantined_recomputed_and_observable() {
     let line = "{\"id\":\"a\",\"cmd\":\"simulate\",\"bench\":\"bfs\"}\n";
 
     let mut svc = Service::new(opts(1, Some(dir.clone()))).expect("service");
-    let clean = process_text(&mut svc, line, &NullRecorder);
+    let clean = process_text(&mut svc, line);
     drop(svc);
 
     // Flip one byte in the (only) persisted entry.
@@ -211,16 +198,14 @@ fn corrupted_cache_entry_is_quarantined_recomputed_and_observable() {
     std::fs::write(&entry, &bytes).expect("corrupt entry");
 
     let mut svc = Service::new(opts(1, Some(dir.clone()))).expect("service");
-    let rec = CollectingRecorder::new();
-    let healed = process_text(&mut svc, line, &rec);
+    let healed = process_text(&mut svc, line);
     assert_eq!(healed, clean, "recomputed answer, not the corrupt bytes");
     assert_eq!(svc.counters().cache_quarantined, 1);
     assert_eq!(svc.counters().cache_hits, 0);
-    assert!(
-        rec.events()
-            .iter()
-            .any(|e| matches!(e.kind, EventKind::CacheQuarantined { seq: 0 })),
-        "quarantine is observable"
+    assert_eq!(
+        svc.counters().cache_stores,
+        1,
+        "the healed entry is rewritten"
     );
     assert!(
         std::fs::read_dir(&dir)
@@ -232,7 +217,7 @@ fn corrupted_cache_entry_is_quarantined_recomputed_and_observable() {
 
     // Third run hits the healed entry.
     let mut svc = Service::new(opts(1, Some(dir.clone()))).expect("service");
-    let hit = process_text(&mut svc, line, &NullRecorder);
+    let hit = process_text(&mut svc, line);
     assert_eq!(hit, clean);
     assert_eq!(svc.counters().cache_hits, 1);
     let _ = std::fs::remove_dir_all(&dir);
@@ -242,7 +227,7 @@ fn corrupted_cache_entry_is_quarantined_recomputed_and_observable() {
 fn live_requests_run_single_pass_and_are_deterministic_across_workers() {
     let line = "{\"id\":\"lv\",\"cmd\":\"eval\",\"bench\":\"bfs\",\"live\":true}\n";
     let mut svc = Service::new(opts(1, None)).expect("service");
-    let serial = process_text(&mut svc, line, &NullRecorder);
+    let serial = process_text(&mut svc, line);
     assert!(
         serial.contains("\"status\":\"ok\""),
         "live eval answers ok:\n{serial}"
@@ -254,7 +239,7 @@ fn live_requests_run_single_pass_and_are_deterministic_across_workers() {
     for workers in [2, 4] {
         let mut svc = Service::new(opts(workers, None)).expect("service");
         assert_eq!(
-            process_text(&mut svc, line, &NullRecorder),
+            process_text(&mut svc, line),
             serial,
             "pool_workers={workers} must not change a live byte"
         );
@@ -267,14 +252,14 @@ fn live_and_two_phase_requests_cache_under_distinct_keys() {
     let batch = "{\"id\":\"tp\",\"cmd\":\"simulate\",\"bench\":\"bfs\"}\n\
                  {\"id\":\"lv\",\"cmd\":\"simulate\",\"bench\":\"bfs\",\"live\":true}\n";
     let mut svc = Service::new(opts(1, Some(dir.clone()))).expect("service");
-    let _ = process_text(&mut svc, batch, &NullRecorder);
+    let _ = process_text(&mut svc, batch);
     assert_eq!(
         svc.counters().cache_stores,
         2,
         "the sampling mode is part of the cache key"
     );
     let mut svc = Service::new(opts(1, Some(dir.clone()))).expect("service");
-    let _ = process_text(&mut svc, batch, &NullRecorder);
+    let _ = process_text(&mut svc, batch);
     assert_eq!(svc.counters().cache_hits, 2, "both modes hit on resubmit");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -285,7 +270,7 @@ fn status_reports_cache_entry_count_and_total_bytes() {
     let mut svc = Service::new(opts(1, Some(dir.clone()))).expect("service");
     let text = "{\"id\":\"w\",\"cmd\":\"simulate\",\"bench\":\"bfs\"}\n\
                 {\"id\":\"s\",\"cmd\":\"status\"}\n";
-    let out = process_text(&mut svc, text, &NullRecorder);
+    let out = process_text(&mut svc, text);
     let status_line = out
         .lines()
         .find(|l| l.contains("\"id\":\"s\""))
@@ -307,11 +292,7 @@ fn status_reports_cache_entry_count_and_total_bytes() {
 
     // With caching disabled the usage figures stay zero.
     let mut bare = Service::new(opts(1, None)).expect("service");
-    let out = process_text(
-        &mut bare,
-        "{\"id\":\"s\",\"cmd\":\"status\"}\n",
-        &NullRecorder,
-    );
+    let out = process_text(&mut bare, "{\"id\":\"s\",\"cmd\":\"status\"}\n");
     let resp: tbpoint_serve::Response =
         serde_json::from_str(out.lines().next().expect("line")).expect("parse status");
     let report = resp.service.expect("service payload");
@@ -326,7 +307,7 @@ fn shutdown_drains_its_batch_then_stops_the_loop() {
                 {\"id\":\"bye\",\"cmd\":\"shutdown\"}\n\
                 \n\
                 {\"id\":\"late\",\"cmd\":\"simulate\",\"bench\":\"bfs\"}\n";
-    let out = process_text(&mut svc, text, &NullRecorder);
+    let out = process_text(&mut svc, text);
     let lines: Vec<&str> = out.lines().collect();
     assert_eq!(
         lines.len(),
@@ -343,7 +324,7 @@ fn run_loop_streams_batches_and_exits_on_shutdown() {
     let mut svc = Service::new(opts(1, None)).expect("service");
     let input = "{\"id\":\"a\",\"cmd\":\"status\"}\n\n{\"id\":\"z\",\"cmd\":\"shutdown\"}\n\n";
     let mut out = Vec::new();
-    tbpoint_serve::run_loop(&mut svc, input.as_bytes(), &mut out, &NullRecorder).expect("loop");
+    tbpoint_serve::run_loop(&mut svc, input.as_bytes(), &mut out).expect("loop");
     let text = String::from_utf8(out).expect("utf8");
     assert_eq!(text.lines().count(), 2);
     assert!(text.lines().next().expect("first").contains("\"service\":"));

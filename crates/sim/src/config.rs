@@ -81,7 +81,7 @@ impl GpuConfig {
     /// The paper's simulated machine (Table V): 14 SMs at 1.15 GHz, 16 KB
     /// L1 / 768 KB L2 with 128-byte 8-way geometry, 6 channels x 16 banks
     /// with 2 KB pages and FR-FCFS.
-    pub fn fermi() -> Self {
+    pub const fn fermi() -> Self {
         GpuConfig {
             num_sms: 14,
             clock_ghz: 1.15,

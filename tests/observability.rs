@@ -154,7 +154,7 @@ fn arbitrary_span(g: &mut Gen) -> Span {
 }
 
 fn arbitrary_kind(g: &mut Gen) -> EventKind {
-    match g.u64(0, 22) {
+    match g.u64(0, 17) {
         0 => EventKind::SpanStart {
             span: arbitrary_span(g),
         },
@@ -209,11 +209,6 @@ fn arbitrary_kind(g: &mut Gen) -> EventKind {
                 region: g.u32(0, 1 << 16),
             },
         },
-        16 => EventKind::RequestAdmitted { seq: g.any_u64() },
-        17 => EventKind::RequestRejected { seq: g.any_u64() },
-        18 => EventKind::DeadlineExceeded { seq: g.any_u64() },
-        19 => EventKind::CacheHit { seq: g.any_u64() },
-        20 => EventKind::CacheQuarantined { seq: g.any_u64() },
         _ => EventKind::BlockSkipped {
             tb: g.u32(0, 1 << 24),
             warp_insts: g.any_u64(),
