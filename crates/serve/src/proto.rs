@@ -56,7 +56,7 @@ pub enum InjectedFault {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Request {
     /// Arrival sequence number within the service run (assigned by the
-    /// service, not the caller; obs events are keyed on it).
+    /// service, not the caller; echoed in the response).
     pub seq: u64,
     /// Caller-chosen correlation id, echoed in the response. Defaults
     /// to the decimal sequence number.
