@@ -53,12 +53,12 @@ impl Fig8Result {
 
 /// Profile one benchmark and extract its Fig. 8 series — the resumable
 /// sweep's unit of work.
-pub fn fig8_bench(bench: &tbpoint_workloads::Benchmark, threads: usize) -> Fig8Series {
+pub fn fig8_bench(bench: &tbpoint_workloads::Benchmark) -> Fig8Series {
     let mut sizes: Vec<f64> = vec![];
     let mut launch_starts = vec![];
     for spec in &bench.run.launches {
         launch_starts.push(sizes.len());
-        let lp = profile_launch(&bench.run.kernel, spec, threads);
+        let lp = profile_launch(&bench.run.kernel, spec);
         sizes.extend(lp.tbs().map(|t| t.thread_insts as f64));
     }
     let mean = tbpoint_stats::mean(&sizes);
@@ -81,17 +81,14 @@ mod tests {
     use super::*;
     use tbpoint_workloads::{all_benchmarks, KernelKind, Scale};
 
-    /// The Tiny roster's series, profiled on `threads` threads.
-    fn tiny_series(threads: usize) -> Vec<Fig8Series> {
-        all_benchmarks(Scale::Tiny)
-            .iter()
-            .map(|b| fig8_bench(b, threads))
-            .collect()
+    /// The Tiny roster's series.
+    fn tiny_series() -> Vec<Fig8Series> {
+        all_benchmarks(Scale::Tiny).iter().map(fig8_bench).collect()
     }
 
     #[test]
     fn irregular_kernels_have_higher_size_cov() {
-        let series = tiny_series(4);
+        let series = tiny_series();
         assert_eq!(series.len(), 12);
         let benches = all_benchmarks(Scale::Tiny);
         let mut irregular = vec![];
@@ -113,7 +110,7 @@ mod tests {
 
     #[test]
     fn ratios_average_to_one() {
-        for s in &tiny_series(2) {
+        for s in &tiny_series() {
             let mean = tbpoint_stats::mean(&s.size_ratio);
             assert!((mean - 1.0).abs() < 1e-9, "{}: mean ratio {mean}", s.name);
         }
@@ -122,7 +119,7 @@ mod tests {
     #[test]
     fn launch_starts_match_launch_counts() {
         let benches = all_benchmarks(Scale::Tiny);
-        for (s, b) in tiny_series(2).iter().zip(&benches) {
+        for (s, b) in tiny_series().iter().zip(&benches) {
             assert_eq!(s.launch_starts.len(), b.run.num_launches());
             assert_eq!(s.launch_starts[0], 0);
         }

@@ -8,13 +8,16 @@ use crate::output;
 use tbpoint_core::inter::{inter_launch_sample_at, InterConfig};
 use tbpoint_core::intra::{build_epochs, identify_regions, IntraConfig};
 use tbpoint_core::{LiveSampler, TbpointConfig};
-use tbpoint_emu::{block_classes, profile_run, BlockClasses, TraceDeps};
+use tbpoint_emu::{block_classes, profile_launch, BlockClasses, RunProfile, TraceDeps};
 use tbpoint_ir::render_program;
+use tbpoint_pool::map_indexed;
 use tbpoint_sim::{simulate_launch, GpuConfig, NullSampling};
 use tbpoint_workloads::{benchmark_by_name, Scale};
 
-/// Produce the report (None if the benchmark name is unknown).
-pub fn inspect(name: &str, scale: Scale, threads: usize) -> Option<String> {
+/// Produce the report (None if the benchmark name is unknown). The
+/// launches are profiled on the pool, one unit each, over `workers`
+/// workers (the report is identical at any count).
+pub fn inspect(name: &str, scale: Scale, workers: usize) -> Option<String> {
     let bench = benchmark_by_name(name, scale)?;
     let gpu = GpuConfig::fermi();
     let kernel = &bench.run.kernel;
@@ -46,7 +49,13 @@ pub fn inspect(name: &str, scale: Scale, threads: usize) -> Option<String> {
     out.push_str(&render_program(&kernel.program));
 
     // Profile summary.
-    let profile = profile_run(&bench.run, threads);
+    let launches = &bench.run.launches;
+    let profile = RunProfile {
+        kernel_name: kernel.name.clone(),
+        launches: map_indexed(workers, launches.len(), |i| {
+            profile_launch(kernel, &launches[i])
+        }),
+    };
     let total_w = profile.total_warp_insts();
     let total_t = profile.total_thread_insts();
     let total_m: u64 = profile.launches.iter().map(|l| l.mem_requests()).sum();

@@ -20,8 +20,8 @@
 //! error) schedules whole launches and sweep units on the deterministic
 //! job pool, with results merged in canonical order so every artifact is
 //! byte-identical to a serial run (DESIGN.md, "Pool parallelism"). The
-//! same count is the thread count of `fig5`'s Monte-Carlo study and of
-//! the profiler behind `inspect`.
+//! same pool runs `fig5`'s eight Monte-Carlo configurations and the
+//! launches `inspect` profiles, one unit each.
 //!
 //! `--live` switches `eval`, `fig12`/`fig13` and `ablate` to **live
 //! single-pass sampling** (`TbpointConfig::mode = Live`, DESIGN.md
@@ -396,10 +396,10 @@ fn cmd_fig5(args: &Args) {
 }
 
 fn cmd_fig8(args: &Args) {
-    // Profiling inside a unit runs single-threaded; the sweep itself
-    // fans units out over `--pool-workers` pool workers.
-    // Fig. 8 reads only the workload, so its units are keyed with the
-    // default configs whatever the flags say.
+    // Profiling inside a unit runs serially; the sweep itself fans units
+    // out over `--pool-workers` pool workers. Fig. 8 reads only the
+    // workload, so its units are keyed with the default configs whatever
+    // the flags say.
     let series = run_roster(
         args,
         "fig8",
@@ -407,7 +407,7 @@ fn cmd_fig8(args: &Args) {
         &GpuConfig::fermi(),
         args.resume,
         None,
-        |bench, _| Ok((experiments::fig8_bench(bench, 1), Vec::new())),
+        |bench, _| Ok((experiments::fig8_bench(bench), Vec::new())),
     );
     let r = experiments::Fig8Result { series };
     write_json_or_die(

@@ -304,7 +304,7 @@ mod tests {
                     mem_requests: t / 4,
                 })
                 .collect();
-            LaunchProfile::per_block(spec, tbs, 0)
+            LaunchProfile::per_block(spec, tbs)
         };
         RunProfile {
             kernel_name: "k".to_string(),

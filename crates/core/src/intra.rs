@@ -233,7 +233,6 @@ mod tests {
                     mem_requests: m,
                 })
                 .collect(),
-            tbs.iter().map(|&(w, m)| m.min(w)).sum(),
         )
     }
 

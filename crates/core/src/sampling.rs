@@ -484,7 +484,7 @@ mod tests {
         let k = homogeneous_kernel();
         let cfg = GpuConfig::fermi();
         let sp = spec(3000);
-        let profile = profile_launch(&k, &sp, 2);
+        let profile = profile_launch(&k, &sp);
         let occupancy = cfg.system_occupancy(&k);
         let epochs = build_epochs(&profile, occupancy);
         let table = identify_regions(&epochs, &IntraConfig::default());
@@ -509,7 +509,7 @@ mod tests {
         let k = homogeneous_kernel();
         let cfg = GpuConfig::fermi();
         let sp = spec(3000);
-        let profile = profile_launch(&k, &sp, 2);
+        let profile = profile_launch(&k, &sp);
         let epochs = build_epochs(&profile, cfg.system_occupancy(&k));
         let table = identify_regions(&epochs, &IntraConfig::default());
 
@@ -538,7 +538,7 @@ mod tests {
         let k = homogeneous_kernel();
         let cfg = GpuConfig::fermi();
         let sp = spec(300);
-        let profile = profile_launch(&k, &sp, 2);
+        let profile = profile_launch(&k, &sp);
         let table = RegionTable::default();
         let mut sampler =
             RegionSampler::new(&TbpointConfig::default(), &table, &profile, &NullRecorder).unwrap();
@@ -553,7 +553,7 @@ mod tests {
         let k = homogeneous_kernel();
         let cfg = GpuConfig::fermi();
         let sp = spec(3000);
-        let profile = profile_launch(&k, &sp, 2);
+        let profile = profile_launch(&k, &sp);
         let epochs = build_epochs(&profile, cfg.system_occupancy(&k));
         let table = identify_regions(&epochs, &IntraConfig::default());
         let rec = CollectingRecorder::new();
@@ -601,7 +601,7 @@ mod tests {
         let k = homogeneous_kernel();
         let cfg = GpuConfig::fermi();
         let sp = spec(3000);
-        let profile = profile_launch(&k, &sp, 2);
+        let profile = profile_launch(&k, &sp);
         let epochs = build_epochs(&profile, cfg.system_occupancy(&k));
         let table = identify_regions(&epochs, &IntraConfig::default());
 

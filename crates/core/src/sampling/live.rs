@@ -457,7 +457,7 @@ mod tests {
         assert_eq!(live.destabilisations, 0);
         assert_eq!(live.guard_tbs, 0, "a class-path launch simulates no guards");
         // Class-path launch: skipped-inst accounting is exact.
-        let profile = profile_launch(&k, &sp, 1);
+        let profile = profile_launch(&k, &sp);
         let total = profile.warp_insts();
         assert_eq!(out.skipped_warp_insts + r.issued_warp_insts, total);
     }
@@ -532,7 +532,7 @@ mod tests {
         let gpu = GpuConfig::fermi();
         let sp = spec(2 * PHASE);
         let cfg = TbpointConfig::default();
-        let profile = profile_launch(&k, &sp, 1);
+        let profile = profile_launch(&k, &sp);
         let (p0, p1) = (
             profile.tb(0).unwrap().stall_probability(),
             profile.tb(PHASE as usize).unwrap().stall_probability(),

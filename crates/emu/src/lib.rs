@@ -20,9 +20,7 @@
 //! TBPoint's profiling step (Section II-B of the paper) runs each kernel
 //! once through a *functional* simulator and records, per thread block:
 //! thread instructions, warp instructions and memory requests (after
-//! coalescing); per launch it adds per-basic-block execution counts and
-//! global-memory instruction totals. Those counters are **hardware
-//! independent**: they
+//! coalescing). Those counters are **hardware independent**: they
 //! depend only on the program and its input, never on cache sizes, warp
 //! scheduling or SM counts. That is what lets TBPoint profile once and
 //! re-cluster cheaply for any simulated configuration.
@@ -31,7 +29,7 @@
 //! mask ([`walker`]), from which two consumers are built:
 //!
 //! * [`profile`] — streaming per-TB / per-launch profiles (no trace is
-//!   materialised; counters only), parallelised over thread blocks;
+//!   materialised; counters only), one launch at a time;
 //! * [`trace`] — materialised per-warp instruction traces that the timing
 //!   simulator replays. A trace entry is `(static index, mask, iter_key)`,
 //!   12 bytes: op, site and basic block live once per kernel in a
@@ -40,13 +38,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod divergence;
 pub mod intern;
 pub mod profile;
 pub mod trace;
 pub mod walker;
 
-pub use divergence::DivergenceReport;
 pub use intern::{InternStats, TraceArena, TraceDeps, TraceKey};
 pub use profile::{
     block_classes, profile_launch, profile_run, BlockClasses, InterFeatures, LaunchProfile,

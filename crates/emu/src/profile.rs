@@ -17,10 +17,8 @@
 //! either way ([`LaunchProfile::tb`], [`LaunchProfile::tbs`], the launch
 //! totals), and every float derived from it is summed in block order.
 //!
-//! Per launch we keep one total that no sampler needs per block,
-//! `mem_insts`: global-memory warp instructions, the denominator of
-//! [`crate::DivergenceReport`]'s requests per memory instruction. There is
-//! no launch BBV: the inter-launch features are Eq. 2's four, and the
+//! There is nothing else: no per-launch totals beyond the blocks' sums
+//! and no launch BBV. The inter-launch features are Eq. 2's four, and the
 //! Ideal-SimPoint baseline reads the simulator's per-unit BBVs.
 //!
 //! Profiling is one-time per kernel/input pair: every downstream artifact
@@ -34,7 +32,7 @@ use crate::walker::walk_warp;
 use std::collections::BTreeMap;
 use std::ops::Range;
 use tbpoint_ir::inst::{CoalescedLines, LINE_BYTES};
-use tbpoint_ir::{ExecCtx, Kernel, KernelRun, LatencyClass, LaunchSpec};
+use tbpoint_ir::{ExecCtx, Kernel, KernelRun, LaunchSpec};
 use tbpoint_stats::cov_of;
 
 /// The per-TB feature statistics both samplers consume. The profile
@@ -77,8 +75,6 @@ pub struct LaunchProfile {
     pub spec: LaunchSpec,
     /// Per-thread-block statistics, in one of two forms.
     blocks: Blocks,
-    /// Global-memory warp instructions executed by the launch.
-    pub mem_insts: u64,
 }
 
 /// How a [`LaunchProfile`] holds its blocks' stats.
@@ -160,7 +156,6 @@ impl ExactSizeIterator for Tbs<'_> {}
 impl PartialEq for LaunchProfile {
     fn eq(&self, other: &Self) -> bool {
         self.spec == other.spec
-            && self.mem_insts == other.mem_insts
             && self.num_blocks() == other.num_blocks()
             && self.tbs().eq(other.tbs())
     }
@@ -195,11 +190,10 @@ impl InterFeatures {
 
 impl LaunchProfile {
     /// A profile holding one record per block, by block id.
-    pub fn per_block(spec: LaunchSpec, tbs: Vec<TbStats>, mem_insts: u64) -> Self {
+    pub fn per_block(spec: LaunchSpec, tbs: Vec<TbStats>) -> Self {
         LaunchProfile {
             spec,
             blocks: Blocks::PerBlock(tbs),
-            mem_insts,
         }
     }
 
@@ -376,10 +370,8 @@ impl RunProfile {
     }
 }
 
-/// Profile one thread block (single-threaded, streaming). The block's
-/// global-memory warp instructions are added into `mem_insts`, the
-/// caller's launch total.
-pub fn profile_tb(kernel: &Kernel, ctx: &ExecCtx, mem_insts: &mut u64) -> TbStats {
+/// Profile one thread block (single-threaded, streaming).
+pub fn profile_tb(kernel: &Kernel, ctx: &ExecCtx) -> TbStats {
     let mut s = TbStats::default();
     let mut lines = CoalescedLines::default();
     for warp in 0..kernel.warps_per_block() {
@@ -387,22 +379,17 @@ pub fn profile_tb(kernel: &Kernel, ctx: &ExecCtx, mem_insts: &mut u64) -> TbStat
         walk_warp(kernel, ctx, warp, &mut |ev| {
             s.warp_insts += 1;
             s.thread_insts += ev.mask.count_ones() as u64;
-            if ev.inst.op.latency_class() == LatencyClass::GlobalMem {
-                *mem_insts += 1;
-                // Every GlobalMem op carries a pattern by construction of
-                // the IR; a missing one counts as zero requests rather
-                // than aborting the profile.
-                if let Some(pat) = ev.inst.op.addr_pattern() {
-                    pat.coalesced_lines_into(
-                        ctx,
-                        gtid_base,
-                        ev.mask,
-                        ev.iter_key,
-                        ev.inst.site,
-                        &mut lines,
-                    );
-                    s.mem_requests += lines.len() as u64;
-                }
+            // Exactly the global-memory ops carry an address pattern.
+            if let Some(pat) = ev.inst.op.addr_pattern() {
+                pat.coalesced_lines_into(
+                    ctx,
+                    gtid_base,
+                    ev.mask,
+                    ev.iter_key,
+                    ev.inst.site,
+                    &mut lines,
+                );
+                s.mem_requests += lines.len() as u64;
             }
         });
     }
@@ -427,9 +414,8 @@ fn per_block_reason(deps: &TraceDeps) -> Option<&'static str> {
 /// when [`per_block_reason`] is `None`: the phase quotients its control
 /// flow sees, then the residue that fixes how every warp's affine
 /// addresses fall across cache lines (derivation in [`crate::intern`]'s
-/// module docs). Blocks with equal keys have equal stats and add equal
-/// totals. Reusing `key` keeps the class path free of per-block
-/// allocation.
+/// module docs). Blocks with equal keys have equal stats. Reusing `key`
+/// keeps the class path free of per-block allocation.
 fn block_class(deps: &TraceDeps, kernel: &Kernel, block_id: u32, key: &mut Vec<u64>) {
     key.clear();
     key.extend(deps.phase_lens.iter().map(|&pl| u64::from(block_id / pl)));
@@ -445,13 +431,6 @@ fn block_ctx(kernel: &Kernel, spec: &LaunchSpec, block_id: u32) -> ExecCtx {
         num_blocks: spec.num_blocks,
         work_scale: spec.work_scale,
     }
-}
-
-/// One emulated block standing for its class.
-#[derive(Debug)]
-struct Class {
-    stats: TbStats,
-    mem_insts: u64,
 }
 
 /// A launch's blocks as a function of their class: for a kernel with
@@ -470,8 +449,8 @@ pub struct BlockClasses<'k> {
     key: Vec<u64>,
     /// Slot in `classes` by class key.
     index: BTreeMap<Vec<u64>, usize>,
-    /// Classes in order of first sight.
-    classes: Vec<Class>,
+    /// Each class's stats, in order of first sight.
+    classes: Vec<TbStats>,
 }
 
 impl<'k> BlockClasses<'k> {
@@ -506,9 +485,7 @@ impl<'k> BlockClasses<'k> {
             return slot;
         }
         let ctx = block_ctx(self.kernel, &self.spec, block);
-        let mut mem_insts = 0;
-        let stats = profile_tb(self.kernel, &ctx, &mut mem_insts);
-        self.classes.push(Class { stats, mem_insts });
+        self.classes.push(profile_tb(self.kernel, &ctx));
         self.index.insert(self.key.clone(), self.classes.len() - 1);
         self.classes.len() - 1
     }
@@ -516,7 +493,7 @@ impl<'k> BlockClasses<'k> {
     /// `block`'s profile, exactly as [`profile_tb`] would count it.
     pub fn stats(&mut self, block: u32) -> TbStats {
         let slot = self.slot(block);
-        self.classes[slot].stats
+        self.classes[slot]
     }
 }
 
@@ -530,25 +507,25 @@ pub fn block_classes(kernel: &Kernel, spec: &LaunchSpec) -> Result<usize, &'stat
     Ok(classes.classes.len())
 }
 
-/// Profile every thread block of a launch. Output order is by TB id.
+/// Profile every thread block of a launch, serially. Output order is by
+/// TB id.
 ///
 /// A kernel with block-invariant control flow and affine addresses is
 /// emulated once per block class ([`BlockClasses`]): the profile keeps
-/// each class's stats once and each block's class id, and `mem_insts`
-/// adds each class's count times its block count; `threads` is then
-/// unused (there are a handful of classes, and they are found in block
-/// order). Every other kernel has its TBs fanned out over `threads`
-/// scoped worker threads, each summing its own `mem_insts`.
-pub fn profile_launch(kernel: &Kernel, spec: &LaunchSpec, threads: usize) -> LaunchProfile {
-    let mut mem_insts = 0;
+/// each class's stats once and each block's class id. Every other kernel
+/// has each of its TBs emulated.
+pub fn profile_launch(kernel: &Kernel, spec: &LaunchSpec) -> LaunchProfile {
     let blocks = match BlockClasses::new(kernel, spec) {
-        Some(classes) => class_blocks(classes, &mut mem_insts),
-        None => Blocks::PerBlock(per_block_tbs(kernel, spec, threads, &mut mem_insts)),
+        Some(classes) => class_blocks(classes),
+        None => Blocks::PerBlock(
+            (0..spec.num_blocks)
+                .map(|b| profile_tb(kernel, &block_ctx(kernel, spec, b)))
+                .collect(),
+        ),
     };
     LaunchProfile {
         spec: *spec,
         blocks,
-        mem_insts,
     }
 }
 
@@ -556,7 +533,7 @@ pub fn profile_launch(kernel: &Kernel, spec: &LaunchSpec, threads: usize) -> Lau
 /// class's stats and block count. A launch with more classes than a
 /// 2-byte id can name (a phase length of a few blocks over a huge launch)
 /// keeps one record per block instead.
-fn class_blocks(mut classes: BlockClasses<'_>, mem_insts: &mut u64) -> Blocks {
+fn class_blocks(mut classes: BlockClasses<'_>) -> Blocks {
     let n = classes.spec.num_blocks as usize;
     let mut ids: Vec<u16> = Vec::with_capacity(n);
     // Blocks per class, by slot.
@@ -571,75 +548,38 @@ fn class_blocks(mut classes: BlockClasses<'_>, mem_insts: &mut u64) -> Blocks {
         counts[slot] += 1;
         match (&mut wide, u16::try_from(slot)) {
             (None, Ok(id)) => ids.push(id),
-            (Some(tbs), _) => tbs.push(classes.classes[slot].stats),
+            (Some(tbs), _) => tbs.push(classes.classes[slot]),
             (None, Err(_)) => {
                 let mut tbs = Vec::with_capacity(n);
-                tbs.extend(ids.iter().map(|&id| classes.classes[usize::from(id)].stats));
-                tbs.push(classes.classes[slot].stats);
+                tbs.extend(ids.iter().map(|&id| classes.classes[usize::from(id)]));
+                tbs.push(classes.classes[slot]);
                 ids = Vec::new();
                 wide = Some(tbs);
             }
         }
     }
-    for (class, &count) in classes.classes.iter().zip(&counts) {
-        *mem_insts += count * class.mem_insts;
-    }
     match wide {
         Some(tbs) => Blocks::PerBlock(tbs),
         None => Blocks::Classes {
-            table: classes.classes.iter().map(|c| c.stats).collect(),
+            table: classes.classes,
             counts,
             ids,
         },
     }
 }
 
-/// The per-block path of [`profile_launch`]: every block emulated, over
-/// `threads` workers for launches of 64 blocks or more.
-fn per_block_tbs(
-    kernel: &Kernel,
-    spec: &LaunchSpec,
-    threads: usize,
-    mem_insts: &mut u64,
-) -> Vec<TbStats> {
-    let n = spec.num_blocks as usize;
-    let make_ctx = |block_id| block_ctx(kernel, spec, block_id);
-    let threads = threads.max(1);
-    if threads == 1 || n < 64 {
-        return (0..spec.num_blocks)
-            .map(|b| profile_tb(kernel, &make_ctx(b), mem_insts))
-            .collect();
-    }
-    let chunk = n.div_ceil(threads);
-    let mut tbs = vec![TbStats::default(); n];
-    let mut totals = vec![0; n.div_ceil(chunk)];
-    std::thread::scope(|scope| {
-        for (t, (slice, chunk_mem)) in tbs.chunks_mut(chunk).zip(&mut totals).enumerate() {
-            let base = t * chunk;
-            scope.spawn(move || {
-                for (off, slot) in slice.iter_mut().enumerate() {
-                    // `n` comes from spec.num_blocks: u32, so block ids
-                    // round-trip exactly.
-                    #[expect(clippy::cast_possible_truncation)]
-                    let b = (base + off) as u32;
-                    *slot = profile_tb(kernel, &make_ctx(b), chunk_mem);
-                }
-            });
-        }
-    });
-    // Integer sums: the total does not depend on `threads`.
-    *mem_insts += totals.iter().sum::<u64>();
-    tbs
-}
-
-/// Profile a whole benchmark run (all launches).
-pub fn profile_run(run: &KernelRun, threads: usize) -> RunProfile {
+/// Profile a whole benchmark run (all launches), serially.
+/// `_threads` is ignored: it once fanned a launch's blocks out over
+/// scoped threads and stays in the signature for the frozen `benchmark/`
+/// harness. Launches go in parallel on the pool (`tbpoint inspect` maps
+/// [`profile_launch`] over it).
+pub fn profile_run(run: &KernelRun, _threads: usize) -> RunProfile {
     RunProfile {
         kernel_name: run.kernel.name.clone(),
         launches: run
             .launches
             .iter()
-            .map(|spec| profile_launch(&run.kernel, spec, threads))
+            .map(|spec| profile_launch(&run.kernel, spec))
             .collect(),
     }
 }
@@ -670,11 +610,6 @@ mod tests {
         b.finish(n)
     }
 
-    /// `profile_tb` into totals of its own.
-    fn profile_alone(k: &Kernel, ctx: &ExecCtx) -> TbStats {
-        profile_tb(k, ctx, &mut 0)
-    }
-
     #[test]
     fn counts_straight_line_kernel() {
         let k = simple_kernel(64); // 2 warps
@@ -685,15 +620,13 @@ mod tests {
             num_blocks: 1,
             work_scale: 1.0,
         };
-        let mut mem_insts = 0;
-        let p = profile_tb(&k, &ctx, &mut mem_insts);
+        let p = profile_tb(&k, &ctx);
         // 2 warps * 4 iterations * 2 insts = 16 warp insts.
         assert_eq!(p.warp_insts, 16);
         assert_eq!(p.thread_insts, 16 * 32);
         // 1 coalesced load per iteration per warp = 8 requests (32 lanes x
         // 4B = 1 line each).
         assert_eq!(p.mem_requests, 8);
-        assert_eq!(mem_insts, 8);
         assert!((p.stall_probability() - 0.5).abs() < 1e-12);
     }
 
@@ -710,7 +643,7 @@ mod tests {
             num_blocks: 1,
             work_scale: 1.0,
         };
-        let p = profile_alone(&k, &ctx);
+        let p = profile_tb(&k, &ctx);
         assert_eq!(p.warp_insts, 1);
         assert_eq!(p.thread_insts, 8);
     }
@@ -730,7 +663,7 @@ mod tests {
             num_blocks: 1,
             work_scale: 1.0,
         };
-        let p = profile_alone(&k, &ctx);
+        let p = profile_tb(&k, &ctx);
         assert_eq!(p.warp_insts, 1);
         assert_eq!(p.mem_requests, 32);
         assert_eq!(p.stall_probability(), 32.0);
@@ -739,14 +672,14 @@ mod tests {
     #[test]
     fn launch_aggregates_sum_tbs() {
         let k = simple_kernel(64);
-        let lp = profile_launch(&k, &launch(10), 1);
+        let lp = profile_launch(&k, &launch(10));
         assert_eq!(lp.num_blocks(), 10);
         // 64 threads per block: first-thread ids at two line residues.
         assert_eq!(lp.num_classes(), Some(2));
         assert_eq!(lp.thread_insts(), 10 * 16 * 32);
         assert_eq!(lp.warp_insts(), 160);
-        // Stamped class copies still add every block into the total.
-        assert_eq!(lp.mem_insts, 80);
+        // Stamped class copies still add every block into the totals.
+        assert_eq!(lp.mem_requests(), 80);
         let f = lp.inter_features();
         assert_eq!(f.thread_insts, (10 * 16 * 32) as f64);
         // Homogeneous TBs: CoV must be 0.
@@ -754,15 +687,15 @@ mod tests {
     }
 
     /// A class-table profile reads like the per-block profile it stands
-    /// for, survives a save/load round trip in its own form, and turns
-    /// into that per-block profile when edited block by block.
+    /// for, and turns into that per-block profile when edited block by
+    /// block.
     #[test]
     fn class_table_reads_like_its_blocks() {
         let k = simple_kernel(96);
-        let lp = profile_launch(&k, &launch(10), 1);
+        let lp = profile_launch(&k, &launch(10));
         assert_eq!(lp.num_classes(), Some(4));
         let blocks: Vec<TbStats> = lp.tbs().collect();
-        let per_block = LaunchProfile::per_block(lp.spec, blocks.clone(), lp.mem_insts);
+        let per_block = LaunchProfile::per_block(lp.spec, blocks.clone());
         assert_eq!(lp, per_block);
         assert_eq!(per_block.num_classes(), None);
         assert_eq!(lp.tbs_in(3..7).collect::<Vec<_>>(), blocks[3..7]);
@@ -785,7 +718,7 @@ mod tests {
     #[test]
     fn damaged_class_ids_fail_the_check() {
         let k = simple_kernel(96);
-        let lp = profile_launch(&k, &launch(10), 1);
+        let lp = profile_launch(&k, &launch(10));
         assert_eq!(lp.check_classes(), Ok(()));
 
         let mut past = lp.clone();
@@ -806,7 +739,7 @@ mod tests {
         let ids = moved.class_ids_mut().unwrap();
         ids[1] = ids[0];
         assert!(moved.check_classes().is_err());
-        assert!(LaunchProfile::per_block(lp.spec, vec![], 0)
+        assert!(LaunchProfile::per_block(lp.spec, vec![])
             .check_classes()
             .is_ok());
     }
@@ -830,39 +763,12 @@ mod tests {
         let k = b.finish(n);
         let spec = launch(70_000);
         assert_eq!(block_classes(&k, &spec), Ok(70_000));
-        let lp = profile_launch(&k, &spec, 1);
+        let lp = profile_launch(&k, &spec);
         assert_eq!(lp.num_classes(), None);
-        let mut mem_insts = 0;
         let reference: Vec<TbStats> = (0..spec.num_blocks)
-            .map(|b| profile_tb(&k, &block_ctx(&k, &spec, b), &mut mem_insts))
+            .map(|b| profile_tb(&k, &block_ctx(&k, &spec, b)))
             .collect();
-        assert_eq!(lp, LaunchProfile::per_block(spec, reference, mem_insts));
-    }
-
-    #[test]
-    fn parallel_profile_matches_serial() {
-        let mut b = KernelBuilder::new("t", 5, 64);
-        let site = b.fresh_site();
-        let body = b.block(&[
-            Op::IAlu,
-            Op::LdGlobal(AddrPattern::Random {
-                region: 0,
-                bytes: 1 << 20,
-            }),
-        ]);
-        let n = b.loop_(
-            TripCount::PerThread {
-                base: 1,
-                spread: 9,
-                dist: Dist::PowerLaw { alpha: 2.0 },
-                site,
-            },
-            body,
-        );
-        let k = b.finish(n);
-        let serial = profile_launch(&k, &launch(200), 1);
-        let parallel = profile_launch(&k, &launch(200), 4);
-        assert_eq!(serial, parallel);
+        assert_eq!(lp, LaunchProfile::per_block(spec, reference));
     }
 
     #[test]
@@ -880,7 +786,7 @@ mod tests {
             body,
         );
         let k = b.finish(n);
-        let lp = profile_launch(&k, &launch(50), 1);
+        let lp = profile_launch(&k, &launch(50));
         assert!(lp.tb_size_cov() > 0.1, "cov = {}", lp.tb_size_cov());
     }
 
@@ -916,7 +822,7 @@ mod tests {
     #[test]
     fn work_scale_changes_launch_size() {
         let k = simple_kernel(32);
-        let small = profile_launch(&k, &launch(4), 1);
+        let small = profile_launch(&k, &launch(4));
         let big = profile_launch(
             &k,
             &LaunchSpec {
@@ -924,7 +830,6 @@ mod tests {
                 num_blocks: 4,
                 work_scale: 3.0,
             },
-            1,
         );
         assert_eq!(big.warp_insts(), 3 * small.warp_insts());
     }

@@ -203,7 +203,7 @@ mod tests {
         // instruction — they are two sinks over the same walker.
         let k = divergent_kernel();
         let c = ctx(3);
-        let profile = profile_tb(&k, &c, &mut 0);
+        let profile = profile_tb(&k, &c);
         let mut warp_insts = 0u64;
         let mut thread_insts = 0u64;
         for w in 0..k.warps_per_block() {

@@ -97,7 +97,7 @@ fn launch_allocations(kernel: &Kernel, num_blocks: u32) -> u64 {
     let spec = spec(num_blocks);
     assert_eq!(block_classes(kernel, &spec), Ok(4));
     allocations(|| {
-        std::hint::black_box(profile_launch(kernel, &spec, 1));
+        std::hint::black_box(profile_launch(kernel, &spec));
     })
 }
 
@@ -105,7 +105,7 @@ fn launch_allocations(kernel: &Kernel, num_blocks: u32) -> u64 {
 /// them; they must also be what the profile reports holding.
 fn held_bytes(kernel: &Kernel, num_blocks: u32) -> i64 {
     let before = LIVE.with(Cell::get);
-    let profile = std::hint::black_box(profile_launch(kernel, &spec(num_blocks), 1));
+    let profile = std::hint::black_box(profile_launch(kernel, &spec(num_blocks)));
     let held = LIVE.with(Cell::get) - before;
     assert_eq!(profile.num_classes(), Some(4));
     assert_eq!(held, profile.heap_bytes() as i64, "{num_blocks} blocks");

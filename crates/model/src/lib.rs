@@ -24,7 +24,7 @@
 //!
 //! * a runnable warp stalls with probability `p` each cycle (`p` =
 //!   stall probability, approximated at profile time by
-//!   `mem_insts / total_insts`);
+//!   `mem_requests / warp_insts`, Eq. 5);
 //! * a stalled warp wakes with probability `1 / M_x` each cycle, where
 //!   `M_x` is that warp's mean stall duration, drawn once per experiment
 //!   from `N(mu, sigma^2)` with `sigma = 0.1 * mu / 1.96` (so 95% of draws

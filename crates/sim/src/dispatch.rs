@@ -102,30 +102,3 @@ impl<H: SamplingHook + ?Sized> SamplingHook for CycleBudgetHook<'_, H> {
         }
     }
 }
-
-/// Test helper: skip an explicit set of TB ids (used by simulator tests;
-/// real policies live in `tbpoint-core`).
-#[derive(Debug, Clone, Default)]
-pub struct SkipList {
-    /// TB ids to skip.
-    pub skip: std::collections::BTreeSet<u32>,
-    /// Dispatch events observed, in order.
-    pub dispatched: Vec<u32>,
-    /// Retire events observed, in order.
-    pub retired: Vec<u32>,
-}
-
-impl SamplingHook for SkipList {
-    fn on_dispatch(&mut self, tb: TbId, _cycle: u64, _issued: u64) -> DispatchDecision {
-        self.dispatched.push(tb.0);
-        if self.skip.contains(&tb.0) {
-            DispatchDecision::Skip
-        } else {
-            DispatchDecision::Simulate
-        }
-    }
-
-    fn on_retire(&mut self, tb: TbId, _cycle: u64, _issued: u64, _stats: TbStats) {
-        self.retired.push(tb.0);
-    }
-}

@@ -531,8 +531,35 @@ pub fn simulate_run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dispatch::{NullSampling, SkipList};
+    use crate::dispatch::NullSampling;
     use tbpoint_ir::{AddrPattern, Cond, Dist, KernelBuilder, LaunchId, Op, TripCount};
+
+    /// Skips an explicit set of TB ids and records every dispatch and
+    /// retirement (real policies live in `tbpoint-core`).
+    #[derive(Default)]
+    struct SkipList {
+        /// TB ids to skip.
+        skip: std::collections::BTreeSet<u32>,
+        /// Dispatch events observed, in order.
+        dispatched: Vec<u32>,
+        /// Retire events observed, in order.
+        retired: Vec<u32>,
+    }
+
+    impl SamplingHook for SkipList {
+        fn on_dispatch(&mut self, tb: TbId, _cycle: u64, _issued: u64) -> DispatchDecision {
+            self.dispatched.push(tb.0);
+            if self.skip.contains(&tb.0) {
+                DispatchDecision::Skip
+            } else {
+                DispatchDecision::Simulate
+            }
+        }
+
+        fn on_retire(&mut self, tb: TbId, _cycle: u64, _issued: u64, _stats: TbStats) {
+            self.retired.push(tb.0);
+        }
+    }
 
     fn launch(n: u32) -> LaunchSpec {
         LaunchSpec {

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use tbpoint_emu::{StaticInst, TbStats, TraceArena, TraceEntry};
 use tbpoint_ir::inst::CoalescedLines;
 use tbpoint_ir::{ExecCtx, Kernel, LatencyClass, Op, TbId};
-use tbpoint_obs::{NullRecorder, Recorder};
+use tbpoint_obs::Recorder;
 
 /// Runtime state of one resident warp.
 #[derive(Debug)]
@@ -132,10 +132,10 @@ pub struct SmCore {
     /// could issue; `u64::MAX` when nothing is issueable — in particular
     /// after a scan of an SM with no resident block.
     /// Lowered at dispatch, reset to `now` on every issue, raised to the
-    /// exact candidate minimum by a failed scheduling scan. `try_issue`
+    /// exact candidate minimum by a failed scheduling scan. `try_issue_obs`
     /// returns without scanning while `now < ready_hint`.
     ready_hint: u64,
-    /// Event-horizon switch: when false, `try_issue` always scans (the
+    /// Event-horizon switch: when false, `try_issue_obs` always scans (the
     /// pre-optimisation reference behaviour golden tests compare against).
     use_hint: bool,
     /// Round-robin cursor: an index into the (slot, warp) pairs of the
@@ -198,7 +198,7 @@ impl SmCore {
         self.occupied.len()
     }
 
-    /// Disable the `ready_hint` fast path so every `try_issue` performs a
+    /// Disable the `ready_hint` fast path so every `try_issue_obs` performs a
     /// full scheduling scan (the cycle-stepped reference the bit-identity
     /// golden suite compares the event horizon against).
     #[doc(hidden)]
@@ -339,14 +339,10 @@ impl SmCore {
         picked
     }
 
-    /// Attempt to issue one warp instruction at cycle `now`.
-    pub fn try_issue(&mut self, now: u64, mem: &mut MemorySystem) -> IssueResult {
-        self.try_issue_obs(now, mem, &NullRecorder)
-    }
-
-    /// [`SmCore::try_issue`] with observability: the memory-stall and
-    /// DRAM events the memory system emits. Monomorphised over the
-    /// recorder, so `NullRecorder` compiles the instrumentation away.
+    /// Attempt to issue one warp instruction at cycle `now`, recording the
+    /// memory-stall and DRAM events the memory system emits. Monomorphised
+    /// over the recorder, so `NullRecorder` compiles the instrumentation
+    /// away.
     pub fn try_issue_obs<R: Recorder + ?Sized>(
         &mut self,
         now: u64,
@@ -531,6 +527,7 @@ impl SmCore {
 mod tests {
     use super::*;
     use tbpoint_ir::{AddrPattern, Dist, KernelBuilder, LaunchId, Node, TripCount};
+    use tbpoint_obs::NullRecorder;
     use tbpoint_stats::SplitMix64;
 
     impl SmCore {
@@ -804,7 +801,7 @@ mod tests {
             sm.dispatch(slot, &kernel, ctx, TbId(block_id), 0, 0, &mut arena);
         }
         for now in 0..2 * 256 {
-            sm.try_issue(now, &mut mem);
+            sm.try_issue_obs(now, &mut mem, &NullRecorder);
         }
         for (s, blk) in sm.slots.iter().enumerate() {
             for (w, warp) in blk.as_ref().unwrap().warps.iter().enumerate() {

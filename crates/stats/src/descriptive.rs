@@ -70,27 +70,6 @@ pub fn geometric_mean(xs: &[f64]) -> f64 {
     (log_sum / xs.len() as f64).exp()
 }
 
-/// Maximum of a slice, `0.0` when empty. Ignores NaN-ordering subtleties by
-/// treating NaN as smaller than everything (NaNs never win).
-pub fn max_f64(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    xs.iter()
-        .copied()
-        .fold(f64::MIN, |a, b| if b > a { b } else { a })
-}
-
-/// Minimum of a slice, `0.0` when empty.
-pub fn min_f64(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    xs.iter()
-        .copied()
-        .fold(f64::MAX, |a, b| if b < a { b } else { a })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,13 +150,5 @@ mod tests {
         let g = geometric_mean(&[0.0, 0.1, 0.1]);
         assert!(g > 0.0);
         assert!(g < 0.1);
-    }
-
-    #[test]
-    fn min_max() {
-        let xs = [3.0, -1.0, 7.0, 2.0];
-        assert_eq!(max_f64(&xs), 7.0);
-        assert_eq!(min_f64(&xs), -1.0);
-        assert_eq!(min_f64(&[]), 0.0);
     }
 }

@@ -35,14 +35,12 @@
 pub mod ci;
 pub mod descriptive;
 pub mod error;
-pub mod histogram;
 pub mod percentile;
 pub mod rng;
 
 pub use ci::{mean_ci, weighted_harmonic_mean, weighted_mean, ConfidenceInterval};
-pub use descriptive::{cov, cov_of, geometric_mean, max_f64, mean, min_f64, population_variance};
+pub use descriptive::{cov, cov_of, geometric_mean, mean, population_variance};
 pub use error::abs_pct_error;
-pub use histogram::Histogram;
 pub use percentile::{fraction_within, percentile};
 pub use rng::{
     hash_coords, hash_fold, mix64, unit_f64, unit_from_hash, unit_index, SplitMix64, HASH_SEED,

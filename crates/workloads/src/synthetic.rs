@@ -177,7 +177,18 @@ impl SyntheticSpec {
 mod tests {
     use super::*;
     use crate::kernels; // ensure roster module links
-    use tbpoint_emu::{profile_launch, DivergenceReport};
+    use tbpoint_emu::{profile_launch, LaunchProfile};
+
+    /// Memory requests per warp instruction (Eq. 5's stall probability,
+    /// launch-wide).
+    fn requests_per_warp_inst(p: &LaunchProfile) -> f64 {
+        p.mem_requests() as f64 / p.warp_insts() as f64
+    }
+
+    /// Active lanes per warp instruction over the warp width.
+    fn simd_efficiency(p: &LaunchProfile) -> f64 {
+        p.thread_insts() as f64 / (p.warp_insts() as f64 * 32.0)
+    }
 
     #[test]
     fn default_spec_builds_valid_kernel() {
@@ -200,16 +211,9 @@ mod tests {
             ..Default::default()
         }
         .build();
-        let pc = profile_launch(&coalesced.kernel, &coalesced.launches[0], 1);
-        let pg = profile_launch(&gathering.kernel, &gathering.launches[0], 1);
-        let rc = DivergenceReport::from_profile(&pc);
-        let rg = DivergenceReport::from_profile(&pg);
-        assert!(
-            rg.requests_per_mem_inst > rc.requests_per_mem_inst * 5.0,
-            "gathers {} vs coalesced {}",
-            rg.requests_per_mem_inst,
-            rc.requests_per_mem_inst
-        );
+        let rc = requests_per_warp_inst(&profile_launch(&coalesced.kernel, &coalesced.launches[0]));
+        let rg = requests_per_warp_inst(&profile_launch(&gathering.kernel, &gathering.launches[0]));
+        assert!(rg > rc * 5.0, "gathers {rg} vs coalesced {rc}");
     }
 
     #[test]
@@ -220,10 +224,8 @@ mod tests {
             ..Default::default()
         }
         .build();
-        let pf = profile_launch(&flat.kernel, &flat.launches[0], 1);
-        let pd = profile_launch(&div.kernel, &div.launches[0], 1);
-        let ef = DivergenceReport::from_profile(&pf).simd_efficiency;
-        let ed = DivergenceReport::from_profile(&pd).simd_efficiency;
+        let ef = simd_efficiency(&profile_launch(&flat.kernel, &flat.launches[0]));
+        let ed = simd_efficiency(&profile_launch(&div.kernel, &div.launches[0]));
         assert!(ef > 0.99);
         assert!(ed < 0.9, "divergent spec should lose lanes, eff = {ed}");
     }
@@ -239,8 +241,8 @@ mod tests {
             ..Default::default()
         }
         .build();
-        let pf = profile_launch(&flat.kernel, &flat.launches[0], 1);
-        let pp = profile_launch(&phased.kernel, &phased.launches[0], 1);
+        let pf = profile_launch(&flat.kernel, &flat.launches[0]);
+        let pp = profile_launch(&phased.kernel, &phased.launches[0]);
         assert_eq!(pf.tb_size_cov(), 0.0);
         assert!(pp.tb_size_cov() > 0.2, "cov = {}", pp.tb_size_cov());
     }

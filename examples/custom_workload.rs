@@ -38,14 +38,14 @@ fn main() -> Result<(), TbError> {
     let launch = &run.launches[0];
 
     // Characterise it.
-    let profile = profile_launch(&run.kernel, launch, 4);
-    let div = tbpoint::emu::DivergenceReport::from_profile(&profile);
+    let profile = profile_launch(&run.kernel, launch);
+    let warp_insts = profile.warp_insts() as f64;
     println!(
-        "workload: {} TBs, {} warp insts, SIMD efficiency {:.1}%, {:.1} requests/mem inst",
+        "workload: {} TBs, {} warp insts, SIMD efficiency {:.1}%, {:.2} requests/warp inst",
         launch.num_blocks,
         profile.warp_insts(),
-        div.simd_efficiency * 100.0,
-        div.requests_per_mem_inst
+        profile.thread_insts() as f64 / (warp_insts * 32.0) * 100.0,
+        profile.mem_requests() as f64 / warp_insts
     );
 
     // Identify homogeneous regions.

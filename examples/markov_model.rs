@@ -48,7 +48,7 @@ fn main() {
         IpcVariationConfig::paper(0.1, 400.0, 8),
         IpcVariationConfig::paper(0.2, 100.0, 8),
     ] {
-        let r = ipc_variation(&cfg, 4);
+        let r = ipc_variation(&cfg);
         println!(
             "{:>16} {:>9.4} {:>9.4} {:>9.4} {:>11.1}%",
             cfg.label(),

@@ -1,11 +1,11 @@
 //! Cross-crate determinism: the entire stack — workload generation,
-//! profiling (serial and parallel), timing simulation, clustering and
-//! prediction — must be bit-reproducible. Reproducibility is what makes
+//! profiling, timing simulation, clustering and prediction — must be
+//! bit-reproducible. Reproducibility is what makes
 //! profile-once-simulate-anywhere sound.
 
 use tbpoint::baselines::{collect_units, ideal_simpoint};
 use tbpoint::core::predict::{run_tbpoint, TbpointConfig};
-use tbpoint::emu::{profile_launch, profile_run};
+use tbpoint::emu::profile_run;
 use tbpoint::pool::ExecPlan;
 use tbpoint::sim::{simulate_run, GpuConfig, NullSampling};
 use tbpoint::workloads::{benchmark_by_name, Scale};
@@ -15,20 +15,6 @@ fn workload_generation_is_stable() {
     let a = benchmark_by_name("bfs", Scale::Tiny).unwrap();
     let b = benchmark_by_name("bfs", Scale::Tiny).unwrap();
     assert_eq!(a.run, b.run);
-}
-
-#[test]
-fn profiling_is_thread_count_invariant() {
-    let bench = benchmark_by_name("sssp", Scale::Tiny).unwrap();
-    let spec = bench
-        .run
-        .launches
-        .iter()
-        .max_by_key(|l| l.num_blocks)
-        .unwrap();
-    let serial = profile_launch(&bench.run.kernel, spec, 1);
-    let parallel = profile_launch(&bench.run.kernel, spec, 8);
-    assert_eq!(serial, parallel);
 }
 
 #[test]

@@ -2,9 +2,8 @@
 //!
 //! A kernel with block-invariant control flow and affine addresses is
 //! profiled once per block class (see DESIGN.md, "Profiling by block
-//! class"); the result must equal emulating every block — per-block
-//! stats and memory-instruction total — whichever route a
-//! kernel takes. Two populations:
+//! class"); the result must equal emulating every block, whichever
+//! route a kernel takes. Two populations:
 //!
 //! 1. seeded random kernels, three in four drawn from the class-eligible
 //!    subset (phase-sliced trips, partial trailing warps, thread counts
@@ -35,10 +34,8 @@ use tbpoint::sim::{simulate_launch_perf, DispatchDecision, GpuConfig, SamplingHo
 use tbpoint::stats::cov;
 use tbpoint::workloads::{all_benchmarks, Scale};
 
-/// Every block through `profile_tb`, summing the launch totals block by
-/// block: what `profile_launch` must equal.
+/// Every block through `profile_tb`: what `profile_launch` must equal.
 fn per_block_reference(kernel: &Kernel, spec: &LaunchSpec) -> LaunchProfile {
-    let mut mem_insts = 0;
     let tbs = (0..spec.num_blocks)
         .map(|block_id| {
             let ctx = ExecCtx {
@@ -48,10 +45,10 @@ fn per_block_reference(kernel: &Kernel, spec: &LaunchSpec) -> LaunchProfile {
                 num_blocks: spec.num_blocks,
                 work_scale: spec.work_scale,
             };
-            profile_tb(kernel, &ctx, &mut mem_insts)
+            profile_tb(kernel, &ctx)
         })
         .collect();
-    LaunchProfile::per_block(*spec, tbs, mem_insts)
+    LaunchProfile::per_block(*spec, tbs)
 }
 
 /// Returns (blocks compared, blocks whose profile was a stamped copy).
@@ -72,13 +69,11 @@ fn random_kernels_match(test_seed: u64, cases: u64, max_blocks: u32) -> (u64, u6
             shared += u64::from(spec.num_blocks) - classes as u64;
         }
         let reference = per_block_reference(&kernel, &spec);
-        for threads in [1, 4] {
-            assert_eq!(
-                profile_launch(&kernel, &spec, threads),
-                reference,
-                "case {case} ({classes:?} classes, {threads} threads): {kernel:?}"
-            );
-        }
+        assert_eq!(
+            profile_launch(&kernel, &spec),
+            reference,
+            "case {case} ({classes:?} classes): {kernel:?}"
+        );
         blocks += u64::from(spec.num_blocks);
     }
     (blocks, shared)
@@ -110,18 +105,16 @@ fn roster_matches(scale: Scale) {
             .iter()
             .map(|spec| per_block_reference(kernel, spec))
             .collect();
-        for threads in [1, 4] {
-            let run = profile_run(&bench.run, threads);
-            assert_eq!(run.kernel_name, kernel.name);
-            assert!(
-                run.launches == reference,
-                "{} at {scale:?}, {threads} threads: profile_run differs from profile_tb",
-                bench.name
-            );
-        }
+        let run = profile_run(&bench.run, 1);
+        assert_eq!(run.kernel_name, kernel.name);
+        assert!(
+            run.launches == reference,
+            "{} at {scale:?}: profile_run differs from profile_tb",
+            bench.name
+        );
         launches += reference.len();
     }
-    println!("{scale:?}: 12 kernels, {launches} launches x 2 thread counts: 0 mismatches");
+    println!("{scale:?}: 12 kernels, {launches} launches: 0 mismatches");
 }
 
 #[test]
@@ -146,7 +139,7 @@ fn roster_accessors_match(scale: Scale) -> u64 {
         let occupancy = gpu.system_occupancy(kernel) as usize;
         for spec in &bench.run.launches {
             let at = format!("{} launch {} at {scale:?}", bench.name, spec.launch_id.0);
-            let profile = profile_launch(kernel, spec, 1);
+            let profile = profile_launch(kernel, spec);
             let records: Vec<TbStats> = per_block_reference(kernel, spec).tbs().collect();
             let n = records.len();
             assert_eq!(n, spec.num_blocks as usize, "{at}");
@@ -241,7 +234,7 @@ fn roster_streams_match(scale: Scale) -> (usize, u64) {
         let kernel = &bench.run.kernel;
         for spec in &bench.run.launches {
             let at = format!("{} launch {} at {scale:?}", bench.name, spec.launch_id.0);
-            let profile = profile_launch(kernel, spec, 1);
+            let profile = profile_launch(kernel, spec);
             if let Some(mut classes) = BlockClasses::new(kernel, spec) {
                 for b in (0..spec.num_blocks).rev() {
                     assert_eq!(

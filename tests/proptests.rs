@@ -191,7 +191,6 @@ fn epochs_tile_launch() {
                 };
                 n_tbs
             ],
-            2 * n_tbs as u64,
         );
         let epochs = build_epochs(&profile, occupancy);
         let covered: u32 = epochs.iter().map(|e| e.end_tb - e.start_tb).sum();

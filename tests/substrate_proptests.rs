@@ -53,7 +53,7 @@ fn synthetic_workloads_conserve_instruction_identities() {
         let run = spec.build();
         run.kernel.validate().unwrap();
         let launch = &run.launches[0];
-        let profile = profile_launch(&run.kernel, launch, 1);
+        let profile = profile_launch(&run.kernel, launch);
         let table = StaticTable::of(&run.kernel);
         let mut trace_warp_insts = 0u64;
         let mut trace_thread_insts = 0u64;
@@ -91,7 +91,7 @@ fn simulation_issues_exactly_the_profiled_instructions() {
         let spec = small_spec(&mut g);
         let run = spec.build();
         let launch = &run.launches[0];
-        let profile = profile_launch(&run.kernel, launch, 1);
+        let profile = profile_launch(&run.kernel, launch);
         let expected: u64 = profile.tbs().map(|t| t.warp_insts).sum();
         let r = simulate_launch(
             &run.kernel,
@@ -157,8 +157,8 @@ fn kernel_serde_roundtrip() {
         assert_eq!(json2, serde_json::to_string(&back2).unwrap());
         back.kernel.validate().unwrap();
         // Behavioural equivalence of the decoded kernel.
-        let a = profile_launch(&run.kernel, &run.launches[0], 1);
-        let b = profile_launch(&back.kernel, &back.launches[0], 1);
+        let a = profile_launch(&run.kernel, &run.launches[0]);
+        let b = profile_launch(&back.kernel, &back.launches[0]);
         assert_eq!(a.warp_insts(), b.warp_insts());
         assert_eq!(a.mem_requests(), b.mem_requests());
     }
