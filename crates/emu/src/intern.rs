@@ -1,13 +1,14 @@
 //! Content-addressed warp-trace interning.
 //!
-//! `SmCore::dispatch` used to re-emulate a full [`WarpTrace`](crate::WarpTrace) for every
-//! warp of every dispatched block, even though regular kernels (stream,
-//! conv rows of Table VI) produce one identical trace per warp shape.
-//! A [`TraceArena`] memoises traces behind `Arc<[TraceEntry]>` for the
-//! duration of one launch, so identical warps share a single allocation.
-//! It also owns the launch's [`StaticTable`], built once from the program
-//! tree like [`TraceDeps`]; every trace it hands out, interned or not,
-//! indexes that table.
+//! Regular kernels (stream, conv rows of Table VI) produce one identical
+//! trace per warp shape, so re-emulating every warp of every dispatched
+//! block would repeat the same work. A [`TraceArena`] memoises traces
+//! behind `Arc<[TraceEntry]>` for the duration of one launch, so
+//! identical warps share a single allocation, and hands a warp that no
+//! other warp can share its [`WarpWalk`] instead: no trace of it is
+//! built at all. It also owns the launch's [`StaticTable`], built once
+//! from the program tree like [`TraceDeps`]; every shared trace indexes
+//! that table.
 //!
 //! ## Why the key is exact, not a hash
 //!
@@ -67,21 +68,25 @@
 //!
 //! ## Memory discipline
 //!
-//! Traces are dropped when their block retires precisely so that peak
-//! memory tracks *resident* blocks, not grid size. The arena must not
-//! undo that, so it retains entries only when the key space is small:
+//! A warp's stream is dropped when its block retires precisely so that
+//! peak memory tracks *resident* warps, not grid size. The arena must
+//! not undo that, so it retains entries only when the key space is
+//! small:
 //!
 //! * block-invariant keys (mask + phase quotients) live in a global map
 //!   — bounded by warp shapes × phase slices, shared by every block;
 //! * block-varying keys (`PerBlock`/`BlockProb` kernels) are cached only
-//!   for the most recently traced block — warps of one block are traced
-//!   back-to-back at dispatch, so this still collapses the per-warp
+//!   for the most recently traced block — warps of one block are asked
+//!   for back-to-back at dispatch, so this still collapses the per-warp
 //!   duplication without retaining per-block garbage;
 //! * thread-varying kernels bypass the cache entirely (every key is
-//!   distinct by construction) and are counted as `uncacheable`.
+//!   distinct by construction) and are counted as `uncacheable`. Their
+//!   warps are streamed from a [`WarpWalk`], whose state is a frame
+//!   stack as deep as the program, not a trace as long as the warp's
+//!   instruction count. So is every warp of an arena with caching off.
 
-use crate::trace::{trace_warp, StaticTable, TraceEntry, TraceInst};
-use crate::walker::initial_mask;
+use crate::trace::{StaticTable, TraceEntry, TraceInst, WarpStream};
+use crate::walker::{initial_mask, WarpEvent, WarpWalk};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use tbpoint_ir::{AddrPattern, Cond, ExecCtx, Kernel, Node, TripCount};
@@ -168,13 +173,14 @@ pub struct InternStats {
     pub hits: u64,
     /// Warp traces emulated and then cached.
     pub misses: u64,
-    /// Warp traces emulated with caching bypassed (thread-varying
+    /// Warps handed out as walks, caching bypassed (thread-varying
     /// kernels, or an arena built with caching disabled).
     pub uncacheable: u64,
     /// Trace instructions served from the arena (the emulation work the
     /// interner avoided).
     pub reused_warp_insts: u64,
-    /// Trace instructions actually emulated.
+    /// Trace instructions emulated into traces the arena built (the
+    /// entries of a handed-out walk are counted by whoever pulls them).
     pub traced_warp_insts: u64,
 }
 
@@ -193,7 +199,7 @@ type Expansion = (Arc<[TraceEntry]>, Arc<[TraceInst]>);
 ///
 /// Callers must use one arena per `(kernel, launch)` pair: the key
 /// deliberately omits `kernel_seed`, `launch_id` and `work_scale`
-/// because they are launch constants. [`TraceArena::warp_entries`]
+/// because they are launch constants. [`TraceArena::warp_stream`]
 /// checks this in debug builds.
 pub struct TraceArena {
     deps: TraceDeps,
@@ -220,8 +226,9 @@ impl TraceArena {
         Self::with_caching(kernel, true)
     }
 
-    /// An arena with interning optionally disabled (every request is
-    /// emulated fresh) — the reference path for bit-identity tests.
+    /// An arena with interning optionally disabled (every warp is
+    /// streamed from a fresh walk) — the reference path for bit-identity
+    /// tests.
     pub fn with_caching(kernel: &Kernel, caching: bool) -> Self {
         TraceArena {
             deps: TraceDeps::of(kernel),
@@ -262,14 +269,16 @@ impl TraceArena {
         }
     }
 
-    /// The trace of warp `warp_id` of block `ctx.block_id`, served from
-    /// the arena when an identical warp was traced before.
-    pub fn warp_entries(
+    /// The instructions of warp `warp_id` of block `ctx.block_id`: the
+    /// shared trace when [`TraceDeps`] lets identical warps share one
+    /// (built on the first request for its key), and a [`WarpWalk`] the
+    /// caller pulls otherwise, which nothing else could reuse.
+    pub fn warp_stream<'k>(
         &mut self,
-        kernel: &Kernel,
+        kernel: &'k Kernel,
         ctx: &ExecCtx,
         warp_id: u32,
-    ) -> Arc<[TraceEntry]> {
+    ) -> WarpStream<'k> {
         #[cfg(debug_assertions)]
         {
             let b = (ctx.kernel_seed, ctx.launch_id, ctx.work_scale);
@@ -280,8 +289,14 @@ impl TraceArena {
         }
         if !self.caching || self.deps.per_thread {
             self.stats.uncacheable += 1;
-            return self.trace_fresh(kernel, ctx, warp_id);
+            return WarpStream::Walk(Box::new(WarpWalk::new(kernel, ctx, warp_id).peekable()));
         }
+        WarpStream::Shared(self.shared(kernel, ctx, warp_id), 0)
+    }
+
+    /// The trace of a warp whose key is cacheable, from the arena when an
+    /// identical warp was traced before.
+    fn shared(&mut self, kernel: &Kernel, ctx: &ExecCtx, warp_id: u32) -> Arc<[TraceEntry]> {
         if self.deps.per_block {
             // Block-varying: cache within the current block only.
             if self.block_local_id != Some(ctx.block_id) {
@@ -294,7 +309,7 @@ impl TraceArena {
                 self.stats.reused_warp_insts += t.len() as u64;
                 return Arc::clone(t);
             }
-            let t = self.trace_fresh(kernel, ctx, warp_id);
+            let t = self.build(WarpWalk::new(kernel, ctx, warp_id));
             self.stats.misses += 1;
             self.block_local.insert(mask, Arc::clone(&t));
             return t;
@@ -306,16 +321,31 @@ impl TraceArena {
             self.stats.reused_warp_insts += t.len() as u64;
             return Arc::clone(t);
         }
-        let t = self.trace_fresh(kernel, ctx, warp_id);
+        let t = self.build(WarpWalk::new(kernel, ctx, warp_id));
         self.stats.misses += 1;
         self.global.insert(key, Arc::clone(&t));
         t
     }
 
-    fn trace_fresh(&mut self, kernel: &Kernel, ctx: &ExecCtx, warp_id: u32) -> Arc<[TraceEntry]> {
-        let t = trace_warp(kernel, &self.table, ctx, warp_id);
+    /// [`TraceArena::warp_stream`] as a built trace: a walk is collected
+    /// (and counted in `traced_warp_insts`) instead of handed out.
+    pub fn warp_entries(
+        &mut self,
+        kernel: &Kernel,
+        ctx: &ExecCtx,
+        warp_id: u32,
+    ) -> Arc<[TraceEntry]> {
+        match self.warp_stream(kernel, ctx, warp_id) {
+            WarpStream::Shared(t, _) => t,
+            WarpStream::Walk(walk) => self.build(*walk),
+        }
+    }
+
+    /// The trace `walk` yields, counted in `traced_warp_insts`.
+    fn build<'k>(&mut self, walk: impl Iterator<Item = WarpEvent<'k>>) -> Arc<[TraceEntry]> {
+        let t: Arc<[TraceEntry]> = walk.map(|ev| self.table.entry(ev)).collect();
         self.stats.traced_warp_insts += t.len() as u64;
-        t.into()
+        t
     }
 
     /// [`TraceArena::warp_entries`] with every entry expanded through the
@@ -344,6 +374,7 @@ impl TraceArena {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::trace_warp;
     use tbpoint_ir::{Dist, KernelBuilder, LaunchId, Op};
 
     fn ctx(block: u32) -> ExecCtx {
@@ -440,6 +471,53 @@ mod tests {
                     let interned = arena.warp_entries(&kernel, &ctx(block), w);
                     let fresh = trace_warp(&kernel, arena.table(), &ctx(block), w);
                     assert_eq!(&interned[..], &fresh[..], "{} b{block} w{w}", kernel.name);
+                }
+            }
+        }
+    }
+
+    /// A stream yields the fresh trace's entries, expanded, and turns
+    /// done exactly with the pull that takes the last one; thread-varying
+    /// warps, and every warp without caching, stream from a walk.
+    #[test]
+    fn streams_yield_the_fresh_trace_and_end_with_it() {
+        for kernel in [
+            regular_kernel(),
+            per_block_kernel(),
+            per_thread_kernel(),
+            phase_kernel(),
+        ] {
+            for caching in [true, false] {
+                let mut arena = TraceArena::with_caching(&kernel, caching);
+                for block in 0..12 {
+                    for w in 0..kernel.warps_per_block() {
+                        let fresh = trace_warp(&kernel, arena.table(), &ctx(block), w);
+                        let table = arena.table().insts().clone();
+                        let mut stream = arena.warp_stream(&kernel, &ctx(block), w);
+                        let walked = !caching || kernel.name == "thr";
+                        assert_eq!(
+                            stream.is_walk(),
+                            walked,
+                            "{} caching {caching}",
+                            kernel.name
+                        );
+                        for (i, &e) in fresh.iter().enumerate() {
+                            assert!(
+                                !stream.is_done(),
+                                "{} b{block} w{w} done at {i}",
+                                kernel.name
+                            );
+                            let want = arena.table().expand(e);
+                            assert_eq!(
+                                stream.next(&table),
+                                Some(want),
+                                "{} entry {i}",
+                                kernel.name
+                            );
+                        }
+                        assert!(stream.is_done());
+                        assert_eq!(stream.next(&table), None);
+                    }
                 }
             }
         }

@@ -26,12 +26,15 @@
 //! re-cluster cheaply for any simulated configuration.
 //!
 //! The emulator walks a warp's structured program with an active lane
-//! mask ([`walker`]), from which two consumers are built:
+//! mask ([`walker`]): a [`WarpWalk`] yields one warp instruction per
+//! pull, and two consumers are built on it:
 //!
 //! * [`profile`] — streaming per-TB / per-launch profiles (no trace is
 //!   materialised; counters only), one launch at a time;
-//! * [`trace`] — materialised per-warp instruction traces that the timing
-//!   simulator replays. A trace entry is `(static index, mask, iter_key)`,
+//! * [`trace`] — the per-warp instruction streams the timing simulator
+//!   replays. A trace is built only where [`TraceArena`] shares it
+//!   between identical warps; a warp nothing shares is streamed from its
+//!   walk as it issues. A trace entry is `(static index, mask, iter_key)`,
 //!   12 bytes: op, site and basic block live once per kernel in a
 //!   [`StaticTable`], and addresses are recomputed deterministically.
 
@@ -48,7 +51,7 @@ pub use profile::{
     block_classes, profile_launch, profile_run, BlockClasses, InterFeatures, LaunchProfile,
     RunProfile, TbStats, Tbs,
 };
-#[doc(hidden)]
-pub use trace::TraceInst;
-pub use trace::{trace_warp, StaticInst, StaticTable, TraceEntry, WarpTrace};
-pub use walker::{walk_warp, WarpEvent};
+pub use trace::{
+    trace_warp, StaticInst, StaticTable, TraceEntry, TraceInst, WarpStream, WarpTrace,
+};
+pub use walker::{WarpEvent, WarpWalk};

@@ -28,7 +28,7 @@
 //! configuration; it is never written to a file or read back.
 
 use crate::intern::TraceDeps;
-use crate::walker::walk_warp;
+use crate::walker::WarpWalk;
 use std::collections::BTreeMap;
 use std::ops::Range;
 use tbpoint_ir::inst::{CoalescedLines, LINE_BYTES};
@@ -376,7 +376,7 @@ pub fn profile_tb(kernel: &Kernel, ctx: &ExecCtx) -> TbStats {
     let mut lines = CoalescedLines::default();
     for warp in 0..kernel.warps_per_block() {
         let gtid_base = ctx.block_id as u64 * kernel.threads_per_block as u64 + warp as u64 * 32;
-        walk_warp(kernel, ctx, warp, &mut |ev| {
+        for ev in WarpWalk::new(kernel, ctx, warp) {
             s.warp_insts += 1;
             s.thread_insts += ev.mask.count_ones() as u64;
             // Exactly the global-memory ops carry an address pattern.
@@ -391,7 +391,7 @@ pub fn profile_tb(kernel: &Kernel, ctx: &ExecCtx) -> TbStats {
                 );
                 s.mem_requests += lines.len() as u64;
             }
-        });
+        }
     }
     s
 }

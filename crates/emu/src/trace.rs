@@ -1,16 +1,22 @@
-//! Materialised warp traces for the timing simulator.
+//! Warp traces for the timing simulator.
 //!
-//! Macsim is trace-driven; so is our timing simulator. A [`WarpTrace`] is
-//! the dynamic warp-instruction sequence of one warp, materialised when
-//! its thread block is dispatched to an SM and dropped when the block
-//! retires — peak memory is bounded by the number of *resident* blocks,
-//! not the grid size. An entry is a 12-byte [`TraceEntry`]
-//! `(inst, mask, iter_key)`: everything static about the instruction (op,
-//! site, basic block) lives once per kernel in a [`StaticTable`], indexed
-//! by `inst`, and per-lane addresses are recomputed on demand from the
-//! deterministic IR patterns instead of storing 32 addresses each.
+//! Macsim is trace-driven; so is our timing simulator. A warp's dynamic
+//! instruction sequence reaches it as a [`WarpStream`]: a trace the
+//! [`TraceArena`](crate::TraceArena) built once and shares between
+//! identical warps, or, for a warp no other warp shares (thread-varying
+//! control flow), the [`WarpWalk`] itself, pulled one instruction per
+//! issue. Either is made when the warp's thread block is dispatched to an
+//! SM and dropped when the block retires, so peak memory is bounded by
+//! the *resident* warps, not the grid size, and a streamed warp costs
+//! the walk's frame stack, not its instruction count. A trace entry is
+//! a 12-byte [`TraceEntry`] `(inst, mask, iter_key)`: everything static
+//! about the instruction (op, site, basic block) lives once per kernel in
+//! a [`StaticTable`], indexed by `inst`, and per-lane addresses are
+//! recomputed on demand from the deterministic IR patterns instead of
+//! storing 32 addresses each.
 
-use crate::walker::walk_warp;
+use crate::walker::{WarpEvent, WarpWalk};
+use std::iter::Peekable;
 use std::sync::Arc;
 use tbpoint_ir::{BasicBlockId, ExecCtx, Kernel, Node, Op};
 
@@ -38,9 +44,9 @@ pub struct StaticInst {
     pub bb: u16,
 }
 
-/// A trace entry expanded through the [`StaticTable`]: the layout the
-/// benchmark harness still reads through `TraceArena::warp_trace`.
-#[doc(hidden)]
+/// A trace entry expanded through the [`StaticTable`]: what
+/// [`WarpStream::next`] yields, and the layout the benchmark harness reads
+/// through `TraceArena::warp_trace`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceInst {
     /// Operation (including the address pattern for global accesses).
@@ -111,6 +117,16 @@ impl StaticTable {
         self.block_start[usize::from(bb.0)] + pos
     }
 
+    /// The trace entry of walk event `ev`.
+    #[inline]
+    pub(crate) fn entry(&self, ev: WarpEvent<'_>) -> TraceEntry {
+        TraceEntry {
+            inst: self.index(ev.bb, ev.pos),
+            mask: ev.mask,
+            iter_key: ev.iter_key,
+        }
+    }
+
     /// The instructions, shared with every SM of a launch.
     pub fn insts(&self) -> &Arc<[StaticInst]> {
         &self.insts
@@ -118,14 +134,20 @@ impl StaticTable {
 
     /// `entry` with its static half looked up.
     pub(crate) fn expand(&self, entry: TraceEntry) -> TraceInst {
-        let s = self.insts[entry.inst as usize];
-        TraceInst {
-            op: s.op,
-            mask: entry.mask,
-            iter_key: entry.iter_key,
-            site: s.site,
-            bb: s.bb,
-        }
+        expand(&self.insts, entry)
+    }
+}
+
+/// `entry` with its static half looked up in `insts`.
+#[inline]
+fn expand(insts: &[StaticInst], entry: TraceEntry) -> TraceInst {
+    let s = insts[entry.inst as usize];
+    TraceInst {
+        op: s.op,
+        mask: entry.mask,
+        iter_key: entry.iter_key,
+        site: s.site,
+        bb: s.bb,
     }
 }
 
@@ -144,15 +166,56 @@ fn reject(kernel: &Kernel, id: BasicBlockId) -> ! {
 /// Materialise the trace of warp `warp_id` of block `ctx.block_id`;
 /// `table` is `StaticTable::of(kernel)`.
 pub fn trace_warp(kernel: &Kernel, table: &StaticTable, ctx: &ExecCtx, warp_id: u32) -> WarpTrace {
-    let mut trace = Vec::new();
-    walk_warp(kernel, ctx, warp_id, &mut |ev| {
-        trace.push(TraceEntry {
-            inst: table.index(ev.bb, ev.pos),
-            mask: ev.mask,
-            iter_key: ev.iter_key,
-        });
-    });
-    trace
+    WarpWalk::new(kernel, ctx, warp_id)
+        .map(|ev| table.entry(ev))
+        .collect()
+}
+
+/// One warp's instructions as the timing simulator reads them.
+#[derive(Debug)]
+pub enum WarpStream<'k> {
+    /// A trace the arena shares, and the position of the next entry.
+    Shared(Arc<[TraceEntry]>, usize),
+    /// A walk no other warp shares, emulated as the warp issues. It
+    /// looks one instruction ahead, so [`WarpStream::is_done`] turns true
+    /// with the pull that takes the last one.
+    Walk(Box<Peekable<WarpWalk<'k>>>),
+}
+
+impl WarpStream<'_> {
+    /// The next instruction, its static half looked up in `insts` (the
+    /// launch's [`StaticTable::insts`]); `None` once the stream is done.
+    #[inline]
+    pub fn next(&mut self, insts: &[StaticInst]) -> Option<TraceInst> {
+        match self {
+            WarpStream::Shared(trace, pc) => {
+                let entry = *trace.get(*pc)?;
+                *pc += 1;
+                Some(expand(insts, entry))
+            }
+            WarpStream::Walk(walk) => walk.next().map(|ev: WarpEvent<'_>| TraceInst {
+                op: ev.inst.op,
+                mask: ev.mask,
+                iter_key: ev.iter_key,
+                site: ev.inst.site,
+                bb: ev.bb.0,
+            }),
+        }
+    }
+
+    /// True once every instruction has been pulled.
+    #[inline]
+    pub fn is_done(&mut self) -> bool {
+        match self {
+            WarpStream::Shared(trace, pc) => *pc >= trace.len(),
+            WarpStream::Walk(walk) => walk.peek().is_none(),
+        }
+    }
+
+    /// True for a stream that emulates as it goes.
+    pub fn is_walk(&self) -> bool {
+        matches!(self, WarpStream::Walk(_))
+    }
 }
 
 #[cfg(test)]

@@ -1,13 +1,17 @@
 //! The SIMT warp walker: executes one warp's structured program with an
-//! active lane mask, invoking a callback per warp instruction.
+//! active lane mask, one warp instruction per pull.
 //!
-//! Both the profiler and the tracer are thin sinks over this walker, so
-//! they see byte-identical instruction streams — the property that makes
-//! profiling results transferable to the timing simulator.
+//! [`WarpWalk`] is an iterator. The profiler folds it, [`crate::trace_warp`]
+//! collects it, and the timing simulator pulls a thread-varying warp's
+//! instructions from it as they issue, so all three see byte-identical
+//! instruction streams — the property that makes profiling results
+//! transferable to the timing simulator. Its state is a frame stack as
+//! deep as the program tree plus the warp's draws, not the instructions
+//! it has yet to yield.
 
-use tbpoint_ir::{Cond, ExecCtx, Inst, Kernel, Node, WARP_SIZE};
+use tbpoint_ir::{BasicBlockId, Cond, ExecCtx, Inst, Kernel, Node, TripCount, WARP_SIZE};
 
-/// One dynamic warp instruction, as seen by a walker sink.
+/// One dynamic warp instruction, as the walk yields it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WarpEvent<'a> {
     /// The static instruction.
@@ -15,7 +19,7 @@ pub struct WarpEvent<'a> {
     /// Active lane mask (bit `l` = lane `l` executes).
     pub mask: u32,
     /// Basic block this instruction belongs to.
-    pub bb: tbpoint_ir::BasicBlockId,
+    pub bb: BasicBlockId,
     /// Position of the instruction within its basic block.
     pub pos: u32,
     /// Mixed key of the enclosing loop iteration indices; feeds address
@@ -23,40 +27,292 @@ pub struct WarpEvent<'a> {
     pub iter_key: u32,
 }
 
-/// Execute warp `warp_id` of thread block `ctx.block_id` and call `sink`
-/// once per dynamic warp instruction (in program order).
+/// The execution of warp `warp_id` of one thread block, yielding its
+/// dynamic warp instructions in program order.
 ///
 /// The initial active mask covers lanes whose thread id is within
 /// `threads_per_block`; divergence then only ever narrows it, and sibling
 /// paths of an `if` reconverge at the join point (structured control
 /// flow — see the crate docs for why this is a faithful substitution).
-pub fn walk_warp(
-    kernel: &Kernel,
-    ctx: &ExecCtx,
-    warp_id: u32,
-    sink: &mut impl FnMut(WarpEvent<'_>),
-) {
-    let initial_mask = initial_mask(kernel, warp_id);
-    if initial_mask == 0 {
-        return; // warp entirely out of range
+#[derive(Debug)]
+pub struct WarpWalk<'k> {
+    ctx: ExecCtx,
+    /// Global thread id of lane 0: unique across blocks of the launch.
+    gtid_base: u64,
+    draws: WarpDraws<'k>,
+    /// The basic block being yielded.
+    block: BlockRun<'k>,
+    /// The enclosing nodes still to finish, innermost last.
+    stack: Vec<Frame<'k>>,
+}
+
+/// The rest of one visit of a basic block.
+#[derive(Debug)]
+struct BlockRun<'k> {
+    /// The instructions not yet yielded.
+    insts: std::slice::Iter<'k, Inst>,
+    id: BasicBlockId,
+    /// Position of the next instruction within the block.
+    pos: u32,
+    mask: u32,
+    iter_key: u32,
+}
+
+/// One enclosing node of a walk's position. Every frame carries the
+/// active mask and iteration key its node runs under.
+#[derive(Debug)]
+enum Frame<'k> {
+    /// The children of a `Seq` not yet entered (never none: the last
+    /// child replaces the frame).
+    Seq {
+        rest: std::slice::Iter<'k, Node>,
+        mask: u32,
+        iter_key: u32,
+    },
+    /// An `If`'s `else` branch, entered once the `then` branch is done;
+    /// `mask` is the lanes that did not take the branch.
+    Else {
+        node: &'k Node,
+        mask: u32,
+        iter_key: u32,
+    },
+    /// A loop whose iteration `iter` (0-based) is next.
+    Loop {
+        body: &'k Node,
+        trips: Trips,
+        iter: u32,
+        mask: u32,
+        iter_key: u32,
+    },
+}
+
+/// A loop's trip counts.
+#[derive(Debug, Clone, Copy)]
+enum Trips {
+    /// Every lane runs this many iterations.
+    Uniform(u32),
+    /// Per-lane counts: entry `i` of [`WarpDraws::trips`].
+    PerLane(usize),
+}
+
+impl<'k> WarpWalk<'k> {
+    /// The walk of warp `warp_id` of block `ctx.block_id` (empty for a
+    /// warp entirely out of range).
+    pub fn new(kernel: &'k Kernel, ctx: &ExecCtx, warp_id: u32) -> Self {
+        let initial_mask = initial_mask(kernel, warp_id);
+        let gtid_base = u64::from(ctx.block_id) * u64::from(kernel.threads_per_block)
+            + u64::from(warp_id) * u64::from(WARP_SIZE);
+        let draws = WarpDraws {
+            initial_mask,
+            taken: Vec::new(),
+            trips: Vec::new(),
+        };
+        Self::from_node(&kernel.program, ctx, gtid_base, initial_mask, draws)
     }
-    // Global thread id of lane 0: unique across blocks of the launch.
-    let first_thread = warp_id * WARP_SIZE;
-    let gtid_base = ctx.block_id as u64 * kernel.threads_per_block as u64 + first_thread as u64;
-    let mut draws = WarpDraws {
-        initial_mask,
-        taken: Vec::new(),
-        trips: Vec::new(),
-    };
-    walk_node(
-        &kernel.program,
-        ctx,
-        gtid_base,
-        initial_mask,
-        0,
-        &mut draws,
-        sink,
-    );
+
+    /// The walk of `node` at `mask`, drawing through `draws`.
+    fn from_node(
+        node: &'k Node,
+        ctx: &ExecCtx,
+        gtid_base: u64,
+        mask: u32,
+        draws: WarpDraws<'k>,
+    ) -> Self {
+        let mut walk = WarpWalk {
+            ctx: *ctx,
+            gtid_base,
+            draws,
+            block: BlockRun {
+                insts: [].iter(),
+                id: BasicBlockId(0),
+                pos: 0,
+                mask: 0,
+                iter_key: 0,
+            },
+            stack: Vec::new(),
+        };
+        if !walk.enter(node, mask, 0) {
+            walk.advance();
+        }
+        walk
+    }
+
+    /// Start running `node` at `mask`: a block becomes the current one,
+    /// any other node pushes its frame. An `If` is resolved here: its
+    /// `else` is pushed pending and its `then` entered in its place.
+    /// Returns whether a block was entered.
+    fn enter(&mut self, mut node: &'k Node, mut mask: u32, iter_key: u32) -> bool {
+        loop {
+            if mask == 0 {
+                return false;
+            }
+            let frame = match node {
+                Node::Block { id, insts } => {
+                    self.block = BlockRun {
+                        insts: insts.iter(),
+                        id: *id,
+                        pos: 0,
+                        mask,
+                        iter_key,
+                    };
+                    return true;
+                }
+                Node::Seq(nodes) => Frame::Seq {
+                    rest: nodes.iter(),
+                    mask,
+                    iter_key,
+                },
+                Node::If { cond, then_, else_ } => {
+                    let taken = if matches!(cond, Cond::ThreadProb { .. }) {
+                        let (ctx, gtid_base, all) =
+                            (&self.ctx, self.gtid_base, self.draws.initial_mask);
+                        let i = drawn(&mut self.draws.taken, node, || {
+                            cond.eval_mask(ctx, gtid_base, all)
+                        });
+                        mask & self.draws.taken[i].1
+                    } else {
+                        cond.eval_mask(&self.ctx, self.gtid_base, mask)
+                    };
+                    if let Some(e) = else_ {
+                        self.stack.push(Frame::Else {
+                            node: e,
+                            mask: mask & !taken,
+                            iter_key,
+                        });
+                    }
+                    // Implicit reconvergence: the frame below continues
+                    // with its own mask.
+                    (node, mask) = (then_, taken);
+                    continue;
+                }
+                Node::Loop { trips, body } => Frame::Loop {
+                    body,
+                    trips: self.loop_trips(node, trips, mask),
+                    iter: 0,
+                    mask,
+                    iter_key,
+                },
+            };
+            self.stack.push(frame);
+            return false;
+        }
+    }
+
+    /// The trip counts of loop `node` entered at `mask`.
+    fn loop_trips(&mut self, node: &'k Node, trips: &TripCount, mask: u32) -> Trips {
+        let mut counts = [0u32; WARP_SIZE as usize];
+        if trips.is_warp_uniform() {
+            return Trips::Uniform(trips.eval_lanes(&self.ctx, self.gtid_base, mask, &mut counts));
+        }
+        let (ctx, gtid_base, all) = (&self.ctx, self.gtid_base, self.draws.initial_mask);
+        Trips::PerLane(drawn(&mut self.draws.trips, node, || {
+            trips.eval_lanes(ctx, gtid_base, all, &mut counts);
+            counts
+        }))
+    }
+
+    /// Step the frames until a block is entered; false once the walk is
+    /// over.
+    fn advance(&mut self) -> bool {
+        while let Some(frame) = self.stack.last_mut() {
+            let (node, mask, iter_key) = match frame {
+                Frame::Seq {
+                    rest,
+                    mask,
+                    iter_key,
+                } => {
+                    let (mask, iter_key) = (*mask, *iter_key);
+                    let next = rest.next();
+                    if rest.len() == 0 {
+                        self.stack.pop();
+                    }
+                    match next {
+                        Some(node) => (node, mask, iter_key),
+                        None => continue, // an empty `Seq`
+                    }
+                }
+                &mut Frame::Else {
+                    node,
+                    mask,
+                    iter_key,
+                } => {
+                    self.stack.pop();
+                    (node, mask, iter_key)
+                }
+                Frame::Loop {
+                    body,
+                    trips,
+                    iter,
+                    mask,
+                    iter_key,
+                } => {
+                    // SIMT loop divergence: the warp iterates until every
+                    // active lane has exhausted its count, the mask
+                    // shrinking as lanes finish.
+                    let m = match *trips {
+                        Trips::Uniform(n) => {
+                            if *iter < n {
+                                *mask
+                            } else {
+                                0
+                            }
+                        }
+                        Trips::PerLane(i) => lanes_left(&self.draws.trips[i].1, *mask, *iter),
+                    };
+                    if m == 0 {
+                        self.stack.pop();
+                        continue;
+                    }
+                    *iter += 1;
+                    // Mix this loop's iteration into the key; the constant
+                    // is an odd multiplier so nested loops decorrelate.
+                    (
+                        *body,
+                        m,
+                        iter_key.wrapping_mul(0x9E37_79B9).wrapping_add(*iter),
+                    )
+                }
+            };
+            if self.enter(node, mask, iter_key) {
+                return true;
+            }
+        }
+        false
+    }
+}
+
+impl<'k> Iterator for WarpWalk<'k> {
+    type Item = WarpEvent<'k>;
+
+    #[inline]
+    fn next(&mut self) -> Option<WarpEvent<'k>> {
+        loop {
+            let b = &mut self.block;
+            if let Some(inst) = b.insts.next() {
+                let ev = WarpEvent {
+                    inst,
+                    mask: b.mask,
+                    bb: b.id,
+                    pos: b.pos,
+                    iter_key: b.iter_key,
+                };
+                b.pos += 1;
+                return Some(ev);
+            }
+            if !self.advance() {
+                return None;
+            }
+        }
+    }
+}
+
+/// The lanes of `mask` whose trip count exceeds `iter`.
+fn lanes_left(counts: &[u32; WARP_SIZE as usize], mask: u32, iter: u32) -> u32 {
+    let mut m = 0u32;
+    for (lane, &count) in counts.iter().enumerate() {
+        m |= u32::from(count > iter) << lane;
+    }
+    m & mask
 }
 
 /// Initial live-lane mask of `warp_id`: lanes whose thread id is within
@@ -82,107 +338,26 @@ pub(crate) fn initial_mask(kernel: &Kernel, warp_id: u32) -> u32 {
 /// revisits intersect that with the current mask. Draws are keyed by the
 /// node's address, not its site id: two nodes may share a site and differ
 /// in `p` or distribution. Both lists stay unallocated for a program
-/// without thread-varying nodes.
-struct WarpDraws {
+/// without thread-varying nodes, and grow one entry at a time: a
+/// streamed warp keeps its draws while it is resident.
+#[derive(Debug)]
+struct WarpDraws<'k> {
     initial_mask: u32,
     /// Per `ThreadProb` `If` node: the lanes that take the branch.
-    taken: Vec<(*const Node, u32)>,
-    /// Per `PerThread` `Loop` node: per-lane trip counts and their maximum.
-    trips: Vec<(*const Node, LaneTrips)>,
+    taken: Vec<(&'k Node, u32)>,
+    /// Per `PerThread` `Loop` node: per-lane trip counts.
+    trips: Vec<(&'k Node, [u32; WARP_SIZE as usize])>,
 }
 
-type LaneTrips = ([u32; WARP_SIZE as usize], u32);
-
-/// `node`'s entry in `list`, made by `draw` on the first visit.
-fn drawn_once<T: Copy>(
-    list: &mut Vec<(*const Node, T)>,
-    node: &Node,
-    draw: impl FnOnce() -> T,
-) -> T {
-    if let Some(&(_, v)) = list.iter().find(|&&(n, _)| std::ptr::eq(n, node)) {
-        return v;
+/// The index of `node`'s entry in `list`, made by `draw` on the first
+/// visit.
+fn drawn<'k, T>(list: &mut Vec<(&'k Node, T)>, node: &'k Node, draw: impl FnOnce() -> T) -> usize {
+    if let Some(i) = list.iter().position(|&(n, _)| std::ptr::eq(n, node)) {
+        return i;
     }
-    let v = draw();
-    list.push((node, v));
-    v
-}
-
-fn walk_node(
-    node: &Node,
-    ctx: &ExecCtx,
-    gtid_base: u64,
-    mask: u32,
-    iter_key: u32,
-    draws: &mut WarpDraws,
-    sink: &mut impl FnMut(WarpEvent<'_>),
-) {
-    if mask == 0 {
-        return;
-    }
-    match node {
-        Node::Block { id, insts } => {
-            for (inst, pos) in insts.iter().zip(0..) {
-                sink(WarpEvent {
-                    inst,
-                    mask,
-                    bb: *id,
-                    pos,
-                    iter_key,
-                });
-            }
-        }
-        Node::Seq(nodes) => {
-            for n in nodes {
-                walk_node(n, ctx, gtid_base, mask, iter_key, draws, sink);
-            }
-        }
-        Node::If { cond, then_, else_ } => {
-            let taken = if matches!(cond, Cond::ThreadProb { .. }) {
-                let all = draws.initial_mask;
-                mask & drawn_once(&mut draws.taken, node, || {
-                    cond.eval_mask(ctx, gtid_base, all)
-                })
-            } else {
-                cond.eval_mask(ctx, gtid_base, mask)
-            };
-            walk_node(then_, ctx, gtid_base, taken, iter_key, draws, sink);
-            if let Some(e) = else_ {
-                walk_node(e, ctx, gtid_base, mask & !taken, iter_key, draws, sink);
-            }
-            // Implicit reconvergence: callers continue with `mask`.
-        }
-        Node::Loop { trips, body } => {
-            // Per-lane trip counts; the warp iterates until every active
-            // lane has exhausted its count, with the mask shrinking as
-            // lanes finish (SIMT loop divergence).
-            let draw = |lanes: u32| {
-                let mut counts = [0u32; WARP_SIZE as usize];
-                let max = trips.eval_lanes(ctx, gtid_base, lanes, &mut counts);
-                (counts, max)
-            };
-            let (counts, max_trips) = if trips.is_warp_uniform() {
-                draw(mask)
-            } else {
-                let all = draws.initial_mask;
-                drawn_once(&mut draws.trips, node, || draw(all))
-            };
-            for iter in 0..max_trips {
-                let mut m = 0u32;
-                for lane in 0..WARP_SIZE {
-                    if mask & (1 << lane) != 0 && counts[lane as usize] > iter {
-                        m |= 1 << lane;
-                    }
-                }
-                if m == 0 {
-                    break;
-                }
-                // Mix this loop's iteration into the key; the constant is
-                // an odd multiplier so nested loops decorrelate.
-                let key = iter_key.wrapping_mul(0x9E37_79B9).wrapping_add(iter + 1);
-                walk_node(body, ctx, gtid_base, m, key, draws, sink);
-            }
-        }
-    }
+    list.reserve_exact(1);
+    list.push((node, draw()));
+    list.len() - 1
 }
 
 #[cfg(test)]
@@ -202,9 +377,9 @@ mod tests {
     }
 
     fn collect(kernel: &Kernel, ctx: &ExecCtx, warp: u32) -> Vec<(u32, u16)> {
-        let mut out = vec![];
-        walk_warp(kernel, ctx, warp, &mut |ev| out.push((ev.mask, ev.bb.0)));
-        out
+        WarpWalk::new(kernel, ctx, warp)
+            .map(|ev| (ev.mask, ev.bb.0))
+            .collect()
     }
 
     #[test]
@@ -297,8 +472,9 @@ mod tests {
         })]);
         let n = b.loop_(TripCount::Const(3), body);
         let k = b.finish(n);
-        let mut keys = vec![];
-        walk_warp(&k, &ctx(0), 0, &mut |ev| keys.push(ev.iter_key));
+        let mut keys: Vec<u32> = WarpWalk::new(&k, &ctx(0), 0)
+            .map(|ev| ev.iter_key)
+            .collect();
         assert_eq!(keys.len(), 3);
         keys.dedup();
         assert_eq!(keys.len(), 3, "iteration keys must differ");
@@ -459,7 +635,23 @@ mod tests {
         (ev.inst.site, ev.mask, ev.bb.0, ev.pos, ev.iter_key)
     }
 
-    /// Full event streams of `walk_warp` against [`reference_walk`].
+    /// Warp `warp`'s events from [`WarpWalk`] against [`reference_walk`];
+    /// returns how many there were.
+    fn check_warp(k: &Kernel, ctx: &ExecCtx, warp: u32) -> u64 {
+        let got: Vec<_> = WarpWalk::new(k, ctx, warp).map(key).collect();
+        let mask = initial_mask(k, warp);
+        let gtid_base =
+            ctx.block_id as u64 * k.threads_per_block as u64 + (warp * WARP_SIZE) as u64;
+        let mut want = vec![];
+        reference_walk(&k.program, ctx, gtid_base, mask, 0, &mut |ev| {
+            want.push(key(ev))
+        });
+        assert_eq!(got, want, "{} warp {warp} {ctx:?}\n{k:#?}", k.name);
+        want.len() as u64
+    }
+
+    /// Full event streams of [`WarpWalk`] against [`reference_walk`] on
+    /// `kernels` seeded bfs-shaped kernels.
     fn memo_differential(seed: u64, kernels: u64) {
         let mut rng = SplitMix64::new(seed);
         let (mut warps, mut events) = (0u64, 0u64);
@@ -475,26 +667,43 @@ mod tests {
                     work_scale: [1.0, 0.37, 2.5][rng.next_index(3) as usize],
                 };
                 for warp in 0..k.warps_per_block() {
-                    let mut got = vec![];
-                    walk_warp(&k, &ctx, warp, &mut |ev| got.push(key(ev)));
-                    let first = warp * WARP_SIZE;
-                    let live = (k.threads_per_block - first).min(WARP_SIZE);
-                    let mask = u32::MAX >> (WARP_SIZE - live);
-                    let gtid_base = ctx.block_id as u64 * k.threads_per_block as u64 + first as u64;
-                    let mut want = vec![];
-                    reference_walk(&k.program, &ctx, gtid_base, mask, 0, &mut |ev| {
-                        want.push(key(ev))
-                    });
-                    assert_eq!(got, want, "kernel {case} warp {warp} {ctx:?}\n{k:#?}");
+                    events += check_warp(&k, &ctx, warp);
                     warps += 1;
-                    events += want.len() as u64;
                 }
             }
         }
-        println!("walker memo differential: {kernels} kernels, {warps} warps, {events} events, 0 mismatches");
+        println!(
+            "walker differential: {kernels} kernels, {warps} warps, {events} events, 0 mismatches"
+        );
     }
 
-    /// Through `walk_warp` a node's mask only shrinks from visit to visit
+    /// Every warp of every block of every launch of the Tiny roster.
+    #[test]
+    fn walk_matches_the_per_visit_walk_on_the_tiny_roster() {
+        let (mut warps, mut events) = (0u64, 0u64);
+        for bench in tbpoint_workloads::all_benchmarks(tbpoint_workloads::Scale::Tiny) {
+            let k = &bench.run.kernel;
+            for spec in &bench.run.launches {
+                for block_id in 0..spec.num_blocks {
+                    let ctx = ExecCtx {
+                        kernel_seed: k.seed,
+                        launch_id: spec.launch_id,
+                        block_id,
+                        num_blocks: spec.num_blocks,
+                        work_scale: spec.work_scale,
+                    };
+                    for warp in 0..k.warps_per_block() {
+                        events += check_warp(k, &ctx, warp);
+                        warps += 1;
+                    }
+                }
+            }
+        }
+        assert!(warps > 0);
+        println!("walker differential, Tiny roster: {warps} warps, {events} events, 0 mismatches");
+    }
+
+    /// Through the walk a node's mask only shrinks from visit to visit
     /// (loop masks shrink with the iteration, branch masks do not depend
     /// on it), so a memo drawn for the first visit's mask would pass the
     /// differential above. The contract is wider — a draw covers the
@@ -511,10 +720,10 @@ mod tests {
             trips: Vec::new(),
         };
         for mask in [0x0000_00F0, u32::MAX] {
-            let (mut got, mut want) = (vec![], vec![]);
-            walk_node(&k.program, &c, 96, mask, 0, &mut draws, &mut |ev| {
-                got.push(key(ev))
-            });
+            let mut walk = WarpWalk::from_node(&k.program, &c, 96, mask, draws);
+            let got: Vec<_> = walk.by_ref().map(key).collect();
+            draws = walk.draws;
+            let mut want = vec![];
             reference_walk(&k.program, &c, 96, mask, 0, &mut |ev| want.push(key(ev)));
             assert_eq!(got, want, "mask {mask:#x}");
         }

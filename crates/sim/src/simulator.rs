@@ -18,8 +18,8 @@ use tbpoint_obs::{EventKind, NullRecorder, Recorder};
 /// changes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimOptions {
-    /// Serve dispatch traces from a per-launch [`TraceArena`] instead of
-    /// re-emulating every warp.
+    /// Share the traces of identical warps through a per-launch
+    /// [`TraceArena`]; off, every warp is streamed from its own walk.
     pub intern_traces: bool,
     /// Use cached per-SM `ready_hint`s to skip provably-idle scheduling
     /// scans and to jump the cycle loop across machine-wide idle spans
@@ -45,12 +45,13 @@ pub struct SimPerf {
     pub intern_hits: u64,
     /// Warp traces emulated and cached.
     pub intern_misses: u64,
-    /// Warp traces emulated with caching bypassed (thread-varying
+    /// Warps streamed from their walks, caching bypassed (thread-varying
     /// kernels have per-warp-unique traces by construction).
     pub intern_uncacheable: u64,
     /// Trace instructions whose emulation the interner avoided.
     pub reused_warp_insts: u64,
-    /// Trace instructions actually emulated.
+    /// Trace instructions actually emulated: into shared traces, and
+    /// from streamed warps' walks as they were pulled.
     pub traced_warp_insts: u64,
     /// Machine-wide idle spans crossed in a single jump. A counter of the
     /// host loop, not of the modelled hardware: a speed-only change to
@@ -247,10 +248,10 @@ fn deadlock(cycle: u64, ds: DispatchState, total_tbs: u32) -> ! {
 // total) and the recorder — each owned by the cycle loop, which goes on
 // using all of them between calls, so a bundle would be rebuilt per call.
 #[expect(clippy::too_many_arguments)]
-fn greedy_fill<R: Recorder + ?Sized>(
-    sms: &mut [SmCore],
+fn greedy_fill<'k, R: Recorder + ?Sized>(
+    sms: &mut [SmCore<'k>],
     arena: &mut TraceArena,
-    kernel: &Kernel,
+    kernel: &'k Kernel,
     spec: &LaunchSpec,
     stagger: u64,
     ds: &mut DispatchState,
@@ -469,6 +470,7 @@ pub fn simulate_launch_with<R: Recorder + ?Sized>(
     perf.stat_retires += u64::from(ds.simulated);
     perf.hook_skips += u64::from(ds.skipped);
     perf.absorb_intern(&arena.stats);
+    perf.traced_warp_insts += sms.iter().map(|s| s.walked_warp_insts).sum::<u64>();
     let issued_warp_insts: u64 = sms.iter().map(|s| s.issued_warp_insts).sum();
     let issued_thread_insts: u64 = sms.iter().map(|s| s.issued_thread_insts).sum();
     let (l1_hit, l1_miss) = mem.l1_stats();

@@ -4,19 +4,18 @@ use crate::config::GpuConfig;
 use crate::memory::MemorySystem;
 use crate::stats::SmStats;
 use std::sync::Arc;
-use tbpoint_emu::{StaticInst, TbStats, TraceArena, TraceEntry};
+use tbpoint_emu::{StaticInst, TbStats, TraceArena, WarpStream};
 use tbpoint_ir::inst::CoalescedLines;
 use tbpoint_ir::{ExecCtx, Kernel, LatencyClass, Op, TbId};
 use tbpoint_obs::Recorder;
 
 /// Runtime state of one resident warp.
 #[derive(Debug)]
-struct WarpRt {
-    /// Interned trace — identical warps across blocks share one
-    /// allocation (see [`tbpoint_emu::TraceArena`]). Entries index
-    /// `SmCore::table`.
-    trace: Arc<[TraceEntry]>,
-    pc: usize,
+struct WarpRt<'k> {
+    /// The warp's instructions: a trace identical warps share (entries
+    /// index `SmCore::table`), or a walk pulled one instruction per issue
+    /// (see [`tbpoint_emu::TraceArena::warp_stream`]).
+    stream: WarpStream<'k>,
     /// The cycle the warp can next issue. The scheduler reads the packed
     /// copy in `SmCore::sched_at`; this one stays exact for warps parked
     /// at a barrier, whose release resumes from it.
@@ -28,10 +27,10 @@ struct WarpRt {
 
 /// A thread block resident on the SM.
 #[derive(Debug)]
-struct ResidentBlock {
+struct ResidentBlock<'k> {
     tb_id: TbId,
     ctx: ExecCtx,
-    warps: Vec<WarpRt>,
+    warps: Vec<WarpRt<'k>>,
     live: u32,
     at_barrier: u32,
     /// Feature counters accumulated at issue time — at retirement they
@@ -106,11 +105,11 @@ impl IssueResult {
     }
 }
 
-/// One SM core.
-pub struct SmCore {
+/// One SM core; `'k` is the launch's kernel, which streamed warps walk.
+pub struct SmCore<'k> {
     /// This SM's index (selects its L1/MSHRs in the memory system).
     pub id: usize,
-    slots: Vec<Option<ResidentBlock>>,
+    slots: Vec<Option<ResidentBlock<'k>>>,
     /// Warps per block — a launch constant, learnt at the first dispatch.
     wpb: usize,
     /// The launch's static instructions (op, site, basic block) that
@@ -155,11 +154,13 @@ pub struct SmCore {
     pub issued_warp_insts: u64,
     /// Thread instructions issued by this SM.
     pub issued_thread_insts: u64,
+    /// Instructions this SM's streamed warps emulated as they issued.
+    pub(crate) walked_warp_insts: u64,
     /// Full per-SM statistics (mix, residency, retirements).
     pub stats: SmStats,
 }
 
-impl SmCore {
+impl<'k> SmCore<'k> {
     /// An empty SM with `occupancy` block slots.
     pub fn new(id: usize, occupancy: u32, cfg: &GpuConfig) -> Self {
         SmCore {
@@ -180,6 +181,7 @@ impl SmCore {
             lines: CoalescedLines::default(),
             issued_warp_insts: 0,
             issued_thread_insts: 0,
+            walked_warp_insts: 0,
             stats: SmStats::default(),
         }
     }
@@ -206,11 +208,13 @@ impl SmCore {
         self.use_hint = on;
     }
 
-    /// Materialise (or intern) traces for `tb_id` and install it in
-    /// `slot`; the block's warps first become ready at `start` (>= now),
+    /// Install `tb_id` in `slot` with one [`WarpStream`] per warp from
+    /// `arena`: a shared trace where identical warps can share one, a walk
+    /// of `kernel` otherwise, whose instructions are emulated as they
+    /// issue. The block's warps first become ready at `start` (>= now),
     /// letting the dispatcher stagger the initial fill.
     ///
-    /// Returns `Some(tb_id)` immediately if every warp's trace is empty
+    /// Returns `Some(tb_id)` immediately if every warp's stream is empty
     /// (the block retires without issuing anything).
     // Eight arguments: the dispatcher's full per-block context. Bundling
     // them into a one-shot struct would only move the same fields.
@@ -218,7 +222,7 @@ impl SmCore {
     pub fn dispatch(
         &mut self,
         slot: usize,
-        kernel: &Kernel,
+        kernel: &'k Kernel,
         ctx: ExecCtx,
         tb_id: TbId,
         now: u64,
@@ -231,11 +235,10 @@ impl SmCore {
         }
         let mut warps = Vec::with_capacity(kernel.warps_per_block() as usize);
         for w in 0..kernel.warps_per_block() {
-            let trace = arena.warp_entries(kernel, &ctx, w);
-            let done = trace.is_empty();
+            let mut stream = arena.warp_stream(kernel, &ctx, w);
+            let done = stream.is_done();
             warps.push(WarpRt {
-                trace,
-                pc: 0,
+                stream,
                 ready_at: now.max(start),
                 at_barrier: false,
                 done,
@@ -390,11 +393,13 @@ impl SmCore {
         };
         let ctx = block.ctx;
         let warp = &mut block.warps[w];
-        let entry = warp.trace[warp.pc];
-        let inst = &self.table[entry.inst as usize];
-        warp.pc += 1;
+        // pick_warp only returns warps that are not done.
+        let Some(inst) = warp.stream.next(&self.table) else {
+            return IssueResult::none();
+        };
+        self.walked_warp_insts += u64::from(warp.stream.is_walk());
         self.issued_warp_insts += 1;
-        let lanes = entry.mask.count_ones();
+        let lanes = inst.mask.count_ones();
         self.issued_thread_insts += lanes as u64;
         block.stats.warp_insts += 1;
         block.stats.thread_insts += lanes as u64;
@@ -415,8 +420,8 @@ impl SmCore {
                     pat.coalesced_lines_into(
                         &ctx,
                         warp.gtid_base,
-                        entry.mask,
-                        entry.iter_key,
+                        inst.mask,
+                        inst.iter_key,
                         inst.site,
                         lines,
                     );
@@ -445,8 +450,8 @@ impl SmCore {
             }
         }
 
-        // Trace exhausted?
-        if warp.pc >= warp.trace.len() {
+        // Stream exhausted?
+        if warp.stream.is_done() {
             warp.done = true;
             // A warp cannot end on an unreleased barrier (validated IR),
             // but guard the accounting anyway.
@@ -530,7 +535,7 @@ mod tests {
     use tbpoint_obs::NullRecorder;
     use tbpoint_stats::SplitMix64;
 
-    impl SmCore {
+    impl SmCore<'_> {
         /// The pre-packing scheduler, kept as the differential reference:
         /// it rebuilds the (slot, warp) order from the cold `WarpRt` fields
         /// on every pick. Only the 128-entry cap of its scratch array is
@@ -805,7 +810,7 @@ mod tests {
         }
         for (s, blk) in sm.slots.iter().enumerate() {
             for (w, warp) in blk.as_ref().unwrap().warps.iter().enumerate() {
-                assert!(warp.pc > 0, "slot {s} warp {w} never issued");
+                assert!(warp.ready_at > 0, "slot {s} warp {w} never issued");
             }
         }
     }

@@ -6,14 +6,18 @@
 //! (the recorder sees only events there: counters are emitted once per
 //! launch). Counts are per thread, so tests running in parallel do
 //! not see each other's allocations. The same allocator tracks live and
-//! peak heap bytes, which bounds what a resident warp's trace costs.
+//! peak heap bytes, which bounds what a resident warp costs.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use tbpoint_ir::{AddrPattern, Cond, Kernel, KernelBuilder, LaunchId, LaunchSpec, Op, TripCount};
+use tbpoint_emu::TraceArena;
+use tbpoint_ir::{
+    AddrPattern, Cond, ExecCtx, Kernel, KernelBuilder, LaunchId, LaunchSpec, Op, TripCount,
+};
 use tbpoint_sim::memory::MemorySystem;
 use tbpoint_sim::{simulate_launch, GpuConfig, NullSampling};
 use tbpoint_stats::SplitMix64;
+use tbpoint_workloads::{benchmark_by_name, Scale};
 
 struct Counting;
 
@@ -147,8 +151,7 @@ fn launch_allocations_do_not_scale_with_trip_count() {
 }
 
 /// A thread-varying kernel (a `ThreadProb` branch around a `Const` loop of
-/// `trips` iterations), so the interner bypasses it and every resident
-/// warp owns its trace.
+/// `trips` iterations), so the interner hands every warp a walk to stream.
 fn varying_kernel(trips: u32) -> Kernel {
     let mut b = KernelBuilder::new("footprint", 25, 128);
     let site = b.fresh_site();
@@ -170,8 +173,8 @@ fn varying_kernel(trips: u32) -> Kernel {
 }
 
 /// Peak live heap of simulating one full wave of [`varying_kernel`]: every
-/// block is dispatched at cycle 0, so all warps' traces are resident at
-/// once. Returns the peak and the wave's warp instructions.
+/// block is dispatched at cycle 0, so all warps are resident at once.
+/// Returns the peak and the wave's warp instructions.
 fn wave_peak(trips: u32) -> (u64, u64) {
     let kernel = varying_kernel(trips);
     let cfg = GpuConfig::fermi();
@@ -185,20 +188,62 @@ fn wave_peak(trips: u32) -> (u64, u64) {
     (peak, r.issued_warp_insts)
 }
 
-/// A resident warp-instruction costs at most 16 bytes of heap: the
-/// 12-byte trace entry plus slack. Quadrupling the trip count adds
-/// instructions to every resident trace and nothing else that grows.
+/// A streamed warp holds its walk, not its instructions: quadrupling the
+/// trip count adds instructions to every resident warp, and the peak heap
+/// of the wave moves by at most a few KiB whatever their number (a
+/// materialised 12-byte entry each would add over a MiB here).
 #[test]
-fn resident_trace_bytes_per_warp_instruction() {
+fn resident_warps_cost_no_heap_per_instruction() {
     let (short_peak, short_insts) = wave_peak(40);
     let (long_peak, long_insts) = wave_peak(160);
     let added = long_insts - short_insts;
     assert!(added > 100_000, "only {added} added warp instructions");
     let grown = long_peak.saturating_sub(short_peak);
     assert!(
-        grown <= 16 * added,
-        "peak heap grew {grown} bytes for {added} added resident warp instructions \
-         ({:.1} bytes each)",
-        grown as f64 / added as f64
+        grown <= 4096,
+        "peak heap grew {grown} bytes ({short_peak} -> {long_peak}) for {added} added \
+         resident warp instructions"
+    );
+}
+
+/// What one streamed warp holds: for the first blocks of every dev-scale
+/// bfs launch, the peak heap of a warp's stream from dispatch to its last
+/// instruction (the boxed walk, its frame stack and its draws) stays
+/// under 1 KiB, however many instructions it yields.
+#[test]
+fn a_streamed_bfs_warp_holds_under_a_kib() {
+    let bench = benchmark_by_name("bfs", Scale::Dev).expect("bfs is on the roster");
+    let kernel = &bench.run.kernel;
+    let (mut worst, mut most_insts) = (0, 0);
+    for spec in &bench.run.launches {
+        let mut arena = TraceArena::new(kernel);
+        let table = arena.table().insts().clone();
+        for block_id in 0..spec.num_blocks.min(8) {
+            let ctx = ExecCtx {
+                kernel_seed: kernel.seed,
+                launch_id: spec.launch_id,
+                block_id,
+                num_blocks: spec.num_blocks,
+                work_scale: spec.work_scale,
+            };
+            for w in 0..kernel.warps_per_block() {
+                let (peak, insts) = peak_bytes(|| {
+                    let mut stream = arena.warp_stream(kernel, &ctx, w);
+                    assert!(stream.is_walk(), "bfs warps are thread-varying");
+                    let mut insts = 0u64;
+                    while stream.next(&table).is_some() {
+                        insts += 1;
+                    }
+                    insts
+                });
+                worst = worst.max(peak);
+                most_insts = most_insts.max(insts);
+            }
+        }
+    }
+    assert!(most_insts > 100, "the longest warp has {most_insts} instructions");
+    assert!(
+        worst < 1024,
+        "a streamed bfs warp peaked at {worst} heap bytes (longest warp: {most_insts} instructions)"
     );
 }

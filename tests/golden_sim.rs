@@ -13,7 +13,7 @@
 //!    goldens"). This catches drift against history, not just against a
 //!    reference mode that might share a bug.
 //! 2. **Mode cross-check**: each launch is re-simulated with interning
-//!    off (fresh re-emulation per warp), with the event horizon off
+//!    off (every warp streamed from its walk), with the event horizon off
 //!    (cycle-by-cycle stepping), and with both off; all four mode
 //!    combinations must serialise identically. Seeded memory-heavy
 //!    random kernels ride along as extra inputs.
@@ -31,7 +31,7 @@
 mod common;
 
 use common::{random_kernel, random_mem_kernel, simulate_opts, Gen};
-use tbpoint::emu::{trace_warp, walk_warp, TraceArena, TraceEntry, TraceKey};
+use tbpoint::emu::{trace_warp, TraceArena, TraceEntry, TraceKey, WarpWalk};
 use tbpoint::ir::{ExecCtx, Kernel, LaunchId, LaunchSpec};
 use tbpoint::sim::{
     simulate_launch, simulate_launch_perf, simulate_run, GpuConfig, NullSampling, SimOptions,
@@ -142,7 +142,10 @@ fn assert_modes_agree(what: &str, kernel: &Kernel, spec: &LaunchSpec, cfg: &GpuC
 
 /// Layer 2: the optimised default (interned traces + event horizon)
 /// serialises identically to the three reference modes that disable
-/// either or both optimisations. Every workload is covered; within a
+/// either or both optimisations. With `intern_traces: false` the arena
+/// shares nothing and every warp is streamed from its walk, so the
+/// comparison also checks streamed warps against shared traces on every
+/// workload of the roster. Every workload is covered; within a
 /// workload the cross-check runs on representative launches (first,
 /// widest grid, last) — the reference modes are an order of magnitude
 /// slower by design, and layer 1 already pins the default mode on every
@@ -315,10 +318,9 @@ fn trace_entries_decode_to_the_walker_events() {
                     work_scale: 1.0,
                 };
                 for warp_id in 0..kernel.warps_per_block() {
-                    let mut want = Vec::new();
-                    walk_warp(&kernel, &c, warp_id, &mut |ev| {
-                        want.push((ev.inst.op, ev.inst.site, ev.bb.0, ev.mask, ev.iter_key));
-                    });
+                    let want: Vec<_> = WarpWalk::new(&kernel, &c, warp_id)
+                        .map(|ev| (ev.inst.op, ev.inst.site, ev.bb.0, ev.mask, ev.iter_key))
+                        .collect();
                     let trace = arena.warp_entries(&kernel, &c, warp_id);
                     let table = arena.table().insts();
                     let got: Vec<_> = trace
