@@ -193,7 +193,7 @@ impl WarpStream<'_> {
                 *pc += 1;
                 Some(expand(insts, entry))
             }
-            WarpStream::Walk(walk) => walk.next().map(|ev: WarpEvent<'_>| TraceInst {
+            WarpStream::Walk(walk) => walk.next().map(|ev| TraceInst {
                 op: ev.inst.op,
                 mask: ev.mask,
                 iter_key: ev.iter_key,

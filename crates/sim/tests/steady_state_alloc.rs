@@ -241,7 +241,10 @@ fn a_streamed_bfs_warp_holds_under_a_kib() {
             }
         }
     }
-    assert!(most_insts > 100, "the longest warp has {most_insts} instructions");
+    assert!(
+        most_insts > 100,
+        "the longest warp has {most_insts} instructions"
+    );
     assert!(
         worst < 1024,
         "a streamed bfs warp peaked at {worst} heap bytes (longest warp: {most_insts} instructions)"
